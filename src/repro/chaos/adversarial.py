@@ -19,10 +19,12 @@ This module turns that construction into declarative
   ``sum(eps)/2``, the envelope guarantees AOPT never exceeds ``G~``).
 
 Both flavours use ``estimate_mode="broadcast"`` -- the adversary manipulates
-*message* delays, which only matters when estimates travel in messages -- and
-broadcast mode is exactly what the fast and vectorised backends do not
-implement, so these scenarios also exercise the established
-``UnsupportedScenarioError`` -> reference fallback on every backend.
+*message* delays, which only matters when estimates travel in messages.  The
+``fast``, ``vec`` and ``jit`` backends carry broadcast estimates natively
+(columnar message transport, since 1.8.0), so the ``aopt`` flavour runs on
+every backend without a fallback.  The ``hardware_only`` flavour still takes
+the ``UnsupportedScenarioError`` -> reference fallback there, because those
+backends run the AOPT family only -- not because of its estimate mode.
 
 The packaged ``chaos_shifting_*`` scenario files are generated from this
 module (``python -m repro.chaos.adversarial``); the validate lint and the

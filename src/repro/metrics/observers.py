@@ -28,6 +28,7 @@ guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.aopt_step import MODE_NAMES
@@ -35,7 +36,7 @@ from ..core.parameters import Parameters
 from ..network import paths
 from ..sim.runner import minimum_kappa
 from . import streaming
-from .views import SampleView
+from .views import Pair, SampleView
 
 
 class MetricsError(ValueError):
@@ -102,6 +103,31 @@ class ObserverContext:
     def new_edge(self) -> Optional[Tuple[int, int]]:
         edge = self.meta.get("new_edge")
         return tuple(edge) if edge is not None else None
+
+    @cached_property
+    def kappa_distances(self) -> Dict[Pair, float]:
+        """The positive ``kappa`` distance of each unordered pair, in the key
+        order of :func:`paths.all_pairs_distances`; computed once per pipeline."""
+        weight = paths.kappa_weight(self.graph, self.params)
+        return {
+            (u, v): distance
+            for u, v, distance in paths.iter_distances(self.graph, weight)
+            if u < v and distance > 0.0
+        }
+
+    def gradient_limits(
+        self, tolerance: float
+    ) -> Optional[Tuple[List[Pair], List[float]]]:
+        """Every pair with its Corollary 5.26 skew limit ``+ tolerance``; ``None``
+        under churn (distances are ambiguous) or without a global skew bound."""
+        if self.has_dynamics or self.global_skew_bound is None:
+            return None
+        distances = self.kappa_distances.values()
+        limit = {
+            d: self.params.gradient_skew_bound(d, self.global_skew_bound) + tolerance
+            for d in set(distances)
+        }
+        return list(self.kappa_distances), [limit[d] for d in distances]
 
 
 class Observer:
@@ -287,8 +313,8 @@ class StabilizationWindowObserver(Observer):
 class GradientBoundObserver(Observer):
     """Count of Corollary 5.26 gradient-bound violations over the run.
 
-    Applicable only on static graphs with a configured global skew bound --
-    churn makes weighted distances ambiguous, exactly the condition the
+    Applicable only on static graphs with a configured global skew bound
+    (:meth:`ObserverContext.gradient_limits`), exactly the condition the
     post-hoc summary used.
     """
 
@@ -296,33 +322,15 @@ class GradientBoundObserver(Observer):
 
     def __init__(self, context, *, tolerance: float = 1e-9):
         super().__init__(context)
-        self._applicable = (
-            not context.has_dynamics and context.global_skew_bound is not None
-        )
-        self._pairs: List[Tuple[int, int]] = []
-        self._limits: List[float] = []
+        self._table = context.gradient_limits(tolerance)
         self._count = 0
-        if self._applicable:
-            weight = paths.kappa_weight(context.graph, context.params)
-            distances = paths.all_pairs_distances(context.graph, weight)
-            bound = context.global_skew_bound
-            for (u, v), distance in distances.items():
-                if u >= v or distance <= 0.0:
-                    continue
-                self._pairs.append((u, v))
-                self._limits.append(
-                    context.params.gradient_skew_bound(distance, bound) + tolerance
-                )
 
     def observe(self, view: SampleView) -> None:
-        if not self._applicable:
-            return
-        self._count += view.count_exceeding(
-            "gradient/pairs", self._pairs, self._limits
-        )
+        if self._table is not None:
+            self._count += view.count_exceeding("gradient/pairs", *self._table)
 
     def finalize(self) -> Dict[str, Any]:
-        if not self._applicable:
+        if self._table is None:
             return {"applicable": False}
         return {"applicable": True, "violations": self._count}
 
@@ -339,24 +347,13 @@ class SkewByDistanceObserver(Observer):
 
     def __init__(self, context):
         super().__init__(context)
-        weight = paths.kappa_weight(context.graph, context.params)
-        distances = paths.all_pairs_distances(context.graph, weight)
-        keys: List[float] = []
-        key_index: Dict[float, int] = {}
-        self._pairs: List[Tuple[int, int]] = []
-        self._group: List[int] = []
-        for (u, v), distance in distances.items():
-            if u >= v or distance <= 0.0:
-                continue
-            key = round(distance, 9)
-            slot = key_index.get(key)
-            if slot is None:
-                slot = len(keys)
-                key_index[key] = slot
-                keys.append(key)
-            self._pairs.append((u, v))
-            self._group.append(slot)
-        self._keys = keys
+        self._pairs = list(context.kappa_distances)
+        keys = [round(d, 9) for d in context.kappa_distances.values()]
+        slot: Dict[float, int] = {}
+        for key in keys:
+            slot.setdefault(key, len(slot))
+        self._group = [slot[key] for key in keys]
+        self._keys = list(slot)
         self._accumulator = None
 
     def observe(self, view: SampleView) -> None:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..network import paths
 from ..sim.runner import minimum_kappa
 from .observers import OBSERVERS, Observer, ObserverContext
 from .views import SampleView
@@ -98,9 +97,9 @@ class Watchdog(Observer):
 class GradientBoundWatchdog(Watchdog):
     """Fires when a sample violates the Corollary 5.26 gradient skew bound.
 
-    Shares the pair/limit precomputation of
-    :class:`~repro.metrics.observers.GradientBoundObserver` (same tolerance,
-    same applicability rule: static graph + configured global skew bound);
+    Reads the pair/limit table of
+    :meth:`~repro.metrics.observers.ObserverContext.gradient_limits`, shared
+    with ``gradient_bound_check`` (one distance computation per pipeline);
     edge-triggered, so one excursion above the bound is one firing however
     many consecutive samples it spans.  On a correct algorithm under the
     paper's assumptions this watchdog stays silent -- the clean-scenario
@@ -111,29 +110,16 @@ class GradientBoundWatchdog(Watchdog):
 
     def __init__(self, context: ObserverContext, *, tolerance: float = 1e-9):
         super().__init__(context)
-        self.applicable = (
-            not context.has_dynamics and context.global_skew_bound is not None
-        )
-        self._pairs: List[Tuple[int, int]] = []
-        self._limits: List[float] = []
+        self._table = context.gradient_limits(tolerance)
+        self.applicable = self._table is not None
         self._violating = False
         if self.applicable:
             self.threshold = context.global_skew_bound
-            weight = paths.kappa_weight(context.graph, context.params)
-            distances = paths.all_pairs_distances(context.graph, weight)
-            for (u, v), distance in distances.items():
-                if u >= v or distance <= 0.0:
-                    continue
-                self._pairs.append((u, v))
-                self._limits.append(
-                    context.params.gradient_skew_bound(distance, self.threshold)
-                    + tolerance
-                )
 
     def observe(self, view: SampleView) -> None:
         if not self.applicable:
             return
-        count = view.count_exceeding("gradient/pairs", self._pairs, self._limits)
+        count = view.count_exceeding("gradient/pairs", *self._table)
         if count and not self._violating:
             self.fire(view.time, float(count), violating_pairs=int(count))
         self._violating = bool(count)

@@ -8,13 +8,15 @@ under a caller-supplied edge weight function.
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .dynamic_graph import DynamicGraph, GraphError
 from .edge import NodeId
 
 EdgeWeight = Callable[[NodeId, NodeId], float]
+_INF = float("inf")
+_Rows = List[List[Tuple[int, float]]]
 
 
 def epsilon_weight(graph: DynamicGraph) -> EdgeWeight:
@@ -60,33 +62,74 @@ def path_exists(graph: DynamicGraph, path: Sequence[NodeId]) -> bool:
     return all(graph.has_edge(u, v) for u, v in zip(path, path[1:]))
 
 
+def _weighted_rows(
+    graph: DynamicGraph, weight: Optional[EdgeWeight]
+) -> Tuple[List[NodeId], _Rows]:
+    """The sorted nodes and, per node index, its ``(neighbour index, weight)``
+    row; ``weight`` is called once per directed edge, in the neighbour order
+    of :meth:`DynamicGraph.symmetric_neighbors`."""
+    if weight is None:
+        weight = epsilon_weight(graph)
+    nodes = graph.nodes
+    index = {node: i for i, node in enumerate(nodes)}
+    rows: _Rows = []
+    for node in nodes:
+        row: List[Tuple[int, float]] = []
+        for other in graph.symmetric_neighbors(node):
+            w = weight(node, other)
+            if w < 0.0:
+                raise GraphError(f"negative edge weight on ({node}, {other})")
+            row.append((index[other], w))
+        rows.append(row)
+    return nodes, rows
+
+
+def _dijkstra(rows: _Rows, source: int) -> Tuple[List[float], List[int], List[int]]:
+    """Dijkstra from index ``source``: distances by index (``inf`` = unreached),
+    reached indices in order of first discovery, predecessors by index."""
+    dist = [_INF] * len(rows)
+    prev = [-1] * len(rows)
+    dist[source] = 0.0
+    order = [source]
+    heap = [(0.0, source)]
+    while heap:
+        d, i = heappop(heap)
+        if d > dist[i]:  # stale entry: i was settled at a smaller distance
+            continue
+        for j, w in rows[i]:
+            nd = d + w
+            if nd < dist[j]:
+                if dist[j] == _INF:
+                    order.append(j)
+                dist[j] = nd
+                prev[j] = i
+                heappush(heap, (nd, j))
+    return dist, order, prev
+
+
+def iter_distances(
+    graph: DynamicGraph, weight: Optional[EdgeWeight] = None
+) -> Iterator[Tuple[NodeId, NodeId, float]]:
+    """Yield ``(source, target, distance)`` per connected ordered pair: sources
+    ascending, each one's targets in discovery order (itself first, at 0)."""
+    nodes, rows = _weighted_rows(graph, weight)
+    for i, source in enumerate(nodes):
+        dist, order, _ = _dijkstra(rows, i)
+        for j in order:
+            yield source, nodes[j], dist[j]
+
+
 def shortest_distances(
     graph: DynamicGraph,
     source: NodeId,
     weight: Optional[EdgeWeight] = None,
 ) -> Dict[NodeId, float]:
     """Dijkstra distances from ``source`` over the symmetric edge set."""
-    if weight is None:
-        weight = epsilon_weight(graph)
     if not graph.has_node(source):
         raise GraphError(f"unknown node {source}")
-    dist: Dict[NodeId, float] = {source: 0.0}
-    visited: Dict[NodeId, bool] = {}
-    heap: List[Tuple[float, NodeId]] = [(0.0, source)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if visited.get(node):
-            continue
-        visited[node] = True
-        for other in graph.symmetric_neighbors(node):
-            w = weight(node, other)
-            if w < 0.0:
-                raise GraphError(f"negative edge weight on ({node}, {other})")
-            nd = d + w
-            if nd < dist.get(other, float("inf")):
-                dist[other] = nd
-                heapq.heappush(heap, (nd, other))
-    return dist
+    nodes, rows = _weighted_rows(graph, weight)
+    dist, order, _ = _dijkstra(rows, nodes.index(source))
+    return {nodes[j]: dist[j] for j in order}
 
 
 def shortest_path(
@@ -96,34 +139,17 @@ def shortest_path(
     weight: Optional[EdgeWeight] = None,
 ) -> List[NodeId]:
     """One shortest weighted path from ``source`` to ``target``."""
-    if weight is None:
-        weight = epsilon_weight(graph)
     if not graph.has_node(source) or not graph.has_node(target):
         raise GraphError("unknown endpoint")
-    dist: Dict[NodeId, float] = {source: 0.0}
-    prev: Dict[NodeId, NodeId] = {}
-    visited: Dict[NodeId, bool] = {}
-    heap: List[Tuple[float, NodeId]] = [(0.0, source)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if visited.get(node):
-            continue
-        visited[node] = True
-        if node == target:
-            break
-        for other in graph.symmetric_neighbors(node):
-            nd = d + weight(node, other)
-            if nd < dist.get(other, float("inf")):
-                dist[other] = nd
-                prev[other] = node
-                heapq.heappush(heap, (nd, other))
-    if target not in dist:
+    nodes, rows = _weighted_rows(graph, weight)
+    start, end = nodes.index(source), nodes.index(target)
+    dist, _, prev = _dijkstra(rows, start)
+    if dist[end] == _INF:
         raise GraphError(f"no path from {source} to {target}")
-    path = [target]
-    while path[-1] != source:
+    path = [end]
+    while path[-1] != start:
         path.append(prev[path[-1]])
-    path.reverse()
-    return path
+    return [nodes[i] for i in reversed(path)]
 
 
 def weighted_distance(
@@ -143,14 +169,10 @@ def weighted_diameter(
     graph: DynamicGraph, weight: Optional[EdgeWeight] = None
 ) -> float:
     """Maximum over all pairs of the shortest weighted distance."""
-    if weight is None:
-        weight = epsilon_weight(graph)
-    best = 0.0
-    for source in graph.nodes:
-        distances = shortest_distances(graph, source, weight)
-        if len(distances) != graph.node_count:
-            raise GraphError("weighted_diameter requires a connected graph")
-        best = max(best, max(distances.values()))
+    _, rows = _weighted_rows(graph, weight)
+    best = max(max(_dijkstra(rows, source)[0]) for source in range(len(rows)))
+    if best == _INF:
+        raise GraphError("weighted_diameter requires a connected graph")
     return best
 
 
@@ -158,11 +180,7 @@ def all_pairs_distances(
     graph: DynamicGraph, weight: Optional[EdgeWeight] = None
 ) -> Dict[Tuple[NodeId, NodeId], float]:
     """All-pairs shortest weighted distances (symmetric, includes (u, u) = 0)."""
-    result: Dict[Tuple[NodeId, NodeId], float] = {}
-    for source in graph.nodes:
-        for target, d in shortest_distances(graph, source, weight).items():
-            result[(source, target)] = d
-    return result
+    return {(u, v): d for u, v, d in iter_distances(graph, weight)}
 
 
 def pairs_at_distance(
@@ -172,9 +190,8 @@ def pairs_at_distance(
     weight: Optional[EdgeWeight] = None,
 ) -> List[Tuple[NodeId, NodeId]]:
     """All unordered pairs whose weighted distance lies in ``[lower, upper]``."""
-    pairs = []
-    distances = all_pairs_distances(graph, weight)
-    for (u, v), d in distances.items():
-        if u < v and lower <= d <= upper:
-            pairs.append((u, v))
-    return pairs
+    return [
+        (u, v)
+        for u, v, d in iter_distances(graph, weight)
+        if u < v and lower <= d <= upper
+    ]

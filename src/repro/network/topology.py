@@ -9,7 +9,7 @@ and random graphs exercise the algorithm on richer topologies.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .dynamic_graph import DynamicGraph, GraphError
 from .edge import DEFAULT_EDGE_PARAMS, EdgeParams, NodeId
@@ -91,11 +91,14 @@ def random_tree(
     seed: Optional[int] = None,
 ) -> DynamicGraph:
     """Uniform random recursive tree: node ``i`` attaches to a random earlier node."""
+    return _new_graph(n, _random_tree_edges(n, seed), params)
+
+
+def _random_tree_edges(n: int, seed: Optional[int]) -> List[Tuple[int, int]]:
     if n < 1:
         raise GraphError(f"a tree needs at least one node, got {n}")
     rng = random.Random(seed)
-    edges = [(rng.randrange(i), i) for i in range(1, n)]
-    return _new_graph(n, edges, params)
+    return [(rng.randrange(i), i) for i in range(1, n)]
 
 
 def random_connected(
@@ -110,12 +113,18 @@ def random_connected(
             f"extra_edge_probability must lie in [0, 1], got {extra_edge_probability}"
         )
     rng = random.Random(seed)
-    graph = random_tree(n, params, seed=rng.randrange(2 ** 30))
+    edges = _random_tree_edges(n, seed=rng.randrange(2 ** 30))
+    # A pair (i, j), i < j, is visited once, so only a tree edge can pre-exist.
+    tree_children: List[Set[int]] = [set() for _ in range(n)]
+    for parent, child in edges:
+        tree_children[parent].add(child)
+    draw = rng.random
     for i in range(n):
+        present = tree_children[i]
         for j in range(i + 1, n):
-            if not graph.has_edge(i, j) and rng.random() < extra_edge_probability:
-                graph.add_edge(i, j, params)
-    return graph
+            if j not in present and draw() < extra_edge_probability:
+                edges.append((i, j))
+    return _new_graph(n, edges, params)
 
 
 def from_edge_list(

@@ -14,7 +14,10 @@ from repro.core.parameters import ParameterError, Parameters
 from repro.core.triggers import NeighborView, fast_trigger_level, slow_trigger_level
 from repro.analysis import legality
 from repro.analysis.report import Table
+from repro.network import paths
+from repro.network.dynamic_graph import DynamicGraph
 from repro.network.edge import EdgeKey
+from test_paths_kernel import oracle_all_pairs, oracle_diameter
 
 # Parameter strategies ------------------------------------------------------
 
@@ -248,3 +251,37 @@ class TestMiscProperties:
         text = table.render()
         assert "T" in text
         assert len(text.splitlines()) == 4 + len(rows)
+
+
+@st.composite
+def weighted_connected_graphs(draw):
+    """A connected graph (random tree + extra edges) with a directed weight table."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    edges = {(draw(st.integers(min_value=0, max_value=i - 1)), i) for i in range(1, n)}
+    if n > 1:
+        node = st.integers(min_value=0, max_value=n - 1)
+        extra = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+        edges.update((min(u, v), max(u, v)) for u, v in extra if u != v)
+    # Few distinct values on purpose: exact ties and zero-weight edges.
+    value = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        st.floats(min_value=0.0, max_value=100.0),
+    )
+    graph = DynamicGraph(range(n))
+    table = {}
+    for u, v in sorted(edges):
+        graph.add_edge(u, v)
+        table[(u, v)] = draw(value)
+        table[(v, u)] = draw(value)
+    return graph, table
+
+
+class TestPathKernelProperties:
+    @given(case=weighted_connected_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_equals_dict_dijkstra(self, case):
+        graph, table = case
+        weight = lambda u, v: table[(u, v)]  # noqa: E731
+        got = paths.all_pairs_distances(graph, weight)
+        assert list(got.items()) == list(oracle_all_pairs(graph, weight).items())
+        assert paths.weighted_diameter(graph, weight) == oracle_diameter(graph, weight)
