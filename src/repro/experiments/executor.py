@@ -74,7 +74,11 @@ _UNSUPPORTED_KEY = "__unsupported_backend__"
 #: Backends whose cache-miss specs are grouped into lockstep batches.
 BATCHABLE_BACKENDS = ("vec", "jit")
 
-#: Minimum group size for which run batching beats per-run execution.
+#: Smallest group that is run as a lockstep batch.  There is no size to
+#: tune: the combined view picks kernel paths and layouts per row / per
+#: engine, so a batch of static runs costs at most what they cost one by one
+#: (measurements in :class:`repro.vecsim.engine.VecContext`; CI gates a
+#: mixed trio at batched <= 1.25 x per-run).
 MIN_BATCH_SIZE = 2
 
 _CACHE_DIR_ENV = "REPRO_EXPERIMENTS_CACHE_DIR"
@@ -186,7 +190,7 @@ def execute_spec(
 ) -> Dict[str, Any]:
     """Run one spec to completion and return the cacheable payload.
 
-    The spec's ``backend`` field picks the engine (reference, fast or vec);
+    The spec's ``backend`` field picks the engine (reference, fast, vec or jit);
     every backend receives the identical materialised scenario because seeds
     derive from the backend-independent content hash.  Summaries come from
     the streaming observer pipeline, which every engine feeds during the
@@ -232,7 +236,7 @@ def execute_specs_batched(
     specs: Sequence[ScenarioSpec],
     telemetry_sinks: Optional[Sequence[Optional[Callable[..., None]]]] = None,
 ) -> List[Dict[str, Any]]:
-    """Run compatible vec specs as one lockstep batch (see ``batch_key``).
+    """Run compatible vec or jit specs as one lockstep batch (see ``batch_key``).
 
     Returns one payload per spec, bit-identical to :func:`execute_spec` of
     the same spec.  Raises :class:`UnsupportedScenarioError` if any spec
@@ -327,7 +331,8 @@ class SweepStats:
     total: int = 0
     cached: int = 0
     executed: int = 0
-    #: Of the executed specs, how many ran inside a vectorized run batch.
+    #: Of the executed specs, how many ran inside a lockstep run batch
+    #: (``vec`` or ``jit``; a batch never mixes backends).
     batched: int = 0
     #: Specs whose backend could not run them and fell back to reference.
     fallbacks: int = 0
@@ -741,7 +746,7 @@ def run_sweep(
     (:mod:`repro.service`); neither forks its own copy.
 
     Cache hits are served directly.  Of the misses, compatible specs on a
-    batchable backend (``vec``) run as lockstep vector batches in-process;
+    batchable backend (``vec``, ``jit``) run as lockstep batches in-process;
     the rest execute inline (``workers == 1``) or on a ``multiprocessing``
     pool.  Results are written back to the cache before returning.  When a
     spec's backend raises :class:`UnsupportedScenarioError` it is re-run on

@@ -551,22 +551,22 @@ class JitContext(VecContext):
         for ei, engine in enumerate(engines):
             engine.sent_count += int(sent[ei])
             engine.delivered_count += int(delivered[ei])
-        # Leftover messages become one sorted pending run for the vec
-        # transport (or the next segment's prescan).
+        # Leftover messages become one sorted pending run per engine for the
+        # vec transport (or the next segment's prescan); the transport
+        # credits a run's deliveries to the engine that owns it.
+        self._bc_runs = []
         nleft = int(out_counts[0])
         if nleft:
-            times = left_time[:nleft].copy()
-            order = np.argsort(times)
-            self._bc_runs = [
-                [
-                    times[order],
-                    left_recv[:nleft][order].copy(),
-                    left_val[:nleft][order].astype(np.float64),
-                    0,
-                ]
-            ]
-        else:
-            self._bc_runs = []
+            order = np.argsort(left_time[:nleft])
+            times = left_time[:nleft][order]
+            receivers = left_recv[:nleft][order]
+            values = left_val[:nleft][order].astype(np.float64, copy=False)
+            owner = prep["engine_of"][receivers]
+            for ei in np.flatnonzero(np.bincount(owner, minlength=n_engines)):
+                mine = owner == ei
+                self._bc_runs.append(
+                    [times[mine], receivers[mine], values[mine], 0, engines[ei], None]
+                )
         # Replay the recorded samples in the exact per-step order.
         for si, (step_j, ei) in enumerate(snaps):
             engine = engines[ei]

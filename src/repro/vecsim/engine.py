@@ -26,7 +26,9 @@ are views into the context's arrays.  A context over ``R`` engines advances
 all of them in lockstep: one kernel invocation per phase covers the
 concatenated node (and CSR edge) ranges of every run, so a sweep of many
 small compatible runs (same ``dt``, same duration, same estimate strategy)
-pays the NumPy dispatch overhead once instead of ``R`` times.  Runs never
+pays the NumPy dispatch overhead once instead of ``R`` times, and a batch of
+large ones costs what they cost one by one (threshold tables, ``max_level``
+and degree may differ per run; see :class:`VecContext`).  Runs never
 interact -- separate graphs, schedulers and rng streams -- so a batched run
 is bit-identical to the same run executed alone (the differential suite
 asserts this).
@@ -340,6 +342,12 @@ def _make_delay_plan(model) -> _DelayPlan:
 # ----------------------------------------------------------------------
 # Combined CSR view shared by every engine of a context
 # ----------------------------------------------------------------------
+#: Padded cells one extra gather + maximum call is worth when stacked dense
+#: engines of different degree share a row-max segment (the fixed cost of
+#: the pair of numpy calls is about that of gathering this many elements).
+_CELLS_PER_CALL = 256
+
+
 class _CombinedCSR:
     """Concatenated NumPy mirror of every engine's CSR adjacency."""
 
@@ -354,9 +362,11 @@ class _CombinedCSR:
         "starts",
         "empty",
         "max_level",
-        "pad_columns",
+        "row_thresholds",
+        "_top_level",
+        "_top_thresholds",
+        "_row_max_segments",
         "_value_ext",
-        "homogeneous",
         "neg_epsilon",
         "edge_f1",
         "edge_f2",
@@ -442,22 +452,26 @@ class _CombinedCSR:
         )
         self.starts = np.minimum(indptr_arr[:-1], max(self.edge_count - 1, 0))
         self.empty = indptr_arr[:-1] == indptr_arr[1:]
-        # Dense row-max layout for low-degree graphs: per degree-column
-        # arrays of edge slots padded with a sentinel slot (index E), so a
-        # per-row maximum becomes ``max_degree`` gathers + maxima instead of
-        # a per-segment reduceat.  Skipped for high-degree rows (e.g. star
-        # hubs) where padding would blow the work up to n * max_degree.
-        degrees = np.diff(indptr_arr)
-        max_degree = int(degrees.max()) if len(degrees) else 0
-        if self.edge_count and 0 < max_degree * node_count <= 4 * self.edge_count:
-            pad = np.full((max_degree, node_count), self.edge_count, dtype=np.int64)
-            columns = np.arange(self.edge_count, dtype=np.int64) - np.repeat(
-                indptr_arr[:-1], degrees
-            )
-            pad[columns, self.row_owner] = np.arange(self.edge_count, dtype=np.int64)
-            self.pad_columns: Optional[np.ndarray] = pad
+        # Per-row thresholds for the extremum path of ``evaluate_modes_vec``:
+        # the one table as ``(4, L)`` scalars-per-level when the batch shares
+        # it, else every row's own table gathered to ``(4, L, n)`` (an empty
+        # row borrows an arbitrary table -- its ``-inf`` extrema never fire).
+        # ``None`` when some row mixes tables.  A table's top level is its
+        # own length: a run with fewer levels than the batch maximum is at
+        # top below ``max_level``.
+        self._top_level = self._top_thresholds = None
+        if len(tables) <= 1:
+            self._top_level = len(tables[0][0]) if tables else self.max_level
+            self._top_thresholds = thresholds[0]
         else:
-            self.pad_columns = None
+            row_table = self.table_id[self.starts]
+            if np.array_equal(self.table_id, row_table[self.row_owner]):
+                tops = np.asarray([len(table[0]) for table in tables], dtype=np.int64)
+                self._top_level = tops[self.table_id]
+                self._top_thresholds = np.ascontiguousarray(
+                    thresholds[row_table].transpose(1, 2, 0)
+                )
+        self._row_max_segments = self._plan_row_max(engines, indptr_arr)
         #: Scratch for padded row-maxima: per-edge values plus the sentinel.
         self._value_ext = np.empty(self.edge_count + 1, dtype=np.float64)
         #: Per-edge scratch buffers for the allocation-free kernels.
@@ -487,38 +501,114 @@ class _CombinedCSR:
             self.bc_hw = None
             self.bc_time = None
             self.bc_valid = None
-        self._refresh_homogeneous()
+        self._refresh_row_thresholds()
 
-    def _refresh_homogeneous(self) -> None:
-        #: Single threshold table and every edge at max level: the per-level
-        #: trigger conditions then collapse onto per-node extrema (see
-        #: :func:`repro.vecsim.kernels.evaluate_modes_vec`).
-        self.homogeneous = len(self.thresholds) == 1 and bool(
-            (self.level == self.max_level).all()
+    def _plan_row_max(self, engines: Sequence["VecEngine"], indptr: np.ndarray) -> List[Tuple]:
+        """Split the rows into segments of adjacent engines, one layout each.
+
+        An engine whose padded size ``max_degree * n`` stays within 4x its
+        edge count takes the dense layout: per degree-column arrays of edge
+        slots padded with a sentinel slot (index E), so a per-row maximum
+        becomes ``max_degree`` gathers + maxima instead of a reduceat.
+        High-degree rows (star hubs, random-graph hubs) would blow that up
+        to ``n * max_degree``; those engines keep ``reduceat`` over their
+        own edge range.  The rule is applied per engine, so one hub graph in
+        a batch does not take the dense layout away from the grids and lines
+        stacked with it.
+
+        Adjacent engines then share a segment when that costs no more than
+        running them apart: reduceat engines always (one call over the
+        joint edge range), dense engines when widening both to the larger
+        degree adds fewer padded cells than the gather calls it saves are
+        worth (always for equal degrees -- a sweep of lines or of grids is
+        one segment, as a single run is).
+
+        Returns ``(pad, edges, starts, empty)`` tuples: ``pad`` for dense
+        segments (the rest ``None``); the edge ``slice``, its local row
+        ``starts`` and the ``empty`` mask (``None`` when no row is empty)
+        for reduceat ones.
+        """
+        spans: List[List] = []  # [row_start, row_end, degree (0: reduceat)]
+        for engine in engines:
+            row_start = engine._offset
+            row_end = row_start + engine.n
+            edges = int(indptr[row_end] - indptr[row_start])
+            degree = engine._csr.max_degree
+            if not edges:
+                degree = 1  # a one-column all-sentinel pad
+            elif degree * engine.n > 4 * edges:
+                degree = 0
+            if spans:
+                last_start, _, last_degree = last = spans[-1]
+                wide = max(last_degree, degree)
+                added = (wide - last_degree) * (row_start - last_start) + (
+                    wide - degree
+                ) * engine.n
+                if bool(degree) == bool(last_degree) and (
+                    added <= _CELLS_PER_CALL * min(last_degree, degree)
+                ):
+                    last[1], last[2] = row_end, wide
+                    continue
+            spans.append([row_start, row_end, degree])
+        segments: List[Tuple] = []
+        for row_start, row_end, degree in spans:
+            edge_start, edge_end = int(indptr[row_start]), int(indptr[row_end])
+            if degree:
+                slots = np.arange(edge_start, edge_end, dtype=np.int64)
+                owner = self.row_owner[edge_start:edge_end]
+                pad = np.full((degree, row_end - row_start), self.edge_count, dtype=np.int64)
+                pad[slots - indptr[owner], owner - row_start] = slots
+                segments.append((pad, None, None, None))
+            else:
+                row_ptr = indptr[row_start:row_end]
+                empty = row_ptr == indptr[row_start + 1 : row_end + 1]
+                segments.append(
+                    (
+                        None,
+                        slice(edge_start, edge_end),
+                        np.minimum(row_ptr, edge_end - 1) - edge_start,
+                        empty if empty.any() else None,
+                    )
+                )
+        return segments
+
+    def _refresh_row_thresholds(self) -> None:
+        #: Every row's edges share the row's table and sit at that table's
+        #: top level: the per-level trigger conditions then collapse onto
+        #: per-node extrema (see :func:`repro.vecsim.kernels
+        #: .evaluate_modes_vec`).  A row-local condition, so a batch
+        #: qualifies exactly when each of its runs would on its own.
+        at_top = self._top_thresholds is not None and bool(
+            (self.level == self._top_level).all()
         )
+        self.row_thresholds = self._top_thresholds if at_top else None
 
     def row_max_values(self, values: np.ndarray) -> np.ndarray:
         """Per-row maximum of a per-edge float array (``-inf`` for no edges)."""
-        pad = self.pad_columns
-        if pad is not None:
-            ext = self._value_ext
-            ext[:-1] = values
-            ext[-1] = -np.inf
-            result = ext[pad[0]]
-            for column in range(1, len(pad)):
-                np.maximum(result, ext[pad[column]], out=result)
-            return result
-        result = np.maximum.reduceat(values, self.starts)
-        if self.empty.any():
-            result[self.empty] = -np.inf
-        return result
+        parts = []
+        ext = None
+        for pad, edges, starts, empty in self._row_max_segments:
+            if pad is not None:
+                if ext is None:
+                    ext = self._value_ext
+                    ext[:-1] = values
+                    ext[-1] = -np.inf
+                result = ext[pad[0]]
+                for column in range(1, len(pad)):
+                    np.maximum(result, ext[pad[column]], out=result)
+            else:
+                result = np.maximum.reduceat(values[edges], starts)
+                if empty is not None:
+                    result[empty] = -np.inf
+            parts.append(result)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def refresh_levels(self, engine: "VecEngine") -> None:
         """Re-mirror one engine's (list-typed) level column after promotions."""
         start = engine._edge_offset
         end = start + len(engine._csr.level)
         self.level[start:end] = np.asarray(engine._csr.level, dtype=np.int64)
-        self._refresh_homogeneous()
+        self._refresh_row_thresholds()
 
 
 # ----------------------------------------------------------------------
@@ -988,10 +1078,25 @@ class VecContext:
     batching groups specs accordingly); they advance in lockstep, one kernel
     invocation per phase for the whole batch.
 
+    What picks a kernel path or a layout is decided per row or per engine,
+    never by the batch's extremes (:class:`_CombinedCSR`): the extremum
+    trigger path needs every row at its *own* table's top level -- tables
+    and ``max_level`` may differ per run -- the dense row-max layout is
+    chosen per engine, and deliveries are credited to the sending engine
+    without inspecting receivers.  A batch of static runs therefore costs
+    what its runs cost one by one, less the shared dispatch; a member with
+    an insertion in progress sends the batch through the general trigger
+    path until its edges reach top level, as it would send itself.
+    Measured (2-core VM, ``trace: none``, scalar observers, best of three):
+    16 x line n = 64 over 2000 steps 0.55 s batched vs 1.48 s per run
+    (0.37x); grid 4096 + line 4096 + random 2048 over 600 steps 0.86 s vs
+    0.95 s (0.9-1.0x over repeats; 1.56 s vs 0.84 s, 1.8-1.9x, before these
+    choices were row-local).
+
     Known limitation: an adjacency change in *any* engine rebuilds the whole
     combined CSR (O(total edges)); level-only changes refresh just the
-    affected slice.  Batching therefore pays off for static or rarely
-    churning runs -- churn-heavy sweeps may prefer per-run execution.
+    affected slice.  A churn-heavy run therefore makes its batch peers pay
+    for its rebuilds.
     """
 
     def __init__(self, engines: Sequence[VecEngine]):
@@ -1040,12 +1145,11 @@ class VecContext:
         self._rates = np.empty(self.node_count, dtype=np.float64)
         self._node_scratch = np.empty(self.node_count, dtype=np.float64)
         self._node_flags = np.empty(self.node_count, dtype=bool)
-        self._engine_offsets = np.asarray(
-            [engine._offset for engine in self.engines], dtype=np.int64
-        )
         # Vectorized broadcast transport (insert-edge messages stay on the
-        # per-engine heaps).  Each run is one send burst sorted by delivery
-        # time with a consumed-prefix pointer: ``[times, recv, vals, start]``.
+        # per-engine heaps).  Each run is one engine's send burst sorted by
+        # delivery time with a consumed-prefix pointer: ``[times, recv, vals,
+        # start, engine, bc]`` (``bc``: the broadcast-estimate store columns,
+        # ``None`` in oracle mode).
         self._bc_runs: List[List] = []
         self._combined: Optional[_CombinedCSR] = None
         self._seen_generations = [-1] * len(self.engines)
@@ -1071,29 +1175,16 @@ class VecContext:
             # Oracle mode: delivery order within a step is irrelevant
             # (max-updates commute), so an unstable sort is fine.
             order = np.argsort(times)
-            self._bc_runs.append([times[order], receivers[order], values[order], 0])
-            return
-        # Broadcast estimate mode: deliveries overwrite per-(receiver,
-        # sender) stored state, so order *within* a pair matters.  A stable
-        # (delivery_time, message_id) sort reproduces the reference
-        # transport's delivery order exactly.
-        slots, owners, logicals, seqs, generation = bc
-        order = np.lexsort((seqs, times))
+        else:
+            # Broadcast estimate mode: deliveries overwrite per-(receiver,
+            # sender) stored state, so order *within* a pair matters.  A
+            # stable (delivery_time, message_id) sort reproduces the
+            # reference transport's delivery order exactly.
+            slots, owners, logicals, seqs, generation = bc
+            order = np.lexsort((seqs, times))
+            bc = (slots[order], owners[order], logicals[order], seqs[order], generation)
         self._bc_runs.append(
-            [
-                times[order],
-                receivers[order],
-                values[order],
-                0,
-                (
-                    engine,
-                    slots[order],
-                    owners[order],
-                    logicals[order],
-                    seqs[order],
-                    generation,
-                ),
-            ]
+            [times[order], receivers[order], values[order], 0, engine, bc]
         )
 
     def _deliver_broadcasts(self, t: float) -> None:
@@ -1103,20 +1194,16 @@ class VecContext:
         exhausted = False
         bc_due: Dict[int, List] = {}
         for run in self._bc_runs:
-            times, receivers, values, start = run[:4]
+            times, receivers, values, start, engine, bc = run
             end = int(np.searchsorted(times, limit, side="right"))
             if end <= start:
                 continue
             due_recv = receivers[start:end]
             np.maximum.at(self.max_estimate, due_recv, values[start:end])
-            if len(self.engines) == 1:
-                self.engines[0].delivered_count += end - start
-            else:
-                owner = np.searchsorted(self._engine_offsets, due_recv, side="right") - 1
-                for index, count in zip(*np.unique(owner, return_counts=True)):
-                    self.engines[index].delivered_count += int(count)
-            if len(run) > 4:
-                engine, slots, owners, logicals, seqs, generation = run[4]
+            # A burst only ever addresses its sender's own engine.
+            engine.delivered_count += end - start
+            if bc is not None:
+                slots, owners, logicals, seqs, generation = bc
                 entry = bc_due.get(id(engine))
                 if entry is None:
                     entry = bc_due[id(engine)] = [engine, []]

@@ -169,27 +169,34 @@ def evaluate_modes_vec(
 
     ``view`` is a combined CSR view (``edge_count``, ``level``, ``starts`` /
     ``empty``, ``thresholds`` of shape ``(T, 4, L)`` padded with ``+inf``,
-    ``table_id``).  ``mode`` is the previous step's mode column (read for
-    the "free" case only).  ``valid`` (broadcast estimate mode) masks CSR
-    entries whose pair has not stored a broadcast yet: the scalar engines
-    leave such neighbors out of the trigger view entirely, which is exactly
-    a firing level of 0 here.  Returns the new mode codes.
+    ``table_id``, and ``row_thresholds`` -- the per-row tables of shape
+    ``(4, L)`` or ``(4, L, n)``, or ``None`` while some row mixes tables or
+    holds an edge below its table's top level).  ``mode`` is the previous
+    step's mode column (read for the "free" case only).  ``valid``
+    (broadcast estimate mode) masks CSR entries whose pair has not stored a
+    broadcast yet: the scalar engines leave such neighbors out of the
+    trigger view entirely, which is exactly a firing level of 0 here.
+    Returns the new mode codes.
     """
     n = len(logical)
     all_valid = valid is None or bool(valid.all())
-    if view.edge_count and view.homogeneous and all_valid:
-        # Single threshold table and every edge at max level: "someone
-        # beyond threshold" becomes a comparison of the per-node extremum
-        # against the (scalar) per-level threshold -- max commutes with the
-        # exact comparison, so this is the scalar level loop verbatim, run
-        # on n-sized arrays with the same early exit.
+    row_thresholds = view.row_thresholds
+    if view.edge_count and row_thresholds is not None and all_valid:
+        # Every row's edges share one threshold table and sit at that
+        # table's top level: "someone beyond threshold" becomes a comparison
+        # of the per-node extremum against the row's per-level threshold --
+        # max commutes with the exact comparison, so this is the scalar
+        # level loop verbatim, run on n-sized arrays with the same early
+        # exit.  ``row_thresholds[half][s]`` is a scalar when the whole
+        # batch shares one table and an n-vector otherwise; levels a row's
+        # table lacks are ``+inf`` and rows without edges have ``-inf``
+        # extrema, so neither ever fires.
         ahead_max = view.row_max_values(ahead)
         neg_max = view.row_max_values(np.negative(ahead, out=view.edge_f1))
-        table = view.thresholds[0]
-        fast_ahead = table[THR_FAST_AHEAD]
-        fast_behind = table[THR_FAST_BEHIND]
-        slow_behind = table[THR_SLOW_BEHIND]
-        slow_ahead = table[THR_SLOW_AHEAD]
+        fast_ahead = row_thresholds[THR_FAST_AHEAD]
+        fast_behind = row_thresholds[THR_FAST_BEHIND]
+        slow_behind = row_thresholds[THR_SLOW_BEHIND]
+        slow_ahead = row_thresholds[THR_SLOW_AHEAD]
         slow_fire = np.zeros(n, dtype=bool)
         fast_fire = np.zeros(n, dtype=bool)
         for s in range(view.max_level):
