@@ -30,8 +30,10 @@ import logging
 import multiprocessing
 import os
 import re
+import threading
 import time
 import uuid
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -41,7 +43,7 @@ from ..fastsim.backend import backend_available, get_backend
 from ..fastsim.engine import UnsupportedScenarioError
 from ..metrics import ObserverReport
 from ..telemetry.schema import sanitize_json
-from ..telemetry.sweep import SweepTelemetry
+from ..telemetry.sweep import WATCHDOG_PREFIX, SweepTelemetry
 from . import registry
 from .results import (
     RunSummary,
@@ -416,6 +418,70 @@ _CACHE_KEY_RE = re.compile(r"^[0-9a-f]{64}(\.[A-Za-z0-9_-]+)*$")
 _NON_BACKEND_SUFFIX_RE = re.compile(r"^(s\d+|notrace|stable|obs-[0-9a-f]+)$")
 
 
+#: Most payload heads one :class:`ResultCache` remembers (a head is about
+#: 1 kB); the least recently used one is dropped first.
+HEADER_INDEX_CAPACITY = 4096
+
+_HEAD_KEYS = ("format", "library_version", "spec_hash", "backend")
+_HEAD_SPEC_KEYS = ("trace_stride", "trace", "observers", "until_stable")
+
+
+def _signature(stat: os.stat_result) -> Tuple[int, int, int]:
+    """What must be unchanged for a remembered head to still be the file's."""
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
+def _head_of(payload: Any) -> Optional[Dict[str, Any]]:
+    """A payload cut down to what validity and watchdog replay read.
+
+    The head has the payload's own shape -- ``_matches`` and
+    :meth:`SweepTelemetry.replay_watchdogs` take either -- and copies only
+    keys that are present, so a missing field stays missing.  ``None`` for
+    anything that is not a result payload (valid JSON that is not an object,
+    or whose ``"spec"`` is not one): such a file is a cache miss.
+    """
+    if not isinstance(payload, dict):
+        return None
+    observed = payload.get("spec", {})
+    if not isinstance(observed, dict):
+        return None
+    head = {key: payload[key] for key in _HEAD_KEYS if key in payload}
+    head["spec"] = {key: observed[key] for key in _HEAD_SPEC_KEYS if key in observed}
+    report = payload.get("observers")
+    bodies = report.get("observers") if isinstance(report, dict) else None
+    head["observers"] = {
+        "observers": {
+            name: body
+            for name, body in (bodies.items() if isinstance(bodies, dict) else ())
+            if name.startswith(WATCHDOG_PREFIX)
+        }
+    }
+    return head
+
+
+def _matches(stored: Mapping[str, Any], spec: ScenarioSpec) -> bool:
+    """Whether a cached payload (or its head) is a valid result for ``spec``.
+
+    THE validity rule of the cache, run on every ``load`` and ``probe``
+    against the spec being asked for.  The key already encodes each field;
+    the file is re-checked because a key names a file, not its content.
+    """
+    observed = stored.get("spec", {})
+    return (
+        stored.get("format") == CACHE_FORMAT_VERSION
+        # Entries written by another library version may embody different
+        # simulation semantics; treat them as misses.  (Within one version,
+        # clear the cache manually after editing simulation code.)
+        and stored.get("library_version") == _library_version
+        and stored.get("spec_hash") == spec.content_hash()
+        and stored.get("backend", "reference") == spec.backend
+        and observed.get("trace_stride", 1) == spec.trace_stride
+        and observed.get("trace", "full") == spec.trace
+        and observed.get("observers", []) == list(spec.observers)
+        and observed.get("until_stable", False) == spec.until_stable
+    )
+
+
 class ResultCache:
     """Content-hash-keyed JSON result store shared by CLI and daemon.
 
@@ -424,10 +490,26 @@ class ResultCache:
     ``os.replace``), so concurrent writers -- threads in one daemon process
     or independent processes sharing the directory -- can never tear an
     entry, only overwrite it with identical bytes.
+
+    Each instance also keeps a bounded *header index*: for every file it
+    parsed or wrote, the file's ``(st_ino, st_size, st_mtime_ns)`` and its
+    head (:func:`_head_of`).  :meth:`probe` answers "is this spec cached?"
+    from it for the price of one ``stat``.  The index remembers what a file
+    *says*, never a verdict: a head counts only while the file's signature
+    is unchanged, and ``_matches`` judges it against the submitted spec on
+    every call.  (A rewrite in place that keeps inode, size and mtime is
+    not seen; every writer of this class replaces the file.)
     """
 
     def __init__(self, cache_dir: Optional[os.PathLike] = None):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+        #: cache key -> (file signature, head), least recently used first.
+        self._index: "OrderedDict[str, Tuple[Tuple[int, int, int], Dict[str, Any]]]" = (
+            OrderedDict()
+        )
+        self._index_lock = threading.Lock()
+        self._probe_hits = 0
+        self._probe_parses = 0
 
     # -- keys -----------------------------------------------------------
     def key_for(self, spec: ScenarioSpec) -> str:
@@ -463,8 +545,11 @@ class ResultCache:
             name += f".obs-{digest}"
         return name
 
+    def _path(self, key: str) -> Path:
+        return self.cache_dir / f"{key}.json"
+
     def path_for(self, spec: ScenarioSpec) -> Path:
-        return self.cache_dir / f"{self.key_for(spec)}.json"
+        return self._path(self.key_for(spec))
 
     def path_for_key(self, key: str) -> Path:
         """Resolve a client-supplied cache key to its file, strictly.
@@ -477,7 +562,7 @@ class ResultCache:
             key = key[: -len(".json")]
         if not _CACHE_KEY_RE.match(key):
             raise ExecutorError(f"malformed cache key {key!r}")
-        return self.cache_dir / f"{key}.json"
+        return self._path(key)
 
     @staticmethod
     def backend_of_key(key: str) -> str:
@@ -488,32 +573,92 @@ class ResultCache:
         return "reference"
 
     # -- read / write ---------------------------------------------------
-    def load(self, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
-        path = self.path_for(spec)
+    def _remember(self, key: str, signature: Tuple[int, int, int], head: Dict[str, Any]) -> None:
+        with self._index_lock:
+            self._index[key] = (signature, head)
+            self._index.move_to_end(key)
+            while len(self._index) > HEADER_INDEX_CAPACITY:
+                self._index.popitem(last=False)
+
+    def _forget(self, key: str) -> None:
+        # Hygiene, not safety: a stale entry could never answer, because its
+        # signature no longer matches the file's.
+        with self._index_lock:
+            self._index.pop(key, None)
+
+    def _read(self, key: str) -> Optional[Tuple[Dict[str, Any], Dict[str, Any]]]:
+        """Parse one cache file into ``(payload, head)`` and index the head.
+
+        ``None`` when the file is missing, unreadable, not JSON or not a
+        result payload.  The signature is taken from the open descriptor,
+        so it belongs to the bytes that were parsed; a file the index knows
+        under that signature keeps its head (re-loading one entry over and
+        over builds nothing).
+        """
         try:
-            payload = json.loads(path.read_text())
+            with open(self._path(key)) as handle:
+                signature = _signature(os.fstat(handle.fileno()))
+                payload = json.loads(handle.read())
         except (OSError, ValueError):
+            self._forget(key)
             return None
-        if payload.get("format") != CACHE_FORMAT_VERSION:
+        with self._index_lock:
+            entry = self._index.get(key)
+        if entry is not None and entry[0] == signature:
+            return payload, entry[1]
+        head = _head_of(payload)
+        if head is None:
+            self._forget(key)
             return None
-        # Entries written by another library version may embody different
-        # simulation semantics; treat them as misses.  (Within one version,
-        # clear the cache manually after editing simulation code.)
-        if payload.get("library_version") != _library_version:
+        self._remember(key, signature, head)
+        return payload, head
+
+    def load(self, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
+        found = self._read(self.key_for(spec))
+        if found is not None and _matches(found[0], spec):
+            return found[0]
+        return None
+
+    def probe(self, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
+        """The head of ``spec``'s cached result, or ``None`` on a miss.
+
+        ``probe(spec) is not None`` exactly when ``load(spec)`` is not, but
+        a file this instance has already parsed or written costs one
+        ``stat`` instead of a read and a JSON parse of the whole payload.
+        The head is shared with the index: read it, never mutate it.
+        """
+        key = self.key_for(spec)
+        try:
+            signature = _signature(os.stat(self._path(key)))
+        except OSError:
+            self._forget(key)
             return None
-        if payload.get("spec_hash") != spec.content_hash():
-            return None
-        if payload.get("backend", "reference") != spec.backend:
-            return None
-        if payload.get("spec", {}).get("trace_stride", 1) != spec.trace_stride:
-            return None
-        if payload.get("spec", {}).get("trace", "full") != spec.trace:
-            return None
-        if tuple(payload.get("spec", {}).get("observers", ())) != spec.observers:
-            return None
-        if payload.get("spec", {}).get("until_stable", False) != spec.until_stable:
-            return None
-        return payload
+        with self._index_lock:
+            entry = self._index.get(key)
+            indexed = entry is not None and entry[0] == signature
+            if indexed:
+                self._index.move_to_end(key)
+                self._probe_hits += 1
+            else:
+                self._probe_parses += 1
+        if indexed:
+            head = entry[1]
+        else:
+            found = self._read(key)
+            if found is None:
+                return None
+            head = found[1]
+        return head if _matches(head, spec) else None
+
+    def probe_stats(self) -> Dict[str, int]:
+        """Index size and how probes were answered: ``hits`` from the index,
+        ``parses`` by reading the file (probes of missing files are neither)."""
+        with self._index_lock:
+            return {
+                "entries": len(self._index),
+                "hits": self._probe_hits,
+                "parses": self._probe_parses,
+            }
 
     def _tmp_path(self, path: Path) -> Path:
         # The temp name must be unique per *write*, not just per process:
@@ -525,13 +670,22 @@ class ResultCache:
 
     def store(self, spec: ScenarioSpec, payload: Dict[str, Any]) -> Path:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(spec)
+        key = self.key_for(spec)
+        path = self._path(key)
         tmp = self._tmp_path(path)
         # allow_nan=False: payloads are sanitized at build time, so a
         # non-finite float reaching this point is a bug -- fail loudly
         # rather than cache an unparseable NaN/Infinity token.
         tmp.write_text(json.dumps(payload, allow_nan=False))
+        # os.replace keeps inode, size and mtime, so the temp file's stat is
+        # the entry's signature: a later probe of what this instance wrote
+        # never parses it.  The head goes through JSON like the file did
+        # (tuples become lists), so it is what a parse would have found.
+        signature = _signature(os.stat(tmp))
         os.replace(tmp, path)
+        head = _head_of(payload)
+        if head is not None:
+            self._remember(key, signature, json.loads(json.dumps(head)))
         return path
 
     # -- lifecycle ------------------------------------------------------
@@ -551,6 +705,8 @@ class ResultCache:
                 for entry in self.cache_dir.glob(pattern):
                     entry.unlink()
                     removed += 1
+        with self._index_lock:
+            self._index.clear()
         return removed
 
     def stats(self) -> Dict[str, Any]:
@@ -601,6 +757,7 @@ class ResultCache:
                     entry.unlink()
                 except OSError:
                     continue
+                self._forget(entry.name[: -len(".json")])
                 removed += 1
                 freed += stat.st_size
             else:
@@ -615,6 +772,7 @@ class ResultCache:
                     entry.unlink()
                 except OSError:
                     continue
+                self._forget(entry.name[: -len(".json")])
                 removed += 1
                 freed += size
                 total -= size

@@ -19,13 +19,14 @@ into a daemon that serves many clients from one cache:
   observation suffixes;
 * :mod:`repro.service.client` -- a small ``urllib``-only client
   (:class:`ServiceClient`) used by the tests, the CI smoke job and docs;
-* :mod:`repro.service.events` -- JSONL request/job telemetry
-  (:class:`JsonlLog`), so live sweep progress is ``tail -f``-able.
+* :class:`JsonlLog` (from :mod:`repro.telemetry`, re-exported here) --
+  JSONL request/job telemetry, so live sweep progress is ``tail -f``-able.
 
 Everything here is standard library only; the daemon must import and run
 on the no-numpy CI leg.  Start it with ``repro-experiments serve``.
 """
 
+from ..telemetry import JsonlLog
 from .client import ClientError, JobFailed, RetryExhaustedError, ServiceClient
 from .core import (
     Job,
@@ -35,7 +36,6 @@ from .core import (
     ServiceUnavailableError,
     SweepService,
 )
-from .events import JsonlLog
 from .server import SweepServer, build_server
 
 __all__ = [

@@ -6,7 +6,12 @@ Each worker drives the exact same :func:`repro.experiments.executor.run_sweep`
 loop the CLI uses -- the daemon adds *sharing*, not a second executor:
 
 * **Cache first.**  A submitted spec whose result is already cached is
-  marked done at submit time and never touches the queue.
+  marked done at submit time and never touches the queue.  The check is
+  :meth:`ResultCache.probe`: one ``stat`` per spec against the cache's
+  header index, and a read of the file only for an entry this process has
+  neither written nor seen before.  A submission never parses a payload it
+  does not return -- payloads leave the daemon as bytes, through
+  ``GET /results/{key}``.
 * **Single-flight.**  Cache-miss specs are keyed by their cache path; the
   first job to submit a key *leases* it (and will execute it), every
   concurrent job submitting the same key *follows* the lease and waits for
@@ -33,8 +38,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..experiments.executor import ResultCache, SweepEvent, run_sweep
 from ..experiments.spec import ScenarioSpec
+from ..telemetry.events import JsonlLog
 from ..telemetry.sweep import SweepTelemetry
-from .events import JsonlLog
 
 #: Job lifecycle states, in order.
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -425,15 +430,18 @@ class SweepService:
                 f"of {self.config.max_specs_per_job}"
             )
         keys = [self.cache.key_for(spec) for spec in specs]
-        # Probe the cache *before* taking the service lock: ``load`` reads
-        # and JSON-parses the whole payload (traces included), and doing
-        # that for thousands of specs under the lock would serialize every
+        # ``probe`` costs one ``stat`` per spec and returns the entry's head
+        # (validity fields + watchdog bodies), validated against the
+        # submitted spec on every call; only an entry this process has never
+        # seen is read and parsed, once.  It still runs *before* the service
+        # lock: thousands of stats -- or first-sight parses of another
+        # process's entries -- under the lock would serialize every
         # concurrent submission and stall workers releasing leases.  The
         # race this opens is benign -- a spec cached between probe and
         # lease gets leased anyway and ``run_sweep``'s own probe serves it
         # from cache without re-executing.
-        probes = [self.cache.load(spec) for spec in specs]
-        hits = [payload is not None for payload in probes]
+        probes = [self.cache.probe(spec) for spec in specs]
+        hits = [head is not None for head in probes]
         job = Job(uuid.uuid4().hex[:12], specs, keys)
         enqueued = False
         with self._lock:
@@ -489,14 +497,18 @@ class SweepService:
         # firings are replayed into the job's event stream here (flagged
         # ``replayed``; live counters are untouched).  Coalesced specs'
         # events appear on the job that owns the execution.
-        if any(hits):
-            telemetry = self._telemetry_for(job)
-            for index, (spec, payload) in enumerate(zip(specs, probes)):
-                if payload is not None:
-                    telemetry.replay_watchdogs(index, spec, payload)
-        if not enqueued:
-            job._finalize()
-            self.log.write("job_done", job=job.id, state=job.state, cached=True)
+        try:
+            if any(hits):
+                telemetry = self._telemetry_for(job)
+                for index, (spec, head) in enumerate(zip(specs, probes)):
+                    if head is not None:
+                        telemetry.replay_watchdogs(index, spec, head)
+        finally:
+            # Even when a corrupt entry makes the replay raise (the HTTP
+            # layer answers 500), a registered job must not stay "queued".
+            if not enqueued:
+                job._finalize()
+                self.log.write("job_done", job=job.id, state=job.state, cached=True)
         return job
 
     # -- workers --------------------------------------------------------
@@ -681,5 +693,9 @@ class SweepService:
             "jobs": self.jobs.counts(),
             "counters": counters,
             "watchdogs": watchdogs,
-            "cache": dict(self.cache.stats(), dir=str(self.cache.cache_dir)),
+            "cache": dict(
+                self.cache.stats(),
+                dir=str(self.cache.cache_dir),
+                probe=self.cache.probe_stats(),
+            ),
         }

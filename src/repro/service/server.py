@@ -23,12 +23,15 @@ GET     ``/specs``          registry listing (scenarios, components, backends,
 ``ThreadingHTTPServer`` gives one thread per connection; submissions enqueue
 onto the service's worker pool and return immediately, so slow sweeps never
 block the API.  Responses are JSON everywhere, errors are
-``{"error": ...}`` with a matching status code.
+``{"error": ...}`` with a matching status code -- including anything a
+handler did not expect, which becomes a ``500`` (traceback in the service
+log) instead of a dropped connection.
 """
 
 from __future__ import annotations
 
 import json
+import traceback
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -176,6 +179,27 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             raise _HttpError(400, f"query parameter {name!r} must be an integer")
 
+    def _send_unexpected(self, exc: Exception) -> None:
+        """Answer a handler's own failure (call from its ``except`` block).
+
+        This is the boundary that must keep serving: the traceback goes to
+        the service log, the client gets a JSON 500, and the connection
+        closes because part of a response may already be on the wire.
+        """
+        self.service.log.write(
+            "http",
+            client=self.client_address[0],
+            line=self.requestline,
+            status=500,
+            traceback=traceback.format_exc(),
+        )
+        self.close_connection = True
+        message = f"internal server error: {exc.__class__.__name__}: {exc}"
+        try:
+            self._send_json(500, {"error": message})
+        except OSError:
+            pass  # the client is gone; nothing left to tell it
+
     # -- verbs ----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         try:
@@ -201,6 +225,8 @@ class _Handler(BaseHTTPRequestHandler):
                 raise _HttpError(404, f"no such endpoint: {self.path}")
         except _HttpError as exc:
             self._send_json(exc.status, {"error": exc.message})
+        except Exception as exc:
+            self._send_unexpected(exc)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         try:
@@ -218,6 +244,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(202, job.to_payload())
         except _HttpError as exc:
             self._send_json(exc.status, {"error": exc.message})
+        except Exception as exc:
+            self._send_unexpected(exc)
 
     def _send_result(self, key: str) -> None:
         # The cache IS the result API: the response body is the cache file,

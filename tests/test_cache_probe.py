@@ -1,0 +1,388 @@
+"""``ResultCache.probe`` and the stat-validated header index behind it.
+
+The contract under test: ``probe(spec) is not None`` exactly when
+``load(spec) is not None``; the index remembers what a file *says* under
+the file's ``(inode, size, mtime)`` and never a verdict, so a replaced,
+rewritten or deleted file is re-read (or missed), and ``_matches`` judges
+every answer against the spec that was asked for.  Standard library only:
+this file runs on the no-numpy CI leg.
+"""
+
+import copy
+import json
+import shutil
+import sys
+import threading
+
+import pytest
+
+import repro.experiments.executor as executor_mod
+from repro import __version__
+from repro.experiments import scenario
+from repro.experiments.executor import (
+    CACHE_FORMAT_VERSION,
+    ResultCache,
+    execute_spec,
+)
+from repro.service import ServiceConfig, SweepServer, SweepService
+from repro.service.client import ServiceClient
+from repro.telemetry import SweepTelemetry
+
+TINY_SIM = {"duration": 4.0, "dt": 0.1}
+
+SPEC = scenario("quickstart_line", n=4, sim=dict(TINY_SIM))
+
+#: ``SPEC`` with one observation detail changed each: same content hash,
+#: another cache key, another payload.
+OBSERVATION_VARIANTS = {
+    "backend": SPEC.with_backend("fast"),
+    "trace_stride": scenario("quickstart_line", n=4, sim=dict(TINY_SIM), trace_stride=2),
+    "trace": scenario("quickstart_line", n=4, sim=dict(TINY_SIM), trace="none"),
+    "observers": SPEC.with_observers("global_skew"),
+    "until_stable": scenario("quickstart_line", n=4, sim=dict(TINY_SIM), until_stable=True),
+}
+
+
+@pytest.fixture(scope="module")
+def payload():
+    return execute_spec(SPEC)
+
+
+@pytest.fixture
+def cache(tmp_path):
+    return ResultCache(tmp_path / "cache")
+
+
+def _count_parses(monkeypatch):
+    """Count ``json.loads`` calls made from here on."""
+    calls = []
+    real = json.loads
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    return calls
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def mutate(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return mutate
+
+
+def _drop(*path):
+    def mutate(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+
+    return mutate
+
+
+#: (name, mutation of a valid payload, still valid for SPEC?)
+PAYLOAD_CASES = [
+    ("untouched", lambda payload: None, True),
+    ("format + 1", _set("format", CACHE_FORMAT_VERSION + 1), False),
+    ("format - 1", _set("format", CACHE_FORMAT_VERSION - 1), False),
+    ("format missing", _drop("format"), False),
+    ("other library_version", _set("library_version", __version__ + ".post1"), False),
+    ("library_version missing", _drop("library_version"), False),
+    ("other spec_hash", _set("spec_hash", "0" * 64), False),
+    ("other backend", _set("backend", "fast"), False),
+    ("backend missing means reference", _drop("backend"), True),
+    ("trace_stride + 1", _set("spec", "trace_stride", 2), False),
+    ("other trace mode", _set("spec", "trace", "none"), False),
+    ("other observers", _set("spec", "observers", ["global_skew"]), False),
+    ("observers null", _set("spec", "observers", None), False),
+    ("until_stable flipped", _set("spec", "until_stable", True), False),
+    ("spec missing means defaults", _drop("spec"), True),
+    ("spec is a list", _set("spec", []), False),
+    ("spec is null", _set("spec", None), False),
+]
+
+#: Raw file contents that are no result payload at all.
+RAW_CASES = [
+    ("empty file", ""),
+    ("not JSON", "this is not json"),
+    ("a list", "[]"),
+    ("null", "null"),
+    ("a number", "3"),
+    ("a string", '"payload"'),
+]
+
+
+class TestProbeAgreesWithLoad:
+    @pytest.mark.parametrize(
+        "mutate,valid",
+        [case[1:] for case in PAYLOAD_CASES],
+        ids=[case[0] for case in PAYLOAD_CASES],
+    )
+    def test_payload_table(self, cache, payload, mutate, valid):
+        stored = copy.deepcopy(payload)
+        mutate(stored)
+        cache.cache_dir.mkdir(parents=True)
+        cache.path_for(SPEC).write_text(json.dumps(stored))
+        # First sight (a parse), from the index, and through a fresh
+        # instance that loads: one answer.
+        assert (cache.probe(SPEC) is not None) is valid
+        assert (cache.probe(SPEC) is not None) is valid
+        assert (cache.load(SPEC) is not None) is valid
+        assert (ResultCache(cache.cache_dir).load(SPEC) is not None) is valid
+
+    @pytest.mark.parametrize(
+        "text", [case[1] for case in RAW_CASES], ids=[case[0] for case in RAW_CASES]
+    )
+    def test_files_that_are_no_payload_are_misses(self, cache, payload, text):
+        cache.cache_dir.mkdir(parents=True)
+        cache.path_for(SPEC).write_text(text)
+        assert cache.probe(SPEC) is None
+        assert cache.load(SPEC) is None
+        assert cache.probe_stats()["entries"] == 0
+        # ... and the next store overwrites them.
+        cache.store(SPEC, payload)
+        assert cache.probe(SPEC) is not None
+        assert cache.load(SPEC) == payload
+
+    def test_truncated_file_is_a_miss(self, cache, payload):
+        path = cache.store(SPEC, payload)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        assert cache.probe(SPEC) is None
+        assert cache.load(SPEC) is None
+
+    def test_missing_file_is_a_miss(self, cache):
+        assert cache.probe(SPEC) is None
+        assert cache.load(SPEC) is None
+        assert cache.probe_stats() == {"entries": 0, "hits": 0, "parses": 0}
+
+    def test_stored_tuples_match_like_the_file_they_became(self, cache, payload):
+        # An in-memory payload may hold tuples where the file holds lists;
+        # the head remembered by store() is the file's, not the object's.
+        spec = OBSERVATION_VARIANTS["observers"]
+        stored = copy.deepcopy(payload)
+        stored["spec"]["observers"] = ("global_skew",)
+        cache.store(spec, stored)
+        assert cache.probe(spec) is not None
+        assert ResultCache(cache.cache_dir).probe(spec) == cache.probe(spec)
+
+
+class TestStaleness:
+    def _other_version(self, payload):
+        other = copy.deepcopy(payload)
+        other["library_version"] = __version__ + ".post1"
+        return other
+
+    def test_overwrite_by_another_writer_is_seen(self, cache, payload):
+        writer = ResultCache(cache.cache_dir)  # another process's instance
+        cache.store(SPEC, payload)
+        assert cache.probe(SPEC) is not None
+        writer.store(SPEC, self._other_version(payload))
+        assert cache.probe(SPEC) is None
+        assert cache.load(SPEC) is None
+        writer.store(SPEC, payload)
+        assert cache.probe(SPEC) is not None
+
+    def test_rewrite_in_place_is_seen(self, cache, payload):
+        path = cache.store(SPEC, payload)
+        assert cache.probe(SPEC) is not None
+        inode = path.stat().st_ino
+        path.write_text(json.dumps(self._other_version(payload)))
+        assert path.stat().st_ino == inode  # really in place; the size moved
+        assert cache.probe(SPEC) is None
+
+    def test_unlinked_entry_is_a_miss_and_forgotten(self, cache, payload):
+        path = cache.store(SPEC, payload)
+        assert cache.probe(SPEC) is not None
+        path.unlink()
+        assert cache.probe(SPEC) is None
+        assert cache.probe_stats()["entries"] == 0
+
+    def test_clear_empties_the_index(self, cache, payload):
+        cache.store(SPEC, payload)
+        assert cache.probe_stats()["entries"] == 1
+        cache.clear()
+        assert cache.probe_stats()["entries"] == 0
+        assert cache.probe(SPEC) is None
+
+    def test_prune_forgets_what_it_removes(self, cache, payload):
+        other = OBSERVATION_VARIANTS["trace"]
+        cache.store(SPEC, payload)
+        cache.store(other, execute_spec(other))
+        assert cache.probe_stats()["entries"] == 2
+        removed, _ = cache.prune(max_bytes=cache.path_for(other).stat().st_size)
+        assert removed == 1
+        assert cache.probe_stats()["entries"] == 1
+        assert cache.probe(SPEC) is None
+        assert cache.probe(other) is not None
+
+    def test_a_deleted_entry_stored_again_is_a_hit_again(self, cache, payload):
+        cache.store(SPEC, payload).unlink()
+        assert cache.probe(SPEC) is None
+        cache.store(SPEC, payload)
+        assert cache.probe(SPEC) is not None
+
+
+class TestNoParseWhenIndexed:
+    def test_probe_after_store_parses_nothing(self, cache, payload, monkeypatch):
+        cache.store(SPEC, payload)
+        parses = _count_parses(monkeypatch)
+        assert cache.probe(SPEC) is not None
+        assert cache.probe(SPEC) is not None
+        assert parses == []
+        assert cache.probe_stats() == {"entries": 1, "hits": 2, "parses": 0}
+
+    def test_second_probe_of_a_foreign_entry_parses_nothing(
+        self, cache, payload, monkeypatch
+    ):
+        ResultCache(cache.cache_dir).store(SPEC, payload)
+        parses = _count_parses(monkeypatch)
+        assert cache.probe(SPEC) is not None
+        assert len(parses) == 1  # first sight of another writer's entry
+        assert cache.probe(SPEC) is not None
+        assert len(parses) == 1
+        assert cache.probe_stats() == {"entries": 1, "hits": 1, "parses": 1}
+
+    def test_load_fills_the_index_for_later_probes(self, cache, payload, monkeypatch):
+        ResultCache(cache.cache_dir).store(SPEC, payload)
+        assert cache.load(SPEC) == payload
+        parses = _count_parses(monkeypatch)
+        assert cache.probe(SPEC) is not None
+        assert parses == []
+
+    def test_load_still_returns_the_whole_payload(self, cache, payload):
+        cache.store(SPEC, payload)
+        cache.probe(SPEC)
+        assert cache.load(SPEC) == payload
+        assert "trace" not in cache.probe(SPEC) and "summary" not in cache.probe(SPEC)
+
+
+class TestObservationDetails:
+    @pytest.mark.parametrize("detail", sorted(OBSERVATION_VARIANTS))
+    def test_a_head_never_validates_for_a_spec_differing_in(
+        self, cache, payload, detail, monkeypatch
+    ):
+        other = OBSERVATION_VARIANTS[detail]
+        assert other.content_hash() == SPEC.content_hash()
+        assert cache.key_for(other) != cache.key_for(SPEC)
+        # SPEC's payload under the other spec's key, on disk and -- through
+        # store() -- in the index: the remembered head is judged against
+        # the spec asked for, so it is a miss both ways.
+        cache.store(other, payload)
+        parses = _count_parses(monkeypatch)
+        assert cache.probe(other) is None
+        assert parses == []
+        assert cache.load(other) is None
+        assert ResultCache(cache.cache_dir).probe(other) is None
+        # ... and the reverse: the other spec's file copied over SPEC's.
+        cache.store(SPEC, payload)
+        foreign = copy.deepcopy(payload)
+        foreign["backend"] = other.backend
+        foreign["spec"] = other.to_dict()
+        ResultCache(cache.cache_dir).store(other, foreign)
+        shutil.copy(cache.path_for(other), cache.path_for(SPEC))
+        assert cache.probe(SPEC) is None
+        assert cache.probe(other) is not None
+
+
+class TestConcurrencyAndBound:
+    def test_eight_threads_store_and_probe_one_key(self, cache, payload):
+        rounds = 40
+        failures = []
+
+        def worker(index):
+            try:
+                for turn in range(rounds):
+                    if (turn + index) % 4 == 0:
+                        cache.store(SPEC, payload)
+                    if cache.probe(SPEC) is None:
+                        failures.append(f"thread {index} turn {turn}: probe missed")
+            except Exception as exc:  # surfaced below
+                failures.append(repr(exc))
+
+        cache.store(SPEC, payload)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        stats = cache.probe_stats()
+        # Every probe found the file, so each was a hit or a parse: a lost
+        # counter update would break the sum.
+        assert stats["hits"] + stats["parses"] == 8 * rounds
+        assert stats["entries"] == 1
+        assert list(cache.cache_dir.glob("*.tmp.*")) == []
+
+    def test_index_never_exceeds_its_bound(self, cache, payload, monkeypatch):
+        monkeypatch.setattr(executor_mod, "HEADER_INDEX_CAPACITY", 3)
+        specs = [SPEC] + [OBSERVATION_VARIANTS[name] for name in sorted(OBSERVATION_VARIANTS)]
+        for spec in specs:
+            stored = copy.deepcopy(payload)
+            stored["backend"] = spec.backend
+            stored["spec"] = spec.to_dict()
+            cache.store(spec, stored)
+            assert cache.probe_stats()["entries"] <= 3
+        # Least recently used goes first: the last three are still indexed,
+        # the first ones cost one parse and are valid all the same.
+        before = cache.probe_stats()
+        assert all(cache.probe(spec) is not None for spec in specs[-3:])
+        assert cache.probe_stats()["hits"] == before["hits"] + 3
+        assert cache.probe(specs[0]) is not None
+        after = cache.probe_stats()
+        assert after["parses"] == before["parses"] + 1
+        assert after["entries"] == 3
+
+
+def _replayed(spec, stored):
+    records = []
+    SweepTelemetry(records.append).replay_watchdogs(0, spec, stored)
+    for record in records:
+        record.pop("ts")
+    return records
+
+
+class TestWatchdogReplayFromHeads:
+    SPEC = scenario("line_scaling", n=5, until_stable=True)
+
+    def test_head_replays_what_the_payload_replays(self, cache):
+        cache.store(self.SPEC, execute_spec(self.SPEC))
+        from_payload = _replayed(self.SPEC, cache.load(self.SPEC))
+        assert [r["watchdog"] for r in from_payload] == ["watchdog_convergence"]
+        assert _replayed(self.SPEC, cache.probe(self.SPEC)) == from_payload
+        # A head parsed from another writer's file is the same head.
+        reader = ResultCache(cache.cache_dir)
+        assert reader.probe(self.SPEC) == cache.probe(self.SPEC)
+        assert _replayed(self.SPEC, reader.probe(self.SPEC)) == from_payload
+
+    def test_cached_resubmission_events_are_the_full_payload_replay(self, tmp_path):
+        service = SweepService(tmp_path / "cache", config=ServiceConfig(workers=1))
+        server = SweepServer(service, "127.0.0.1", 0)
+        client = ServiceClient(server.start_background(), timeout=30.0)
+        try:
+            client.wait(client.submit([self.SPEC])["id"])
+            job = client.submit([self.SPEC])
+            assert job["state"] == "done" and job["counts"]["cached"] == 1
+            events = client.job_events(job["id"])["events"]
+        finally:
+            server.shutdown()
+        for event in events:
+            event.pop("ts")
+        # What the parent commit put in the ring: the replay of the whole
+        # parsed payload, nothing else (a cached job never enters a sweep).
+        assert events == _replayed(self.SPEC, service.cache.load(self.SPEC))
+        assert events and all(event["replayed"] is True for event in events)

@@ -92,6 +92,25 @@ class TestSubmitPollFetch:
         assert job["state"] == "done"
         assert job["counts"]["cached"] == 1
 
+    def test_resubmit_is_answered_from_the_header_index(self, server, client):
+        spec = tiny_spec()
+        client.wait(client.submit([spec])["id"])
+        before = client.healthz()["cache"]["probe"]
+        assert before["entries"] == 1  # the daemon indexed what it stored
+        assert client.submit([spec])["counts"]["cached"] == 1
+        after = client.healthz()["cache"]["probe"]
+        assert after["hits"] == before["hits"] + 1
+        assert after["parses"] == before["parses"]
+
+    def test_entry_written_by_another_process_costs_one_parse(self, server, client):
+        spec = tiny_spec()
+        writer = executor_mod.ResultCache(server.service.cache.cache_dir)
+        writer.store(spec, executor_mod.execute_spec(spec))
+        for _ in range(3):
+            assert client.submit([spec])["counts"]["cached"] == 1
+        probe = client.healthz()["cache"]["probe"]
+        assert (probe["parses"], probe["hits"]) == (1, 2)
+
     def test_grid_submission_expands_server_side(self, client):
         job = client.submit_grid(
             "quickstart_line", grid={"n": [4, 5]}, base={"sim": dict(TINY_SIM)}
@@ -185,6 +204,41 @@ class TestErrorHandling:
                 assert "Content-Length" in json.loads(resp.read())["error"]
             finally:
                 conn.close()
+
+    def test_handler_exception_is_a_json_500_and_the_server_keeps_serving(
+        self, server, client
+    ):
+        # A cache entry that is valid by every field but whose watchdog
+        # body is garbage: the submit-time replay raises inside the handler.
+        spec = tiny_spec()
+        planted = executor_mod.execute_spec(spec)
+        planted["observers"]["observers"]["watchdog_planted"] = {
+            "applicable": True,
+            "events": [3],
+        }
+        server.service.cache.store(spec, planted)
+        with pytest.raises(ClientError) as err:
+            client.submit([spec])
+        assert err.value.status == 500
+        assert "internal server error" in str(err.value)
+        # Same listener, next request: still answering, nothing left queued.
+        health = client.healthz()
+        assert health["status"] == "ok"
+        assert health["jobs"]["queued"] == 0
+        job = client.wait(client.submit([tiny_spec(n=5)])["id"])
+        assert job["state"] == "done"
+
+    def test_get_handler_exception_is_a_json_500(self, server, client, monkeypatch):
+        def boom():
+            raise RuntimeError("describe exploded")
+
+        monkeypatch.setattr(server.service, "describe", boom)
+        with pytest.raises(ClientError) as err:
+            client._json("GET", "/healthz")
+        assert err.value.status == 500
+        assert "describe exploded" in str(err.value)
+        monkeypatch.undo()
+        assert client.healthz()["status"] == "ok"
 
     def test_unknown_endpoint_is_404(self, client):
         with pytest.raises(ClientError) as err:
