@@ -20,10 +20,12 @@ inputs, bit for bit:
   written in :mod:`repro.core.triggers`, so precomputing them does not change
   a single rounding;
 * the level loops terminate early when the *existential* half of a trigger
-  fails, which is sound because the thresholds grow strictly with the level
+  fails, which is sound because the thresholds never decrease with the level
   while the level-``s`` view sets only shrink (``N^s_u`` is a subset of
-  ``N^{s-1}_u``); the reference instead evaluates every level -- same result,
-  more work.
+  ``N^{s-1}_u``); the reference scans of :mod:`repro.core.triggers` share
+  this early exit, and ``test_level_scan_equals_exhaustive_scan`` in
+  ``tests/test_properties.py`` holds both to the scan that evaluates every
+  level.
 
 The differential suite (``tests/test_fastsim_equivalence.py``) and the unit
 tests in ``tests/test_fastsim_backend.py`` cross-check the two

@@ -46,6 +46,61 @@ def views_at_level(views: Iterable[NeighborView], level: int) -> List[NeighborVi
     return [view for view in views if view.level >= level]
 
 
+def _someone_ahead(
+    logical: float, level: int, level_views: Iterable[NeighborView]
+) -> bool:
+    """Existential clause of Definition 4.5 on level ``s``."""
+    for view in level_views:
+        if view.estimate - logical >= level * view.kappa - view.epsilon:
+            return True
+    return False
+
+
+def _nobody_far_behind(
+    logical: float, level: int, level_views: Iterable[NeighborView], params: Parameters
+) -> bool:
+    """Universal clause of Definition 4.5 on level ``s``."""
+    mu = params.mu
+    for view in level_views:
+        if not (
+            logical - view.estimate
+            <= level * view.kappa + 2.0 * mu * view.tau + view.epsilon
+        ):
+            return False
+    return True
+
+
+def _someone_behind(
+    logical: float, level: int, level_views: Iterable[NeighborView]
+) -> bool:
+    """Existential clause of Definition 4.6 on level ``s``."""
+    for view in level_views:
+        if (
+            logical - view.estimate
+            >= (level + 0.5) * view.kappa - view.delta - view.epsilon
+        ):
+            return True
+    return False
+
+
+def _nobody_far_ahead(
+    logical: float, level: int, level_views: Iterable[NeighborView], params: Parameters
+) -> bool:
+    """Universal clause of Definition 4.6 on level ``s``."""
+    mu = params.mu
+    rho = params.rho
+    for view in level_views:
+        if not (
+            view.estimate - logical
+            <= (level + 0.5) * view.kappa
+            + view.delta
+            + view.epsilon
+            + mu * (1.0 + rho) * view.tau
+        ):
+            return False
+    return True
+
+
 def fast_trigger_at_level(
     logical: float, level: int, level_views: Sequence[NeighborView], params: Parameters
 ) -> bool:
@@ -57,20 +112,9 @@ def fast_trigger_at_level(
     """
     if level < 1:
         raise ValueError("trigger levels start at 1")
-    if not level_views:
-        return False
-    someone_ahead = any(
-        view.estimate - logical >= level * view.kappa - view.epsilon
-        for view in level_views
+    return _someone_ahead(logical, level, level_views) and _nobody_far_behind(
+        logical, level, level_views, params
     )
-    if not someone_ahead:
-        return False
-    nobody_far_behind = all(
-        logical - view.estimate
-        <= level * view.kappa + 2.0 * params.mu * view.tau + view.epsilon
-        for view in level_views
-    )
-    return nobody_far_behind
 
 
 def slow_trigger_at_level(
@@ -85,24 +129,9 @@ def slow_trigger_at_level(
     """
     if level < 1:
         raise ValueError("trigger levels start at 1")
-    if not level_views:
-        return False
-    someone_behind = any(
-        logical - view.estimate
-        >= (level + 0.5) * view.kappa - view.delta - view.epsilon
-        for view in level_views
+    return _someone_behind(logical, level, level_views) and _nobody_far_ahead(
+        logical, level, level_views, params
     )
-    if not someone_behind:
-        return False
-    nobody_far_ahead = all(
-        view.estimate - logical
-        <= (level + 0.5) * view.kappa
-        + view.delta
-        + view.epsilon
-        + params.mu * (1.0 + params.rho) * view.tau
-        for view in level_views
-    )
-    return nobody_far_ahead
 
 
 def fast_trigger_level(
@@ -112,12 +141,16 @@ def fast_trigger_level(
     max_level: int,
 ) -> Optional[int]:
     """Smallest level on which the fast mode trigger fires, or ``None``."""
+    level_views = views_at_level(views, 1)
     for level in range(1, max_level + 1):
-        level_views = views_at_level(views, level)
-        if not level_views:
+        # ``s * kappa - epsilon`` does not decrease in ``s`` (kappa > 0) and
+        # ``N^{s+1}_u`` is a subset of ``N^s_u``: once nobody is ahead on a
+        # level, nobody is ahead on any higher one, so the scan stops.
+        if not _someone_ahead(logical, level, level_views):
             break
-        if fast_trigger_at_level(logical, level, level_views, params):
+        if _nobody_far_behind(logical, level, level_views, params):
             return level
+        level_views = views_at_level(level_views, level + 1)
     return None
 
 
@@ -128,12 +161,16 @@ def slow_trigger_level(
     max_level: int,
 ) -> Optional[int]:
     """Smallest level on which the slow mode trigger fires, or ``None``."""
+    level_views = views_at_level(views, 1)
     for level in range(1, max_level + 1):
-        level_views = views_at_level(views, level)
-        if not level_views:
+        # ``(s + 1/2) * kappa - delta - epsilon`` does not decrease in ``s``
+        # (kappa > 0) and ``N^{s+1}_u`` is a subset of ``N^s_u``: once nobody
+        # is behind on a level, nobody is behind on any higher one.
+        if not _someone_behind(logical, level, level_views):
             break
-        if slow_trigger_at_level(logical, level, level_views, params):
+        if _nobody_far_ahead(logical, level, level_views, params):
             return level
+        level_views = views_at_level(level_views, level + 1)
     return None
 
 

@@ -73,7 +73,7 @@ class OracleEstimateLayer(EstimateLayer):
         return max(-epsilon, difference)
 
     def estimate(self, observer: NodeId, subject: NodeId, t: float) -> Optional[float]:
-        if subject not in self.graph.neighbors(observer):
+        if subject not in self.graph.neighbors_view(observer):
             return None
         true_value = self._clock_reader(subject)
         return max(0.0, true_value + self._error(observer, subject, true_value))

@@ -4,7 +4,7 @@
 :mod:`repro.sim.engine` as tight loops over flat state columns, specialized
 for the AOPT algorithm family with oracle clock estimates.  On the scenarios
 it supports it is bit-identical to the reference engine (same traces, same
-summaries) while running roughly an order of magnitude faster -- see
+summaries) while running four to seven times faster -- see
 ``BENCH_fastsim.json`` and ``benchmarks/bench_e11_backend_speed.py`` for the
 measured trajectory.
 

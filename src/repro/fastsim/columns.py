@@ -24,7 +24,7 @@ from ..core.neighbor_sets import NeighborLevels
 from ..core.parameters import Parameters
 from ..estimate.message_layer import broadcast_error_bound
 from ..network.dynamic_graph import DynamicGraph
-from ..network.edge import DEFAULT_EDGE_PARAMS, NodeId
+from ..network.edge import NodeId
 
 
 class NodeColumns:
@@ -143,17 +143,10 @@ class CSRAdjacency:
         row_pos: List[Dict[NodeId, int]] = []
         max_level = self.max_level
         max_degree = 0
-        # One bulk snapshot of the edge-parameter map keyed by plain
-        # ``(min, max)`` tuples: the per-edge ``graph.edge_params(u, v)``
-        # path allocates an EdgeKey dataclass per call, which dominates
-        # rebuild time on large graphs.  Distinct EdgeParams objects also
-        # memoize their column values so homogeneous graphs resolve each
-        # edge with two dict hits and no attribute loads.
-        params_map = {
-            (key.a, key.b): value
-            for key, value in graph.known_edge_params().items()
-        }
-        default = DEFAULT_EDGE_PARAMS
+        # Distinct EdgeParams objects memoize their column values so
+        # homogeneous graphs resolve each edge with two dict hits and no
+        # attribute loads.
+        edge_params = graph.edge_params
         broadcast_bound = self.broadcast_bound
         column_memo: Dict[int, tuple] = {}
         for node in graph.nodes:
@@ -163,10 +156,8 @@ class CSRAdjacency:
             pos: Dict[NodeId, int] = {}
             row_start = len(neighbor_index)
             for nbr in sorted(graph.neighbors_view(node)):
-                edge = params_map.get(
-                    (node, nbr) if node < nbr else (nbr, node), default
-                )
-                # Keyed by object identity: ``params_map`` keeps every edge
+                edge = edge_params(node, nbr)
+                # Keyed by object identity: the graph keeps every edge
                 # object alive for the duration of the rebuild, so ids are
                 # stable here.
                 memo = column_memo.get(id(edge))

@@ -347,8 +347,7 @@ class FastEngine:
     # Step phases
     # ------------------------------------------------------------------
     def _refresh_next_event(self) -> None:
-        pending = self.graph.pending_events()
-        self._next_event_time = pending[0].time if pending else None
+        self._next_event_time = self.graph.next_event_time()
 
     def _apply_graph_events(self, t: float) -> None:
         graph = self.graph

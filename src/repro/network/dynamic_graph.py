@@ -57,6 +57,30 @@ class NodeResetEvent:
             raise GraphError(f"event times must be non-negative, got {self.time}")
 
 
+def _pair(u: NodeId, v: NodeId) -> Tuple[NodeId, NodeId]:
+    """Endpoints of the undirected edge ``{u, v}``, smaller first."""
+    if u == v:
+        raise ValueError(f"self loops are not allowed ({u})")
+    return (u, v) if u < v else (v, u)
+
+
+def _pop_due(schedule: list, time: float) -> list:
+    """Remove and return the due prefix of a time-sorted ``schedule``.
+
+    The tail stays in place, so a call with nothing due costs one comparison
+    however long the schedule is.
+    """
+    limit = time + 1e-12
+    count = 0
+    for event in schedule:
+        if not event.time <= limit:
+            break
+        count += 1
+    due = schedule[:count]
+    del schedule[:count]
+    return due
+
+
 class DynamicGraph:
     """Mutable directed graph with per-edge parameters and an event schedule."""
 
@@ -66,7 +90,11 @@ class DynamicGraph:
             raise GraphError("a dynamic graph needs at least one node")
         self._node_set: Set[NodeId] = set(self._nodes)
         self._out: Dict[NodeId, Set[NodeId]] = {n: set() for n in self._nodes}
-        self._params: Dict[EdgeKey, EdgeParams] = {}
+        # Keyed by the plain ``(lo, hi)`` endpoint pair: ``edge_params`` runs
+        # once per estimate and must not build and hash a frozen dataclass
+        # there.  ``EdgeKey`` appears only at the ``known_edge_params``
+        # boundary.
+        self._params: Dict[Tuple[NodeId, NodeId], EdgeParams] = {}
         self._schedule: List[EdgeEvent] = []
         self._schedule_sorted = True
         self._node_resets: List[NodeResetEvent] = []
@@ -142,14 +170,14 @@ class DynamicGraph:
     def set_edge_params(self, u: NodeId, v: NodeId, params: EdgeParams) -> None:
         self._require_node(u)
         self._require_node(v)
-        self._params[EdgeKey.of(u, v)] = params
+        self._params[_pair(u, v)] = params
 
     def edge_params(self, u: NodeId, v: NodeId) -> EdgeParams:
         """Parameters of edge ``{u, v}`` (defaults apply if never set)."""
-        return self._params.get(EdgeKey.of(u, v), DEFAULT_EDGE_PARAMS)
+        return self._params.get(_pair(u, v), DEFAULT_EDGE_PARAMS)
 
     def known_edge_params(self) -> Dict[EdgeKey, EdgeParams]:
-        return dict(self._params)
+        return {EdgeKey(lo, hi): params for (lo, hi), params in self._params.items()}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -163,7 +191,7 @@ class DynamicGraph:
             raise GraphError(f"self loops are not allowed ({source})")
         self._out[source].add(target)
         if params is not None:
-            self._params[EdgeKey.of(source, target)] = params
+            self._params[_pair(source, target)] = params
 
     def remove_directed_edge(self, source: NodeId, target: NodeId) -> None:
         self._require_node(source)
@@ -238,15 +266,12 @@ class DynamicGraph:
     def pop_events_until(self, time: float) -> List[EdgeEvent]:
         """Remove and return all scheduled events with ``event.time <= time``."""
         self._sort_schedule()
-        due: List[EdgeEvent] = []
-        rest: List[EdgeEvent] = []
-        for event in self._schedule:
-            if event.time <= time + 1e-12:
-                due.append(event)
-            else:
-                rest.append(event)
-        self._schedule = rest
-        return due
+        return _pop_due(self._schedule, time)
+
+    def next_event_time(self) -> Optional[float]:
+        """Time of the earliest scheduled edge event, ``None`` if none is left."""
+        self._sort_schedule()
+        return self._schedule[0].time if self._schedule else None
 
     def apply_event(self, event: EdgeEvent) -> None:
         """Apply a directed edge event to the current edge set."""
@@ -280,15 +305,7 @@ class DynamicGraph:
     def pop_node_resets_until(self, time: float) -> List[NodeResetEvent]:
         """Remove and return all node resets with ``event.time <= time``."""
         self._sort_node_resets()
-        due: List[NodeResetEvent] = []
-        rest: List[NodeResetEvent] = []
-        for event in self._node_resets:
-            if event.time <= time + 1e-12:
-                due.append(event)
-            else:
-                rest.append(event)
-        self._node_resets = rest
-        return due
+        return _pop_due(self._node_resets, time)
 
     # ------------------------------------------------------------------
     # Structure queries

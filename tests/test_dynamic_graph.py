@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network.dynamic_graph import DynamicGraph, EdgeEvent, GraphError
-from repro.network.edge import EdgeParams
+from repro.network.edge import EdgeKey, EdgeParams
 
 
 @pytest.fixture
@@ -94,6 +94,41 @@ class TestEdgeParams:
         assert graph.edge_params(0, 1) == custom
         assert len(graph.known_edge_params()) == 1
 
+    def test_self_loop_params_rejected(self, triangle):
+        with pytest.raises(ValueError):
+            triangle.edge_params(1, 1)
+        with pytest.raises(ValueError):
+            triangle.set_edge_params(1, 1, EdgeParams())
+
+    def test_every_setter_lands_under_one_key_per_edge(self):
+        graph = DynamicGraph(range(4))
+        first, second, third = (EdgeParams(epsilon=e) for e in (2.0, 3.0, 4.0))
+        graph.set_edge_params(2, 1, first)
+        graph.add_directed_edge(3, 0, params=second)
+        graph.schedule_edge_up(1.0, 3, 2, params=third)
+        # Overwrites from the other endpoint's side replace, never duplicate.
+        graph.set_edge_params(1, 2, third)
+        graph.add_directed_edge(0, 3, params=first)
+        known = graph.known_edge_params()
+        assert list(known.items()) == [
+            (EdgeKey(1, 2), third),
+            (EdgeKey(0, 3), first),
+            (EdgeKey(2, 3), third),
+        ]
+        assert all(isinstance(key, EdgeKey) for key in known)
+        for u, v in ((1, 2), (0, 3), (2, 3)):
+            assert graph.edge_params(u, v) is graph.edge_params(v, u) is known[EdgeKey.of(v, u)]
+
+    def test_copy_has_its_own_params(self, triangle):
+        custom = EdgeParams(epsilon=3.0)
+        triangle.set_edge_params(0, 1, custom)
+        clone = triangle.copy()
+        clone.set_edge_params(1, 0, EdgeParams(epsilon=5.0))
+        clone.set_edge_params(1, 2, custom)
+        assert triangle.edge_params(0, 1) is custom
+        assert list(triangle.known_edge_params()) == [EdgeKey(0, 1)]
+        assert list(clone.known_edge_params()) == [EdgeKey(0, 1), EdgeKey(1, 2)]
+
 
 class TestSchedule:
     def test_schedule_and_pop_events(self):
@@ -104,6 +139,47 @@ class TestSchedule:
         assert len(due) == 2  # both directions of the "up"
         assert all(e.kind == "up" for e in due)
         assert len(graph.pending_events()) == 2
+
+    def test_pop_takes_the_due_prefix_and_keeps_the_tail(self):
+        graph = DynamicGraph(range(4))
+        for time, u, v in ((3.0, 2, 3), (1.0, 1, 2), (1.0, 0, 1), (2.0, 0, 2)):
+            graph.schedule_directed_event(EdgeEvent(time, "up", u, v))
+        graph.schedule_directed_event(EdgeEvent(1.0, "down", 0, 1))
+        assert graph.pop_events_until(0.5) == []
+        assert graph.next_event_time() == 1.0
+        # Within 1e-12 of the asked time counts as due; equal times come out
+        # in the schedule's (time, kind, source, target) order.
+        assert graph.pop_events_until(1.0 - 5e-13) == [
+            EdgeEvent(1.0, "down", 0, 1),
+            EdgeEvent(1.0, "up", 0, 1),
+            EdgeEvent(1.0, "up", 1, 2),
+        ]
+        assert graph.pending_events() == [
+            EdgeEvent(2.0, "up", 0, 2),
+            EdgeEvent(3.0, "up", 2, 3),
+        ]
+        # An event pushed behind the popped prefix is still found.
+        graph.schedule_directed_event(EdgeEvent(0.25, "up", 3, 0))
+        assert graph.next_event_time() == 0.25
+        assert graph.pop_events_until(2.0) == [
+            EdgeEvent(0.25, "up", 3, 0),
+            EdgeEvent(2.0, "up", 0, 2),
+        ]
+        assert graph.pop_events_until(10.0) == [EdgeEvent(3.0, "up", 2, 3)]
+        assert graph.pop_events_until(10.0) == []
+        assert graph.next_event_time() is None
+
+    def test_pop_node_resets_takes_the_due_prefix(self):
+        graph = DynamicGraph(range(3))
+        graph.schedule_node_reset(4.0, 2)
+        graph.schedule_node_reset(1.0, 1, value=7.0)
+        graph.schedule_node_reset(1.0, 0)
+        assert graph.pop_node_resets_until(0.9) == []
+        due = graph.pop_node_resets_until(1.0)
+        assert [(e.time, e.node, e.value) for e in due] == [(1.0, 0, 0.0), (1.0, 1, 7.0)]
+        assert [e.node for e in graph.pending_node_resets()] == [2]
+        assert [e.node for e in graph.pop_node_resets_until(4.0)] == [2]
+        assert graph.pending_node_resets() == []
 
     def test_events_sorted_by_time(self):
         graph = DynamicGraph(range(3))

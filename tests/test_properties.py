@@ -1,17 +1,27 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.aopt_step import MODE_NAMES, evaluate_mode_flat
 from repro.core.clocks import HardwareClock, LogicalClock
 from repro.core.insertion import compute_insertion_times
 from repro.core.max_estimate import MaxEstimateTracker
 from repro.core.neighbor_sets import NeighborLevels
 from repro.core.parameters import ParameterError, Parameters
-from repro.core.triggers import NeighborView, fast_trigger_level, slow_trigger_level
+from repro.core.triggers import (
+    NeighborView,
+    evaluate_triggers,
+    fast_trigger_at_level,
+    fast_trigger_level,
+    slow_trigger_at_level,
+    slow_trigger_level,
+    views_at_level,
+)
 from repro.analysis import legality
 from repro.analysis.report import Table
 from repro.network import paths
@@ -181,6 +191,67 @@ class TestInsertionScheduleProperties:
         assert times[-1] <= schedule.anchor + duration + 1e-6
 
 
+def exhaustive_level(at_level, logical, views, params, max_level):
+    """Listing 3 without the early exit: try every level, smallest first."""
+    for level in range(1, max_level + 1):
+        if at_level(logical, level, views_at_level(views, level), params):
+            return level
+    return None
+
+
+def threshold_table(view, params, max_level):
+    """``aopt_step.ThresholdTable`` of one view, from the view's own constants."""
+    levels = range(1, max_level + 1)
+    return (
+        tuple(s * view.kappa - view.epsilon for s in levels),
+        tuple(s * view.kappa + 2.0 * params.mu * view.tau + view.epsilon for s in levels),
+        tuple((s + 0.5) * view.kappa - view.delta - view.epsilon for s in levels),
+        tuple(
+            (s + 0.5) * view.kappa
+            + view.delta
+            + view.epsilon
+            + params.mu * (1.0 + params.rho) * view.tau
+            for s in levels
+        ),
+    )
+
+
+@st.composite
+def trigger_cases(draw):
+    """``(params, logical, max_estimate, views, max_level)`` for the level scans.
+
+    Every view draws its own ``kappa`` / ``epsilon`` / ``tau`` / ``delta``;
+    levels are mixed (0 = discovered but not inserted) or all clamped to
+    ``max_level``; an estimate may sit exactly on one of the four thresholds
+    of some level.
+    """
+    params = Parameters(rho=0.01, mu=0.1)
+    max_level = draw(st.integers(min_value=1, max_value=8))
+    logical = draw(st.sampled_from([0.0, 64.0]) | st.floats(min_value=0.0, max_value=1000.0))
+    constant = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=4.0)
+    all_clamped = draw(st.booleans())
+    views = []
+    for neighbor in range(draw(st.integers(min_value=0, max_value=6))):
+        kappa = draw(st.sampled_from([1.0, 4.0]) | st.floats(min_value=0.05, max_value=20.0))
+        epsilon, tau, delta = draw(constant), draw(constant), draw(constant)
+        level = max_level if all_clamped else draw(st.integers(0, max_level))
+        view = NeighborView(neighbor, logical, kappa, epsilon, tau, delta, level)
+        s = draw(st.integers(min_value=1, max_value=max_level))
+        fast_ahead, fast_behind, slow_behind, slow_ahead = (
+            row[s - 1] for row in threshold_table(view, params, max_level)
+        )
+        offset = draw(
+            st.floats(min_value=-10.0, max_value=10.0).map(lambda x: x * kappa)
+            | st.sampled_from([fast_ahead, -fast_behind, -slow_behind, slow_ahead])
+        )
+        views.append(replace(view, estimate=logical + offset))
+    max_estimate = logical + draw(
+        st.sampled_from([0.0, params.iota / 2.0, params.iota])
+        | st.floats(min_value=0.0, max_value=5.0)
+    )
+    return params, logical, max_estimate, views, max_level
+
+
 class TestTriggerProperties:
     @given(
         logical=st.floats(min_value=0.0, max_value=1000.0),
@@ -210,6 +281,42 @@ class TestTriggerProperties:
         fast = fast_trigger_level(logical, views, params, max_level=4)
         slow = slow_trigger_level(logical, views, params, max_level=4)
         assert fast is None or slow is None
+
+    @given(case=trigger_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_level_scan_equals_exhaustive_scan(self, case):
+        """The early-exit scans return what evaluating every level returns."""
+        params, logical, max_estimate, views, max_level = case
+        slow = exhaustive_level(slow_trigger_at_level, logical, views, params, max_level)
+        fast = exhaustive_level(fast_trigger_at_level, logical, views, params, max_level)
+        assert slow_trigger_level(logical, views, params, max_level) == slow
+        assert fast_trigger_level(logical, views, params, max_level) == fast
+
+        decision = evaluate_triggers(logical, max_estimate, views, params, max_level)
+        lag = max_estimate - logical
+        if slow is not None:
+            expected = ("slow", slow)
+        elif fast is not None:
+            expected = ("fast", fast)
+        elif lag <= 1e-9:
+            expected = ("slow", None)
+        elif lag >= params.iota:
+            expected = ("fast", None)
+        else:
+            expected = ("free", None)
+        assert (decision.mode, decision.level) == expected
+
+        inserted = views_at_level(views, 1)
+        flat = evaluate_mode_flat(
+            logical,
+            max_estimate,
+            params.iota,
+            len(inserted),
+            [view.estimate - logical for view in inserted],
+            [view.level for view in inserted],
+            [threshold_table(view, params, max_level) for view in inserted],
+        )
+        assert MODE_NAMES[flat] == decision.mode
 
 
 class TestLegalityProperties:

@@ -173,3 +173,70 @@ class TestEvaluateTriggers:
     def test_free_zone_between_max_estimate_triggers(self, params):
         decision = evaluate_triggers(100.0, 100.0 + params.iota / 2, [], params, max_level=4)
         assert decision.mode == "free"
+
+
+class _CountingView:
+    """A neighbor view whose ``estimate`` reads are counted."""
+
+    def __init__(self, view, reads):
+        self._view = view
+        self._reads = reads
+
+    @property
+    def estimate(self):
+        self._reads.append(self._view.neighbor)
+        return self._view.estimate
+
+    def __getattr__(self, name):
+        return getattr(self._view, name)
+
+
+class _CountingViews(list):
+    """A view list that counts how often it is iterated."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+class TestLevelScanWork:
+    """Predicate evaluations per call, not wall-clock: the scan stops at the
+    first level nobody reaches (exhaustive-scan equality is the property test
+    ``test_level_scan_equals_exhaustive_scan``)."""
+
+    @pytest.mark.parametrize("trigger_level", [slow_trigger_level, fast_trigger_level])
+    @pytest.mark.parametrize("max_level", [1, 8, 64])
+    def test_balanced_node_scans_level_one_only(self, params, trigger_level, max_level):
+        logical = 100.0
+        reads = []
+        views = _CountingViews(
+            _CountingView(make_view(params, neighbor, logical, level=max_level), reads)
+            for neighbor in range(5)
+        )
+        assert trigger_level(logical, views, params, max_level) is None
+        # Nobody is behind or ahead: one existential pass over level 1, the
+        # universal clause is never reached, the caller's views filtered once.
+        assert reads == [0, 1, 2, 3, 4]
+        assert views.passes == 1
+
+    def test_scan_goes_as_deep_as_the_existential_clause_holds(self, params, kappa):
+        # One neighbor 3.2 kappa behind, one far ahead that blocks every
+        # level: the scan visits the levels on which the first still counts
+        # as "behind", plus the one on which it no longer does.
+        logical = 100.0
+        reads = []
+        behind = make_view(params, 1, logical - 3.2 * kappa, level=64)
+        ahead = make_view(params, 2, logical + 100 * kappa, level=64)
+        views = [_CountingView(behind, reads), _CountingView(ahead, reads)]
+        assert slow_trigger_level(logical, views, params, 64) is None
+        deep = sum(
+            1
+            for level in range(1, 65)
+            if 3.2 * kappa >= (level + 0.5) * kappa - behind.delta - behind.epsilon
+        )
+        assert 2 <= deep < 64
+        # ``ahead`` is read by the universal clause of each such level and by
+        # the last, failing existential pass.
+        assert reads.count(2) == deep + 1
