@@ -4,4 +4,5 @@ import sys
 
 from .cli import main
 
-sys.exit(main())
+if __name__ == "__main__":  # worker processes started by ``spawn`` re-import this
+    sys.exit(main())

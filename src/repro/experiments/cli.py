@@ -527,8 +527,12 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-class _ShutdownSignal(Exception):
-    """Raised from the SIGTERM/SIGINT handler to unwind ``serve_forever``."""
+class _ShutdownSignal(BaseException):
+    """Raised from the SIGTERM/SIGINT handler to unwind ``serve_forever``.
+
+    A ``BaseException`` like ``KeyboardInterrupt``: socketserver's
+    ``except Exception`` around a request must not swallow a shutdown.
+    """
 
     def __init__(self, signum: int):
         super().__init__(f"signal {signum}")
@@ -544,7 +548,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         config = ServiceConfig(
             workers=args.workers,
-            sweep_workers=args.sweep_workers,
             strict_backend=args.strict_backend,
             janitor_interval=args.janitor_interval,
             prune_older_than=args.prune_older_than,
@@ -828,13 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_parser.add_argument("--port", type=int, default=8765, help="bind port (0 = ephemeral)")
     serve_parser.add_argument(
-        "--workers", type=int, default=2, help="background sweep worker threads"
-    )
-    serve_parser.add_argument(
-        "--sweep-workers",
-        type=int,
-        default=1,
-        help="multiprocessing workers inside each job's sweep loop",
+        "--workers", type=int, default=2, help="sweep worker processes"
     )
     serve_parser.add_argument("--cache-dir", default=None, help="result cache directory")
     serve_parser.add_argument(

@@ -660,6 +660,17 @@ class ResultCache:
                 "parses": self._probe_parses,
             }
 
+    def adopt(self, key: str, stat: os.stat_result, head: Dict[str, Any]) -> None:
+        """Index a head that another process's ``store`` or parse produced.
+
+        ``stat`` is that process's ``os.stat`` of the entry.  This is how the
+        sweep service keeps its index warm for results its worker processes
+        wrote; nothing is trusted by it -- a probe still compares the
+        signature with the file's own ``stat`` and judges the head with
+        ``_matches``.
+        """
+        self._remember(key, _signature(stat), head)
+
     def _tmp_path(self, path: Path) -> Path:
         # The temp name must be unique per *write*, not just per process:
         # two daemon threads storing the same spec share a pid, and with a

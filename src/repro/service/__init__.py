@@ -7,8 +7,8 @@ every user pays full simulation cost.  This package turns that machinery
 into a daemon that serves many clients from one cache:
 
 * :mod:`repro.service.core` -- :class:`SweepService`: a thread-safe job
-  store, a job queue drained by a worker pool that drives the *same*
-  :func:`repro.experiments.executor.run_sweep` loop as the CLI, and
+  store, a job queue drained by a pool of worker processes that drive the
+  *same* :func:`repro.experiments.executor.run_sweep` loop as the CLI, and
   per-cache-key single-flight coalescing, so identical specs submitted by
   concurrent clients execute exactly once;
 * :mod:`repro.service.server` -- the stdlib ``ThreadingHTTPServer`` front

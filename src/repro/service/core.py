@@ -1,7 +1,7 @@
 """The sweep service core: job store, worker pool, single-flight coalescing.
 
 A :class:`SweepService` owns the :class:`~repro.experiments.executor.ResultCache`
-and a queue of :class:`Job` objects drained by background worker threads.
+and a queue of :class:`Job` objects drained by a pool of worker *processes*.
 Each worker drives the exact same :func:`repro.experiments.executor.run_sweep`
 loop the CLI uses -- the daemon adds *sharing*, not a second executor:
 
@@ -21,23 +21,52 @@ loop the CLI uses -- the daemon adds *sharing*, not a second executor:
   and stream to the JSONL telemetry log, so ``GET /jobs/{id}`` and
   ``tail -f`` both see live sweep progress.
 
-Everything is standard library (``threading``, ``queue``); the
-``multiprocessing`` parallelism of the underlying sweep loop is still
-available per job via ``ServiceConfig.sweep_workers``.
+**What a worker is.**  ``start()`` resolves every backend (so the engines
+and the jit provider are loaded once), then forks ``config.workers``
+children, each with a pipe and a *relay thread* in the daemon that takes
+jobs off the queue.  The relay sends a job's leased specs down the pipe;
+the child (:func:`_worker_main`) runs ``run_sweep`` on them against its own
+:class:`ResultCache` over the same directory and sends up three kinds of
+small messages: sweep events, finished telemetry records, and a final stats
+dict or error string.  The relay feeds them to the same progress and
+fan-out code a thread would have called, so leases, coalescing, counters,
+the job event ring and the JSONL log all live in the daemon.  A result
+payload never crosses the pipe: it goes worker -> disk -> ``GET
+/results/{key}``.  What does cross with each stored result is the header
+index entry the child's ``store`` produced, which the daemon adopts
+(:meth:`ResultCache.adopt`) so that a resubmission is still answered without
+a parse.
+
+**When a worker dies** (a crashing native kernel, the OOM killer, ``kill
+-9``) only its job fails, with ``worker process <pid> exited with ...``;
+its leases are released, so followers fail with the same reason instead of
+hanging, and the slot gets a fresh process before its next job.  Children
+ignore ``SIGINT`` and take the default ``SIGTERM``: shutting down is the
+daemon's decision -- it closes the pipe (the child finishes its job, reads
+EOF and exits) or, past the drain bound, terminates the process.  Children
+also exit on EOF when the daemon itself is killed.
+
+Everything is standard library (``threading``, ``queue``,
+``multiprocessing`` pipes and processes).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pickle
 import queue
+import signal
 import threading
 import time
 import uuid
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..experiments.executor import ResultCache, SweepEvent, run_sweep
 from ..experiments.spec import ScenarioSpec
+from ..fastsim.backend import backend_available, backend_names
 from ..telemetry.events import JsonlLog
 from ..telemetry.sweep import SweepTelemetry
 
@@ -74,10 +103,8 @@ class ServiceUnavailableError(ServiceError):
 class ServiceConfig:
     """Tunables of a :class:`SweepService` (all have serve-CLI flags)."""
 
-    #: Background worker threads draining the job queue.
+    #: Worker processes draining the job queue (the one parallelism setting).
     workers: int = 2
-    #: ``multiprocessing`` workers *inside* each job's sweep loop.
-    sweep_workers: int = 1
     strict_backend: bool = False
     batching: bool = True
     #: Hard cap on specs per submission (one grid expansion can explode).
@@ -92,10 +119,157 @@ class ServiceConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ServiceError(f"workers must be >= 1, got {self.workers}")
-        if self.sweep_workers < 1:
-            raise ServiceError(
-                f"sweep_workers must be >= 1, got {self.sweep_workers}"
+
+
+#: How workers are started: ``fork`` where the platform has it -- children
+#: inherit the engines and the jit provider ``start()`` loaded -- else the
+#: platform default.
+_MP = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+)
+
+#: The signals ``serve`` handles.  A worker is started with them blocked and
+#: unblocks them once it has reset their dispositions, so not even a ^C in
+#: the first millisecond of its life runs the daemon's handler in a child.
+_SHUTDOWN_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+#: Grace for a worker that was told to go (pipe closed or terminated) and
+#: for its relay thread to notice, before harsher means.
+_EXIT_GRACE = 5.0
+
+
+def _close_inherited_fds(keep: int) -> None:
+    """Close every descriptor a forked worker shares with the daemon but
+    ``keep`` and stdio.
+
+    A fork copies the listening socket, accepted connections, the log file
+    and -- what matters most -- the daemon's ends of every worker pipe,
+    this worker's own included.  While any copy stays open, no child reads
+    EOF when the daemon dies, and the port outlives the daemon.
+    """
+    try:
+        inherited = [int(name) for name in os.listdir("/dev/fd")]
+    except (OSError, ValueError):
+        return
+    for fd in inherited:
+        if fd > 2 and fd != keep:
+            try:
+                os.close(fd)
+            except OSError:
+                pass  # the listing's own descriptor, already gone
+
+
+def _worker_main(conn, cache_dir: str, strict_backend: bool, batching: bool, forked: bool) -> None:
+    """One worker process: run each job the daemon sends, until EOF.
+
+    A job arrives as a list of spec dicts.  Up the pipe go
+    ``("event", kind, index, backend, from_cache, batched, entry)`` per
+    sweep event -- ``entry`` is the ``(stat, head)`` of the result this
+    process's cache just indexed, for the daemon to adopt --
+    ``("record", record)`` per telemetry record, and finally
+    ``("done", stats)`` or ``("error", message)``.
+    """
+    # A terminal ^C reaches the whole process group, and the daemon's own
+    # handlers (installed before the fork) would raise inside a kernel.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _SHUTDOWN_SIGNALS)
+    if forked:
+        _close_inherited_fds(conn.fileno())
+    cache = ResultCache(cache_dir)
+
+    def on_event(event: SweepEvent) -> None:
+        entry = None
+        if event.kind != "start":
+            head = cache.probe(event.spec)  # indexed by the store or load: one stat
+            if head is not None:
+                try:
+                    entry = (os.stat(cache.path_for(event.spec)), head)
+                except OSError:
+                    pass  # pruned underneath us: the daemon will parse on demand
+        conn.send(
+            (
+                "event",
+                event.kind,
+                event.index,
+                event.spec.backend,
+                event.from_cache,
+                event.batched,
+                entry,
             )
+        )
+
+    telemetry = SweepTelemetry(lambda record: conn.send(("record", record)))
+    while True:
+        try:
+            spec_dicts = conn.recv()
+        except (EOFError, OSError):
+            return  # the daemon closed the pipe, or is gone
+        try:
+            _, stats = run_sweep(
+                [ScenarioSpec.from_dict(item) for item in spec_dicts],
+                cache=cache,
+                workers=1,
+                use_cache=True,
+                strict_backend=strict_backend,
+                batching=batching,
+                on_event=on_event,
+                telemetry=telemetry,
+            )
+            reply = (
+                "done",
+                {
+                    "total": stats.total,
+                    "cached": stats.cached,
+                    "executed": stats.executed,
+                    "batched": stats.batched,
+                    "fallbacks": stats.fallbacks,
+                    "wall_time": stats.wall_time,
+                },
+            )
+        except Exception as exc:
+            # The boundary that must keep running: whatever a spec throws
+            # fails its job, not the worker.
+            reply = ("error", str(exc) or exc.__class__.__name__)
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+
+
+class _Worker:
+    """One worker process as the daemon sees it."""
+
+    __slots__ = ("process", "conn", "job", "stop_reason")
+
+    def __init__(self, process, conn):
+        self.process = process
+        #: The daemon's end of the pipe.
+        self.conn = conn
+        #: The job the process is running, ``None`` while idle.
+        self.job: Optional[Job] = None
+        #: Set before the daemon terminates the process on purpose; the
+        #: job's error then says why instead of "exited with SIGTERM".
+        self.stop_reason: Optional[str] = None
+
+    def reap(self) -> None:
+        """Join the process (it was told to go, or is dead) and close the
+        pipe; one that lingers past the grace is killed."""
+        self.process.join(_EXIT_GRACE)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join(_EXIT_GRACE)
+        self.conn.close()
+
+    def exit_description(self) -> str:
+        code = self.process.exitcode
+        if code is not None and code < 0:
+            try:
+                return f"signal {signal.Signals(-code).name}"
+            except ValueError:
+                return f"signal {-code}"
+        return f"code {code}"
 
 
 class _Inflight:
@@ -151,6 +325,9 @@ class Job:
         #: Events dropped off the front of the ring == stream index of
         #: ``events[0]``.
         self.events_dropped = 0
+        #: Bytes the worker process sent up its pipe for this job (events,
+        #: telemetry records, index entries -- never a payload).
+        self.pipe_bytes = 0
 
     # -- snapshots ------------------------------------------------------
     def spec_counts(self) -> Dict[str, int]:
@@ -266,9 +443,10 @@ class JobStore:
 class SweepService:
     """Job queue + worker pool + single-flight coalescing over one cache.
 
-    ``start()`` spins up the worker (and optional janitor) threads;
-    ``submit()`` is safe from any thread, including the HTTP server's
-    per-connection threads; ``stop()`` drains and joins everything.
+    ``start()`` forks the worker processes and spins up their relay (and
+    the optional janitor) threads; ``submit()`` is safe from any thread,
+    including the HTTP server's per-connection threads; ``stop()`` and
+    ``drain()`` join everything and leave no process behind.
     """
 
     def __init__(
@@ -286,7 +464,11 @@ class SweepService:
         self._queue: "queue.Queue" = queue.Queue()
         self._inflight: Dict[str, _Inflight] = {}
         self._lock = threading.Lock()
+        #: Slot ``i``: relay thread ``_threads[i]`` drives process
+        #: ``_workers[i]``; only that thread replaces the slot's worker.
         self._threads: List[threading.Thread] = []
+        self._workers: List[_Worker] = []
+        self._restarts = 0
         self._janitor: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._running = False
@@ -313,11 +495,18 @@ class SweepService:
             return self
         self._stop.clear()
         self._draining = False
+        # Resolve every backend before forking: this imports the engines
+        # and loads the jit provider, so children inherit them instead of
+        # each paying for them on its first job.
+        for name in backend_names():
+            backend_available(name)
+        # Fork before this call starts any thread of its own.
+        self._workers = [self._spawn_worker() for _ in range(self.config.workers)]
         self._threads = [
             threading.Thread(
-                target=self._worker, name=f"sweep-worker-{i}", daemon=True
+                target=self._relay, args=(slot,), name=f"sweep-relay-{slot}", daemon=True
             )
-            for i in range(self.config.workers)
+            for slot in range(self.config.workers)
         ]
         for thread in self._threads:
             thread.start()
@@ -330,23 +519,19 @@ class SweepService:
         self.log.write(
             "service_start",
             workers=self.config.workers,
+            pids=[worker.process.pid for worker in self._workers],
             cache_dir=str(self.cache.cache_dir),
         )
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
+        """Abrupt sibling of :meth:`drain`: queued jobs fail as the relays
+        reach them, running jobs get ``timeout`` seconds in total, then
+        their processes are terminated."""
         if not self._running:
             return
         self._stop.set()
-        for _ in self._threads:
-            self._queue.put(_SHUTDOWN)
-        for thread in self._threads:
-            thread.join(timeout)
-        if self._janitor is not None:
-            self._janitor.join(timeout)
-            self._janitor = None
-        self._threads = []
-        self._running = False
+        self._wind_down(timeout, "service stopped")
         self.log.write("service_stop")
 
     def drain(self, timeout: float = 30.0) -> Dict[str, Any]:
@@ -357,11 +542,12 @@ class SweepService:
         2. fail every *queued* job with a clear status -- those sweeps never
            started, so clients must resubmit elsewhere;
         3. let in-flight jobs finish, bounded by ``timeout`` seconds total;
-           workers still running at the deadline are abandoned (they are
-           daemon threads) and counted as ``stuck_workers``.
+           a worker process still running at the deadline is terminated,
+           its job fails saying so, and it counts as a ``stuck_workers``.
 
         Returns a summary dict; ``clean`` is True when nothing was stuck.
-        Safe to call on a never-started or already-drained service.
+        Safe to call on a never-started or already-drained service.  No
+        worker process survives it.
         """
         with self._lock:
             already = self._draining
@@ -380,24 +566,9 @@ class SweepService:
             self.log.write("service_draining", drain_timeout=timeout, queued=len(queued))
         for job in queued:
             self._abort_job(job, "service shutting down before this job could run")
-        # One sentinel per worker: each finishes its in-flight job (the
-        # queue is now empty bar sentinels) and exits.
-        for _ in self._threads:
-            self._queue.put(_SHUTDOWN)
-        deadline = time.monotonic() + max(0.0, timeout)
-        stuck = 0
-        for thread in self._threads:
-            thread.join(max(0.0, deadline - time.monotonic()))
-            if thread.is_alive():
-                stuck += 1
-        # Only now wake anything still parked in _await_followed (stuck
-        # owners past the deadline) and the janitor.
-        self._stop.set()
-        if self._janitor is not None:
-            self._janitor.join(1.0)
-            self._janitor = None
-        self._threads = []
-        self._running = False
+        stuck = self._wind_down(
+            timeout, f"service drain timed out after {timeout:g}s"
+        )
         summary = {
             "failed_queued_jobs": len(queued),
             "stuck_workers": stuck,
@@ -408,6 +579,43 @@ class SweepService:
         # log over its size cap, so the next start appends to a fresh file.
         self.log.rotate_if_over()
         return summary
+
+    def _wind_down(self, timeout: float, reason: str) -> int:
+        """Retire the pool; returns how many relays outlasted ``timeout``.
+
+        One sentinel per relay: each finishes its in-flight job and exits.
+        A relay still alive at the deadline is mid-job (or following one
+        that is): its process is terminated, which fails the job with
+        ``reason`` and releases its leases.  Idle workers just get their
+        pipe closed and exit on EOF.
+        """
+        for _ in self._threads:
+            self._queue.put(_SHUTDOWN)
+        deadline = time.monotonic() + max(0.0, timeout)
+        for thread in self._threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        stuck = [thread.is_alive() for thread in self._threads]
+        for worker, busy in zip(self._workers, stuck):
+            if busy:
+                worker.stop_reason = (
+                    f"{reason}: worker process {worker.process.pid} terminated mid-job"
+                )
+                worker.process.terminate()
+            else:
+                worker.conn.close()
+        # Wakes anything parked in _await_followed, and the janitor.
+        self._stop.set()
+        for thread in self._threads:
+            thread.join(_EXIT_GRACE)
+        for worker in self._workers:
+            worker.reap()
+        if self._janitor is not None:
+            self._janitor.join(1.0)
+            self._janitor = None
+        self._threads = []
+        self._workers = []
+        self._running = False
+        return sum(stuck)
 
     # -- submission -----------------------------------------------------
     def submit(self, specs: Sequence[ScenarioSpec]) -> Job:
@@ -499,7 +707,7 @@ class SweepService:
         # events appear on the job that owns the execution.
         try:
             if any(hits):
-                telemetry = self._telemetry_for(job)
+                telemetry = SweepTelemetry(self._fan_out_for(job))
                 for index, (spec, head) in enumerate(zip(specs, probes)):
                     if head is not None:
                         telemetry.replay_watchdogs(index, spec, head)
@@ -512,23 +720,74 @@ class SweepService:
         return job
 
     # -- workers --------------------------------------------------------
-    def _worker(self) -> None:
+    def _spawn_worker(self) -> _Worker:
+        daemon_end, worker_end = _MP.Pipe()
+        process = _MP.Process(
+            target=_worker_main,
+            args=(
+                worker_end,
+                str(self.cache.cache_dir),
+                self.config.strict_backend,
+                self.config.batching,
+                _MP.get_start_method() == "fork",
+            ),
+            name="sweep-worker",
+            daemon=True,
+        )
+        if hasattr(signal, "pthread_sigmask"):
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, _SHUTDOWN_SIGNALS)
+            try:
+                process.start()
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        else:  # no signal masks, and no process-group ^C either
+            process.start()
+        worker_end.close()  # the child holds the only copy: its exit is our EOF
+        return _Worker(process, daemon_end)
+
+    def _replace_worker(self, slot: int, job: Optional[Job]) -> str:
+        """Bury the dead worker of ``slot``; returns why it is dead.
+
+        Called by the slot's relay thread only.  The slot gets a fresh
+        process unless the service is winding down.
+        """
+        worker = self._workers[slot]
+        worker.reap()
+        exit_description = worker.exit_description()
+        self.log.write(
+            "worker_exited",
+            pid=worker.process.pid,
+            exit=exit_description,
+            job=job.id if job is not None else None,
+        )
+        if not (self._draining or self._stop.is_set()):
+            self._workers[slot] = self._spawn_worker()
+            with self._lock:
+                self._restarts += 1
+        return worker.stop_reason or (
+            f"worker process {worker.process.pid} exited with {exit_description}"
+        )
+
+    def _relay(self, slot: int) -> None:
         while True:
             item = self._queue.get()
             if item is _SHUTDOWN:
                 return
             try:
-                self._run_job(item)
+                if self._stop.is_set():
+                    self._abort_job(item, "service stopped before this job could run")
+                else:
+                    self._run_job(item, slot)
             except Exception as exc:  # pragma: no cover - defensive
-                # A worker thread must survive anything a job throws at it;
+                # A relay thread must survive anything a job throws at it;
                 # the job is failed, its leases released, the pool lives on.
                 self._abort_job(item, f"internal service error: {exc}")
 
-    def _run_job(self, job: Job) -> None:
+    def _run_job(self, job: Job, slot: int) -> None:
         job._mark_running()
         self.log.write("job_running", job=job.id)
         if job.leased:
-            self._execute_leased(job)
+            self._execute_leased(job, slot)
         for index, entry in job.followed.items():
             self._await_followed(job, index, entry)
         job._finalize()
@@ -538,8 +797,8 @@ class SweepService:
             )
         self.log.write("job_done", job=job.id, state=job.state, error=job.error)
 
-    def _telemetry_for(self, job: Job) -> SweepTelemetry:
-        """A sweep telemetry emitter fanning out to the service log, the
+    def _fan_out_for(self, job: Job):
+        """The writer of one job's telemetry records: the service log, the
         job's event ring and the live watchdog counters."""
 
         def fan_out(record: Dict[str, Any]) -> None:
@@ -551,11 +810,12 @@ class SweepService:
                     self.counters["watchdogs_fired"] += 1
                     self.watchdog_counts[name] = self.watchdog_counts.get(name, 0) + 1
 
-        return SweepTelemetry(fan_out)
+        return fan_out
 
-    def _execute_leased(self, job: Job) -> None:
+    def _execute_leased(self, job: Job, slot: int) -> None:
         indices = list(job.leased)
         specs = [job.specs[i] for i in indices]
+        fan_out = self._fan_out_for(job)
         error: Optional[str] = None
 
         def on_event(event: SweepEvent) -> None:
@@ -580,32 +840,47 @@ class SweepService:
             snapshot = job._update_spec(index, **fields)
             self.log.write("spec_progress", job=job.id, **snapshot)
 
+        if not self._workers[slot].process.is_alive():
+            self._replace_worker(slot, None)  # died idle: no job pays for it
+        worker = self._workers[slot]
+        worker.job = job
         try:
-            _, stats = run_sweep(
-                specs,
-                cache=self.cache,
-                workers=self.config.sweep_workers,
-                use_cache=True,
-                strict_backend=self.config.strict_backend,
-                batching=self.config.batching,
-                on_event=on_event,
-                telemetry=self._telemetry_for(job),
-            )
-            job.stats = {
-                "total": stats.total,
-                "cached": stats.cached,
-                "executed": stats.executed,
-                "batched": stats.batched,
-                "fallbacks": stats.fallbacks,
-                "wall_time": stats.wall_time,
-            }
-        except Exception as exc:
-            error = str(exc) or exc.__class__.__name__
-            job.error = error
-            for index in indices:
-                if job.progress[index]["state"] not in ("done", "cached"):
-                    job._update_spec(index, state="failed", error=error)
+            worker.conn.send([spec.to_dict() for spec in specs])
+            while True:
+                data = worker.conn.recv_bytes()
+                job.pipe_bytes += len(data)
+                tag, *body = pickle.loads(data)  # written by our own worker
+                if tag == "event":
+                    kind, index, backend, from_cache, batched, entry = body
+                    spec = specs[index]
+                    if backend != spec.backend:
+                        spec = spec.with_backend(backend)
+                    if entry is not None:
+                        self.cache.adopt(self.cache.key_for(spec), *entry)
+                    on_event(SweepEvent(kind, index, spec, from_cache, batched))
+                elif tag == "record":
+                    fan_out(*body)
+                elif tag == "done":
+                    (job.stats,) = body
+                    break
+                else:  # error
+                    (error,) = body
+                    break
+        except (EOFError, OSError):
+            error = self._replace_worker(slot, job)
+        except Exception as exc:  # pragma: no cover - defensive
+            # Our half of the conversation broke while the worker is mid-
+            # sweep: it cannot be handed another job, so it goes.
+            worker.stop_reason = f"internal service error: {exc}"
+            worker.process.terminate()
+            error = self._replace_worker(slot, job)
         finally:
+            worker.job = None
+            if error is not None:
+                job.error = error
+                for index in indices:
+                    if job.progress[index]["state"] not in ("done", "cached"):
+                        job._update_spec(index, state="failed", error=error)
             # Release every lease exactly once, success or not; followers
             # blocked on the events must never hang on a dead owner.
             with self._lock:
@@ -675,11 +950,12 @@ class SweepService:
         """The ``/healthz`` payload body (sans HTTP framing)."""
         from .. import __version__
         from ..experiments.executor import CACHE_FORMAT_VERSION
-        from ..fastsim.backend import backend_available, backend_names
 
         with self._lock:
             counters = dict(self.counters)
             watchdogs = dict(self.watchdog_counts)
+            restarts = self._restarts
+        workers = list(self._workers)
         return {
             "status": "ok",
             "version": __version__,
@@ -688,8 +964,13 @@ class SweepService:
                 name: backend_available(name) for name in backend_names()
             },
             "uptime_seconds": round(time.time() - self.started_at, 3),
-            "workers": self.config.workers,
-            "sweep_workers": self.config.sweep_workers,
+            "workers": {
+                "configured": self.config.workers,
+                "alive": sum(worker.process.is_alive() for worker in workers),
+                "busy": sum(worker.job is not None for worker in workers),
+                "restarts": restarts,
+                "pids": [worker.process.pid for worker in workers],
+            },
             "jobs": self.jobs.counts(),
             "counters": counters,
             "watchdogs": watchdogs,

@@ -61,6 +61,9 @@ EVENT_TYPES: Dict[str, Tuple[str, ...]] = {
     # -- sweep service lifecycle (the daemon's service log) -------------
     "service_start": (),
     "service_stop": (),
+    "service_draining": (),
+    "service_drained": (),
+    "worker_exited": ("pid", "exit", "job"),
     "http": (),
     "job_submitted": ("job",),
     "job_running": ("job",),

@@ -10,6 +10,7 @@ this file runs on the no-numpy CI leg.
 
 import copy
 import json
+import os
 import shutil
 import sys
 import threading
@@ -250,6 +251,30 @@ class TestNoParseWhenIndexed:
         assert cache.probe(SPEC) is not None
         assert len(parses) == 1
         assert cache.probe_stats() == {"entries": 1, "hits": 1, "parses": 1}
+
+    def test_adopting_another_writers_entry_parses_nothing(
+        self, cache, payload, monkeypatch
+    ):
+        # What the sweep service does with the (stat, head) a worker sends.
+        writer = ResultCache(cache.cache_dir)
+        path = writer.store(SPEC, payload)
+        cache.adopt(cache.key_for(SPEC), os.stat(path), writer.probe(SPEC))
+        parses = _count_parses(monkeypatch)
+        assert cache.probe(SPEC) is not None
+        assert parses == []
+        assert cache.probe_stats() == {"entries": 1, "hits": 1, "parses": 0}
+
+    def test_an_adopted_entry_is_not_trusted_past_a_rewrite(
+        self, cache, payload, monkeypatch
+    ):
+        writer = ResultCache(cache.cache_dir)
+        stale = os.stat(writer.store(SPEC, payload))
+        head = writer.probe(SPEC)
+        writer.store(SPEC, payload)  # a new file: new inode, new mtime
+        cache.adopt(cache.key_for(SPEC), stale, head)
+        parses = _count_parses(monkeypatch)
+        assert cache.probe(SPEC) is not None
+        assert len(parses) == 1
 
     def test_load_fills_the_index_for_later_probes(self, cache, payload, monkeypatch):
         ResultCache(cache.cache_dir).store(SPEC, payload)

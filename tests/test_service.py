@@ -11,8 +11,8 @@ import time
 
 import pytest
 
-import repro.experiments.executor as executor_mod
 from repro.experiments import ResultCache, scenario
+from repro.experiments.spec import ScenarioSpec
 from repro.service import JsonlLog, ServiceConfig, SweepService
 from repro.service.core import ServiceError
 
@@ -31,18 +31,18 @@ def service(tmp_path):
     svc.stop()
 
 
-@pytest.fixture
-def execution_counter(monkeypatch):
-    """Count actual simulations (cache hits and coalesced waits don't)."""
-    calls = []
-    real = executor_mod.execute_spec
+def exploding_spec(n=4):
+    """A spec that parses but really fails in ``registry.build_scenario``,
+    inside the worker process."""
+    payload = tiny_spec(n=n).to_dict()
+    payload["topology"]["name"] = "exploding_topology"
+    return ScenarioSpec.from_dict(payload)
 
-    def counting(spec, *args, **kwargs):
-        calls.append(spec.content_hash())
-        return real(spec, *args, **kwargs)
 
-    monkeypatch.setattr(executor_mod, "execute_spec", counting)
-    return calls
+def executions(svc):
+    """Actual simulations so far (cache hits and coalesced waits don't
+    count) -- counted where a client can see it, on ``/healthz``."""
+    return svc.describe()["counters"]["specs_executed"]
 
 
 def wait_done(job, timeout=60):
@@ -51,17 +51,15 @@ def wait_done(job, timeout=60):
 
 
 class TestSubmission:
-    def test_submit_executes_and_completes(self, service, execution_counter):
+    def test_submit_executes_and_completes(self, service):
         job = wait_done(service.submit([tiny_spec()]))
         assert job.state == "done"
         assert job.progress[0]["state"] == "done"
         assert not job.progress[0]["from_cache"]
-        assert len(execution_counter) == 1
+        assert executions(service) == 1
         assert job.stats["executed"] == 1
 
-    def test_completed_spec_is_served_from_cache_without_enqueuing(
-        self, service, execution_counter
-    ):
+    def test_completed_spec_is_served_from_cache_without_enqueuing(self, service):
         spec = tiny_spec()
         wait_done(service.submit([spec]))
         job = service.submit([spec])
@@ -70,7 +68,7 @@ class TestSubmission:
         assert job.state == "done"
         assert job.progress[0]["state"] == "cached"
         assert job.progress[0]["from_cache"]
-        assert len(execution_counter) == 1
+        assert executions(service) == 1
         assert service.counters["specs_cached_at_submit"] == 1
 
     def test_result_key_matches_cache_file(self, service):
@@ -93,22 +91,19 @@ class TestSubmission:
         with pytest.raises(ServiceError):
             svc.submit([tiny_spec(n=n) for n in (4, 5, 6)])
 
-    def test_duplicate_specs_in_one_submission_execute_once(
-        self, service, execution_counter
-    ):
+    def test_duplicate_specs_in_one_submission_execute_once(self, service):
         spec = tiny_spec()
         job = wait_done(service.submit([spec, spec, spec]))
         assert job.state == "done"
-        assert len(execution_counter) == 1
+        assert executions(service) == 1
+        assert job.stats["executed"] == 1
         states = [entry["state"] for entry in job.progress]
         assert states.count("done") == 3
         assert sum(1 for e in job.progress if e.get("coalesced")) == 2
 
 
 class TestCoalescing:
-    def test_eight_concurrent_identical_submissions_execute_once(
-        self, service, execution_counter
-    ):
+    def test_eight_concurrent_identical_submissions_execute_once(self, service):
         spec = tiny_spec()
         jobs = []
         barrier = threading.Barrier(8)
@@ -126,7 +121,7 @@ class TestCoalescing:
             wait_done(job)
         assert all(job.state == "done" for job in jobs)
         # The acceptance criterion: one simulation total, everyone served.
-        assert len(execution_counter) == 1
+        assert sum(job.stats["executed"] for job in jobs if job.stats) == 1
         assert service.counters["specs_executed"] == 1
         # A submit thread scheduled after the owner finished counts as a
         # cache hit instead of a coalesce; either way nothing re-executed.
@@ -136,9 +131,7 @@ class TestCoalescing:
             == 7
         )
 
-    def test_concurrent_distinct_submissions_all_complete(
-        self, service, execution_counter
-    ):
+    def test_concurrent_distinct_submissions_all_complete(self, service):
         specs = [tiny_spec(n=n) for n in range(4, 12)]
         jobs = []
 
@@ -153,13 +146,12 @@ class TestCoalescing:
         for job in jobs:
             wait_done(job)
         assert all(job.state == "done" for job in jobs)
-        assert len(execution_counter) == len(specs)
+        assert executions(service) == len(specs)
+        assert [job.stats["executed"] for job in jobs] == [1] * len(specs)
         hashes = {job.progress[0]["spec_hash"] for job in jobs}
         assert len(hashes) == len(specs)
 
-    def test_single_worker_concurrent_identical_submissions_complete(
-        self, tmp_path, execution_counter
-    ):
+    def test_single_worker_concurrent_identical_submissions_complete(self, tmp_path):
         # Regression: leases were created under the service lock but the
         # queue put happened after releasing it, so a follower job could be
         # enqueued ahead of its owner.  With workers=1 that parks the only
@@ -184,7 +176,7 @@ class TestCoalescing:
             for job in jobs:
                 wait_done(job)
             assert all(job.state == "done" for job in jobs)
-            assert len(execution_counter) == 1
+            assert sum(job.stats["executed"] for job in jobs if job.stats) == 1
             assert svc.counters["specs_executed"] == 1
         finally:
             svc.stop()
@@ -217,40 +209,47 @@ class TestCoalescing:
 
 
 class TestFailurePaths:
-    def test_failing_spec_fails_job_and_releases_lease(self, service, monkeypatch):
-        def boom(spec, *args, **kwargs):
-            raise RuntimeError("engine exploded")
+    def test_failing_spec_fails_job_and_releases_lease(self, service):
+        job = wait_done(service.submit([exploding_spec()]))
+        assert job.state == "failed"
+        assert "exploding_topology" in job.error
+        assert job.progress[0]["state"] == "failed"
+        # The lease must be released, and the worker that met the failure
+        # must still take work: a healthy spec goes through the same lease
+        # path and completes.
+        assert service._inflight == {}
+        retry = wait_done(service.submit([tiny_spec()]))
+        assert retry.state == "done"
+        assert service.describe()["workers"]["restarts"] == 0
 
-        monkeypatch.setattr(executor_mod, "execute_spec", boom)
+    def test_failed_key_is_reexecutable_once_the_cause_is_gone(self, service):
+        # Same spec, same cache key: a directory squatting on the entry's
+        # path makes the worker's store fail; remove it and the retry runs.
         spec = tiny_spec()
+        squatter = service.cache.path_for(spec)
+        squatter.mkdir(parents=True)
         job = wait_done(service.submit([spec]))
         assert job.state == "failed"
-        assert "engine exploded" in job.error
-        assert job.progress[0]["state"] == "failed"
-        # The lease must be released so the key is re-executable.
+        assert squatter.name in job.error
         assert service._inflight == {}
-        monkeypatch.undo()
+        squatter.rmdir()
         retry = wait_done(service.submit([spec]))
         assert retry.state == "done"
+        assert retry.progress[0]["result_key"] == service.cache.key_for(spec)
 
-    def test_follower_of_failed_owner_fails_too(self, tmp_path, monkeypatch):
+    def test_follower_of_failed_owner_fails_too(self, tmp_path):
         # One worker: the follower job queues behind the owner job.
         svc = SweepService(tmp_path / "cache", config=ServiceConfig(workers=1))
-
-        def boom(spec, *args, **kwargs):
-            raise RuntimeError("engine exploded")
-
-        monkeypatch.setattr(executor_mod, "execute_spec", boom)
         svc.start()
         try:
-            spec = tiny_spec()
+            spec = exploding_spec()
             owner = svc.submit([spec])
             follower = svc.submit([spec])
             wait_done(owner)
             wait_done(follower)
             assert owner.state == "failed"
             assert follower.state == "failed"
-            assert "engine exploded" in follower.progress[0]["error"]
+            assert "exploding_topology" in follower.progress[0]["error"]
         finally:
             svc.stop()
 

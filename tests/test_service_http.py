@@ -12,6 +12,7 @@ import pytest
 
 import repro.experiments.executor as executor_mod
 from repro.experiments import scenario
+from repro.experiments.spec import ScenarioSpec
 from repro.service import ServiceConfig, SweepServer, SweepService
 from repro.service.client import ClientError, JobFailed, ServiceClient
 
@@ -126,16 +127,8 @@ class TestSubmitPollFetch:
         assert [p["summary"]["node_count"] for p in payloads] == [4, 5]
 
     def test_eight_concurrent_http_clients_coalesce_to_one_execution(
-        self, server, client, monkeypatch
+        self, server, client
     ):
-        calls = []
-        real = executor_mod.execute_spec
-
-        def counting(spec, *args, **kwargs):
-            calls.append(spec.content_hash())
-            return real(spec, *args, **kwargs)
-
-        monkeypatch.setattr(executor_mod, "execute_spec", counting)
         spec = tiny_spec(n=6)
         results = []
         barrier = threading.Barrier(8)
@@ -155,7 +148,8 @@ class TestSubmitPollFetch:
             thread.join()
         assert len(results) == 8
         assert all(job["state"] == "done" for job in results)
-        assert len(calls) == 1
+        assert sum(job["stats"]["executed"] for job in results if job["stats"]) == 1
+        assert client.healthz()["counters"]["specs_executed"] == 1
         assert server.service.counters["specs_executed"] == 1
 
 
@@ -245,17 +239,14 @@ class TestErrorHandling:
             client._json("GET", "/nope")
         assert err.value.status == 404
 
-    def test_failed_job_raises_jobfailed_with_payload(
-        self, server, client, monkeypatch
-    ):
-        def boom(_spec, *args, **kwargs):
-            raise RuntimeError("engine exploded")
-
-        monkeypatch.setattr(executor_mod, "execute_spec", boom)
-        job = client.submit([tiny_spec(n=7)])
+    def test_failed_job_raises_jobfailed_with_payload(self, server, client):
+        # Parses at the HTTP layer, really fails in the worker process.
+        payload = tiny_spec(n=7).to_dict()
+        payload["topology"]["name"] = "exploding_topology"
+        job = client.submit([ScenarioSpec.from_dict(payload)])
         with pytest.raises(JobFailed) as err:
             client.wait(job["id"])
-        assert "engine exploded" in err.value.job["error"]
+        assert "exploding_topology" in err.value.job["error"]
 
     def test_connection_refused_is_clienterror(self):
         dead = ServiceClient("http://127.0.0.1:9", timeout=1.0)
