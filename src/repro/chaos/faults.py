@@ -13,8 +13,8 @@ so the registry can wrap them without a cycle:
   cut;
 * :func:`crash_restart` -- one node leaves, loses its clock and algorithm
   state entirely, and rejoins from scratch (drives the engine's
-  node-reset events; backends without reset support raise
-  ``UnsupportedScenarioError`` and the executor falls back to reference).
+  node-reset events; backends without reset support decline the spec and
+  the executor runs it on reference).
 
 The fourth family member, the windowed delay amplifier, is a
 :class:`repro.sim.delay.DelaySpikeStorm` and registers under ``DELAYS``

@@ -31,11 +31,17 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis import report
-from ..fastsim.backend import BackendError, backend_available, backend_names
+from ..fastsim.backend import (
+    BackendError,
+    backend_available,
+    backend_names,
+    get_backend,
+)
 from ..fastsim.engine import UnsupportedScenarioError
 from ..metrics import MetricsError
 from . import bench as bench_mod
 from . import executor, registry
+from .spec import ScenarioSpec
 
 
 class CliError(Exception):
@@ -168,6 +174,22 @@ def _emit_runs(
     print(stats.describe())
 
 
+def _declined_by(backend: str) -> str:
+    """What a backend declines, found by asking it about probe specs: one
+    per registered algorithm and dynamics, one with the diameter tracker."""
+    declines = getattr(get_backend(backend), "declines", lambda spec: None)
+    probes = (
+        [(f"algorithm {name}", {"algorithm": name}) for name in registry.ALGORITHMS.names()]
+        + [(f"dynamics {name}", {"dynamics": name}) for name in registry.DYNAMICS.names()]
+        + [("sim.track_diameter", {"sim": {"track_diameter": True}})]
+    )
+    return ", ".join(
+        label
+        for label, fields in probes
+        if declines(ScenarioSpec(topology="line", backend=backend, **fields))
+    )
+
+
 def cmd_list(args: argparse.Namespace) -> int:
     print("scenarios:")
     for name in registry.SCENARIOS.names():
@@ -195,6 +217,11 @@ def cmd_list(args: argparse.Namespace) -> int:
         else:
             backends.append(f"{name} [unavailable: pip install 'repro[{name}]']")
     print(f"backends:   {', '.join(backends)} (--set backend=...)")
+    for name in backend_names():
+        declined = _declined_by(name)
+        if declined:
+            # Decided from the spec, before anything is built.
+            print(f"  {name} declines {declined} (such specs run on reference)")
     from ..metrics import DEFAULT_OBSERVERS, observer_names
 
     tagged = [

@@ -10,13 +10,14 @@ The executor turns specs into runs:
   pruning -- shared by one-shot CLI runs and the long-running sweep service
   (:mod:`repro.service`), whose ``GET /results/{key}`` API serves these
   files verbatim;
-* :func:`run_sweep` is THE sweep loop -- cache probe, vector-batch
-  grouping, pool dispatch, backend fallback, cache store -- with an
-  optional per-spec progress callback; :class:`ExperimentRunner` is its
-  thin stateful driver.  Because every source of randomness is seeded from
-  the spec hash (see :mod:`repro.experiments.registry`), a parallel sweep
-  is bit-identical to a serial one, and a repeated sweep is served
-  entirely from cache;
+* :func:`run_sweep` is THE sweep loop -- backend resolution (a spec its
+  backend declines runs as its ``reference`` twin), cache probe,
+  vector-batch grouping, pool dispatch, cache store -- with an optional
+  per-spec progress callback; :class:`ExperimentRunner` is its thin
+  stateful driver.  Because every source of randomness is seeded from the
+  spec hash (see :mod:`repro.experiments.registry`), a parallel sweep is
+  bit-identical to a serial one, and a repeated sweep is served entirely
+  from cache;
 * :func:`expand_grid` expands a named scenario and a parameter grid into the
   cartesian product of specs.
 """
@@ -39,7 +40,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import __version__ as _library_version
-from ..fastsim.backend import backend_available, get_backend
+from ..fastsim.backend import declined_reason, get_backend
 from ..fastsim.engine import UnsupportedScenarioError
 from ..metrics import ObserverReport
 from ..telemetry.schema import sanitize_json
@@ -68,13 +69,6 @@ logger = logging.getLogger(__name__)
 #: strict-JSON serialisation (non-finite floats sanitised, ``allow_nan``
 #: off).  Stale entries are simply re-run and overwritten.
 CACHE_FORMAT_VERSION = 5
-
-#: Key under which a worker reports an unsupported-backend failure instead
-#: of raising (so one spec cannot poison a whole pool map).
-_UNSUPPORTED_KEY = "__unsupported_backend__"
-
-#: Backends whose cache-miss specs are grouped into lockstep batches.
-BATCHABLE_BACKENDS = ("vec", "jit")
 
 #: Smallest group that is run as a lockstep batch.  There is no size to
 #: tune: the combined view picks kernel paths and layouts per row / per
@@ -222,7 +216,7 @@ def batch_key(spec: ScenarioSpec) -> Optional[Tuple]:
     the duration and the estimate strategy (one strategy kernel per batch);
     everything else -- topology, size, drift, seeds -- may differ per run.
     """
-    if spec.backend not in BATCHABLE_BACKENDS:
+    if not hasattr(get_backend(spec.backend), "build_batch"):
         return None
     sim = spec.sim
     return (
@@ -238,29 +232,20 @@ def execute_specs_batched(
     specs: Sequence[ScenarioSpec],
     telemetry_sinks: Optional[Sequence[Optional[Callable[..., None]]]] = None,
 ) -> List[Dict[str, Any]]:
-    """Run compatible vec or jit specs as one lockstep batch (see ``batch_key``).
+    """Run compatible specs as one lockstep batch (see ``batch_key``).
 
     Returns one payload per spec, bit-identical to :func:`execute_spec` of
-    the same spec.  Raises :class:`UnsupportedScenarioError` if any spec
-    cannot run on its backend -- callers group with ``batch_key`` and
-    fall back to per-run execution on failure.  ``telemetry_sinks``, when
-    given, pairs one (possibly ``None``) live sink with each spec.
+    the same spec.  ``telemetry_sinks``, when given, pairs one (possibly
+    ``None``) live sink with each spec.
 
     ``batch_key`` includes the backend, so every spec of a group shares
-    one; the group runs on that backend's batch builder (``vec`` or
-    ``jit`` -- the jit context fuses all runs of the batch into single
-    compiled kernel invocations per segment).
+    one; the group runs on that backend's ``build_batch``.
     """
-    if specs and specs[0].backend == "jit":
-        from ..jitsim.engine import build_batch
-    else:
-        from ..vecsim.engine import build_batch
-
     started = time.perf_counter()
     if telemetry_sinks is None:
         telemetry_sinks = [None] * len(specs)
     scenarios = [registry.build_scenario(spec) for spec in specs]
-    context = build_batch(
+    context = get_backend(specs[0].backend).build_batch(
         [(sc.graph, sc.algorithm_factory, sc.config) for sc in scenarios]
     )
     pipelines = [
@@ -280,16 +265,8 @@ def execute_specs_batched(
 
 
 def _pool_worker(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Top-level (hence picklable) worker entry point.
-
-    Unsupported-backend failures are reported as a marker payload instead of
-    raised, so the parent can apply its fallback policy without losing the
-    rest of the pool map.
-    """
-    try:
-        return execute_spec(ScenarioSpec.from_dict(spec_payload))
-    except UnsupportedScenarioError as exc:
-        return {_UNSUPPORTED_KEY: str(exc)}
+    """Top-level (hence picklable) worker entry point."""
+    return execute_spec(ScenarioSpec.from_dict(spec_payload))
 
 
 # ----------------------------------------------------------------------
@@ -799,7 +776,7 @@ class SweepEvent:
 
     ``kind`` is ``"cached"`` (served from the cache), ``"start"`` (about to
     execute), ``"executed"`` (result computed and stored) or ``"fallback"``
-    (the spec's backend could not run it and the reference backend answered
+    (the spec's backend declined it and the reference backend answered
     instead -- ``spec`` is then the reference spec and ``from_cache`` tells
     whether the reference result was already cached).  ``index`` is the
     spec's position in the ``specs`` sequence passed to ``run_sweep``.
@@ -816,48 +793,31 @@ class SweepEvent:
 SweepCallback = Callable[[SweepEvent], None]
 
 
-def _emit(on_event: Optional[SweepCallback], event: SweepEvent) -> None:
-    if on_event is not None:
-        on_event(event)
-
-
 def _run_batched_groups(
     missing: List[Tuple[int, ScenarioSpec]],
     outcomes: Dict[int, Tuple[Dict[str, Any], bool]],
     batch: SweepStats,
     cache: ResultCache,
     use_cache: bool,
-    on_event: Optional[SweepCallback],
+    on_event: SweepCallback,
     telemetry: Optional[SweepTelemetry] = None,
 ) -> List[Tuple[int, ScenarioSpec]]:
-    """Execute batchable miss groups in lockstep; return the remainder.
-
-    Groups that fail to build (unsupported scenario on the vec backend)
-    fall through untouched so the per-run path can apply the reference
-    fallback policy spec by spec.
-    """
+    """Execute batchable miss groups in lockstep; return the remainder."""
     groups: Dict[Tuple, List[Tuple[int, ScenarioSpec]]] = {}
     for index, spec in missing:
         key = batch_key(spec)
-        # An unavailable backend (vec without numpy) skips batching so
-        # the per-run path raises its clear BackendUnavailableError.
-        if key is not None and backend_available(spec.backend):
+        if key is not None:
             groups.setdefault(key, []).append((index, spec))
     handled = set()
-    for key, group in groups.items():
+    for group in groups.values():
         if len(group) < MIN_BATCH_SIZE:
             continue
         for index, spec in group:
-            _emit(on_event, SweepEvent("start", index, spec, batched=True))
+            on_event(SweepEvent("start", index, spec, batched=True))
         sinks = None
         if telemetry is not None:
             sinks = [telemetry.run_sink(index, spec) for index, spec in group]
-        try:
-            payloads = execute_specs_batched([spec for _, spec in group], sinks)
-        except UnsupportedScenarioError:
-            if telemetry is not None:
-                telemetry.forget_live(*[index for index, _ in group])
-            continue
+        payloads = execute_specs_batched([spec for _, spec in group], sinks)
         for (index, spec), payload in zip(group, payloads):
             if use_cache:
                 cache.store(spec, payload)
@@ -865,35 +825,8 @@ def _run_batched_groups(
             batch.executed += 1
             batch.batched += 1
             handled.add(index)
-            _emit(on_event, SweepEvent("executed", index, spec, batched=True))
+            on_event(SweepEvent("executed", index, spec, batched=True))
     return [(index, spec) for index, spec in missing if index not in handled]
-
-
-def _fallback_spec(
-    spec: ScenarioSpec,
-    reason: str,
-    cache: ResultCache,
-    use_cache: bool,
-    strict_backend: bool,
-) -> Tuple[Dict[str, Any], ScenarioSpec, bool]:
-    """Re-run an unsupported spec on the reference backend (or raise).
-
-    Returns ``(payload, reference_spec, from_cache)`` -- a repeated
-    sweep finds the earlier fallback result in the reference cache.
-    """
-    if strict_backend:
-        raise UnsupportedScenarioError(reason)
-    logger.warning(
-        "backend %r cannot run %s (%s); falling back to 'reference'",
-        spec.backend,
-        spec.label or spec.topology.name,
-        reason,
-    )
-    fallback = spec.with_backend("reference")
-    payload = cache.load(fallback) if use_cache else None
-    if payload is not None:
-        return payload, fallback, True
-    return execute_spec(fallback), fallback, False
 
 
 def run_sweep(
@@ -903,24 +836,26 @@ def run_sweep(
     workers: int = 1,
     use_cache: bool = True,
     strict_backend: bool = False,
-    batching: bool = True,
     on_event: Optional[SweepCallback] = None,
     telemetry: Optional[SweepTelemetry] = None,
 ) -> Tuple[List[ExperimentRun], SweepStats]:
     """Run a batch of specs, preserving input order.
 
-    This is THE sweep loop -- cache probe, vector-batch grouping, pool
-    dispatch, reference fallback, cache store -- shared verbatim by the CLI
+    This is THE sweep loop -- backend resolution, cache probe, vector-batch
+    grouping, pool dispatch, cache store -- shared verbatim by the CLI
     (:class:`ExperimentRunner`) and the sweep service daemon
     (:mod:`repro.service`); neither forks its own copy.
 
-    Cache hits are served directly.  Of the misses, compatible specs on a
-    batchable backend (``vec``, ``jit``) run as lockstep batches in-process;
+    Which backend runs a spec is decided first, from the spec alone
+    (:func:`~repro.fastsim.backend.declined_reason`): a declined spec is
+    an ordinary ``reference`` spec from then on, with a logged warning --
+    or, with ``strict_backend``, an :class:`UnsupportedScenarioError`
+    before anything is built.  An engine that still refuses its spec
+    fails the sweep; nothing is re-routed after the fact.  Cache hits are
+    served directly.  Of the misses, compatible specs on a backend with
+    ``build_batch`` (``vec``, ``jit``) run as lockstep batches in-process;
     the rest execute inline (``workers == 1``) or on a ``multiprocessing``
-    pool.  Results are written back to the cache before returning.  When a
-    spec's backend raises :class:`UnsupportedScenarioError` it is re-run on
-    the ``reference`` backend with a logged warning unless
-    ``strict_backend`` makes that a hard error.
+    pool.  Results are written back to the cache before returning.
 
     ``on_event`` receives a :class:`SweepEvent` per spec transition (cache
     hit, execution start/finish, fallback), which is how the daemon streams
@@ -930,42 +865,60 @@ def run_sweep(
     streams the versioned JSONL event schema: sweep brackets, per-run
     lifecycle events mapped from the same transitions, and ``watchdog_fired``
     / ``progress`` events *live* from inside in-process runs (inline and
-    vector-batched executions get a per-run sink; pool workers, cache hits
-    and fallbacks cannot carry one, so their watchdog firings are replayed
-    from the result payload, flagged ``replayed``).
+    vector-batched executions get a per-run sink; pool workers and cache
+    hits cannot carry one, so their watchdog firings are replayed from the
+    result payload, flagged ``replayed``).
     """
     if workers < 1:
         raise ExecutorError(f"workers must be >= 1, got {workers}")
     cache = cache if cache is not None else ResultCache()
     started = time.perf_counter()
     batch = SweepStats(total=len(specs))
+
+    resolved: List[ScenarioSpec] = []  # what will execute
+    fell_back = set()
+    for index, spec in enumerate(specs):
+        reason = declined_reason(spec)
+        if reason is not None:
+            if strict_backend:
+                raise UnsupportedScenarioError(reason)
+            logger.warning(
+                "backend %r cannot run %s (%s); falling back to 'reference'",
+                spec.backend,
+                spec.label or spec.topology.name,
+                reason,
+            )
+            batch.count_fallback(spec.backend, spec.sim.get("estimate_mode", "oracle"))
+            fell_back.add(index)
+            spec = spec.with_backend("reference")
+        resolved.append(spec)
+
     if telemetry is not None:
         telemetry.sweep_started(len(specs))
 
     def notify(event: SweepEvent) -> None:
-        _emit(on_event, event)
+        if on_event is not None:
+            on_event(event)
         if telemetry is not None:
             telemetry.on_sweep_event(event)
 
     outcomes: Dict[int, Tuple[Dict[str, Any], bool]] = {}
-    run_specs: Dict[int, ScenarioSpec] = {}
-    requested: Dict[int, str] = {}
     missing: List[Tuple[int, ScenarioSpec]] = []
-    for index, spec in enumerate(specs):
+    for index, spec in enumerate(resolved):
         payload = cache.load(spec) if use_cache else None
         if payload is not None:
             outcomes[index] = (payload, True)
             batch.cached += 1
-            notify(SweepEvent("cached", index, spec, from_cache=True))
+            kind = "fallback" if index in fell_back else "cached"
+            notify(SweepEvent(kind, index, spec, from_cache=True))
             if telemetry is not None:
                 telemetry.replay_watchdogs(index, spec, payload)
         else:
             missing.append((index, spec))
 
-    if batching:
-        missing = _run_batched_groups(
-            missing, outcomes, batch, cache, use_cache, notify, telemetry
-        )
+    missing = _run_batched_groups(
+        missing, outcomes, batch, cache, use_cache, notify, telemetry
+    )
 
     if missing:
         for index, spec in missing:
@@ -978,50 +931,18 @@ def run_sweep(
         else:
             payloads = []
             for index, spec in missing:
-                sink = None
-                if telemetry is not None:
-                    sink = telemetry.run_sink(index, spec)
-                try:
-                    if sink is not None:
-                        payloads.append(execute_spec(spec, sink))
-                    else:
-                        payloads.append(execute_spec(spec))
-                except UnsupportedScenarioError as exc:
-                    if telemetry is not None:
-                        telemetry.forget_live(index)
-                    payloads.append({_UNSUPPORTED_KEY: str(exc)})
+                sink = telemetry.run_sink(index, spec) if telemetry is not None else None
+                payloads.append(execute_spec(spec, sink))
         for (index, spec), payload in zip(missing, payloads):
-            from_cache = False
-            fell_back = False
-            if _UNSUPPORTED_KEY in payload:
-                payload, spec, from_cache = _fallback_spec(
-                    spec, payload[_UNSUPPORTED_KEY], cache, use_cache, strict_backend
-                )
-                run_specs[index] = spec
-                requested[index] = specs[index].backend
-                batch.count_fallback(
-                    specs[index].backend,
-                    specs[index].sim.get("estimate_mode", "oracle"),
-                )
-                fell_back = True
-            if use_cache and not from_cache:
+            if use_cache:
                 cache.store(spec, payload)
-            outcomes[index] = (payload, from_cache)
-            if from_cache:
-                batch.cached += 1
-            else:
-                batch.executed += 1
-            notify(
-                SweepEvent(
-                    "fallback" if fell_back else "executed",
-                    index,
-                    spec,
-                    from_cache=from_cache,
-                )
-            )
+            outcomes[index] = (payload, False)
+            batch.executed += 1
+            kind = "fallback" if index in fell_back else "executed"
+            notify(SweepEvent(kind, index, spec))
             if telemetry is not None:
-                # No-op for runs that streamed live; pool workers, fallback
-                # re-runs and late cache hits replay from the payload.
+                # No-op for runs that streamed live; pool workers replay
+                # from the payload.
                 telemetry.replay_watchdogs(index, spec, payload)
 
     batch.wall_time = time.perf_counter() - started
@@ -1029,11 +950,11 @@ def run_sweep(
         telemetry.sweep_finished(batch)
     runs = [
         _run_from_payload(
-            run_specs.get(index, specs[index]),
+            spec,
             *outcomes[index],
-            requested_backend=requested.get(index),
+            requested_backend=specs[index].backend if index in fell_back else None,
         )
-        for index in range(len(specs))
+        for index, spec in enumerate(resolved)
     ]
     return runs, batch
 
@@ -1055,7 +976,6 @@ class ExperimentRunner:
         workers: int = 1,
         use_cache: bool = True,
         strict_backend: bool = False,
-        batching: bool = True,
     ):
         if workers < 1:
             raise ExecutorError(f"workers must be >= 1, got {workers}")
@@ -1063,7 +983,6 @@ class ExperimentRunner:
         self.workers = workers
         self.use_cache = use_cache
         self.strict_backend = strict_backend
-        self.batching = batching
         self.stats = SweepStats()
 
     @property
@@ -1101,7 +1020,6 @@ class ExperimentRunner:
             workers=self.workers if workers is None else workers,
             use_cache=self.use_cache,
             strict_backend=self.strict_backend,
-            batching=self.batching,
             telemetry=telemetry,
         )
         self.stats.total += batch.total

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.hardware_only import hardware_only_factory
-from ..fastsim.backend import BACKENDS, backend_names
+from ..fastsim.backend import AOPT_FAMILY, BACKENDS, backend_names
 from ..baselines.immediate_insertion import immediate_insertion_factory
 from ..baselines.max_algorithm import max_propagation_factory
 from ..baselines.threshold_gradient import threshold_gradient_factory
@@ -645,7 +645,7 @@ def _algorithm_component(algorithm: str, **aopt_args: Any) -> ComponentSpec:
     no arguments.
     """
     name = resolve_algorithm_name(algorithm)
-    if name in ("aopt", "immediate_insertion"):
+    if name in AOPT_FAMILY:
         args = {"insertion_scale": BENCHMARK_INSERTION_SCALE}
         args.update(aopt_args)
         return ComponentSpec(name, args)

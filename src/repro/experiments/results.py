@@ -10,10 +10,11 @@ Since the introduction of :mod:`repro.metrics`, every one of those scalars
 is computed *during* the run by the streaming observer pipeline;
 :func:`summarize` merely reads the finished
 :class:`~repro.metrics.pipeline.ObserverReport`.  Callers that only have a
-materialized trace (tests, notebooks, old cache tooling) can still pass
-``trace=``: the same observers are replayed over the trace, producing a
-bit-identical report -- the differential suite asserts streaming == replay
-== the pre-refactor post-hoc computation on every backend.
+materialized trace (tests, notebooks, old cache tooling) get that report
+from :func:`report_from_trace`: the same observers are replayed over the
+trace, producing a bit-identical report -- the differential suite asserts
+streaming == replay == the pre-refactor post-hoc computation on every
+backend.
 """
 
 from __future__ import annotations
@@ -156,31 +157,15 @@ def summarize(
     config,
     meta: Dict[str, Any],
     global_skew_bound: Optional[float],
-    report: Optional[ObserverReport] = None,
-    trace: Optional[Trace] = None,
+    report: ObserverReport,
     engine=None,
 ) -> RunSummary:
-    """Extract a :class:`RunSummary` from a finished run.
+    """Extract a :class:`RunSummary` from a finished run's ``report`` (the
+    streaming pipeline's output, or :func:`report_from_trace`'s).
 
-    Exactly one of ``report`` (the streaming pipeline's output -- the normal
-    executor path) or ``trace`` (replayed through the same observers) must
-    be provided.  ``engine`` is optional: when available (always, inside a
-    worker) the per-node invariants that need live algorithm state are
-    checked too.
+    ``engine`` is optional: when available (always, inside a worker) the
+    per-node invariants that need live algorithm state are checked too.
     """
-    if report is None:
-        if trace is None:
-            raise ValueError("summarize needs an ObserverReport or a trace")
-        report = report_from_trace(
-            spec,
-            trace,
-            graph=graph,
-            base_edges=base_edges,
-            config=config,
-            meta=meta,
-            global_skew_bound=global_skew_bound,
-        )
-
     samples = report.sample_count
     # A missing observer payload means "not measured" (the spec selected a
     # subset of observers): the corresponding fields become None, never a

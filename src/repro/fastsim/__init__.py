@@ -29,6 +29,7 @@ from .backend import (
     available_backend_names,
     backend_available,
     backend_names,
+    declined_reason,
     get_backend,
     register_backend,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "available_backend_names",
     "backend_available",
     "backend_names",
+    "declined_reason",
     "get_backend",
     "register_backend",
 ]

@@ -36,13 +36,19 @@ Backends are selected per scenario through the ``backend`` field of
 axis).  The registry here is intentionally tiny and open: downstream code
 can register additional executors (e.g. a process-sharded one) without
 touching the experiments subsystem.
+
+The backend object is the one place that says what a backend does.  Beyond
+``build`` it may offer ``available()`` (are its optional dependencies
+installed?), ``declines(spec)`` (a reason when it will not run the spec,
+decided from the spec alone -- the sweep executor then runs the spec's
+``reference`` twin) and ``build_batch(runs)`` (a lockstep context).
 """
 
 from __future__ import annotations
 
 import importlib.util
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..core.interfaces import AlgorithmFactory
 from ..network.dynamic_graph import DynamicGraph
@@ -99,10 +105,44 @@ class ReferenceBackend:
         return build_engine(graph, algorithm_factory, config)
 
 
+#: Algorithm registry names the columnar engines run.
+AOPT_FAMILY = frozenset({"aopt", "immediate_insertion"})
+
+#: Dynamics registry names that schedule node resets.
+NODE_RESET_DYNAMICS = frozenset({"crash_restart"})
+
+
+def _columnar_declines(spec) -> Optional[str]:
+    """Why ``fast`` / ``vec`` / ``jit`` will not run ``spec``, or ``None``.
+
+    Three fields of the spec decide it; the guards in
+    :class:`~repro.fastsim.engine.FastEngine` check the same features on
+    what a constructor is handed, and a generated test holds the two in
+    agreement over every registered scenario.
+    """
+    if spec.algorithm.name not in AOPT_FAMILY:
+        return (
+            f"the {spec.backend!r} backend runs the AOPT family only, "
+            f"got algorithm {spec.algorithm.name!r}"
+        )
+    if spec.dynamics is not None and spec.dynamics.name in NODE_RESET_DYNAMICS:
+        return (
+            f"the {spec.backend!r} backend does not implement node "
+            f"crash/restart resets (dynamics {spec.dynamics.name!r})"
+        )
+    if spec.sim.get("track_diameter"):
+        return (
+            f"the {spec.backend!r} backend does not implement the diameter "
+            "tracker (sim.track_diameter)"
+        )
+    return None
+
+
 class FastBackend:
     """The struct-of-arrays engine (AOPT, oracle/broadcast estimates, bit-identical)."""
 
     name = "fast"
+    declines = staticmethod(_columnar_declines)
 
     def build(
         self,
@@ -130,9 +170,18 @@ class VecBackend:
     """
 
     name = "vec"
+    declines = staticmethod(_columnar_declines)
 
     def available(self) -> bool:
         return _numpy_available()
+
+    def _require(self) -> None:
+        if not self.available():
+            raise BackendUnavailableError(
+                "the 'vec' backend needs numpy, which is not installed "
+                "(pip install 'repro[vec]'); installed backends: "
+                + ", ".join(available_backend_names())
+            )
 
     def build(
         self,
@@ -140,15 +189,17 @@ class VecBackend:
         algorithm_factory: AlgorithmFactory,
         config: SimulationConfig,
     ):
-        if not _numpy_available():
-            raise BackendUnavailableError(
-                "the 'vec' backend needs numpy, which is not installed "
-                "(pip install 'repro[vec]'); installed backends: "
-                + ", ".join(available_backend_names())
-            )
+        self._require()
         from ..vecsim.engine import VecEngine
 
         return VecEngine(graph, algorithm_factory, config)
+
+    def build_batch(self, runs):
+        """A lockstep context over ``runs``, each ``build``'s argument triple."""
+        self._require()
+        from ..vecsim.engine import build_batch
+
+        return build_batch(runs)
 
 
 class JitBackend:
@@ -163,6 +214,7 @@ class JitBackend:
     """
 
     name = "jit"
+    declines = staticmethod(_columnar_declines)
 
     def available(self) -> bool:
         if not _numpy_available():
@@ -171,21 +223,31 @@ class JitBackend:
 
         return providers.provider_available()
 
-    def build(
-        self,
-        graph: DynamicGraph,
-        algorithm_factory: AlgorithmFactory,
-        config: SimulationConfig,
-    ):
+    def _require(self) -> None:
         if not self.available():
             raise BackendUnavailableError(
                 "the 'jit' backend needs numpy and a kernel provider "
                 "(numba -- pip install 'repro[jit]' -- or a C compiler); "
                 "installed backends: " + ", ".join(available_backend_names())
             )
+
+    def build(
+        self,
+        graph: DynamicGraph,
+        algorithm_factory: AlgorithmFactory,
+        config: SimulationConfig,
+    ):
+        self._require()
         from ..jitsim.engine import JitEngine
 
         return JitEngine(graph, algorithm_factory, config)
+
+    def build_batch(self, runs):
+        """Like ``vec``'s, with each segment one compiled kernel call."""
+        self._require()
+        from ..jitsim.engine import build_batch
+
+        return build_batch(runs)
 
 
 BACKENDS: Dict[str, EngineBackend] = {}
@@ -228,6 +290,21 @@ def backend_available(name: str) -> bool:
 
 def available_backend_names() -> List[str]:
     return [name for name in backend_names() if backend_available(name)]
+
+
+def declined_reason(spec) -> Optional[str]:
+    """Why ``spec.backend`` will not run ``spec``; ``None`` when it will.
+
+    The backend's optional ``declines(spec)`` answers from the spec alone;
+    nothing is materialised or built.  A backend that is not installed (or
+    not registered) declines nothing: building on it is an error, install
+    hint included, never a reason to run the spec somewhere else.
+    """
+    declines = getattr(BACKENDS.get(spec.backend), "declines", None)
+    reason = declines(spec) if declines is not None else None
+    if reason is not None and not backend_available(spec.backend):
+        return None
+    return reason
 
 
 register_backend(ReferenceBackend())

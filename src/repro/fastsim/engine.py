@@ -24,9 +24,12 @@ Supported configurations (everything the named scenarios of
   leader/follower insertion handshake of Listing 1 is replicated),
   adversarial initial clock profiles and ``drop_messages_on_edge_loss``.
 
-Unsupported configurations (baseline algorithms, the diameter tracker)
-raise :class:`UnsupportedScenarioError` at construction time -- use the
-reference backend for those.
+Unsupported configurations (baseline algorithms, node crash/restart resets,
+the diameter tracker) raise :class:`UnsupportedScenarioError` at construction
+time.  The guards check what the constructor is handed and are never caught
+and re-routed: the sweep executor decides which backend runs a spec from the
+spec alone, before anything is built (``declines`` in
+:mod:`repro.fastsim.backend`), so a guard that still fires fails the run.
 
 Equivalence notes (why bit-identical is achievable):
 
@@ -74,7 +77,7 @@ class FastsimError(RuntimeError):
 
 
 class UnsupportedScenarioError(ValueError):
-    """The fast backend cannot run this configuration; use ``reference``."""
+    """The columnar engines cannot run this configuration; use ``reference``."""
 
 
 #: Estimate strategy codes (indices into the dispatch in the control loop).
@@ -134,12 +137,12 @@ class FastEngine:
     ):
         if config.track_diameter:
             raise UnsupportedScenarioError(
-                "the fast backend does not implement the diameter tracker; "
+                "the columnar engines do not implement the diameter tracker; "
                 "use backend='reference'"
             )
         if graph.pending_node_resets():
             raise UnsupportedScenarioError(
-                "the fast backend does not implement node crash/restart "
+                "the columnar engines do not implement node crash/restart "
                 "resets; use backend='reference'"
             )
         strategy = _STRATEGY_CODES.get(config.estimate_strategy)
@@ -171,7 +174,7 @@ class FastEngine:
         probe = algorithm_factory(ids[0])
         if not isinstance(probe, AOPT):
             raise UnsupportedScenarioError(
-                f"the fast backend runs the AOPT family only, got "
+                f"the columnar engines run the AOPT family only, got "
                 f"{type(probe).__name__}; use backend='reference'"
             )
         aopt_config: AOPTConfig = probe.config
@@ -186,7 +189,7 @@ class FastEngine:
                     other.config is aopt_config or other.config == aopt_config
                 ):
                     raise UnsupportedScenarioError(
-                        "the fast backend needs one shared AOPT configuration "
+                        "the columnar engines need one shared AOPT configuration "
                         "for every node; use backend='reference'"
                     )
         self.aopt_config = aopt_config

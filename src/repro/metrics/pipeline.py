@@ -13,8 +13,8 @@ plain-JSON artifact the experiments executor caches and
 :func:`repro.experiments.results.summarize` reads.
 
 :meth:`replay` drives the same observers from a materialized trace, which is
-how the post-hoc analysis API and the legacy ``summarize(trace=...)`` entry
-point are implemented; streaming and replay produce bit-identical reports
+how the post-hoc analysis API and ``results.report_from_trace`` are
+implemented; streaming and replay produce bit-identical reports
 (the steady-state window start is *predicted* for live streaming -- see
 :func:`repro.metrics.streaming.predict_final_time` -- and *measured* for
 replays, and the differential suite proves the two agree on every backend).

@@ -291,8 +291,10 @@ class DynamicGraph:
         The engine interprets the event as a crash/restart: clocks are
         replaced and the algorithm instance is rebuilt from its factory.
         Engines that do not implement node restarts must reject graphs with
-        pending resets (``UnsupportedScenarioError``) so the established
-        reference fallback applies.
+        pending resets (``UnsupportedScenarioError``), and their backend must
+        decline the dynamics that schedule them (``declines`` in
+        :mod:`repro.fastsim.backend`) so the sweep executor runs such specs
+        on ``reference``.
         """
         self._require_node(node)
         self._node_resets.append(NodeResetEvent(time, node, float(value)))

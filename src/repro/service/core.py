@@ -17,6 +17,9 @@ loop the CLI uses -- the daemon adds *sharing*, not a second executor:
   concurrent job submitting the same key *follows* the lease and waits for
   the one execution.  N clients submitting the identical spec cost one
   simulation, then everyone reads the same cache entry.
+  A spec its backend declines runs as its ``reference`` twin (``run_sweep``
+  decides the same way, from the spec alone), so ``submit`` probes, leases
+  and reports the twin's key -- the key the result file will have.
 * **Progress.**  ``run_sweep`` progress events update per-spec job state
   and stream to the JSONL telemetry log, so ``GET /jobs/{id}`` and
   ``tail -f`` both see live sweep progress.
@@ -66,7 +69,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..experiments.executor import ResultCache, SweepEvent, run_sweep
 from ..experiments.spec import ScenarioSpec
-from ..fastsim.backend import backend_available, backend_names
+from ..fastsim.backend import backend_available, backend_names, declined_reason
 from ..telemetry.events import JsonlLog
 from ..telemetry.sweep import SweepTelemetry
 
@@ -101,12 +104,12 @@ class ServiceUnavailableError(ServiceError):
 
 @dataclass
 class ServiceConfig:
-    """Tunables of a :class:`SweepService` (all have serve-CLI flags)."""
+    """Tunables of a :class:`SweepService` (the serve CLI has a flag for
+    each but the two ``max_*_job*`` caps)."""
 
     #: Worker processes draining the job queue (the one parallelism setting).
     workers: int = 2
     strict_backend: bool = False
-    batching: bool = True
     #: Hard cap on specs per submission (one grid expansion can explode).
     max_specs_per_job: int = 4096
     #: Finished jobs retained for ``GET /jobs/{id}`` before being forgotten.
@@ -159,13 +162,13 @@ def _close_inherited_fds(keep: int) -> None:
                 pass  # the listing's own descriptor, already gone
 
 
-def _worker_main(conn, cache_dir: str, strict_backend: bool, batching: bool, forked: bool) -> None:
+def _worker_main(conn, cache_dir: str, strict_backend: bool, forked: bool) -> None:
     """One worker process: run each job the daemon sends, until EOF.
 
     A job arrives as a list of spec dicts.  Up the pipe go
-    ``("event", kind, index, backend, from_cache, batched, entry)`` per
-    sweep event -- ``entry`` is the ``(stat, head)`` of the result this
-    process's cache just indexed, for the daemon to adopt --
+    ``("event", kind, index, from_cache, entry)`` per sweep event --
+    ``entry`` is the ``(stat, head)`` of the result this process's cache
+    just indexed, for the daemon to adopt --
     ``("record", record)`` per telemetry record, and finally
     ``("done", stats)`` or ``("error", message)``.
     """
@@ -188,17 +191,7 @@ def _worker_main(conn, cache_dir: str, strict_backend: bool, batching: bool, for
                     entry = (os.stat(cache.path_for(event.spec)), head)
                 except OSError:
                     pass  # pruned underneath us: the daemon will parse on demand
-        conn.send(
-            (
-                "event",
-                event.kind,
-                event.index,
-                event.spec.backend,
-                event.from_cache,
-                event.batched,
-                entry,
-            )
-        )
+        conn.send(("event", event.kind, event.index, event.from_cache, entry))
 
     telemetry = SweepTelemetry(lambda record: conn.send(("record", record)))
     while True:
@@ -213,7 +206,6 @@ def _worker_main(conn, cache_dir: str, strict_backend: bool, batching: bool, for
                 workers=1,
                 use_cache=True,
                 strict_backend=strict_backend,
-                batching=batching,
                 on_event=on_event,
                 telemetry=telemetry,
             )
@@ -275,13 +267,9 @@ class _Worker:
 class _Inflight:
     """One leased cache key: followers wait on ``event``."""
 
-    __slots__ = ("key", "result_key", "error", "event")
+    __slots__ = ("error", "event")
 
-    def __init__(self, key: str):
-        self.key = key
-        #: Key the result actually landed under (differs from ``key`` only
-        #: when the backend fell back to reference).
-        self.result_key = key
+    def __init__(self):
         self.error: Optional[str] = None
         self.event = threading.Event()
 
@@ -637,7 +625,16 @@ class SweepService:
                 f"submission of {len(specs)} specs exceeds the per-job cap "
                 f"of {self.config.max_specs_per_job}"
             )
-        keys = [self.cache.key_for(spec) for spec in specs]
+        # What will execute: a declined spec runs as its reference twin, so
+        # keys, probes and leases name the file the result will have.
+        # ``strict_backend`` leaves the spec alone for the sweep to refuse.
+        resolved = [
+            spec
+            if self.config.strict_backend or declined_reason(spec) is None
+            else spec.with_backend("reference")
+            for spec in specs
+        ]
+        keys = [self.cache.key_for(spec) for spec in resolved]
         # ``probe`` costs one ``stat`` per spec and returns the entry's head
         # (validity fields + watchdog bodies), validated against the
         # submitted spec on every call; only an entry this process has never
@@ -648,9 +645,12 @@ class SweepService:
         # race this opens is benign -- a spec cached between probe and
         # lease gets leased anyway and ``run_sweep``'s own probe serves it
         # from cache without re-executing.
-        probes = [self.cache.probe(spec) for spec in specs]
+        probes = [self.cache.probe(spec) for spec in resolved]
         hits = [head is not None for head in probes]
         job = Job(uuid.uuid4().hex[:12], specs, keys)
+        for entry, spec, twin in zip(job.progress, specs, resolved):
+            if twin is not spec:
+                entry["fallback_backend"] = twin.backend
         enqueued = False
         with self._lock:
             if self._draining:
@@ -673,7 +673,7 @@ class SweepService:
                     job.followed[index] = self._inflight[key]
                     job.progress[index]["state"] = "coalesced"
                 else:
-                    entry = _Inflight(key)
+                    entry = _Inflight()
                     self._inflight[key] = entry
                     leased_here.add(key)
                     job.leased.append(index)
@@ -708,7 +708,7 @@ class SweepService:
         try:
             if any(hits):
                 telemetry = SweepTelemetry(self._fan_out_for(job))
-                for index, (spec, head) in enumerate(zip(specs, probes)):
+                for index, (spec, head) in enumerate(zip(resolved, probes)):
                     if head is not None:
                         telemetry.replay_watchdogs(index, spec, head)
         finally:
@@ -728,7 +728,6 @@ class SweepService:
                 worker_end,
                 str(self.cache.cache_dir),
                 self.config.strict_backend,
-                self.config.batching,
                 _MP.get_start_method() == "fork",
             ),
             name="sweep-worker",
@@ -818,23 +817,16 @@ class SweepService:
         fan_out = self._fan_out_for(job)
         error: Optional[str] = None
 
-        def on_event(event: SweepEvent) -> None:
-            index = indices[event.index]
-            if event.kind == "start":
+        def on_event(kind: str, index: int, from_cache: bool) -> None:
+            if kind == "start":
                 fields = {"state": "running"}
-            elif event.kind == "cached":
+            elif kind == "cached":
                 # Another writer completed this key between our submit-time
                 # probe and the sweep's own probe -- still a shared win.
                 fields = {"state": "cached", "from_cache": True}
             else:  # executed / fallback
-                fields = {
-                    "state": "done",
-                    "from_cache": event.from_cache,
-                    "result_key": self.cache.key_for(event.spec),
-                }
-                if event.kind == "fallback":
-                    fields["fallback_backend"] = event.spec.backend
-                if not event.from_cache:
+                fields = {"state": "done", "from_cache": from_cache}
+                if not from_cache:
                     with self._lock:
                         self.counters["specs_executed"] += 1
             snapshot = job._update_spec(index, **fields)
@@ -851,13 +843,11 @@ class SweepService:
                 job.pipe_bytes += len(data)
                 tag, *body = pickle.loads(data)  # written by our own worker
                 if tag == "event":
-                    kind, index, backend, from_cache, batched, entry = body
-                    spec = specs[index]
-                    if backend != spec.backend:
-                        spec = spec.with_backend(backend)
+                    kind, index, from_cache, entry = body
+                    index = indices[index]
                     if entry is not None:
-                        self.cache.adopt(self.cache.key_for(spec), *entry)
-                    on_event(SweepEvent(kind, index, spec, from_cache, batched))
+                        self.cache.adopt(job.keys[index], *entry)
+                    on_event(kind, index, from_cache)
                 elif tag == "record":
                     fan_out(*body)
                 elif tag == "done":
@@ -888,7 +878,6 @@ class SweepService:
                     entry = self._inflight.pop(job.keys[index], None)
                     if entry is None:
                         continue
-                    entry.result_key = job.progress[index]["result_key"]
                     if job.progress[index]["state"] == "failed":
                         entry.error = error or "execution failed"
                     entry.event.set()
@@ -904,11 +893,7 @@ class SweepService:
             job._update_spec(index, state="failed", error=entry.error)
         else:
             snapshot = job._update_spec(
-                index,
-                state="done",
-                from_cache=True,
-                coalesced=True,
-                result_key=entry.result_key,
+                index, state="done", from_cache=True, coalesced=True
             )
             self.log.write("spec_progress", job=job.id, **snapshot)
 

@@ -18,8 +18,8 @@ Three event sources are merged:
   ``progress`` events stream out *during* the simulation with the run's
   index/hash/backend stamped on;
 * **replayed watchdogs** -- runs that never had a live sink (served from
-  cache, executed in a worker process, or re-run by the reference
-  fallback) still carry their firings in the cached observer payload;
+  cache or executed in a worker process) still carry their firings in the
+  cached observer payload;
   :meth:`replay_watchdogs` re-emits them, flagged ``replayed: true``, so
   the stream is complete either way.
 """
@@ -117,21 +117,13 @@ class SweepTelemetry:
     def was_live(self, index: int) -> bool:
         return index in self._live
 
-    def forget_live(self, *indices: int) -> None:
-        """Un-mark runs whose live execution never happened (a failed
-        batch falling back to per-run execution), so their cached watchdog
-        events are replayed after all."""
-        for index in indices:
-            self._live.discard(index)
-
     # -- replay from cached payloads -------------------------------------
     def replay_watchdogs(self, index: int, spec: Any, payload: Optional[Dict[str, Any]]) -> None:
         """Re-emit watchdog firings recorded in a cached result payload.
 
-        Used for runs with no live sink: cache hits, worker-pool
-        executions (a sink cannot cross the process boundary), and
-        reference-fallback re-runs.  Events come out flagged
-        ``replayed: true`` with the original simulation times.
+        Used for runs with no live sink: cache hits and worker-pool
+        executions (a sink cannot cross the process boundary).  Events come
+        out flagged ``replayed: true`` with the original simulation times.
         """
         if self.was_live(index) or not payload:
             return

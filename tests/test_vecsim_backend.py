@@ -277,12 +277,12 @@ class TestRunBatching:
         assert stats2.cached == 3
         assert [r.summary for r in runs2] == [r.summary for r in runs]
 
-    def test_runner_batching_can_be_disabled(self, tmp_path):
-        specs = self.batch_specs()
-        runner = ExperimentRunner(cache_dir=tmp_path, workers=1, batching=False)
-        _, stats = runner.run_all(specs)
-        assert stats.executed == 3
-        assert stats.batched == 0
+    def test_a_one_spec_sweep_never_batches(self, tmp_path):
+        runner = ExperimentRunner(cache_dir=tmp_path, workers=1)
+        for spec in self.batch_specs():
+            runner.run(spec)
+        assert runner.stats.executed == 3
+        assert runner.stats.batched == 0
 
 
 class TestExecutorFallback:
