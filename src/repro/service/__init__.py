@@ -17,8 +17,9 @@ into a daemon that serves many clients from one cache:
   are served byte-for-byte from the cache files, keyed by the spec content
   hash plus its ``.{backend}`` / ``.s{k}`` / ``.notrace`` / ``.obs-{digest}``
   observation suffixes;
-* :mod:`repro.service.client` -- a small ``urllib``-only client
-  (:class:`ServiceClient`) used by the tests, the CI smoke job and docs;
+* :mod:`repro.service.client` -- a small stdlib-only client
+  (:class:`ServiceClient`, one kept ``http.client`` connection per calling
+  thread) used by the tests, the CI smoke job and docs;
 * :class:`JsonlLog` (from :mod:`repro.telemetry`, re-exported here) --
   JSONL request/job telemetry, so live sweep progress is ``tail -f``-able.
 

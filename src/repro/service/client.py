@@ -7,20 +7,28 @@ does (including the no-numpy CI leg)::
     from repro.experiments import scenario
     from repro.service.client import ServiceClient
 
-    client = ServiceClient("http://127.0.0.1:8765")
-    job = client.submit([scenario("quickstart_line", n=4)])
-    job = client.wait(job["id"])
-    for entry in job["specs"]:
-        payload = client.result(entry["result_key"])
-        print(entry["label"], payload["summary"]["max_global_skew"])
+    with ServiceClient("http://127.0.0.1:8765") as client:
+        job = client.submit([scenario("quickstart_line", n=4)])
+        job = client.wait(job["id"])
+        for entry in job["specs"]:
+            payload = client.result(entry["result_key"])
+            print(entry["label"], payload["summary"]["max_global_skew"])
+
+A client is a connection: each thread that calls into it keeps one HTTP/1.1
+socket open and sends every request down it, so a poll or a result fetch
+costs a round trip, not a TCP handshake and a server thread.  ``close()``
+(or leaving the ``with`` block) closes the sockets of every thread.
 
 The client is hardened against a flaky daemon:
 
 * every request carries separate **connect** and **read** timeouts;
+* a kept connection the daemon closed while it sat idle (idle timeout,
+  restart) is noticed *before* the next request is written and replaced,
+  so the caller never sees it;
 * transient failures retry with bounded, deterministic exponential backoff
   -- idempotent ``GET``\\ s on connection-refused, connection-reset and HTTP
-  503, ``POST /sweeps`` only when the connection was never established (so
-  a submission can never be duplicated);
+  503 (a broken connection is never reused); ``POST /sweeps`` only when no
+  byte of it left this process (so a submission can never be duplicated);
 * when the retry budget runs out, :class:`RetryExhaustedError` carries the
   full attempt log for diagnosis.
 """
@@ -29,9 +37,12 @@ from __future__ import annotations
 
 import http.client
 import json
+import select
 import socket
+import threading
 import time
 import urllib.parse
+import weakref
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
 
 from ..experiments.spec import ScenarioSpec
@@ -108,6 +119,22 @@ class _HttpFailure(Exception):
 RETRYABLE_STATUSES = (503,)
 
 
+def _peer_closed(sock: Optional[socket.socket]) -> bool:
+    """Has the peer closed (or reset) this idle kept-alive connection?
+
+    Between requests the server owes us nothing, so a socket that polls
+    readable holds an EOF, a reset or junk -- in every case it cannot carry
+    a request.  One zero-timeout ``select``, no byte read.
+    """
+    if sock is None:  # closed on our side, by ``ServiceClient.close()``
+        return True
+    try:
+        readable, _, _ = select.select([sock], [], [], 0)
+    except (OSError, ValueError):  # closed descriptor, or one select cannot watch
+        return True
+    return bool(readable)
+
+
 class ServiceClient:
     """Talk to a running sweep service daemon.
 
@@ -150,40 +177,70 @@ class ServiceClient:
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self._sleep = sleep
+        #: ``_local.conn`` is the calling thread's kept connection;
+        #: ``_connections`` is all of them, for :meth:`close` (weak: a thread
+        #: that ends takes its connection with it).
+        self._local = threading.local()
+        self._connections: "weakref.WeakSet" = weakref.WeakSet()
+        self._lock = threading.Lock()
 
     # -- transport ------------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
+    def _checkout(self) -> http.client.HTTPConnection:
+        """The calling thread's connection, opened (or replaced) if need be.
+
+        Raises ``_TransportFailure(before_send=True)``: whatever goes wrong
+        here, no byte of the request has left this process, so even a POST
+        is safe to retry.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            if not _peer_closed(conn.sock):
+                return conn
+            self._drop(conn)
         cls = (
             http.client.HTTPSConnection
             if self._scheme == "https"
             else http.client.HTTPConnection
         )
-        return cls(self._host, self._port, timeout=self.connect_timeout)
+        conn = cls(self._host, self._port, timeout=self.connect_timeout)
+        try:
+            conn.connect()  # sets TCP_NODELAY itself
+        except (OSError, socket.timeout) as exc:
+            conn.close()
+            raise _TransportFailure(exc, before_send=True)
+        conn.sock.settimeout(self.read_timeout)
+        self._local.conn = conn
+        with self._lock:
+            self._connections.add(conn)
+        return conn
+
+    def _drop(self, conn: http.client.HTTPConnection) -> None:
+        conn.close()
+        if getattr(self._local, "conn", None) is conn:
+            del self._local.conn
+        with self._lock:
+            self._connections.discard(conn)
 
     def _attempt(self, method: str, path: str, data: Optional[bytes]) -> bytes:
         """One request attempt; raises _TransportFailure or _HttpFailure."""
-        conn = self._connection()
+        conn = self._checkout()
+        headers = {"Content-Type": "application/json"} if data else {}
+        reusable = False
         try:
-            try:
-                conn.connect()
-            except (OSError, socket.timeout) as exc:
-                # Connect failed: no byte of the request left this process,
-                # so even a POST is safe to retry.
-                raise _TransportFailure(exc, before_send=True)
-            if conn.sock is not None:
-                conn.sock.settimeout(self.read_timeout)
-            headers = {"Content-Type": "application/json"} if data else {}
-            try:
-                conn.request(method, self._prefix + path, body=data, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-                status = response.status
-            except (OSError, socket.timeout, http.client.HTTPException) as exc:
-                # The request may have reached (and been processed by) the
-                # server; only idempotent methods may retry from here.
-                raise _TransportFailure(exc, before_send=False)
+            conn.request(method, self._prefix + path, body=data, headers=headers)
+            response = conn.getresponse()
+            raw = response.read()  # drained whatever the status: next request's turn
+            status = response.status
+            reusable = not response.will_close
+        except (OSError, socket.timeout, http.client.HTTPException) as exc:
+            # The request may have reached (and been processed by) the
+            # server; only idempotent methods may retry from here.
+            raise _TransportFailure(exc, before_send=False)
         finally:
-            conn.close()
+            if not reusable:
+                # Also on KeyboardInterrupt & co.: a connection abandoned
+                # mid-exchange must not carry the next request.
+                self._drop(conn)
         if 200 <= status < 300:
             return raw
         try:
@@ -192,6 +249,21 @@ class ServiceClient:
             payload = {}
         message = payload.get("error") or f"HTTP {status} on {method} {path}"
         raise _HttpFailure(message, status, payload)
+
+    def close(self) -> None:
+        """Close the kept connections of every thread.  The client stays
+        usable: the next request opens a new one."""
+        with self._lock:
+            connections = list(self._connections)
+            self._connections.clear()
+        for conn in connections:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def _retryable(self, method: str, failure: Exception) -> bool:
         if isinstance(failure, _TransportFailure):
@@ -218,11 +290,18 @@ class ServiceClient:
         ) from failure.cause
 
     def _request(
-        self, method: str, path: str, body: Optional[Dict[str, Any]] = None
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, Any]] = None,
+        retries: Optional[int] = None,
     ) -> bytes:
+        """``retries`` overrides the client's budget for this one request."""
+        if retries is None:
+            retries = self.retries
         data = json.dumps(body).encode("utf-8") if body is not None else None
         attempts: List[Dict[str, Any]] = []
-        for attempt in range(self.retries + 1):
+        for attempt in range(retries + 1):
             try:
                 return self._attempt(method, path, data)
             except (_TransportFailure, _HttpFailure) as failure:
@@ -236,7 +315,7 @@ class ServiceClient:
                 attempts.append(entry)
                 if not self._retryable(method, failure):
                     self._raise(method, path, failure)
-                if attempt >= self.retries:
+                if attempt >= retries:
                     payload = getattr(failure, "payload", None)
                     raise RetryExhaustedError(
                         f"{method} {path} failed after {len(attempts)} attempt(s) "
@@ -340,12 +419,17 @@ class ServiceClient:
         return [self.result(entry["result_key"]) for entry in job["specs"]]
 
     def wait_until_ready(self, *, timeout: float = 30.0, poll_interval: float = 0.2):
-        """Block until ``/healthz`` answers (daemon startup helper)."""
+        """Block until ``/healthz`` answers (daemon startup helper).
+
+        Each probe is a single attempt -- this loop *is* the retry, paced by
+        ``poll_interval``, so the backoff ladder would only make it overshoot
+        ``timeout``.
+        """
         deadline = time.monotonic() + timeout
         while True:
             try:
-                return self.healthz()
+                return json.loads(self._request("GET", "/healthz", retries=0))
             except ClientError:
                 if time.monotonic() >= deadline:
                     raise
-                time.sleep(poll_interval)
+            self._sleep(poll_interval)

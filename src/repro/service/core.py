@@ -478,6 +478,11 @@ class SweepService:
         self.watchdog_counts: Dict[str, int] = {}
 
     # -- lifecycle ------------------------------------------------------
+    @property
+    def draining(self) -> bool:
+        """True from the start of :meth:`drain` until the next :meth:`start`."""
+        return self._draining
+
     def start(self) -> "SweepService":
         if self._running:
             return self

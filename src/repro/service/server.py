@@ -15,7 +15,9 @@ GET     ``/results/{key}``  the raw cache file for a result key, byte-for-byte
                             (the key is the spec content hash plus its
                             ``.{backend}``/``.s{k}``/``.notrace``/
                             ``.obs-{digest}`` suffixes)
-GET     ``/healthz``        liveness + version + cache/format info
+GET     ``/healthz``        liveness + version + cache/format info, and under
+                            ``http`` the connections accepted and requests
+                            answered so far
 GET     ``/specs``          registry listing (scenarios, components, backends,
                             observers)
 ======  ==================  ===================================================
@@ -26,11 +28,21 @@ block the API.  Responses are JSON everywhere, errors are
 ``{"error": ...}`` with a matching status code -- including anything a
 handler did not expect, which becomes a ``500`` (traceback in the service
 log) instead of a dropped connection.
+
+Connections are HTTP/1.1 keep-alive: a client that holds its connection
+(:class:`~repro.service.client.ServiceClient` does) is served by one thread
+for as long as it stays, so a request costs neither an ``accept`` nor a
+thread start.  A connection ends when the client closes it, when it sits
+idle for :data:`IDLE_TIMEOUT`, after the first response sent while the
+service is draining (``Connection: close``), or at :meth:`SweepServer.shutdown`.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import threading
+import time
 import traceback
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -44,6 +56,16 @@ from .core import ServiceError, ServiceUnavailableError, SweepService
 #: Submissions larger than this are rejected up front (413) -- a grid body
 #: has no business being megabytes of JSON.
 MAX_BODY_BYTES = 50 * 1024 * 1024
+
+#: Seconds a connection may sit between requests (or stall mid-request)
+#: before its handler thread gives up on it, so an abandoned client cannot
+#: pin a thread forever.  A client that comes back later notices the close
+#: and reconnects before it writes.
+IDLE_TIMEOUT = 30.0
+
+#: How long :meth:`SweepServer.shutdown` waits for handler threads to notice
+#: that their connections were closed under them.
+_HANDLER_GRACE = 2.0
 
 
 class _HttpError(Exception):
@@ -123,6 +145,10 @@ class _Handler(BaseHTTPRequestHandler):
     service: SweepService = None  # set on the generated subclass
     server_version = "repro-sweep-service"
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT
+    # Headers and body leave in two writes; on a kept-alive connection
+    # Nagle holds the second until the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:
@@ -138,13 +164,18 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_bytes(
         self, status: int, body: bytes, content_type: str = "application/json"
     ) -> None:
+        self.server.count_request()
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection or self.service.draining:
+            # Tell the client, so it reconnects (elsewhere, once the
+            # listener is gone) instead of finding out on its next write.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_body(self) -> Dict[str, Any]:
+    def _read_body(self) -> bytes:
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
@@ -153,13 +184,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpError(400, "invalid Content-Length header")
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise _HttpError(400, "empty request body")
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise _HttpError(400, f"request body is not valid JSON: {exc}")
+        return self.rfile.read(length) if length else b""
 
     def _route(self) -> Tuple[str, Optional[str], Optional[str]]:
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
@@ -205,7 +230,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             head, tail, sub = self._route()
             if head == "healthz" and tail is None:
-                self._send_json(200, self.service.describe())
+                self._send_json(
+                    200, dict(self.service.describe(), http=self.server.http_stats())
+                )
             elif head == "specs" and tail is None:
                 self._send_json(200, _specs_payload())
             elif head == "jobs" and tail:
@@ -230,10 +257,23 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         try:
-            head, tail, sub = self._route()
-            if head != "sweeps" or tail is not None or sub is not None:
-                raise _HttpError(404, f"no such endpoint: {self.path}")
-            specs = _parse_submission(self._read_body())
+            try:
+                head, tail, sub = self._route()
+                if head != "sweeps" or tail is not None or sub is not None:
+                    raise _HttpError(404, f"no such endpoint: {self.path}")
+                raw = self._read_body()
+            except _HttpError:
+                # Refused with its body unread: on a kept connection those
+                # bytes would be parsed as the next request.
+                self.close_connection = True
+                raise
+            if not raw:
+                raise _HttpError(400, "empty request body")
+            try:
+                body = json.loads(raw.decode("utf-8"))
+            except (UnicodeDecodeError, ValueError) as exc:
+                raise _HttpError(400, f"request body is not valid JSON: {exc}")
+            specs = _parse_submission(body)
             try:
                 job = self.service.submit(specs)
             except ServiceUnavailableError as exc:
@@ -261,12 +301,72 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_bytes(200, body)
 
 
+class _HttpServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` that counts what it serves and knows its open
+    connections, so a shutdown can end the ones that only sit there."""
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self._lock = threading.Lock()
+        #: Accepted socket -> its handler thread, while the connection lives.
+        self._open: Dict[socket.socket, threading.Thread] = {}
+        self._connections = 0
+        self._requests = 0
+
+    def process_request(self, request, client_address) -> None:
+        # Registered here, on the accepting thread, so that once
+        # ``shutdown()`` has returned no connection is unaccounted for.
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="sweep-http-handler",
+            daemon=True,
+        )
+        with self._lock:
+            self._connections += 1
+            self._open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self._lock:
+            self._open.pop(request, None)
+
+    def count_request(self) -> None:
+        with self._lock:
+            self._requests += 1
+
+    def http_stats(self) -> Dict[str, int]:
+        """The ``/healthz`` ``http`` block: connections accepted and
+        requests answered since start."""
+        with self._lock:
+            return {"connections": self._connections, "requests": self._requests}
+
+    def close_connections(self, grace: float) -> None:
+        """End every open connection and join its handler thread.
+
+        Only the read side is shut: a handler blocked between requests wakes
+        on EOF and closes its socket, one in the middle of a response
+        finishes writing it first.
+        """
+        with self._lock:
+            live = list(self._open.items())
+        for request, _ in live:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it in the meantime
+        deadline = time.monotonic() + grace
+        for _, thread in live:
+            thread.join(max(0.0, deadline - time.monotonic()))
+
+
 def build_server(
     service: SweepService, host: str = "127.0.0.1", port: int = 8765
-) -> ThreadingHTTPServer:
+) -> _HttpServer:
     """An HTTP server wired to ``service`` (not yet serving; port 0 works)."""
     handler = type("BoundSweepHandler", (_Handler,), {"service": service})
-    return ThreadingHTTPServer((host, port), handler)
+    return _HttpServer((host, port), handler)
 
 
 class SweepServer:
@@ -306,8 +406,6 @@ class SweepServer:
             self.shutdown(drain_timeout=drain_timeout)
 
     def start_background(self) -> str:
-        import threading
-
         self.service.start()
         self._thread = threading.Thread(
             target=self.httpd.serve_forever, name="sweep-http", daemon=True
@@ -316,12 +414,14 @@ class SweepServer:
         return self.url
 
     def shutdown(self, drain_timeout: Optional[float] = None) -> None:
-        """Stop the listener, then the service.
+        """Stop the listener, end the open connections, then the service.
 
         With ``drain_timeout`` set, the service drains gracefully
         (:meth:`SweepService.drain`): in-flight jobs finish within the
         bound, queued jobs fail with a clear status.  Without it, the
-        worker pool stops abruptly (the original behaviour).
+        worker pool stops abruptly (the original behaviour).  Either way a
+        client that merely holds a connection open delays nothing: no
+        handler thread or accepted socket is left behind.
         """
         if self._closed:
             return
@@ -333,6 +433,7 @@ class SweepServer:
             self.service.drain(drain_timeout)
         self.httpd.shutdown()
         self.httpd.server_close()
+        self.httpd.close_connections(_HANDLER_GRACE)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

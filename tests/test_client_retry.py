@@ -10,6 +10,7 @@ sleeping -- the backoff sleep is injected and recorded.
 import json
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -174,6 +175,25 @@ class TestTransportRetry:
         )
         with pytest.raises(ClientError):
             client.healthz()
+
+    def test_wait_until_ready_probes_once_per_poll_interval(self, sleeps):
+        """Against a daemon that is not listening yet, each probe is a single
+        attempt paced by ``poll_interval`` -- not the 0.2 + 0.4 + 0.8 s retry
+        ladder, which made ``timeout=0.3`` return after 1.4 s."""
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            time.sleep(seconds)
+
+        client = ServiceClient(f"http://127.0.0.1:{self._dead_port()}", sleep=sleep)
+        started = time.monotonic()
+        with pytest.raises(RetryExhaustedError) as excinfo:
+            client.wait_until_ready(timeout=0.3, poll_interval=0.01)
+        elapsed = time.monotonic() - started
+        assert len(excinfo.value.attempts) == 1
+        assert len(sleeps) > 5 and set(sleeps) == {0.01}
+        # Overshoot: at most one poll interval and one (refused) connect.
+        assert 0.3 <= elapsed < 0.3 + 0.01 + 0.25
 
     def test_mid_request_drop_retries_get_but_not_post(self, sleeps):
         """A server that reads the request then drops the connection: the

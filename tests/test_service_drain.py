@@ -6,11 +6,14 @@ daemon under SIGTERM with ``--drain-timeout`` (the systemd/docker-stop
 path).
 """
 
+import http.client
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -119,6 +122,51 @@ class TestDrainOverHttp:
         finally:
             server.shutdown()
 
+    def test_responses_sent_while_draining_close_the_connection(self, tmp_path):
+        service = SweepService(tmp_path / "cache", config=ServiceConfig(workers=1))
+        server = SweepServer(service, "127.0.0.1", 0)
+        server.start_background()
+        conn = http.client.HTTPConnection(*server.address, timeout=10.0)
+        try:
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            assert response.getheader("Connection") is None and not response.will_close
+            service.drain(timeout=5.0)
+            body = json.dumps({"specs": [tiny_spec().to_dict()]})
+            conn.request("POST", "/sweeps", body=body)  # on the kept connection
+            response = conn.getresponse()
+            assert response.status == 503
+            assert "draining" in json.loads(response.read())["error"]
+            assert response.getheader("Connection") == "close" and response.will_close
+            conn.request("GET", "/healthz")  # http.client reconnects
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200 and response.will_close
+        finally:
+            conn.close()
+            server.shutdown()
+
+    def test_shutdown_with_idle_clients_leaves_no_handler_thread(self, tmp_path):
+        service = SweepService(tmp_path / "cache", config=ServiceConfig(workers=1))
+        server = SweepServer(service, "127.0.0.1", 0)
+        server.start_background()
+        clients = [ServiceClient(server.url, timeout=10.0) for _ in range(3)]
+        try:
+            for client in clients:
+                client.healthz()
+            handlers = [
+                t for t in threading.enumerate() if t.name == "sweep-http-handler"
+            ]
+            assert len(handlers) == 3
+            server.shutdown(drain_timeout=10.0)
+            assert not any(thread.is_alive() for thread in handlers)
+            assert server.httpd._open == {}
+        finally:
+            server.shutdown()
+            for client in clients:
+                client.close()
+
     def test_server_shutdown_with_drain_timeout(self, tmp_path):
         service = SweepService(tmp_path / "cache", config=ServiceConfig(workers=1))
         server = SweepServer(service, "127.0.0.1", 0)
@@ -160,6 +208,7 @@ class TestServeSigterm:
             stderr=subprocess.PIPE,
             text=True,
         )
+        idle = []
         try:
             line = proc.stderr.readline()
             assert "sweep service on" in line, line
@@ -168,12 +217,24 @@ class TestServeSigterm:
             client.wait_until_ready(timeout=20.0)
             job = client.submit([tiny_spec()])
             client.wait(job["id"], timeout=60.0)
+            # Three clients that hold their connections and say nothing
+            # more: an idle connection must never delay the shutdown.
+            idle = [client, ServiceClient(url), ServiceClient(url)]
+            for each in idle:
+                each.healthz()
+            assert idle[-1].healthz()["http"]["connections"] == 3
             proc.send_signal(signal.SIGTERM)
+            started = time.monotonic()
             stdout, stderr = proc.communicate(timeout=20)
+            assert time.monotonic() - started < 10.0  # --drain-timeout
+            for each in idle:  # the daemon's end is closed: EOF, not a hang
+                assert each._local.conn.sock.recv(1) == b""
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            for each in idle:
+                each.close()
         assert proc.returncode == 0, stderr
         assert "SIGTERM" in stderr
         assert "draining" in stderr

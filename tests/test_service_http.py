@@ -34,7 +34,8 @@ def server(tmp_path):
 
 @pytest.fixture
 def client(server):
-    return ServiceClient(server.url, timeout=30.0)
+    with ServiceClient(server.url, timeout=30.0) as clnt:
+        yield clnt
 
 
 class TestHealthAndSpecs:

@@ -168,6 +168,49 @@ class TestWorkerDeath:
             svc.stop()
 
 
+class TestKeptConnectionAcrossWorkerDeath:
+    def test_replacement_worker_serves_the_same_connection_and_lets_go_of_it(
+        self, tmp_path
+    ):
+        proc, client = serve(tmp_path, "--workers", "1")
+        pids = []
+        try:
+            (pid,) = client.healthz()["workers"]["pids"]
+            pids.append(pid)
+            sock = client._local.conn.sock
+            os.kill(pid, signal.SIGKILL)
+            # The replacement is forked while our connection is open, so it
+            # inherits the accepted socket -- and must close its copy.
+            client.run([tiny_spec()], timeout=60.0)
+            health = client.healthz()
+            assert health["workers"]["restarts"] == 1
+            assert health["http"]["connections"] == 1
+            assert client._local.conn.sock is sock
+            pids.extend(health["workers"]["pids"])
+            # Keep the replacement busy: an idle worker would exit on its
+            # pipe's EOF and release a leaked descriptor by dying.
+            job = client.submit([slow_spec()])
+            assert wait_until(
+                lambda: client.job(job["id"])["specs"][0]["state"] == "running"
+            )
+            proc.kill()
+            proc.wait(timeout=10)
+            sock.settimeout(5.0)
+            assert sock.recv(1) == b""  # EOF: no process holds the daemon's end
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stderr.close()
+            client.close()
+            for orphan in pids:
+                try:
+                    os.kill(orphan, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        assert wait_until(lambda: not any(pid_alive(p) for p in pids))
+
+
 class TestLiveTelemetry:
     def test_watchdog_events_cross_the_pipe_live_and_in_order(self, tmp_path):
         svc = SweepService(tmp_path / "cache", config=ServiceConfig(workers=1))
