@@ -51,6 +51,7 @@ from .results import (
     build_run_pipeline,
     summarize,
     trace_from_payload,
+    trace_payload_is_finite,
     trace_to_payload,
 )
 from .spec import ScenarioSpec
@@ -160,12 +161,12 @@ def _payload_for(
         global_skew_bound=scenario.global_skew_bound,
         engine=engine,
     )
-    # Sanitized at the top level so the cached file is strict JSON even if
-    # a summary or meta value is ever non-finite (finite floats pass
-    # through bit-exact; ``ResultCache.store`` serialises with
-    # ``allow_nan=False`` so a regression fails loudly instead of writing
-    # an unparseable ``NaN`` token).
-    return sanitize_json({
+    # Sanitized so the cached file is strict JSON even if a summary, meta or
+    # trace value is ever non-finite (finite floats pass through bit-exact;
+    # ``ResultCache.store`` serialises with ``allow_nan=False`` so a
+    # regression fails loudly instead of writing an unparseable ``NaN``
+    # token).
+    payload = sanitize_json({
         "format": CACHE_FORMAT_VERSION,
         "library_version": _library_version,
         "spec": spec.to_dict(),
@@ -174,10 +175,19 @@ def _payload_for(
         "summary": summary.to_dict(),
         "meta": _meta_to_payload(scenario.meta),
         "observers": report.to_payload(),
-        "trace": trace_to_payload(trace) if spec.trace == "full" else None,
+        "trace": None,
         "wall_time": wall_time,
         "stopped_early": bool(getattr(engine, "stopped_early", False)),
     })
+    if spec.trace == "full":
+        # The trace is ~99 % of the payload and all but always finite, in
+        # which case sanitising would return an equal copy: check it, and
+        # copy only a trace that needs it.
+        encoded = trace_to_payload(trace)
+        if not trace_payload_is_finite(encoded):
+            encoded = sanitize_json(encoded)
+        payload["trace"] = encoded
+    return payload
 
 
 def execute_spec(
@@ -278,7 +288,11 @@ class ExperimentRun:
 
     ``trace`` is ``None`` for ``trace: none`` runs -- the streaming
     ``report`` (an :class:`~repro.metrics.ObserverReport`) then carries
-    everything the summary was computed from.
+    everything the summary was computed from.  A run built from a result
+    payload is handed the payload's ``"trace"`` object and decodes it into
+    a :class:`~repro.sim.trace.Trace` when ``trace`` is first read (callers
+    that read only the summary never pay for the samples); the payload form
+    is dropped then, and every later read returns that same ``Trace``.
     """
 
     spec: ScenarioSpec
@@ -301,6 +315,22 @@ class ExperimentRun:
     def graph(self):
         """Rebuild the (pre-run) dynamic graph of this spec on demand."""
         return registry.build_graph(self.spec)[0]
+
+
+def _read_trace(run: ExperimentRun):
+    held = run._trace
+    if isinstance(held, dict):  # still the payload's "trace" object
+        held = run._trace = trace_from_payload(held)
+    return held
+
+
+def _hold_trace(run: ExperimentRun, trace) -> None:
+    run._trace = trace
+
+
+# Installed after the class body: inside it, the name is the dataclass field
+# (the generated ``__init__`` assigns through this property).
+ExperimentRun.trace = property(_read_trace, _hold_trace)
 
 
 @dataclass
@@ -371,7 +401,7 @@ def _run_from_payload(
     return ExperimentRun(
         spec=spec,
         summary=RunSummary.from_dict(payload["summary"]),
-        trace=trace_from_payload(payload.get("trace")),
+        trace=payload.get("trace"),  # decoded when first read
         meta=_meta_from_payload(payload.get("meta", {})),
         report=ObserverReport.from_payload(payload.get("observers")),
         from_cache=from_cache,
@@ -774,7 +804,8 @@ class ResultCache:
 class SweepEvent:
     """One progress notification from :func:`run_sweep`.
 
-    ``kind`` is ``"cached"`` (served from the cache), ``"start"`` (about to
+    ``kind`` is ``"cached"`` (served from the cache, or from an earlier
+    occurrence of the same spec in this sweep), ``"start"`` (about to
     execute), ``"executed"`` (result computed and stored) or ``"fallback"``
     (the spec's backend declined it and the reference backend answered
     instead -- ``spec`` is then the reference spec and ``from_cache`` tells
@@ -793,40 +824,18 @@ class SweepEvent:
 SweepCallback = Callable[[SweepEvent], None]
 
 
-def _run_batched_groups(
+def _batch_groups(
     missing: List[Tuple[int, ScenarioSpec]],
-    outcomes: Dict[int, Tuple[Dict[str, Any], bool]],
-    batch: SweepStats,
-    cache: ResultCache,
-    use_cache: bool,
-    on_event: SweepCallback,
-    telemetry: Optional[SweepTelemetry] = None,
-) -> List[Tuple[int, ScenarioSpec]]:
-    """Execute batchable miss groups in lockstep; return the remainder."""
-    groups: Dict[Tuple, List[Tuple[int, ScenarioSpec]]] = {}
+) -> Tuple[List[List[Tuple[int, ScenarioSpec]]], List[Tuple[int, ScenarioSpec]]]:
+    """Split misses into lockstep groups (see ``batch_key``) and the rest."""
+    by_key: Dict[Tuple, List[Tuple[int, ScenarioSpec]]] = {}
     for index, spec in missing:
         key = batch_key(spec)
         if key is not None:
-            groups.setdefault(key, []).append((index, spec))
-    handled = set()
-    for group in groups.values():
-        if len(group) < MIN_BATCH_SIZE:
-            continue
-        for index, spec in group:
-            on_event(SweepEvent("start", index, spec, batched=True))
-        sinks = None
-        if telemetry is not None:
-            sinks = [telemetry.run_sink(index, spec) for index, spec in group]
-        payloads = execute_specs_batched([spec for _, spec in group], sinks)
-        for (index, spec), payload in zip(group, payloads):
-            if use_cache:
-                cache.store(spec, payload)
-            outcomes[index] = (payload, False)
-            batch.executed += 1
-            batch.batched += 1
-            handled.add(index)
-            on_event(SweepEvent("executed", index, spec, batched=True))
-    return [(index, spec) for index, spec in missing if index not in handled]
+            by_key.setdefault(key, []).append((index, spec))
+    groups = [group for group in by_key.values() if len(group) >= MIN_BATCH_SIZE]
+    grouped = {index for group in groups for index, _ in group}
+    return groups, [(index, spec) for index, spec in missing if index not in grouped]
 
 
 def run_sweep(
@@ -852,10 +861,14 @@ def run_sweep(
     or, with ``strict_backend``, an :class:`UnsupportedScenarioError`
     before anything is built.  An engine that still refuses its spec
     fails the sweep; nothing is re-routed after the fact.  Cache hits are
-    served directly.  Of the misses, compatible specs on a backend with
-    ``build_batch`` (``vec``, ``jit``) run as lockstep batches in-process;
-    the rest execute inline (``workers == 1``) or on a ``multiprocessing``
-    pool.  Results are written back to the cache before returning.
+    served directly.  Misses that share a cache key execute once: the
+    first occurrence runs and stores, the later ones are handed its result
+    and count (and report) as ``cached`` once it exists.  Of the distinct
+    misses, compatible specs on a backend with ``build_batch`` (``vec``,
+    ``jit``) run as lockstep batches in-process; the rest execute inline
+    (``workers == 1``) or on a ``multiprocessing`` pool.  Each result is
+    written to the cache and turned into its :class:`ExperimentRun` (whose
+    trace stays in payload form until it is read) as soon as it exists.
 
     ``on_event`` receives a :class:`SweepEvent` per spec transition (cache
     hit, execution start/finish, fallback), which is how the daemon streams
@@ -902,60 +915,81 @@ def run_sweep(
         if telemetry is not None:
             telemetry.on_sweep_event(event)
 
-    outcomes: Dict[int, Tuple[Dict[str, Any], bool]] = {}
+    runs: List[Optional[ExperimentRun]] = [None] * len(resolved)
+    #: index of a miss -> later indices with the same cache key, which wait
+    #: for its result instead of executing.
+    duplicates: Dict[int, List[int]] = {}
+
+    def settle(index, spec, payload, from_cache, batched=False) -> None:
+        # A result becomes its run the moment it exists, so the sweep never
+        # holds more than the payload(s) in hand beside the runs.
+        runs[index] = _run_from_payload(
+            spec,
+            payload,
+            from_cache,
+            requested_backend=specs[index].backend if index in fell_back else None,
+        )
+        if from_cache:
+            batch.cached += 1
+        if index in fell_back:
+            kind = "fallback"
+        else:
+            kind = "cached" if from_cache else "executed"
+        notify(SweepEvent(kind, index, spec, from_cache=from_cache, batched=batched))
+        if telemetry is not None:
+            # No-op for runs that streamed live; cache hits and pool
+            # workers replay from the payload.
+            telemetry.replay_watchdogs(index, spec, payload)
+
+    def executed(index, spec, payload, batched=False) -> None:
+        if use_cache:
+            cache.store(spec, payload)
+        batch.executed += 1
+        batch.batched += batched
+        settle(index, spec, payload, False, batched)
+        for later in duplicates.get(index, ()):
+            settle(later, resolved[later], payload, True)
+
     missing: List[Tuple[int, ScenarioSpec]] = []
+    owners: Dict[str, int] = {}  # cache key -> index of the miss that runs it
     for index, spec in enumerate(resolved):
         payload = cache.load(spec) if use_cache else None
         if payload is not None:
-            outcomes[index] = (payload, True)
-            batch.cached += 1
-            kind = "fallback" if index in fell_back else "cached"
-            notify(SweepEvent(kind, index, spec, from_cache=True))
-            if telemetry is not None:
-                telemetry.replay_watchdogs(index, spec, payload)
-        else:
-            missing.append((index, spec))
+            settle(index, spec, payload, True)
+            continue
+        if use_cache:  # without one every spec executes as asked, repeats too
+            owner = owners.setdefault(cache.key_for(spec), index)
+            if owner != index:
+                duplicates.setdefault(owner, []).append(index)
+                continue
+        missing.append((index, spec))
 
-    missing = _run_batched_groups(
-        missing, outcomes, batch, cache, use_cache, notify, telemetry
-    )
+    groups, missing = _batch_groups(missing)
+    for group in groups:
+        for index, spec in group:
+            notify(SweepEvent("start", index, spec, batched=True))
+        sinks = None
+        if telemetry is not None:
+            sinks = [telemetry.run_sink(index, spec) for index, spec in group]
+        payloads = execute_specs_batched([spec for _, spec in group], sinks)
+        for (index, spec), payload in zip(group, payloads):
+            executed(index, spec, payload, batched=True)
 
-    if missing:
+    for index, spec in missing:
+        notify(SweepEvent("start", index, spec))
+    if workers > 1 and len(missing) > 1:
+        with multiprocessing.Pool(min(workers, len(missing))) as pool:
+            payloads = pool.imap(_pool_worker, [spec.to_dict() for _, spec in missing])
+            for (index, spec), payload in zip(missing, payloads):
+                executed(index, spec, payload)
+    else:
         for index, spec in missing:
-            notify(SweepEvent("start", index, spec))
-        if workers > 1 and len(missing) > 1:
-            with multiprocessing.Pool(min(workers, len(missing))) as pool:
-                payloads = pool.map(
-                    _pool_worker, [spec.to_dict() for _, spec in missing]
-                )
-        else:
-            payloads = []
-            for index, spec in missing:
-                sink = telemetry.run_sink(index, spec) if telemetry is not None else None
-                payloads.append(execute_spec(spec, sink))
-        for (index, spec), payload in zip(missing, payloads):
-            if use_cache:
-                cache.store(spec, payload)
-            outcomes[index] = (payload, False)
-            batch.executed += 1
-            kind = "fallback" if index in fell_back else "executed"
-            notify(SweepEvent(kind, index, spec))
-            if telemetry is not None:
-                # No-op for runs that streamed live; pool workers replay
-                # from the payload.
-                telemetry.replay_watchdogs(index, spec, payload)
+            sink = telemetry.run_sink(index, spec) if telemetry is not None else None
+            executed(index, spec, execute_spec(spec, sink))
 
     batch.wall_time = time.perf_counter() - started
     if telemetry is not None:
         telemetry.sweep_finished(batch)
-    runs = [
-        _run_from_payload(
-            spec,
-            *outcomes[index],
-            requested_backend=specs[index].backend if index in fell_back else None,
-        )
-        for index, spec in enumerate(resolved)
-    ]
     return runs, batch
 
 
@@ -988,16 +1022,6 @@ class ExperimentRunner:
     @property
     def cache_dir(self) -> Path:
         return self.cache.cache_dir
-
-    # -- cache (compatibility delegates to the ResultCache) -------------
-    def cache_path(self, spec: ScenarioSpec) -> Path:
-        return self.cache.path_for(spec)
-
-    def load_cached(self, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
-        return self.cache.load(spec)
-
-    def store(self, spec: ScenarioSpec, payload: Dict[str, Any]) -> Path:
-        return self.cache.store(spec, payload)
 
     def clear_cache(self) -> int:
         return self.cache.clear()

@@ -20,6 +20,7 @@ backend.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -231,49 +232,87 @@ def summarize(
 # ----------------------------------------------------------------------
 # Trace (de)serialisation for the on-disk cache
 # ----------------------------------------------------------------------
+#: The per-node columns of a sample, in payload order.
+_COLUMNS = ("logical", "hardware", "multipliers", "modes", "max_estimates")
+#: The columns whose values are floats (``modes`` holds mode names).
+_FLOAT_COLUMNS = ("logical", "hardware", "multipliers", "max_estimates")
+
+
 def trace_to_payload(trace: Optional[Trace]) -> Optional[Dict[str, Any]]:
     """Plain-JSON representation of a trace (node ids become strings).
 
     ``None`` (a ``trace: none`` run) passes through unchanged.
+
+    The id strings are computed once and reused for every column whose key
+    order equals the previous sample's (a static node set: every column of
+    every sample); a column that differs is converted key by key.
     """
     if trace is None:
         return None
-    return {
-        "sample_interval": trace.sample_interval,
-        "samples": [
-            {
-                "time": sample.time,
-                "logical": {str(k): v for k, v in sample.logical.items()},
-                "hardware": {str(k): v for k, v in sample.hardware.items()},
-                "multipliers": {str(k): v for k, v in sample.multipliers.items()},
-                "modes": {str(k): v for k, v in sample.modes.items()},
-                "max_estimates": {
-                    str(k): v for k, v in sample.max_estimates.items()
-                },
-                "diameter": sample.diameter,
-            }
-            for sample in trace
-        ],
-    }
+    ids: Optional[List[Any]] = None
+    names: List[str] = []
+    samples = []
+    for sample in trace:
+        entry: Dict[str, Any] = {"time": sample.time}
+        for name in _COLUMNS:
+            column = getattr(sample, name)
+            keys = list(column)
+            if keys != ids:
+                ids, names = keys, [str(key) for key in keys]
+            entry[name] = dict(zip(names, column.values()))
+        entry["diameter"] = sample.diameter
+        samples.append(entry)
+    return {"sample_interval": trace.sample_interval, "samples": samples}
+
+
+def trace_payload_is_finite(payload: Dict[str, Any]) -> bool:
+    """Whether ``sanitize_json`` would return this trace payload unchanged.
+
+    True when every number in it is finite and every mode is a string --
+    the check a whole-payload sanitising pass would make, without copying
+    the payload.  A value that is no number at all answers ``False`` too:
+    the caller then sanitises, which is always correct.
+    """
+    isfinite = math.isfinite
+    try:
+        if not isfinite(payload["sample_interval"]):
+            return False
+        for entry in payload["samples"]:
+            diameter = entry["diameter"]
+            if not isfinite(entry["time"]) or not (
+                diameter is None or isfinite(diameter)
+            ):
+                return False
+            for name in _FLOAT_COLUMNS:
+                if not all(map(isfinite, entry[name].values())):
+                    return False
+            if not set(map(type, entry["modes"].values())) <= {str}:
+                return False
+    except (TypeError, OverflowError):  # not a number at all / a huge int
+        return False
+    return True
 
 
 def trace_from_payload(payload: Optional[Dict[str, Any]]) -> Optional[Trace]:
-    """Rebuild a trace from :func:`trace_to_payload` output (None-safe)."""
+    """Rebuild a trace from :func:`trace_to_payload` output (None-safe).
+
+    The mirror image of the encoder: the id strings are parsed once and
+    reused for every column whose key order equals the previous one's.
+    """
     if payload is None:
         return None
     trace = Trace(sample_interval=payload.get("sample_interval", 1.0))
+    names: Optional[List[Any]] = None
+    ids: List[int] = []
     for entry in payload.get("samples", []):
+        columns = {}
+        for name in _COLUMNS:
+            column = entry[name]
+            keys = list(column)
+            if keys != names:
+                names, ids = keys, [int(key) for key in keys]
+            columns[name] = dict(zip(ids, column.values()))
         trace.record(
-            TraceSample(
-                time=entry["time"],
-                logical={int(k): v for k, v in entry["logical"].items()},
-                hardware={int(k): v for k, v in entry["hardware"].items()},
-                multipliers={int(k): v for k, v in entry["multipliers"].items()},
-                modes={int(k): v for k, v in entry["modes"].items()},
-                max_estimates={
-                    int(k): v for k, v in entry["max_estimates"].items()
-                },
-                diameter=entry.get("diameter"),
-            )
+            TraceSample(time=entry["time"], diameter=entry.get("diameter"), **columns)
         )
     return trace

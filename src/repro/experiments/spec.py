@@ -130,7 +130,7 @@ class ScenarioSpec:
     #: identical seeds and stays comparable with default runs) but part of
     #: the result-cache key -- a cached result contains exactly the payloads
     #: of the observers that ran (see
-    #: :meth:`repro.experiments.executor.ExperimentRunner.cache_path`).
+    #: :meth:`repro.experiments.executor.ResultCache.path_for`).
     observers: Tuple[str, ...] = ()
     #: Stop the run as soon as the convergence/stabilization watchdog trips
     #: (``repro-experiments run --until-stable``).  Another observation

@@ -30,7 +30,7 @@ class TestCache:
         spec = tiny_spec()
         first = runner.run(spec)
         assert not first.from_cache
-        assert runner.cache_path(spec).is_file()
+        assert runner.cache.path_for(spec).is_file()
         second = runner.run(spec)
         assert second.from_cache
         assert second.summary == first.summary
@@ -44,11 +44,11 @@ class TestCache:
         runner.run(spec)
         # Reference keeps the historical name so stale pre-backend entries
         # are overwritten; other backends get a distinct, suffixed name.
-        assert runner.cache_path(spec).name == f"{spec.content_hash()}.json"
+        assert runner.cache.path_for(spec).name == f"{spec.content_hash()}.json"
         fast = spec.with_backend("fast")
         assert fast.content_hash() == spec.content_hash()
-        assert runner.cache_path(fast).name == f"{spec.content_hash()}.fast.json"
-        assert runner.cache_path(fast) != runner.cache_path(spec)
+        assert runner.cache.path_for(fast).name == f"{spec.content_hash()}.fast.json"
+        assert runner.cache.path_for(fast) != runner.cache.path_for(spec)
 
     def test_stale_pre_backend_entry_is_overwritten_not_orphaned(self, runner):
         spec = tiny_spec()
@@ -64,23 +64,23 @@ class TestCache:
     def test_corrupt_cache_entry_is_a_miss(self, runner):
         spec = tiny_spec()
         runner.run(spec)
-        runner.cache_path(spec).write_text("not json{")
+        runner.cache.path_for(spec).write_text("not json{")
         run = runner.run(spec)
         assert not run.from_cache
 
     def test_format_version_mismatch_is_a_miss(self, runner):
         spec = tiny_spec()
         runner.run(spec)
-        payload = json.loads(runner.cache_path(spec).read_text())
+        payload = json.loads(runner.cache.path_for(spec).read_text())
         payload["format"] = -1
-        runner.cache_path(spec).write_text(json.dumps(payload))
+        runner.cache.path_for(spec).write_text(json.dumps(payload))
         assert not runner.run(spec).from_cache
 
     def test_use_cache_false_always_executes(self, tmp_path):
         runner = ExperimentRunner(tmp_path / "cache", use_cache=False)
         spec = tiny_spec()
         runner.run(spec)
-        assert not runner.cache_path(spec).exists()
+        assert not runner.cache.path_for(spec).exists()
         assert not runner.run(spec).from_cache
         assert runner.stats.executed == 2
 
@@ -185,8 +185,8 @@ class TestTraceNoneRuns:
     def test_traceless_cache_entry_is_distinct_and_round_trips(self, runner):
         spec = tiny_spec()
         traceless = spec.with_trace("none")
-        assert runner.cache_path(traceless).name.endswith(".notrace.json")
-        assert runner.cache_path(traceless) != runner.cache_path(spec)
+        assert runner.cache.path_for(traceless).name.endswith(".notrace.json")
+        assert runner.cache.path_for(traceless) != runner.cache.path_for(spec)
         first = runner.run(traceless)
         second = runner.run(traceless)
         assert second.from_cache
@@ -212,8 +212,8 @@ class TestTraceNoneRuns:
         # Same scenario identity (same seeds) -- but a distinct cache entry,
         # because the cached payload contains different observer results.
         assert custom.content_hash() == spec.content_hash()
-        assert ".obs-" in runner.cache_path(custom).name
-        assert runner.cache_path(custom) != runner.cache_path(spec)
+        assert ".obs-" in runner.cache.path_for(custom).name
+        assert runner.cache.path_for(custom) != runner.cache.path_for(spec)
         run = runner.run(custom)
         assert set(run.report.payloads) == {"global_skew", "mode_counts"}
         # Fields backed by unselected observers read "not measured", never
@@ -238,9 +238,9 @@ def _store_hammer(cache_dir, spec_payload, iterations):
 
     runner = ExperimentRunner(cache_dir)
     spec = ScenarioSpec.from_dict(spec_payload)
-    payload = runner.load_cached(spec)
+    payload = runner.cache.load(spec)
     for _ in range(iterations):
-        runner.store(spec, payload)
+        runner.cache.store(spec, payload)
 
 
 class TestCacheConcurrency:
@@ -268,13 +268,13 @@ class TestCacheConcurrency:
 
         spec = tiny_spec()
         run = runner.run(spec)
-        payload = runner.load_cached(spec)
+        payload = runner.cache.load(spec)
         errors = []
 
         def hammer():
             try:
                 for _ in range(30):
-                    runner.store(spec, payload)
+                    runner.cache.store(spec, payload)
             except OSError as exc:  # the pre-fix failure mode
                 errors.append(exc)
 
@@ -285,7 +285,7 @@ class TestCacheConcurrency:
             t.join()
         assert errors == []
         # The entry is intact and still a cache hit.
-        assert runner.load_cached(spec) == payload
+        assert runner.cache.load(spec) == payload
         # No leaked temp files.
         assert list(runner.cache_dir.glob("*.tmp.*")) == []
 
@@ -294,7 +294,7 @@ class TestCacheConcurrency:
 
         spec = tiny_spec()
         runner.run(spec)  # seed the entry so workers have a payload
-        path = runner.cache_path(spec)
+        path = runner.cache.path_for(spec)
         ctx = multiprocessing.get_context("spawn")
         workers = [
             ctx.Process(
@@ -317,5 +317,5 @@ class TestCacheConcurrency:
         for worker in workers:
             worker.join(timeout=60)
             assert worker.exitcode == 0
-        assert runner.load_cached(spec) is not None
+        assert runner.cache.load(spec) is not None
         assert list(runner.cache_dir.glob("*.tmp.*")) == []

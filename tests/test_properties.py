@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -24,10 +25,25 @@ from repro.core.triggers import (
 )
 from repro.analysis import legality
 from repro.analysis.report import Table
+from repro.experiments import scenario
+from repro.experiments.executor import ResultCache, run_sweep
+from repro.experiments.results import (
+    trace_from_payload,
+    trace_payload_is_finite,
+    trace_to_payload,
+)
+from repro.fastsim.backend import backend_available
 from repro.network import paths
 from repro.network.dynamic_graph import DynamicGraph
 from repro.network.edge import EdgeKey
+from repro.sim.trace import Trace, TraceSample
+from repro.telemetry.schema import sanitize_json
 from test_paths_kernel import oracle_all_pairs, oracle_diameter
+from test_trace_plumbing import (
+    oracle_trace_from_payload,
+    oracle_trace_to_payload,
+    same_samples,
+)
 
 # Parameter strategies ------------------------------------------------------
 
@@ -392,3 +408,176 @@ class TestPathKernelProperties:
         got = paths.all_pairs_distances(graph, weight)
         assert list(got.items()) == list(oracle_all_pairs(graph, weight).items())
         assert paths.weighted_diameter(graph, weight) == oracle_diameter(graph, weight)
+
+
+# Trace (de)serialisation -----------------------------------------------------
+
+NODE_IDS = st.integers(min_value=-3, max_value=40)
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@st.composite
+def traces(draw, values=FINITE):
+    """A trace whose node set (and node order) may change between samples --
+    and between the columns of one sample -- or stay put for long runs."""
+    trace = Trace(draw(st.sampled_from([0.5, 1.0, 2.5])))
+    time = 0.0
+    ids = draw(st.lists(NODE_IDS, unique=True, max_size=5))
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        columns = []
+        for _ in range(5):
+            change = draw(st.sampled_from(["keep", "keep", "keep", "permute", "redraw"]))
+            if change == "permute":
+                ids = draw(st.permutations(ids))
+            elif change == "redraw":
+                ids = draw(st.lists(NODE_IDS, unique=True, max_size=5))
+            columns.append(list(ids))
+        logical, hardware, multipliers, modes, max_estimates = columns
+        trace.record(
+            TraceSample(
+                time=time,
+                logical={node: draw(values) for node in logical},
+                hardware={node: draw(values) for node in hardware},
+                multipliers={node: draw(values) for node in multipliers},
+                modes={node: draw(st.sampled_from(MODE_NAMES)) for node in modes},
+                max_estimates={node: draw(values) for node in max_estimates},
+                diameter=draw(st.one_of(st.none(), values)),
+            )
+        )
+        time += draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return trace
+
+
+def mutant_trace_to_payload(trace):
+    """The encoder minus its key-order check: the first sample's id strings
+    are reused for every column.  The properties below must reject it."""
+    names = None
+    samples = []
+    for sample in trace:
+        if names is None:
+            names = [str(node) for node in sample.logical]
+        entry = {"time": sample.time}
+        for name in ("logical", "hardware", "multipliers", "modes", "max_estimates"):
+            entry[name] = dict(zip(names, getattr(sample, name).values()))
+        entry["diameter"] = sample.diameter
+        samples.append(entry)
+    return {"sample_interval": trace.sample_interval, "samples": samples}
+
+
+def assert_encodes_like_the_oracle(encode, trace):
+    expected = oracle_trace_to_payload(trace)
+    got = encode(trace)
+    assert got == expected
+    assert json.dumps(got) == json.dumps(expected)  # key for key, order for order
+
+
+class TestTracePayloadProperties:
+    @given(trace=traces())
+    @settings(max_examples=200, deadline=None)
+    def test_encoder_equals_per_key_oracle(self, trace):
+        assert_encodes_like_the_oracle(trace_to_payload, trace)
+
+    def test_none_and_empty_and_one_node(self):
+        assert trace_to_payload(None) is None
+        assert trace_from_payload(None) is None
+        empty = Trace(0.25)
+        assert trace_to_payload(empty) == {"sample_interval": 0.25, "samples": []}
+        assert same_samples(trace_from_payload(trace_to_payload(empty)), empty)
+        one = Trace()
+        one.record(TraceSample(0.0, {7: 1.0}, {7: 1.0}, {7: 1.0}, {7: "slow"}, {7: 1.0}))
+        assert_encodes_like_the_oracle(trace_to_payload, one)
+        assert same_samples(trace_from_payload(trace_to_payload(one)), one)
+
+    def test_the_properties_reject_an_encoder_without_the_key_order_check(self):
+        static = Trace()
+        moving = Trace()
+        for step, ids in enumerate([(0, 1, 2), (0, 1, 2), (2, 0, 1), (0, 5)]):
+            for trace, nodes in ((static, (0, 1, 2)), (moving, ids)):
+                column = {node: float(node + step) for node in nodes}
+                modes = {node: "fast" for node in nodes}
+                trace.record(
+                    TraceSample(float(step), column, column, column, modes, column)
+                )
+        assert_encodes_like_the_oracle(mutant_trace_to_payload, static)
+        with pytest.raises(AssertionError):
+            assert_encodes_like_the_oracle(mutant_trace_to_payload, moving)
+        assert_encodes_like_the_oracle(trace_to_payload, moving)
+
+    @given(trace=traces(values=ANY_FLOAT))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_check_is_sanitising_being_the_identity(self, trace):
+        encoded = trace_to_payload(trace)
+        text = json.dumps(encoded)
+        assert text == json.dumps(oracle_trace_to_payload(trace))
+        sanitised = sanitize_json(encoded)
+        assert trace_payload_is_finite(encoded) == (json.dumps(sanitised) == text)
+        # What ``_payload_for`` stores is strict JSON either way.
+        stored = encoded if trace_payload_is_finite(encoded) else sanitised
+        assert json.dumps(stored, allow_nan=False) == json.dumps(sanitised)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda payload: payload.update(sample_interval=float("inf")),
+            lambda payload: payload["samples"][0].update(time=float("nan")),
+            lambda payload: payload["samples"][0].update(diameter=float("-inf")),
+            lambda payload: payload["samples"][0]["modes"].update({"0": float("nan")}),
+            lambda payload: payload["samples"][0]["hardware"].update({"0": None}),
+            lambda payload: payload["samples"][0]["logical"].update({"0": 10**400}),
+        ],
+    )
+    def test_finite_check_reads_every_field(self, spoil):
+        trace = Trace()
+        trace.record(TraceSample(0.0, {0: 1.0}, {0: 1.0}, {0: 1.0}, {0: "slow"}, {0: 1.0}, 2.0))
+        payload = trace_to_payload(trace)
+        assert trace_payload_is_finite(payload)
+        spoil(payload)
+        assert not trace_payload_is_finite(payload)
+
+    @given(trace=traces(), through_json=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_decoder_equals_per_key_oracle_and_round_trips(self, trace, through_json):
+        payload = oracle_trace_to_payload(trace)
+        if through_json:
+            payload = json.loads(json.dumps(payload))
+        decoded = trace_from_payload(payload)
+        assert same_samples(decoded, oracle_trace_from_payload(payload))
+        assert same_samples(decoded, trace)
+        assert same_samples(trace_from_payload(trace_to_payload(trace)), trace)
+
+    @given(trace=traces(values=ANY_FLOAT))
+    @settings(max_examples=100, deadline=None)
+    def test_decoder_passes_sanitised_values_through(self, trace):
+        payload = sanitize_json(oracle_trace_to_payload(trace))
+        assert same_samples(
+            trace_from_payload(payload), oracle_trace_from_payload(payload)
+        )
+
+    @pytest.mark.parametrize("key", ["abc", "1.0", "", "0x1"])
+    def test_non_integer_ids_are_rejected_as_before(self, key):
+        column = {"0": 1.0, key: 2.0}
+        sample = dict.fromkeys(
+            ("logical", "hardware", "multipliers", "modes", "max_estimates"), column
+        )
+        payload = {"sample_interval": 1.0, "samples": [dict(sample, time=0.0)]}
+        for decode in (trace_from_payload, oracle_trace_from_payload):
+            with pytest.raises(ValueError):
+                decode(payload)
+
+    @pytest.mark.parametrize("backend", ["reference", "fast", "vec", "jit"])
+    def test_cached_trace_equals_executed_trace(self, tmp_path, backend):
+        if not backend_available(backend):
+            pytest.skip(f"backend {backend!r} is not available here")
+        spec = scenario(
+            "end_to_end_insertion", n=5, insertion_time=4.0, sim={"duration": 12.0}
+        ).with_backend(backend)
+        cache = ResultCache(tmp_path)
+        (executed,), _ = run_sweep([spec], cache=cache)
+        (cached,), _ = run_sweep([spec], cache=cache)
+        assert cached.from_cache and not executed.from_cache
+        assert len(executed.trace) > 0
+        assert same_samples(cached.trace, executed.trace)
+        assert json.dumps(trace_to_payload(cached.trace)) == json.dumps(
+            json.loads(cache.path_for(spec).read_text())["trace"]
+        )

@@ -382,8 +382,8 @@ class TestTraceStride:
         runner = ExperimentRunner(cache_dir=tmp_path, workers=1)
         plain = self.strided(1)
         strided = self.strided(4)
-        assert runner.cache_path(plain) != runner.cache_path(strided)
-        assert ".s4" in runner.cache_path(strided).name
+        assert runner.cache.path_for(plain) != runner.cache.path_for(strided)
+        assert ".s4" in runner.cache.path_for(strided).name
         runner.run_all([plain, strided])
         _, stats = runner.run_all([plain, strided])
         assert stats.cached == 2
