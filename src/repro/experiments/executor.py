@@ -289,15 +289,17 @@ class ExperimentRun:
     ``trace`` is ``None`` for ``trace: none`` runs -- the streaming
     ``report`` (an :class:`~repro.metrics.ObserverReport`) then carries
     everything the summary was computed from.  A run built from a result
-    payload is handed the payload's ``"trace"`` object and decodes it into
-    a :class:`~repro.sim.trace.Trace` when ``trace`` is first read (callers
-    that read only the summary never pay for the samples); the payload form
-    is dropped then, and every later read returns that same ``Trace``.
+    payload is handed the payload's ``"trace"`` object -- from the cache,
+    still the unparsed line of the file -- and turns it into a
+    :class:`~repro.sim.trace.Trace` when ``trace`` is first read (callers
+    that read only the summary never pay for the samples, ``repr``
+    included); text and payload form are dropped then, and every later
+    read returns that same ``Trace``.
     """
 
     spec: ScenarioSpec
     summary: RunSummary
-    trace: Any
+    trace: Any = field(repr=False)
     meta: Dict[str, Any]
     report: Optional[ObserverReport] = None
     from_cache: bool = False
@@ -319,7 +321,9 @@ class ExperimentRun:
 
 def _read_trace(run: ExperimentRun):
     held = run._trace
-    if isinstance(held, dict):  # still the payload's "trace" object
+    if isinstance(held, _TraceLine):  # still text; raises if it is not JSON
+        held = run._trace = held.parse()
+    if isinstance(held, dict):  # the payload's "trace" object
         held = run._trace = trace_from_payload(held)
     return held
 
@@ -489,6 +493,88 @@ def _matches(stored: Mapping[str, Any], spec: ScenarioSpec) -> bool:
     )
 
 
+#: How a ``"trace"`` member starts in ``json.dumps`` output.
+_TRACE_MEMBER = b'"trace": '
+
+
+def _dumps(value: Any) -> bytes:
+    # allow_nan=False: payloads are sanitized at build time, so a non-finite
+    # float reaching this point is a bug -- fail loudly rather than cache an
+    # unparseable NaN/Infinity token.
+    return json.dumps(value, allow_nan=False).encode("ascii")
+
+
+def _framed(payload: Dict[str, Any]) -> bytes:
+    """``json.dumps(payload)`` with a non-null ``"trace"`` member on a line
+    of its own: one newline before it, one after it, nothing else moved.
+
+    ``dumps`` emits no newline itself (inside strings it is escaped), so
+    these two are the only ones in the file and :func:`_cut` can take the
+    trace out again without parsing it.
+    """
+    if payload.get("trace") is None:
+        return _dumps(payload)
+    keys = list(payload)
+    at = keys.index("trace")
+    before = _dumps({key: payload[key] for key in keys[:at]})
+    after = _dumps({key: payload[key] for key in keys[at + 1 :]})
+    return b"".join((
+        before[:-1],
+        b", \n" if at else b"\n",
+        _TRACE_MEMBER,
+        _dumps(payload["trace"]),
+        b"\n, " if at + 1 < len(keys) else b"\n",
+        after[1:],
+    ))
+
+
+def _cut(data: bytes) -> Tuple[bytes, Optional[bytes]]:
+    """A cache file as ``(the document with "trace": null, the trace's text)``.
+
+    That is lines 1 + 3 and line 2 of an entry :func:`_framed` laid out.
+    Any other file is ``(data, None)`` and gets parsed whole: the layout
+    saves work, it is never what makes an entry valid.  A truncated entry
+    has no intact third line, so what is left of it fails to parse either
+    way.
+    """
+    # ``find`` with bounds is a ``memchr``; ``data.split`` would walk a 1 MB
+    # trace byte by byte (20x the cost of reading the file).
+    first, last = data.find(b"\n"), data.rfind(b"\n")
+    if (
+        first != last
+        and data.find(b"\n", first + 1, last) < 0  # exactly two
+        and data.startswith(_TRACE_MEMBER, first + 1)
+    ):
+        return (
+            data[:first] + _TRACE_MEMBER + b"null" + data[last + 1 :],
+            data[first + 1 + len(_TRACE_MEMBER) : last],
+        )
+    return data, None
+
+
+class _TraceLine:
+    """The ``"trace"`` member of a cache entry, cut out of the file unparsed.
+
+    What a payload from :meth:`ResultCache.fetch` holds in place of the
+    trace object until somebody wants it.
+    """
+
+    __slots__ = ("text", "path", "cache")
+
+    def __init__(self, text: bytes, path: Path, cache: "ResultCache"):
+        self.text = text
+        self.path = path
+        self.cache = cache
+
+    def parse(self) -> Any:
+        try:
+            return self.cache._parse(self.text)
+        except ValueError as exc:
+            raise ExecutorError(
+                f"cache entry {self.path}: its trace line is not JSON ({exc})"
+            ) from exc
+
+
 class ResultCache:
     """Content-hash-keyed JSON result store shared by CLI and daemon.
 
@@ -496,7 +582,10 @@ class ResultCache:
     observer selection); writes are atomic (unique temp file +
     ``os.replace``), so concurrent writers -- threads in one daemon process
     or independent processes sharing the directory -- can never tear an
-    entry, only overwrite it with identical bytes.
+    entry, only overwrite it with identical bytes.  A file is the
+    ``json.dumps`` of its payload; a trace, ~99 % of the bytes, sits on a
+    line of its own (:func:`_framed`) so that readers can leave it unparsed
+    (:meth:`fetch`, :meth:`probe`).
 
     Each instance also keeps a bounded *header index*: for every file it
     parsed or wrote, the file's ``(st_ino, st_size, st_mtime_ns)`` and its
@@ -517,6 +606,7 @@ class ResultCache:
         self._index_lock = threading.Lock()
         self._probe_hits = 0
         self._probe_parses = 0
+        self._parsed_bytes = 0
 
     # -- keys -----------------------------------------------------------
     def key_for(self, spec: ScenarioSpec) -> str:
@@ -593,8 +683,17 @@ class ResultCache:
         with self._index_lock:
             self._index.pop(key, None)
 
+    def _parse(self, data: bytes) -> Any:
+        with self._index_lock:
+            self._parsed_bytes += len(data)
+        return json.loads(data)
+
     def _read(self, key: str) -> Optional[Tuple[Dict[str, Any], Dict[str, Any]]]:
-        """Parse one cache file into ``(payload, head)`` and index the head.
+        """Read one cache file into ``(payload, head)`` and index the head.
+
+        Where the file gives the trace a line of its own (:func:`_cut`),
+        that line is not parsed: ``payload["trace"]`` is the
+        :class:`_TraceLine` holding it.
 
         ``None`` when the file is missing, unreadable, not JSON or not a
         result payload.  The signature is taken from the open descriptor,
@@ -602,13 +701,17 @@ class ResultCache:
         under that signature keeps its head (re-loading one entry over and
         over builds nothing).
         """
+        path = self._path(key)
         try:
-            with open(self._path(key)) as handle:
+            with open(path, "rb") as handle:
                 signature = _signature(os.fstat(handle.fileno()))
-                payload = json.loads(handle.read())
+                document, trace = _cut(handle.read())
+            payload = self._parse(document)
         except (OSError, ValueError):
             self._forget(key)
             return None
+        if trace is not None and isinstance(payload, dict):
+            payload["trace"] = _TraceLine(trace, path, self)
         with self._index_lock:
             entry = self._index.get(key)
         if entry is not None and entry[0] == signature:
@@ -620,19 +723,38 @@ class ResultCache:
         self._remember(key, signature, head)
         return payload, head
 
-    def load(self, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
+    def fetch(self, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
+        """:meth:`load` without the trace: where the file gives the trace a
+        line of its own, ``payload["trace"]`` is that line, still text.
+
+        :class:`ExperimentRun` takes it as it is and parses it when its
+        ``trace`` is read; a sweep that reads summaries never does.
+        """
         found = self._read(self.key_for(spec))
         if found is not None and _matches(found[0], spec):
             return found[0]
         return None
+
+    def load(self, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
+        payload = self.fetch(spec)
+        if payload is not None and isinstance(payload.get("trace"), _TraceLine):
+            try:
+                payload["trace"] = payload["trace"].parse()
+            except ExecutorError:
+                return None
+        return payload
 
     def probe(self, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
         """The head of ``spec``'s cached result, or ``None`` on a miss.
 
         ``probe(spec) is not None`` exactly when ``load(spec)`` is not, but
         a file this instance has already parsed or written costs one
-        ``stat`` instead of a read and a JSON parse of the whole payload.
-        The head is shared with the index: read it, never mutate it.
+        ``stat``, and any other one a read and a parse of everything but
+        its trace.  (Hence the one exception: garbage inside an otherwise
+        intact trace line -- no writer of this class can leave that -- is a
+        miss for ``load`` only, and an :class:`ExecutorError` for whoever
+        reads the ``trace`` of a run made from the entry.)  The head is
+        shared with the index: read it, never mutate it.
         """
         key = self.key_for(spec)
         try:
@@ -659,12 +781,15 @@ class ResultCache:
 
     def probe_stats(self) -> Dict[str, int]:
         """Index size and how probes were answered: ``hits`` from the index,
-        ``parses`` by reading the file (probes of missing files are neither)."""
+        ``parses`` by reading the file (probes of missing files are neither).
+        ``parsed_bytes`` is how much of its files this instance has handed
+        to ``json.loads``, for probes, loads and trace reads together."""
         with self._index_lock:
             return {
                 "entries": len(self._index),
                 "hits": self._probe_hits,
                 "parses": self._probe_parses,
+                "parsed_bytes": self._parsed_bytes,
             }
 
     def adopt(self, key: str, stat: os.stat_result, head: Dict[str, Any]) -> None:
@@ -691,10 +816,7 @@ class ResultCache:
         key = self.key_for(spec)
         path = self._path(key)
         tmp = self._tmp_path(path)
-        # allow_nan=False: payloads are sanitized at build time, so a
-        # non-finite float reaching this point is a bug -- fail loudly
-        # rather than cache an unparseable NaN/Infinity token.
-        tmp.write_text(json.dumps(payload, allow_nan=False))
+        tmp.write_bytes(_framed(payload))
         # os.replace keeps inode, size and mtime, so the temp file's stat is
         # the entry's signature: a later probe of what this instance wrote
         # never parses it.  The head goes through JSON like the file did
@@ -868,7 +990,8 @@ def run_sweep(
     ``jit``) run as lockstep batches in-process; the rest execute inline
     (``workers == 1``) or on a ``multiprocessing`` pool.  Each result is
     written to the cache and turned into its :class:`ExperimentRun` (whose
-    trace stays in payload form until it is read) as soon as it exists.
+    trace stays in payload form -- a cache hit's as the text of its line,
+    see :meth:`ResultCache.fetch` -- until it is read) as soon as it exists.
 
     ``on_event`` receives a :class:`SweepEvent` per spec transition (cache
     hit, execution start/finish, fallback), which is how the daemon streams
@@ -953,7 +1076,7 @@ def run_sweep(
     missing: List[Tuple[int, ScenarioSpec]] = []
     owners: Dict[str, int] = {}  # cache key -> index of the miss that runs it
     for index, spec in enumerate(resolved):
-        payload = cache.load(spec) if use_cache else None
+        payload = cache.fetch(spec) if use_cache else None
         if payload is not None:
             settle(index, spec, payload, True)
             continue
@@ -1018,13 +1141,6 @@ class ExperimentRunner:
         self.use_cache = use_cache
         self.strict_backend = strict_backend
         self.stats = SweepStats()
-
-    @property
-    def cache_dir(self) -> Path:
-        return self.cache.cache_dir
-
-    def clear_cache(self) -> int:
-        return self.cache.clear()
 
     # -- execution ------------------------------------------------------
     def run(self, spec: ScenarioSpec, *, workers: Optional[int] = None) -> ExperimentRun:

@@ -22,12 +22,16 @@ from repro import __version__
 from repro.experiments import scenario
 from repro.experiments.executor import (
     CACHE_FORMAT_VERSION,
+    ExecutorError,
     ResultCache,
     execute_spec,
+    run_sweep,
 )
+from repro.experiments.results import trace_to_payload
 from repro.service import ServiceConfig, SweepServer, SweepService
 from repro.service.client import ServiceClient
 from repro.telemetry import SweepTelemetry
+from test_trace_plumbing import head_bytes
 
 TINY_SIM = {"duration": 4.0, "dt": 0.1}
 
@@ -163,7 +167,9 @@ class TestProbeAgreesWithLoad:
     def test_missing_file_is_a_miss(self, cache):
         assert cache.probe(SPEC) is None
         assert cache.load(SPEC) is None
-        assert cache.probe_stats() == {"entries": 0, "hits": 0, "parses": 0}
+        assert cache.probe_stats() == {
+            "entries": 0, "hits": 0, "parses": 0, "parsed_bytes": 0,
+        }
 
     def test_stored_tuples_match_like_the_file_they_became(self, cache, payload):
         # An in-memory payload may hold tuples where the file holds lists;
@@ -239,7 +245,9 @@ class TestNoParseWhenIndexed:
         assert cache.probe(SPEC) is not None
         assert cache.probe(SPEC) is not None
         assert parses == []
-        assert cache.probe_stats() == {"entries": 1, "hits": 2, "parses": 0}
+        assert cache.probe_stats() == {
+            "entries": 1, "hits": 2, "parses": 0, "parsed_bytes": 0,
+        }
 
     def test_second_probe_of_a_foreign_entry_parses_nothing(
         self, cache, payload, monkeypatch
@@ -250,7 +258,10 @@ class TestNoParseWhenIndexed:
         assert len(parses) == 1  # first sight of another writer's entry
         assert cache.probe(SPEC) is not None
         assert len(parses) == 1
-        assert cache.probe_stats() == {"entries": 1, "hits": 1, "parses": 1}
+        assert cache.probe_stats() == {
+            "entries": 1, "hits": 1, "parses": 1,
+            "parsed_bytes": head_bytes(cache.path_for(SPEC)),
+        }
 
     def test_adopting_another_writers_entry_parses_nothing(
         self, cache, payload, monkeypatch
@@ -262,7 +273,9 @@ class TestNoParseWhenIndexed:
         parses = _count_parses(monkeypatch)
         assert cache.probe(SPEC) is not None
         assert parses == []
-        assert cache.probe_stats() == {"entries": 1, "hits": 1, "parses": 0}
+        assert cache.probe_stats() == {
+            "entries": 1, "hits": 1, "parses": 0, "parsed_bytes": 0,
+        }
 
     def test_an_adopted_entry_is_not_trusted_past_a_rewrite(
         self, cache, payload, monkeypatch
@@ -288,6 +301,131 @@ class TestNoParseWhenIndexed:
         cache.probe(SPEC)
         assert cache.load(SPEC) == payload
         assert "trace" not in cache.probe(SPEC) and "summary" not in cache.probe(SPEC)
+
+
+class TestTheTraceLine:
+    """A traced entry is three lines; whoever reads it parses lines 1 + 3,
+    and line 2 -- the trace -- only when the trace itself is asked for."""
+
+    def test_first_sight_of_a_foreign_1_mb_entry_parses_its_head_only(
+        self, cache, payload
+    ):
+        big = copy.deepcopy(payload)
+        samples = big["trace"]["samples"]
+        big["trace"]["samples"] = samples * (1 + (1 << 20) // len(json.dumps(samples)))
+        path = ResultCache(cache.cache_dir).store(SPEC, big)
+        assert path.stat().st_size > 1 << 20
+        assert cache.probe(SPEC) is not None
+        stats = cache.probe_stats()
+        assert (stats["hits"], stats["parses"]) == (0, 1)
+        assert stats["parsed_bytes"] == head_bytes(path) < 8 * 1024
+        # The head is the small entry's, so the bytes are too.
+        small = ResultCache(cache.cache_dir / "small")
+        small.store(SPEC, payload)
+        assert head_bytes(small.path_for(SPEC)) == stats["parsed_bytes"]
+
+    def test_load_returns_what_a_parse_of_the_file_returns(self, cache, payload):
+        path = ResultCache(cache.cache_dir).store(SPEC, payload)
+        whole = json.loads(path.read_text())
+        loaded = cache.load(SPEC)
+        assert loaded == whole == payload
+        assert json.dumps(loaded) == json.dumps(whole)  # key order too
+        # Every byte once: the file less its two newlines, plus the head's "null".
+        assert cache.probe_stats()["parsed_bytes"] == path.stat().st_size - 2 + len("null")
+
+    def test_an_entry_without_a_trace_is_the_parent_commits_bytes(self, cache):
+        spec = OBSERVATION_VARIANTS["trace"]
+        untraced = execute_spec(spec)
+        text = cache.store(spec, untraced).read_text()
+        assert text == json.dumps(untraced, allow_nan=False)
+        assert "\n" not in text
+        assert cache.load(spec) == untraced
+
+    def test_a_traced_entry_is_the_parent_commits_bytes_and_two_newlines(
+        self, cache, payload
+    ):
+        text = cache.store(SPEC, payload).read_text()
+        assert text.count("\n") == 2
+        assert text.replace("\n", "") == json.dumps(payload, allow_nan=False)
+
+
+def _assert_same_run(run, other):
+    fields = ("spec", "summary", "meta", "report", "wall_time", "stopped_early")
+    for name in fields:
+        assert getattr(run, name) == getattr(other, name), name
+    assert json.dumps(trace_to_payload(run.trace)) == json.dumps(
+        trace_to_payload(other.trace)
+    )
+
+
+class TestEntryLayouts:
+    """Whitespace is never validity: a file that is not laid out by this
+    commit's ``store`` is parsed whole and judged like any other."""
+
+    @pytest.fixture
+    def framed_run(self, tmp_path, payload):
+        cache = ResultCache(tmp_path / "framed")
+        cache.store(SPEC, payload)
+        (run,), stats = run_sweep([SPEC], cache=ResultCache(cache.cache_dir))
+        assert stats.cached == 1
+        return run
+
+    @pytest.mark.parametrize("tenths", range(11))
+    def test_a_truncated_entry_is_a_miss_for_everyone(self, cache, payload, tenths):
+        path = cache.store(SPEC, payload)
+        data = path.read_bytes()
+        # 0/10 .. 9/10 of the file, then all of it but the closing brace.
+        cut = data[: len(data) * tenths // 10] if tenths < 10 else data[:-1]
+        for reader in (cache, ResultCache(cache.cache_dir)):
+            path.write_bytes(cut)
+            assert reader.probe(SPEC) is None
+            assert reader.load(SPEC) is None
+            assert reader.fetch(SPEC) is None
+            (run,), stats = run_sweep([SPEC], cache=reader)
+            assert (stats.cached, stats.executed) == (0, 1)
+            assert not run.from_cache
+            assert path.read_bytes() != cut  # overwritten by the re-run
+
+    @pytest.mark.parametrize(
+        "dumps",
+        [
+            lambda payload: json.dumps(payload, allow_nan=False),
+            lambda payload: json.dumps(payload, indent=2),
+            lambda payload: json.dumps(payload, separators=(",", ":")),
+        ],
+        ids=["the parent commit's single line", "indent=2", "compact separators"],
+    )
+    def test_any_other_layout_of_the_same_document_is_the_same_hit(
+        self, cache, payload, framed_run, dumps
+    ):
+        cache.cache_dir.mkdir(parents=True)
+        path = cache.path_for(SPEC)
+        path.write_text(dumps(payload))
+        assert cache.probe(SPEC) is not None
+        assert cache.load(SPEC) == payload
+        (run,), stats = run_sweep([SPEC], cache=ResultCache(cache.cache_dir))
+        assert stats.cached == 1
+        _assert_same_run(run, framed_run)
+
+    def test_garbage_inside_an_intact_trace_line_surfaces_when_the_trace_is_read(
+        self, cache, payload
+    ):
+        path = cache.store(SPEC, payload)
+        first, trace, last = path.read_bytes().split(b"\n")
+        middle = len(trace) // 2
+        # No JSON inside a string (it closes it) nor outside one (a raw NUL).
+        garbage = b'"}\x00{"'
+        path.write_bytes(
+            b"\n".join((first, trace[:middle] + garbage + trace[middle:], last))
+        )
+        reader = ResultCache(cache.cache_dir)
+        assert reader.load(SPEC) is None
+        (run,), stats = run_sweep([SPEC], cache=reader)
+        assert stats.cached == 1 and run.from_cache
+        assert run.summary.to_dict() == payload["summary"]
+        for _ in range(2):  # not remembered as anything else in between
+            with pytest.raises(ExecutorError, match=str(path)):
+                run.trace
 
 
 class TestObservationDetails:
@@ -397,12 +535,13 @@ class TestWatchdogReplayFromHeads:
     def test_cached_resubmission_events_are_the_full_payload_replay(self, tmp_path):
         service = SweepService(tmp_path / "cache", config=ServiceConfig(workers=1))
         server = SweepServer(service, "127.0.0.1", 0)
-        client = ServiceClient(server.start_background(), timeout=30.0)
         try:
-            client.wait(client.submit([self.SPEC])["id"])
-            job = client.submit([self.SPEC])
-            assert job["state"] == "done" and job["counts"]["cached"] == 1
-            events = client.job_events(job["id"])["events"]
+            # Closed on the way out: this file also runs under ``-W error``.
+            with ServiceClient(server.start_background(), timeout=30.0) as client:
+                client.wait(client.submit([self.SPEC])["id"])
+                job = client.submit([self.SPEC])
+                assert job["state"] == "done" and job["counts"]["cached"] == 1
+                events = client.job_events(job["id"])["events"]
         finally:
             server.shutdown()
         for event in events:

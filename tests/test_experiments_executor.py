@@ -52,7 +52,7 @@ class TestCache:
 
     def test_stale_pre_backend_entry_is_overwritten_not_orphaned(self, runner):
         spec = tiny_spec()
-        legacy = runner.cache_dir / f"{spec.content_hash()}.json"
+        legacy = runner.cache.cache_dir / f"{spec.content_hash()}.json"
         legacy.parent.mkdir(parents=True, exist_ok=True)
         legacy.write_text(json.dumps({"format": 1, "spec_hash": spec.content_hash()}))
         run = runner.run(spec)
@@ -87,9 +87,9 @@ class TestCache:
     def test_clear_cache_sweeps_interrupted_writes(self, runner):
         runner.run(tiny_spec())
         # Leftover from a write interrupted between tmp and os.replace.
-        (runner.cache_dir / "deadbeef.tmp.12345").write_text("{}")
-        assert runner.clear_cache() == 2
-        assert runner.clear_cache() == 0
+        (runner.cache.cache_dir / "deadbeef.tmp.12345").write_text("{}")
+        assert runner.cache.clear() == 2
+        assert runner.cache.clear() == 0
 
     def test_workers_must_be_positive(self, tmp_path):
         with pytest.raises(ExecutorError):
@@ -251,7 +251,7 @@ class TestCacheConcurrency:
     def test_tmp_names_are_unique_per_write_and_sweepable(self, runner):
         from repro.experiments import ResultCache
 
-        cache = ResultCache(runner.cache_dir)
+        cache = ResultCache(runner.cache.cache_dir)
         spec = tiny_spec()
         path = cache.path_for(spec)
         names = {cache._tmp_path(path).name for _ in range(50)}
@@ -287,7 +287,7 @@ class TestCacheConcurrency:
         # The entry is intact and still a cache hit.
         assert runner.cache.load(spec) == payload
         # No leaked temp files.
-        assert list(runner.cache_dir.glob("*.tmp.*")) == []
+        assert list(runner.cache.cache_dir.glob("*.tmp.*")) == []
 
     def test_cross_process_runners_sharing_a_cache_dir(self, runner):
         import multiprocessing
@@ -299,7 +299,7 @@ class TestCacheConcurrency:
         workers = [
             ctx.Process(
                 target=_store_hammer,
-                args=(str(runner.cache_dir), spec.to_dict(), 25),
+                args=(str(runner.cache.cache_dir), spec.to_dict(), 25),
             )
             for _ in range(2)
         ]
@@ -318,4 +318,4 @@ class TestCacheConcurrency:
             worker.join(timeout=60)
             assert worker.exitcode == 0
         assert runner.cache.load(spec) is not None
-        assert list(runner.cache_dir.glob("*.tmp.*")) == []
+        assert list(runner.cache.cache_dir.glob("*.tmp.*")) == []

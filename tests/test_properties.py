@@ -26,7 +26,9 @@ from repro.core.triggers import (
 from repro.analysis import legality
 from repro.analysis.report import Table
 from repro.experiments import scenario
-from repro.experiments.executor import ResultCache, run_sweep
+from repro import __version__ as repro_version
+from repro.experiments import executor
+from repro.experiments.executor import CACHE_FORMAT_VERSION, ResultCache, run_sweep
 from repro.experiments.results import (
     trace_from_payload,
     trace_payload_is_finite,
@@ -581,3 +583,138 @@ class TestTracePayloadProperties:
         assert json.dumps(trace_to_payload(cached.trace)) == json.dumps(
             json.loads(cache.path_for(spec).read_text())["trace"]
         )
+
+
+# ----------------------------------------------------------------------
+# The cache file: the trace on a line of its own
+# ----------------------------------------------------------------------
+TRACE_MEMBER = b'"trace": '
+
+#: Strings that look like the framing, or like the member it frames.
+TRICKY_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(
+        ["\n", ",\n", ", \n", '"trace": ', '\n"trace": null\n', '\n"trace": {"a": 1}\n, ']
+    ),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), FINITE, TRICKY_TEXT),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(TRICKY_TEXT, children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+PLUMBING_SPEC = scenario("line_scaling", n=3, sim={"duration": 2.0, "dt": 0.1})
+
+#: What makes a payload a valid cache entry for ``PLUMBING_SPEC``.
+VALIDITY_FIELDS = {
+    "format": CACHE_FORMAT_VERSION,
+    "library_version": repro_version,
+    "spec": PLUMBING_SPEC.to_dict(),
+    "spec_hash": PLUMBING_SPEC.content_hash(),
+    "backend": PLUMBING_SPEC.backend,
+}
+
+
+@st.composite
+def payload_dicts(draw, valid=False):
+    """A JSON object with ``"trace"`` first, last, in the middle or absent,
+    and ``None`` or anything else; with ``valid`` the validity fields are
+    mixed in, so that the cache accepts it as ``PLUMBING_SPEC``'s."""
+    members = draw(
+        st.dictionaries(TRICKY_TEXT.filter(lambda key: key != "trace"), JSON_VALUES, max_size=5)
+    )
+    if valid:
+        members.update(VALIDITY_FIELDS)
+    items = draw(st.permutations(list(members.items())))
+    where = draw(st.sampled_from(["first", "last", "middle", "absent"]))
+    if where != "absent":
+        value = draw(st.one_of(st.none(), JSON_VALUES))
+        at = {"first": 0, "last": len(items), "middle": len(items) // 2}[where]
+        items = items[:at] + [("trace", value)] + items[at:]
+    return dict(items)
+
+
+def with_null_trace(payload):
+    return dict(payload, trace=None) if "trace" in payload else payload
+
+
+def split_parse(cut, data):
+    """What a reader makes of a cache file when ``cut`` splits it."""
+    document, trace = cut(data)
+    payload = json.loads(document)
+    if trace is not None:
+        payload["trace"] = json.loads(trace)
+    return payload
+
+
+def mutant_cut(data):
+    """A splitter that trusts the first ``"trace": `` it finds instead of the
+    two newlines.  The properties below must reject it."""
+    start = data.find(TRACE_MEMBER)
+    if start < 0:
+        return data, None
+    stop = data.find(b"\n", start)
+    stop = len(data) - 1 if stop < 0 else stop
+    return (
+        data[:start] + TRACE_MEMBER + b"null" + data[stop:].lstrip(b"\n"),
+        data[start + len(TRACE_MEMBER) : stop],
+    )
+
+
+def assert_reads_back(cut, payload):
+    data = executor._framed(payload)
+    whole = json.loads(data)
+    assert whole == payload
+    assert json.dumps(whole) == json.dumps(payload)  # key order, nested too
+    assert data.count(b"\n") == (2 if payload.get("trace") is not None else 0)
+    assert data.replace(b"\n", b"") == json.dumps(payload).encode()
+    document, trace = cut(data)
+    assert (trace is None) == (payload.get("trace") is None)  # it does split
+    assert json.loads(document) == with_null_trace(payload)
+    split = split_parse(cut, data)
+    assert split == whole
+    assert json.dumps(split) == json.dumps(whole)
+
+
+class TestCacheFileFramingProperties:
+    @given(payload=payload_dicts())
+    @settings(max_examples=300, deadline=None)
+    def test_the_file_parses_to_the_payload_and_so_does_the_split_read(self, payload):
+        assert_reads_back(executor._cut, payload)
+
+    def test_the_properties_reject_a_splitter_that_finds_the_member_by_name(self):
+        # As in every real payload: ``spec`` comes first and says which
+        # trace mode was asked for.
+        payload = {
+            "spec": PLUMBING_SPEC.to_dict(),
+            "summary": {"sample_count": 2},
+            "trace": {"sample_interval": 1.0, "samples": [{"time": 0.0}, {"time": 1.0}]},
+            "wall_time": 0.25,
+        }
+        assert b'"trace": "full"' in executor._framed(payload).split(b"\n")[0]
+        with pytest.raises((AssertionError, ValueError)):
+            assert_reads_back(mutant_cut, payload)
+        assert_reads_back(executor._cut, payload)
+        # ... while on a document whose only ``"trace": `` is the member's
+        # own, the mutant is a splitter like any other.
+        assert_reads_back(mutant_cut, {"a": 1, "trace": {"b": [2]}, "c": 3})
+
+    @given(payload=payload_dicts(valid=True))
+    @settings(max_examples=100, deadline=None)
+    def test_store_then_load_round_trips(self, tmp_path_factory, payload):
+        directory = tmp_path_factory.mktemp("framing")
+        path = ResultCache(directory).store(PLUMBING_SPEC, payload)
+        assert json.loads(path.read_bytes()) == payload
+        for cache in (ResultCache(directory), ResultCache(directory)):
+            cache.probe(PLUMBING_SPEC)  # the second one loads after a probe
+            loaded = cache.load(PLUMBING_SPEC)
+            assert loaded == payload
+            assert json.dumps(loaded) == json.dumps(payload)
+            fetched = cache.fetch(PLUMBING_SPEC)
+            if payload.get("trace") is not None:
+                assert fetched["trace"].parse() == payload["trace"]
+                fetched["trace"] = None
+            assert fetched == with_null_trace(payload)

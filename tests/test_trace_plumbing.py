@@ -2,8 +2,11 @@
 
 Nothing here is timed.  What is counted: ``TraceSample`` constructions per
 sweep (a cache hit builds none until ``run.trace`` is read; a cold run builds
-the engine's and no second set), result payloads alive inside a cold sweep,
-and executions of a spec that occurs more than once in one sweep.
+the engine's and no second set), bytes of cache file handed to ``json.loads``
+(a warm sweep parses each entry's head, the same few kB whatever the trace
+length; the trace line is parsed once, when ``run.trace`` is first read),
+result payloads alive inside a cold sweep, and executions of a spec that
+occurs more than once in one sweep.
 
 The per-key encoder / decoder this file starts with are the oracles the
 production pair in ``repro.experiments.results`` is held to (here and in
@@ -163,6 +166,105 @@ class TestSampleConstructions:
             assert run.from_cache is from_cache
             assert run.trace is None
             assert constructed[0] == (0 if from_cache else by_the_engine)
+
+
+# ----------------------------------------------------------------------
+# Bytes parsed per warm spec
+# ----------------------------------------------------------------------
+def _parsed(cache):
+    return cache.probe_stats()["parsed_bytes"]
+
+
+def trace_text(path):
+    """The trace value of a three-line entry, as it sits in the file."""
+    _, line, _ = path.read_bytes().split(b"\n")
+    assert line.startswith(b'"trace": ')
+    return line[len(b'"trace": ') :]
+
+
+def head_bytes(path):
+    """What a reader of a three-line entry parses when it skips the trace:
+    the file less the trace value and the two newlines, plus a ``null``."""
+    return path.stat().st_size - len(trace_text(path)) - 2 + len(b"null")
+
+
+@pytest.mark.parametrize("backend", STDLIB_BACKENDS)
+class TestParsedBytes:
+    def test_a_warm_sweep_parses_heads_only(self, tmp_path, backend):
+        long = tiny_spec(6, backend).with_sim(duration=40.0)
+        specs = tiny_specs(backend) + [long]
+        run_sweep(specs, cache=ResultCache(tmp_path), workers=1)
+        cache = ResultCache(tmp_path)  # has indexed nothing, parsed nothing
+        runs, stats = run_sweep(specs, cache=cache, workers=1)
+        assert stats.cached == len(specs)
+        assert _parsed(cache) < 8 * 1024 * len(specs)
+        assert _parsed(cache) == sum(head_bytes(cache.path_for(spec)) for spec in specs)
+        # A second warm pass costs the same again: heads are not trusted
+        # from memory, they are what makes the run.
+        run_sweep(specs, cache=cache, workers=1)
+        assert _parsed(cache) < 2 * 8 * 1024 * len(specs)
+
+    def test_the_bytes_do_not_depend_on_the_trace_length(self, tmp_path, backend):
+        spec = tiny_spec(4, backend)
+        payload = execute_spec(spec)
+        longer = dict(payload)
+        # Every sample four times over: times stay non-decreasing.
+        quadrupled = [s for s in payload["trace"]["samples"] for _ in range(4)]
+        longer["trace"] = dict(payload["trace"], samples=quadrupled)
+        parsed = []
+        for index, stored in enumerate((payload, longer)):
+            ResultCache(tmp_path / str(index)).store(spec, stored)
+            cache = ResultCache(tmp_path / str(index))
+            (run,), stats = run_sweep([spec], cache=cache)
+            assert stats.cached == 1
+            parsed.append(_parsed(cache))
+            assert len(run.trace) == len(stored["trace"]["samples"])
+        short, long = (
+            len(trace_text(ResultCache(tmp_path / str(index)).path_for(spec)))
+            for index in (0, 1)
+        )
+        assert long > 3.9 * short
+        assert parsed[0] == parsed[1] < 8 * 1024
+
+    def test_the_trace_line_is_parsed_once_when_the_trace_is_first_read(
+        self, tmp_path, constructed, backend
+    ):
+        spec = tiny_spec(5, backend)
+        run_sweep([spec], cache=ResultCache(tmp_path))
+        cache = ResultCache(tmp_path)
+        (run,), _ = run_sweep([spec], cache=cache)
+        before = _parsed(cache)
+        constructed[0] = 0
+        first = run.trace
+        assert _parsed(cache) - before == len(trace_text(cache.path_for(spec)))
+        assert constructed[0] == len(first) > 0
+        assert run.trace is first
+        assert _parsed(cache) - before == len(trace_text(cache.path_for(spec)))
+        assert constructed[0] == len(first)
+
+    def test_printing_a_warm_run_parses_and_decodes_nothing(
+        self, tmp_path, constructed, backend
+    ):
+        spec = tiny_spec(4, backend)
+        run_sweep([spec], cache=ResultCache(tmp_path))
+        cache = ResultCache(tmp_path)
+        (run,), _ = run_sweep([spec], cache=cache)
+        (other,), _ = run_sweep([spec], cache=cache)
+        before = _parsed(cache)
+        constructed[0] = 0
+        text = repr(run)
+        assert text.startswith("ExperimentRun(spec=") and "summary=" in text
+        assert "trace=" not in text.replace("trace='full'", "")
+        assert (_parsed(cache), constructed[0]) == (before, 0)
+        # Equality still reads both traces (a ``Trace`` is equal to itself
+        # only): two decodes of one file are two runs ...
+        assert run != other
+        assert constructed[0] == len(run.trace) + len(other.trace)
+        # ... and a run is equal to a run holding its very trace.
+        twin = executor.ExperimentRun(
+            **{name: getattr(run, name) for name in run.__dataclass_fields__}
+        )
+        assert twin == run and twin.trace is run.trace
 
 
 def test_a_trace_handed_over_decoded_is_returned_as_is():
