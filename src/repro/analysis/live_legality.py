@@ -20,6 +20,7 @@ from ..core.algorithm import AOPT
 from ..core.parameters import Parameters
 from ..network.edge import NodeId
 from ..sim.engine import Engine
+from ..sim.runner import minimum_kappa
 from . import legality
 
 
@@ -47,8 +48,7 @@ def level_edge_sets(
             )
         algorithms[node] = algorithm
     sets: Dict[int, List[legality.WeightedEdge]] = {s: [] for s in range(1, max_level + 1)}
-    for key in engine.graph.edges():
-        u, v = key.a, key.b
+    for u, v in engine.graph.edge_pairs():
         level_u = algorithms[u].neighbor_level(v)
         level_v = algorithms[v].neighbor_level(u)
         if level_u is None or level_v is None:
@@ -95,12 +95,9 @@ def check_engine(
     smallest edge weight currently in the graph.
     """
     if max_level is None:
-        kappas = [
-            params.kappa_for(edge.epsilon, edge.tau)
-            for edge in engine.graph.known_edge_params().values()
-        ]
-        kappa_min = min(kappas) if kappas else params.kappa_for(1.0, 0.5)
-        max_level = params.levels_for(global_skew_bound, kappa_min)
+        max_level = params.levels_for(
+            global_skew_bound, minimum_kappa(engine.graph, params)
+        )
     sets = level_edge_sets(engine, max_level, params)
     sequence = params.gradient_sequence(global_skew_bound, max_level)
     violations = legality.legality_violations(

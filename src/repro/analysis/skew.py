@@ -70,7 +70,7 @@ def max_skew_between(trace: Trace, u: NodeId, v: NodeId, *, start: float = 0.0) 
 
 def edges_of(graph: DynamicGraph) -> List[Edge]:
     """The undirected edges of the graph as (u, v) tuples."""
-    return [(key.a, key.b) for key in graph.edges()]
+    return list(graph.edge_pairs())
 
 
 def skew_by_distance(

@@ -27,25 +27,23 @@ import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..network.dynamic_graph import DynamicGraph, GraphError
-from ..network.edge import EdgeKey, EdgeParams, NodeId
+from ..network.edge import EdgeParams, NodeId
 
 
 def _incident_edges(
     graph: DynamicGraph, victims: Sequence[NodeId]
 ) -> List[Tuple[NodeId, NodeId]]:
     """Undirected base-graph edges touching any victim, each listed once."""
-    victim_set = set(victims)
     seen = set()
     edges: List[Tuple[NodeId, NodeId]] = []
     for node in victims:
         for neighbor in sorted(graph.neighbors(node)):
-            key = EdgeKey.of(node, neighbor)
-            if key in seen or not graph.has_edge(node, neighbor):
+            pair = (node, neighbor) if node < neighbor else (neighbor, node)
+            if pair in seen or not graph.has_edge(node, neighbor):
                 continue
-            seen.add(key)
-            edges.append((key.a, key.b))
-    # Edges between two victims were collected once via the EdgeKey dedup.
-    del victim_set
+            # An edge between two victims is met from both and kept once.
+            seen.add(pair)
+            edges.append(pair)
     return edges
 
 
@@ -136,9 +134,9 @@ def partition_then_heal(
     cut_index = max(1, min(len(nodes) - 1, int(round(split_fraction * len(nodes)))))
     lower = set(nodes[:cut_index])
     cut_edges = [
-        (key.a, key.b)
-        for key in scenario.edges()
-        if (key.a in lower) != (key.b in lower)
+        (u, v)
+        for u, v in scenario.edge_pairs()
+        if (u in lower) != (v in lower)
     ]
     if not cut_edges:
         raise GraphError("the chosen split crosses no edges; nothing to cut")

@@ -13,7 +13,8 @@ represented by the sentinel :data:`FULLY_INSERTED`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, Optional, Set
 
 from ..network.edge import NodeId
 
@@ -83,6 +84,10 @@ class NeighborLevels:
         """Highest level the neighbor belongs to, or ``None`` if unknown."""
         return self._level.get(neighbor)
 
+    def levels_of(self, neighbors: Iterable[NodeId]) -> Iterator[int]:
+        """:meth:`level_of` for each of ``neighbors``, 0 where it is unknown."""
+        return map(self._level.get, neighbors, repeat(0))
+
     def contains(self, neighbor: NodeId, level: int) -> bool:
         lv = self._level.get(neighbor)
         return lv is not None and lv >= level
@@ -103,11 +108,12 @@ class NeighborLevels:
     # Invariant checks (used by tests and the invariant benchmark)
     # ------------------------------------------------------------------
     def subset_chain_holds(self) -> bool:
-        """Lemma 5.1: ``N^s_u`` is a subset of ``N^(s-1)_u`` for every s."""
-        previous = self.members(0)
-        for level in range(1, self.max_level + 1):
-            current = self.members(level)
-            if not current.issubset(previous):
-                return False
-            previous = current
-        return True
+        """Lemma 5.1: ``N^s_u`` is a subset of ``N^(s-1)_u`` for every s.
+
+        ``N^s_u = {v : level(v) >= s}`` nests for every ``s`` unless a stored
+        level is not a non-negative number; one pass checks exactly that.
+        """
+        try:
+            return min(self._level.values(), default=0) >= 0
+        except TypeError:
+            return False

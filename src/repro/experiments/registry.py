@@ -567,7 +567,7 @@ def build_scenario(spec: ScenarioSpec) -> MaterialisedScenario:
     algorithm_fn = ALGORITHMS.get(spec.algorithm.name)
     algorithm_factory, bound = algorithm_fn(graph, config, **spec.algorithm.args)
 
-    base_edges = [(key.a, key.b) for key in graph.edges()]
+    base_edges = list(graph.edge_pairs())
     meta.update(spec.notes)
     meta.setdefault("label", spec.label)
     meta.setdefault("scenario_hash", spec.content_hash())

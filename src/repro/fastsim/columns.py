@@ -24,7 +24,7 @@ from ..core.neighbor_sets import NeighborLevels
 from ..core.parameters import Parameters
 from ..estimate.message_layer import broadcast_error_bound
 from ..network.dynamic_graph import DynamicGraph
-from ..network.edge import NodeId
+from ..network.edge import EdgeParams, NodeId
 
 
 class NodeColumns:
@@ -127,62 +127,59 @@ class CSRAdjacency:
             self._table_cache[key] = table
         return table
 
+    def _edge_columns(self, edge: EdgeParams) -> tuple:
+        """``(epsilon, delay, threshold table)`` of one edge's CSR slots."""
+        eps = edge.epsilon
+        if self.broadcast_bound is not None:
+            eps = broadcast_error_bound(edge.delay, *self.broadcast_bound)
+        return (eps, edge.delay, self.table_for(eps, edge.tau))
+
     def rebuild(
         self,
         graph: DynamicGraph,
         index: Dict[NodeId, int],
         levels: Sequence[NeighborLevels],
     ) -> None:
-        """Rebuild every row from the graph's current directed adjacency."""
+        """Rebuild every row from the graph's current directed adjacency.
+
+        One pass per row of :meth:`DynamicGraph.adjacency_rows`; a slot makes
+        no call unless its ``EdgeParams`` object differs from the previous
+        slot's.  Column values are memoized per object, by identity: the
+        graph keeps every one alive for the duration of the rebuild.
+        """
         indptr: List[int] = [0]
         neighbor_index: List[int] = []
         epsilon_col: List[float] = []
         delay_col: List[float] = []
-        level_col: List[int] = []
+        raw_levels: List[int] = []
         tables: List[ThresholdTable] = []
         row_pos: List[Dict[NodeId, int]] = []
         max_level = self.max_level
         max_degree = 0
-        # Distinct EdgeParams objects memoize their column values so
-        # homogeneous graphs resolve each edge with two dict hits and no
-        # attribute loads.
-        edge_params = graph.edge_params
-        broadcast_bound = self.broadcast_bound
         column_memo: Dict[int, tuple] = {}
-        for node in graph.nodes:
-            position = index[node]
-            node_levels = levels[position]
-            level_of = node_levels.level_of
+        current = None
+        for node, nbrs, edges in graph.adjacency_rows():
+            raw_levels.extend(levels[index[node]].levels_of(nbrs))
+            slot = len(neighbor_index)
             pos: Dict[NodeId, int] = {}
-            row_start = len(neighbor_index)
-            for nbr in sorted(graph.neighbors_view(node)):
-                edge = edge_params(node, nbr)
-                # Keyed by object identity: the graph keeps every edge
-                # object alive for the duration of the rebuild, so ids are
-                # stable here.
-                memo = column_memo.get(id(edge))
-                if memo is None:
-                    if broadcast_bound is None:
-                        eps = edge.epsilon
-                    else:
-                        interval, rho, mu = broadcast_bound
-                        eps = broadcast_error_bound(edge.delay, interval, rho, mu)
-                    memo = (eps, edge.delay, self.table_for(eps, edge.tau))
-                    column_memo[id(edge)] = memo
-                raw = level_of(nbr)
-                if raw is None:
-                    raw = 0
-                pos[nbr] = len(neighbor_index)
+            for nbr, edge in zip(nbrs, edges):
+                if edge is not current:
+                    current = edge
+                    memo = column_memo.get(id(edge))
+                    if memo is None:
+                        memo = column_memo[id(edge)] = self._edge_columns(edge)
+                    eps, delay, table = memo
+                pos[nbr] = slot
+                slot += 1
                 neighbor_index.append(index[nbr])
-                epsilon_col.append(memo[0])
-                delay_col.append(memo[1])
-                level_col.append(max_level if raw >= max_level else raw)
-                tables.append(memo[2])
-            degree = len(neighbor_index) - row_start
-            if degree > max_degree:
-                max_degree = degree
-            indptr.append(len(neighbor_index))
+                epsilon_col.append(eps)
+                delay_col.append(delay)
+                tables.append(table)
+            if len(nbrs) > max_degree:
+                max_degree = len(nbrs)
+            indptr.append(slot)
             row_pos.append(pos)
+        level_col = [max_level if raw >= max_level else raw for raw in raw_levels]
         self.indptr = indptr
         self.neighbor_index = neighbor_index
         self.epsilon = epsilon_col

@@ -92,8 +92,8 @@ class DynamicGraph:
         self._out: Dict[NodeId, Set[NodeId]] = {n: set() for n in self._nodes}
         # Keyed by the plain ``(lo, hi)`` endpoint pair: ``edge_params`` runs
         # once per estimate and must not build and hash a frozen dataclass
-        # there.  ``EdgeKey`` appears only at the ``known_edge_params``
-        # boundary.
+        # there.  ``EdgeKey`` appears only at the ``edges`` and
+        # ``known_edge_params`` boundary.
         self._params: Dict[Tuple[NodeId, NodeId], EdgeParams] = {}
         self._schedule: List[EdgeEvent] = []
         self._schedule_sorted = True
@@ -149,20 +149,34 @@ class DynamicGraph:
             for v in sorted(self._out[u]):
                 yield (u, v)
 
-    def edges(self) -> Iterator[EdgeKey]:
-        """Iterate over undirected edges present in both directions."""
-        seen: Set[EdgeKey] = set()
+    def adjacency_rows(self) -> Iterator[Tuple[NodeId, List[NodeId], List[EdgeParams]]]:
+        """Per node, ascending: its sorted out-neighbors and their edge parameters."""
+        get = self._params.get
         for u in self._nodes:
-            for v in self._out[u]:
-                key = EdgeKey.of(u, v)
-                if key in seen:
-                    continue
-                if self.has_edge(u, v):
-                    seen.add(key)
-                    yield key
+            row = sorted(self._out[u])
+            yield u, row, [
+                get((u, v) if u < v else (v, u), DEFAULT_EDGE_PARAMS) for v in row
+            ]
+
+    def edge_pairs(self) -> Iterator[Tuple[NodeId, NodeId]]:
+        """Undirected edges present in both directions, as ``(lo, hi)`` pairs.
+
+        Nodes are visited ascending, so an edge is first met in its smaller
+        endpoint's row and is yielded from there, nothing remembered.
+        """
+        out = self._out
+        for u in self._nodes:
+            for v in out[u]:
+                if u < v and u in out[v]:
+                    yield (u, v)
+
+    def edges(self) -> Iterator[EdgeKey]:
+        """:meth:`edge_pairs` as :class:`EdgeKey` objects, in the same order."""
+        for lo, hi in self.edge_pairs():
+            yield EdgeKey(lo, hi)
 
     def edge_count(self) -> int:
-        return sum(1 for _ in self.edges())
+        return sum(1 for _ in self.edge_pairs())
 
     # ------------------------------------------------------------------
     # Edge parameters
@@ -178,6 +192,11 @@ class DynamicGraph:
 
     def known_edge_params(self) -> Dict[EdgeKey, EdgeParams]:
         return {EdgeKey(lo, hi): params for (lo, hi), params in self._params.items()}
+
+    def distinct_edge_params(self) -> List[EdgeParams]:
+        """The known edges' parameter objects, each once (by identity); no keys."""
+        values = self._params.values()
+        return list(dict(zip(map(id, values), values)).values())
 
     # ------------------------------------------------------------------
     # Mutation
@@ -202,8 +221,31 @@ class DynamicGraph:
         self, u: NodeId, v: NodeId, params: Optional[EdgeParams] = None
     ) -> None:
         """Add the undirected edge ``{u, v}`` (both directions at once)."""
-        self.add_directed_edge(u, v, params)
-        self.add_directed_edge(v, u)
+        self.add_edges(((u, v),), params)
+
+    def add_edges(
+        self,
+        pairs: Iterable[Tuple[NodeId, NodeId]],
+        params: Optional[EdgeParams] = None,
+    ) -> None:
+        """Add the undirected edges ``pairs``, in order, all with ``params``.
+
+        Each neighbor set is filled in the order of ``pairs``: set iteration
+        order seeds the engines' broadcast order, so it is part of the bits.
+        """
+        out = self._out
+        known = self._params
+        for u, v in pairs:
+            try:
+                row_u, row_v = out[u], out[v]
+            except KeyError:
+                raise GraphError(f"unknown node {v if u in out else u}") from None
+            if u == v:
+                raise GraphError(f"self loops are not allowed ({u})")
+            row_u.add(v)
+            row_v.add(u)
+            if params is not None:
+                known[(u, v) if u < v else (v, u)] = params
 
     def remove_edge(self, u: NodeId, v: NodeId) -> None:
         """Remove the undirected edge ``{u, v}`` (both directions)."""

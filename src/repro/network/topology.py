@@ -21,8 +21,7 @@ def _new_graph(
     if n < 1:
         raise GraphError(f"a topology needs at least one node, got n={n}")
     graph = DynamicGraph(range(n))
-    for u, v in edges:
-        graph.add_edge(u, v, params)
+    graph.add_edges(edges, params)
     return graph
 
 

@@ -20,7 +20,7 @@ from ..estimate.estimate_layer import EstimateLayer
 from ..estimate.message_layer import BroadcastEstimateLayer
 from ..estimate.oracle_layer import OracleEstimateLayer
 from ..network.dynamic_graph import DynamicGraph
-from ..network.edge import NodeId
+from ..network.edge import DEFAULT_EDGE_PARAMS, NodeId
 from .delay import DelayModel, UniformRandomDelay
 from .drift import DriftModel
 from .engine import Engine
@@ -130,15 +130,13 @@ def run_simulation(
 
 def minimum_kappa(graph: DynamicGraph, params: Parameters) -> float:
     """Smallest edge weight ``kappa_e`` over the graph's known edges."""
-    kappas = []
-    for key, edge in graph.known_edge_params().items():
-        kappas.append(params.kappa_for(edge.epsilon, edge.tau))
-    if not kappas:
-        default = graph.edge_params(graph.nodes[0], graph.nodes[-1]) if graph.node_count > 1 else None
-        if default is None:
+    edges = graph.distinct_edge_params()
+    if not edges:
+        if graph.node_count < 2:
             raise RunnerError("cannot derive kappa_min for a single-node graph")
-        kappas.append(params.kappa_for(default.epsilon, default.tau))
-    return min(kappas)
+        # No edge has parameters of its own: every edge reads the default.
+        edges = [DEFAULT_EDGE_PARAMS]
+    return min(params.kappa_for(edge.epsilon, edge.tau) for edge in edges)
 
 
 def default_aopt_config(

@@ -1,7 +1,10 @@
 """Tests for repro.network.dynamic_graph."""
 
+import random
+
 import pytest
 
+from repro.experiments import registry
 from repro.network.dynamic_graph import DynamicGraph, EdgeEvent, GraphError
 from repro.network.edge import EdgeKey, EdgeParams
 
@@ -236,3 +239,146 @@ class TestStructure:
         assert len(clone.pending_events()) == 2
         clone.pop_events_until(10.0)
         assert len(graph.pending_events()) == 2
+
+
+# ----------------------------------------------------------------------
+# Row-level set-up operations against their per-edge definitions
+# ----------------------------------------------------------------------
+def oracle_edge_pairs(graph):
+    """``edges()`` as it was first written: every directed edge keyed, a
+    ``seen`` set, ``has_edge`` per candidate.  Kept as the order oracle."""
+    seen = set()
+    pairs = []
+    for u in graph.nodes:
+        for v in graph.neighbors_view(u):
+            key = EdgeKey.of(u, v)
+            if key in seen:
+                continue
+            if graph.has_edge(u, v):
+                seen.add(key)
+                pairs.append((key.a, key.b))
+    return pairs
+
+
+def built_edge_by_edge(node_count, pairs, params=None):
+    graph = DynamicGraph(range(node_count))
+    for u, v in pairs:
+        graph.add_edge(u, v, params)
+    return graph
+
+
+def same_iteration(left, right):
+    """Equal neighbor sets *in iteration order*, equal parameter keys in order."""
+    assert left.nodes == right.nodes
+    for node in left.nodes:
+        assert list(left.neighbors_view(node)) == list(right.neighbors_view(node))
+    assert list(left.known_edge_params().items()) == list(right.known_edge_params().items())
+
+
+def random_pairs(rng, node_count, count):
+    pairs = []
+    while len(pairs) < count:
+        u, v = rng.randrange(node_count), rng.randrange(node_count)
+        if u != v:
+            pairs.append((u, v))
+    return pairs
+
+
+#: Arguments for every registered topology; a new one has to be listed here.
+TOPOLOGY_ARGS = {
+    "line": {"n": 9},
+    "ring": {"n": 9},
+    "star": {"n": 9},
+    "complete": {"n": 7},
+    "grid": {"rows": 4, "cols": 5},
+    "binary_tree": {"depth": 3},
+    "random_tree": {"n": 24, "seed": 5},
+    "random_connected": {"n": 24, "extra_edge_probability": 0.3, "seed": 5},
+    "sliding_window_line": {"n": 9, "window": 3, "shift_period": 4.0, "horizon": 20.0},
+}
+
+
+class TestBulkEdges:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_add_edges_is_the_same_sequence_of_add_edge_calls(self, seed):
+        rng = random.Random(seed)
+        # Many neighbors per node and repeated pairs: set order then depends
+        # on the order of insertion, which is what has to match.
+        pairs = random_pairs(rng, 40, 300)
+        params = EdgeParams(0.5, 0.25, 1.0) if seed % 2 else None
+        bulk = DynamicGraph(range(40))
+        bulk.add_edges(iter(pairs), params)
+        single = built_edge_by_edge(40, pairs, params)
+        same_iteration(bulk, single)
+        same_iteration(bulk.copy(), single.copy())
+        assert bool(bulk.known_edge_params()) == (params is not None)
+
+    @pytest.mark.parametrize("bad", [(3, 3), (2, 9), (9, 2), (9, 9), (-1, 0)])
+    def test_add_edges_fails_like_add_edge_and_keeps_what_came_before(self, bad):
+        pairs = [(0, 1), (1, 2), bad, (2, 3)]
+        bulk = DynamicGraph(range(5))
+        single = DynamicGraph(range(5))
+        with pytest.raises(GraphError) as bulk_error:
+            bulk.add_edges(pairs, EdgeParams())
+        with pytest.raises(GraphError) as single_error:
+            for u, v in pairs:
+                single.add_edge(u, v, EdgeParams())
+        assert str(bulk_error.value) == str(single_error.value)
+        same_iteration(bulk, single)
+        assert list(bulk.edge_pairs()) == [(0, 1), (1, 2)]
+
+    def test_distinct_edge_params_lists_each_object_once(self):
+        shared, own = EdgeParams(), EdgeParams(2.0, 1.0, 4.0)
+        graph = DynamicGraph(range(4))
+        assert graph.distinct_edge_params() == []
+        graph.add_edges([(0, 1), (1, 2)], shared)
+        graph.add_edge(2, 3, own)
+        distinct = graph.distinct_edge_params()
+        assert len(distinct) == 2 and distinct[0] is shared and distinct[1] is own
+
+
+class TestEdgePairs:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_edge_pairs_walks_like_the_seen_set_walk(self, seed):
+        rng = random.Random(100 + seed)
+        graph = built_edge_by_edge(30, random_pairs(rng, 30, 120))
+        # Half-up edges: one direction only is not an undirected edge.
+        for u, v in random_pairs(rng, 30, 40):
+            graph.add_directed_edge(u, v)
+        assert list(graph.edge_pairs()) == oracle_edge_pairs(graph)
+        for _ in range(150):
+            u, v = random_pairs(rng, 30, 1)[0]
+            graph.apply_event(EdgeEvent(0.0, rng.choice(["up", "down"]), u, v))
+            assert list(graph.edge_pairs()) == oracle_edge_pairs(graph)
+        assert [(key.a, key.b) for key in graph.edges()] == oracle_edge_pairs(graph)
+        assert graph.edge_count() == len(oracle_edge_pairs(graph))
+
+    def test_one_direction_alone_is_not_yielded(self):
+        graph = DynamicGraph(range(3))
+        graph.add_directed_edge(0, 1)
+        graph.add_directed_edge(2, 1)
+        assert list(graph.edge_pairs()) == []
+        graph.add_directed_edge(1, 2)
+        assert list(graph.edge_pairs()) == [(1, 2)]
+
+    def test_every_registered_topology(self):
+        assert sorted(TOPOLOGY_ARGS) == sorted(registry.TOPOLOGIES.names())
+        for name, args in TOPOLOGY_ARGS.items():
+            graph = registry.TOPOLOGIES.get(name)(EdgeParams(), **args)
+            pairs = list(graph.edge_pairs())
+            assert pairs == oracle_edge_pairs(graph), name
+            assert len(pairs) == len(set(pairs)) > 0, name
+
+    def test_adjacency_rows_are_sorted_rows_with_their_parameters(self):
+        own = EdgeParams(2.0, 1.0, 4.0)
+        graph = built_edge_by_edge(5, [(3, 1), (1, 0), (4, 1)], EdgeParams())
+        graph.add_directed_edge(1, 2)  # never given parameters: the default
+        graph.set_edge_params(1, 4, own)
+        rows = {node: (nbrs, params) for node, nbrs, params in graph.adjacency_rows()}
+        assert list(rows) == graph.nodes
+        for node, (nbrs, params) in rows.items():
+            assert nbrs == sorted(graph.neighbors(node))
+            assert all(
+                got is graph.edge_params(node, nbr) for nbr, got in zip(nbrs, params)
+            )
+        assert rows[1][0] == [0, 2, 3, 4] and rows[1][1][3] is own

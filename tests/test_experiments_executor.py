@@ -12,6 +12,9 @@ from repro.experiments import (
 )
 from repro.experiments.executor import ExecutorError
 from repro.experiments.results import trace_from_payload, trace_to_payload
+from repro.fastsim.backend import backend_available
+
+BACKEND_NAMES = ("reference", "fast", "vec", "jit")
 
 TINY_SIM = {"duration": 5.0, "dt": 0.1}
 
@@ -171,6 +174,25 @@ class TestRunPayloads:
         run = runner.run(tiny_spec())
         assert "engine" not in run.summary.to_dict()
         assert run.summary.broken_level_chains == 0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            tiny_spec(n=6),
+            scenario("end_to_end_insertion", n=4, insertion_time=1.0, sim=dict(TINY_SIM)),
+        ],
+        ids=["static", "insertion"],
+    )
+    def test_broken_level_chains_reads_the_same_on_every_backend(self, spec):
+        """Lemma 5.1 is checked on each engine's own level state, mid-insertion
+        levels included; the count must not depend on who kept them."""
+        backends = [name for name in BACKEND_NAMES if backend_available(name)]
+        assert backends[:2] == ["reference", "fast"]
+        counts = {
+            name: execute_spec(spec.with_backend(name))["summary"]["broken_level_chains"]
+            for name in backends
+        }
+        assert counts == dict.fromkeys(backends, 0)
 
 
 class TestTraceNoneRuns:

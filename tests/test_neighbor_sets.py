@@ -1,8 +1,22 @@
 """Tests for repro.core.neighbor_sets."""
 
+import random
+
 import pytest
 
 from repro.core.neighbor_sets import FULLY_INSERTED, NeighborLevelError, NeighborLevels
+
+
+def exhaustive_chain_holds(levels):
+    """Lemma 5.1 checked on the sets themselves: ``members(s)`` inside
+    ``members(s - 1)`` for every level.  The oracle for ``subset_chain_holds``."""
+    previous = levels.members(0)
+    for level in range(1, levels.max_level + 1):
+        current = levels.members(level)
+        if not current.issubset(previous):
+            return False
+        previous = current
+    return True
 
 
 class TestNeighborLevels:
@@ -104,8 +118,40 @@ class TestNeighborLevels:
         levels.promote(2, 4)
         levels.discover(3)
         assert levels.subset_chain_holds()
-        previous = levels.members(0)
-        for s in range(1, 6):
-            current = levels.members(s)
-            assert current.issubset(previous)
-            previous = current
+        assert exhaustive_chain_holds(levels)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_subset_chain_agrees_with_the_exhaustive_scan(self, seed):
+        rng = random.Random(seed)
+        levels = NeighborLevels(rng.randint(1, 6))
+        for _ in range(200):
+            neighbor = rng.randrange(8)
+            op = rng.choice(["discover", "promote", "remove", "full"])
+            if op == "discover":
+                levels.discover(neighbor)
+            elif op == "promote" and neighbor in levels:
+                levels.promote(neighbor, rng.randint(0, 8))
+            elif op == "remove":
+                levels.remove(neighbor)
+            elif op == "full":
+                levels.add_fully_inserted(neighbor)
+            assert levels.subset_chain_holds() is exhaustive_chain_holds(levels) is True
+
+    @pytest.mark.parametrize("corrupt", [-1, None, "2"])
+    def test_subset_chain_reports_a_corrupted_level(self, corrupt):
+        levels = NeighborLevels(3)
+        levels.add_fully_inserted(0)
+        levels.discover(1)
+        levels.discover(2)
+        levels.promote(2, 2)
+        assert levels.subset_chain_holds()
+        levels._level[1] = corrupt  # not reachable through the public methods
+        assert not levels.subset_chain_holds()
+
+    def test_levels_of_reads_a_row_like_level_of(self):
+        levels = NeighborLevels(3)
+        levels.add_fully_inserted(4)
+        levels.discover(2)
+        levels.promote(2, 1)
+        assert list(levels.levels_of([1, 2, 4])) == [0, 1, FULLY_INSERTED]
+        assert list(levels.levels_of([])) == []

@@ -36,10 +36,12 @@ from repro.experiments.results import (
 )
 from repro.fastsim.backend import backend_available
 from repro.network import paths
-from repro.network.dynamic_graph import DynamicGraph
-from repro.network.edge import EdgeKey
+from repro.network.dynamic_graph import DynamicGraph, EdgeEvent, GraphError
+from repro.network.edge import EdgeKey, EdgeParams
 from repro.sim.trace import Trace, TraceSample
 from repro.telemetry.schema import sanitize_json
+from test_dynamic_graph import oracle_edge_pairs, same_iteration
+from test_neighbor_sets import exhaustive_chain_holds
 from test_paths_kernel import oracle_all_pairs, oracle_diameter
 from test_trace_plumbing import (
     oracle_trace_from_payload,
@@ -188,6 +190,7 @@ class TestNeighborLevelProperties:
             else:
                 levels.add_fully_inserted(neighbor)
             assert levels.subset_chain_holds()
+            assert exhaustive_chain_holds(levels)
 
 
 class TestInsertionScheduleProperties:
@@ -410,6 +413,60 @@ class TestPathKernelProperties:
         got = paths.all_pairs_distances(graph, weight)
         assert list(got.items()) == list(oracle_all_pairs(graph, weight).items())
         assert paths.weighted_diameter(graph, weight) == oracle_diameter(graph, weight)
+
+
+# Row-level graph set-up --------------------------------------------------------
+
+GRAPH_NODES = 12
+#: Mostly valid endpoints; -1 and GRAPH_NODES are unknown nodes.
+ENDPOINT = st.integers(min_value=-1, max_value=GRAPH_NODES)
+
+
+class TestGraphSetUpProperties:
+    @given(
+        pairs=st.lists(st.tuples(ENDPOINT, ENDPOINT), max_size=80),
+        with_params=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_add_edges_equals_the_add_edge_sequence(self, pairs, with_params):
+        params = EdgeParams(0.5, 0.25, 1.0) if with_params else None
+        bulk, single = DynamicGraph(range(GRAPH_NODES)), DynamicGraph(range(GRAPH_NODES))
+
+        def message_of(add):
+            try:
+                add()
+            except GraphError as exc:
+                return str(exc)
+            return None
+
+        assert message_of(lambda: bulk.add_edges(pairs, params)) == message_of(
+            lambda: [single.add_edge(u, v, params) for u, v in pairs]
+        )
+        same_iteration(bulk, single)
+        same_iteration(bulk.copy(), single.copy())
+
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.sampled_from(["up", "down", "edge"]),
+                st.integers(min_value=0, max_value=GRAPH_NODES - 1),
+                st.integers(min_value=0, max_value=GRAPH_NODES - 1),
+            ),
+            max_size=120,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_edge_pairs_equals_the_seen_set_walk(self, events):
+        graph = DynamicGraph(range(GRAPH_NODES))
+        for kind, u, v in events:
+            if u == v:
+                continue
+            if kind == "edge":
+                graph.add_edge(u, v)
+            else:  # one direction only: a half-up (or half-down) edge
+                graph.apply_event(EdgeEvent(0.0, kind, u, v))
+            assert list(graph.edge_pairs()) == oracle_edge_pairs(graph)
+        assert [(key.a, key.b) for key in graph.edges()] == oracle_edge_pairs(graph)
 
 
 # Trace (de)serialisation -----------------------------------------------------
