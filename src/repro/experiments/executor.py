@@ -321,7 +321,7 @@ class ExperimentRun:
 
 def _read_trace(run: ExperimentRun):
     held = run._trace
-    if isinstance(held, _TraceLine):  # still text; raises if it is not JSON
+    if isinstance(held, _TraceLine):  # still in its file; raises if it cannot be read
         held = run._trace = held.parse()
     if isinstance(held, dict):  # the payload's "trace" object
         held = run._trace = trace_from_payload(held)
@@ -495,6 +495,10 @@ def _matches(stored: Mapping[str, Any], spec: ScenarioSpec) -> bool:
 
 #: How a ``"trace"`` member starts in ``json.dumps`` output.
 _TRACE_MEMBER = b'"trace": '
+#: How much of each end of an entry :func:`_cut_ends` reads.  The first line
+#: of a framed entry is about 3 kB (spec, summary, meta, observer report),
+#: its last one a few dozen bytes.
+_END_BYTES = 1 << 16
 
 
 def _dumps(value: Any) -> bytes:
@@ -552,26 +556,55 @@ def _cut(data: bytes) -> Tuple[bytes, Optional[bytes]]:
     return data, None
 
 
+def _cut_ends(head: bytes, handle, size: int) -> Optional[bytes]:
+    """What :func:`_cut` returns first, from the two ends of an entry alone.
+
+    ``head`` is the first :data:`_END_BYTES` of the open file, which is
+    ``size`` bytes long and longer than that; as many are read from its end,
+    and the trace line between them is not.  ``None`` when the ends do not
+    show the layout (the first line does not end within ``head``, no
+    ``"trace"`` member follows it, no newline near the end).  The middle is
+    not looked at, so what comes back is only *probably* the document: it
+    still has to parse, and the caller reads the file whole when it does not.
+    """
+    first = head.find(b"\n")
+    if first < 0 or not head.startswith(_TRACE_MEMBER, first + 1):
+        return None
+    handle.seek(max(len(head), size - _END_BYTES))
+    tail = handle.read()
+    last = tail.rfind(b"\n")
+    if last < 0:
+        return None
+    return head[:first] + _TRACE_MEMBER + b"null" + tail[last + 1 :]
+
+
 class _TraceLine:
-    """The ``"trace"`` member of a cache entry, cut out of the file unparsed.
+    """The ``"trace"`` member of a cache entry, left in its file.
 
     What a payload from :meth:`ResultCache.fetch` holds in place of the
-    trace object until somebody wants it.
+    trace object until somebody wants it: the entry's path, not the line's
+    text -- a warm sweep keeps none of its traces in memory, and allocates
+    nothing whose size depends on them.  :meth:`parse` reads the file that
+    is at the path *then*; the same key names the same deterministic result,
+    so an entry rewritten in between yields the same trace, and only one
+    removed in between has none.
     """
 
-    __slots__ = ("text", "path", "cache")
+    __slots__ = ("path", "cache")
 
-    def __init__(self, text: bytes, path: Path, cache: "ResultCache"):
-        self.text = text
+    def __init__(self, path: Path, cache: "ResultCache"):
         self.path = path
         self.cache = cache
 
     def parse(self) -> Any:
         try:
-            return self.cache._parse(self.text)
-        except ValueError as exc:
+            document, trace = _cut(self.path.read_bytes())
+            if trace is None:  # some other layout by now: the whole document's
+                return self.cache._parse(document)["trace"]
+            return self.cache._parse(trace)
+        except (OSError, ValueError, LookupError, TypeError) as exc:
             raise ExecutorError(
-                f"cache entry {self.path}: its trace line is not JSON ({exc})"
+                f"cache entry {self.path}: its trace cannot be read ({exc!r})"
             ) from exc
 
 
@@ -584,7 +617,7 @@ class ResultCache:
     or independent processes sharing the directory -- can never tear an
     entry, only overwrite it with identical bytes.  A file is the
     ``json.dumps`` of its payload; a trace, ~99 % of the bytes, sits on a
-    line of its own (:func:`_framed`) so that readers can leave it unparsed
+    line of its own (:func:`_framed`) so that readers can leave it unread
     (:meth:`fetch`, :meth:`probe`).
 
     Each instance also keeps a bounded *header index*: for every file it
@@ -692,8 +725,9 @@ class ResultCache:
         """Read one cache file into ``(payload, head)`` and index the head.
 
         Where the file gives the trace a line of its own (:func:`_cut`),
-        that line is not parsed: ``payload["trace"]`` is the
-        :class:`_TraceLine` holding it.
+        that line is not parsed -- and in a file longer than
+        :data:`_END_BYTES` not read either (:func:`_cut_ends`):
+        ``payload["trace"]`` is the :class:`_TraceLine` that knows where it is.
 
         ``None`` when the file is missing, unreadable, not JSON or not a
         result payload.  The signature is taken from the open descriptor,
@@ -704,14 +738,29 @@ class ResultCache:
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
-                signature = _signature(os.fstat(handle.fileno()))
-                document, trace = _cut(handle.read())
-            payload = self._parse(document)
+                stat = os.fstat(handle.fileno())
+                signature = _signature(stat)
+                data = handle.read(_END_BYTES)
+                payload = None
+                if stat.st_size > len(data):
+                    document = _cut_ends(data, handle, stat.st_size)
+                    try:
+                        payload = self._parse(document) if document else None
+                    except ValueError:
+                        pass  # not the document after all
+                    if payload is None:
+                        handle.seek(len(data))
+                        data += handle.read()
+            traced = payload is not None
+            if not traced:
+                document, trace = _cut(data)
+                payload = self._parse(document)
+                traced = trace is not None
         except (OSError, ValueError):
             self._forget(key)
             return None
-        if trace is not None and isinstance(payload, dict):
-            payload["trace"] = _TraceLine(trace, path, self)
+        if traced and isinstance(payload, dict):
+            payload["trace"] = _TraceLine(path, self)
         with self._index_lock:
             entry = self._index.get(key)
         if entry is not None and entry[0] == signature:
@@ -725,10 +774,12 @@ class ResultCache:
 
     def fetch(self, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
         """:meth:`load` without the trace: where the file gives the trace a
-        line of its own, ``payload["trace"]`` is that line, still text.
+        line of its own, ``payload["trace"]`` is a :class:`_TraceLine`, the
+        line itself still in the file.
 
-        :class:`ExperimentRun` takes it as it is and parses it when its
-        ``trace`` is read; a sweep that reads summaries never does.
+        :class:`ExperimentRun` takes it as it is and reads and parses the
+        line when its ``trace`` is read; a sweep that reads summaries never
+        does, and holds no memory for the traces of its cache hits.
         """
         found = self._read(self.key_for(spec))
         if found is not None and _matches(found[0], spec):
@@ -750,7 +801,7 @@ class ResultCache:
         ``probe(spec) is not None`` exactly when ``load(spec)`` is not, but
         a file this instance has already parsed or written costs one
         ``stat``, and any other one a read and a parse of everything but
-        its trace.  (Hence the one exception: garbage inside an otherwise
+        its trace line.  (Hence the one exception: garbage inside an otherwise
         intact trace line -- no writer of this class can leave that -- is a
         miss for ``load`` only, and an :class:`ExecutorError` for whoever
         reads the ``trace`` of a run made from the entry.)  The head is
@@ -990,8 +1041,8 @@ def run_sweep(
     ``jit``) run as lockstep batches in-process; the rest execute inline
     (``workers == 1``) or on a ``multiprocessing`` pool.  Each result is
     written to the cache and turned into its :class:`ExperimentRun` (whose
-    trace stays in payload form -- a cache hit's as the text of its line,
-    see :meth:`ResultCache.fetch` -- until it is read) as soon as it exists.
+    trace stays in payload form -- a cache hit's in its file, see
+    :meth:`ResultCache.fetch` -- until it is read) as soon as it exists.
 
     ``on_event`` receives a :class:`SweepEvent` per spec transition (cache
     hit, execution start/finish, fallback), which is how the daemon streams

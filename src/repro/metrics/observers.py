@@ -105,15 +105,19 @@ class ObserverContext:
         return tuple(edge) if edge is not None else None
 
     @cached_property
+    def _kappa_pairs(self) -> Tuple[List[Pair], List[float]]:
+        """The unordered pairs at a positive ``kappa`` distance and those
+        distances, parallel lists in :func:`paths.iter_distances` order."""
+        weight = paths.kappa_weight(self.graph, self.params)
+        return paths.ordered_pair_distances(self.graph, weight)
+
+    @cached_property
     def kappa_distances(self) -> Dict[Pair, float]:
         """The positive ``kappa`` distance of each unordered pair, in the key
-        order of :func:`paths.all_pairs_distances`; computed once per pipeline."""
-        weight = paths.kappa_weight(self.graph, self.params)
-        return {
-            (u, v): distance
-            for u, v, distance in paths.iter_distances(self.graph, weight)
-            if u < v and distance > 0.0
-        }
+        order of :func:`paths.all_pairs_distances`.  Only the opt-in
+        ``skew_by_distance`` observer reads it; the dict is built on that
+        first read, once per pipeline."""
+        return dict(zip(*self._kappa_pairs))
 
     def gradient_limits(
         self, tolerance: float
@@ -122,12 +126,12 @@ class ObserverContext:
         under churn (distances are ambiguous) or without a global skew bound."""
         if self.has_dynamics or self.global_skew_bound is None:
             return None
-        distances = self.kappa_distances.values()
+        pairs, distances = self._kappa_pairs
         limit = {
             d: self.params.gradient_skew_bound(d, self.global_skew_bound) + tolerance
             for d in set(distances)
         }
-        return list(self.kappa_distances), [limit[d] for d in distances]
+        return pairs, [limit[d] for d in distances]
 
 
 class Observer:

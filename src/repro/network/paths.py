@@ -4,10 +4,21 @@ The gradient skew bound is expressed in terms of the *weight* of a path,
 ``kappa_p = sum_e kappa_e`` (or the uncertainty ``epsilon_p = sum_e epsilon_e``
 for lower bounds).  This module computes shortest weighted paths and distances
 under a caller-supplied edge weight function.
+
+Two kernels answer all-source queries.  :func:`_dijkstra` is the general one.
+When every edge carries the same weight -- every registry scenario -- a
+shortest path is a fewest-hop path, and distances are read off one hop
+structure per adjacency (:func:`_bfs_hops`) as ``prefix[level]``: equal floats
+in equal order, no heap, and one pass shared by every weight function and
+backend that meets the same adjacency.
 """
 
 from __future__ import annotations
 
+import threading
+from array import array
+from collections import OrderedDict
+from hashlib import blake2b
 from heapq import heappop, heappush
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -17,6 +28,17 @@ from .edge import NodeId
 EdgeWeight = Callable[[NodeId, NodeId], float]
 _INF = float("inf")
 _Rows = List[List[Tuple[int, float]]]
+#: Per source index: its discovery order and the end of each hop level in it
+#: (level 0 is the source alone, so the first end is 1).
+_Hops = List[Tuple["array[int]", "array[int]"]]
+
+#: Hop structures kept per process, most recently used last.  The structure
+#: is a function of the adjacency alone, so one pass serves every one-weight
+#: function over a graph (``per_hop`` for ``G~``, ``kappa`` for the pair
+#: table) and every backend's rebuild of one scenario.
+_KEPT_HOPS = 4
+_hops_kept: "OrderedDict[bytes, _Hops]" = OrderedDict()
+_hops_lock = threading.Lock()
 
 
 def epsilon_weight(graph: DynamicGraph) -> EdgeWeight:
@@ -107,16 +129,142 @@ def _dijkstra(rows: _Rows, source: int) -> Tuple[List[float], List[int], List[in
     return dist, order, prev
 
 
+def _level_prefix(rows: _Rows) -> Optional[List[float]]:
+    """``[0, w, w + w, ...]``, one entry per possible hop level, when every
+    directed edge weighs the same ``w`` and ``w`` keeps adding strictly and
+    finitely; ``None`` otherwise (no edge, ``0.0``, ``inf``, mixed weights).
+
+    Under that condition a shortest path is a fewest-hop path: Dijkstra's
+    distance of a node at hop level ``k`` is entry ``k`` -- the same additions
+    in the same order -- and its ``(d, index)`` heap settles each level in
+    index order.
+    """
+    weights = {w for row in rows for _, w in row}
+    if len(weights) != 1:
+        return None
+    (w,) = weights
+    prefix = [0.0]
+    for _ in range(len(rows) - 1):
+        total = prefix[-1] + w
+        if not prefix[-1] < total < _INF:
+            return None
+        prefix.append(total)
+    return prefix
+
+
+def _bfs_hops(neighbours: List[List[int]]) -> _Hops:
+    """Level-synchronous BFS from every index.  A level's frontier is sorted
+    by index before it is expanded, so the discovery order is the one
+    :func:`_dijkstra` produces when all weights are equal."""
+    hops: _Hops = []
+    for source in range(len(neighbours)):
+        seen = bytearray(len(neighbours))
+        seen[source] = 1
+        order = [source]
+        ends = [1]
+        frontier = [source]
+        while frontier:
+            for i in frontier:
+                for j in neighbours[i]:
+                    if not seen[j]:
+                        seen[j] = 1
+                        order.append(j)
+            frontier = order[ends[-1] :]
+            if frontier:
+                frontier.sort()
+                ends.append(len(order))
+        hops.append((array("i", order), array("i", ends)))
+    return hops
+
+
+def _hop_structure(rows: _Rows) -> _Hops:
+    """The hop structure of the rows' adjacency, computed once per distinct
+    adjacency among the last :data:`_KEPT_HOPS` seen by the process."""
+    neighbours = [[j for j, _ in row] for row in rows]
+    flat = array("i")
+    for row in neighbours:
+        flat.append(len(row))
+        flat.extend(row)
+    key = blake2b(flat.tobytes(), digest_size=16).digest()
+    with _hops_lock:
+        hops = _hops_kept.get(key)
+        if hops is not None:
+            _hops_kept.move_to_end(key)
+            return hops
+    hops = _bfs_hops(neighbours)
+    with _hops_lock:
+        _hops_kept[key] = hops
+        while len(_hops_kept) > _KEPT_HOPS:
+            _hops_kept.popitem(last=False)
+    return hops
+
+
+def _levels(rows: _Rows) -> Optional[Tuple[_Hops, List[float]]]:
+    """The hop structure and the distance of each hop level when the rows
+    carry one weight (see :func:`_level_prefix`); ``None`` sends the caller
+    to :func:`_dijkstra`."""
+    prefix = _level_prefix(rows)
+    if prefix is None:
+        return None
+    return _hop_structure(rows), prefix
+
+
+def _iter_dijkstra(
+    nodes: List[NodeId], rows: _Rows
+) -> Iterator[Tuple[NodeId, NodeId, float]]:
+    for i, source in enumerate(nodes):
+        dist, order, _ = _dijkstra(rows, i)
+        for j in order:
+            yield source, nodes[j], dist[j]
+
+
 def iter_distances(
     graph: DynamicGraph, weight: Optional[EdgeWeight] = None
 ) -> Iterator[Tuple[NodeId, NodeId, float]]:
     """Yield ``(source, target, distance)`` per connected ordered pair: sources
     ascending, each one's targets in discovery order (itself first, at 0)."""
     nodes, rows = _weighted_rows(graph, weight)
-    for i, source in enumerate(nodes):
-        dist, order, _ = _dijkstra(rows, i)
-        for j in order:
-            yield source, nodes[j], dist[j]
+    levels = _levels(rows)
+    if levels is None:
+        yield from _iter_dijkstra(nodes, rows)
+        return
+    hops, prefix = levels
+    for source, (order, ends) in zip(nodes, hops):
+        start = 0
+        for distance, end in zip(prefix, ends):
+            for j in order[start:end]:
+                yield source, nodes[j], distance
+            start = end
+
+
+def ordered_pair_distances(
+    graph: DynamicGraph, weight: Optional[EdgeWeight] = None
+) -> Tuple[List[Tuple[NodeId, NodeId]], List[float]]:
+    """The pairs ``u < v`` at a positive distance and those distances, as two
+    parallel lists in :func:`iter_distances` order."""
+    nodes, rows = _weighted_rows(graph, weight)
+    levels = _levels(rows)
+    pairs: List[Tuple[NodeId, NodeId]] = []
+    distances: List[float] = []
+    if levels is None:
+        for u, v, distance in _iter_dijkstra(nodes, rows):
+            if u < v and distance > 0.0:
+                pairs.append((u, v))
+                distances.append(distance)
+        return pairs, distances
+    hops, prefix = levels
+    for i, (order, ends) in enumerate(hops):
+        u = nodes[i]
+        start = 0
+        for distance, end in zip(prefix, ends):
+            for j in order[start:end]:
+                # ``nodes`` ascends, so ``u < v`` is ``i < j``; that also
+                # drops level 0, the only one at distance 0.
+                if j > i:
+                    pairs.append((u, nodes[j]))
+                    distances.append(distance)
+            start = end
+    return pairs, distances
 
 
 def shortest_distances(
@@ -170,7 +318,13 @@ def weighted_diameter(
 ) -> float:
     """Maximum over all pairs of the shortest weighted distance."""
     _, rows = _weighted_rows(graph, weight)
-    best = max(max(_dijkstra(rows, source)[0]) for source in range(len(rows)))
+    levels = _levels(rows)
+    if levels is None:
+        best = max(max(_dijkstra(rows, source)[0]) for source in range(len(rows)))
+    else:
+        hops, prefix = levels
+        connected = all(ends[-1] == len(rows) for _, ends in hops)
+        best = prefix[max(len(ends) for _, ends in hops) - 1] if connected else _INF
     if best == _INF:
         raise GraphError("weighted_diameter requires a connected graph")
     return best

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
+from . import paths
 from .dynamic_graph import DynamicGraph, GraphError
 from .edge import DEFAULT_EDGE_PARAMS, EdgeParams, NodeId
 
@@ -137,21 +138,7 @@ def from_edge_list(
 
 def hop_diameter(graph: DynamicGraph) -> int:
     """Unweighted diameter of the symmetric graph (0 for a single node)."""
-    nodes = graph.nodes
-    adjacency = graph.adjacency()
-    best = 0
-    for source in nodes:
-        dist = {source: 0}
-        frontier = [source]
-        while frontier:
-            next_frontier = []
-            for node in frontier:
-                for other in adjacency[node]:
-                    if other not in dist:
-                        dist[other] = dist[node] + 1
-                        next_frontier.append(other)
-            frontier = next_frontier
-        if len(dist) != len(nodes):
-            raise GraphError("hop_diameter requires a connected graph")
-        best = max(best, max(dist.values()))
-    return best
+    try:
+        return int(paths.weighted_diameter(graph, paths.hop_weight(graph)))
+    except GraphError:
+        raise GraphError("hop_diameter requires a connected graph") from None

@@ -310,10 +310,7 @@ class TestTheTraceLine:
     def test_first_sight_of_a_foreign_1_mb_entry_parses_its_head_only(
         self, cache, payload
     ):
-        big = copy.deepcopy(payload)
-        samples = big["trace"]["samples"]
-        big["trace"]["samples"] = samples * (1 + (1 << 20) // len(json.dumps(samples)))
-        path = ResultCache(cache.cache_dir).store(SPEC, big)
+        path = ResultCache(cache.cache_dir).store(SPEC, _big(payload))
         assert path.stat().st_size > 1 << 20
         assert cache.probe(SPEC) is not None
         stats = cache.probe_stats()
@@ -347,6 +344,150 @@ class TestTheTraceLine:
         text = cache.store(SPEC, payload).read_text()
         assert text.count("\n") == 2
         assert text.replace("\n", "") == json.dumps(payload, allow_nan=False)
+
+
+def _big(payload):
+    """``payload`` with its samples repeated, each round later than the one
+    before (a trace's times never decrease), until the trace passes 1 MB."""
+    big = copy.deepcopy(payload)
+    samples = big["trace"]["samples"]
+    span = samples[-1]["time"] + 1.0
+    big["trace"]["samples"] = [
+        dict(sample, time=sample["time"] + span * round_)
+        for round_ in range(1 + (1 << 20) // len(json.dumps(samples)))
+        for sample in samples
+    ]
+    return big
+
+
+def _count_read_bytes(monkeypatch):
+    """Count the bytes ``executor`` reads from files it opens from here on."""
+    read = []
+
+    class Counting:
+        def __init__(self, handle):
+            self._handle = handle
+
+        def __enter__(self):
+            self._handle.__enter__()
+            return self
+
+        def __exit__(self, *exc):
+            return self._handle.__exit__(*exc)
+
+        def __getattr__(self, name):
+            return getattr(self._handle, name)
+
+        def read(self, *args):
+            data = self._handle.read(*args)
+            read.append(len(data))
+            return data
+
+    monkeypatch.setattr(
+        executor_mod, "open", lambda *args, **kwargs: Counting(open(*args, **kwargs)),
+        raising=False,
+    )
+    return read
+
+
+class TestTheTraceStaysInTheFile:
+    """An entry larger than two ``_END_BYTES`` is read at its ends: a fetch
+    (a warm sweep) neither reads nor keeps the trace line, so it allocates
+    nothing of the trace's size; ``run.trace`` reads the file then."""
+
+    @pytest.fixture
+    def big(self, payload):
+        return _big(payload)
+
+    def test_a_warm_sweep_reads_the_ends_and_allocates_nothing_of_the_traces_size(
+        self, cache, big, monkeypatch
+    ):
+        import tracemalloc
+
+        path = ResultCache(cache.cache_dir).store(SPEC, big)
+        assert path.stat().st_size > 1 << 20
+        run_sweep([SPEC], cache=cache)  # imports, interned keys: not this sweep's
+        read = _count_read_bytes(monkeypatch)
+        tracemalloc.start()
+        try:
+            (run,), stats = run_sweep([SPEC], cache=cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.cached == 1
+        assert sum(read) <= 2 * executor_mod._END_BYTES
+        assert peak < 4 * executor_mod._END_BYTES < path.stat().st_size // 4
+        assert cache.probe_stats()["parsed_bytes"] == 2 * head_bytes(path)
+        # The trace is read when it is asked for, and is the file's.
+        assert json.dumps(trace_to_payload(run.trace)) == json.dumps(big["trace"])
+
+    def test_fetch_is_load_without_the_trace(self, cache, big):
+        cache.store(SPEC, big)
+        reader = ResultCache(cache.cache_dir)
+        fetched, loaded = reader.fetch(SPEC), reader.load(SPEC)
+        assert loaded == big and json.dumps(loaded) == json.dumps(big)
+        assert list(fetched) == list(loaded)
+        assert {k: v for k, v in fetched.items() if k != "trace"} == {
+            k: v for k, v in big.items() if k != "trace"
+        }
+        assert fetched["trace"].parse() == big["trace"]
+
+    def test_an_entry_removed_before_its_trace_is_read_has_none(self, cache, big):
+        path = cache.store(SPEC, big)
+        (run,), _ = run_sweep([SPEC], cache=ResultCache(cache.cache_dir))
+        path.unlink()
+        assert run.summary.to_dict() == big["summary"]
+        with pytest.raises(ExecutorError, match=str(path)):
+            run.trace
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda cache, big: cache.store(SPEC, dict(big, wall_time=123.0)),
+            lambda cache, big: cache.path_for(SPEC).write_text(json.dumps(big, indent=2)),
+        ],
+        ids=["stored again", "another layout"],
+    )
+    def test_an_entry_rewritten_before_its_trace_is_read_has_the_same_one(
+        self, cache, big, rewrite
+    ):
+        cache.store(SPEC, big)
+        (run,), _ = run_sweep([SPEC], cache=ResultCache(cache.cache_dir))
+        rewrite(cache, big)
+        assert json.dumps(trace_to_payload(run.trace)) == json.dumps(big["trace"])
+
+    @pytest.mark.parametrize("tenths", range(11))
+    def test_a_truncated_big_entry_is_a_miss_for_everyone(self, cache, big, tenths):
+        path = cache.store(SPEC, big)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) * tenths // 10] if tenths < 10 else data[:-1])
+        for reader in (cache, ResultCache(cache.cache_dir)):
+            assert reader.probe(SPEC) is None
+            assert reader.fetch(SPEC) is None
+            assert reader.load(SPEC) is None
+
+    @pytest.mark.parametrize(
+        "relayout",
+        [
+            lambda data: data + b"\n",
+            lambda data: data.replace(b'"samples": [', b'"samples": [\n', 1),
+            lambda data: data.replace(b"\n", b"", 1),
+            lambda data: b"\n" + data,
+        ],
+        ids=["a newline at the end", "one inside the trace", "none before it", "one first"],
+    )
+    def test_ends_that_only_look_framed_are_the_same_hit(self, cache, big, relayout):
+        """The ends are a guess at the layout; what they yield must parse, and
+        the trace is located again, by the whole file, when it is read."""
+        path = cache.store(SPEC, big)
+        path.write_bytes(relayout(path.read_bytes()))
+        assert json.loads(path.read_bytes()) == big
+        reader = ResultCache(cache.cache_dir)
+        assert reader.probe(SPEC) is not None
+        assert reader.load(SPEC) == big
+        (run,), stats = run_sweep([SPEC], cache=reader)
+        assert stats.cached == 1
+        assert json.dumps(trace_to_payload(run.trace)) == json.dumps(big["trace"])
 
 
 def _assert_same_run(run, other):

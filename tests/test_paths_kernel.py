@@ -1,14 +1,18 @@
-"""Differential tests: the indexed shortest-path kernel vs the dict Dijkstra.
+"""Differential tests: the shortest-path kernels vs the dict Dijkstra.
 
 ``oracle_shortest_distances`` is the per-source dict Dijkstra that
 :mod:`repro.network.paths` ran before the indexed kernel replaced it, kept
 verbatim.  Non-negative Dijkstra computes the least fixed point of
 ``dist[v] = min_u fl(dist[u] + w(u, v))``, so the kernel must return equal
 floats -- and, because it keeps the neighbour and tie-break order, equal dict
-key order too (observers derive their pair order from it).
+key order too (observers derive their pair order from it).  A graph whose
+edges all carry one weight takes the level kernel (a sorted-frontier BFS per
+source, distances read as ``prefix[level]``) and is held to the same oracle,
+item for item.
 """
 
 import heapq
+import math
 import random
 
 import pytest
@@ -163,14 +167,139 @@ class TestKernelMatchesOracle:
             assert paths.path_weight(path, weight) == pytest.approx(want[target])
 
 
+def outcome(call):
+    """The call's value, or the text of the ``GraphError`` it raised."""
+    try:
+        return call()
+    except GraphError as error:
+        return f"GraphError: {error}"
+
+
+def oracle_ordered_pairs(graph, weight=None):
+    items = [
+        (pair, d)
+        for pair, d in oracle_all_pairs(graph, weight).items()
+        if pair[0] < pair[1] and d > 0.0
+    ]
+    return [pair for pair, _ in items], [d for _, d in items]
+
+
+def assert_matches_oracle(graph, weight):
+    got = paths.all_pairs_distances(graph, weight)
+    want = oracle_all_pairs(graph, weight)
+    assert list(got.items()) == list(want.items())
+    assert paths.ordered_pair_distances(graph, weight) == oracle_ordered_pairs(graph, weight)
+    diameter = outcome(lambda: oracle_diameter(graph, weight))
+    assert outcome(lambda: paths.weighted_diameter(graph, weight)) == diameter
+    upper = max(d for d in want.values() if d < math.inf)
+    lower = 0.25 * upper
+    assert paths.pairs_at_distance(graph, lower, upper, weight) == [
+        (u, v) for (u, v), d in want.items() if u < v and lower <= d <= upper
+    ]
+
+
+def count_dijkstra(monkeypatch):
+    calls = []
+    dijkstra = paths._dijkstra
+
+    def counted(rows, source):
+        calls.append(source)
+        return dijkstra(rows, source)
+
+    monkeypatch.setattr(paths, "_dijkstra", counted)
+    return calls
+
+
+def cut_line():
+    graph = topology.line(9, ONE_WEIGHT_PARAMS)
+    graph.remove_edge(3, 4)
+    return graph
+
+
+def per_hop_weight(graph):
+    """The shape of ``suggest_global_skew_bound``'s per-hop estimate error."""
+
+    def weight(u, v):
+        edge = graph.edge_params(u, v)
+        return edge.epsilon + edge.delay + 2.0 * PARAMS.rho * (5.0 + edge.delay)
+
+    return weight
+
+
+# 0.1 and 0.3 are not dyadic: the sums round, so the order of additions shows.
+ONE_WEIGHT_PARAMS = EdgeParams(epsilon=0.1, tau=0.3, delay=0.3)
+
+ONE_WEIGHT_GRAPHS = {
+    "line": lambda: topology.line(17, ONE_WEIGHT_PARAMS),
+    "ring": lambda: topology.ring(12, ONE_WEIGHT_PARAMS),
+    "star": lambda: topology.star(9, ONE_WEIGHT_PARAMS),
+    "complete": lambda: topology.complete(7, ONE_WEIGHT_PARAMS),
+    "grid": lambda: topology.grid(5, 6, ONE_WEIGHT_PARAMS),
+    "binary_tree": lambda: topology.binary_tree(4, ONE_WEIGHT_PARAMS),
+    "random_tree": lambda: topology.random_tree(25, ONE_WEIGHT_PARAMS, seed=3),
+    "random_connected": lambda: topology.random_connected(
+        40, 0.1, ONE_WEIGHT_PARAMS, seed=5
+    ),
+    "cut_line": cut_line,
+}
+
+ONE_WEIGHTS = {
+    "epsilon": paths.epsilon_weight,
+    "kappa": lambda graph: paths.kappa_weight(graph, PARAMS),
+    "per_hop": per_hop_weight,
+}
+
+
+class TestOneWeightTakesTheLevelKernel:
+    @pytest.mark.parametrize("weight_name", sorted(ONE_WEIGHTS))
+    @pytest.mark.parametrize("graph_name", sorted(ONE_WEIGHT_GRAPHS))
+    def test_levels_match_the_oracle_item_for_item(
+        self, monkeypatch, graph_name, weight_name
+    ):
+        graph = ONE_WEIGHT_GRAPHS[graph_name]()
+        weight = ONE_WEIGHTS[weight_name](graph)
+        calls = count_dijkstra(monkeypatch)
+        assert_matches_oracle(graph, weight)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            pytest.param(lambda u, v: 0.0, id="zero"),
+            pytest.param(lambda u, v: math.inf, id="inf"),
+            pytest.param(
+                lambda u, v: 1.0 if (u + v) % 2 else math.nextafter(1.0, 2.0),
+                id="one_ulp_apart",
+            ),
+        ],
+    )
+    def test_other_weights_take_the_general_kernel(self, monkeypatch, weight):
+        graph = ONE_WEIGHT_GRAPHS["grid"]()
+        calls = count_dijkstra(monkeypatch)
+        assert_matches_oracle(graph, weight)
+        assert calls
+
+    @pytest.mark.parametrize("value", [5e-324, 1e308, 2.0 ** 60])
+    def test_extreme_single_weights_match_whichever_kernel_runs(self, value):
+        # 1e308 overflows at the second hop; 2**60 adds exactly for ever.
+        assert_matches_oracle(ONE_WEIGHT_GRAPHS["grid"](), lambda u, v: value)
+
+
 class TestKernelContract:
     def test_weight_called_once_per_directed_edge(self):
+        self.check_weight_calls(spread=4)
+
+    def test_one_weight_called_once_per_directed_edge(self):
+        self.check_weight_calls(spread=1)
+
+    @staticmethod
+    def check_weight_calls(spread):
         graph = GRAPHS["grid"]()
         calls = []
 
         def counting(u, v):
             calls.append((u, v))
-            return 1.0 + ((u * v) % 4)
+            return 1.0 + ((u * v) % spread)
 
         paths.all_pairs_distances(graph, counting)
         directed = [
@@ -210,6 +339,19 @@ class TestKernelContract:
         ):
             with pytest.raises(GraphError, match="negative edge weight"):
                 call()
+
+    def test_negative_weight_raises_before_any_source_is_expanded(self, monkeypatch):
+        graph = topology.ring(5)
+        calls = count_dijkstra(monkeypatch)
+        monkeypatch.setattr(paths, "_bfs_hops", calls.append)
+        for call in (
+            paths.all_pairs_distances,
+            paths.weighted_diameter,
+            paths.ordered_pair_distances,
+        ):
+            with pytest.raises(GraphError, match="negative edge weight"):
+                call(graph, lambda u, v: -1.0)
+        assert calls == []
 
     def test_unknown_endpoints_rejected(self):
         graph = topology.line(3)

@@ -42,7 +42,7 @@ from repro.sim.trace import Trace, TraceSample
 from repro.telemetry.schema import sanitize_json
 from test_dynamic_graph import oracle_edge_pairs, same_iteration
 from test_neighbor_sets import exhaustive_chain_holds
-from test_paths_kernel import oracle_all_pairs, oracle_diameter
+from test_paths_kernel import assert_matches_oracle, oracle_all_pairs, oracle_diameter
 from test_trace_plumbing import (
     oracle_trace_from_payload,
     oracle_trace_to_payload,
@@ -413,6 +413,16 @@ class TestPathKernelProperties:
         got = paths.all_pairs_distances(graph, weight)
         assert list(got.items()) == list(oracle_all_pairs(graph, weight).items())
         assert paths.weighted_diameter(graph, weight) == oracle_diameter(graph, weight)
+
+    @given(
+        case=weighted_connected_graphs(),
+        value=st.floats(min_value=0.0, exclude_min=True, max_value=1e308),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_positive_weight_equals_dict_dijkstra(self, case, value):
+        # Large values overflow within a few hops and fall back to Dijkstra.
+        graph, _ = case
+        assert_matches_oracle(graph, lambda u, v: value)
 
 
 # Row-level graph set-up --------------------------------------------------------

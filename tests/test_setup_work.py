@@ -8,14 +8,18 @@ slot.  The counts below are what that costs, on every columnar backend.
 """
 
 import builtins
+import sys
+from array import array
+from collections import OrderedDict
 
 import pytest
 
 from repro.core.neighbor_sets import NeighborLevels
-from repro.experiments import execute_spec
+from repro.experiments import execute_spec, run_sweep
 from repro.experiments.bench import BENCH_OBSERVERS, bench_spec
 from repro.fastsim.backend import backend_available
 from repro.fastsim.columns import CSRAdjacency
+from repro.network import paths, topology
 from repro.network.dynamic_graph import DynamicGraph
 from repro.network.edge import EdgeKey
 
@@ -88,3 +92,69 @@ def test_csr_build_sorts_each_row_once_and_never_asks_edge_params(monkeypatch, b
     execute_spec(static_spec(backend))
     assert rows
     assert counts == {"sorted": sum(rows), "edge_params": 0}
+
+
+# The all-pairs hop structure: once per adjacency, whatever the weight or backend.
+
+
+def observed_spec(kind, backend):
+    """One static ``observed_mid`` point, small: full trace, default observers."""
+    return bench_spec(kind, 100, duration=2.0, backend=backend)
+
+
+def retained_bytes(hops):
+    return sys.getsizeof(hops) + sum(
+        sys.getsizeof(entry) + sum(sys.getsizeof(part) for part in entry)
+        for entry in hops
+    )
+
+
+@pytest.fixture
+def path_counts(monkeypatch):
+    """Counts of all-source passes; the kept hop structures start out empty."""
+    counts = {"bfs": 0, "dijkstra": 0}
+    monkeypatch.setattr(paths, "_hops_kept", OrderedDict())
+    counting(monkeypatch, paths, "_bfs_hops", counts, "bfs")
+    counting(monkeypatch, paths, "_dijkstra", counts, "dijkstra")
+    return counts
+
+
+def test_three_backends_of_one_scenario_share_one_hop_structure(path_counts):
+    names = [name for name in ("fast", "vec", "jit") if backend_available(name)]
+    runs, _ = run_sweep([observed_spec("grid", name) for name in names], use_cache=False)
+    # The pair table was built and read: the gradient check applied.
+    assert all(run.summary.gradient_violations is not None for run in runs)
+    assert path_counts == {"bfs": 1, "dijkstra": 0}
+    # A second, different adjacency is one more pass.
+    run_sweep([observed_spec("line", name) for name in names], use_cache=False)
+    assert path_counts == {"bfs": 2, "dijkstra": 0}
+
+
+def test_kept_hop_structure_holds_no_object_per_pair(path_counts):
+    graph = topology.grid(10, 10)
+    n, depth = graph.node_count, topology.hop_diameter(graph)  # reads the structure
+    (hops,) = paths._hops_kept.values()
+    assert all(
+        isinstance(part, array) and part.typecode == "i"
+        for entry in hops
+        for part in entry
+    )
+    assert sum(len(order) for order, _ in hops) == n * n
+    # Per source: one list slot, one 2-tuple, two array headers, the level ends.
+    per_source = 8 + sys.getsizeof((0, 0)) + 2 * sys.getsizeof(array("i"))
+    assert retained_bytes(hops) <= (
+        4 * n * n + n * (per_source + 4 * (depth + 1)) + sys.getsizeof([])
+    )
+
+
+def test_evicting_a_hop_structure_never_changes_a_result(path_counts):
+    graph = topology.grid(6, 7)
+    first = paths.ordered_pair_distances(graph), paths.weighted_diameter(graph)
+    assert path_counts["bfs"] == 1
+    for n in range(3, 3 + paths._KEPT_HOPS):
+        paths.weighted_diameter(topology.line(n))
+    assert len(paths._hops_kept) == paths._KEPT_HOPS
+    assert path_counts["bfs"] == 1 + paths._KEPT_HOPS
+    again = paths.ordered_pair_distances(graph), paths.weighted_diameter(graph)
+    assert again == first
+    assert path_counts == {"bfs": 2 + paths._KEPT_HOPS, "dijkstra": 0}
