@@ -27,9 +27,26 @@ inputs, bit for bit:
   ``tests/test_properties.py`` holds both to the scan that evaluates every
   level.
 
-The differential suite (``tests/test_fastsim_equivalence.py``) and the unit
-tests in ``tests/test_fastsim_backend.py`` cross-check the two
-implementations on randomized inputs.
+Which rows scan, which collapse
+-------------------------------
+
+:func:`evaluate_mode_flat` is the only evaluator that scans neighbors x
+levels.  The scalar engine keeps it for a row whose level >= 1 neighbors mix
+levels or threshold tables (an edge mid-insertion, heterogeneous edges), for a
+row without such a neighbor and for the ``uniform`` estimate strategy; every
+other row goes through :func:`evaluate_mode_uniform`.  When a row's view sets
+share one level ``L`` and one table, each of them *is* the row for ``s <= L``
+and empty above, so ``any(a_k >= thr)`` is ``max(a_k) >= thr``, ``all(a_k <=
+thr)`` is ``max(a_k) <= thr`` (negating a float is exact) and the trigger
+needs the two extreme leads only; the early exit holds as before, since the
+thresholds never decrease with the level.  ``vecsim/kernels.py``
+(``row_thresholds``), ``jitsim/kernel.py::_evaluate_mode_uniform`` and
+``_fused_loop.c::evaluate_mode_uniform`` hold the same collapse.
+
+The differential suite (``tests/test_fastsim_equivalence.py``), the unit
+tests in ``tests/test_fastsim_backend.py`` and
+``test_uniform_row_collapse_equals_level_scan`` in ``tests/test_properties.py``
+cross-check the implementations on randomized inputs.
 """
 
 from __future__ import annotations
@@ -38,7 +55,7 @@ from typing import List, Sequence, Tuple
 
 from .parameters import Parameters
 
-#: Mode codes returned by :func:`evaluate_mode_flat`.
+#: Mode codes returned by :func:`evaluate_mode_flat` / :func:`evaluate_mode_uniform`.
 MODE_SLOW = 0
 MODE_FAST = 1
 MODE_FREE = 2
@@ -151,6 +168,43 @@ def evaluate_mode_flat(
             if nobody_far_behind:
                 return MODE_FAST
     # Max estimate triggers (Definition 4.7).
+    lag = max_estimate - logical
+    if lag <= equality_tolerance:
+        return MODE_SLOW
+    if lag >= iota:
+        return MODE_FAST
+    return MODE_FREE
+
+
+def evaluate_mode_uniform(
+    logical: float,
+    max_estimate: float,
+    iota: float,
+    amin: float,
+    amax: float,
+    level: int,
+    table: ThresholdTable,
+    equality_tolerance: float = 1e-9,
+) -> int:
+    """:func:`evaluate_mode_flat` for neighbors that share one level and one table.
+
+    ``amin`` / ``amax`` are the smallest and the largest ``estimate_k -
+    logical`` among them (``inf`` / ``-inf`` when there is none: both
+    existential halves then fail at level 1 and Definition 4.7 decides).
+    Python twin of ``evaluate_mode_uniform`` in ``jitsim/_fused_loop.c``.
+    """
+    fast_ahead, fast_behind, slow_behind, slow_ahead = table
+    behind = -amin
+    idx = 0
+    while idx < level and behind >= slow_behind[idx]:
+        if amax <= slow_ahead[idx]:
+            return MODE_SLOW
+        idx += 1
+    idx = 0
+    while idx < level and amax >= fast_ahead[idx]:
+        if behind <= fast_behind[idx]:
+            return MODE_FAST
+        idx += 1
     lag = max_estimate - logical
     if lag <= equality_tolerance:
         return MODE_SLOW

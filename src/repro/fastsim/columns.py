@@ -12,7 +12,10 @@ precomputed per-level trigger thresholds of
 The CSR is rebuilt from the :class:`~repro.network.dynamic_graph.DynamicGraph`
 whenever scheduled edge events change the adjacency (rare compared to the
 per-``dt`` step rate); level promotions between rebuilds patch the level
-column in place through ``row_pos``.
+column in place through ``row_pos``.  :meth:`CSRAdjacency.row_shapes` digests
+each row for the scalar control loop -- the slots that take part and whether
+they share one level and one threshold table -- the first time it is asked
+after a rebuild, so the engines that never ask never pay.
 """
 
 from __future__ import annotations
@@ -93,6 +96,7 @@ class CSRAdjacency:
         "row_pos",
         "max_degree",
         "_table_cache",
+        "_row_shapes",
     )
 
     def __init__(
@@ -118,6 +122,7 @@ class CSRAdjacency:
         self.row_pos: List[Dict[NodeId, int]] = []
         self.max_degree: int = 0
         self._table_cache: Dict[tuple, ThresholdTable] = {}
+        self._row_shapes: Optional[List[tuple]] = None
 
     def table_for(self, epsilon: float, tau: float) -> ThresholdTable:
         key = (epsilon, tau)
@@ -188,6 +193,7 @@ class CSRAdjacency:
         self.tables = tables
         self.row_pos = row_pos
         self.max_degree = max_degree
+        self._row_shapes = None
 
     def set_level(self, position: int, neighbor: NodeId, raw_level: int) -> None:
         """Patch one entry's level column after a promotion (no rebuild)."""
@@ -195,3 +201,32 @@ class CSRAdjacency:
         if pos is not None:
             max_level = self.max_level
             self.level[pos] = max_level if raw_level >= max_level else raw_level
+            if self._row_shapes is not None:
+                self._row_shapes[position] = self._row_shape(position)
+
+    def row_shapes(self) -> List[tuple]:
+        """Per row ``(slots, level, table)``, built on the first call after a rebuild.
+
+        ``slots`` are the flat positions of the row's level >= 1 neighbors.
+        When they share one level and one threshold table (hence one epsilon)
+        those follow -- the rows
+        :func:`~repro.core.aopt_step.evaluate_mode_uniform` decides on two
+        extrema; a mixed or an empty row reads ``(slots, 0, None)``.
+        """
+        shapes = self._row_shapes
+        if shapes is None:
+            shapes = self._row_shapes = [
+                self._row_shape(position) for position in range(len(self.row_pos))
+            ]
+        return shapes
+
+    def _row_shape(self, position: int) -> tuple:
+        level = self.level
+        tables = self.tables
+        slots = [
+            k for k in range(self.indptr[position], self.indptr[position + 1])
+            if level[k] >= 1
+        ]
+        if len({(level[k], id(tables[k])) for k in slots}) != 1:
+            return (slots, 0, None)
+        return (slots, level[slots[0]], tables[slots[0]])

@@ -37,7 +37,9 @@ Equivalence notes (why bit-identical is achievable):
   :class:`~repro.core.clocks.HardwareClock` /
   :class:`~repro.core.max_estimate.MaxEstimateTracker`;
 * trigger thresholds are precomputed with the expressions of
-  :mod:`repro.core.triggers` (see :mod:`repro.core.aopt_step`);
+  :mod:`repro.core.triggers`, and a row is decided on its two extreme leads
+  when its views share one level and one table, by the level scan otherwise
+  (see :mod:`repro.core.aopt_step` for which rows and why the two agree);
 * random draw order is preserved: delay draws happen per send in node order
   and, within a node, in the iteration order of the neighbor *set* the
   reference iterates (``NeighborLevels.discovered()``); the ``uniform``
@@ -59,7 +61,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import insertion as insertion_mod
 from ..core.algorithm import AOPT, AOPTConfig
-from ..core.aopt_step import MODE_NAMES, evaluate_mode_flat
+from ..core.aopt_step import MODE_NAMES, evaluate_mode_flat, evaluate_mode_uniform
 from ..core.interfaces import AlgorithmFactory
 from ..core.neighbor_sets import FULLY_INSERTED, NeighborLevels
 from ..network.dynamic_graph import DynamicGraph
@@ -120,7 +122,13 @@ class _FastAlgorithmView:
 
 
 class FastEngine:
-    """Array-based fixed-step simulator specialized for AOPT + oracle estimates."""
+    """Array-based fixed-step simulator specialized for the AOPT family.
+
+    The node body of :meth:`_control_all` is that of
+    ``jitsim/kernel.py::fused_segment``: max-estimate advance, broadcast send
+    from a per-row list, then ``evaluate_mode_uniform`` over the row's extreme
+    leads or ``evaluate_mode_flat`` over a mixed row.
+    """
 
     #: Optional streaming-metrics hook (see :meth:`configure_recording`).
     _metrics = None
@@ -551,26 +559,31 @@ class FastEngine:
         logical_value: float,
     ) -> None:
         node = self._cols.ids[position]
-        graph = self.graph
-        out = graph.neighbors_view(node)
+        sends = self._sends.get(position)
+        if sends is None:
+            # The set the reference iterates, in its order (set order drives
+            # the delay-model draw order, which must match for bit-identical
+            # runs), cut down to the neighbors that have a CSR slot -- the
+            # graph's out-neighbors -- with the slot's delay bound.
+            row = self._csr.row_pos[position]
+            bounds = self._csr.delay
+            sends = self._sends[position] = [
+                (neighbor, bounds[row[neighbor]])
+                for neighbor in self._levels[position].discovered()
+                if neighbor in row
+            ]
         delay_of = self.delay_model.delay
-        edge_params = graph.edge_params
         inflight = self._inflight
-        # Iterate the same set the reference iterates (set order drives the
-        # delay-model draw order, which must match for bit-identical runs).
+        seq = self._msg_seq
         # The anchor slot carries the sender's logical value: the broadcast
         # estimate layer stores it at delivery (unused in oracle mode).
-        for neighbor in self._levels[position].discovered():
-            if neighbor not in out:
-                continue
-            bound = edge_params(node, neighbor).delay
-            delay = delay_of(node, neighbor, t, bound)
-            self._msg_seq += 1
+        for neighbor, bound in sends:
+            seq += 1
             heapq.heappush(
                 inflight,
                 (
-                    t + delay,
-                    self._msg_seq,
+                    t + delay_of(node, neighbor, t, bound),
+                    seq,
                     _MSG_BROADCAST,
                     node,
                     neighbor,
@@ -579,7 +592,8 @@ class FastEngine:
                     0.0,
                 ),
             )
-            self.sent_count += 1
+        self._msg_seq = seq
+        self.sent_count += len(sends)
 
     # ------------------------------------------------------------------
     # Control (Listing 3, flattened)
@@ -589,6 +603,9 @@ class FastEngine:
             self._harvest_bc_state()
         self._csr.rebuild(self.graph, self._cols.index, self._levels)
         self._csr_dirty = False
+        #: Per-row broadcast send lists ``[(neighbor, delay bound)]``, built
+        #: by :meth:`_broadcast` on a row's first send after a rebuild.
+        self._sends: Dict[int, List[Tuple[NodeId, float]]] = {}
         if self._bc_mode:
             self._adopt_bc_state()
         size = self._csr.max_degree
@@ -655,7 +672,7 @@ class FastEngine:
         multiplier = cols.multiplier
         mode = cols.mode
         csr = self._csr
-        indptr = csr.indptr
+        rows = csr.row_shapes()
         neighbor_index = csr.neighbor_index
         level_col = csr.level
         epsilon_col = csr.epsilon
@@ -669,12 +686,14 @@ class FastEngine:
         iota = self.aopt_params.iota
         fast_multiplier = self._fast_multiplier
         strategy = self._strategy
-        uniform = strategy == 1
         bc_mode = self._bc_mode
+        # The oracle layer's rng strategy draws in set order; the broadcast
+        # layer has no strategy.
+        uniform = strategy == 1 and not bc_mode
         bc_value = self._bc_value
         bc_hw = self._bc_hw
         bc_valid = self._bc_valid
-        evaluate = evaluate_mode_flat
+        inf = float("inf")
         for i in range(len(logical)):
             hw = hardware[i]
             lg = logical[i]
@@ -687,7 +706,8 @@ class FastEngine:
             if lg > m:
                 m = lg
             max_estimate[i] = m
-            # Staged insertions due at the current logical time.
+            # Staged insertions due at the current logical time (a promotion
+            # replaces ``rows[i]``, read below).
             if schedules[i]:
                 self._apply_due_insertions(i, lg)
             # Periodic broadcast, driven by the hardware clock.
@@ -696,64 +716,70 @@ class FastEngine:
                 self._broadcast(i, t, m, lg)
             # Neighbor views: estimates inlined from the estimate layer
             # (BroadcastEstimateLayer extrapolation or OracleEstimateLayer
-            # error strategies).
-            if bc_mode:
-                count = 0
-                end = indptr[i + 1]
-                for k in range(indptr[i], end):
-                    level = level_col[k]
-                    if level < 1:
-                        continue
-                    if not bc_valid[k]:
-                        # No stored broadcast yet: the reference layer
-                        # returns None and AOPT skips this neighbor's view.
-                        continue
-                    # BroadcastEstimateLayer.estimate, verbatim:
-                    # stored.value + max(0.0, hw_now - stored_hw).
-                    elapsed = hw - bc_hw[k]
-                    if not elapsed > 0.0:
-                        elapsed = 0.0
-                    aheads[count] = (bc_value[k] + elapsed) - lg
-                    view_levels[count] = level
-                    view_tables[count] = tables[k]
-                    count += 1
-            elif uniform:
+            # error strategies).  A row whose views share one level and one
+            # table keeps their extreme leads only; a mixed row (``level`` 0)
+            # fills the scratch columns of the level scan.
+            slots, level, table = rows[i]
+            if uniform:
                 count = self._fill_views_set_order(i, lg, aheads, view_levels, view_tables)
+                level = 0
             else:
                 count = 0
-                end = indptr[i + 1]
-                for k in range(indptr[i], end):
-                    level = level_col[k]
-                    if level < 1:
-                        continue
-                    true_value = logical[neighbor_index[k]]
-                    if strategy == 0:  # zero error
-                        estimate = true_value
-                    elif strategy == 4:  # toward_observer
-                        epsilon = epsilon_col[k]
-                        if epsilon == 0.0:
+                amin = inf
+                amax = -inf
+                for k in slots:
+                    if bc_mode:
+                        if not bc_valid[k]:
+                            # No stored broadcast yet: the reference layer
+                            # returns None and AOPT skips this neighbor's view.
+                            continue
+                        # BroadcastEstimateLayer.estimate, verbatim:
+                        # stored.value + max(0.0, hw_now - stored_hw).
+                        elapsed = hw - bc_hw[k]
+                        if not elapsed > 0.0:
+                            elapsed = 0.0
+                        ahead = (bc_value[k] + elapsed) - lg
+                    else:
+                        true_value = logical[neighbor_index[k]]
+                        if strategy == 0:  # zero error
                             estimate = true_value
-                        else:
-                            difference = lg - true_value
-                            if difference > 0.0:
-                                error = difference if difference < epsilon else epsilon
+                        elif strategy == 4:  # toward_observer
+                            epsilon = epsilon_col[k]
+                            if epsilon == 0.0:
+                                estimate = true_value
                             else:
-                                error = difference if difference > -epsilon else -epsilon
-                            estimate = true_value + error
+                                difference = lg - true_value
+                                if difference > 0.0:
+                                    error = difference if difference < epsilon else epsilon
+                                else:
+                                    error = difference if difference > -epsilon else -epsilon
+                                estimate = true_value + error
+                                if estimate < 0.0:
+                                    estimate = 0.0
+                        elif strategy == 2:  # underestimate
+                            epsilon = epsilon_col[k]
+                            estimate = true_value if epsilon == 0.0 else true_value - epsilon
                             if estimate < 0.0:
                                 estimate = 0.0
-                    elif strategy == 2:  # underestimate
-                        epsilon = epsilon_col[k]
-                        estimate = true_value if epsilon == 0.0 else true_value - epsilon
-                        if estimate < 0.0:
-                            estimate = 0.0
-                    else:  # 3: overestimate
-                        estimate = true_value + epsilon_col[k]
-                    aheads[count] = estimate - lg
-                    view_levels[count] = level
-                    view_tables[count] = tables[k]
-                    count += 1
-            mode_code = evaluate(lg, m, iota, count, aheads, view_levels, view_tables)
+                        else:  # 3: overestimate
+                            estimate = true_value + epsilon_col[k]
+                        ahead = estimate - lg
+                    if level:
+                        if ahead < amin:
+                            amin = ahead
+                        if ahead > amax:
+                            amax = ahead
+                    else:
+                        aheads[count] = ahead
+                        view_levels[count] = level_col[k]
+                        view_tables[count] = tables[k]
+                        count += 1
+            if level:
+                mode_code = evaluate_mode_uniform(lg, m, iota, amin, amax, level, table)
+            else:
+                mode_code = evaluate_mode_flat(
+                    lg, m, iota, count, aheads, view_levels, view_tables
+                )
             if mode_code == 0:
                 multiplier[i] = 1.0
                 mode[i] = 0
@@ -776,14 +802,12 @@ class FastEngine:
         order must match the reference's iteration over
         ``NeighborLevels.discovered()`` (a set) exactly.
         """
-        node = self._cols.ids[position]
         levels = self._levels[position]
-        graph = self.graph
-        out = graph.neighbors_view(node)
         logical = self._cols.logical
         index = self._cols.index
         csr = self._csr
         row_pos = csr.row_pos[position]
+        epsilon_col = csr.epsilon
         tables = csr.tables
         max_level = self.max_level
         uniform = self._estimate_rng.uniform
@@ -792,9 +816,13 @@ class FastEngine:
             level = levels.level_of(neighbor)
             if level is None or level < 1:
                 continue
-            if neighbor not in out:
+            # A neighbor has a slot exactly when the graph holds the edge;
+            # the slot's epsilon is the edge's (oracle mode only: the column
+            # carries the broadcast bound otherwise).
+            slot = row_pos.get(neighbor)
+            if slot is None:
                 continue
-            epsilon = graph.edge_params(node, neighbor).epsilon
+            epsilon = epsilon_col[slot]
             true_value = logical[index[neighbor]]
             if epsilon == 0.0:
                 estimate = true_value
@@ -804,7 +832,7 @@ class FastEngine:
                     estimate = 0.0
             aheads[count] = estimate - lg
             view_levels[count] = max_level if level >= max_level else level
-            view_tables[count] = tables[row_pos[neighbor]]
+            view_tables[count] = tables[slot]
             count += 1
         return count
 

@@ -22,11 +22,21 @@ from conftest import (
     make_delay_sweep_spec,
     make_fuzz_spec,
 )
+from repro.core.algorithm import aopt_factory
 from repro.core.neighbor_sets import FULLY_INSERTED
+from repro.core.parameters import Parameters
 from repro.experiments import execute_spec, registry, scenario
+from repro.experiments.results import trace_to_payload
 from repro.experiments.spec import ComponentSpec, ScenarioSpec
 from repro.fastsim import FastEngine
-from repro.sim.runner import build_engine
+from repro.network import topology
+from repro.network.edge import EdgeParams
+from repro.sim.drift import TwoGroupAdversary
+from repro.sim.runner import SimulationConfig, build_engine, default_aopt_config
+
+#: The estimate strategies that draw no random number: their rows are decided
+#: on two extreme leads unless they mix levels or tables.
+DETERMINISTIC_STRATEGIES = ["zero", "underestimate", "overestimate", "toward_observer"]
 
 #: The seven named scenarios with shortened runs (shared across the
 #: differential suites; see tests/conftest.py).
@@ -65,32 +75,59 @@ class TestNamedScenarioEquivalence:
         assert reference["spec_hash"] == fast["spec_hash"]
 
 
+def staged_insertion_spec(algorithm="aopt", strategy="toward_observer", ramp=None):
+    """A line of 5 whose end-to-end edge appears at t = 5 and climbs every level."""
+    return ScenarioSpec(
+        label=f"fastsim_insertion/{algorithm}/{strategy}",
+        topology=ComponentSpec("line", {"n": 5}),
+        dynamics=ComponentSpec(
+            "end_to_end_insertion", {"insertion_time": 5.0}
+        ),
+        drift=ComponentSpec("two_group", {"swap_period": 20.0}),
+        algorithm=ComponentSpec(
+            algorithm,
+            # A tiny insertion duration so every level is promoted well
+            # within the run (I ~ 3 time units for this bound).
+            {"global_skew_bound": 10.0, "insertion_scale": 0.001},
+        ),
+        params={"rho": 0.015, "mu": 0.1},
+        edge={"epsilon": 1.0, "tau": 0.5, "delay": 2.0},
+        sim={
+            "dt": 0.1,
+            "duration": 45.0,
+            "sample_interval": 1.0,
+            "estimate_strategy": strategy,
+        },
+        initial_ramp_per_edge=ramp,
+    )
+
+
 class TestStagedInsertionEquivalence:
     """The full Listing 1/2 handshake: discovery, anchor, level promotions."""
 
-    def insertion_spec(self, algorithm="aopt"):
-        return ScenarioSpec(
-            label=f"fastsim_insertion/{algorithm}",
-            topology=ComponentSpec("line", {"n": 5}),
-            dynamics=ComponentSpec(
-                "end_to_end_insertion", {"insertion_time": 5.0}
-            ),
-            drift=ComponentSpec("two_group", {"swap_period": 20.0}),
-            algorithm=ComponentSpec(
-                algorithm,
-                # A tiny insertion duration so every level is promoted well
-                # within the run (I ~ 3 time units for this bound).
-                {"global_skew_bound": 10.0, "insertion_scale": 0.001},
-            ),
-            params={"rho": 0.015, "mu": 0.1},
-            edge={"epsilon": 1.0, "tau": 0.5, "delay": 2.0},
-            sim={
-                "dt": 0.1,
-                "duration": 45.0,
-                "sample_interval": 1.0,
-                "estimate_strategy": "toward_observer",
-            },
+    insertion_spec = staticmethod(staged_insertion_spec)
+
+    @pytest.mark.parametrize("strategy", DETERMINISTIC_STRATEGIES)
+    def test_row_that_turns_mixed_and_back_matches(self, strategy):
+        """Node 0's row: one level, then two while the new edge climbs, then one."""
+        # The ramp makes the triggers fire on the inserted edge's leads.
+        spec = self.insertion_spec(strategy=strategy, ramp=4.5)
+        assert_equivalent(spec)
+        materialised = registry.build_scenario(spec)
+        fast = FastEngine(
+            materialised.graph, materialised.algorithm_factory, materialised.config
         )
+        shapes = []
+        while fast.time < materialised.config.duration - 1e-9:
+            fast.step()
+            slots, level, _ = fast._csr.row_shapes()[0]
+            if not shapes or shapes[-1] != (len(slots), level):
+                shapes.append((len(slots), level))
+        top = fast.max_level
+        # Edge {0, 4} is discovered at level 0 (no slot in the view), climbs
+        # through the levels next to the fully inserted {0, 1} and joins it.
+        assert shapes[0] == (1, top) and shapes[-1] == (2, top)
+        assert (2, 0) in shapes
 
     def test_staged_insertion_matches_and_completes(self):
         spec = self.insertion_spec()
@@ -118,6 +155,52 @@ class TestStagedInsertionEquivalence:
 
     def test_immediate_insertion_variant_matches(self):
         assert_equivalent(self.insertion_spec(algorithm="immediate_insertion"))
+
+
+class TestRowShapeSeams:
+    """Rows the scalar engine does not decide on two extreme leads, and one it does."""
+
+    def run_both(self, graph, config):
+        factory = aopt_factory(default_aopt_config(graph, config))
+        reference = build_engine(graph, factory, config)
+        fast = FastEngine(graph, factory, config)
+        traces = [engine.run(config.duration) for engine in (reference, fast)]
+        assert trace_to_payload(traces[0]) == trace_to_payload(traces[1])
+        assert reference.transport.sent_count == fast.sent_count
+        return fast
+
+    def config(self, strategy, **overrides):
+        return SimulationConfig(
+            params=Parameters(rho=0.015, mu=0.1),
+            dt=0.1,
+            duration=15.0,
+            drift=TwoGroupAdversary(0.015, {0, 1, 2}, {4, 5, 6}, swap_period=4.0),
+            estimate_strategy=strategy,
+            initial_logical=dict(enumerate([0.0, 5.0, 9.0, 11.0, 17.5, 19.0, 26.0])),
+            delay_seed=11,
+            **overrides,
+        )
+
+    @pytest.mark.parametrize("strategy", DETERMINISTIC_STRATEGIES)
+    def test_heterogeneous_edges_on_one_node(self, strategy):
+        graph = topology.line(7, EdgeParams(epsilon=1.0, tau=0.5, delay=2.0))
+        graph.set_edge_params(1, 2, EdgeParams(epsilon=0.25, tau=0.2, delay=1.0))
+        fast = self.run_both(graph, self.config(strategy))
+        shapes = fast._csr.row_shapes()
+        # Nodes 1 and 2 see two tables; the others see one.
+        assert [node for node, (_, level, _) in enumerate(shapes) if not level] == [1, 2]
+
+    def test_broadcast_mode_before_any_broadcast_is_stored(self):
+        """No valid slot: Definition 4.7 alone decides, as in the reference."""
+        graph = topology.line(7, EdgeParams(epsilon=1.0, tau=0.5, delay=2.0))
+        config = self.config("zero", estimate_mode="broadcast", broadcast_interval=1.0)
+        probe = FastEngine(graph, aopt_factory(default_aopt_config(graph, config)), config)
+        probe.step()
+        assert not any(probe._bc_valid)
+        assert all(level for _, level, _ in probe._csr.row_shapes())
+        # Nobody has heard of a larger clock either: lag 0, slow mode.
+        assert probe._cols.mode == [0] * 7
+        self.run_both(graph, config)
 
 
 class TestFuzzEquivalence:

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aopt_step import MODE_NAMES, evaluate_mode_flat
+from repro.core.aopt_step import (
+    MODE_NAMES,
+    edge_threshold_table,
+    evaluate_mode_flat,
+    evaluate_mode_uniform,
+)
 from repro.core.clocks import HardwareClock, LogicalClock
 from repro.core.insertion import compute_insertion_times
 from repro.core.max_estimate import MaxEstimateTracker
@@ -273,6 +278,39 @@ def trigger_cases(draw):
     return params, logical, max_estimate, views, max_level
 
 
+@st.composite
+def uniform_row_cases(draw):
+    """``(logical, max_estimate, iota, leads, level, table)``: one level, one table.
+
+    A lead may be ``0.0`` / ``-0.0`` or sit on, or one ulp either side of,
+    any of the table's thresholds; the leads may all be equal.
+    """
+    params = make_params(draw(valid_rho), draw(valid_mu))
+    max_level = draw(st.integers(min_value=1, max_value=8))
+    constant = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.01, max_value=4.0)
+    table = edge_threshold_table(params, draw(constant), draw(constant), max_level)
+    fast_ahead, fast_behind, slow_behind, slow_ahead = table
+    on = [*fast_ahead, *slow_ahead, *(-thr for thr in fast_behind + slow_behind)]
+    near = [
+        value
+        for thr in on
+        for value in (math.nextafter(thr, -math.inf), thr, math.nextafter(thr, math.inf))
+    ]
+    top = 1.25 * slow_ahead[-1]
+    lead = st.sampled_from([0.0, -0.0] + near) | st.floats(min_value=-top, max_value=top)
+    leads = draw(st.lists(lead, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        leads = [leads[0]] * len(leads)
+    logical = draw(st.sampled_from([0.0, 64.0]) | st.floats(min_value=0.0, max_value=1000.0))
+    max_estimate = logical + draw(
+        st.sampled_from([0.0, params.iota / 2.0, params.iota])
+        | st.floats(min_value=0.0, max_value=5.0)
+    )
+    iota = draw(st.just(params.iota) | st.floats(min_value=0.01, max_value=5.0))
+    level = draw(st.integers(min_value=1, max_value=max_level))
+    return logical, max_estimate, iota, leads, level, table
+
+
 class TestTriggerProperties:
     @given(
         logical=st.floats(min_value=0.0, max_value=1000.0),
@@ -338,6 +376,22 @@ class TestTriggerProperties:
             [threshold_table(view, params, max_level) for view in inserted],
         )
         assert MODE_NAMES[flat] == decision.mode
+
+    @given(case=uniform_row_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_uniform_row_collapse_equals_level_scan(self, case):
+        """One level, one table: the two extreme leads decide what the scan decides."""
+        logical, max_estimate, iota, leads, level, table = case
+        count = len(leads)
+        assert evaluate_mode_uniform(
+            logical, max_estimate, iota, min(leads), max(leads), level, table
+        ) == evaluate_mode_flat(
+            logical, max_estimate, iota, count, leads, [level] * count, [table] * count
+        )
+        # No view at all (broadcast mode before the first broadcast arrives).
+        assert evaluate_mode_uniform(
+            logical, max_estimate, iota, math.inf, -math.inf, level, table
+        ) == evaluate_mode_flat(logical, max_estimate, iota, 0, [], [], [])
 
 
 class TestLegalityProperties:

@@ -17,11 +17,13 @@ import pytest
 from repro.core.neighbor_sets import NeighborLevels
 from repro.experiments import execute_spec, run_sweep
 from repro.experiments.bench import BENCH_OBSERVERS, bench_spec
+from repro.fastsim import engine as fast_engine
 from repro.fastsim.backend import backend_available
 from repro.fastsim.columns import CSRAdjacency
 from repro.network import paths, topology
 from repro.network.dynamic_graph import DynamicGraph
 from repro.network.edge import EdgeKey
+from test_fastsim_equivalence import staged_insertion_spec
 
 NODES = 1024
 
@@ -158,3 +160,68 @@ def test_evicting_a_hop_structure_never_changes_a_result(path_counts):
     again = paths.ordered_pair_distances(graph), paths.weighted_diameter(graph)
     assert again == first
     assert path_counts == {"bfs": 2 + paths._KEPT_HOPS, "dijkstra": 0}
+
+
+# The scalar control loop: a row is digested once per CSR build and decided on
+# two extreme leads; a message's delay bound comes from the CSR.
+
+
+@pytest.fixture
+def row_counts(monkeypatch):
+    """Counts of what ``fast`` does per row and per node-step while it runs."""
+    counts = dict(rebuilds=0, built=0, refreshed=0, promotions=0, flat=0, edge_params=0)
+    running, building = [], []
+
+    def bracket(owner, name, stack):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            stack.append(True)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    bracket(fast_engine.FastEngine, "run_until", running)
+    bracket(CSRAdjacency, "row_shapes", building)
+    counting(monkeypatch, CSRAdjacency, "rebuild", counts, "rebuilds")
+    counting(monkeypatch, CSRAdjacency, "_row_shape", counts, "built", lambda: bool(building))
+    counting(
+        monkeypatch, CSRAdjacency, "_row_shape", counts, "refreshed", lambda: not building
+    )
+    counting(monkeypatch, CSRAdjacency, "set_level", counts, "promotions")
+    counting(monkeypatch, fast_engine, "evaluate_mode_flat", counts, "flat")
+    counting(
+        monkeypatch, DynamicGraph, "edge_params", counts, "edge_params", lambda: bool(running)
+    )
+    return counts
+
+
+def test_static_fast_run_scans_no_levels_and_asks_the_graph_for_no_edge(row_counts):
+    (run,), _ = run_sweep([observed_spec("grid", "fast")], use_cache=False)
+    assert run.summary.node_count == 100
+    assert row_counts == dict(
+        rebuilds=1, built=100, refreshed=0, promotions=0, flat=0, edge_params=0
+    )
+
+
+@pytest.mark.skipif(not backend_available("vec"), reason="numpy is not installed")
+def test_vec_never_digests_a_row(row_counts):
+    run_sweep([observed_spec("grid", "vec")], use_cache=False)
+    assert row_counts["rebuilds"] == 1
+    assert row_counts["built"] == row_counts["refreshed"] == 0
+
+
+def test_rows_are_digested_once_per_rebuild_and_one_per_promotion(row_counts):
+    spec = staged_insertion_spec().with_backend("fast")
+    run_sweep([spec], use_cache=False)
+    # Built at construction, rebuilt when the edge appears; each endpoint then
+    # climbs the levels one promotion (one row) at a time.
+    assert row_counts["rebuilds"] == 2
+    assert row_counts["built"] == 2 * 5
+    assert row_counts["promotions"] > 2
+    assert row_counts["refreshed"] == row_counts["promotions"]
+    # Only the two endpoints' rows ever mix levels, and only while they climb.
+    assert 0 < row_counts["flat"] < 2 * 450
