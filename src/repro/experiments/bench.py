@@ -157,7 +157,6 @@ def validate_bench_config(
     backends: Sequence[str],
     trace: str = "full",
     estimate_mode: str = "oracle",
-    float32: bool = False,
 ) -> None:
     """Fail fast on a bad benchmark grid (cheap: no simulation is run)."""
     if repeats < 1:
@@ -166,11 +165,6 @@ def validate_bench_config(
         raise BenchError("need at least one backend to time")
     if trace not in TRACE_MODES:
         raise BenchError(f"trace must be one of {TRACE_MODES}, got {trace!r}")
-    if float32 and "jit" not in backends:
-        raise BenchError(
-            "--float32 times the jit engine's narrowed kernels; add 'jit' "
-            "to --backends to use it"
-        )
     for name in backends:
         get_backend(name)
     for kind in topologies:
@@ -247,7 +241,6 @@ def run_backend_bench(
     measure_memory: bool = False,
     estimate_mode: str = "oracle",
     broadcast_interval: float = 1.0,
-    float32: bool = False,
 ) -> Dict[str, Any]:
     """Time every backend on every grid point; return the results payload.
 
@@ -267,9 +260,6 @@ def run_backend_bench(
     ``estimate_mode="broadcast"`` switches the whole grid to message-layer
     estimates (the BENCH_msgsim.json family): real broadcasts over the
     bounded-delay transport instead of oracle estimate reads.
-    ``float32=True`` adds an extra timed column ``jit_float32_seconds``
-    running the jit engine's opt-in narrowed kernels; it is approx-only by
-    contract, so it never participates in the equivalence verdict.
     """
     if repeats < 1:
         raise BenchError(f"repeats must be >= 1, got {repeats}")
@@ -277,11 +267,6 @@ def run_backend_bench(
         raise BenchError("need at least one backend to time")
     if trace not in TRACE_MODES:
         raise BenchError(f"trace must be one of {TRACE_MODES}, got {trace!r}")
-    if float32 and "jit" not in backends:
-        raise BenchError(
-            "--float32 times the jit engine's narrowed kernels; add 'jit' "
-            "to --backends to use it"
-        )
     for name in backends:
         _warm_backend(name, estimate_mode)
     results: List[Dict[str, Any]] = []
@@ -311,13 +296,11 @@ def run_backend_bench(
             }
             payloads: Dict[str, Any] = {}
 
-            def build_engine(backend):
-                return backend.build(
+            def run_once(backend):
+                """One full build + run; returns (trace, pipeline or None)."""
+                engine = backend.build(
                     scenario.graph, scenario.algorithm_factory, scenario.config
                 )
-
-            def run_engine(engine):
-                """One full run; returns (trace, pipeline or None)."""
                 pipeline = None
                 if trace == "none":
                     pipeline = build_run_pipeline(
@@ -331,10 +314,6 @@ def run_backend_bench(
                     engine.configure_recording(pipeline, record_trace=False)
                 produced = engine.run(scenario.config.duration)
                 return produced, pipeline
-
-            def run_once(backend):
-                """One full build + run; returns (trace, pipeline or None)."""
-                return run_engine(build_engine(backend))
 
             for name in backends:
                 backend = get_backend(name)
@@ -365,34 +344,6 @@ def run_backend_bench(
                     entry[f"{name}_peak_tracemalloc_bytes"] = _measure_peak_memory(
                         lambda backend=backend: run_once(backend)
                     )
-            if float32:
-                # The narrowed jit kernels are approx-only by contract, so
-                # they are timed but deliberately NEVER fed into the
-                # equivalence verdict below.
-                from ..jitsim.engine import JitEngine
-
-                def run_float32_once():
-                    engine = JitEngine(
-                        scenario.graph,
-                        scenario.algorithm_factory,
-                        scenario.config,
-                        float32=True,
-                    )
-                    return run_engine(engine)
-
-                warm_key = ("jit+float32", kind, n, estimate_mode)
-                if warm_key not in _WARMED:
-                    _WARMED.add(warm_key)
-                    run_float32_once()
-                best = math.inf
-                for _ in range(repeats):
-                    started = time.perf_counter()
-                    run_float32_once()
-                    best = min(best, time.perf_counter() - started)
-                entry["jit_float32_seconds"] = best
-                entry["jit_float32_speedup_over_jit"] = (
-                    entry["jit_seconds"] / best
-                )
             if measure_memory:
                 entry["peak_rss_kb"] = _peak_rss_kb()
             node_steps = steps * scenario.graph.node_count
@@ -437,7 +388,6 @@ def run_backend_bench(
             "repeats": repeats,
             "trace": trace,
             "estimate_mode": estimate_mode,
-            "float32": bool(float32),
         },
         "results": results,
     }

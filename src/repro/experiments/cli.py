@@ -208,10 +208,9 @@ def cmd_list(args: argparse.Namespace) -> int:
     for name in backend_names():
         if backend_available(name):
             if name == "jit":
-                from ..jitsim import available_provider_names
+                from ..jitsim import get_provider
 
-                providers = "/".join(available_provider_names())
-                backends.append(f"{name} (provider: {providers})")
+                backends.append(f"{name} (provider: {get_provider().name})")
             else:
                 backends.append(name)
         else:
@@ -456,7 +455,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         backends=backends,
         trace=args.trace,
         estimate_mode=args.estimate_mode,
-        float32=args.float32,
     )
     baseline = _load_compare_baseline(args)
     payload = bench_mod.run_backend_bench(
@@ -471,7 +469,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         measure_memory=args.memory,
         estimate_mode=args.estimate_mode,
         broadcast_interval=args.broadcast_interval,
-        float32=args.float32,
     )
     if args.output:
         path = bench_mod.write_bench_json(payload, args.output)
@@ -493,9 +490,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         speedup_keys.append(("jit/vec", "jit_speedup_over_vec"))
     if "reference" in backends and "jit" in backends:
         speedup_keys.append(("jit/ref", "jit_speedup_over_reference"))
-    if args.float32:
-        speedup_keys.append(("f32 [s] (approx)", "jit_float32_seconds"))
-        speedup_keys.append(("f32/jit", "jit_float32_speedup_over_jit"))
     columns += [label for label, _ in speedup_keys]
     if args.memory:
         columns += [f"{name} peak [MB]" for name in backends]
@@ -772,13 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="broadcast period for --estimate-mode broadcast "
         "(default: %(default)s)",
-    )
-    bench_parser.add_argument(
-        "--float32",
-        action="store_true",
-        help="add a timed column for the jit engine's opt-in float32 "
-        "kernels (needs 'jit' in --backends); approx-only, never part of "
-        "the equality verdict",
     )
     bench_parser.add_argument(
         "--compare",

@@ -207,10 +207,8 @@ class JitBackend:
 
     Registered unconditionally like ``vec``; building needs numpy plus a
     kernel provider (numba, or a working C compiler for the bundled kernel
-    source -- see :mod:`repro.jitsim.providers`).  The backend always builds
-    exact (float64) engines; the opt-in float32 mode is an engine-level
-    flag outside the registry on purpose, so every spec routed through the
-    backend stays bit-identical to reference/fast/vec.
+    source -- see :mod:`repro.jitsim.providers`).  Every spec routed through
+    the backend stays bit-identical to reference/fast/vec.
     """
 
     name = "jit"

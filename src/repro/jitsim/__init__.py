@@ -6,13 +6,12 @@ round-trips with one compiled kernel invocation per regular step segment.
 See :mod:`repro.jitsim.engine` for the driver, :mod:`repro.jitsim.kernel`
 for the (numba-njittable) fused loop, ``_fused_loop.c`` for its line-for-line
 C port, and :mod:`repro.jitsim.providers` for how an executable kernel form
-(numba / on-demand-compiled C / interpreted) is resolved.
+(numba or on-demand-compiled C) is resolved.
 """
 
 from .engine import JitContext, JitEngine, build_batch
 from .providers import (
     ProviderUnavailableError,
-    available_provider_names,
     get_provider,
     provider_available,
     reset_provider_cache,
@@ -22,7 +21,6 @@ __all__ = [
     "JitContext",
     "JitEngine",
     "ProviderUnavailableError",
-    "available_provider_names",
     "build_batch",
     "get_provider",
     "provider_available",

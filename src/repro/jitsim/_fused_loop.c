@@ -4,26 +4,19 @@
  * documentation and the bit-identity contract).  Compiled on demand by
  * repro.jitsim.providers with
  *
- *     cc -O2 -fPIC -shared -ffp-contract=off
+ *     cc -O3 -fPIC -shared -ffp-contract=off
  *
  * -ffp-contract=off (and the absence of any -ffast-math / -march flag)
  * guarantees plain IEEE-754 double ops in source order, so the compiled
  * loop produces bit-identical floats to the Python/numba kernel and
  * therefore to the reference engine.
- *
- * JIT_REAL selects the state dtype: double (default, exact) or float (the
- * experimental opt-in float32 mode; times, delays and rng draws stay
- * double).  Providers compile one shared object per dtype.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-#ifndef JIT_REAL
-#define JIT_REAL double
-#endif
-typedef JIT_REAL real;
+typedef double real;
 
 /* One tempered MT19937 output (CPython genrand_uint32).  State words travel
  * as int64 (all values < 2^32), position 624 means "twist first" -- the

@@ -7,8 +7,8 @@ driver: instead of one Python round-trip per step, :meth:`JitContext
 "regular" -- no graph events, no scheduler callbacks, no in-flight
 insert-edge messages, no active insertion schedules, drift rates constant
 over the window, delays static or uniform-random -- and executes that whole
-prefix in one call to the fused kernel (numba, compiled C, or interpreted
-Python; see :mod:`repro.jitsim.providers`).  Steps that are not regular run
+prefix in one call to the fused kernel (numba or compiled C; see
+:mod:`repro.jitsim.providers`).  Steps that are not regular run
 through the inherited vec ``_step``, so every scenario the vec backend
 supports runs here with the exact same results; fully regular runs (the
 whole AOPT+oracle benchmark family) never leave the kernel.
@@ -21,11 +21,6 @@ trace samples / streaming-observer feeds are replayed after the segment in
 the exact (step, engine) order the per-step loop would have produced --
 sound because observers cannot request stops in fused runs (engines with
 armed watchdogs fall back to per-step execution).
-
-``float32=True`` opts one engine/context into narrowed state columns inside
-the kernel (times, delays and rng draws stay double).  This changes
-rounding by design -- it exists to measure the bandwidth headroom -- so the
-jit *backend* never enables it; the differential suite stays exact.
 """
 
 from __future__ import annotations
@@ -65,9 +60,7 @@ class JitEngine(VecEngine):
     """Drop-in vec engine whose context fuses regular steps into one kernel call.
 
     Same constructor contract and ``UnsupportedScenarioError`` behaviour as
-    :class:`~repro.vecsim.engine.VecEngine`; ``float32`` opts into the
-    approximate narrowed-dtype kernel (never used by the registered
-    backend).
+    :class:`~repro.vecsim.engine.VecEngine`.
     """
 
     def __init__(
@@ -77,27 +70,18 @@ class JitEngine(VecEngine):
         config: SimulationConfig,
         *,
         _defer_context: bool = False,
-        float32: bool = False,
-        provider: Optional[providers.KernelProvider] = None,
     ):
         super().__init__(graph, algorithm_factory, config, _defer_context=True)
         if not _defer_context:
-            JitContext([self], float32=float32, provider=provider)
+            JitContext([self])
 
 
 class JitContext(VecContext):
     """Lockstep batch driver executing regular step prefixes in one kernel call."""
 
-    def __init__(
-        self,
-        engines: Sequence[JitEngine],
-        *,
-        float32: bool = False,
-        provider: Optional[providers.KernelProvider] = None,
-    ):
+    def __init__(self, engines: Sequence[JitEngine]):
         super().__init__(engines)
-        self._provider = provider if provider is not None else providers.get_provider()
-        self._float32 = bool(float32)
+        self._provider = providers.get_provider()
         self._prep_key = None
         self._prep = None
         #: Diagnostics: how many steps ran fused vs. through the vec path.
@@ -246,7 +230,6 @@ class JitContext(VecContext):
             a is b for a, b in zip(self._prep_key, key)
         ):
             return self._prep
-        real = self._provider.real_dtype(self._float32)
         combined = self._combined
         n_nodes = self.node_count
         n_engines = len(engines)
@@ -289,16 +272,15 @@ class JitContext(VecContext):
                 dp_span[ei] = plan._model.high_fraction - plan._model.low_fraction
         max_degree = int(degrees.max()) if len(degrees) else 0
         prep = {
-            "real": real,
             "engine_start": engine_start,
             "engine_of": engine_of,
             "indptr": indptr,
             "nbr": combined.neighbor_index,
-            "eps": combined.epsilon.astype(real, copy=False),
+            "eps": combined.epsilon,
             "level": combined.level,
             "table_id": combined.table_id,
             "thresholds": np.ascontiguousarray(
-                combined.thresholds, dtype=real
+                combined.thresholds, dtype=np.float64
             ).reshape(-1),
             "n_levels": combined.max_level,
             "sb_indptr": sb_indptr,
@@ -320,12 +302,12 @@ class JitContext(VecContext):
             "strategy": np.full(n_engines, self._strategy, dtype=np.int64),
             "bcast_interval": np.asarray(
                 [engine.aopt_config.broadcast_interval for engine in engines],
-                dtype=real,
+                dtype=np.float64,
             ),
-            "iota": self.iota.astype(real, copy=False),
-            "fast_mult": self.fast_multiplier.astype(real, copy=False),
-            "max_factor": self.max_factor.astype(real, copy=False),
-            "ahead_scratch": np.empty(max_degree, dtype=real),
+            "iota": self.iota,
+            "fast_mult": self.fast_multiplier,
+            "max_factor": self.max_factor,
+            "ahead_scratch": np.empty(max_degree, dtype=np.float64),
             "level_scratch": np.empty(max_degree, dtype=np.int64),
             "tid_scratch": np.empty(max_degree, dtype=np.int64),
         }
@@ -344,8 +326,6 @@ class JitContext(VecContext):
         self._refresh_structure()
         self._refresh_levels()
         prep = self._segment_prep()
-        real = prep["real"]
-        float32 = self._float32
         # Exact per-step time grid: the same repeated float addition the
         # per-step loop performs.
         t_steps = np.empty(steps + 1, dtype=np.float64)
@@ -383,13 +363,11 @@ class JitContext(VecContext):
         if pend_parts:
             pend_time = np.concatenate([part[0] for part in pend_parts])
             pend_recv = np.concatenate([part[1] for part in pend_parts])
-            pend_val = np.concatenate([part[2] for part in pend_parts]).astype(
-                real, copy=False
-            )
+            pend_val = np.concatenate([part[2] for part in pend_parts])
         else:
             pend_time = np.empty(0, dtype=np.float64)
             pend_recv = np.empty(0, dtype=np.int64)
-            pend_val = np.empty(0, dtype=real)
+            pend_val = np.empty(0, dtype=np.float64)
         n_pend = len(pend_time)
         # Message capacity: per engine, a sender can fire at most once per
         # step and otherwise needs its hardware clock to gain one broadcast
@@ -409,10 +387,10 @@ class JitContext(VecContext):
         bh_head = np.empty(steps + 1, dtype=np.int64)
         bh_next = np.empty(cap_total, dtype=np.int64)
         b_recv = np.empty(cap_total, dtype=np.int64)
-        b_val = np.empty(cap_total, dtype=real)
+        b_val = np.empty(cap_total, dtype=np.float64)
         b_time = np.empty(cap_total, dtype=np.float64)
         left_recv = np.empty(cap_total, dtype=np.int64)
-        left_val = np.empty(cap_total, dtype=real)
+        left_val = np.empty(cap_total, dtype=np.float64)
         left_time = np.empty(cap_total, dtype=np.float64)
         out_counts = np.zeros(2, dtype=np.int64)
         sent = np.zeros(n_engines, dtype=np.int64)
@@ -428,27 +406,11 @@ class JitContext(VecContext):
             snap_engine[si] = ei
             snap_offset[si] = offset
             offset += engines[ei].n
-        snap_logical = np.empty(offset, dtype=real)
-        snap_hardware = np.empty(offset, dtype=real)
-        snap_multiplier = np.empty(offset, dtype=real)
-        snap_max_estimate = np.empty(offset, dtype=real)
+        snap_logical = np.empty(offset, dtype=np.float64)
+        snap_hardware = np.empty(offset, dtype=np.float64)
+        snap_multiplier = np.empty(offset, dtype=np.float64)
+        snap_max_estimate = np.empty(offset, dtype=np.float64)
         snap_mode = np.empty(offset, dtype=np.int64)
-        if float32:
-            hardware = self.hardware.astype(real)
-            logical = self.logical.astype(real)
-            last_hardware = self.last_hardware.astype(real)
-            max_estimate = self.max_estimate.astype(real)
-            next_broadcast = self.next_broadcast.astype(real)
-            multiplier = self.multiplier.astype(real)
-            rates_real = rates.astype(real)
-        else:
-            hardware = self.hardware
-            logical = self.logical
-            last_hardware = self.last_hardware
-            max_estimate = self.max_estimate
-            next_broadcast = self.next_broadcast
-            multiplier = self.multiplier
-            rates_real = rates
         status = self._provider.fused_segment(
             self.node_count,
             n_engines,
@@ -457,17 +419,17 @@ class JitContext(VecContext):
             t_steps,
             prep["engine_start"],
             prep["engine_of"],
-            hardware,
-            logical,
-            last_hardware,
-            max_estimate,
-            next_broadcast,
-            multiplier,
+            self.hardware,
+            self.logical,
+            self.last_hardware,
+            self.max_estimate,
+            self.next_broadcast,
+            self.multiplier,
             self.mode,
             prep["iota"],
             prep["fast_mult"],
             prep["max_factor"],
-            rates_real,
+            rates,
             prep["bcast_interval"],
             prep["strategy"],
             prep["indptr"],
@@ -524,13 +486,6 @@ class JitContext(VecContext):
             raise RuntimeError(
                 f"jit kernel failed on a {steps}-step segment: {reason}"
             )
-        if float32:
-            self.hardware[:] = hardware
-            self.logical[:] = logical
-            self.last_hardware[:] = last_hardware
-            self.max_estimate[:] = max_estimate
-            self.next_broadcast[:] = next_broadcast
-            self.multiplier[:] = multiplier
         # Advance time exactly as the per-step loop would have.
         self.time = float(t_steps[steps])
         for engine in engines:
@@ -560,7 +515,7 @@ class JitContext(VecContext):
             order = np.argsort(left_time[:nleft])
             times = left_time[:nleft][order]
             receivers = left_recv[:nleft][order]
-            values = left_val[:nleft][order].astype(np.float64, copy=False)
+            values = left_val[:nleft][order]
             owner = prep["engine_of"][receivers]
             for ei in np.flatnonzero(np.bincount(owner, minlength=n_engines)):
                 mine = owner == ei

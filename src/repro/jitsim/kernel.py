@@ -12,8 +12,7 @@ flat ``int64`` / float arrays, no Python objects, no allocation, no calls
 into the standard library.  That makes them
 
 * directly ``numba.njit``-able (the decorators below are no-ops when numba
-  is not installed, so the same code doubles as the interpreted fallback
-  provider), and
+  is not installed), and
 * a line-for-line template for the C port in ``_fused_loop.c`` (compiled on
   demand by :mod:`repro.jitsim.providers` when numba is unavailable).
 

@@ -1,6 +1,6 @@
 """Kernel providers for the jit backend.
 
-The fused segment kernel (:mod:`repro.jitsim.kernel`) has three executable
+The fused segment kernel (:mod:`repro.jitsim.kernel`) has two executable
 forms, resolved in this order:
 
 ``numba``
@@ -10,24 +10,18 @@ forms, resolved in this order:
 ``cc``
     The C port (``_fused_loop.c``) compiled on demand into a cached shared
     library with the system C compiler and called through :mod:`ctypes`.
-    Compile flags are ``-O2 -ffp-contract=off`` and deliberately *not*
+    Compile flags are ``-O3 -ffp-contract=off`` and deliberately *not*
     ``-march=native`` / ``-ffast-math``: plain IEEE-754 double ops in source
     order, so the library is bit-identical to the Python kernel.
-``python``
-    The interpreted kernel itself.  Slower than vecsim's whole-array NumPy
-    for large ``n`` (it exists for differential testing where no compiler
-    toolchain is available), so it is **opt-in only** via
-    ``REPRO_JIT_PROVIDER=python`` -- the jit backend reports unavailable
-    rather than silently running an interpreted "compiled tier".
 
-``REPRO_JIT_PROVIDER`` forces a specific provider (``numba`` / ``cc`` /
-``python``) and raises :class:`ProviderUnavailableError` if that provider
-cannot be used.  ``REPRO_JIT_CACHE_DIR`` overrides where compiled shared
-libraries are cached (default ``~/.cache/repro-jitsim``).
+When neither can run, the jit backend reports unavailable.
+``REPRO_JIT_CACHE_DIR`` overrides where compiled shared libraries are cached
+(default ``~/.cache/repro-jitsim``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -40,21 +34,19 @@ from typing import Optional
 __all__ = [
     "KernelProvider",
     "ProviderUnavailableError",
-    "available_provider_names",
     "get_provider",
     "provider_available",
     "reset_provider_cache",
 ]
 
-PROVIDER_ENV = "REPRO_JIT_PROVIDER"
 CACHE_DIR_ENV = "REPRO_JIT_CACHE_DIR"
 
 #: Bump when the kernel ABI (argument list) changes so stale cached shared
 #: libraries are never loaded.
 _KERNEL_ABI = 1
 
-#: ctypes argument spec for ``fused_segment`` in canonical order.  ``real``
-#: arrays are double in exact mode and float in the opt-in float32 mode.
+#: ctypes argument spec for ``fused_segment`` in canonical order (``real``
+#: is the C kernel's name for double).
 _ARG_KINDS = (
     "i64",  # n_nodes
     "i64",  # n_engines
@@ -130,28 +122,22 @@ class ProviderUnavailableError(RuntimeError):
 class KernelProvider:
     """One executable form of the fused segment kernel.
 
-    ``name`` is ``numba`` / ``cc`` / ``python``; ``real_dtype(float32)``
-    names the numpy dtype state columns must use, and ``fused_segment`` runs
-    one segment (canonical argument order, returns the int status).
+    ``name`` is ``numba`` or ``cc``; ``fused_segment`` runs one segment
+    (canonical argument order, returns the int status).
     """
 
     def __init__(self, name: str):
         self.name = name
 
-    def real_dtype(self, float32: bool):
-        import numpy as np
-
-        return np.float32 if float32 else np.float64
-
     def fused_segment(self, *args):  # pragma: no cover - interface
         raise NotImplementedError
 
 
-class _PythonProvider(KernelProvider):
-    """Interpreted (or numba-compiled, when numba is importable) kernel."""
+class _NumbaProvider(KernelProvider):
+    """The numba-compiled Python kernel."""
 
-    def __init__(self, name: str = "python"):
-        super().__init__(name)
+    def __init__(self):
+        super().__init__("numba")
         from . import kernel
 
         self._kernel = kernel
@@ -161,27 +147,19 @@ class _PythonProvider(KernelProvider):
 
 
 class _CCProvider(KernelProvider):
-    """The compiled C kernel, loaded per real-dtype via ctypes."""
+    """The compiled C kernel, loaded via ctypes on first use."""
 
     def __init__(self, compiler: str):
         super().__init__("cc")
         self._compiler = compiler
-        self._libs = {}
-
-    def _function(self, float32: bool):
-        fn = self._libs.get(float32)
-        if fn is None:
-            lib = ctypes.CDLL(str(_compiled_library(self._compiler, float32)))
-            fn = lib.fused_segment
-            fn.restype = ctypes.c_int64
-            self._libs[float32] = fn
-        return fn
+        self._fn = None
 
     def fused_segment(self, *args):
-        import numpy as np
-
-        float32 = bool(args[7].dtype == np.float32)  # hardware column
-        fn = self._function(float32)
+        fn = self._fn
+        if fn is None:
+            lib = ctypes.CDLL(str(_compiled_library(self._compiler)))
+            fn = self._fn = lib.fused_segment
+            fn.restype = ctypes.c_int64
         cargs = []
         for kind, value in zip(_ARG_KINDS, args):
             if kind == "i64":
@@ -213,13 +191,15 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
-def _compiled_library(compiler: str, float32: bool) -> Path:
-    """Compile (or reuse the cached) shared library for one real dtype.
+def _compiled_library(compiler: str) -> Path:
+    """Compile (or reuse the cached) shared library of the C kernel.
 
     The cache key hashes the kernel source, the ABI version, the compiler
-    name and the dtype, so editing the kernel or switching toolchains never
+    name and the flags, so editing the kernel or switching toolchains never
     loads a stale library.  Compilation is atomic (build to a temp file,
     ``os.replace`` into place) so concurrent sweep workers race benignly.
+    A cache directory that cannot be created or written declines the
+    provider like a failed compile does.
     """
     source = _source_path()
     payload = source.read_bytes()
@@ -227,8 +207,6 @@ def _compiled_library(compiler: str, float32: bool) -> Path:
     # -march=native, contraction off -- plain IEEE-754 ops in source order,
     # so the library stays bit-identical to the Python/numba kernel.
     flags = ["-O3", "-fPIC", "-shared", "-ffp-contract=off"]
-    if float32:
-        flags.append("-DJIT_REAL=float")
     tag = hashlib.sha256(
         b"|".join(
             [
@@ -240,28 +218,27 @@ def _compiled_library(compiler: str, float32: bool) -> Path:
         )
     ).hexdigest()[:16]
     cache = _cache_dir()
-    lib_path = cache / f"fused_loop_{'f32' if float32 else 'f64'}_{tag}.so"
+    lib_path = cache / f"fused_loop_{tag}.so"
     if lib_path.exists():
         return lib_path
-    cache.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(cache))
-    os.close(fd)
-    cmd = [compiler] + flags + ["-o", tmp, str(source)]
+    tmp = None
     try:
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(cache))
+        os.close(fd)
         subprocess.run(
-            cmd,
+            [compiler] + flags + ["-o", tmp, str(source)],
             check=True,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
         os.replace(tmp, lib_path)
     except (OSError, subprocess.CalledProcessError) as exc:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise ProviderUnavailableError(
-            f"compiling the jit kernel with {compiler!r} failed: {exc}"
+            f"compiling the jit kernel with {compiler!r} into {cache} failed: {exc}"
         ) from exc
     return lib_path
 
@@ -284,7 +261,7 @@ def _cc_usable() -> bool:
     if compiler is None:
         return False
     try:
-        _compiled_library(compiler, False)
+        _compiled_library(compiler)
     except ProviderUnavailableError:
         return False
     return True
@@ -302,28 +279,8 @@ def reset_provider_cache() -> None:
 def _resolve() -> Optional[KernelProvider]:
     if not _numpy_available():
         return None
-    forced = os.environ.get(PROVIDER_ENV)
-    if forced:
-        if forced == "numba":
-            if not _numba_available():
-                raise ProviderUnavailableError(
-                    "REPRO_JIT_PROVIDER=numba but numba is not importable"
-                )
-            return _PythonProvider("numba")
-        if forced == "cc":
-            compiler = _find_compiler()
-            if compiler is None or not _cc_usable():
-                raise ProviderUnavailableError(
-                    "REPRO_JIT_PROVIDER=cc but no working C compiler was found"
-                )
-            return _CCProvider(compiler)
-        if forced == "python":
-            return _PythonProvider("python")
-        raise ProviderUnavailableError(
-            f"unknown REPRO_JIT_PROVIDER {forced!r} (use numba, cc or python)"
-        )
     if _numba_available():
-        return _PythonProvider("numba")
+        return _NumbaProvider()
     if _cc_usable():
         return _CCProvider(_find_compiler())
     return None
@@ -334,8 +291,6 @@ def get_provider() -> Optional[KernelProvider]:
 
     Resolution (numba import probe, compile self-check) runs once; tests
     that monkeypatch availability call :func:`reset_provider_cache`.
-    Raises :class:`ProviderUnavailableError` when ``REPRO_JIT_PROVIDER``
-    names a provider that cannot run.
     """
     global _RESOLVED
     if _RESOLVED is None:
@@ -344,19 +299,4 @@ def get_provider() -> Optional[KernelProvider]:
 
 
 def provider_available() -> bool:
-    try:
-        return get_provider() is not None
-    except ProviderUnavailableError:
-        return False
-
-
-def available_provider_names() -> list:
-    """All providers that could run here (diagnostics, ``repro-experiments list``)."""
-    names = []
-    if _numpy_available():
-        if _numba_available():
-            names.append("numba")
-        if _cc_usable():
-            names.append("cc")
-        names.append("python")
-    return names
+    return get_provider() is not None

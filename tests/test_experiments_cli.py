@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.experiments import cli
 
 
@@ -251,39 +249,6 @@ class TestBench:
         (entry,) = payload["results"]
         assert entry["estimate_mode"] == "broadcast"
         assert entry["traces_identical"] is True
-
-    def test_bench_float32_requires_jit_backend(self, capsys):
-        assert run_cli(*self.bench_args("--float32", "--output", "")) == 2
-        assert "add 'jit'" in capsys.readouterr().err
-
-    def test_bench_float32_column_is_timed_not_gated(self, tmp_path, capsys):
-        from repro.fastsim.backend import backend_available
-
-        if not backend_available("jit"):
-            pytest.skip("jit backend unavailable (no provider)")
-        output = tmp_path / "bench_f32.json"
-        assert (
-            run_cli(
-                *self.bench_args(
-                    "--backends",
-                    "vec,jit",
-                    "--float32",
-                    "--output",
-                    str(output),
-                )
-            )
-            == 0
-        )
-        table = capsys.readouterr().out
-        assert "f32 [s] (approx)" in table
-        payload = json.loads(output.read_text())
-        (entry,) = payload["results"]
-        assert entry["jit_float32_seconds"] > 0
-        assert entry["jit_float32_speedup_over_jit"] > 0
-        # The approx-only column never joins the equivalence verdict: the
-        # verdict covers the exact backends only and must stay true.
-        assert entry["traces_identical"] is True
-        assert payload["config"]["float32"] is True
 
 
 class TestCacheCommand:

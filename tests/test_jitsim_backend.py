@@ -1,6 +1,6 @@
 """Unit tests for the jitsim subsystem: backend plumbing, provider
-resolution, graceful degradation without numba/compiler, cache-key suffix,
-batch dispatch, executor fallback accounting and the float32 opt-in."""
+resolution, graceful degradation without numba/compiler, the compiled-library
+cache, cache-key suffix, batch dispatch and executor fallback accounting."""
 
 import logging
 
@@ -61,27 +61,15 @@ class TestJitBackendRegistration:
         )
         assert isinstance(engine, JitEngine)
 
-    @pytest.mark.skipif(not provider_available(), reason="no jit provider here")
-    def test_backend_never_enables_float32(self):
-        """The registry only ever builds exact engines; float32 is an
-        engine-level experiment flag outside the spec/cache contract."""
-        materialised = registry.build_scenario(quick_spec(backend="jit"))
-        engine = get_backend("jit").build(
-            materialised.graph, materialised.algorithm_factory, materialised.config
-        )
-        assert engine._ctx._float32 is False
-
 
 class TestProviderResolution:
     def test_unavailable_without_numba_and_compiler(self, fresh_providers):
-        fresh_providers.delenv(providers.PROVIDER_ENV, raising=False)
         fresh_providers.setattr(providers, "_numba_available", lambda: False)
         fresh_providers.setattr(providers, "_cc_usable", lambda: False)
         assert provider_available() is False
         assert backend_available("jit") is False
 
     def test_build_raises_backend_unavailable(self, fresh_providers):
-        fresh_providers.delenv(providers.PROVIDER_ENV, raising=False)
         fresh_providers.setattr(providers, "_numba_available", lambda: False)
         fresh_providers.setattr(providers, "_cc_usable", lambda: False)
         materialised = registry.build_scenario(quick_spec(backend="jit"))
@@ -100,30 +88,46 @@ class TestProviderResolution:
         fresh_providers.setattr(backend_mod, "_numpy_available", lambda: False)
         assert backend_available("jit") is False
 
-    def test_forced_unknown_provider_reports_unavailable(self, fresh_providers):
-        fresh_providers.setenv(providers.PROVIDER_ENV, "warp-drive")
-        with pytest.raises(ProviderUnavailableError, match="warp-drive"):
-            providers.get_provider()
-        assert provider_available() is False
-
-    def test_forced_python_provider_resolves(self, fresh_providers):
-        fresh_providers.setenv(providers.PROVIDER_ENV, "python")
-        provider = providers.get_provider()
-        assert provider is not None
-        assert provider.name == "python"
-        # The pure-python provider is opt-in only: it never wins the
-        # unforced resolution race (numba -> cc -> None).
-        assert "python" in providers.available_provider_names()
-
     def test_cli_list_marks_jit_unavailable(self, fresh_providers, capsys):
         from repro.experiments import cli
 
-        fresh_providers.delenv(providers.PROVIDER_ENV, raising=False)
         fresh_providers.setattr(providers, "_numba_available", lambda: False)
         fresh_providers.setattr(providers, "_cc_usable", lambda: False)
         assert cli.main(["list"]) == 0
         out = capsys.readouterr().out
         assert "jit [unavailable" in out
+
+    @pytest.mark.skipif(not provider_available(), reason="no jit provider here")
+    def test_cli_list_names_the_provider_that_runs(self, capsys):
+        from repro.experiments import cli
+
+        assert cli.main(["list"]) == 0
+        name = providers.get_provider().name
+        assert name in {"numba", "cc"}
+        assert f"jit (provider: {name})" in capsys.readouterr().out
+
+    def test_uncreatable_cache_dir_declines_jit(
+        self, fresh_providers, tmp_path, capsys
+    ):
+        """A cache directory under a regular file makes the C provider
+        unusable; availability answers ``False`` instead of raising."""
+        from repro.experiments import cli
+        from repro.service.core import ServiceConfig, SweepService
+
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        fresh_providers.setenv(providers.CACHE_DIR_ENV, str(blocker / "cache"))
+        fresh_providers.setattr(providers, "_numba_available", lambda: False)
+        if providers._find_compiler() is not None:
+            with pytest.raises(ProviderUnavailableError):
+                providers._compiled_library(providers._find_compiler())
+        assert providers._cc_usable() is False
+        assert provider_available() is False
+        assert backend_available("jit") is False
+        service = SweepService(tmp_path / "results", config=ServiceConfig(workers=1))
+        assert service.describe()["backends"]["jit"] is False
+        assert cli.main(["list"]) == 0
+        assert "jit [unavailable" in capsys.readouterr().out
 
     def test_healthz_reports_backend_availability(self, tmp_path):
         from repro.service.core import ServiceConfig, SweepService
@@ -135,6 +139,72 @@ class TestProviderResolution:
         assert set(payload["backends"]) == {"fast", "jit", "reference", "vec"}
         assert payload["backends"]["reference"] is True
         assert payload["backends"]["jit"] == backend_available("jit")
+
+
+@pytest.mark.skipif(
+    providers._find_compiler() is None, reason="no C compiler here"
+)
+class TestCompiledLibraryCache:
+    """The C kernel compiles once per source into ``REPRO_JIT_CACHE_DIR``."""
+
+    @pytest.fixture
+    def fresh_cache(self, fresh_providers, tmp_path):
+        """A fresh cache directory and the list of compiler invocations."""
+        cache = tmp_path / "jit-cache"
+        fresh_providers.setenv(providers.CACHE_DIR_ENV, str(cache))
+        fresh_providers.setattr(providers, "_numba_available", lambda: False)
+        compiles = []
+        real_run = providers.subprocess.run
+
+        def counting_run(cmd, *args, **kwargs):
+            compiles.append(cmd)
+            return real_run(cmd, *args, **kwargs)
+
+        fresh_providers.setattr(providers.subprocess, "run", counting_run)
+        return cache, compiles
+
+    def test_compiles_once_then_reuses_the_library(self, fresh_cache):
+        cache, compiles = fresh_cache
+        assert providers.get_provider().name == "cc"
+        assert len(compiles) == 1
+        reset_provider_cache()
+        assert providers.get_provider().name == "cc"
+        assert len(compiles) == 1
+        (library,) = cache.iterdir()
+        assert library.name.startswith("fused_loop_")
+        assert library.suffix == ".so"
+
+    def test_a_run_loads_the_library_it_resolved(self, fresh_cache):
+        cache, compiles = fresh_cache
+        spec = quick_spec(backend="jit")
+        payload = execute_spec(spec)
+        assert len(compiles) == 1
+        expected = execute_spec(spec.with_backend("reference"))
+        assert payload["trace"] == expected["trace"]
+        assert payload["summary"] == expected["summary"]
+
+    def test_failing_compiler_leaves_nothing_behind(self, fresh_cache, monkeypatch):
+        cache, compiles = fresh_cache
+        monkeypatch.setenv("CC", "false")
+        assert providers._find_compiler() == "false"
+        assert providers._cc_usable() is False
+        assert len(compiles) == 1
+        assert not cache.exists() or list(cache.iterdir()) == []
+
+    def test_edited_source_gets_its_own_library(self, fresh_cache, tmp_path):
+        cache, compiles = fresh_cache
+        compiler = providers._find_compiler()
+        original = providers._compiled_library(compiler)
+        edited = tmp_path / "_fused_loop.c"
+        edited.write_bytes(
+            providers._source_path().read_bytes() + b"/* edited */\n"
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(providers, "_source_path", lambda: edited)
+            rebuilt = providers._compiled_library(compiler)
+        assert rebuilt != original
+        assert len(compiles) == 2
+        assert sorted(cache.iterdir()) == sorted([original, rebuilt])
 
 
 class TestCacheKeySuffix:
@@ -240,34 +310,6 @@ class TestFallbackAccounting:
         assert run.requested_backend == "fast"
         assert runner.stats.broadcast_fallbacks == {"fast": 1}
         assert "broadcast-mode fallbacks: 1 from fast" in stats.describe()
-
-
-@pytest.mark.skipif(not provider_available(), reason="no jit provider here")
-class TestFloat32OptIn:
-    def build_engine(self, **kwargs):
-        materialised = registry.build_scenario(quick_spec(sim={"duration": 10.0}))
-        return (
-            JitEngine(
-                materialised.graph,
-                materialised.algorithm_factory,
-                materialised.config,
-                **kwargs,
-            ),
-            materialised,
-        )
-
-    def test_float32_runs_and_stays_close_but_is_not_exact_contract(self):
-        exact, materialised = self.build_engine()
-        exact.run(materialised.config.duration)
-        narrowed, materialised = self.build_engine(float32=True)
-        assert narrowed._ctx._float32 is True
-        narrowed.run(materialised.config.duration)
-        exact_skews = [s.global_skew() for s in exact.trace.samples]
-        narrow_skews = [s.global_skew() for s in narrowed.trace.samples]
-        assert len(exact_skews) == len(narrow_skews)
-        # Approximate agreement only -- float32 is explicitly outside the
-        # bit-identical family, which is why the backend never enables it.
-        assert np.allclose(exact_skews, narrow_skews, rtol=1e-3, atol=1e-3)
 
 
 class TestUniformConfigMarker:
