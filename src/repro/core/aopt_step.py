@@ -40,8 +40,8 @@ and empty above, so ``any(a_k >= thr)`` is ``max(a_k) >= thr``, ``all(a_k <=
 thr)`` is ``max(a_k) <= thr`` (negating a float is exact) and the trigger
 needs the two extreme leads only; the early exit holds as before, since the
 thresholds never decrease with the level.  ``vecsim/kernels.py``
-(``row_thresholds``), ``jitsim/kernel.py::_evaluate_mode_uniform`` and
-``_fused_loop.c::evaluate_mode_uniform`` hold the same collapse.
+(``row_thresholds``) and ``jitsim/_fused_loop.c::evaluate_mode_uniform``
+hold the same collapse.
 
 The differential suite (``tests/test_fastsim_equivalence.py``), the unit
 tests in ``tests/test_fastsim_backend.py`` and

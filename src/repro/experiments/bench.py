@@ -178,8 +178,8 @@ _WARMED: set = set()
 
 def _warm_backend(name: str, estimate_mode: str = "oracle") -> None:
     """One small untimed run so first-use initialisation (numpy ufunc and
-    dispatch caches, and for ``jit`` the one-off kernel compilation --
-    numba JIT or the on-demand C build) never lands in a measurement."""
+    dispatch caches, and for ``jit`` the one-off C kernel build) never
+    lands in a measurement."""
     key = (name, estimate_mode)
     if key in _WARMED:
         return

@@ -24,11 +24,9 @@ Four backends ship with the library:
   raises :class:`BackendUnavailableError`;
 * ``"jit"`` -- the compiled fused-time-loop :class:`repro.jitsim.JitEngine`,
   same supported scenarios and bit-identity contract as ``vec`` but with
-  regular step segments executed in one compiled kernel call (numba when
-  importable -- ``pip install 'repro[jit]'`` -- else the bundled C kernel
-  compiled on demand with the system toolchain).  Without numpy *and* a
-  kernel provider, :meth:`JitBackend.build` raises
-  :class:`BackendUnavailableError`.
+  regular step segments executed in one call of the bundled C kernel,
+  compiled on demand with the system toolchain.  Without numpy and a C
+  compiler, :meth:`JitBackend.build` raises :class:`BackendUnavailableError`.
 
 Backends are selected per scenario through the ``backend`` field of
 :class:`repro.experiments.spec.ScenarioSpec` (and hence from the CLI via
@@ -206,9 +204,9 @@ class JitBackend:
     """The compiled fused-time-loop engine (AOPT, oracle/broadcast, bit-identical).
 
     Registered unconditionally like ``vec``; building needs numpy plus a
-    kernel provider (numba, or a working C compiler for the bundled kernel
-    source -- see :mod:`repro.jitsim.providers`).  Every spec routed through
-    the backend stays bit-identical to reference/fast/vec.
+    working C compiler for the bundled kernel source (see
+    :mod:`repro.jitsim.providers`).  Every spec routed through the backend
+    stays bit-identical to reference/fast/vec.
     """
 
     name = "jit"
@@ -224,8 +222,8 @@ class JitBackend:
     def _require(self) -> None:
         if not self.available():
             raise BackendUnavailableError(
-                "the 'jit' backend needs numpy and a kernel provider "
-                "(numba -- pip install 'repro[jit]' -- or a C compiler); "
+                "the 'jit' backend needs numpy and a C compiler "
+                "(pip install 'repro[jit]'); "
                 "installed backends: " + ", ".join(available_backend_names())
             )
 

@@ -125,7 +125,7 @@ class FastEngine:
     """Array-based fixed-step simulator specialized for the AOPT family.
 
     The node body of :meth:`_control_all` is that of
-    ``jitsim/kernel.py::fused_segment``: max-estimate advance, broadcast send
+    ``jitsim/_fused_loop.c::fused_segment``: max-estimate advance, broadcast send
     from a per-row list, then ``evaluate_mode_uniform`` over the row's extreme
     leads or ``evaluate_mode_flat`` over a mixed row.
     """

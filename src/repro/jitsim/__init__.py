@@ -3,10 +3,9 @@
 A fourth :class:`~repro.fastsim.backend.EngineBackend` that keeps vecsim's
 semantics (and bit-identical results) while replacing the per-step Python
 round-trips with one compiled kernel invocation per regular step segment.
-See :mod:`repro.jitsim.engine` for the driver, :mod:`repro.jitsim.kernel`
-for the (numba-njittable) fused loop, ``_fused_loop.c`` for its line-for-line
-C port, and :mod:`repro.jitsim.providers` for how an executable kernel form
-(numba or on-demand-compiled C) is resolved.
+See :mod:`repro.jitsim.engine` for the driver, ``_fused_loop.c`` for the
+fused loop, and :mod:`repro.jitsim.providers` for how it is compiled and
+loaded.
 """
 
 from .engine import JitContext, JitEngine, build_batch

@@ -1,15 +1,31 @@
-/* C port of repro/jitsim/kernel.py -- the fused time-loop kernel.
+/* The fused time-loop kernel of the jit backend.
  *
- * Line-for-line mirror of `fused_segment` (see kernel.py for the phase
- * documentation and the bit-identity contract).  Compiled on demand by
- * repro.jitsim.providers with
+ * One call to `fused_segment` runs `steps` regular lockstep steps for a
+ * whole batch of runs: broadcast delivery, max-estimate maintenance,
+ * broadcast sends (in-kernel MT19937 delay draws), trigger/mode evaluation,
+ * trace snapshots and clock advancement, in the phase order of
+ * VecContext._step.  It returns 0, or 1 on message-buffer overflow (a
+ * caller sizing bug), 2 on a failed scratch allocation.  Readable twins:
+ * core/aopt_step.py::evaluate_mode_{uniform,flat} and
+ * FastEngine._control_all.  Compiled on demand by repro.jitsim.providers
+ * with
  *
  *     cc -O3 -fPIC -shared -ffp-contract=off
  *
  * -ffp-contract=off (and the absence of any -ffast-math / -march flag)
- * guarantees plain IEEE-754 double ops in source order, so the compiled
- * loop produces bit-identical floats to the Python/numba kernel and
- * therefore to the reference engine.
+ * guarantees plain IEEE-754 double ops in source order.  Bit-identity with
+ * the reference engine rests on four more points:
+ *
+ * - MT19937 is CPython's random.random() (genrand_res53: two tempered
+ *   outputs combined as (a*2^26 + b) / 2^53) over state transplanted from
+ *   random.Random.getstate(); state words travel as int64 (< 2^32).
+ * - A uniform delay is the float expression of Random.uniform(a, b) * bound
+ *   followed by min(delay, bound), as in UniformRandomDelay.delay.
+ * - A send lands in the first step j with delivery_time <= t_steps[j] +
+ *   1e-12, the predicate of VecContext._deliver_broadcasts; within a step
+ *   the order is irrelevant because max-updates commute.
+ * - evaluate_mode is evaluate_mode_flat over a flattened (T, 4, L)
+ *   threshold array.
  */
 
 #include <math.h>

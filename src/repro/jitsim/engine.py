@@ -7,7 +7,7 @@ driver: instead of one Python round-trip per step, :meth:`JitContext
 "regular" -- no graph events, no scheduler callbacks, no in-flight
 insert-edge messages, no active insertion schedules, drift rates constant
 over the window, delays static or uniform-random -- and executes that whole
-prefix in one call to the fused kernel (numba or compiled C; see
+prefix in one call to the compiled C kernel (see
 :mod:`repro.jitsim.providers`).  Steps that are not regular run
 through the inherited vec ``_step``, so every scenario the vec backend
 supports runs here with the exact same results; fully regular runs (the
@@ -116,7 +116,7 @@ class JitContext(VecContext):
         through the inherited, bit-identical vec path.
         """
         if self._provider is None:
-            return "no kernel provider"
+            return "no compiled kernel"
         if self._strategy == 1:
             return "uniform estimate strategy draws in set order"
         if self.engines and self.engines[0]._bc_mode:

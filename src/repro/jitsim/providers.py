@@ -1,22 +1,13 @@
-"""Kernel providers for the jit backend.
+"""The compiled kernel of the jit backend.
 
-The fused segment kernel (:mod:`repro.jitsim.kernel`) has two executable
-forms, resolved in this order:
-
-``numba``
-    ``numba.njit``-compiled Python kernel (the preferred form from
-    ISSUE/ROADMAP; used automatically whenever numba is importable, e.g. on
-    the numba-equipped CI leg).
-``cc``
-    The C port (``_fused_loop.c``) compiled on demand into a cached shared
-    library with the system C compiler and called through :mod:`ctypes`.
-    Compile flags are ``-O3 -ffp-contract=off`` and deliberately *not*
-    ``-march=native`` / ``-ffast-math``: plain IEEE-754 double ops in source
-    order, so the library is bit-identical to the Python kernel.
-
-When neither can run, the jit backend reports unavailable.
-``REPRO_JIT_CACHE_DIR`` overrides where compiled shared libraries are cached
-(default ``~/.cache/repro-jitsim``).
+The fused segment kernel is ``_fused_loop.c``, compiled on demand into a
+cached shared library with the system C compiler and called through
+:mod:`ctypes`.  Compile flags are ``-O3 -ffp-contract=off`` and
+deliberately *not* ``-march=native`` / ``-ffast-math``: plain IEEE-754
+double ops in source order, so the library is bit-identical to the
+reference engine.  Without numpy or a working C compiler the jit backend
+reports unavailable.  ``REPRO_JIT_CACHE_DIR`` overrides where compiled
+shared libraries are cached (default ``~/.cache/repro-jitsim``).
 """
 
 from __future__ import annotations
@@ -116,41 +107,19 @@ _ARG_KINDS = (
 
 
 class ProviderUnavailableError(RuntimeError):
-    """No kernel provider (numba / C toolchain) can run the jit backend."""
+    """No C toolchain can build the jit kernel."""
 
 
 class KernelProvider:
-    """One executable form of the fused segment kernel.
+    """The compiled C kernel, loaded via ctypes on first use.
 
-    ``name`` is ``numba`` or ``cc``; ``fused_segment`` runs one segment
-    (canonical argument order, returns the int status).
+    ``name`` is ``cc``; ``fused_segment`` runs one segment (canonical
+    argument order, returns the int status).
     """
 
-    def __init__(self, name: str):
-        self.name = name
-
-    def fused_segment(self, *args):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class _NumbaProvider(KernelProvider):
-    """The numba-compiled Python kernel."""
-
-    def __init__(self):
-        super().__init__("numba")
-        from . import kernel
-
-        self._kernel = kernel
-
-    def fused_segment(self, *args):
-        return int(self._kernel.fused_segment(*args))
-
-
-class _CCProvider(KernelProvider):
-    """The compiled C kernel, loaded via ctypes on first use."""
+    name = "cc"
 
     def __init__(self, compiler: str):
-        super().__init__("cc")
         self._compiler = compiler
         self._fn = None
 
@@ -199,13 +168,13 @@ def _compiled_library(compiler: str) -> Path:
     loads a stale library.  Compilation is atomic (build to a temp file,
     ``os.replace`` into place) so concurrent sweep workers race benignly.
     A cache directory that cannot be created or written declines the
-    provider like a failed compile does.
+    kernel like a failed compile does.
     """
     source = _source_path()
     payload = source.read_bytes()
     # -O3 without any of the value-changing flags: no -ffast-math, no
     # -march=native, contraction off -- plain IEEE-754 ops in source order,
-    # so the library stays bit-identical to the Python/numba kernel.
+    # so the library stays bit-identical to the reference engine.
     flags = ["-O3", "-fPIC", "-shared", "-ffp-contract=off"]
     tag = hashlib.sha256(
         b"|".join(
@@ -249,14 +218,8 @@ def _numpy_available() -> bool:
     return importlib.util.find_spec("numpy") is not None
 
 
-def _numba_available() -> bool:
-    from . import kernel
-
-    return kernel.NUMBA_AVAILABLE
-
-
 def _cc_usable() -> bool:
-    """Whether the C provider can actually produce a library (cached)."""
+    """Whether the C kernel can actually produce a library (cached)."""
     compiler = _find_compiler()
     if compiler is None:
         return False
@@ -271,26 +234,22 @@ _RESOLVED: Optional[tuple] = None
 
 
 def reset_provider_cache() -> None:
-    """Forget the resolved provider (tests flip env vars / monkeypatches)."""
+    """Forget the resolved kernel (tests flip env vars / monkeypatches)."""
     global _RESOLVED
     _RESOLVED = None
 
 
 def _resolve() -> Optional[KernelProvider]:
-    if not _numpy_available():
-        return None
-    if _numba_available():
-        return _NumbaProvider()
-    if _cc_usable():
-        return _CCProvider(_find_compiler())
+    if _numpy_available() and _cc_usable():
+        return KernelProvider(_find_compiler())
     return None
 
 
 def get_provider() -> Optional[KernelProvider]:
-    """The resolved kernel provider for this process, or ``None``.
+    """The compiled kernel for this process, or ``None``.
 
-    Resolution (numba import probe, compile self-check) runs once; tests
-    that monkeypatch availability call :func:`reset_provider_cache`.
+    Resolution (compile self-check) runs once; tests that monkeypatch
+    availability call :func:`reset_provider_cache`.
     """
     global _RESOLVED
     if _RESOLVED is None:

@@ -818,12 +818,14 @@ class SweepService:
 
     def _execute_leased(self, job: Job, slot: int) -> None:
         indices = list(job.leased)
-        specs = [job.specs[i] for i in indices]
         fan_out = self._fan_out_for(job)
         error: Optional[str] = None
+        started = retried = False
 
         def on_event(kind: str, index: int, from_cache: bool) -> None:
+            nonlocal started
             if kind == "start":
+                started = True
                 fields = {"state": "running"}
             elif kind == "cached":
                 # Another writer completed this key between our submit-time
@@ -839,36 +841,28 @@ class SweepService:
 
         if not self._workers[slot].process.is_alive():
             self._replace_worker(slot, None)  # died idle: no job pays for it
-        worker = self._workers[slot]
-        worker.job = job
         try:
-            worker.conn.send([spec.to_dict() for spec in specs])
             while True:
-                data = worker.conn.recv_bytes()
-                job.pipe_bytes += len(data)
-                tag, *body = pickle.loads(data)  # written by our own worker
-                if tag == "event":
-                    kind, index, from_cache, entry = body
-                    index = indices[index]
-                    if entry is not None:
-                        self.cache.adopt(job.keys[index], *entry)
-                    on_event(kind, index, from_cache)
-                elif tag == "record":
-                    fan_out(*body)
-                elif tag == "done":
-                    (job.stats,) = body
-                    break
-                else:  # error
-                    (error,) = body
-                    break
-        except (EOFError, OSError):
-            error = self._replace_worker(slot, job)
-        except Exception as exc:  # pragma: no cover - defensive
-            # Our half of the conversation broke while the worker is mid-
-            # sweep: it cannot be handed another job, so it goes.
-            worker.stop_reason = f"internal service error: {exc}"
-            worker.process.terminate()
-            error = self._replace_worker(slot, job)
+                worker = self._workers[slot]
+                worker.job = job
+                try:
+                    error = self._converse(worker, job, indices, on_event, fan_out)
+                except (EOFError, OSError):
+                    error = self._replace_worker(slot, job)
+                    # A worker just sent SIGKILL can still look alive above,
+                    # and the job then goes down a dead pipe.  If no spec
+                    # started, none of it ran: a result is a pure function of
+                    # its spec, so the fresh worker gets the job once more.
+                    if not (started or retried) and self._workers[slot] is not worker:
+                        retried, error = True, None
+                        continue
+                except Exception as exc:  # pragma: no cover - defensive
+                    # Our half of the conversation broke while the worker is
+                    # mid-sweep: it cannot be handed another job, so it goes.
+                    worker.stop_reason = f"internal service error: {exc}"
+                    worker.process.terminate()
+                    error = self._replace_worker(slot, job)
+                break
         finally:
             worker.job = None
             if error is not None:
@@ -886,6 +880,30 @@ class SweepService:
                     if job.progress[index]["state"] == "failed":
                         entry.error = error or "execution failed"
                     entry.event.set()
+
+    def _converse(self, worker: _Worker, job: Job, indices, on_event, fan_out):
+        """Send the leased specs to ``worker`` and relay what comes back
+        until it finishes; returns the worker's error message or ``None``.
+        A dead pipe raises ``EOFError`` / ``OSError``."""
+        worker.conn.send([job.specs[i].to_dict() for i in indices])
+        while True:
+            data = worker.conn.recv_bytes()
+            job.pipe_bytes += len(data)
+            tag, *body = pickle.loads(data)  # written by our own worker
+            if tag == "event":
+                kind, index, from_cache, entry = body
+                index = indices[index]
+                if entry is not None:
+                    self.cache.adopt(job.keys[index], *entry)
+                on_event(kind, index, from_cache)
+            elif tag == "record":
+                fan_out(*body)
+            elif tag == "done":
+                (job.stats,) = body
+                return None
+            else:  # error
+                (error,) = body
+                return error
 
     def _await_followed(self, job: Job, index: int, entry: _Inflight) -> None:
         while not entry.event.wait(timeout=1.0):

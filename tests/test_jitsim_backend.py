@@ -1,5 +1,5 @@
 """Unit tests for the jitsim subsystem: backend plumbing, provider
-resolution, graceful degradation without numba/compiler, the compiled-library
+resolution, graceful degradation without a compiler, the compiled-library
 cache, cache-key suffix, batch dispatch and executor fallback accounting."""
 
 import logging
@@ -63,14 +63,12 @@ class TestJitBackendRegistration:
 
 
 class TestProviderResolution:
-    def test_unavailable_without_numba_and_compiler(self, fresh_providers):
-        fresh_providers.setattr(providers, "_numba_available", lambda: False)
+    def test_unavailable_without_compiler(self, fresh_providers):
         fresh_providers.setattr(providers, "_cc_usable", lambda: False)
         assert provider_available() is False
         assert backend_available("jit") is False
 
     def test_build_raises_backend_unavailable(self, fresh_providers):
-        fresh_providers.setattr(providers, "_numba_available", lambda: False)
         fresh_providers.setattr(providers, "_cc_usable", lambda: False)
         materialised = registry.build_scenario(quick_spec(backend="jit"))
         with pytest.raises(BackendUnavailableError) as excinfo:
@@ -80,7 +78,7 @@ class TestProviderResolution:
                 materialised.config,
             )
         message = str(excinfo.value)
-        assert "numba" in message
+        assert "C compiler" in message
         # The error lists the backends that can actually run.
         assert "fast" in message and "reference" in message
 
@@ -91,7 +89,6 @@ class TestProviderResolution:
     def test_cli_list_marks_jit_unavailable(self, fresh_providers, capsys):
         from repro.experiments import cli
 
-        fresh_providers.setattr(providers, "_numba_available", lambda: False)
         fresh_providers.setattr(providers, "_cc_usable", lambda: False)
         assert cli.main(["list"]) == 0
         out = capsys.readouterr().out
@@ -102,9 +99,7 @@ class TestProviderResolution:
         from repro.experiments import cli
 
         assert cli.main(["list"]) == 0
-        name = providers.get_provider().name
-        assert name in {"numba", "cc"}
-        assert f"jit (provider: {name})" in capsys.readouterr().out
+        assert "jit (provider: cc)" in capsys.readouterr().out
 
     def test_uncreatable_cache_dir_declines_jit(
         self, fresh_providers, tmp_path, capsys
@@ -117,7 +112,6 @@ class TestProviderResolution:
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")
         fresh_providers.setenv(providers.CACHE_DIR_ENV, str(blocker / "cache"))
-        fresh_providers.setattr(providers, "_numba_available", lambda: False)
         if providers._find_compiler() is not None:
             with pytest.raises(ProviderUnavailableError):
                 providers._compiled_library(providers._find_compiler())
@@ -152,7 +146,6 @@ class TestCompiledLibraryCache:
         """A fresh cache directory and the list of compiler invocations."""
         cache = tmp_path / "jit-cache"
         fresh_providers.setenv(providers.CACHE_DIR_ENV, str(cache))
-        fresh_providers.setattr(providers, "_numba_available", lambda: False)
         compiles = []
         real_run = providers.subprocess.run
 

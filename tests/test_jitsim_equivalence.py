@@ -6,8 +6,8 @@ fuzz specs and every delay model run on both backends with **exact**
 payload equality, and the batched execution path must be bit-identical to
 running each spec alone.
 
-The whole module is skipped when no kernel provider can run here (no
-numba and no C compiler); the jit backend would otherwise refuse to build.
+The whole module is skipped when the jit kernel cannot be built here (no
+C compiler); the jit backend would otherwise refuse to build.
 """
 
 import random
@@ -30,7 +30,7 @@ from repro.jitsim import provider_available  # noqa: E402
 
 pytestmark = pytest.mark.skipif(
     not provider_available(),
-    reason="no jit kernel provider (needs numba or a C compiler)",
+    reason="no jit kernel (needs a C compiler)",
 )
 
 #: Same shortened overrides as the fastsim/vecsim suites (tests/conftest.py).

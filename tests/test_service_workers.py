@@ -128,6 +128,31 @@ class TestWorkerDeath:
         finally:
             svc.stop()
 
+    def test_worker_that_still_looks_alive_after_sigkill_costs_no_job(
+        self, tmp_path, monkeypatch
+    ):
+        svc = SweepService(tmp_path / "cache", config=ServiceConfig(workers=1))
+        svc.start()
+        try:
+            (worker,) = svc._workers
+            os.kill(worker.process.pid, signal.SIGKILL)
+            worker.process.join(30.0)
+            # Just after the signal ``is_alive`` can still answer True: the
+            # job then goes down a dead pipe before any spec starts.
+            lies = [True]
+            real_is_alive = worker.process.is_alive
+            monkeypatch.setattr(
+                worker.process, "is_alive", lambda: lies.pop() if lies else real_is_alive()
+            )
+            job = svc.submit([tiny_spec()])
+            assert job.wait(60.0) and job.state == "done", job.error
+            assert lies == []
+            health = svc.describe()
+            assert health["workers"]["restarts"] == 1
+            assert health["counters"]["specs_executed"] == 1
+        finally:
+            svc.stop()
+
     def test_worker_exit_is_logged_with_a_schema_valid_event(self, tmp_path):
         from repro.service import JsonlLog
         from repro.telemetry import validate_jsonl

@@ -28,7 +28,7 @@ from repro.vecsim.engine import VecEngine  # noqa: E402
 
 needs_jit = pytest.mark.skipif(
     not provider_available(),
-    reason="no jit kernel provider (needs numba or a C compiler)",
+    reason="no jit kernel (needs a C compiler)",
 )
 BACKENDS = ["vec", pytest.param("jit", marks=needs_jit)]
 PAYLOAD_KEYS = ("summary", "observers", "trace", "meta")
