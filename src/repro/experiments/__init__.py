@@ -12,13 +12,14 @@ in parallel, cache it on disk":
 * :mod:`repro.experiments.results` -- the compact
   :class:`~repro.experiments.results.RunSummary` workers return instead of
   whole engines;
-* :mod:`repro.experiments.bench` -- the backend speed benchmark feeding
-  ``BENCH_fastsim.json`` (reference vs fast engine, see :mod:`repro.fastsim`);
+* :mod:`repro.experiments.bench` -- ``bench_spec``, the throughput scenario
+  family that ``benchmarks/perf`` times and the counted tier-1 gates run;
 * :mod:`repro.experiments.cli` -- the ``python -m repro.experiments``
-  command line (``list`` / ``run`` / ``sweep`` / ``bench`` / ``cache``).
+  command line (``list`` / ``run`` / ``sweep`` / ``cache`` / ``scenarios`` /
+  ``serve``).
 """
 
-from .bench import bench_spec, compare_bench_payloads, run_backend_bench, write_bench_json
+from .bench import bench_spec
 from .executor import (
     ExperimentRun,
     ExperimentRunner,
@@ -67,13 +68,10 @@ __all__ = [
     "build_run_pipeline",
     "build_scenario",
     "report_from_trace",
-    "compare_bench_payloads",
     "execute_spec",
     "execute_specs_batched",
     "expand_grid",
-    "run_backend_bench",
     "run_sweep",
     "scenario",
     "summarize",
-    "write_bench_json",
 ]

@@ -7,7 +7,6 @@
     python -m repro.experiments run line_scaling --set n=256 --set backend=fast
     python -m repro.experiments sweep line_scaling --grid n=4,8,16 \\
         --grid algorithm=AOPT,MaxPropagation --workers 4
-    python -m repro.experiments bench --sizes 64,256,1024
     python -m repro.experiments serve --port 8765        # sweep service daemon
     python -m repro.experiments cache --prune-older-than 86400
 
@@ -39,7 +38,6 @@ from ..fastsim.backend import (
 )
 from ..fastsim.engine import UnsupportedScenarioError
 from ..metrics import MetricsError
-from . import bench as bench_mod
 from . import executor, registry
 from .spec import ScenarioSpec
 
@@ -388,135 +386,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_csv(text: str, convert=str) -> list:
-    try:
-        return [convert(item.strip()) for item in text.split(",") if item.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _load_compare_baseline(args: argparse.Namespace) -> Optional[dict]:
-    """Read the ``--compare`` baseline up front so typos fail in
-    milliseconds instead of after the timing sweep."""
-    if not args.compare:
-        return None
-    try:
-        with open(args.compare) as handle:
-            return json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read --compare baseline {args.compare!r}: {exc}")
-
-
-def _bench_regression_check(
-    args: argparse.Namespace, baseline: Optional[dict], payload: dict
-) -> int:
-    """Apply ``--compare`` against a committed perf-trajectory file."""
-    if baseline is None:
-        return 0
-    try:
-        regressions = bench_mod.compare_bench_payloads(
-            baseline, payload, threshold=args.compare_threshold
-        )
-    except bench_mod.BenchError as exc:
-        raise CliError(str(exc)) from exc
-    if not regressions:
-        print(
-            f"no regressions against {args.compare} "
-            f"(threshold {args.compare_threshold:.0%})",
-            file=sys.stderr,
-        )
-        return 0
-    for item in regressions:
-        print(
-            f"regression: {item['backend']} on {item['topology']}/n={item['n']}: "
-            f"{item['current_seconds']:.3f}s vs baseline "
-            f"{item['baseline_seconds']:.3f}s ({item['ratio']:.2f}x)",
-            file=sys.stderr,
-        )
-    return 3
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = _parse_csv(args.sizes, int)
-    topologies = _parse_csv(args.topologies)
-    backends = _parse_csv(args.backends)
-    if not sizes or not topologies:
-        raise argparse.ArgumentTypeError("bench needs at least one size and topology")
-    # Validate the grid up front so bad arguments fail with a one-line
-    # error; the simulation itself then runs unwrapped, so genuine engine
-    # bugs still surface with a full traceback.
-    _check_user_input(
-        bench_mod.validate_bench_config,
-        sizes=sizes,
-        topologies=topologies,
-        duration=args.duration,
-        dt=args.dt,
-        repeats=args.repeats,
-        backends=backends,
-        trace=args.trace,
-        estimate_mode=args.estimate_mode,
-    )
-    baseline = _load_compare_baseline(args)
-    payload = bench_mod.run_backend_bench(
-        sizes=sizes,
-        topologies=topologies,
-        duration=args.duration,
-        dt=args.dt,
-        repeats=args.repeats,
-        backends=backends,
-        check_equivalence=not args.no_check,
-        trace=args.trace,
-        measure_memory=args.memory,
-        estimate_mode=args.estimate_mode,
-        broadcast_interval=args.broadcast_interval,
-    )
-    if args.output:
-        path = bench_mod.write_bench_json(payload, args.output)
-        print(f"wrote {path}", file=sys.stderr)
-    status = _bench_regression_check(args, baseline, payload)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return status
-    columns = ["topology", "n", "steps"]
-    columns += [f"{name} [s]" for name in backends]
-    speedup_keys = []
-    if "reference" in backends and "fast" in backends:
-        speedup_keys.append(("speedup", "speedup"))
-    if "fast" in backends and "vec" in backends:
-        speedup_keys.append(("vec/fast", "vec_speedup_over_fast"))
-    if "reference" in backends and "vec" in backends:
-        speedup_keys.append(("vec/ref", "vec_speedup_over_reference"))
-    if "vec" in backends and "jit" in backends:
-        speedup_keys.append(("jit/vec", "jit_speedup_over_vec"))
-    if "reference" in backends and "jit" in backends:
-        speedup_keys.append(("jit/ref", "jit_speedup_over_reference"))
-    columns += [label for label, _ in speedup_keys]
-    if args.memory:
-        columns += [f"{name} peak [MB]" for name in backends]
-    if not args.no_check:
-        columns.append("identical")
-    title = "backend speed: " + " vs ".join(backends)
-    if args.estimate_mode != "oracle":
-        title += f" ({args.estimate_mode} estimates)"
-    table = report.Table(title, columns)
-    for entry in payload["results"]:
-        row = [entry["topology"], entry["n"], entry["steps"]]
-        row += [entry[f"{name}_seconds"] for name in backends]
-        row += [entry[key] for _, key in speedup_keys]
-        if args.memory:
-            row += [
-                round(entry[f"{name}_peak_tracemalloc_bytes"] / 1e6, 1)
-                for name in backends
-            ]
-        if not args.no_check:
-            row.append(
-                _fmt(entry.get("traces_identical", entry.get("reports_identical")))
-            )
-        table.add_row(*row)
-    print("\n" + table.render() + "\n")
-    return status
-
-
 def _cache_stats_line(cache: executor.ResultCache) -> str:
     stats = cache.stats()
     breakdown = ", ".join(
@@ -698,92 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep axis (repeatable; the sweep is the cartesian product)",
     )
     sweep_parser.set_defaults(handler=cmd_sweep)
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="time the reference vs fast engine backends (perf trajectory)",
-    )
-    bench_parser.add_argument(
-        "--sizes",
-        default=",".join(str(n) for n in bench_mod.DEFAULT_SIZES),
-        help="comma-separated node counts (default: %(default)s)",
-    )
-    bench_parser.add_argument(
-        "--topologies",
-        default=",".join(bench_mod.DEFAULT_TOPOLOGIES),
-        help="comma-separated topology families (line,grid,random)",
-    )
-    bench_parser.add_argument(
-        "--backends",
-        default="reference,fast",
-        help="comma-separated backends to time (default: %(default)s)",
-    )
-    bench_parser.add_argument(
-        "--duration", type=float, default=bench_mod.DEFAULT_DURATION,
-        help="simulated time units per run (default: %(default)s)",
-    )
-    bench_parser.add_argument(
-        "--dt", type=float, default=bench_mod.DEFAULT_DT,
-        help="simulation step length (default: %(default)s)",
-    )
-    bench_parser.add_argument(
-        "--repeats", type=int, default=1, help="timings per point; best is kept"
-    )
-    bench_parser.add_argument(
-        "--output",
-        default=bench_mod.DEFAULT_OUTPUT,
-        help="JSON results file (default: %(default)s; empty string disables)",
-    )
-    bench_parser.add_argument(
-        "--no-check",
-        action="store_true",
-        help="skip the cross-backend trace equality check",
-    )
-    bench_parser.add_argument(
-        "--trace",
-        choices=["full", "none"],
-        default="full",
-        help="record a full trace (default) or run the streaming observer "
-        "pipeline only (constant memory; equality is checked on reports)",
-    )
-    bench_parser.add_argument(
-        "--memory",
-        action="store_true",
-        help="add one untimed run per point under tracemalloc and report "
-        "its peak memory (plus the process RSS high-water mark)",
-    )
-    bench_parser.add_argument(
-        "--estimate-mode",
-        choices=list(bench_mod.BENCH_ESTIMATE_MODES),
-        default="oracle",
-        help="estimate mode for the whole grid: 'oracle' (default) or "
-        "'broadcast' for message-layer estimates over the bounded-delay "
-        "transport (the BENCH_msgsim.json family)",
-    )
-    bench_parser.add_argument(
-        "--broadcast-interval",
-        type=float,
-        default=1.0,
-        help="broadcast period for --estimate-mode broadcast "
-        "(default: %(default)s)",
-    )
-    bench_parser.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE.json",
-        help="fail (exit 3) if any backend regresses more than the "
-        "threshold against this perf-trajectory file",
-    )
-    bench_parser.add_argument(
-        "--compare-threshold",
-        type=float,
-        default=0.3,
-        help="allowed slowdown fraction for --compare (default: %(default)s)",
-    )
-    bench_parser.add_argument(
-        "--json", action="store_true", help="emit the results JSON to stdout"
-    )
-    bench_parser.set_defaults(handler=cmd_bench)
 
     cache_parser = subparsers.add_parser(
         "cache", help="inspect, prune or clear the result cache"

@@ -74,8 +74,8 @@ CACHE_FORMAT_VERSION = 5
 #: Smallest group that is run as a lockstep batch.  There is no size to
 #: tune: the combined view picks kernel paths and layouts per row / per
 #: engine, so a batch of static runs costs at most what they cost one by one
-#: (measurements in :class:`repro.vecsim.engine.VecContext`; CI gates a
-#: mixed trio at batched <= 1.25 x per-run).
+#: (measurements in :class:`repro.vecsim.engine.VecContext`;
+#: ``scale_static`` in ``benchmarks/perf`` runs its cold pass batched).
 MIN_BATCH_SIZE = 2
 
 _CACHE_DIR_ENV = "REPRO_EXPERIMENTS_CACHE_DIR"

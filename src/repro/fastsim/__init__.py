@@ -4,9 +4,8 @@
 :mod:`repro.sim.engine` as tight loops over flat state columns, specialized
 for the AOPT algorithm family with oracle clock estimates.  On the scenarios
 it supports it is bit-identical to the reference engine (same traces, same
-summaries) while running ten to twenty times faster -- see
-``BENCH_fastsim.json`` and ``benchmarks/bench_e11_backend_speed.py`` for the
-measured trajectory.
+summaries) while running much faster -- ``benchmarks/perf`` measures it
+(``fastsim.node_steps_per_s``) and ``tests/test_setup_work.py`` counts why.
 
 Modules:
 

@@ -19,12 +19,12 @@ into a daemon that serves many clients from one cache:
   observation suffixes;
 * :mod:`repro.service.client` -- a small stdlib-only client
   (:class:`ServiceClient`, one kept ``http.client`` connection per calling
-  thread) used by the tests, the CI smoke job and docs;
+  thread) used by the tests and docs;
 * :class:`JsonlLog` (from :mod:`repro.telemetry`, re-exported here) --
   JSONL request/job telemetry, so live sweep progress is ``tail -f``-able.
 
 Everything here is standard library only; the daemon must import and run
-on the no-numpy CI leg.  Start it with ``repro-experiments serve``.
+without numpy.  Start it with ``repro-experiments serve``.
 """
 
 from ..telemetry import JsonlLog

@@ -1,8 +1,8 @@
 """A small stdlib-only client for the sweep service HTTP API.
 
-Used by the test suite, the CI smoke job and the docs; kept deliberately
-free of anything beyond the standard library so it runs wherever the daemon
-does (including the no-numpy CI leg)::
+Used by the test suite and the docs; kept deliberately free of anything
+beyond the standard library so it runs wherever the daemon does (numpy or
+not)::
 
     from repro.experiments import scenario
     from repro.service.client import ServiceClient

@@ -13,8 +13,7 @@ progress becomes one coherent stream
 Consumers: ``repro-experiments run/sweep --telemetry FILE`` writes the
 stream to disk, the sweep service daemon tails it per job via
 ``GET /jobs/{id}/events`` and tallies watchdog firings on ``/healthz``,
-and the CI telemetry smoke validates every line with
-:func:`validate_jsonl`.  Everything here is standard library only -- the
+and the tests validate every line with :func:`validate_jsonl`.  Everything here is standard library only -- the
 no-numpy leg runs it all.
 """
 

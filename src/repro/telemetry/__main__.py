@@ -2,8 +2,9 @@
 
 Exit 0 if every line of every file parses as strict JSON and validates
 against the versioned event schema; exit 1 with the offending line's
-diagnostics otherwise.  This is the same check the CI telemetry smoke
-runs, packaged for humans and shell scripts.
+diagnostics otherwise.  This is :func:`repro.telemetry.validate_jsonl`,
+which the tests run over live ``--telemetry`` streams, packaged for humans
+and shell scripts.
 """
 
 from __future__ import annotations

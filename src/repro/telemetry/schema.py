@@ -12,8 +12,8 @@ stream, the sweep service's log, or buffered for ``GET /jobs/{id}/events``
 loses required fields), ``event`` is one of :data:`EVENT_TYPES`, and each
 event type pins a set of required fields.  :func:`validate_event` checks
 one decoded record against the schema and :func:`validate_jsonl` checks a
-whole file line by line -- the CI telemetry smoke runs the latter over a
-real ``--telemetry`` stream, so the schema is enforced, not aspirational.
+whole file line by line -- the tests run the latter over real
+``--telemetry`` streams, so the schema is enforced, not aspirational.
 
 Strict JSON is part of the contract: ``json.dumps`` happily emits
 ``Infinity``/``NaN`` by default, which is *not* JSON and breaks every

@@ -198,18 +198,19 @@ class TestResolveBeforeProbe:
         assert runs[0].from_cache and runs[0].requested_backend == "fast"
         assert "falling back to 'reference'" in caplog.text
 
+    @pytest.mark.parametrize("backend", ["vec", "jit"])
     def test_declined_spec_on_an_unavailable_backend_is_an_error_not_a_fallback(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, backend
     ):
         monkeypatch.setattr(backend_mod, "_numpy_available", lambda: False)
-        spec = declined_spec("vec")
+        spec = declined_spec(backend)
         assert declined_reason(spec) is None
-        with pytest.raises(BackendUnavailableError, match=r"repro\[vec\]"):
+        with pytest.raises(BackendUnavailableError, match=rf"repro\[{backend}\]"):
             run_sweep([spec], cache=ResultCache(tmp_path))
-        argv = ["run", "quickstart_line", "--set", "backend=vec", "--set",
+        argv = ["run", "quickstart_line", "--set", f"backend={backend}", "--set",
                 "sim.track_diameter=true", "--cache-dir", str(tmp_path)]
         assert cli.main(argv) == 2
-        assert "repro[vec]" in capsys.readouterr().err
+        assert f"repro[{backend}]" in capsys.readouterr().err
 
     def test_strict_backend_cli_names_the_requested_backend(self, tmp_path, capsys):
         argv = ["run", "quickstart_line", "--set", "backend=fast", "--set",

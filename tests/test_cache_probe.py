@@ -33,6 +33,10 @@ from repro.service.client import ServiceClient
 from repro.telemetry import SweepTelemetry
 from test_trace_plumbing import head_bytes
 
+#: Warnings are errors here: a file handle leaked on a read path, or any other
+#: ResourceWarning, fails the test that leaked it.
+pytestmark = pytest.mark.filterwarnings("error")
+
 TINY_SIM = {"duration": 4.0, "dt": 0.1}
 
 SPEC = scenario("quickstart_line", n=4, sim=dict(TINY_SIM))

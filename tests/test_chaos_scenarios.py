@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.chaos import adversarial, loader, validate
-from repro.experiments import registry, scenario
+from repro.experiments import cli, registry, scenario
 from repro.experiments.executor import execute_spec
 from repro.experiments.spec import SpecError
 
@@ -62,11 +62,14 @@ class TestPackLoads:
 
 
 class TestValidateLint:
-    def test_packaged_pack_is_clean(self):
+    def test_packaged_pack_is_clean(self, capsys):
         report = validate.validate_pack()
         assert report.ok, "\n".join(report.describe())
         assert report.problem_count == 0
         assert len(report.files) == len(PACK_FILES)
+        # The lint's command line exits 0 on the packaged pack.
+        assert cli.main(["scenarios", "--validate"]) == 0
+        assert capsys.readouterr().out.splitlines() == report.describe()
 
     def test_broken_user_file_is_reported_not_raised(self, tmp_path):
         (tmp_path / "broken.json").write_text("{not json", encoding="utf-8")

@@ -2,11 +2,33 @@
 
 import json
 
+import pytest
+
 from repro.experiments import cli
+from repro.fastsim.backend import backend_available
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def backends(*names):
+    """Parametrize over ``names``; a backend that is not installed skips."""
+    return pytest.mark.parametrize(
+        "backend",
+        [
+            pytest.param(
+                name,
+                marks=pytest.mark.skipif(
+                    not backend_available(name), reason=f"backend {name!r} is not installed"
+                ),
+            )
+            for name in names
+        ],
+    )
+
+
+columnar = backends("fast", "vec", "jit")
 
 
 class TestList:
@@ -88,11 +110,13 @@ class TestSweep:
             *extra,
         )
 
-    def test_sweep_then_full_cache_hit(self, tmp_path, capsys):
-        assert run_cli(*self.sweep_args(tmp_path)) == 0
+    @backends("reference", "fast", "vec", "jit")
+    def test_sweep_then_full_cache_hit(self, tmp_path, capsys, backend):
+        backend_args = ("--set", f"backend={backend}")
+        assert run_cli(*self.sweep_args(tmp_path, *backend_args)) == 0
         first = capsys.readouterr().out
         assert "4 spec(s): 0 from cache, 4 executed" in first
-        assert run_cli(*self.sweep_args(tmp_path, "--workers", "2")) == 0
+        assert run_cli(*self.sweep_args(tmp_path, *backend_args, "--workers", "2")) == 0
         second = capsys.readouterr().out
         assert "4 spec(s): 4 from cache, 0 executed" in second
 
@@ -109,8 +133,9 @@ class TestSweep:
 
 
 class TestBackendSelection:
+    @columnar
     def test_run_with_fast_backend_executes_and_caches_separately(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, backend
     ):
         base = (
             "run",
@@ -122,13 +147,13 @@ class TestBackendSelection:
             "--cache-dir",
             str(tmp_path),
         )
-        assert run_cli(*base, "--set", "backend=fast") == 0
+        assert run_cli(*base, "--set", f"backend={backend}") == 0
         first = capsys.readouterr().out
         assert "0 from cache, 1 executed" in first
         # The reference run of the same scenario is a distinct cache entry.
         assert run_cli(*base) == 0
         assert "0 from cache, 1 executed" in capsys.readouterr().out
-        assert len(list(tmp_path.glob("*.fast.json"))) == 1
+        assert len(list(tmp_path.glob(f"*.{backend}.json"))) == 1
         assert len(list(tmp_path.glob("*.json"))) == 2
 
     def test_unknown_backend_fails_cleanly(self, tmp_path, capsys):
@@ -145,7 +170,8 @@ class TestBackendSelection:
         )
         assert "unknown backend" in capsys.readouterr().err
 
-    def test_unsupported_fast_scenario_falls_back_to_reference(self, tmp_path, capsys):
+    @columnar
+    def test_unsupported_fast_scenario_falls_back_to_reference(self, tmp_path, capsys, backend):
         assert (
             run_cli(
                 "run",
@@ -157,7 +183,7 @@ class TestBackendSelection:
                 "--set",
                 "algorithm='MaxPropagation'",
                 "--set",
-                "backend=fast",
+                f"backend={backend}",
                 "--cache-dir",
                 str(tmp_path),
             )
@@ -165,7 +191,8 @@ class TestBackendSelection:
         )
         assert "fell back to reference" in capsys.readouterr().out
 
-    def test_unsupported_fast_scenario_fails_cleanly_when_strict(self, tmp_path, capsys):
+    @columnar
+    def test_unsupported_fast_scenario_fails_cleanly_when_strict(self, tmp_path, capsys, backend):
         assert (
             run_cli(
                 "run",
@@ -177,7 +204,7 @@ class TestBackendSelection:
                 "--set",
                 "algorithm='MaxPropagation'",
                 "--set",
-                "backend=fast",
+                f"backend={backend}",
                 "--strict-backend",
                 "--cache-dir",
                 str(tmp_path),
@@ -189,66 +216,6 @@ class TestBackendSelection:
     def test_list_mentions_backends(self, capsys):
         assert run_cli("list") == 0
         assert "backends:" in capsys.readouterr().out
-
-
-class TestBench:
-    def bench_args(self, *extra):
-        return (
-            "bench",
-            "--sizes",
-            "6",
-            "--topologies",
-            "line",
-            "--duration",
-            "2.0",
-            *extra,
-        )
-
-    def test_bench_smoke_writes_json(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_fastsim.json"
-        assert run_cli(*self.bench_args("--output", str(output))) == 0
-        table = capsys.readouterr().out
-        assert "speedup" in table
-        assert "identical" in table
-        payload = json.loads(output.read_text())
-        (entry,) = payload["results"]
-        assert entry["topology"] == "line"
-        assert entry["n"] == 6
-        assert entry["reference_seconds"] > 0
-        assert entry["fast_seconds"] > 0
-        assert entry["traces_identical"] is True
-        assert payload["backends"] == ["reference", "fast"]
-
-    def test_bench_json_stdout(self, tmp_path, capsys):
-        output = tmp_path / "bench.json"
-        assert run_cli(*self.bench_args("--output", str(output), "--json")) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["benchmark"] == "backend_speed"
-        assert payload["results"][0]["speedup"] > 0
-
-    def test_bench_rejects_bad_topology(self, capsys):
-        assert (
-            run_cli("bench", "--sizes", "6", "--topologies", "mobius", "--output", "")
-            == 2
-        )
-        assert "unknown bench topology" in capsys.readouterr().err
-
-    def test_bench_broadcast_estimate_mode(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_msgsim.json"
-        assert (
-            run_cli(
-                *self.bench_args(
-                    "--estimate-mode", "broadcast", "--output", str(output)
-                )
-            )
-            == 0
-        )
-        assert "(broadcast estimates)" in capsys.readouterr().out
-        payload = json.loads(output.read_text())
-        assert payload["config"]["estimate_mode"] == "broadcast"
-        (entry,) = payload["results"]
-        assert entry["estimate_mode"] == "broadcast"
-        assert entry["traces_identical"] is True
 
 
 class TestCacheCommand:
@@ -269,10 +236,11 @@ class TestCacheCommand:
         assert run_cli("cache", "--cache-dir", str(tmp_path), "--clear") == 0
         assert "removed 1" in capsys.readouterr().out
 
+    @columnar
     def test_cache_stats_line_includes_bytes_and_backend_breakdown(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, backend
     ):
-        for backend in ("reference", "fast"):
+        for name in ("reference", backend):
             run_cli(
                 "run",
                 "quickstart_line",
@@ -281,7 +249,7 @@ class TestCacheCommand:
                 "--set",
                 "sim.duration=4.0",
                 "--set",
-                f"backend={backend}",
+                f"backend={name}",
                 "--cache-dir",
                 str(tmp_path),
             )
@@ -290,7 +258,7 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert "2 cache entries" in out
         assert "bytes" in out
-        assert "fast: 1" in out and "reference: 1" in out
+        assert f"{backend}: 1" in out and "reference: 1" in out
 
     def test_cache_prune_older_than_and_max_bytes(self, tmp_path, capsys):
         import os
@@ -341,14 +309,17 @@ class TestCacheCommand:
 class TestObserversAndTrace:
     """--observers / --trace flags of the streaming metrics pipeline (PR 5)."""
 
-    def test_run_with_trace_none_and_observers(self, tmp_path, capsys):
-        status = run_cli(
+    @backends("reference", "fast", "vec", "jit")
+    def test_run_with_trace_none_and_observers(self, tmp_path, capsys, backend):
+        args = (
             "run",
             "quickstart_line",
             "--set",
             "n=4",
             "--set",
             "sim.duration=4.0",
+            "--set",
+            f"backend={backend}",
             "--trace",
             "none",
             "--observers",
@@ -357,11 +328,16 @@ class TestObserversAndTrace:
             "--cache-dir",
             str(tmp_path),
         )
-        assert status == 0
+        assert run_cli(*args) == 0
         payload = json.loads(capsys.readouterr().out)
         (run,) = payload["runs"]
         assert run["spec"]["trace"] == "none"
         assert run["spec"]["observers"] == ["global_skew", "local_skew", "mode_counts"]
+        # Only the observer report is cached, and the repeat is served from it.
+        assert run_cli(*args) == 0
+        (again,) = json.loads(capsys.readouterr().out)["runs"]
+        assert again["from_cache"] is True
+        assert again["summary"] == run["summary"]
 
     def test_unknown_observer_fails_cleanly(self, tmp_path, capsys):
         status = run_cli(
@@ -402,51 +378,6 @@ class TestObserversAndTrace:
         out = capsys.readouterr().out
         assert "observers:" in out
         assert "gradient_bound_check" in out
-
-    def test_bench_trace_none_checks_reports(self, tmp_path, capsys):
-        status = run_cli(
-            "bench",
-            "--sizes",
-            "8",
-            "--topologies",
-            "line",
-            "--duration",
-            "4",
-            "--backends",
-            "reference,fast",
-            "--trace",
-            "none",
-            "--json",
-            "--output",
-            "",
-        )
-        assert status == 0
-        payload = json.loads(capsys.readouterr().out)
-        (entry,) = payload["results"]
-        assert entry["trace_mode"] == "none"
-        assert entry["reports_identical"] is True
-
-    def test_bench_memory_flag_records_peaks(self, tmp_path, capsys):
-        status = run_cli(
-            "bench",
-            "--sizes",
-            "8",
-            "--topologies",
-            "line",
-            "--duration",
-            "4",
-            "--backends",
-            "fast",
-            "--memory",
-            "--no-check",
-            "--json",
-            "--output",
-            "",
-        )
-        assert status == 0
-        payload = json.loads(capsys.readouterr().out)
-        (entry,) = payload["results"]
-        assert entry["fast_peak_tracemalloc_bytes"] > 0
 
 
 class TestTelemetryFlags:

@@ -32,6 +32,10 @@ from repro.jitsim import (  # noqa: E402
     reset_provider_cache,
 )
 
+#: Warnings are errors here: a file handle leaked on a read path, or any other
+#: ResourceWarning, fails the test that leaked it.
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def quick_spec(**overrides):
     defaults = dict(n=5, sim={"duration": 6.0})

@@ -24,6 +24,10 @@ from repro.network.dynamic_graph import DynamicGraph, GraphError
 from repro.network.edge import EdgeParams
 from repro.sim.trace import Trace, TraceSample
 
+#: Warnings are errors here: a file handle leaked on a read path, or any other
+#: ResourceWarning, fails the test that leaked it.
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def oracle_shortest_distances(graph, source, weight=None):
     if weight is None:

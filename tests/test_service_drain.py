@@ -26,6 +26,7 @@ from repro.service import (
     SweepService,
 )
 from repro.service.client import ClientError, ServiceClient
+from test_service_workers import pid_alive
 
 TINY_SIM = {"duration": 4.0, "dt": 0.1}
 
@@ -214,7 +215,8 @@ class TestServeSigterm:
             assert "sweep service on" in line, line
             url = line.strip().rsplit(" ", 1)[-1]
             client = ServiceClient(url, timeout=10.0)
-            client.wait_until_ready(timeout=20.0)
+            workers = client.wait_until_ready(timeout=20.0)["workers"]
+            assert workers["alive"] == workers["configured"] == len(workers["pids"])
             job = client.submit([tiny_spec()])
             client.wait(job["id"], timeout=60.0)
             # Three clients that hold their connections and say nothing
@@ -243,3 +245,5 @@ class TestServeSigterm:
         ]
         assert "service_draining" in events
         assert "service_drained" in events
+        # The drain joined every worker process before the daemon exited.
+        assert not any(pid_alive(pid) for pid in workers["pids"])

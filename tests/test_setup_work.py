@@ -25,6 +25,10 @@ from repro.network.dynamic_graph import DynamicGraph
 from repro.network.edge import EdgeKey
 from test_fastsim_equivalence import staged_insertion_spec
 
+#: Warnings are errors here: a file handle leaked on a read path, or any other
+#: ResourceWarning, fails the test that leaked it.
+pytestmark = pytest.mark.filterwarnings("error")
+
 NODES = 1024
 
 backends = pytest.mark.parametrize(
@@ -225,3 +229,80 @@ def test_rows_are_digested_once_per_rebuild_and_one_per_promotion(row_counts):
     assert row_counts["refreshed"] == row_counts["promotions"]
     # Only the two endpoints' rows ever mix levels, and only while they climb.
     assert 0 < row_counts["flat"] < 2 * 450
+
+
+# The step kernels: a static run never leaves its fast path.  Counted, not
+# timed -- each count names the mechanism a backend's speed comes from, and
+# an insertion in flight shows that the count can move.
+
+KINDS = ("grid", "line", "random")
+STEPS = 200
+
+
+def kernel_spec(kind, backend):
+    """One ``scale_static`` point, small: 200 steps, no trace, the scalar observers."""
+    spec = bench_spec(kind, 64, duration=STEPS * 0.1, backend=backend)
+    return spec.with_trace("none").with_observers(*BENCH_OBSERVERS)
+
+
+needs_vec = pytest.mark.skipif(not backend_available("vec"), reason="numpy is not installed")
+needs_jit = pytest.mark.skipif(
+    not backend_available("jit"), reason="numpy or a C compiler is missing"
+)
+
+
+@pytest.fixture
+def jit_steps(monkeypatch):
+    """``(fused, stepped)`` steps, summed over every jit context that ran."""
+    from repro.jitsim.engine import JitContext
+
+    contexts = []
+    run_until = JitContext.run_until
+
+    def recorded(self, end_time):
+        if all(context is not self for context in contexts):
+            contexts.append(self)
+        return run_until(self, end_time)
+
+    monkeypatch.setattr(JitContext, "run_until", recorded)
+    return lambda: (
+        sum(context.fused_steps for context in contexts),
+        sum(context.stepped_steps for context in contexts),
+    )
+
+
+@pytest.fixture
+def level_scans(monkeypatch):
+    """Calls of ``vec``'s per-edge level scan (the path a mixed row takes)."""
+    from repro.vecsim import kernels
+
+    counts = {"firing_levels": 0}
+    counting(monkeypatch, kernels, "_firing_levels", counts, "firing_levels")
+    return counts
+
+
+@needs_jit
+@pytest.mark.parametrize("kind", KINDS)
+def test_static_jit_run_fuses_every_step(jit_steps, kind):
+    execute_spec(kernel_spec(kind, "jit"))
+    assert jit_steps() == (STEPS, 0)
+
+
+@needs_jit
+def test_an_insertion_in_flight_is_stepped_not_fused(jit_steps):
+    execute_spec(staged_insertion_spec().with_backend("jit"))
+    fused, stepped = jit_steps()
+    assert stepped > 0 and fused > 0
+
+
+@needs_vec
+@pytest.mark.parametrize("kind", KINDS)
+def test_static_vec_run_decides_every_row_on_its_extremes(level_scans, kind):
+    execute_spec(kernel_spec(kind, "vec"))
+    assert level_scans == {"firing_levels": 0}
+
+
+@needs_vec
+def test_an_insertion_makes_vec_scan_levels(level_scans):
+    execute_spec(staged_insertion_spec().with_backend("vec"))
+    assert level_scans["firing_levels"] > 0

@@ -24,6 +24,10 @@ from repro.fastsim.backend import backend_available
 from repro.sim.trace import Trace, TraceSample
 from repro.telemetry.schema import sanitize_json
 
+#: Warnings are errors here: a file handle leaked on a read path, or any other
+#: ResourceWarning, fails the test that leaked it.
+pytestmark = pytest.mark.filterwarnings("error")
+
 TINY_SIM = {"duration": 5.0, "dt": 0.1}
 STDLIB_BACKENDS = ("reference", "fast")
 
