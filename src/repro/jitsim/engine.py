@@ -5,13 +5,19 @@ its entire event / insertion / transport machinery.  What changes is the
 driver: instead of one Python round-trip per step, :meth:`JitContext
 .run_until` *prescans* the upcoming steps, proves a maximal prefix is
 "regular" -- no graph events, no scheduler callbacks, no in-flight
-insert-edge messages, no active insertion schedules, drift rates constant
+insert-edge messages, no insertion level coming due, drift rates constant
 over the window, delays static or uniform-random -- and executes that whole
 prefix in one call to the compiled C kernel (see
 :mod:`repro.jitsim.providers`).  Steps that are not regular run
 through the inherited vec ``_step``, so every scenario the vec backend
 supports runs here with the exact same results; fully regular runs (the
 whole AOPT+oracle benchmark family) never leave the kernel.
+
+An active insertion schedule does not block fusion: once the handshake is
+over, each pending promotion is a logical-clock threshold on one endpoint,
+so it only *caps* the segment strictly before the first step at which that
+endpoint's clock could reach it.  The first stepped step at or after the
+crossing promotes through the inherited vec path.
 
 Bit-identity is preserved because inside a regular segment the per-step
 phases reduce exactly to the scalar loops the kernel implements (same float
@@ -99,13 +105,17 @@ class JitContext(VecContext):
             plan = self._plan_segment(end_time)
             if plan is None:
                 self._step()
-                self.stepped_steps += 1
                 continue
             self._run_segment(*plan)
         for engine in engines:
             engine.time = self.time
             engine._record_sample(force=True)
         return [engine.trace for engine in engines]
+
+    def _step(self) -> None:
+        # Every step through the vec path counts, blocked runs' included.
+        super()._step()
+        self.stepped_steps += 1
 
     # -- fusibility -----------------------------------------------------
     def _fusion_blocker(self) -> Optional[str]:
@@ -161,11 +171,14 @@ class JitContext(VecContext):
         segment.  The simulated loop replicates the exact conditions of the
         per-step path: sample due iff ``not (t + 1e-12 < next_sample)``,
         events due iff ``time <= t + 1e-12``, drift phase constancy via the
-        integer epoch key.
+        integer epoch key.  Handshake messages in flight return ``None``;
+        pending level promotions cap the segment (:meth:`_promotion_cap`).
+        The drift rates are filled here, at the segment's pinned phase, and
+        :meth:`_run_segment` reuses them.
         """
         engines = self.engines
         for engine in engines:
-            if engine._inflight or engine._active_schedules:
+            if engine._inflight:
                 return None
         barrier = _INF
         for engine in engines:
@@ -185,6 +198,12 @@ class JitContext(VecContext):
             elif type(plan) is _RandomWalkRatePlan:
                 period = plan._drift.period
                 phased.append((period, int(t0 // period)))
+        rates = self._rates
+        for engine in engines:
+            engine._rate_plan.fill(
+                rates[engine._offset : engine._offset + engine.n], t0
+            )
+        cap = self._promotion_cap()
         next_samples = [engine._next_sample_time for engine in engines]
         intervals = [engine.trace.sample_interval for engine in engines]
         n_engines = len(engines)
@@ -192,7 +211,7 @@ class JitContext(VecContext):
         steps = 0
         t = t0
         dt = self.dt
-        while t < end_time - 1e-9:
+        while t < end_time - 1e-9 and steps < cap:
             if barrier <= t + 1e-12:
                 break
             regular = True
@@ -211,6 +230,38 @@ class JitContext(VecContext):
         if steps < _MIN_FUSED_STEPS:
             return None
         return steps, snaps, next_samples
+
+    def _promotion_cap(self) -> float:
+        """Steps from ``self.time`` that surely promote no insertion level.
+
+        A pending level is due once its endpoint's logical clock reaches
+        ``level_times[next_level - 1] - 1e-12`` (``InsertionSchedule
+        .due_levels``); within a segment that clock gains at most ``rate *
+        max(1, fast_multiplier) * dt`` per step, so the returned count (with
+        a relative float margin of 1e-9) only ever checks clocks strictly
+        below every threshold.  A complete schedule, or one whose neighbour
+        has left the level sets, gives 0: the stepped path pops it.
+        """
+        cap = _INF
+        logical = self.logical
+        rates = self._rates
+        fast_multiplier = self.fast_multiplier
+        dt = self.dt
+        for engine in self.engines:
+            for position in engine._active_schedules:
+                levels = engine._levels[position]
+                i = engine._offset + position
+                gain = rates[i] * max(1.0, fast_multiplier[i]) * dt
+                for neighbor, schedule in engine._schedules[position].items():
+                    if schedule.is_complete() or neighbor not in levels:
+                        return 0
+                    threshold = schedule.level_times[schedule.next_level - 1] - 1e-12
+                    steps = math.floor(
+                        (threshold - logical[i]) * (1.0 - 1e-9) / gain
+                    )
+                    if steps < cap:
+                        cap = steps
+        return cap
 
     # -- static prep (cached across segments) ---------------------------
     def _segment_prep(self):
@@ -333,12 +384,9 @@ class JitContext(VecContext):
         for j in range(steps + 1):
             t_steps[j] = t
             t = t + dt
-        # Segment-constant drift rates (the prescan pinned the phase).
+        # Segment-constant drift rates, filled by the prescan at its pinned
+        # phase.
         rates = self._rates
-        for engine in engines:
-            engine._rate_plan.fill(
-                rates[engine._offset : engine._offset + engine.n], t0
-            )
         # Mersenne-Twister state transplant for uniform-delay engines.
         mt_state = np.zeros((max(n_engines, 1), 624), dtype=np.int64)
         mt_pos = np.full(max(n_engines, 1), 624, dtype=np.int64)

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from repro.core.aopt_step import (
     evaluate_mode_uniform,
 )
 from repro.core.clocks import HardwareClock, LogicalClock
-from repro.core.insertion import compute_insertion_times
+from repro.core.insertion import InsertionSchedule, compute_insertion_times
 from repro.core.max_estimate import MaxEstimateTracker
 from repro.core.neighbor_sets import NeighborLevels
 from repro.core.parameters import ParameterError, Parameters
@@ -30,10 +31,11 @@ from repro.core.triggers import (
 )
 from repro.analysis import legality
 from repro.analysis.report import Table
-from repro.experiments import scenario
+from repro.experiments import execute_spec, scenario
 from repro import __version__ as repro_version
 from repro.experiments import executor
 from repro.experiments.executor import CACHE_FORMAT_VERSION, ResultCache, run_sweep
+from repro.experiments.spec import ComponentSpec
 from repro.experiments.results import (
     trace_from_payload,
     trace_payload_is_finite,
@@ -46,6 +48,7 @@ from repro.network.edge import EdgeKey, EdgeParams
 from repro.sim.trace import Trace, TraceSample
 from repro.telemetry.schema import sanitize_json
 from test_dynamic_graph import oracle_edge_pairs, same_iteration
+from test_fastsim_equivalence import staged_insertion_spec
 from test_neighbor_sets import exhaustive_chain_holds
 from test_paths_kernel import assert_matches_oracle, oracle_all_pairs, oracle_diameter
 from test_trace_plumbing import (
@@ -215,6 +218,59 @@ class TestInsertionScheduleProperties:
         assert all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
         assert times[0] == pytest.approx(schedule.anchor)
         assert times[-1] <= schedule.anchor + duration + 1e-6
+
+    @pytest.mark.skipif(
+        not backend_available("jit"), reason="no jit kernel (needs numpy and a C compiler)"
+    )
+    @given(
+        scale_exponent=st.floats(min_value=-4.0, max_value=-2.0),
+        mu=st.sampled_from([0.05, 0.075, 0.1]),
+        dt=st.sampled_from([0.05, 0.1, 0.25]),
+        drift=st.sampled_from(
+            [ComponentSpec("two_group", {"swap_period": 20.0}), ComponentSpec("random_walk", {})]
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_jit_segments_capped_at_promotions_equal_reference(
+        self, scale_exponent, mu, dt, drift
+    ):
+        """``jit`` fuses between a schedule's promotions; no fused step may promote.
+
+        The trace of this spec hardly depends on when the new edge climbs a
+        level, so each backend's promotions are recorded too -- with the
+        clock value that made them due, which a late promotion changes.
+        """
+        scale = 10.0 ** scale_exponent
+        span = scale * Parameters(rho=0.015, mu=mu).insertion_duration(10.0)
+        spec = replace(
+            staged_insertion_spec(),
+            drift=drift,
+            algorithm=ComponentSpec(
+                "aopt", {"global_skew_bound": 10.0, "insertion_scale": scale}
+            ),
+            params={"rho": 0.015, "mu": mu},
+        ).with_sim(dt=dt, duration=35.0 + 2.0 * span)
+        due_levels = InsertionSchedule.due_levels
+
+        def run(backend):
+            promotions = []
+
+            def recorded(schedule, logical_now):
+                due = due_levels(schedule, logical_now)
+                if due:
+                    promotions.append((schedule.neighbor, logical_now, due))
+                return due
+
+            with mock.patch.object(InsertionSchedule, "due_levels", recorded):
+                payload = execute_spec(spec.with_backend(backend))
+            return payload, sorted(promotions)
+
+        reference, reference_promotions = run("reference")
+        jit, jit_promotions = run("jit")
+        assert len(reference_promotions) > 2
+        assert jit_promotions == reference_promotions
+        assert jit["trace"] == reference["trace"]
+        assert jit["summary"] == reference["summary"]
 
 
 def exhaustive_level(at_level, logical, views, params, max_level):

@@ -11,12 +11,14 @@ import builtins
 import sys
 from array import array
 from collections import OrderedDict
+from dataclasses import replace
 
 import pytest
 
 from repro.core.neighbor_sets import NeighborLevels
-from repro.experiments import execute_spec, run_sweep
+from repro.experiments import execute_spec, registry, run_sweep, scenario
 from repro.experiments.bench import BENCH_OBSERVERS, bench_spec
+from repro.experiments.registry import BENCHMARK_INSERTION_SCALE
 from repro.fastsim import engine as fast_engine
 from repro.fastsim.backend import backend_available
 from repro.fastsim.columns import CSRAdjacency
@@ -293,6 +295,58 @@ def test_an_insertion_in_flight_is_stepped_not_fused(jit_steps):
     execute_spec(staged_insertion_spec().with_backend("jit"))
     fused, stepped = jit_steps()
     assert stepped > 0 and fused > 0
+
+
+@needs_jit
+def test_a_pending_promotion_caps_a_fused_segment_instead_of_blocking_it(jit_steps):
+    # The handshake (O(T + tau)) and the steps at each promotion are stepped;
+    # the Theta(G~/mu) climb between promotions is fused.
+    execute_spec(scenario("end_to_end_insertion", n=10, backend="jit"))
+    fused, stepped = jit_steps()
+    assert fused + stepped == 10219
+    assert stepped <= 100
+
+
+def verbatim_insertion_spec(n):
+    """``end_to_end_insertion`` with equation (10) unscaled.
+
+    The scenario scales the insertion duration by ``BENCHMARK_INSERTION_SCALE``
+    and runs for ``insertion_time + 2.4 * span + 120``; this spec keeps the
+    duration unscaled and applies the same rule to it.
+    """
+    spec = scenario("end_to_end_insertion", n=n, backend="jit")
+    span = spec.notes["insertion_span"] / BENCHMARK_INSERTION_SCALE
+    return replace(
+        spec, algorithm=spec.algorithm.with_args(insertion_scale=1.0)
+    ).with_sim(
+        duration=spec.sim["duration"] + 2.4 * (span - spec.notes["insertion_span"])
+    ).with_trace("none")
+
+
+@needs_jit
+def test_a_verbatim_insertion_completes_in_fused_segments():
+    """Equation (10) unscaled: ~250k steps, all but the promotions' fused."""
+    from repro.core.neighbor_sets import FULLY_INSERTED
+    from repro.jitsim import JitEngine
+
+    spec = verbatim_insertion_spec(6)
+    materialised = registry.build_scenario(spec)
+    engine = JitEngine(
+        materialised.graph, materialised.algorithm_factory, materialised.config
+    )
+    engine.run(materialised.config.duration)
+    assert engine.algorithm(0).levels.level_of(5) == FULLY_INSERTED
+    assert engine.algorithm(5).levels.level_of(0) == FULLY_INSERTED
+    assert engine._ctx.fused_steps + engine._ctx.stepped_steps > 200_000
+    assert engine._ctx.stepped_steps <= 100
+
+
+@needs_jit
+def test_a_run_blocked_from_fusion_counts_every_step_as_stepped(jit_steps):
+    # Broadcast estimate mode keeps per-pair message state: never fused.
+    spec = scenario("line_broadcast", n=6, sim={"duration": 30.0}, backend="jit")
+    execute_spec(spec.with_trace("none").with_observers(*BENCH_OBSERVERS))
+    assert jit_steps() == (0, 300)
 
 
 @needs_vec
