@@ -171,7 +171,9 @@ class AOPT(ClockSyncAlgorithm):
             global_skew_estimate=skew_estimate,
             max_estimate=self.max_tracker.value,
         )
-        self.api.send(neighbor, message)
+        # Sent at the check's own time, like the presence test and the skew
+        # estimate above (the step's clock may already be up to dt later).
+        self.api.send(neighbor, message, at=t)
         self._install_schedule(neighbor, anchor, skew_estimate, edge)
 
     def _follower_check(self, t: float, neighbor: NodeId, message: InsertEdgeMessage) -> None:

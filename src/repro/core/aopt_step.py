@@ -43,7 +43,7 @@ thresholds never decrease with the level.  ``vecsim/kernels.py``
 (``row_thresholds``) and ``jitsim/_fused_loop.c::evaluate_mode_uniform``
 hold the same collapse.
 
-The differential suite (``tests/test_fastsim_equivalence.py``), the unit
+The differential suite (``tests/test_backend_equivalence.py``), the unit
 tests in ``tests/test_fastsim_backend.py`` and
 ``test_uniform_row_collapse_equals_level_scan`` in ``tests/test_properties.py``
 cross-check the implementations on randomized inputs.

@@ -79,8 +79,12 @@ class NodeAPI(ABC):
         """Parameters (epsilon, tau, delay bound) of the edge to ``neighbor``."""
 
     @abstractmethod
-    def send(self, neighbor: NodeId, payload: object) -> bool:
-        """Send ``payload`` to ``neighbor``; returns False when no edge exists."""
+    def send(self, neighbor: NodeId, payload: object, at: Optional[float] = None) -> bool:
+        """Send ``payload`` to ``neighbor``; returns False when no edge exists.
+
+        ``at`` is the send time of a message sent from a scheduled callback
+        (its ``fire_time``); by default the message leaves :meth:`now`.
+        """
 
     @abstractmethod
     def schedule(self, delay: float, callback: Callable[[float], None]) -> None:

@@ -76,9 +76,9 @@ class _EngineNodeAPI(NodeAPI):
     def edge_params(self, neighbor: NodeId) -> EdgeParams:
         return self._engine.graph.edge_params(self._node_id, neighbor)
 
-    def send(self, neighbor: NodeId, payload: object) -> bool:
+    def send(self, neighbor: NodeId, payload: object, at: Optional[float] = None) -> bool:
         envelope = self._engine.transport.try_send(
-            self._node_id, neighbor, payload, self._engine.time
+            self._node_id, neighbor, payload, self._engine.time if at is None else at
         )
         return envelope is not None
 

@@ -1052,7 +1052,9 @@ class VecEngine(FastEngine):
             self._metrics.observe_arrays(
                 self.time, cols.ids, cols.index, cols.logical, cols.max_estimate, cols.mode
             )
-            if self._metrics.stop_requested:
+            if self._metrics.stop_requested and not force:
+                # A trip on the forced final sample stops nothing: the run
+                # is complete, as in the reference.
                 self.stopped_early = True
         if not force:
             self._next_sample_time = self.time + self.trace.sample_interval

@@ -5,10 +5,12 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.core.interfaces import NodeAPI
 from repro.core.parameters import Parameters
 from repro.experiments.spec import ComponentSpec, ScenarioSpec
+from repro.metrics import OBSERVERS
 from repro.network.edge import EdgeParams, NodeId
 from repro.network import topology
 
@@ -18,8 +20,8 @@ from repro.network import topology
 # ----------------------------------------------------------------------
 #: The named scenarios with overrides that shorten the runs while keeping
 #: every mechanism (churn, failover, insertion handshake, drift variety,
-#: broadcast estimates) in play.  Used by the fastsim, vecsim and
-#: streaming-metrics differential suites.
+#: broadcast estimates) in play.  Used by the backend and streaming-metrics
+#: differential suites.
 EQUIVALENCE_SCENARIO_OVERRIDES = {
     "line_scaling": {"n": 6, "sim": {"duration": 30.0}},
     "end_to_end_insertion": {
@@ -44,45 +46,7 @@ EQUIVALENCE_SCENARIO_OVERRIDES = {
 }
 
 
-def builtin_scenario_names() -> List[str]:
-    """Registry scenario names minus the chaos pack.
-
-    The chaos scenario files register at import time but get their own
-    differential and smoke coverage in tests/test_chaos_scenarios.py --
-    several exist precisely to exercise the reference fallback, so the
-    backend equivalence suites must not enumerate them.
-    """
-    from repro.experiments import registry
-
-    return [
-        name
-        for name in registry.SCENARIOS.names()
-        if not hasattr(registry.SCENARIOS.get(name), "chaos_family")
-    ]
-
-#: Axes of the randomized fuzz-spec generator.
-FUZZ_TOPOLOGIES = [
-    ("line", lambda rng: {"n": rng.randint(3, 8)}),
-    ("ring", lambda rng: {"n": rng.randint(3, 8)}),
-    ("star", lambda rng: {"n": rng.randint(3, 8)}),
-    ("complete", lambda rng: {"n": rng.randint(3, 6)}),
-    ("grid", lambda rng: {"rows": rng.randint(2, 3), "cols": rng.randint(2, 3)}),
-    ("binary_tree", lambda rng: {"depth": rng.randint(2, 3)}),
-    ("random_tree", lambda rng: {"n": rng.randint(4, 8)}),
-    (
-        "random_connected",
-        lambda rng: {"n": rng.randint(4, 8), "extra_edge_probability": 0.2},
-    ),
-]
-FUZZ_DRIFTS = [
-    None,
-    ("none", {}),
-    ("two_group", {"swap_period": 7.0}),
-    ("sinusoidal", {"period": 11.0}),
-    ("random_constant", {}),
-    ("random_walk", {"period": 3.0}),
-    ("ramp", {"reverse_period": 9.0}),
-]
+#: The delay models and oracle estimate strategies every backend implements.
 FUZZ_DELAYS = [
     None,
     ("zero", {}),
@@ -92,56 +56,164 @@ FUZZ_DELAYS = [
 ]
 FUZZ_STRATEGIES = ["zero", "uniform", "underestimate", "overestimate", "toward_observer"]
 
+#: The chaos delay wrapper: periodic windows where delays spike to the bound.
+STORM_DELAY = (
+    "delay_spike_storm",
+    {
+        "inner": "uniform",
+        "inner_args": {"low_fraction": 0.2, "high_fraction": 0.8},
+        "period": 8.0,
+        "width": 3.0,
+    },
+)
 
-def make_fuzz_spec(rng, case: int, label_prefix: str) -> ScenarioSpec:
-    """One randomized spec over topologies x drifts x delays x strategies.
 
-    Shared by every differential suite (fastsim, vecsim, streaming metrics);
-    each suite passes its own seeded ``rng`` so their fuzz populations stay
-    distinct but reproducible.
+#: Axes of the generated specs.  Topologies: name -> strategy over its args.
+_TOPOLOGIES = {
+    "line": st.fixed_dictionaries({"n": st.integers(3, 8)}),
+    "ring": st.fixed_dictionaries({"n": st.integers(3, 8)}),
+    "star": st.fixed_dictionaries({"n": st.integers(3, 8)}),
+    "complete": st.fixed_dictionaries({"n": st.integers(3, 6)}),
+    "grid": st.fixed_dictionaries({"rows": st.integers(2, 3), "cols": st.integers(2, 3)}),
+    "binary_tree": st.fixed_dictionaries({"depth": st.integers(2, 3)}),
+    "random_tree": st.fixed_dictionaries({"n": st.integers(4, 8)}),
+    "random_connected": st.fixed_dictionaries(
+        {"n": st.integers(4, 8), "extra_edge_probability": st.just(0.2)}
+    ),
+}
+#: Dynamics: name -> (the one topology it is drawn on, or ``None`` for any;
+#: strategy over its args).  The end-to-end insertion needs ends that are not
+#: adjacent (a line's), the hub failover a hub next to its backup (a star's).
+_DYNAMICS = {
+    "periodic_churn": (
+        None,
+        st.fixed_dictionaries(
+            {
+                "period": st.sampled_from([2.0, 3.0, 5.0]),
+                "up_fraction": st.just(0.5),
+                "horizon": st.just(12.0),
+                "n_candidates": st.integers(1, 4),
+            }
+        ),
+    ),
+    "rotating_shortcuts": (
+        None,
+        st.fixed_dictionaries(
+            {
+                "window": st.integers(2, 3),
+                "shift_period": st.sampled_from([2.0, 3.0, 4.5]),
+                "horizon": st.just(12.0),
+            }
+        ),
+    ),
+    "end_to_end_insertion": (
+        "line",
+        st.fixed_dictionaries({"insertion_time": st.sampled_from([1.0, 3.0, 5.0])}),
+    ),
+    "hub_failover": (
+        "star",
+        st.fixed_dictionaries(
+            {
+                "failover_time": st.sampled_from([2.0, 4.0]),
+                "overlap": st.sampled_from([1.0, 3.0]),
+            }
+        ),
+    ),
+}
+_DRIFTS = [
+    None,
+    ("none", {}),
+    ("two_group", {"swap_period": 7.0}),
+    ("sinusoidal", {"period": 11.0}),
+    ("random_constant", {}),
+    ("random_walk", {"period": 3.0}),
+    ("ramp", {"reverse_period": 9.0}),
+]
+
+
+@st.composite
+def scenario_specs(draw) -> ScenarioSpec:
+    """A small valid spec over every axis the columnar backends run.
+
+    Topology x dynamics x drift x delay x estimate mode and strategy x
+    algorithm x step x ramp, plus the observation fields (trace, stride,
+    observers, early exit).
     """
-    topology_name, args_fn = FUZZ_TOPOLOGIES[rng.randrange(len(FUZZ_TOPOLOGIES))]
-    topology_args = args_fn(rng)
-    drift = FUZZ_DRIFTS[rng.randrange(len(FUZZ_DRIFTS))]
-    delay = FUZZ_DELAYS[rng.randrange(len(FUZZ_DELAYS))]
-    strategy = FUZZ_STRATEGIES[rng.randrange(len(FUZZ_STRATEGIES))]
+    topology_name = draw(st.sampled_from(sorted(_TOPOLOGIES)))
+    dynamics = draw(
+        st.sampled_from(
+            [None]
+            + [name for name, (on, _) in _DYNAMICS.items() if on in (None, topology_name)]
+        )
+    )
+    if dynamics is not None:
+        dynamics = ComponentSpec(dynamics, draw(_DYNAMICS[dynamics][1]))
+    drift = draw(st.sampled_from(_DRIFTS))
+    delay = draw(st.sampled_from(FUZZ_DELAYS + [STORM_DELAY]))
+    strategy = draw(st.sampled_from(FUZZ_STRATEGIES))
     sim = {
-        "dt": rng.choice([0.05, 0.1]),
-        "duration": rng.choice([8.0, 12.0]),
+        "dt": draw(st.sampled_from([0.05, 0.1])),
+        "duration": draw(st.sampled_from([8.0, 12.0])),
         "sample_interval": 1.0,
         "estimate_strategy": strategy,
+        "drop_messages_on_edge_loss": draw(st.booleans()),
     }
-    ramp = rng.choice([None, 0.5, 2.0])
+    if draw(st.booleans()):
+        sim["estimate_mode"] = "broadcast"
+        sim["broadcast_interval"] = draw(st.sampled_from([0.5, 1.0, 2.0]))
     return ScenarioSpec(
-        label=f"{label_prefix}/{case}/{topology_name}/{strategy}",
-        topology=ComponentSpec(topology_name, topology_args),
+        label=f"generated/{topology_name}/{strategy}",
+        topology=ComponentSpec(topology_name, draw(_TOPOLOGIES[topology_name])),
+        dynamics=dynamics,
         drift=ComponentSpec(*drift) if drift else None,
         delay=ComponentSpec(*delay) if delay else None,
-        algorithm=ComponentSpec("aopt", {"global_skew_bound": 25.0}),
+        algorithm=ComponentSpec(
+            draw(st.sampled_from(["aopt", "immediate_insertion"])),
+            {
+                "global_skew_bound": 25.0,
+                "insertion_scale": draw(st.sampled_from([0.001, 0.01])),
+            },
+        ),
         params={"rho": 0.015, "mu": 0.1},
         edge={"epsilon": 1.0, "tau": 0.5, "delay": 2.0},
         sim=sim,
-        initial_ramp_per_edge=ramp,
+        initial_ramp_per_edge=draw(st.sampled_from([None, 0.5, 2.0, 4.5])),
+        trace=draw(st.sampled_from(["full", "none"])),
+        trace_stride=draw(st.integers(1, 3)),
+        observers=draw(
+            st.one_of(
+                st.just(()),
+                st.lists(
+                    st.sampled_from(sorted(OBSERVERS)), min_size=1, max_size=4, unique=True
+                ).map(tuple),
+            )
+        ),
+        until_stable=draw(st.booleans()),
     )
 
 
-def make_delay_sweep_spec(delay, label_prefix: str) -> ScenarioSpec:
-    """Deterministic line spec exercising one delay model (or the default)."""
+def staged_insertion_spec(algorithm="aopt", strategy="toward_observer", ramp=None):
+    """A line of 5 whose end-to-end edge appears at t = 5 and climbs every level."""
     return ScenarioSpec(
-        label=f"{label_prefix}/{delay[0] if delay else 'default'}",
+        label=f"staged_insertion/{algorithm}/{strategy}",
         topology=ComponentSpec("line", {"n": 5}),
-        drift=ComponentSpec("two_group", {"swap_period": 5.0}),
-        delay=ComponentSpec(*delay) if delay else None,
-        algorithm=ComponentSpec("aopt", {"global_skew_bound": 25.0}),
+        dynamics=ComponentSpec("end_to_end_insertion", {"insertion_time": 5.0}),
+        drift=ComponentSpec("two_group", {"swap_period": 20.0}),
+        algorithm=ComponentSpec(
+            algorithm,
+            # A tiny insertion duration so every level is promoted well
+            # within the run (I ~ 3 time units for this bound).
+            {"global_skew_bound": 10.0, "insertion_scale": 0.001},
+        ),
         params={"rho": 0.015, "mu": 0.1},
         edge={"epsilon": 1.0, "tau": 0.5, "delay": 2.0},
         sim={
             "dt": 0.1,
-            "duration": 10.0,
+            "duration": 45.0,
             "sample_interval": 1.0,
-            "estimate_strategy": "toward_observer",
+            "estimate_strategy": strategy,
         },
-        initial_ramp_per_edge=1.0,
+        initial_ramp_per_edge=ramp,
     )
 
 
@@ -214,7 +286,7 @@ class FakeNodeAPI(NodeAPI):
     def edge_params(self, neighbor: NodeId) -> EdgeParams:
         return self.edge_parameters.get(neighbor, self.default_edge_params)
 
-    def send(self, neighbor: NodeId, payload: object) -> bool:
+    def send(self, neighbor: NodeId, payload: object, at: Optional[float] = None) -> bool:
         if neighbor not in self.neighbor_set:
             return False
         self.sent.append((neighbor, payload))

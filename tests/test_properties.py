@@ -47,8 +47,8 @@ from repro.network.dynamic_graph import DynamicGraph, EdgeEvent, GraphError
 from repro.network.edge import EdgeKey, EdgeParams
 from repro.sim.trace import Trace, TraceSample
 from repro.telemetry.schema import sanitize_json
+from conftest import staged_insertion_spec
 from test_dynamic_graph import oracle_edge_pairs, same_iteration
-from test_fastsim_equivalence import staged_insertion_spec
 from test_neighbor_sets import exhaustive_chain_holds
 from test_paths_kernel import assert_matches_oracle, oracle_all_pairs, oracle_diameter
 from test_trace_plumbing import (

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import staged_insertion_spec
 from repro.core.neighbor_sets import NeighborLevels
 from repro.experiments import execute_spec, registry, run_sweep, scenario
 from repro.experiments.bench import BENCH_OBSERVERS, bench_spec
@@ -25,7 +26,6 @@ from repro.fastsim.columns import CSRAdjacency
 from repro.network import paths, topology
 from repro.network.dynamic_graph import DynamicGraph
 from repro.network.edge import EdgeKey
-from test_fastsim_equivalence import staged_insertion_spec
 
 #: Warnings are errors here: a file handle leaked on a read path, or any other
 #: ResourceWarning, fails the test that leaked it.

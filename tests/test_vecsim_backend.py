@@ -9,7 +9,6 @@ from repro.experiments import (
     ExperimentRunner,
     batch_key,
     execute_spec,
-    execute_specs_batched,
     registry,
     scenario,
 )
@@ -215,15 +214,6 @@ class TestRunBatching:
             scenario("line_scaling", n=n, sim={"duration": 12.0}, backend="vec")
             for n in (4, 5, 6)
         ]
-
-    def test_batched_runs_are_bit_identical_to_single_runs(self):
-        specs = self.batch_specs()
-        singles = [execute_spec(spec) for spec in specs]
-        batched = execute_specs_batched(specs)
-        for single, batch in zip(singles, batched):
-            assert single["trace"] == batch["trace"]
-            assert single["summary"] == batch["summary"]
-            assert single["meta"] == batch["meta"]
 
     def test_build_batch_rejects_mixed_dt(self):
         from repro.fastsim.engine import FastsimError

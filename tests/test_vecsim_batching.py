@@ -14,10 +14,10 @@ import itertools
 
 import pytest
 
+from conftest import staged_insertion_spec
 from repro.core.aopt_step import MODE_FREE, evaluate_mode_flat
 from repro.experiments import execute_spec, execute_specs_batched, registry, scenario
 from repro.experiments.bench import BENCH_OBSERVERS, bench_spec
-from repro.experiments.spec import ComponentSpec, ScenarioSpec
 from repro.fastsim import get_backend
 
 np = pytest.importorskip("numpy")
@@ -47,27 +47,6 @@ def static_trio(duration=12.0, dt=0.05):
     ]
 
 
-def insertion_spec(duration=45.0):
-    """A staged insertion short enough to finish: levels climb 0 -> top."""
-    return ScenarioSpec(
-        label="vecsim_batching/insertion",
-        topology=ComponentSpec("line", {"n": 5}),
-        dynamics=ComponentSpec("end_to_end_insertion", {"insertion_time": 5.0}),
-        drift=ComponentSpec("two_group", {"swap_period": 20.0}),
-        algorithm=ComponentSpec(
-            "aopt", {"global_skew_bound": 10.0, "insertion_scale": 0.001}
-        ),
-        params={"rho": 0.015, "mu": 0.1},
-        edge={"epsilon": 1.0, "tau": 0.5, "delay": 2.0},
-        sim={
-            "dt": 0.1,
-            "duration": duration,
-            "sample_interval": 1.0,
-            "estimate_strategy": "toward_observer",
-        },
-    )
-
-
 def churn_spec(duration=45.0):
     return scenario(
         "grid_periodic_churn", rows=3, cols=3, churn_period=6.0, duration=duration
@@ -76,6 +55,24 @@ def churn_spec(duration=45.0):
 
 def static_grid(duration=45.0):
     return bench_spec("grid", 16, duration=duration, dt=0.1)
+
+
+def dynamic_trio():
+    """An insertion, a hub failover and a drifting ring: three dynamic views."""
+    return [
+        scenario("end_to_end_insertion", n=5, insertion_time=5.0, sim={"duration": 30.0}),
+        scenario("star_hub_failover", n=6, failover_time=8.0, duration=30.0),
+        scenario("ring_sinusoidal_drift", n=7, duration=30.0),
+    ]
+
+
+def broadcast_trio():
+    """Broadcast estimates: two intervals, and a delay storm on churning edges."""
+    return [
+        scenario("line_broadcast", n=5, sim={"duration": 25.0}),
+        scenario("line_broadcast", n=7, broadcast_interval=0.5, sim={"duration": 25.0}),
+        scenario("random_broadcast_delay_storm", n=6, duration=25.0),
+    ]
 
 
 def eligible(context) -> bool:
@@ -115,12 +112,17 @@ class TestMixedBatchPayloads:
         assert_batch_equals_runs(specs, backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("dynamic", [insertion_spec, churn_spec])
+    @pytest.mark.parametrize("trio", [dynamic_trio, broadcast_trio])
+    def test_dynamic_and_broadcast_trios(self, backend, trio):
+        assert_batch_equals_runs(trio(), backend)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("dynamic", [staged_insertion_spec, churn_spec])
     def test_static_grid_with_a_dynamic_run(self, backend, dynamic):
         assert_batch_equals_runs([static_grid(), dynamic()], backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("dynamic", [insertion_spec, churn_spec])
+    @pytest.mark.parametrize("dynamic", [staged_insertion_spec, churn_spec])
     def test_messages_are_counted_per_run(self, backend, dynamic):
         """Deliveries are credited to the run that sent them."""
         from repro.jitsim import build_batch as build_jit_batch
@@ -146,9 +148,9 @@ class TestExtremumEligibility:
         "make_specs",
         [
             static_trio,
-            lambda: [static_grid(), insertion_spec()],
+            lambda: [static_grid(), staged_insertion_spec()],
             lambda: [static_grid(), churn_spec()],
-            lambda: [insertion_spec(), churn_spec(), static_grid()],
+            lambda: [staged_insertion_spec(), churn_spec(), static_grid()],
         ],
         ids=["static-trio", "grid+insertion", "grid+churn", "insertion+churn+grid"],
     )
@@ -164,7 +166,9 @@ class TestExtremumEligibility:
             assert eligible(batch) == all(eligible(context) for context in alone)
 
     def test_insertion_leaves_the_extremum_path_and_returns(self):
-        batch = build_batch([materialise(static_grid()), materialise(insertion_spec())])
+        batch = build_batch(
+            [materialise(static_grid()), materialise(staged_insertion_spec())]
+        )
         history = []
         while batch.time < 45.0 - 1e-9:
             batch._step()
