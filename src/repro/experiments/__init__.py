@@ -9,7 +9,8 @@ in parallel, cache it on disk":
   algorithm factories plus named end-to-end scenarios;
 * :mod:`repro.experiments.executor` -- grid expansion, a multiprocessing
   sweep runner and the content-addressed on-disk result cache;
-* :mod:`repro.experiments.results` -- the compact
+* :mod:`repro.experiments.results` -- spec to payload
+  (:func:`~repro.experiments.results.execute_spec`) and the compact
   :class:`~repro.experiments.results.RunSummary` workers return instead of
   whole engines;
 * :mod:`repro.experiments.bench` -- ``bench_spec``, the throughput scenario

@@ -2,9 +2,10 @@
 
 The executor turns specs into runs:
 
-* :func:`execute_spec` materialises one spec, runs the engine and returns a
-  plain-JSON payload (summary + trace + metadata) -- the *only* thing that
-  crosses process boundaries, so workers never pickle engines;
+* :func:`~repro.experiments.results.execute_spec` (re-exported here)
+  materialises one spec, runs the engine and returns a plain-JSON payload
+  (summary + trace + metadata) -- the *only* thing that crosses process
+  boundaries, so workers never pickle engines;
 * :class:`ResultCache` is the content-hash-keyed on-disk store
   (``benchmarks/results/cache/`` by default) with atomic writes, stats and
   pruning -- shared by one-shot CLI runs and the long-running sweep service
@@ -43,33 +44,20 @@ from .. import __version__ as _library_version
 from ..fastsim.backend import declined_reason, get_backend
 from ..fastsim.engine import UnsupportedScenarioError
 from ..metrics import ObserverReport
-from ..telemetry.schema import sanitize_json
 from ..telemetry.sweep import WATCHDOG_PREFIX, SweepTelemetry
 from . import registry
 from .results import (
+    CACHE_FORMAT_VERSION,
     RunSummary,
-    build_run_pipeline,
-    summarize,
+    execute_spec,
+    execute_specs_batched,
+    meta_from_payload,
     trace_from_payload,
-    trace_payload_is_finite,
-    trace_to_payload,
 )
+from .semantics import SEMANTICS
 from .spec import ScenarioSpec
 
 logger = logging.getLogger(__name__)
-
-#: Bumped when the cache payload layout changes; mismatching entries are
-#: treated as cache misses and overwritten.  Version 2 added the engine
-#: backend to the cache key and payload (reference and fast results of the
-#: same scenario are distinct cache entries that may never collide);
-#: version 3 added ``trace_stride`` to the key and the serialised spec;
-#: version 4 added the streaming ``observers`` report to the payload and
-#: made the trace optional (``trace: none`` runs cache ``"trace": null``);
-#: version 5 added ``until_stable`` to the serialised spec (with a
-#: ``.stable`` key suffix), the ``stopped_early`` flag to the payload, and
-#: strict-JSON serialisation (non-finite floats sanitised, ``allow_nan``
-#: off).  Stale entries are simply re-run and overwritten.
-CACHE_FORMAT_VERSION = 5
 
 #: Smallest group that is run as a lockstep batch.  There is no size to
 #: tune: the combined view picks kernel paths and layouts per row / per
@@ -103,122 +91,8 @@ def default_cache_dir() -> Path:
 
 
 # ----------------------------------------------------------------------
-# Single-spec execution (runs inside workers)
+# Dispatch (what runs where; :mod:`.results` computes each payload)
 # ----------------------------------------------------------------------
-def _meta_to_payload(meta: Dict[str, Any]) -> Dict[str, Any]:
-    payload = dict(meta)
-    if "new_edge" in payload:
-        payload["new_edge"] = list(payload["new_edge"])
-    if "churn_candidates" in payload:
-        payload["churn_candidates"] = [list(e) for e in payload["churn_candidates"]]
-    return payload
-
-
-def _meta_from_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    meta = dict(payload)
-    if "new_edge" in meta:
-        meta["new_edge"] = tuple(meta["new_edge"])
-    if "churn_candidates" in meta:
-        meta["churn_candidates"] = [tuple(e) for e in meta["churn_candidates"]]
-    return meta
-
-
-def _attach_pipeline(
-    spec: ScenarioSpec,
-    scenario: "registry.MaterialisedScenario",
-    engine,
-    telemetry_sink: Optional[Callable[..., None]] = None,
-):
-    """Build the run's observer pipeline and hook it into the engine."""
-    pipeline = build_run_pipeline(
-        spec,
-        graph=scenario.graph,
-        base_edges=scenario.base_edges,
-        config=scenario.config,
-        meta=scenario.meta,
-        global_skew_bound=scenario.global_skew_bound,
-        sink=telemetry_sink,
-    )
-    engine.configure_recording(pipeline, record_trace=spec.trace == "full")
-    return pipeline
-
-
-def _payload_for(
-    spec: ScenarioSpec,
-    scenario: "registry.MaterialisedScenario",
-    engine,
-    trace,
-    report: ObserverReport,
-    wall_time: float,
-) -> Dict[str, Any]:
-    summary = summarize(
-        spec=spec,
-        report=report,
-        graph=scenario.graph,
-        base_edges=scenario.base_edges,
-        config=scenario.config,
-        meta=scenario.meta,
-        global_skew_bound=scenario.global_skew_bound,
-        engine=engine,
-    )
-    # Sanitized so the cached file is strict JSON even if a summary, meta or
-    # trace value is ever non-finite (finite floats pass through bit-exact;
-    # ``ResultCache.store`` serialises with ``allow_nan=False`` so a
-    # regression fails loudly instead of writing an unparseable ``NaN``
-    # token).
-    payload = sanitize_json({
-        "format": CACHE_FORMAT_VERSION,
-        "library_version": _library_version,
-        "spec": spec.to_dict(),
-        "spec_hash": spec.content_hash(),
-        "backend": spec.backend,
-        "summary": summary.to_dict(),
-        "meta": _meta_to_payload(scenario.meta),
-        "observers": report.to_payload(),
-        "trace": None,
-        "wall_time": wall_time,
-        "stopped_early": bool(getattr(engine, "stopped_early", False)),
-    })
-    if spec.trace == "full":
-        # The trace is ~99 % of the payload and all but always finite, in
-        # which case sanitising would return an equal copy: check it, and
-        # copy only a trace that needs it.
-        encoded = trace_to_payload(trace)
-        if not trace_payload_is_finite(encoded):
-            encoded = sanitize_json(encoded)
-        payload["trace"] = encoded
-    return payload
-
-
-def execute_spec(
-    spec: ScenarioSpec,
-    telemetry_sink: Optional[Callable[..., None]] = None,
-) -> Dict[str, Any]:
-    """Run one spec to completion and return the cacheable payload.
-
-    The spec's ``backend`` field picks the engine (reference, fast, vec or jit);
-    every backend receives the identical materialised scenario because seeds
-    derive from the backend-independent content hash.  Summaries come from
-    the streaming observer pipeline, which every engine feeds during the
-    run; with ``trace: none`` the run keeps no samples at all.
-
-    ``telemetry_sink`` (``sink(event_type, **fields)``) streams watchdog
-    firings and progress events live during the run; it only observes and
-    cannot change the payload.
-    """
-    started = time.perf_counter()
-    scenario = registry.build_scenario(spec)
-    engine = get_backend(spec.backend).build(
-        scenario.graph, scenario.algorithm_factory, scenario.config
-    )
-    pipeline = _attach_pipeline(spec, scenario, engine, telemetry_sink)
-    trace = engine.run(scenario.config.duration)
-    report = pipeline.finalize()
-    return _payload_for(
-        spec, scenario, engine, trace, report, time.perf_counter() - started
-    )
-
-
 def batch_key(spec: ScenarioSpec) -> Optional[Tuple]:
     """Grouping key for run batching, or ``None`` when not batchable.
 
@@ -236,42 +110,6 @@ def batch_key(spec: ScenarioSpec) -> Optional[Tuple]:
         sim.get("estimate_mode", "oracle"),
         sim.get("estimate_strategy", "zero"),
     )
-
-
-def execute_specs_batched(
-    specs: Sequence[ScenarioSpec],
-    telemetry_sinks: Optional[Sequence[Optional[Callable[..., None]]]] = None,
-) -> List[Dict[str, Any]]:
-    """Run compatible specs as one lockstep batch (see ``batch_key``).
-
-    Returns one payload per spec, bit-identical to :func:`execute_spec` of
-    the same spec.  ``telemetry_sinks``, when given, pairs one (possibly
-    ``None``) live sink with each spec.
-
-    ``batch_key`` includes the backend, so every spec of a group shares
-    one; the group runs on that backend's ``build_batch``.
-    """
-    started = time.perf_counter()
-    if telemetry_sinks is None:
-        telemetry_sinks = [None] * len(specs)
-    scenarios = [registry.build_scenario(spec) for spec in specs]
-    context = get_backend(specs[0].backend).build_batch(
-        [(sc.graph, sc.algorithm_factory, sc.config) for sc in scenarios]
-    )
-    pipelines = [
-        _attach_pipeline(spec, sc, engine, sink)
-        for spec, sc, engine, sink in zip(
-            specs, scenarios, context.engines, telemetry_sinks
-        )
-    ]
-    context.run_until(scenarios[0].config.duration)
-    wall_time = (time.perf_counter() - started) / max(len(specs), 1)
-    return [
-        _payload_for(spec, sc, engine, engine.trace, pipeline.finalize(), wall_time)
-        for spec, sc, engine, pipeline in zip(
-            specs, scenarios, context.engines, pipelines
-        )
-    ]
 
 
 def _pool_worker(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -406,7 +244,7 @@ def _run_from_payload(
         spec=spec,
         summary=RunSummary.from_dict(payload["summary"]),
         trace=payload.get("trace"),  # decoded when first read
-        meta=_meta_from_payload(payload.get("meta", {})),
+        meta=meta_from_payload(payload.get("meta", {})),
         report=ObserverReport.from_payload(payload.get("observers")),
         from_cache=from_cache,
         wall_time=payload.get("wall_time", 0.0),
@@ -433,7 +271,7 @@ _NON_BACKEND_SUFFIX_RE = re.compile(r"^(s\d+|notrace|stable|obs-[0-9a-f]+)$")
 #: 1 kB); the least recently used one is dropped first.
 HEADER_INDEX_CAPACITY = 4096
 
-_HEAD_KEYS = ("format", "library_version", "spec_hash", "backend")
+_HEAD_KEYS = ("format", "library_version", "semantics", "spec_hash", "backend")
 _HEAD_SPEC_KEYS = ("trace_stride", "trace", "observers", "until_stable")
 
 
@@ -480,10 +318,9 @@ def _matches(stored: Mapping[str, Any], spec: ScenarioSpec) -> bool:
     observed = stored.get("spec", {})
     return (
         stored.get("format") == CACHE_FORMAT_VERSION
-        # Entries written by another library version may embody different
-        # simulation semantics; treat them as misses.  (Within one version,
-        # clear the cache manually after editing simulation code.)
         and stored.get("library_version") == _library_version
+        # Written by code that decides results differently: a miss.
+        and stored.get("semantics") == SEMANTICS
         and stored.get("spec_hash") == spec.content_hash()
         and stored.get("backend", "reference") == spec.backend
         and observed.get("trace_stride", 1) == spec.trace_stride
@@ -863,6 +700,9 @@ class ResultCache:
         return path.with_suffix(f".tmp.{os.getpid()}-{uuid.uuid4().hex[:12]}")
 
     def store(self, spec: ScenarioSpec, payload: Dict[str, Any]) -> Path:
+        # The one writer of an entry's ``semantics``: the digest of the code
+        # that stores it, under which alone :func:`_matches` serves it.
+        payload = {**payload, "semantics": SEMANTICS}
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         key = self.key_for(spec)
         path = self._path(key)

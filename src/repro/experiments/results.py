@@ -15,19 +15,44 @@ from :func:`report_from_trace`: the same observers are replayed over the
 trace, producing a bit-identical report -- the differential suite asserts
 streaming == replay == the pre-refactor post-hoc computation on every
 backend.
+
+:func:`execute_spec` and :func:`execute_specs_batched` run specs to the
+payloads the cache stores: everything that decides a stored result's bits
+lives here or below, in the modules the
+:data:`~repro.experiments.semantics.SEMANTICS` digest covers.  Where a
+payload goes -- pool, batch, cache -- is :mod:`repro.experiments.executor`'s.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .. import __version__ as _library_version
+from ..fastsim.backend import get_backend
 from ..metrics import DEFAULT_OBSERVERS, ObserverReport, build_pipeline
 from ..sim.trace import Trace, TraceSample
+from ..telemetry.schema import sanitize_json
+from . import registry
+from .spec import ScenarioSpec
 
 Edge = Tuple[int, int]
+
+#: Bumped when the cache payload layout changes; mismatching entries are
+#: treated as cache misses and overwritten.  Version 2 added the engine
+#: backend to the cache key and payload (reference and fast results of the
+#: same scenario are distinct cache entries that may never collide);
+#: version 3 added ``trace_stride`` to the key and the serialised spec;
+#: version 4 added the streaming ``observers`` report to the payload and
+#: made the trace optional (``trace: none`` runs cache ``"trace": null``);
+#: version 5 added ``until_stable`` to the serialised spec (with a
+#: ``.stable`` key suffix), the ``stopped_early`` flag to the payload, and
+#: strict-JSON serialisation (non-finite floats sanitised, ``allow_nan``
+#: off).  Stale entries are simply re-run and overwritten.
+CACHE_FORMAT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -316,3 +341,156 @@ def trace_from_payload(payload: Optional[Dict[str, Any]]) -> Optional[Trace]:
             TraceSample(time=entry["time"], diameter=entry.get("diameter"), **columns)
         )
     return trace
+
+
+# ----------------------------------------------------------------------
+# Execution: a spec (or a batch of them) to its payload
+# ----------------------------------------------------------------------
+def _meta_to_payload(meta: Dict[str, Any]) -> Dict[str, Any]:
+    payload = dict(meta)
+    if "new_edge" in payload:
+        payload["new_edge"] = list(payload["new_edge"])
+    if "churn_candidates" in payload:
+        payload["churn_candidates"] = [list(e) for e in payload["churn_candidates"]]
+    return payload
+
+
+def meta_from_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
+    meta = dict(payload)
+    if "new_edge" in meta:
+        meta["new_edge"] = tuple(meta["new_edge"])
+    if "churn_candidates" in meta:
+        meta["churn_candidates"] = [tuple(e) for e in meta["churn_candidates"]]
+    return meta
+
+
+def _attach_pipeline(
+    spec: ScenarioSpec,
+    scenario: "registry.MaterialisedScenario",
+    engine,
+    telemetry_sink: Optional[Callable[..., None]] = None,
+):
+    """Build the run's observer pipeline and hook it into the engine."""
+    pipeline = build_run_pipeline(
+        spec,
+        graph=scenario.graph,
+        base_edges=scenario.base_edges,
+        config=scenario.config,
+        meta=scenario.meta,
+        global_skew_bound=scenario.global_skew_bound,
+        sink=telemetry_sink,
+    )
+    engine.configure_recording(pipeline, record_trace=spec.trace == "full")
+    return pipeline
+
+
+def _payload_for(
+    spec: ScenarioSpec,
+    scenario: "registry.MaterialisedScenario",
+    engine,
+    trace,
+    report: ObserverReport,
+    wall_time: float,
+) -> Dict[str, Any]:
+    summary = summarize(
+        spec=spec,
+        report=report,
+        graph=scenario.graph,
+        base_edges=scenario.base_edges,
+        config=scenario.config,
+        meta=scenario.meta,
+        global_skew_bound=scenario.global_skew_bound,
+        engine=engine,
+    )
+    # Sanitized so the cached file is strict JSON even if a summary, meta or
+    # trace value is ever non-finite (finite floats pass through bit-exact;
+    # ``ResultCache.store`` serialises with ``allow_nan=False`` so a
+    # regression fails loudly instead of writing an unparseable ``NaN``
+    # token).
+    payload = sanitize_json({
+        "format": CACHE_FORMAT_VERSION,
+        "library_version": _library_version,
+        "spec": spec.to_dict(),
+        "spec_hash": spec.content_hash(),
+        "backend": spec.backend,
+        "summary": summary.to_dict(),
+        "meta": _meta_to_payload(scenario.meta),
+        "observers": report.to_payload(),
+        "trace": None,
+        "wall_time": wall_time,
+        "stopped_early": bool(getattr(engine, "stopped_early", False)),
+    })
+    if spec.trace == "full":
+        # The trace is ~99 % of the payload and all but always finite, in
+        # which case sanitising would return an equal copy: check it, and
+        # copy only a trace that needs it.
+        encoded = trace_to_payload(trace)
+        if not trace_payload_is_finite(encoded):
+            encoded = sanitize_json(encoded)
+        payload["trace"] = encoded
+    return payload
+
+
+def execute_spec(
+    spec: ScenarioSpec,
+    telemetry_sink: Optional[Callable[..., None]] = None,
+) -> Dict[str, Any]:
+    """Run one spec to completion and return the cacheable payload.
+
+    The spec's ``backend`` field picks the engine (reference, fast, vec or jit);
+    every backend receives the identical materialised scenario because seeds
+    derive from the backend-independent content hash.  Summaries come from
+    the streaming observer pipeline, which every engine feeds during the
+    run; with ``trace: none`` the run keeps no samples at all.
+
+    ``telemetry_sink`` (``sink(event_type, **fields)``) streams watchdog
+    firings and progress events live during the run; it only observes and
+    cannot change the payload.
+    """
+    started = time.perf_counter()
+    scenario = registry.build_scenario(spec)
+    engine = get_backend(spec.backend).build(
+        scenario.graph, scenario.algorithm_factory, scenario.config
+    )
+    pipeline = _attach_pipeline(spec, scenario, engine, telemetry_sink)
+    trace = engine.run(scenario.config.duration)
+    report = pipeline.finalize()
+    return _payload_for(
+        spec, scenario, engine, trace, report, time.perf_counter() - started
+    )
+
+
+def execute_specs_batched(
+    specs: Sequence[ScenarioSpec],
+    telemetry_sinks: Optional[Sequence[Optional[Callable[..., None]]]] = None,
+) -> List[Dict[str, Any]]:
+    """Run compatible specs as one lockstep batch (see ``batch_key``).
+
+    Returns one payload per spec, bit-identical to :func:`execute_spec` of
+    the same spec.  ``telemetry_sinks``, when given, pairs one (possibly
+    ``None``) live sink with each spec.
+
+    ``batch_key`` includes the backend, so every spec of a group shares
+    one; the group runs on that backend's ``build_batch``.
+    """
+    started = time.perf_counter()
+    if telemetry_sinks is None:
+        telemetry_sinks = [None] * len(specs)
+    scenarios = [registry.build_scenario(spec) for spec in specs]
+    context = get_backend(specs[0].backend).build_batch(
+        [(sc.graph, sc.algorithm_factory, sc.config) for sc in scenarios]
+    )
+    pipelines = [
+        _attach_pipeline(spec, sc, engine, sink)
+        for spec, sc, engine, sink in zip(
+            specs, scenarios, context.engines, telemetry_sinks
+        )
+    ]
+    context.run_until(scenarios[0].config.duration)
+    wall_time = (time.perf_counter() - started) / max(len(specs), 1)
+    return [
+        _payload_for(spec, sc, engine, engine.trace, pipeline.finalize(), wall_time)
+        for spec, sc, engine, pipeline in zip(
+            specs, scenarios, context.engines, pipelines
+        )
+    ]

@@ -17,6 +17,8 @@ vec backend stay O(n) arrays end to end.
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import numpy as np
 
 
@@ -34,24 +36,13 @@ def max_pair_skew(logical: np.ndarray, iu: np.ndarray, iv: np.ndarray) -> float:
     return float(np.abs(logical[iu] - logical[iv]).max())
 
 
-def count_exceeding(
-    logical: np.ndarray, iu: np.ndarray, iv: np.ndarray, limits: np.ndarray
-) -> int:
-    """How many pairs have ``|L_u - L_v| > limit`` (exact comparison)."""
-    if not len(iu):
-        return 0
-    return int(np.count_nonzero(np.abs(logical[iu] - logical[iv]) > limits))
-
-
-def group_max_update(
-    logical: np.ndarray,
-    iu: np.ndarray,
-    iv: np.ndarray,
-    group: np.ndarray,
-    accumulator: np.ndarray,
-) -> None:
-    """Fold one sample's per-pair skews into per-group running maxima."""
-    np.maximum.at(accumulator, group, np.abs(logical[iu] - logical[iv]))
+def run_skews(
+    logical: np.ndarray, iu: np.ndarray, iv: np.ndarray, starts: List[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-pair ``|L_u - L_v|`` and its maximum over each run of pairs
+    beginning at ``starts`` (ascending, each run non-empty)."""
+    skews = np.abs(logical.take(iu) - logical.take(iv))
+    return skews, np.maximum.reduceat(skews, starts)
 
 
 def max_estimate_lag(logical: np.ndarray, estimates: np.ndarray) -> float:

@@ -36,7 +36,7 @@ from ..core.parameters import Parameters
 from ..network import paths
 from ..sim.runner import minimum_kappa
 from . import streaming
-from .views import Pair, SampleView
+from .views import SampleView
 
 
 class MetricsError(ValueError):
@@ -105,33 +105,25 @@ class ObserverContext:
         return tuple(edge) if edge is not None else None
 
     @cached_property
-    def _kappa_pairs(self) -> Tuple[List[Pair], List[float]]:
-        """The unordered pairs at a positive ``kappa`` distance and those
-        distances, parallel lists in :func:`paths.iter_distances` order."""
-        weight = paths.kappa_weight(self.graph, self.params)
-        return paths.ordered_pair_distances(self.graph, weight)
-
-    @cached_property
-    def kappa_distances(self) -> Dict[Pair, float]:
-        """The positive ``kappa`` distance of each unordered pair, in the key
-        order of :func:`paths.all_pairs_distances`.  Only the opt-in
-        ``skew_by_distance`` observer reads it; the dict is built on that
-        first read, once per pipeline."""
-        return dict(zip(*self._kappa_pairs))
+    def kappa_table(self) -> paths.PairTable:
+        """The pairs at a positive ``kappa`` distance, by distance class:
+        the table every all-pairs observer of the pipeline reads.  A
+        one-weight graph's index columns are kept per adjacency by
+        :func:`paths.pair_table`, so they are built once per graph."""
+        return paths.pair_table(self.graph, paths.kappa_weight(self.graph, self.params))
 
     def gradient_limits(
         self, tolerance: float
-    ) -> Optional[Tuple[List[Pair], List[float]]]:
-        """Every pair with its Corollary 5.26 skew limit ``+ tolerance``; ``None``
-        under churn (distances are ambiguous) or without a global skew bound."""
+    ) -> Optional[Tuple[paths.PairTable, List[float]]]:
+        """The pair table with each class's Corollary 5.26 skew limit
+        ``+ tolerance``; ``None`` under churn (distances are ambiguous) or
+        without a global skew bound."""
         if self.has_dynamics or self.global_skew_bound is None:
             return None
-        pairs, distances = self._kappa_pairs
-        limit = {
-            d: self.params.gradient_skew_bound(d, self.global_skew_bound) + tolerance
-            for d in set(distances)
-        }
-        return pairs, [limit[d] for d in distances]
+        table, bound = self.kappa_table, self.global_skew_bound
+        return table, [
+            self.params.gradient_skew_bound(d, bound) + tolerance for d in table.distances
+        ]
 
 
 class Observer:
@@ -331,7 +323,7 @@ class GradientBoundObserver(Observer):
 
     def observe(self, view: SampleView) -> None:
         if self._table is not None:
-            self._count += view.count_exceeding("gradient/pairs", *self._table)
+            self._count += view.count_exceeding(*self._table)
 
     def finalize(self) -> Dict[str, Any]:
         if self._table is None:
@@ -351,8 +343,8 @@ class SkewByDistanceObserver(Observer):
 
     def __init__(self, context):
         super().__init__(context)
-        self._pairs = list(context.kappa_distances)
-        keys = [round(d, 9) for d in context.kappa_distances.values()]
+        self._table = context.kappa_table
+        keys = [round(d, 9) for d in self._table.distances]
         slot: Dict[float, int] = {}
         for key in keys:
             slot.setdefault(key, len(slot))
@@ -361,13 +353,11 @@ class SkewByDistanceObserver(Observer):
         self._accumulator = None
 
     def observe(self, view: SampleView) -> None:
-        if not self._pairs:
+        if not self._group:
             return
         if self._accumulator is None:
             self._accumulator = view.make_group_accumulator(len(self._keys))
-        view.group_max_update(
-            "skew_by_distance/pairs", self._pairs, self._group, self._accumulator
-        )
+        view.group_max_update(self._table, self._group, self._accumulator)
 
     def finalize(self) -> Dict[str, Any]:
         profile: Dict[float, float] = {}

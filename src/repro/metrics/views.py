@@ -15,17 +15,23 @@ state layout:
 
 All three produce bit-identical floats for the same state -- the reductions
 are order-insensitive maxima/minima and exact comparisons (see the kernel
-module docstring for the argument).  Pair lists (edges, gradient pairs) are
-registered once under a key and translated to the view's native indexing on
-first use.
+module docstring for the argument).  Edge lists are registered once under a
+key and translated to the view's native indexing on first use.  The all-pairs
+reductions read a :class:`~repro.network.paths.PairTable` window by window
+and, inside a window, class by class against one scalar per class: its index
+columns address the sorted nodes, so each sample reorders the O(n) logical
+column when the view's own order differs, never the O(n^2) pairs, and a view
+keeps nothing per pair.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.aopt_step import MODE_NAMES
 from ..network.edge import NodeId
+from ..network.paths import PairTable
 
 Pair = Tuple[NodeId, NodeId]
 
@@ -37,10 +43,33 @@ class SampleView:
 
     def __init__(self):
         self._gskew: Optional[float] = None
+        self._table_column: Optional[Tuple[List[NodeId], Sequence[float]]] = None
+        self._order: Optional[Tuple[List[NodeId], Optional[List[int]]]] = None
 
     def _invalidate(self, time: float) -> None:
         self.time = time
         self._gskew = None
+        self._table_column = None
+
+    def _column(self, table: PairTable) -> Sequence[float]:
+        """This sample's logical clocks in ``table.nodes`` order (memoized
+        per sample: every all-pairs reduction of a sample shares it)."""
+        memo = self._table_column
+        if memo is None or memo[0] is not table.nodes:
+            memo = self._table_column = (table.nodes, self._in_order(table.nodes))
+        return memo[1]
+
+    def _in_order(self, nodes: List[NodeId]) -> Sequence[float]:
+        raise NotImplementedError
+
+    def _positions_of(self, nodes: List[NodeId]) -> Optional[List[int]]:
+        """A column view's position of each of ``nodes``, or ``None`` when its
+        columns follow that order already (worked out once per table)."""
+        order = self._order
+        if order is None or order[0] is not nodes:
+            same = list(self._ids) == nodes
+            order = self._order = (nodes, None if same else [self._index[u] for u in nodes])
+        return order[1]
 
     # -- reductions (memoized where several observers share them) -------
     def global_skew(self) -> float:
@@ -59,13 +88,31 @@ class SampleView:
         """Largest ``|L_u - L_v|`` over a registered pair list (0.0 empty)."""
         raise NotImplementedError
 
-    def count_exceeding(self, key: str, pairs: Sequence[Pair], limits: Sequence[float]) -> int:
-        """How many pairs have ``|L_u - L_v| > limit``."""
-        raise NotImplementedError
+    def count_exceeding(self, table: PairTable, limits: Sequence[float]) -> int:
+        """How many table pairs have ``|L_i - L_j| >`` the limit of their class."""
+        column = self._column(table)
+        count = 0
+        for lo, hi, runs in table.windows:
+            pairs = zip(table.first[lo:hi], table.second[lo:hi])
+            for c, start, end in runs:
+                limit = limits[c]
+                for a, b in islice(pairs, end - start):
+                    if abs(column[a] - column[b]) > limit:
+                        count += 1
+        return count
 
-    def group_max_update(self, key: str, pairs: Sequence[Pair], group: Sequence[int], accumulator) -> None:
-        """Fold this sample's pair skews into per-group running maxima."""
-        raise NotImplementedError
+    def group_max_update(self, table: PairTable, group: Sequence[int], accumulator) -> None:
+        """Fold this sample's pair skews into per-group running maxima, class
+        ``c`` of the table feeding group ``group[c]``."""
+        column = self._column(table)
+        for lo, hi, runs in table.windows:
+            pairs = zip(table.first[lo:hi], table.second[lo:hi])
+            for c, start, end in runs:
+                g = group[c]
+                for a, b in islice(pairs, end - start):
+                    skew = abs(column[a] - column[b])
+                    if skew > accumulator[g]:
+                        accumulator[g] = skew
 
     def histogram_update(self, key: str, pairs: Sequence[Pair], bin_edges: Sequence[float], counts) -> None:
         """Bucket this sample's pair skews into per-pair histograms."""
@@ -117,20 +164,8 @@ class TraceSampleView(SampleView):
                 best = skew
         return best
 
-    def count_exceeding(self, key, pairs, limits) -> int:
-        logical = self._sample.logical
-        count = 0
-        for (u, v), limit in zip(pairs, limits):
-            if abs(logical[u] - logical[v]) > limit:
-                count += 1
-        return count
-
-    def group_max_update(self, key, pairs, group, accumulator) -> None:
-        logical = self._sample.logical
-        for (u, v), g in zip(pairs, group):
-            skew = abs(logical[u] - logical[v])
-            if skew > accumulator[g]:
-                accumulator[g] = skew
+    def _in_order(self, nodes):
+        return list(map(self._sample.logical.__getitem__, nodes))
 
     def histogram_update(self, key, pairs, bin_edges, counts) -> None:
         import bisect
@@ -198,22 +233,11 @@ class ColumnsView(SampleView):
                 best = skew
         return best
 
-    def count_exceeding(self, key, pairs, limits) -> int:
-        iu, iv = self._positions(key, pairs)
-        logical = self._logical
-        count = 0
-        for a, b, limit in zip(iu, iv, limits):
-            if abs(logical[a] - logical[b]) > limit:
-                count += 1
-        return count
-
-    def group_max_update(self, key, pairs, group, accumulator) -> None:
-        iu, iv = self._positions(key, pairs)
-        logical = self._logical
-        for a, b, g in zip(iu, iv, group):
-            skew = abs(logical[a] - logical[b])
-            if skew > accumulator[g]:
-                accumulator[g] = skew
+    def _in_order(self, nodes):
+        positions = self._positions_of(nodes)
+        if positions is None:
+            return self._logical
+        return list(map(self._logical.__getitem__, positions))
 
     def histogram_update(self, key, pairs, bin_edges, counts) -> None:
         import bisect
@@ -288,15 +312,39 @@ class ArrayView(SampleView):
         iu, iv = self._positions(key, pairs)
         return self._kernels.max_pair_skew(self._logical, iu, iv)
 
-    def count_exceeding(self, key, pairs, limits) -> int:
-        iu, iv = self._positions(key, pairs)
-        limit_arr = self._aux(key + "/limits", limits, self._np.float64)
-        return self._kernels.count_exceeding(self._logical, iu, iv, limit_arr)
+    def _in_order(self, nodes):
+        positions = self._positions_of(nodes)
+        return self._logical if positions is None else self._logical[positions]
 
-    def group_max_update(self, key, pairs, group, accumulator) -> None:
-        iu, iv = self._positions(key, pairs)
-        group_arr = self._aux(key + "/group", group, self._np.int64)
-        self._kernels.group_max_update(self._logical, iu, iv, group_arr, accumulator)
+    def _class_skews(self, table):
+        """``(lo, runs, skews, maxima)`` per window of the table: the
+        window's pair skews (one gather from the zero-copy index columns)
+        and the largest of them in each of its class runs."""
+        np = self._np
+        column = self._column(table)
+        first = np.frombuffer(table.first, dtype=np.intc)
+        second = np.frombuffer(table.second, dtype=np.intc)
+        for lo, hi, runs in table.windows:
+            starts = [start - lo for _, start, _ in runs]
+            skews, maxima = self._kernels.run_skews(column, first[lo:hi], second[lo:hi], starts)
+            yield lo, runs, skews, maxima
+
+    def count_exceeding(self, table, limits) -> int:
+        # A run whose largest skew is within its limit has no pair over it;
+        # only the others are counted pair by pair.
+        count = 0
+        for lo, runs, skews, maxima in self._class_skews(table):
+            for (c, start, end), largest in zip(runs, maxima.tolist()):
+                if largest > limits[c]:
+                    over = skews[start - lo : end - lo] > limits[c]
+                    count += int(self._np.count_nonzero(over))
+        return count
+
+    def group_max_update(self, table, group, accumulator) -> None:
+        for _, runs, _, maxima in self._class_skews(table):
+            for (c, _, _), skew in zip(runs, maxima.tolist()):
+                if skew > accumulator[group[c]]:
+                    accumulator[group[c]] = skew
 
     def histogram_update(self, key, pairs, bin_edges, counts) -> None:
         iu, iv = self._positions(key, pairs)

@@ -97,9 +97,10 @@ class Watchdog(Observer):
 class GradientBoundWatchdog(Watchdog):
     """Fires when a sample violates the Corollary 5.26 gradient skew bound.
 
-    Reads the pair/limit table of
-    :meth:`~repro.metrics.observers.ObserverContext.gradient_limits`, shared
-    with ``gradient_bound_check`` (one distance computation per pipeline);
+    Reads the pair table and class limits of
+    :meth:`~repro.metrics.observers.ObserverContext.gradient_limits`: the
+    same compact table as ``gradient_bound_check`` (8 bytes per node pair,
+    built once per graph and shared by every pipeline over it);
     edge-triggered, so one excursion above the bound is one firing however
     many consecutive samples it spans.  On a correct algorithm under the
     paper's assumptions this watchdog stays silent -- the clean-scenario
@@ -119,7 +120,7 @@ class GradientBoundWatchdog(Watchdog):
     def observe(self, view: SampleView) -> None:
         if not self.applicable:
             return
-        count = view.count_exceeding("gradient/pairs", *self._table)
+        count = view.count_exceeding(*self._table)
         if count and not self._violating:
             self.fire(view.time, float(count), violating_pairs=int(count))
         self._violating = bool(count)

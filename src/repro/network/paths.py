@@ -10,7 +10,8 @@ When every edge carries the same weight -- every registry scenario -- a
 shortest path is a fewest-hop path, and distances are read off one hop
 structure per adjacency (:func:`_bfs_hops`) as ``prefix[level]``: equal floats
 in equal order, no heap, and one pass shared by every weight function and
-backend that meets the same adjacency.
+backend that meets the same adjacency.  :func:`pair_table` groups the pairs
+by distance into two compact index columns, kept beside the hop structure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from array import array
 from collections import OrderedDict
 from hashlib import blake2b
 from heapq import heappop, heappush
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dynamic_graph import DynamicGraph, GraphError
 from .edge import NodeId
@@ -32,12 +33,79 @@ _Rows = List[List[Tuple[int, float]]]
 #: (level 0 is the source alone, so the first end is 1).
 _Hops = List[Tuple["array[int]", "array[int]"]]
 
-#: Hop structures kept per process, most recently used last.  The structure
+
+#: Pairs an all-pairs reader takes from a :class:`PairTable` at a time: no
+#: per-sample temporary outgrows one window (a few MB), however many pairs
+#: the table holds.
+PAIR_WINDOW = 1 << 17
+
+_Windows = List[Tuple[int, int, List[Tuple[int, int, int]]]]
+
+
+class PairTable(NamedTuple):
+    """The unordered pairs ``i < j`` of indices into ``nodes`` (sorted) at a
+    positive distance, grouped by distance class.
+
+    Class ``c`` is the pairs at ``distances[c]`` (ascending); they sit at
+    positions ``ends[c - 1]:ends[c]`` (``0:ends[0]`` for the first class) of
+    the two index columns.  The columns are ``array('i')``: 8 bytes per
+    pair, and no Python object per pair.  ``windows`` cuts them into
+    ``(lo, hi, runs)``: positions ``lo:hi``, at most :data:`PAIR_WINDOW`
+    consecutive pairs, and ``runs`` the window by class, ``(c, start, end)``
+    for positions ``start:end`` of class ``c``.
+    """
+
+    nodes: List[NodeId]
+    distances: List[float]
+    ends: "array[int]"
+    first: "array[int]"
+    second: "array[int]"
+    windows: _Windows
+
+
+def _windows(ends: "array[int]") -> _Windows:
+    """:attr:`PairTable.windows` of columns whose classes end at ``ends``."""
+    windows: _Windows = []
+    total, c = (ends[-1] if ends else 0), 0
+    for lo in range(0, total, PAIR_WINDOW):
+        hi = min(lo + PAIR_WINDOW, total)
+        runs, start = [], lo
+        while start < hi:
+            while ends[c] <= start:
+                c += 1
+            end = min(ends[c], hi)
+            runs.append((c, start, end))
+            start = end
+        windows.append((lo, hi, runs))
+    return windows
+
+
+class _Kept:
+    """One adjacency's hop structure and, once asked for, its pairs ``i < j``
+    by hop level (the index columns of a one-weight :class:`PairTable`)."""
+
+    __slots__ = ("hops", "level_pairs", "_lock")
+
+    def __init__(self, hops: _Hops):
+        self.hops = hops
+        self.level_pairs: Optional[Tuple["array[int]", "array[int]", "array[int]"]] = None
+        self._lock = threading.Lock()
+
+    def pairs(self) -> Tuple["array[int]", "array[int]", "array[int]"]:
+        """:attr:`level_pairs`, built by the first caller of any thread."""
+        with self._lock:
+            if self.level_pairs is None:
+                self.level_pairs = _level_pairs(self.hops)
+            return self.level_pairs
+
+
+#: Hop structures kept per process, most recently used last, each with its
+#: pair columns once built (so the two are evicted together).  The structure
 #: is a function of the adjacency alone, so one pass serves every one-weight
 #: function over a graph (``per_hop`` for ``G~``, ``kappa`` for the pair
 #: table) and every backend's rebuild of one scenario.
 _KEPT_HOPS = 4
-_hops_kept: "OrderedDict[bytes, _Hops]" = OrderedDict()
+_hops_kept: "OrderedDict[bytes, _Kept]" = OrderedDict()
 _hops_lock = threading.Lock()
 
 
@@ -177,7 +245,7 @@ def _bfs_hops(neighbours: List[List[int]]) -> _Hops:
     return hops
 
 
-def _hop_structure(rows: _Rows) -> _Hops:
+def _hop_structure(rows: _Rows) -> _Kept:
     """The hop structure of the rows' adjacency, computed once per distinct
     adjacency among the last :data:`_KEPT_HOPS` seen by the process."""
     neighbours = [[j for j, _ in row] for row in rows]
@@ -187,26 +255,81 @@ def _hop_structure(rows: _Rows) -> _Hops:
         flat.extend(row)
     key = blake2b(flat.tobytes(), digest_size=16).digest()
     with _hops_lock:
-        hops = _hops_kept.get(key)
-        if hops is not None:
+        kept = _hops_kept.get(key)
+        if kept is not None:
             _hops_kept.move_to_end(key)
-            return hops
-    hops = _bfs_hops(neighbours)
+            return kept
+    built = _Kept(_bfs_hops(neighbours))
     with _hops_lock:
-        _hops_kept[key] = hops
+        # A thread that built the same structure first keeps its own, so
+        # every caller shares one pair table per adjacency.
+        kept = _hops_kept.setdefault(key, built)
+        _hops_kept.move_to_end(key)
         while len(_hops_kept) > _KEPT_HOPS:
             _hops_kept.popitem(last=False)
-    return hops
+    return kept
 
 
-def _levels(rows: _Rows) -> Optional[Tuple[_Hops, List[float]]]:
-    """The hop structure and the distance of each hop level when the rows
-    carry one weight (see :func:`_level_prefix`); ``None`` sends the caller
-    to :func:`_dijkstra`."""
+def _levels(rows: _Rows) -> Optional[Tuple[_Kept, List[float]]]:
+    """The kept hop structure and the distance of each hop level when the
+    rows carry one weight (see :func:`_level_prefix`); ``None`` sends the
+    caller to :func:`_dijkstra`."""
     prefix = _level_prefix(rows)
     if prefix is None:
         return None
     return _hop_structure(rows), prefix
+
+
+def _class_major(
+    classes: List[Tuple["array[int]", "array[int]"]]
+) -> Tuple["array[int]", "array[int]", "array[int]"]:
+    """The end of each class and the concatenated index columns, allocated
+    at their exact size (what is kept is 8 bytes per pair); each class is
+    released once copied."""
+    total = sum(len(firsts) for firsts, _ in classes)
+    ends, first, second = array("q"), array("i", [0]) * total, array("i", [0]) * total
+    start = 0
+    for firsts, seconds in classes:
+        end = start + len(firsts)
+        first[start:end], second[start:end] = firsts, seconds
+        del firsts[:], seconds[:]
+        ends.append(end)
+        start = end
+    return ends, first, second
+
+
+def _level_pairs(hops: _Hops) -> Tuple["array[int]", "array[int]", "array[int]"]:
+    """The pairs ``i < j`` of a hop structure by hop level, level 1 first."""
+    depth = max((len(ends) for _, ends in hops), default=1)
+    levels = [(array("i"), array("i")) for _ in range(1, depth)]
+    for i, (order, ends) in enumerate(hops):
+        for (firsts, seconds), start, end in zip(levels, ends, ends[1:]):
+            for j in order[start:end]:
+                # ``nodes`` ascends, so ``u < v`` is ``i < j``.
+                if j > i:
+                    firsts.append(i)
+                    seconds.append(j)
+    return _class_major(levels)
+
+
+def _dijkstra_pairs(
+    rows: _Rows,
+) -> Tuple[List[float], "array[int]", "array[int]", "array[int]"]:
+    """The pairs ``i < j`` at a positive Dijkstra distance, one class per
+    distinct distance: the distances and :func:`_class_major` columns."""
+    by_distance: Dict[float, Tuple["array[int]", "array[int]"]] = {}
+    for i in range(len(rows)):
+        dist, order, _ = _dijkstra(rows, i)
+        for j in order:
+            d = dist[j]
+            if j > i and d > 0.0:
+                columns = by_distance.get(d)
+                if columns is None:
+                    columns = by_distance[d] = (array("i"), array("i"))
+                columns[0].append(i)
+                columns[1].append(j)
+    distances = sorted(by_distance)
+    return distances, *_class_major([by_distance.pop(d) for d in distances])
 
 
 def _iter_dijkstra(
@@ -228,8 +351,8 @@ def iter_distances(
     if levels is None:
         yield from _iter_dijkstra(nodes, rows)
         return
-    hops, prefix = levels
-    for source, (order, ends) in zip(nodes, hops):
+    kept, prefix = levels
+    for source, (order, ends) in zip(nodes, kept.hops):
         start = 0
         for distance, end in zip(prefix, ends):
             for j in order[start:end]:
@@ -237,34 +360,23 @@ def iter_distances(
             start = end
 
 
-def ordered_pair_distances(
-    graph: DynamicGraph, weight: Optional[EdgeWeight] = None
-) -> Tuple[List[Tuple[NodeId, NodeId]], List[float]]:
-    """The pairs ``u < v`` at a positive distance and those distances, as two
-    parallel lists in :func:`iter_distances` order."""
+def pair_table(graph: DynamicGraph, weight: Optional[EdgeWeight] = None) -> PairTable:
+    """The :class:`PairTable` of ``graph`` under ``weight``.
+
+    On a one-weight graph a class is a hop level, and the index columns are
+    the ones kept beside the adjacency's hop structure: built once, shared by
+    every caller and backend that meets the adjacency.  Mixed weights take
+    :func:`_dijkstra`, one class per distinct distance.
+    """
     nodes, rows = _weighted_rows(graph, weight)
     levels = _levels(rows)
-    pairs: List[Tuple[NodeId, NodeId]] = []
-    distances: List[float] = []
     if levels is None:
-        for u, v, distance in _iter_dijkstra(nodes, rows):
-            if u < v and distance > 0.0:
-                pairs.append((u, v))
-                distances.append(distance)
-        return pairs, distances
-    hops, prefix = levels
-    for i, (order, ends) in enumerate(hops):
-        u = nodes[i]
-        start = 0
-        for distance, end in zip(prefix, ends):
-            for j in order[start:end]:
-                # ``nodes`` ascends, so ``u < v`` is ``i < j``; that also
-                # drops level 0, the only one at distance 0.
-                if j > i:
-                    pairs.append((u, nodes[j]))
-                    distances.append(distance)
-            start = end
-    return pairs, distances
+        distances, ends, first, second = _dijkstra_pairs(rows)
+    else:
+        kept, prefix = levels
+        ends, first, second = kept.pairs()
+        distances = prefix[1 : len(ends) + 1]
+    return PairTable(nodes, distances, ends, first, second, _windows(ends))
 
 
 def shortest_distances(
@@ -322,9 +434,9 @@ def weighted_diameter(
     if levels is None:
         best = max(max(_dijkstra(rows, source)[0]) for source in range(len(rows)))
     else:
-        hops, prefix = levels
-        connected = all(ends[-1] == len(rows) for _, ends in hops)
-        best = prefix[max(len(ends) for _, ends in hops) - 1] if connected else _INF
+        kept, prefix = levels
+        connected = all(ends[-1] == len(rows) for _, ends in kept.hops)
+        best = prefix[max(len(ends) for _, ends in kept.hops) - 1] if connected else _INF
     if best == _INF:
         raise GraphError("weighted_diameter requires a connected graph")
     return best

@@ -42,10 +42,10 @@ class SimulationConfig:
     broadcast_interval: float = 1.0
     estimate_mode: str = "oracle"  # "oracle" or "broadcast"
     estimate_strategy: str = "zero"
-    estimate_seed: Optional[int] = None
+    estimate_seed: int = 0
     drift: Optional[DriftModel] = None
     delay: Optional[DelayModel] = None
-    delay_seed: Optional[int] = None
+    delay_seed: int = 0
     track_diameter: bool = False
     drop_messages_on_edge_loss: bool = False
     initial_logical: Optional[Dict[NodeId, float]] = None

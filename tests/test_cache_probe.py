@@ -28,6 +28,7 @@ from repro.experiments.executor import (
     run_sweep,
 )
 from repro.experiments.results import trace_to_payload
+from repro.experiments.semantics import SEMANTICS
 from repro.service import ServiceConfig, SweepServer, SweepService
 from repro.service.client import ServiceClient
 from repro.telemetry import SweepTelemetry
@@ -54,7 +55,8 @@ OBSERVATION_VARIANTS = {
 
 @pytest.fixture(scope="module")
 def payload():
-    return execute_spec(SPEC)
+    """A valid entry for ``SPEC``: its result as the cache stamps it."""
+    return {**execute_spec(SPEC), "semantics": SEMANTICS}
 
 
 @pytest.fixture
@@ -105,6 +107,8 @@ PAYLOAD_CASES = [
     ("format missing", _drop("format"), False),
     ("other library_version", _set("library_version", __version__ + ".post1"), False),
     ("library_version missing", _drop("library_version"), False),
+    ("written by other result semantics", _set("semantics", "0" * 32), False),
+    ("semantics missing", _drop("semantics"), False),
     ("other spec_hash", _set("spec_hash", "0" * 64), False),
     ("other backend", _set("backend", "fast"), False),
     ("backend missing means reference", _drop("backend"), True),
@@ -336,7 +340,7 @@ class TestTheTraceLine:
 
     def test_an_entry_without_a_trace_is_the_parent_commits_bytes(self, cache):
         spec = OBSERVATION_VARIANTS["trace"]
-        untraced = execute_spec(spec)
+        untraced = {**execute_spec(spec), "semantics": SEMANTICS}
         text = cache.store(spec, untraced).read_text()
         assert text == json.dumps(untraced, allow_nan=False)
         assert "\n" not in text

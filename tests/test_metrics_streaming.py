@@ -15,6 +15,7 @@ from repro.metrics import (
     streaming,
 )
 from repro.metrics.views import ColumnsView, TraceSampleView
+from repro.network import paths, topology
 from repro.sim.trace import TraceSample
 
 
@@ -246,9 +247,10 @@ class TestViews:
         assert array_view.global_skew() == dict_view.global_skew()
         assert array_view.max_pair_skew("e", edges) == dict_view.max_pair_skew("e", edges)
         assert array_view.max_estimate_lag() == dict_view.max_estimate_lag()
-        assert array_view.count_exceeding("g", edges, [1.0, 2.0]) == dict_view.count_exceeding(
-            "g", edges, [1.0, 2.0]
-        )
+        table = paths.pair_table(topology.line(3), paths.hop_weight(None))
+        assert table.distances == [1.0, 2.0]
+        for view in (array_view, dict_view):
+            assert view.count_exceeding(table, [2.0, 0.5]) == 2  # (0, 1) and (0, 2)
 
 
 class TestEngineHook:

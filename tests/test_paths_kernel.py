@@ -5,7 +5,8 @@
 verbatim.  Non-negative Dijkstra computes the least fixed point of
 ``dist[v] = min_u fl(dist[u] + w(u, v))``, so the kernel must return equal
 floats -- and, because it keeps the neighbour and tie-break order, equal dict
-key order too (observers derive their pair order from it).  A graph whose
+key order too.  The pair table the gradient observers read is held to the
+same oracle, pair for pair.  A graph whose
 edges all carry one weight takes the level kernel (a sorted-frontier BFS per
 source, distances read as ``prefix[level]``) and is held to the same oracle,
 item for item.
@@ -179,20 +180,38 @@ def outcome(call):
         return f"GraphError: {error}"
 
 
-def oracle_ordered_pairs(graph, weight=None):
-    items = [
-        (pair, d)
+def oracle_table_pairs(graph, weight=None):
+    """The pairs ``u < v`` at a positive distance, as ``{(u, v): distance}``."""
+    return {
+        pair: d
         for pair, d in oracle_all_pairs(graph, weight).items()
         if pair[0] < pair[1] and d > 0.0
-    ]
-    return [pair for pair, _ in items], [d for _, d in items]
+    }
+
+
+def table_pairs(table):
+    """A :class:`paths.PairTable` as ``{(u, v): distance}``, its layout checked:
+    ascending distinct classes, none empty, every pair once and as ``i < j``."""
+    assert table.distances == sorted(set(table.distances))
+    assert len(table.ends) == len(table.distances)
+    assert table.first.typecode == table.second.typecode == "i"
+    assert len(table.first) == len(table.second) == (table.ends[-1] if table.ends else 0)
+    got, start = {}, 0
+    for distance, end in zip(table.distances, table.ends):
+        assert end > start
+        for i, j in zip(table.first[start:end], table.second[start:end]):
+            assert i < j
+            got[table.nodes[i], table.nodes[j]] = distance
+        start = end
+    assert len(got) == len(table.first)
+    return got
 
 
 def assert_matches_oracle(graph, weight):
     got = paths.all_pairs_distances(graph, weight)
     want = oracle_all_pairs(graph, weight)
     assert list(got.items()) == list(want.items())
-    assert paths.ordered_pair_distances(graph, weight) == oracle_ordered_pairs(graph, weight)
+    assert table_pairs(paths.pair_table(graph, weight)) == oracle_table_pairs(graph, weight)
     diameter = outcome(lambda: oracle_diameter(graph, weight))
     assert outcome(lambda: paths.weighted_diameter(graph, weight)) == diameter
     upper = max(d for d in want.values() if d < math.inf)
@@ -351,7 +370,7 @@ class TestKernelContract:
         for call in (
             paths.all_pairs_distances,
             paths.weighted_diameter,
-            paths.ordered_pair_distances,
+            paths.pair_table,
         ):
             with pytest.raises(GraphError, match="negative edge weight"):
                 call(graph, lambda u, v: -1.0)

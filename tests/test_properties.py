@@ -35,6 +35,7 @@ from repro.experiments import execute_spec, scenario
 from repro import __version__ as repro_version
 from repro.experiments import executor
 from repro.experiments.executor import CACHE_FORMAT_VERSION, ResultCache, run_sweep
+from repro.experiments.semantics import SEMANTICS
 from repro.experiments.spec import ComponentSpec
 from repro.experiments.results import (
     trace_from_payload,
@@ -789,6 +790,7 @@ PLUMBING_SPEC = scenario("line_scaling", n=3, sim={"duration": 2.0, "dt": 0.1})
 VALIDITY_FIELDS = {
     "format": CACHE_FORMAT_VERSION,
     "library_version": repro_version,
+    "semantics": SEMANTICS,
     "spec": PLUMBING_SPEC.to_dict(),
     "spec_hash": PLUMBING_SPEC.content_hash(),
     "backend": PLUMBING_SPEC.backend,

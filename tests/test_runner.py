@@ -7,6 +7,7 @@ from repro.core.algorithm import AOPT
 from repro.core import insertion as insertion_mod
 from repro.network import topology
 from repro.network.edge import EdgeParams
+from repro.sim.drift import ConstantDrift
 from repro.sim.runner import (
     RunnerError,
     SimulationConfig,
@@ -108,5 +109,23 @@ class TestRunning:
                 delay_seed=11,
             )
             return run_aopt(graph, config).trace.final().logical
+
+        assert run_once() == run_once()
+
+    @pytest.mark.parametrize(
+        "settings", [{"estimate_mode": "broadcast"}, {"estimate_strategy": "uniform"}]
+    )
+    def test_default_seeds_make_equal_traces(self, params, settings):
+        """The config's own seeds are fixed: no run draws from an unseeded rng
+        (the broadcast case is delayed by the default uniform delay)."""
+        graph = topology.line(6)
+        rates = ConstantDrift(params.rho, {u: params.rho * (-1) ** u for u in graph.nodes})
+
+        def run_once():
+            config = SimulationConfig(
+                params=params, dt=0.1, duration=30.0, drift=rates, **settings
+            )
+            trace = run_aopt(graph, config).trace  # one run_simulation call
+            return [(s.time, s.logical, s.max_estimates) for s in trace]
 
         assert run_once() == run_once()

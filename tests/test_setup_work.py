@@ -9,6 +9,7 @@ slot.  The counts below are what that costs, on every columnar backend.
 
 import builtins
 import sys
+import threading
 from array import array
 from collections import OrderedDict
 from dataclasses import replace
@@ -120,10 +121,11 @@ def retained_bytes(hops):
 @pytest.fixture
 def path_counts(monkeypatch):
     """Counts of all-source passes; the kept hop structures start out empty."""
-    counts = {"bfs": 0, "dijkstra": 0}
+    counts = {"bfs": 0, "dijkstra": 0, "pairs": 0}
     monkeypatch.setattr(paths, "_hops_kept", OrderedDict())
     counting(monkeypatch, paths, "_bfs_hops", counts, "bfs")
     counting(monkeypatch, paths, "_dijkstra", counts, "dijkstra")
+    counting(monkeypatch, paths, "_level_pairs", counts, "pairs")
     return counts
 
 
@@ -132,16 +134,30 @@ def test_three_backends_of_one_scenario_share_one_hop_structure(path_counts):
     runs, _ = run_sweep([observed_spec("grid", name) for name in names], use_cache=False)
     # The pair table was built and read: the gradient check applied.
     assert all(run.summary.gradient_violations is not None for run in runs)
-    assert path_counts == {"bfs": 1, "dijkstra": 0}
+    assert path_counts == {"bfs": 1, "dijkstra": 0, "pairs": 1}
     # A second, different adjacency is one more pass.
     run_sweep([observed_spec("line", name) for name in names], use_cache=False)
-    assert path_counts == {"bfs": 2, "dijkstra": 0}
+    assert path_counts == {"bfs": 2, "dijkstra": 0, "pairs": 2}
+
+
+def test_observer_and_watchdog_of_one_pipeline_share_one_table(monkeypatch, path_counts):
+    counting(monkeypatch, paths, "pair_table", path_counts, "tables")
+    path_counts["tables"] = 0
+    spec = observed_spec("grid", "fast").with_observers(
+        "gradient_bound_check", "watchdog_gradient_bound", "skew_by_distance"
+    )
+    observers = execute_spec(spec)["observers"]["observers"]
+    assert observers["gradient_bound_check"]["applicable"]
+    assert observers["watchdog_gradient_bound"]["applicable"]
+    assert observers["skew_by_distance"]["distances"]
+    assert path_counts == {"bfs": 1, "dijkstra": 0, "pairs": 1, "tables": 1}
 
 
 def test_kept_hop_structure_holds_no_object_per_pair(path_counts):
     graph = topology.grid(10, 10)
     n, depth = graph.node_count, topology.hop_diameter(graph)  # reads the structure
-    (hops,) = paths._hops_kept.values()
+    ((hops, pairs),) = [(kept.hops, kept.level_pairs) for kept in paths._hops_kept.values()]
+    assert pairs is None  # the pair table is built only when asked for
     assert all(
         isinstance(part, array) and part.typecode == "i"
         for entry in hops
@@ -155,17 +171,66 @@ def test_kept_hop_structure_holds_no_object_per_pair(path_counts):
     )
 
 
+def test_kept_pair_table_holds_no_object_per_pair(path_counts):
+    graph = topology.grid(10, 10)
+    table = paths.pair_table(graph)
+    n, depth = graph.node_count, topology.hop_diameter(graph)
+    ((hops, kept),) = [(kept.hops, kept.level_pairs) for kept in paths._hops_kept.values()]
+    assert all(a is b for a, b in zip(kept, (table.ends, table.first, table.second)))
+    assert table.first.typecode == table.second.typecode == "i"
+    pairs = n * (n - 1) // 2
+    assert len(table.first) == len(table.second) == pairs
+    assert len(table.distances) == len(table.ends) == depth
+    # Two exactly sized 4-byte columns, the class ends, three array headers.
+    assert sum(map(sys.getsizeof, kept)) <= (
+        8 * pairs + 16 * depth + 3 * sys.getsizeof(array("q"))
+    )
+    # A second weight over the same adjacency reads the same columns.
+    again = paths.pair_table(graph, paths.hop_weight(graph))
+    assert again.first is table.first and again.second is table.second
+    assert path_counts == {"bfs": 1, "dijkstra": 0, "pairs": 1}
+
+
+def test_threads_meeting_one_adjacency_build_its_table_once(monkeypatch, path_counts):
+    graph = topology.grid(12, 12)
+    paths.weighted_diameter(graph)  # the hop structure is kept; its table is not
+    build = paths._level_pairs
+    # A build waits (briefly) for a second one: two unguarded builds meet
+    # here, while a guarded second caller waits for the first build instead.
+    both = threading.Barrier(2, timeout=0.5)
+
+    def slow_build(hops):
+        try:
+            both.wait()
+        except threading.BrokenBarrierError:
+            pass
+        return build(hops)
+
+    monkeypatch.setattr(paths, "_level_pairs", slow_build)
+    tables = []
+    threads = [
+        threading.Thread(target=lambda: tables.append(paths.pair_table(graph)))
+        for _ in range(2)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(tables) == 2 and tables[0].first is tables[1].first
+    assert path_counts == {"bfs": 1, "dijkstra": 0, "pairs": 1}
+
+
 def test_evicting_a_hop_structure_never_changes_a_result(path_counts):
     graph = topology.grid(6, 7)
-    first = paths.ordered_pair_distances(graph), paths.weighted_diameter(graph)
+    first = paths.pair_table(graph), paths.weighted_diameter(graph)
     assert path_counts["bfs"] == 1
     for n in range(3, 3 + paths._KEPT_HOPS):
         paths.weighted_diameter(topology.line(n))
     assert len(paths._hops_kept) == paths._KEPT_HOPS
     assert path_counts["bfs"] == 1 + paths._KEPT_HOPS
-    again = paths.ordered_pair_distances(graph), paths.weighted_diameter(graph)
+    again = paths.pair_table(graph), paths.weighted_diameter(graph)
     assert again == first
-    assert path_counts == {"bfs": 2 + paths._KEPT_HOPS, "dijkstra": 0}
+    assert path_counts == {"bfs": 2 + paths._KEPT_HOPS, "dijkstra": 0, "pairs": 2}
 
 
 # The scalar control loop: a row is digested once per CSR build and decided on

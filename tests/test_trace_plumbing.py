@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from repro.experiments import executor, scenario
+from repro.experiments import executor, results, scenario
 from repro.experiments.executor import ResultCache, execute_spec, run_sweep
 from repro.fastsim.backend import backend_available
 from repro.sim.trace import Trace, TraceSample
@@ -418,7 +418,7 @@ def test_the_cached_trace_is_the_per_key_encoding_of_the_engines(tmp_path, backe
     assert json.dumps(stored["trace"]) == json.dumps(expected)  # key order too
     assert list(stored) == [
         "format", "library_version", "spec", "spec_hash", "backend", "summary",
-        "meta", "observers", "trace", "wall_time", "stopped_early",
+        "meta", "observers", "trace", "wall_time", "stopped_early", "semantics",
     ]
 
 
@@ -426,7 +426,7 @@ class TestNonFiniteTraceValues:
     @pytest.fixture
     def poisoned(self, monkeypatch):
         """Every encoded trace gets an ``inf`` clock and a ``nan`` diameter."""
-        original = executor.trace_to_payload
+        original = results.trace_to_payload
 
         def poisoning(trace):
             payload = original(trace)
@@ -435,7 +435,7 @@ class TestNonFiniteTraceValues:
             sample["diameter"] = float("nan")
             return payload
 
-        monkeypatch.setattr(executor, "trace_to_payload", poisoning)
+        monkeypatch.setattr(results, "trace_to_payload", poisoning)
 
     def test_the_payload_is_the_sanitised_one_and_the_file_strict_json(
         self, tmp_path, poisoned
@@ -457,7 +457,7 @@ class TestNonFiniteTraceValues:
     def test_bypassing_the_check_fails_the_store_loudly(
         self, tmp_path, poisoned, monkeypatch
     ):
-        monkeypatch.setattr(executor, "trace_payload_is_finite", lambda payload: True)
+        monkeypatch.setattr(results, "trace_payload_is_finite", lambda payload: True)
         with pytest.raises(ValueError):
             run_sweep([tiny_spec()], cache=ResultCache(tmp_path))
         assert not list(tmp_path.glob("*.json"))
