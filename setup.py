@@ -5,22 +5,6 @@ editable installs (`pip install -e .`) on systems where PEP 660 editable
 wheels cannot be built offline.
 """
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.1.0",
-    description=(
-        "Reproduction of 'Optimal Gradient Clock Synchronization in Dynamic "
-        "Networks' (Kuhn, Lenzen, Locher, Oshman, PODC 2010)"
-    ),
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.9",
-    install_requires=[],
-    entry_points={
-        "console_scripts": [
-            "repro-experiments = repro.experiments.cli:main",
-        ]
-    },
-)
+setup()

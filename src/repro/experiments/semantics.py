@@ -49,7 +49,7 @@ RESULT_MODULES = (
 #: the chaos pack (a chaos spec names its scenario file, not its content).
 RESULT_DATA = ("jitsim/_fused_loop.c", "chaos/scenarios/*.json")
 
-SEMANTICS = "a4e134d836ae8267a2f31be8b17a13e4"
+SEMANTICS = "5dbf8833bef9da300fa0a02811932473"
 
 
 def result_files(root: Optional[Path] = None) -> List[Path]:

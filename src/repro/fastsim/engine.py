@@ -66,7 +66,7 @@ from ..core.interfaces import AlgorithmFactory
 from ..core.neighbor_sets import FULLY_INSERTED, NeighborLevels
 from ..network.dynamic_graph import DynamicGraph
 from ..network.edge import NodeId
-from ..sim.drift import DriftModel, NoDrift, TwoGroupAdversary
+from ..sim.drift import DriftModel, NoDrift
 from ..sim.delay import UniformRandomDelay
 from ..sim.engine import EngineError
 from ..sim.scheduler import EventScheduler
@@ -215,6 +215,9 @@ class FastEngine:
 
         # -- per-node columns and bookkeeping ------------------------------
         self._cols = NodeColumns(ids, config.initial_logical)
+        #: Per-node hardware rates, refilled by :meth:`_refresh_rates`.
+        self._rates = [1.0] * len(ids)
+        self._rate_key: Optional[int] = None
         self._levels: List[NeighborLevels] = []
         self._since: List[Dict[NodeId, float]] = []
         self._schedules: List[Dict[NodeId, insertion_mod.InsertionSchedule]] = []
@@ -685,6 +688,7 @@ class FastEngine:
         broadcast_interval = self.aopt_config.broadcast_interval
         iota = self.aopt_params.iota
         fast_multiplier = self._fast_multiplier
+        max_level = self.max_level
         strategy = self._strategy
         bc_mode = self._bc_mode
         # The oracle layer's rng strategy draws in set order; the broadcast
@@ -720,11 +724,17 @@ class FastEngine:
             # table keeps their extreme leads only; a mixed row (``level`` 0)
             # fills the scratch columns of the level scan.
             slots, level, table = rows[i]
+            count = 0
             if uniform:
-                count = self._fill_views_set_order(i, lg, aheads, view_levels, view_tables)
                 level = 0
+                for k, ahead, view_level in self._uniform_views(i, lg):
+                    aheads[count] = ahead
+                    view_levels[count] = (
+                        max_level if view_level >= max_level else view_level
+                    )
+                    view_tables[count] = tables[k]
+                    count += 1
             else:
-                count = 0
                 amin = inf
                 amax = -inf
                 for k in slots:
@@ -788,19 +798,15 @@ class FastEngine:
                 mode[i] = 1
             # mode_code == 2 ("free"): keep the current mode and multiplier.
 
-    def _fill_views_set_order(
-        self,
-        position: int,
-        lg: float,
-        aheads: List[float],
-        view_levels: List[int],
-        view_tables: List[Any],
-    ) -> int:
-        """View building for the ``uniform`` strategy.
+    def _uniform_views(self, position: int, lg: float):
+        """Yield ``(slot, ahead, level)`` per view of the ``uniform`` strategy.
 
         The uniform oracle draws one random number per estimate, so the draw
         order must match the reference's iteration over
-        ``NeighborLevels.discovered()`` (a set) exactly.
+        ``NeighborLevels.discovered()`` (a set) exactly.  The strategy runs
+        in oracle mode only, where a slot's epsilon is the edge's, and the
+        CSR is current (rebuilt before control), so a neighbor has a slot
+        exactly when the graph holds the edge.
         """
         levels = self._levels[position]
         logical = self._cols.logical
@@ -808,17 +814,11 @@ class FastEngine:
         csr = self._csr
         row_pos = csr.row_pos[position]
         epsilon_col = csr.epsilon
-        tables = csr.tables
-        max_level = self.max_level
         uniform = self._estimate_rng.uniform
-        count = 0
         for neighbor in levels.discovered():
             level = levels.level_of(neighbor)
             if level is None or level < 1:
                 continue
-            # A neighbor has a slot exactly when the graph holds the edge;
-            # the slot's epsilon is the edge's (oracle mode only: the column
-            # carries the broadcast bound otherwise).
             slot = row_pos.get(neighbor)
             if slot is None:
                 continue
@@ -830,57 +830,39 @@ class FastEngine:
                 estimate = true_value + uniform(-epsilon, epsilon)
                 if estimate < 0.0:
                     estimate = 0.0
-            aheads[count] = estimate - lg
-            view_levels[count] = max_level if level >= max_level else level
-            view_tables[count] = tables[slot]
-            count += 1
-        return count
+            yield slot, estimate - lg, level
 
     # ------------------------------------------------------------------
     # Clock advancement
     # ------------------------------------------------------------------
+    def _refresh_rates(self, t: float) -> None:
+        """Refill the rate column from ``drift.rate`` when its epoch changed.
+
+        The drift's ``rate_epoch`` ``e`` declares every rate constant while
+        ``int(t // e)`` stays put (``inf``: forever); ``None`` refills every
+        step.
+        """
+        epoch = self.drift.rate_epoch
+        if epoch is not None:
+            key = int(t // epoch)
+            if key == self._rate_key:
+                return
+            self._rate_key = key
+        rate_of = self.drift.rate
+        self._rates[:] = [rate_of(node, t) for node in self._cols.ids]
+
     def _advance_clocks(self, t: float) -> None:
+        self._refresh_rates(t)
+        rates = self._rates
         cols = self._cols
         hardware = cols.hardware
         logical = cols.logical
         multiplier = cols.multiplier
         dt = self.dt
-        drift = self.drift
-        n = len(hardware)
-        if type(drift) is NoDrift:
-            for i in range(n):
-                hardware[i] += dt  # 1.0 * dt
-                logical[i] += multiplier[i] * dt  # (1.0 * multiplier) * dt
-        elif type(drift) is TwoGroupAdversary:
-            swapped = False
-            if drift.swap_period is not None:
-                swapped = int(t // drift.swap_period) % 2 == 1
-            fast_rate = 1.0 + drift.rho
-            slow_rate = 1.0 - drift.rho
-            fast_nodes = drift.fast_nodes
-            slow_nodes = drift.slow_nodes
-            ids = cols.ids
-            for i in range(n):
-                node = ids[i]
-                fast = node in fast_nodes
-                slow = node in slow_nodes
-                if swapped:
-                    fast, slow = slow, fast
-                if fast:
-                    rate = fast_rate
-                elif slow:
-                    rate = slow_rate
-                else:
-                    rate = 1.0
-                hardware[i] += rate * dt
-                logical[i] += (rate * multiplier[i]) * dt
-        else:
-            ids = cols.ids
-            rate_of = drift.rate
-            for i in range(n):
-                rate = rate_of(ids[i], t)
-                hardware[i] += rate * dt
-                logical[i] += (rate * multiplier[i]) * dt
+        for i in range(len(hardware)):
+            rate = rates[i]
+            hardware[i] += rate * dt
+            logical[i] += (rate * multiplier[i]) * dt
 
     # ------------------------------------------------------------------
     # Trace recording

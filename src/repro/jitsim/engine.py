@@ -6,12 +6,12 @@ driver: instead of one Python round-trip per step, :meth:`JitContext
 .run_until` *prescans* the upcoming steps, proves a maximal prefix is
 "regular" -- no graph events, no scheduler callbacks, no in-flight
 insert-edge messages, no insertion level coming due, drift rates constant
-over the window, delays static or uniform-random -- and executes that whole
-prefix in one call to the compiled C kernel (see
-:mod:`repro.jitsim.providers`).  Steps that are not regular run
-through the inherited vec ``_step``, so every scenario the vec backend
-supports runs here with the exact same results; fully regular runs (the
-whole AOPT+oracle benchmark family) never leave the kernel.
+over the window (``rate_epoch``), delays ``static`` or uniform-random -- and
+executes that whole prefix in one call to the compiled C kernel (see
+:mod:`repro.jitsim.providers`).  Steps that are not regular run through the
+inherited vec ``_step``, so every scenario the vec backend supports runs
+here with the exact same results; fully regular runs (the whole AOPT+oracle
+benchmark family) never leave the kernel.
 
 An active insertion schedule does not block fusion: once the handshake is
 over, each pending promotion is a logical-clock threshold on one endpoint,
@@ -41,16 +41,7 @@ from ..network.dynamic_graph import DynamicGraph
 from ..sim.engine import EngineError
 from ..sim.runner import SimulationConfig
 from ..sim.trace import Trace
-from ..vecsim.engine import (
-    LazyTraceSample,
-    VecContext,
-    VecEngine,
-    _GenericDelayPlan,
-    _GenericRatePlan,
-    _RandomWalkRatePlan,
-    _TwoPhaseRatePlan,
-    _UniformDelayPlan,
-)
+from ..vecsim.engine import LazyTraceSample, VecContext, VecEngine
 from . import providers
 
 __all__ = ["JitEngine", "JitContext", "build_batch"]
@@ -141,18 +132,17 @@ class JitContext(VecContext):
                 return "engine already stopped"
             if engine._heap_transport:
                 return "heap transport (drop_messages_on_edge_loss)"
-            if type(engine._rate_plan) is _GenericRatePlan:
+            if engine.drift.rate_epoch is None:
                 return "drift has no closed-form rate plan"
-            plan = engine._delay_plan
-            if isinstance(plan, _UniformDelayPlan):
-                rng = plan._model._rng
+            if engine._uniform_draw is not None:
+                rng = engine.delay_model._rng
                 if id(rng) in rng_ids:
                     return "delay rng shared between engines"
                 rng_ids.add(id(rng))
                 state = rng.getstate()
                 if state[0] != 3 or len(state[1]) != 625:
                     return "incompatible rng state layout"
-            elif not plan.static:
+            elif not engine.delay_model.static:
                 return "delay model needs per-message Python calls"
             metrics = engine._metrics
             if metrics is not None and any(
@@ -170,9 +160,10 @@ class JitContext(VecContext):
         ``next_samples`` the per-engine ``_next_sample_time`` after the
         segment.  The simulated loop replicates the exact conditions of the
         per-step path: sample due iff ``not (t + 1e-12 < next_sample)``,
-        events due iff ``time <= t + 1e-12``, drift phase constancy via the
-        integer epoch key.  Handshake messages in flight return ``None``;
-        pending level promotions cap the segment (:meth:`_promotion_cap`).
+        events due iff ``time <= t + 1e-12``, drift rates constant while
+        ``int(t // rate_epoch)`` stays put.  Handshake messages in flight
+        return ``None``; pending level promotions cap the segment
+        (:meth:`_promotion_cap`).
         The drift rates are filled here, at the segment's pinned phase, and
         :meth:`_run_segment` reuses them.
         """
@@ -191,18 +182,10 @@ class JitContext(VecContext):
         t0 = self.time
         phased: List[Tuple[float, int]] = []
         for engine in engines:
-            plan = engine._rate_plan
-            if type(plan) is _TwoPhaseRatePlan:
-                if plan._period is not None:
-                    phased.append((plan._period, int(t0 // plan._period)))
-            elif type(plan) is _RandomWalkRatePlan:
-                period = plan._drift.period
-                phased.append((period, int(t0 // period)))
-        rates = self._rates
-        for engine in engines:
-            engine._rate_plan.fill(
-                rates[engine._offset : engine._offset + engine.n], t0
-            )
+            engine._refresh_rates(t0)
+            epoch = engine.drift.rate_epoch
+            if epoch != _INF:
+                phased.append((epoch, engine._rate_key))
         cap = self._promotion_cap()
         next_samples = [engine._next_sample_time for engine in engines]
         intervals = [engine.trace.sample_interval for engine in engines]
@@ -316,11 +299,11 @@ class JitContext(VecContext):
         dp_low = np.zeros(n_engines, dtype=np.float64)
         dp_span = np.zeros(n_engines, dtype=np.float64)
         for ei, engine in enumerate(engines):
-            plan = engine._delay_plan
-            if isinstance(plan, _UniformDelayPlan):
+            if engine._uniform_draw is not None:
+                model = engine.delay_model
                 dp_kind[ei] = 1
-                dp_low[ei] = plan._model.low_fraction
-                dp_span[ei] = plan._model.high_fraction - plan._model.low_fraction
+                dp_low[ei] = model.low_fraction
+                dp_span[ei] = model.high_fraction - model.low_fraction
         max_degree = int(degrees.max()) if len(degrees) else 0
         prep = {
             "engine_start": engine_start,
@@ -393,10 +376,9 @@ class JitContext(VecContext):
         rngs: List = [None] * n_engines
         gauss: List = [None] * n_engines
         for ei, engine in enumerate(engines):
-            plan = engine._delay_plan
-            if isinstance(plan, _UniformDelayPlan):
-                plan.sync_python_rng()
-                rng = plan._model._rng
+            if engine._uniform_draw is not None:
+                engine._uniform_draw.sync_python_rng()
+                rng = engine.delay_model._rng
                 _version, keys, gauss_next = rng.getstate()
                 mt_state[ei, :] = keys[:624]
                 mt_pos[ei] = keys[624]

@@ -18,7 +18,19 @@ class DelayError(ValueError):
 
 
 class DelayModel:
-    """Base class for message delay models."""
+    """Base class for message delay models.
+
+    ``static`` declares that :meth:`delay` ignores ``t`` and draws nothing,
+    so an engine may compute each edge's delay once and reuse it.  A subclass
+    that overrides :meth:`delay` without redeclaring it is not static.
+    """
+
+    static = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "delay" in cls.__dict__ and "static" not in cls.__dict__:
+            cls.static = False
 
     def delay(
         self, sender: NodeId, receiver: NodeId, t: float, bound: float
@@ -35,12 +47,16 @@ class DelayModel:
 class ZeroDelay(DelayModel):
     """Messages arrive instantaneously."""
 
+    static = True
+
     def delay(self, sender: NodeId, receiver: NodeId, t: float, bound: float) -> float:
         return 0.0
 
 
 class FixedFractionDelay(DelayModel):
     """Every message takes ``fraction * bound`` time."""
+
+    static = True
 
     def __init__(self, fraction: float = 0.5):
         if not 0.0 <= fraction <= 1.0:
@@ -82,6 +98,8 @@ class DirectionalDelay(DelayModel):
     how the ``Omega(D)`` global-skew lower bound hides skew from the
     algorithm.
     """
+
+    static = True
 
     def __init__(self, slow_towards_higher: bool = True):
         self.slow_towards_higher = bool(slow_towards_higher)

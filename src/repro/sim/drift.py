@@ -31,7 +31,21 @@ class DriftError(ValueError):
 
 
 class DriftModel:
-    """Base class: returns the hardware rate of a node at a given time."""
+    """Base class: returns the hardware rate of a node at a given time.
+
+    ``rate_epoch`` declares the model's time structure to the engines that
+    keep a rate column: ``math.inf`` when no rate ever changes, ``e`` when
+    every rate is constant on each ``[k*e, (k+1)*e)``, and ``None`` (the
+    default) when only calling :meth:`rate` every step is exact.  A subclass
+    that overrides :meth:`rate` without redeclaring it gets ``None``.
+    """
+
+    rate_epoch: Optional[float] = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "rate" in cls.__dict__ and "rate_epoch" not in cls.__dict__:
+            cls.rate_epoch = None
 
     def __init__(self, rho: float):
         if not 0.0 <= rho < 1.0:
@@ -49,12 +63,16 @@ class DriftModel:
 class NoDrift(DriftModel):
     """All hardware clocks run at exactly rate 1."""
 
+    rate_epoch = math.inf
+
     def rate(self, node: NodeId, t: float) -> float:
         return 1.0
 
 
 class ConstantDrift(DriftModel):
     """Each node has a fixed rate offset in ``[-rho, +rho]``."""
+
+    rate_epoch = math.inf
 
     def __init__(self, rho: float, offsets: Dict[NodeId, float]):
         super().__init__(rho)
@@ -108,6 +126,10 @@ class RandomWalkDrift(DriftModel):
                 offset = self._offsets[node] + delta
                 self._offsets[node] = max(-self.rho, min(self.rho, offset))
 
+    @property
+    def rate_epoch(self) -> float:
+        return self.period
+
     def rate(self, node: NodeId, t: float) -> float:
         self._advance_epochs(int(t // self.period))
         return 1.0 + self._offsets.get(node, 0.0)
@@ -133,6 +155,10 @@ class TwoGroupAdversary(DriftModel):
         if swap_period is not None and swap_period <= 0.0:
             raise DriftError("swap_period must be positive when given")
         self.swap_period = swap_period
+
+    @property
+    def rate_epoch(self) -> float:
+        return math.inf if self.swap_period is None else self.swap_period
 
     def _swapped(self, t: float) -> bool:
         if self.swap_period is None:
@@ -164,6 +190,10 @@ class RampAdversary(DriftModel):
         if reverse_period is not None and reverse_period <= 0.0:
             raise DriftError("reverse_period must be positive when given")
         self.reverse_period = reverse_period
+
+    @property
+    def rate_epoch(self) -> float:
+        return math.inf if self.reverse_period is None else self.reverse_period
 
     def rate(self, node: NodeId, t: float) -> float:
         index = self._order.get(node)

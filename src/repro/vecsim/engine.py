@@ -35,9 +35,14 @@ asserts this).
 
 Bit-identity caveats encoded here:
 
-* :class:`~repro.sim.drift.SinusoidalDrift` (and unknown drift models) use a
-  scalar per-node fallback: ``math.sin`` and ``np.sin`` may differ in the
-  last ulp;
+* the rate column is filled by scalar ``drift.rate(node, t)`` calls, never
+  a NumPy rewrite of a model: once per change of ``int(t // rate_epoch)``,
+  and every step for a drift whose ``rate_epoch is None``
+  (:class:`~repro.sim.drift.SinusoidalDrift` -- ``math.sin`` and ``np.sin``
+  may differ in the last ulp -- and custom models);
+* a ``static`` delay model is called once per fan-out entry, the uniform
+  model draws in batches, and any other model is called per message in
+  send order;
 * the ``uniform`` estimate strategy draws per neighbor in the reference's
   set-iteration order, so its estimates are filled by a scalar loop (the
   trigger evaluation stays vectorized);
@@ -56,20 +61,7 @@ from ..core.aopt_step import MODE_NAMES
 from ..core.interfaces import AlgorithmFactory
 from ..network.dynamic_graph import DynamicGraph
 from ..network.edge import NodeId
-from ..sim.drift import (
-    ConstantDrift,
-    NoDrift,
-    RampAdversary,
-    RandomConstantDrift,
-    RandomWalkDrift,
-    TwoGroupAdversary,
-)
-from ..sim.delay import (
-    DirectionalDelay,
-    FixedFractionDelay,
-    UniformRandomDelay,
-    ZeroDelay,
-)
+from ..sim.delay import UniformRandomDelay
 from ..sim.engine import EngineError
 from ..sim.runner import SimulationConfig
 from ..sim.trace import Trace
@@ -80,157 +72,8 @@ __all__ = ["VecEngine", "VecContext", "build_batch"]
 
 
 # ----------------------------------------------------------------------
-# Drift rate plans: fill a per-node rate array bit-identically to the
-# scalar ``drift.rate(node, t)`` calls of the fast engine.
+# Batched uniform delay draws
 # ----------------------------------------------------------------------
-class _RatePlan:
-    def fill(self, out: np.ndarray, t: float) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-
-class _UnitRatePlan(_RatePlan):
-    def fill(self, out: np.ndarray, t: float) -> None:
-        out.fill(1.0)
-
-
-class _ConstantRatePlan(_RatePlan):
-    """Any drift whose per-node rate never depends on time."""
-
-    def __init__(self, rates: Sequence[float]):
-        self._rates = np.asarray(rates, dtype=np.float64)
-
-    def fill(self, out: np.ndarray, t: float) -> None:
-        np.copyto(out, self._rates)
-
-
-class _TwoPhaseRatePlan(_RatePlan):
-    """Two precomputed rate vectors toggled by a period (two-group, ramp)."""
-
-    def __init__(self, normal: Sequence[float], swapped: Sequence[float], period: Optional[float]):
-        self._normal = np.asarray(normal, dtype=np.float64)
-        self._swapped = np.asarray(swapped, dtype=np.float64)
-        self._period = period
-
-    def fill(self, out: np.ndarray, t: float) -> None:
-        swapped = self._period is not None and int(t // self._period) % 2 == 1
-        np.copyto(out, self._swapped if swapped else self._normal)
-
-
-class _RandomWalkRatePlan(_RatePlan):
-    """Epoch-cached rates; the rng advances exactly as under scalar calls."""
-
-    def __init__(self, drift: RandomWalkDrift, ids: Sequence[NodeId]):
-        self._drift = drift
-        self._ids = list(ids)
-        self._epoch = None
-        self._rates: Optional[np.ndarray] = None
-
-    def fill(self, out: np.ndarray, t: float) -> None:
-        epoch = int(t // self._drift.period)
-        if epoch != self._epoch:
-            self._drift._advance_epochs(epoch)
-            offsets = self._drift._offsets
-            self._rates = np.asarray(
-                [1.0 + offsets.get(node, 0.0) for node in self._ids], dtype=np.float64
-            )
-            self._epoch = epoch
-        np.copyto(out, self._rates)
-
-
-class _GenericRatePlan(_RatePlan):
-    """Scalar fallback: per-node ``rate()`` calls (sinusoidal, custom)."""
-
-    def __init__(self, drift, ids: Sequence[NodeId]):
-        self._drift = drift
-        self._ids = list(ids)
-
-    def fill(self, out: np.ndarray, t: float) -> None:
-        rate_of = self._drift.rate
-        for i, node in enumerate(self._ids):
-            out[i] = rate_of(node, t)
-
-
-def _make_rate_plan(drift, ids: Sequence[NodeId]) -> _RatePlan:
-    kind = type(drift)
-    if kind is NoDrift:
-        return _UnitRatePlan()
-    if kind is TwoGroupAdversary:
-        fast_rate = 1.0 + drift.rho
-        slow_rate = 1.0 - drift.rho
-
-        def rates(swap: bool) -> List[float]:
-            values = []
-            for node in ids:
-                fast = node in drift.fast_nodes
-                slow = node in drift.slow_nodes
-                if swap:
-                    fast, slow = slow, fast
-                values.append(fast_rate if fast else slow_rate if slow else 1.0)
-            return values
-
-        return _TwoPhaseRatePlan(rates(False), rates(True), drift.swap_period)
-    if kind in (ConstantDrift, RandomConstantDrift):
-        return _ConstantRatePlan([1.0 + drift.offsets.get(node, 0.0) for node in ids])
-    if kind is RampAdversary:
-        normal = [drift.rate(node, 0.0) for node in ids]
-        if drift.reverse_period is None:
-            return _ConstantRatePlan(normal)
-        reversed_rates = [drift.rate(node, drift.reverse_period) for node in ids]
-        return _TwoPhaseRatePlan(normal, reversed_rates, drift.reverse_period)
-    if kind is RandomWalkDrift:
-        return _RandomWalkRatePlan(drift, ids)
-    return _GenericRatePlan(drift, ids)
-
-
-# ----------------------------------------------------------------------
-# Delay plans: turn one step's batched sends into delay arrays.
-# ----------------------------------------------------------------------
-class _DelayPlan:
-    #: Whether per-entry delays can be precomputed once per broadcast cache.
-    static = False
-
-    def delays(self, engine: "VecEngine", t: float, bounds, static, pairs):
-        raise NotImplementedError  # pragma: no cover
-
-    def static_delay(self, sender: NodeId, receiver: NodeId, bound: float) -> float:
-        raise NotImplementedError  # pragma: no cover
-
-    def sync_python_rng(self) -> None:
-        """Restore the model's Python rng before a scalar ``delay()`` call.
-
-        No-op except for the uniform plan, which owns the Mersenne-Twister
-        stream between scalar draws (see :class:`_UniformDelayPlan`).
-        """
-
-
-class _StaticDelayPlan(_DelayPlan):
-    static = True
-
-    def delays(self, engine, t, bounds, static, pairs):
-        return static
-
-
-class _ZeroDelayPlan(_StaticDelayPlan):
-    def static_delay(self, sender, receiver, bound):
-        return 0.0
-
-
-class _FixedFractionDelayPlan(_StaticDelayPlan):
-    def __init__(self, model: FixedFractionDelay):
-        self._model = model
-
-    def static_delay(self, sender, receiver, bound):
-        return self._model.delay(sender, receiver, 0.0, bound)
-
-
-class _DirectionalDelayPlan(_StaticDelayPlan):
-    def __init__(self, model: DirectionalDelay):
-        self._model = model
-
-    def static_delay(self, sender, receiver, bound):
-        return self._model.delay(sender, receiver, 0.0, bound)
-
-
 _MT_TRANSPLANT_SUPPORTED: Optional[bool] = None
 
 
@@ -261,7 +104,7 @@ def _mt_transplant_supported() -> bool:
     return _MT_TRANSPLANT_SUPPORTED
 
 
-class _UniformDelayPlan(_DelayPlan):
+class _UniformDelayPlan:
     """Batched draws from the model's Python rng.
 
     ``Random.uniform(a, b)`` is ``a + (b - a) * random()``; drawing the raw
@@ -298,6 +141,7 @@ class _UniformDelayPlan(_DelayPlan):
         return np.fromiter(iter(rng.random, None), dtype=np.float64, count=count)
 
     def sync_python_rng(self) -> None:
+        """Hand the stream back to the model's rng before a scalar draw."""
         if self._owned:
             rng = self._model._rng
             keys, pos = self._state.get_state(legacy=True)[1:3]
@@ -305,38 +149,12 @@ class _UniformDelayPlan(_DelayPlan):
             self._owned = False
 
     def delays(self, engine, t, bounds, static, pairs):
+        """One burst's delays for the CSR delay ``bounds``, in send order."""
         model = self._model
         low = model.low_fraction
         span = model.high_fraction - model.low_fraction
         fractions = low + span * self._draw_raw(len(bounds))
         return np.minimum(fractions * bounds, bounds)
-
-
-class _GenericDelayPlan(_DelayPlan):
-    """Scalar fallback: per-message ``delay()`` calls in send order."""
-
-    def __init__(self, model):
-        self._model = model
-
-    def delays(self, engine, t, bounds, static, pairs):
-        delay = self._model.delay
-        return np.asarray(
-            [delay(sender, receiver, t, bound) for sender, receiver, bound in pairs],
-            dtype=np.float64,
-        )
-
-
-def _make_delay_plan(model) -> _DelayPlan:
-    kind = type(model)
-    if kind is ZeroDelay:
-        return _ZeroDelayPlan()
-    if kind is FixedFractionDelay:
-        return _FixedFractionDelayPlan(model)
-    if kind is DirectionalDelay:
-        return _DirectionalDelayPlan(model)
-    if kind is UniformRandomDelay:
-        return _UniformDelayPlan(model)
-    return _GenericDelayPlan(model)
 
 
 # ----------------------------------------------------------------------
@@ -710,8 +528,13 @@ class VecEngine(FastEngine):
         self._ctx: Optional[VecContext] = None
         self._bc_flat = None
         self._active_schedules = set()
-        self._rate_plan = _make_rate_plan(self.drift, self._cols.ids)
-        self._delay_plan = _make_delay_plan(self.delay_model)
+        #: The uniform model's batched draws; other models are ``static``
+        #: or called per message.
+        self._uniform_draw = (
+            _UniformDelayPlan(self.delay_model)
+            if type(self.delay_model) is UniformRandomDelay
+            else None
+        )
         #: Per-message drop checks need graph membership at delivery time;
         #: those scenarios keep the inherited (heap) transport end to end.
         self._heap_transport = self._drop_on_edge_loss
@@ -754,8 +577,9 @@ class VecEngine(FastEngine):
 
     def _leader_check(self, t: float, node: NodeId, neighbor: NodeId) -> None:
         # The handshake draws one scalar delay from the Python rng; hand the
-        # stream back first (no-op unless the uniform plan owns it).
-        self._delay_plan.sync_python_rng()
+        # stream back first.
+        if self._uniform_draw is not None:
+            self._uniform_draw.sync_python_rng()
         super()._leader_check(t, node, neighbor)
 
     def _install_schedule(self, node, neighbor, anchor, skew_estimate, edge) -> None:
@@ -823,7 +647,7 @@ class VecEngine(FastEngine):
         """
         index = self._cols.index
         offset = self._offset
-        plan = self._delay_plan
+        model = self.delay_model
         csr = self._csr
         delay_col = csr.delay
         bc_mode = self._bc_mode
@@ -832,15 +656,15 @@ class VecEngine(FastEngine):
         receivers: List[int] = []
         bounds: List[float] = []
         static: List[float] = []
-        # ``pairs`` is consumed only by the generic scalar delay plan; the
-        # static and uniform plans never read it, so skip building the
-        # per-edge tuple list for them (it is the most expensive column).
-        need_pairs = type(plan) is _GenericDelayPlan
+        # ``pairs`` feeds the per-message ``delay()`` calls only; static and
+        # uniform delays never read it, so skip building the per-edge tuple
+        # list for them (it is the most expensive column).
+        static_model = model.static
         pairs: List[Tuple[NodeId, NodeId, float]] = []
-        if not plan.static and not need_pairs:
-            # Fast path (zero-arg and uniform plans): collect only the CSR
-            # slot per fan-out entry -- every other column is a gather from
-            # the CSR arrays.  ``neighbor_index`` already holds the
+        if self._uniform_draw is not None:
+            # Fast path (uniform draws): collect only the CSR slot per
+            # fan-out entry -- every other column is a gather from the CSR
+            # arrays.  ``neighbor_index`` already holds the
             # receiver's position, so the per-edge ``index[neighbor]`` dict
             # lookup disappears too.
             slots: List[int] = []
@@ -887,7 +711,6 @@ class VecEngine(FastEngine):
             )
             self._bc_flat = flat
             return flat
-        plan_static = plan.static
         owner_append = owner.append
         receivers_append = receivers.append
         bounds_append = bounds.append
@@ -910,15 +733,15 @@ class VecEngine(FastEngine):
                 if bc_mode:
                     store = row_pos[index[neighbor]].get(node)
                     recv_slots.append(-1 if store is None else store)
-                if need_pairs:
+                if static_model:
+                    static_append(model.delay(node, neighbor, 0.0, bound))
+                else:
                     pairs_append((node, neighbor, bound))
-                if plan_static:
-                    static_append(plan.static_delay(node, neighbor, bound))
         flat = (
             np.asarray(owner, dtype=np.int64),
             np.asarray(receivers, dtype=np.int64),
             np.asarray(bounds, dtype=np.float64),
-            np.asarray(static, dtype=np.float64) if plan.static else None,
+            np.asarray(static, dtype=np.float64) if static_model else None,
             pairs,
         )
         self._bc_store = np.asarray(recv_slots, dtype=np.int64) if bc_mode else None
@@ -964,9 +787,18 @@ class VecEngine(FastEngine):
                     store = store[edge_due]
                 if static is not None:
                     static = static[edge_due]
-                if type(self._delay_plan) is _GenericDelayPlan:
+                if pairs:
                     pairs = [pairs[i] for i in np.nonzero(edge_due)[0].tolist()]
-        delays = self._delay_plan.delays(self, t, bounds, static, pairs)
+        if static is not None:
+            delays = static
+        elif self._uniform_draw is not None:
+            delays = self._uniform_draw.delays(self, t, bounds, static, pairs)
+        else:
+            delay = self.delay_model.delay
+            delays = np.asarray(
+                [delay(sender, receiver, t, bound) for sender, receiver, bound in pairs],
+                dtype=np.float64,
+            )
         if self._bc_mode:
             # Message sequence numbers keep the reference's global
             # (delivery_time, message_id) tie-break: the shared ``_msg_seq``
@@ -991,38 +823,12 @@ class VecEngine(FastEngine):
 
     # -- uniform estimate strategy (scalar fill, set order) -------------
     def _fill_uniform_aheads(self, ahead: np.ndarray) -> None:
-        """Mirror of ``FastEngine._fill_views_set_order`` writing CSR slots."""
-        cols = self._cols
-        logical = cols.logical
-        index = cols.index
-        graph = self.graph
-        csr = self._csr
-        row_pos = csr.row_pos
-        uniform = self._estimate_rng.uniform
+        """Write the ``uniform`` views' aheads into the combined CSR slots."""
+        logical = self._cols.logical
         edge_offset = self._edge_offset
-        edge_params = graph.edge_params
-        for position, node in enumerate(cols.ids):
-            levels = self._levels[position]
-            if not len(levels):
-                continue
-            out = graph.neighbors_view(node)
-            positions = row_pos[position]
-            lg = logical[position]
-            for neighbor in levels.discovered():
-                level = levels.level_of(neighbor)
-                if level is None or level < 1:
-                    continue
-                if neighbor not in out:
-                    continue
-                epsilon = edge_params(node, neighbor).epsilon
-                true_value = logical[index[neighbor]]
-                if epsilon == 0.0:
-                    estimate = true_value
-                else:
-                    estimate = true_value + uniform(-epsilon, epsilon)
-                    if estimate < 0.0:
-                        estimate = 0.0
-                ahead[edge_offset + positions[neighbor]] = estimate - lg
+        for position in range(self.n):
+            for slot, value, _level in self._uniform_views(position, logical[position]):
+                ahead[edge_offset + slot] = value
 
     # -- trace recording ------------------------------------------------
     def _record_sample(self, force: bool = False) -> None:
@@ -1144,7 +950,12 @@ class VecContext:
         self.iota = self._per_node(lambda e: e.aopt_params.iota)
         self.fast_multiplier = self._per_node(lambda e: e._fast_multiplier)
         self.max_factor = self._per_node(lambda e: e._max_factor)
-        self._rates = np.empty(self.node_count, dtype=np.float64)
+        rates = np.empty(self.node_count, dtype=np.float64)
+        for engine in self.engines:
+            start = engine._offset
+            rates[start : start + engine.n] = engine._rates
+            engine._rates = rates[start : start + engine.n]
+        self._rates = rates
         self._node_scratch = np.empty(self.node_count, dtype=np.float64)
         self._node_flags = np.empty(self.node_count, dtype=bool)
         # Vectorized broadcast transport (insert-edge messages stay on the
@@ -1426,11 +1237,9 @@ class VecContext:
         np.copyto(self.multiplier, np.where(mode_new == 1, self.fast_multiplier, 1.0))
 
     def _advance_clocks(self, t: float) -> None:
-        rates = self._rates
         for engine in self.engines:
-            engine._rate_plan.fill(
-                rates[engine._offset : engine._offset + engine.n], t
-            )
+            engine._refresh_rates(t)
+        rates = self._rates
         dt = self.dt
         self.hardware += rates * dt
         self.logical += (rates * self.multiplier) * dt

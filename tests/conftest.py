@@ -123,10 +123,12 @@ _DYNAMICS = {
 _DRIFTS = [
     None,
     ("none", {}),
+    ("two_group", {}),
     ("two_group", {"swap_period": 7.0}),
     ("sinusoidal", {"period": 11.0}),
     ("random_constant", {}),
     ("random_walk", {"period": 3.0}),
+    ("ramp", {}),
     ("ramp", {"reverse_period": 9.0}),
 ]
 
