@@ -27,9 +27,7 @@ from .executor import (
     ResultCache,
     SweepEvent,
     SweepStats,
-    batch_key,
     execute_spec,
-    execute_specs_batched,
     expand_grid,
     run_sweep,
 )
@@ -64,13 +62,11 @@ __all__ = [
     "SpecError",
     "SweepEvent",
     "SweepStats",
-    "batch_key",
     "bench_spec",
     "build_run_pipeline",
     "build_scenario",
     "report_from_trace",
     "execute_spec",
-    "execute_specs_batched",
     "expand_grid",
     "run_sweep",
     "scenario",

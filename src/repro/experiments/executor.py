@@ -12,8 +12,8 @@ The executor turns specs into runs:
   (:mod:`repro.service`), whose ``GET /results/{key}`` API serves these
   files verbatim;
 * :func:`run_sweep` is THE sweep loop -- backend resolution (a spec its
-  backend declines runs as its ``reference`` twin), cache probe,
-  vector-batch grouping, pool dispatch, cache store -- with an optional
+  backend declines runs as its ``reference`` twin), cache probe, pool
+  dispatch, cache store -- with an optional
   per-spec progress callback; :class:`ExperimentRunner` is its thin
   stateful driver.  Because every source of randomness is seeded from the
   spec hash (see :mod:`repro.experiments.registry`), a parallel sweep is
@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import __version__ as _library_version
-from ..fastsim.backend import declined_reason, get_backend
+from ..fastsim.backend import declined_reason
 from ..fastsim.engine import UnsupportedScenarioError
 from ..metrics import ObserverReport
 from ..telemetry.sweep import WATCHDOG_PREFIX, SweepTelemetry
@@ -50,7 +50,6 @@ from .results import (
     CACHE_FORMAT_VERSION,
     RunSummary,
     execute_spec,
-    execute_specs_batched,
     meta_from_payload,
     trace_from_payload,
 )
@@ -58,13 +57,6 @@ from .semantics import SEMANTICS
 from .spec import ScenarioSpec
 
 logger = logging.getLogger(__name__)
-
-#: Smallest group that is run as a lockstep batch.  There is no size to
-#: tune: the combined view picks kernel paths and layouts per row / per
-#: engine, so a batch of static runs costs at most what they cost one by one
-#: (measurements in :class:`repro.vecsim.engine.VecContext`;
-#: ``scale_static`` in ``benchmarks/perf`` runs its cold pass batched).
-MIN_BATCH_SIZE = 2
 
 _CACHE_DIR_ENV = "REPRO_EXPERIMENTS_CACHE_DIR"
 
@@ -93,25 +85,6 @@ def default_cache_dir() -> Path:
 # ----------------------------------------------------------------------
 # Dispatch (what runs where; :mod:`.results` computes each payload)
 # ----------------------------------------------------------------------
-def batch_key(spec: ScenarioSpec) -> Optional[Tuple]:
-    """Grouping key for run batching, or ``None`` when not batchable.
-
-    Batched runs advance in lockstep, so they must share the step length,
-    the duration and the estimate strategy (one strategy kernel per batch);
-    everything else -- topology, size, drift, seeds -- may differ per run.
-    """
-    if not hasattr(get_backend(spec.backend), "build_batch"):
-        return None
-    sim = spec.sim
-    return (
-        spec.backend,
-        sim.get("dt", 0.05),
-        sim.get("duration", 100.0),
-        sim.get("estimate_mode", "oracle"),
-        sim.get("estimate_strategy", "zero"),
-    )
-
-
 def _pool_worker(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
     """Top-level (hence picklable) worker entry point."""
     return execute_spec(ScenarioSpec.from_dict(spec_payload))
@@ -182,8 +155,8 @@ class SweepStats:
     total: int = 0
     cached: int = 0
     executed: int = 0
-    #: Of the executed specs, how many ran inside a lockstep run batch
-    #: (``vec`` or ``jit``; a batch never mixes backends).
+    #: Always 0: every spec executes on its own engine.  Kept for readers
+    #: of the field (the perf harness derives ``executor.batched_share``).
     batched: int = 0
     #: Specs whose backend could not run them and fell back to reference.
     fallbacks: int = 0
@@ -210,8 +183,6 @@ class SweepStats:
 
     def describe(self) -> str:
         extras = []
-        if self.batched:
-            extras.append(f"{self.batched} in vector batches")
         if self.fallbacks:
             detail = ""
             if self.fallback_backends:
@@ -830,25 +801,10 @@ class SweepEvent:
     index: int
     spec: ScenarioSpec
     from_cache: bool = False
-    batched: bool = False
 
 
 #: Type of the optional ``run_sweep`` progress callback.
 SweepCallback = Callable[[SweepEvent], None]
-
-
-def _batch_groups(
-    missing: List[Tuple[int, ScenarioSpec]],
-) -> Tuple[List[List[Tuple[int, ScenarioSpec]]], List[Tuple[int, ScenarioSpec]]]:
-    """Split misses into lockstep groups (see ``batch_key``) and the rest."""
-    by_key: Dict[Tuple, List[Tuple[int, ScenarioSpec]]] = {}
-    for index, spec in missing:
-        key = batch_key(spec)
-        if key is not None:
-            by_key.setdefault(key, []).append((index, spec))
-    groups = [group for group in by_key.values() if len(group) >= MIN_BATCH_SIZE]
-    grouped = {index for group in groups for index, _ in group}
-    return groups, [(index, spec) for index, spec in missing if index not in grouped]
 
 
 def run_sweep(
@@ -863,8 +819,8 @@ def run_sweep(
 ) -> Tuple[List[ExperimentRun], SweepStats]:
     """Run a batch of specs, preserving input order.
 
-    This is THE sweep loop -- backend resolution, cache probe, vector-batch
-    grouping, pool dispatch, cache store -- shared verbatim by the CLI
+    This is THE sweep loop -- backend resolution, cache probe, pool
+    dispatch, cache store -- shared verbatim by the CLI
     (:class:`ExperimentRunner`) and the sweep service daemon
     (:mod:`repro.service`); neither forks its own copy.
 
@@ -876,10 +832,10 @@ def run_sweep(
     fails the sweep; nothing is re-routed after the fact.  Cache hits are
     served directly.  Misses that share a cache key execute once: the
     first occurrence runs and stores, the later ones are handed its result
-    and count (and report) as ``cached`` once it exists.  Of the distinct
-    misses, compatible specs on a backend with ``build_batch`` (``vec``,
-    ``jit``) run as lockstep batches in-process; the rest execute inline
-    (``workers == 1``) or on a ``multiprocessing`` pool.  Each result is
+    and count (and report) as ``cached`` once it exists.  The distinct
+    misses execute one spec at a time through
+    :func:`~repro.experiments.results.execute_spec`, inline (``workers ==
+    1``) or on a ``multiprocessing`` pool.  Each result is
     written to the cache and turned into its :class:`ExperimentRun` (whose
     trace stays in payload form -- a cache hit's in its file, see
     :meth:`ResultCache.fetch` -- until it is read) as soon as it exists.
@@ -891,10 +847,10 @@ def run_sweep(
     ``telemetry`` (a :class:`~repro.telemetry.SweepTelemetry`) additionally
     streams the versioned JSONL event schema: sweep brackets, per-run
     lifecycle events mapped from the same transitions, and ``watchdog_fired``
-    / ``progress`` events *live* from inside in-process runs (inline and
-    vector-batched executions get a per-run sink; pool workers and cache
-    hits cannot carry one, so their watchdog firings are replayed from the
-    result payload, flagged ``replayed``).
+    / ``progress`` events *live* from inside in-process runs (inline
+    executions get a per-run sink; pool workers and cache hits cannot carry
+    one, so their watchdog firings are replayed from the result payload,
+    flagged ``replayed``).
     """
     if workers < 1:
         raise ExecutorError(f"workers must be >= 1, got {workers}")
@@ -934,7 +890,7 @@ def run_sweep(
     #: for its result instead of executing.
     duplicates: Dict[int, List[int]] = {}
 
-    def settle(index, spec, payload, from_cache, batched=False) -> None:
+    def settle(index, spec, payload, from_cache) -> None:
         # A result becomes its run the moment it exists, so the sweep never
         # holds more than the payload(s) in hand beside the runs.
         runs[index] = _run_from_payload(
@@ -949,18 +905,17 @@ def run_sweep(
             kind = "fallback"
         else:
             kind = "cached" if from_cache else "executed"
-        notify(SweepEvent(kind, index, spec, from_cache=from_cache, batched=batched))
+        notify(SweepEvent(kind, index, spec, from_cache=from_cache))
         if telemetry is not None:
             # No-op for runs that streamed live; cache hits and pool
             # workers replay from the payload.
             telemetry.replay_watchdogs(index, spec, payload)
 
-    def executed(index, spec, payload, batched=False) -> None:
+    def executed(index, spec, payload) -> None:
         if use_cache:
             cache.store(spec, payload)
         batch.executed += 1
-        batch.batched += batched
-        settle(index, spec, payload, False, batched)
+        settle(index, spec, payload, False)
         for later in duplicates.get(index, ()):
             settle(later, resolved[later], payload, True)
 
@@ -977,17 +932,6 @@ def run_sweep(
                 duplicates.setdefault(owner, []).append(index)
                 continue
         missing.append((index, spec))
-
-    groups, missing = _batch_groups(missing)
-    for group in groups:
-        for index, spec in group:
-            notify(SweepEvent("start", index, spec, batched=True))
-        sinks = None
-        if telemetry is not None:
-            sinks = [telemetry.run_sink(index, spec) for index, spec in group]
-        payloads = execute_specs_batched([spec for _, spec in group], sinks)
-        for (index, spec), payload in zip(group, payloads):
-            executed(index, spec, payload, batched=True)
 
     for index, spec in missing:
         notify(SweepEvent("start", index, spec))
@@ -1014,7 +958,7 @@ class ExperimentRunner:
     :class:`ResultCache` and default execution settings, and ``stats``
     accumulates over the runner's lifetime; :meth:`run_all` also returns
     the stats of that one batch.  See :func:`run_sweep` for the sweep
-    semantics (vector batching, reference fallback, ``strict_backend``).
+    semantics (reference fallback, ``strict_backend``).
     """
 
     def __init__(
@@ -1056,7 +1000,6 @@ class ExperimentRunner:
         self.stats.total += batch.total
         self.stats.cached += batch.cached
         self.stats.executed += batch.executed
-        self.stats.batched += batch.batched
         self.stats.fallbacks += batch.fallbacks
         for backend, count in batch.fallback_backends.items():
             self.stats.fallback_backends[backend] = (

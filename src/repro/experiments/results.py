@@ -16,11 +16,11 @@ trace, producing a bit-identical report -- the differential suite asserts
 streaming == replay == the pre-refactor post-hoc computation on every
 backend.
 
-:func:`execute_spec` and :func:`execute_specs_batched` run specs to the
-payloads the cache stores: everything that decides a stored result's bits
-lives here or below, in the modules the
-:data:`~repro.experiments.semantics.SEMANTICS` digest covers.  Where a
-payload goes -- pool, batch, cache -- is :mod:`repro.experiments.executor`'s.
+:func:`execute_spec` runs a spec to the payload the cache stores:
+everything that decides a stored result's bits lives here or below, in the
+modules the :data:`~repro.experiments.semantics.SEMANTICS` digest covers.
+Where a payload goes -- inline, pool, cache -- is
+:mod:`repro.experiments.executor`'s.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import __version__ as _library_version
 from ..fastsim.backend import get_backend
@@ -344,7 +344,7 @@ def trace_from_payload(payload: Optional[Dict[str, Any]]) -> Optional[Trace]:
 
 
 # ----------------------------------------------------------------------
-# Execution: a spec (or a batch of them) to its payload
+# Execution: a spec to its payload
 # ----------------------------------------------------------------------
 def _meta_to_payload(meta: Dict[str, Any]) -> Dict[str, Any]:
     payload = dict(meta)
@@ -362,26 +362,6 @@ def meta_from_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     if "churn_candidates" in meta:
         meta["churn_candidates"] = [tuple(e) for e in meta["churn_candidates"]]
     return meta
-
-
-def _attach_pipeline(
-    spec: ScenarioSpec,
-    scenario: "registry.MaterialisedScenario",
-    engine,
-    telemetry_sink: Optional[Callable[..., None]] = None,
-):
-    """Build the run's observer pipeline and hook it into the engine."""
-    pipeline = build_run_pipeline(
-        spec,
-        graph=scenario.graph,
-        base_edges=scenario.base_edges,
-        config=scenario.config,
-        meta=scenario.meta,
-        global_skew_bound=scenario.global_skew_bound,
-        sink=telemetry_sink,
-    )
-    engine.configure_recording(pipeline, record_trace=spec.trace == "full")
-    return pipeline
 
 
 def _payload_for(
@@ -452,45 +432,19 @@ def execute_spec(
     engine = get_backend(spec.backend).build(
         scenario.graph, scenario.algorithm_factory, scenario.config
     )
-    pipeline = _attach_pipeline(spec, scenario, engine, telemetry_sink)
+    pipeline = build_run_pipeline(
+        spec,
+        graph=scenario.graph,
+        base_edges=scenario.base_edges,
+        config=scenario.config,
+        meta=scenario.meta,
+        global_skew_bound=scenario.global_skew_bound,
+        sink=telemetry_sink,
+    )
+    engine.configure_recording(pipeline, record_trace=spec.trace == "full")
     trace = engine.run(scenario.config.duration)
     report = pipeline.finalize()
     return _payload_for(
         spec, scenario, engine, trace, report, time.perf_counter() - started
     )
 
-
-def execute_specs_batched(
-    specs: Sequence[ScenarioSpec],
-    telemetry_sinks: Optional[Sequence[Optional[Callable[..., None]]]] = None,
-) -> List[Dict[str, Any]]:
-    """Run compatible specs as one lockstep batch (see ``batch_key``).
-
-    Returns one payload per spec, bit-identical to :func:`execute_spec` of
-    the same spec.  ``telemetry_sinks``, when given, pairs one (possibly
-    ``None``) live sink with each spec.
-
-    ``batch_key`` includes the backend, so every spec of a group shares
-    one; the group runs on that backend's ``build_batch``.
-    """
-    started = time.perf_counter()
-    if telemetry_sinks is None:
-        telemetry_sinks = [None] * len(specs)
-    scenarios = [registry.build_scenario(spec) for spec in specs]
-    context = get_backend(specs[0].backend).build_batch(
-        [(sc.graph, sc.algorithm_factory, sc.config) for sc in scenarios]
-    )
-    pipelines = [
-        _attach_pipeline(spec, sc, engine, sink)
-        for spec, sc, engine, sink in zip(
-            specs, scenarios, context.engines, telemetry_sinks
-        )
-    ]
-    context.run_until(scenarios[0].config.duration)
-    wall_time = (time.perf_counter() - started) / max(len(specs), 1)
-    return [
-        _payload_for(spec, sc, engine, engine.trace, pipeline.finalize(), wall_time)
-        for spec, sc, engine, pipeline in zip(
-            specs, scenarios, context.engines, pipelines
-        )
-    ]

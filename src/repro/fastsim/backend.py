@@ -18,8 +18,7 @@ Four backends ship with the library:
   and bit-identical to the reference on the scenarios it supports;
 * ``"vec"`` -- the NumPy-vectorized :class:`repro.vecsim.engine.VecEngine`,
   same supported scenarios and bit-identity contract as ``fast`` but with
-  whole-array kernels per step (and run batching, see
-  :mod:`repro.vecsim`).  It needs :mod:`numpy` (``pip install repro[vec]``);
+  whole-array kernels per step (see :mod:`repro.vecsim`).  It needs :mod:`numpy` (``pip install repro[vec]``);
   without numpy the backend stays registered but :meth:`VecBackend.build`
   raises :class:`BackendUnavailableError`;
 * ``"jit"`` -- the compiled fused-time-loop :class:`repro.jitsim.JitEngine`,
@@ -39,7 +38,7 @@ The backend object is the one place that says what a backend does.  Beyond
 ``build`` it may offer ``available()`` (are its optional dependencies
 installed?), ``declines(spec)`` (a reason when it will not run the spec,
 decided from the spec alone -- the sweep executor then runs the spec's
-``reference`` twin) and ``build_batch(runs)`` (a lockstep context).
+``reference`` twin).
 """
 
 from __future__ import annotations
@@ -192,13 +191,6 @@ class VecBackend:
 
         return VecEngine(graph, algorithm_factory, config)
 
-    def build_batch(self, runs):
-        """A lockstep context over ``runs``, each ``build``'s argument triple."""
-        self._require()
-        from ..vecsim.engine import build_batch
-
-        return build_batch(runs)
-
 
 class JitBackend:
     """The compiled fused-time-loop engine (AOPT, oracle/broadcast, bit-identical).
@@ -237,13 +229,6 @@ class JitBackend:
         from ..jitsim.engine import JitEngine
 
         return JitEngine(graph, algorithm_factory, config)
-
-    def build_batch(self, runs):
-        """Like ``vec``'s, with each segment one compiled kernel call."""
-        self._require()
-        from ..jitsim.engine import build_batch
-
-        return build_batch(runs)
 
 
 BACKENDS: Dict[str, EngineBackend] = {}

@@ -8,7 +8,7 @@ fused loop, and :mod:`repro.jitsim.providers` for how it is compiled and
 loaded.
 """
 
-from .engine import JitContext, JitEngine, build_batch
+from .engine import JitContext, JitEngine
 from .providers import (
     ProviderUnavailableError,
     get_provider,
@@ -20,7 +20,6 @@ __all__ = [
     "JitContext",
     "JitEngine",
     "ProviderUnavailableError",
-    "build_batch",
     "get_provider",
     "provider_available",
     "reset_provider_cache",

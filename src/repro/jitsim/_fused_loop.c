@@ -1,7 +1,7 @@
 /* The fused time-loop kernel of the jit backend.
  *
- * One call to `fused_segment` runs `steps` regular lockstep steps for a
- * whole batch of runs: broadcast delivery, max-estimate maintenance,
+ * One call to `fused_segment` runs `steps` regular steps of one run:
+ * broadcast delivery, max-estimate maintenance,
  * broadcast sends (in-kernel MT19937 delay draws), trigger/mode evaluation,
  * trace snapshots and clock advancement, in the phase order of
  * VecContext._step.  It returns 0, or 1 on message-buffer overflow (a
@@ -174,28 +174,27 @@ static int64_t evaluate_mode(real lg, real m, real iota_v, int64_t count,
     return 2;
 }
 
+/* `mt_state` holds the 624 state words followed by the position;
+ * `out_counts` receives (messages left over, messages used, sent,
+ * delivered). */
 int64_t fused_segment(
-    int64_t n_nodes, int64_t n_engines, int64_t steps, double dt,
-    const double *t_steps, const int64_t *engine_start,
-    const int64_t *engine_of, real *hardware, real *logical,
-    real *last_hardware, real *max_estimate, real *next_broadcast,
-    real *multiplier, int64_t *mode, const real *iota, const real *fast_mult,
-    const real *max_factor, const real *rates, const real *bcast_interval,
-    const int64_t *strategy, const int64_t *indptr, const int64_t *nbr,
+    int64_t n_nodes, int64_t steps, double dt, const double *t_steps,
+    real *hardware, real *logical, real *last_hardware, real *max_estimate,
+    real *next_broadcast, real *multiplier, int64_t *mode, real iota,
+    real fast_mult, real max_factor, const real *rates, real interval,
+    int64_t strat, const int64_t *indptr, const int64_t *nbr,
     const real *eps, const int64_t *level, const int64_t *table_id,
     const real *thresholds, int64_t n_levels, const int64_t *sb_indptr,
     const int64_t *sb_recv, const double *sb_bound, const double *sb_static,
-    const int64_t *dp_kind, const double *dp_low, const double *dp_span,
-    int64_t *mt_state, int64_t *mt_pos, int64_t n_pend,
-    const int64_t *pend_recv, const real *pend_val, const double *pend_time,
-    int64_t cap_total, int64_t *bh_head, int64_t *bh_next, int64_t *b_recv,
-    real *b_val, double *b_time, int64_t *sent, int64_t *delivered,
-    int64_t n_snap, const int64_t *snap_step, const int64_t *snap_engine,
-    const int64_t *snap_offset, real *snap_logical, real *snap_hardware,
-    real *snap_multiplier, real *snap_max_estimate, int64_t *snap_mode,
-    int64_t *left_recv, real *left_val, double *left_time,
-    int64_t *out_counts, real *ahead_scratch, int64_t *level_scratch,
-    int64_t *tid_scratch) {
+    int64_t uniform_delay, double low, double span, int64_t *mt_state,
+    int64_t n_pend, const int64_t *pend_recv, const real *pend_val,
+    const double *pend_time, int64_t cap_total, int64_t *bh_head,
+    int64_t *bh_next, int64_t *b_recv, real *b_val, double *b_time,
+    int64_t n_snap, const int64_t *snap_step, real *snap_logical,
+    real *snap_hardware, real *snap_multiplier, real *snap_max_estimate,
+    int64_t *snap_mode, int64_t *left_recv, real *left_val,
+    double *left_time, int64_t *out_counts, real *ahead_scratch,
+    int64_t *level_scratch, int64_t *tid_scratch) {
     /* Hoist the per-edge constants out of the step loop: levels and table
      * membership cannot change mid-segment, so filter each row down to its
      * discovered (level >= 1) edges once and resolve per-row homogeneity
@@ -263,6 +262,8 @@ int64_t fused_segment(
         used++;
     }
     int64_t sp = 0;
+    int64_t sent = 0;
+    int64_t delivered = 0;
     for (int64_t j = 0; j < steps; j++) {
         double t = t_steps[j];
         /* -- broadcast delivery (VecContext._deliver_broadcasts) ------- */
@@ -271,166 +272,156 @@ int64_t fused_segment(
             real v = b_val[msg];
             if (v > max_estimate[r])
                 max_estimate[r] = v;
-            delivered[engine_of[r]]++;
+            delivered++;
         }
         /* -- per-node control phases, fused ----------------------------
          * Max-estimate advance, broadcast send and trigger evaluation all
          * touch disjoint per-node state (evaluation reads neighbours'
          * logical clocks, which only the clock phase writes), so one pass
-         * per node preserves the exact engine-by-engine, position-
-         * ascending order of every write and rng draw while walking the
-         * state columns once per step instead of three times. */
-        for (int64_t e = 0; e < n_engines; e++) {
-            real interval = bcast_interval[e];
-            int uniform_delay = dp_kind[e] == 1;
-            double low = dp_low[e];
-            double span = dp_span[e];
-            int64_t *mt = mt_state + e * 624;
-            int64_t strat = strategy[e];
-            for (int64_t i = engine_start[e]; i < engine_start[e + 1]; i++) {
-                /* max estimate maintenance (MaxEstimateTracker.advance) */
-                real hw = hardware[i];
-                real delta = hw - last_hardware[i];
-                if (delta < 0.0)
-                    delta = 0.0;
-                last_hardware[i] = hw;
-                real m = max_estimate[i] + delta * max_factor[i];
-                real lg = logical[i];
-                if (lg > m)
-                    m = lg;
-                max_estimate[i] = m;
-                /* broadcast send (per-engine rng streams) */
-                if (hw + 1e-12 >= next_broadcast[i]) {
-                    next_broadcast[i] = hw + interval;
-                    int64_t k0 = sb_indptr[i];
-                    int64_t k1 = sb_indptr[i + 1];
-                    for (int64_t k = k0; k < k1; k++) {
-                        double d;
-                        if (uniform_delay) {
-                            double raw = mt_res53(mt, &mt_pos[e]);
-                            double bound = sb_bound[k];
-                            d = (low + span * raw) * bound;
-                            if (d > bound)
-                                d = bound;
-                        } else {
-                            d = sb_static[k];
-                        }
-                        double dtime = t + d;
-                        int64_t jd = delivery_step(t_steps, j + 1, steps, dtime);
-                        if (used >= cap_total) {
-                            status = 1;
-                            goto done;
-                        }
-                        b_recv[used] = sb_recv[k];
-                        b_val[used] = m;
-                        b_time[used] = dtime;
-                        bh_next[used] = bh_head[jd];
-                        bh_head[jd] = used;
-                        used++;
+         * per node preserves the exact position-ascending order of every
+         * write and rng draw while walking the state columns once per step
+         * instead of three times. */
+        for (int64_t i = 0; i < n_nodes; i++) {
+            /* max estimate maintenance (MaxEstimateTracker.advance) */
+            real hw = hardware[i];
+            real delta = hw - last_hardware[i];
+            if (delta < 0.0)
+                delta = 0.0;
+            last_hardware[i] = hw;
+            real m = max_estimate[i] + delta * max_factor;
+            real lg = logical[i];
+            if (lg > m)
+                m = lg;
+            max_estimate[i] = m;
+            /* broadcast send */
+            if (hw + 1e-12 >= next_broadcast[i]) {
+                next_broadcast[i] = hw + interval;
+                int64_t k0 = sb_indptr[i];
+                int64_t k1 = sb_indptr[i + 1];
+                for (int64_t k = k0; k < k1; k++) {
+                    double d;
+                    if (uniform_delay) {
+                        double raw = mt_res53(mt_state, &mt_state[624]);
+                        double bound = sb_bound[k];
+                        d = (low + span * raw) * bound;
+                        if (d > bound)
+                            d = bound;
+                    } else {
+                        d = sb_static[k];
                     }
-                    sent[e] += k1 - k0;
-                }
-                /* oracle estimates + trigger evaluation */
-                int64_t k0 = f_indptr[i];
-                int64_t k1 = f_indptr[i + 1];
-                int64_t mc;
-                if (row_uniform[i]) {
-                    real amin = (real)INFINITY;
-                    real amax = (real)-INFINITY;
-                    for (int64_t k = k0; k < k1; k++) {
-                        real tv = logical[f_nbr[k]];
-                        real est;
-                        if (strat == 0) { /* zero error */
-                            est = tv;
-                        } else if (strat == 4) { /* toward_observer */
-                            real epsv = f_eps[k];
-                            if (epsv == 0.0) {
-                                est = tv;
-                            } else {
-                                real diff = lg - tv;
-                                real err;
-                                if (diff > 0.0)
-                                    err = diff < epsv ? diff : epsv;
-                                else
-                                    err = diff > -epsv ? diff : -epsv;
-                                est = tv + err;
-                                if (est < 0.0)
-                                    est = 0.0;
-                            }
-                        } else if (strat == 2) { /* underestimate */
-                            real epsv = f_eps[k];
-                            est = epsv == 0.0 ? tv : tv - epsv;
-                            if (est < 0.0)
-                                est = 0.0;
-                        } else { /* 3: overestimate */
-                            est = tv + f_eps[k];
-                        }
-                        real a = est - lg;
-                        if (a < amin)
-                            amin = a;
-                        if (a > amax)
-                            amax = a;
+                    double dtime = t + d;
+                    int64_t jd = delivery_step(t_steps, j + 1, steps, dtime);
+                    if (used >= cap_total) {
+                        status = 1;
+                        goto done;
                     }
-                    mc = evaluate_mode_uniform(lg, m, iota[i],
-                                               amin, amax, row_lvl[i],
-                                               row_tid[i], thresholds,
-                                               n_levels);
-                } else {
-                    int64_t count = 0;
-                    for (int64_t k = k0; k < k1; k++) {
-                        real tv = logical[f_nbr[k]];
-                        real est;
-                        if (strat == 0) { /* zero error */
-                            est = tv;
-                        } else if (strat == 4) { /* toward_observer */
-                            real epsv = f_eps[k];
-                            if (epsv == 0.0) {
-                                est = tv;
-                            } else {
-                                real diff = lg - tv;
-                                real err;
-                                if (diff > 0.0)
-                                    err = diff < epsv ? diff : epsv;
-                                else
-                                    err = diff > -epsv ? diff : -epsv;
-                                est = tv + err;
-                                if (est < 0.0)
-                                    est = 0.0;
-                            }
-                        } else if (strat == 2) { /* underestimate */
-                            real epsv = f_eps[k];
-                            est = epsv == 0.0 ? tv : tv - epsv;
-                            if (est < 0.0)
-                                est = 0.0;
-                        } else { /* 3: overestimate */
-                            est = tv + f_eps[k];
-                        }
-                        ahead_scratch[count] = est - lg;
-                        level_scratch[count] = f_lvl[k];
-                        tid_scratch[count] = f_tid[k];
-                        count++;
-                    }
-                    mc = evaluate_mode(lg, m, iota[i], count,
-                                       ahead_scratch, level_scratch,
-                                       tid_scratch, thresholds, n_levels);
+                    b_recv[used] = sb_recv[k];
+                    b_val[used] = m;
+                    b_time[used] = dtime;
+                    bh_next[used] = bh_head[jd];
+                    bh_head[jd] = used;
+                    used++;
                 }
-                if (mc == 0) {
-                    multiplier[i] = 1.0;
-                    mode[i] = 0;
-                } else if (mc == 1) {
-                    multiplier[i] = fast_mult[i];
-                    mode[i] = 1;
-                }
-                /* mc == 2 ("free"): keep the current mode and multiplier. */
+                sent += k1 - k0;
             }
+            /* oracle estimates + trigger evaluation */
+            int64_t k0 = f_indptr[i];
+            int64_t k1 = f_indptr[i + 1];
+            int64_t mc;
+            if (row_uniform[i]) {
+                real amin = (real)INFINITY;
+                real amax = (real)-INFINITY;
+                for (int64_t k = k0; k < k1; k++) {
+                    real tv = logical[f_nbr[k]];
+                    real est;
+                    if (strat == 0) { /* zero error */
+                        est = tv;
+                    } else if (strat == 4) { /* toward_observer */
+                        real epsv = f_eps[k];
+                        if (epsv == 0.0) {
+                            est = tv;
+                        } else {
+                            real diff = lg - tv;
+                            real err;
+                            if (diff > 0.0)
+                                err = diff < epsv ? diff : epsv;
+                            else
+                                err = diff > -epsv ? diff : -epsv;
+                            est = tv + err;
+                            if (est < 0.0)
+                                est = 0.0;
+                        }
+                    } else if (strat == 2) { /* underestimate */
+                        real epsv = f_eps[k];
+                        est = epsv == 0.0 ? tv : tv - epsv;
+                        if (est < 0.0)
+                            est = 0.0;
+                    } else { /* 3: overestimate */
+                        est = tv + f_eps[k];
+                    }
+                    real a = est - lg;
+                    if (a < amin)
+                        amin = a;
+                    if (a > amax)
+                        amax = a;
+                }
+                mc = evaluate_mode_uniform(lg, m, iota,
+                                           amin, amax, row_lvl[i],
+                                           row_tid[i], thresholds,
+                                           n_levels);
+            } else {
+                int64_t count = 0;
+                for (int64_t k = k0; k < k1; k++) {
+                    real tv = logical[f_nbr[k]];
+                    real est;
+                    if (strat == 0) { /* zero error */
+                        est = tv;
+                    } else if (strat == 4) { /* toward_observer */
+                        real epsv = f_eps[k];
+                        if (epsv == 0.0) {
+                            est = tv;
+                        } else {
+                            real diff = lg - tv;
+                            real err;
+                            if (diff > 0.0)
+                                err = diff < epsv ? diff : epsv;
+                            else
+                                err = diff > -epsv ? diff : -epsv;
+                            est = tv + err;
+                            if (est < 0.0)
+                                est = 0.0;
+                        }
+                    } else if (strat == 2) { /* underestimate */
+                        real epsv = f_eps[k];
+                        est = epsv == 0.0 ? tv : tv - epsv;
+                        if (est < 0.0)
+                            est = 0.0;
+                    } else { /* 3: overestimate */
+                        est = tv + f_eps[k];
+                    }
+                    ahead_scratch[count] = est - lg;
+                    level_scratch[count] = f_lvl[k];
+                    tid_scratch[count] = f_tid[k];
+                    count++;
+                }
+                mc = evaluate_mode(lg, m, iota, count,
+                                   ahead_scratch, level_scratch,
+                                   tid_scratch, thresholds, n_levels);
+            }
+            if (mc == 0) {
+                multiplier[i] = 1.0;
+                mode[i] = 0;
+            } else if (mc == 1) {
+                multiplier[i] = fast_mult;
+                mode[i] = 1;
+            }
+            /* mc == 2 ("free"): keep the current mode and multiplier. */
         }
         /* -- trace snapshots ------------------------------------------- */
-        while (sp < n_snap && snap_step[sp] == j) {
-            int64_t e = snap_engine[sp];
-            int64_t off = snap_offset[sp];
-            int64_t s0 = engine_start[e];
-            for (int64_t i = s0; i < engine_start[e + 1]; i++) {
-                int64_t d = off + (i - s0);
+        if (sp < n_snap && snap_step[sp] == j) {
+            int64_t off = sp * n_nodes;
+            for (int64_t i = 0; i < n_nodes; i++) {
+                int64_t d = off + i;
                 snap_logical[d] = logical[i];
                 snap_hardware[d] = hardware[i];
                 snap_multiplier[d] = multiplier[i];
@@ -456,6 +447,8 @@ int64_t fused_segment(
         }
         out_counts[0] = nleft;
         out_counts[1] = used;
+        out_counts[2] = sent;
+        out_counts[3] = delivered;
     }
 done:
     free(f_indptr);

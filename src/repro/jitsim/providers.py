@@ -34,18 +34,15 @@ CACHE_DIR_ENV = "REPRO_JIT_CACHE_DIR"
 
 #: Bump when the kernel ABI (argument list) changes so stale cached shared
 #: libraries are never loaded.
-_KERNEL_ABI = 1
+_KERNEL_ABI = 2
 
 #: ctypes argument spec for ``fused_segment`` in canonical order (``real``
 #: is the C kernel's name for double).
 _ARG_KINDS = (
     "i64",  # n_nodes
-    "i64",  # n_engines
     "i64",  # steps
     "f64",  # dt
     "f64*",  # t_steps
-    "i64*",  # engine_start
-    "i64*",  # engine_of
     "real*",  # hardware
     "real*",  # logical
     "real*",  # last_hardware
@@ -53,12 +50,12 @@ _ARG_KINDS = (
     "real*",  # next_broadcast
     "real*",  # multiplier
     "i64*",  # mode
-    "real*",  # iota
-    "real*",  # fast_mult
-    "real*",  # max_factor
+    "f64",  # iota
+    "f64",  # fast_mult
+    "f64",  # max_factor
     "real*",  # rates
-    "real*",  # bcast_interval
-    "i64*",  # strategy
+    "f64",  # interval
+    "i64",  # strat
     "i64*",  # indptr
     "i64*",  # nbr
     "real*",  # eps
@@ -70,11 +67,10 @@ _ARG_KINDS = (
     "i64*",  # sb_recv
     "f64*",  # sb_bound
     "f64*",  # sb_static
-    "i64*",  # dp_kind
-    "f64*",  # dp_low
-    "f64*",  # dp_span
-    "i64*",  # mt_state
-    "i64*",  # mt_pos
+    "i64",  # uniform_delay
+    "f64",  # low
+    "f64",  # span
+    "i64*",  # mt_state (624 words + position)
     "i64",  # n_pend
     "i64*",  # pend_recv
     "real*",  # pend_val
@@ -85,12 +81,8 @@ _ARG_KINDS = (
     "i64*",  # b_recv
     "real*",  # b_val
     "f64*",  # b_time
-    "i64*",  # sent
-    "i64*",  # delivered
     "i64",  # n_snap
     "i64*",  # snap_step
-    "i64*",  # snap_engine
-    "i64*",  # snap_offset
     "real*",  # snap_logical
     "real*",  # snap_hardware
     "real*",  # snap_multiplier

@@ -215,7 +215,6 @@ def _worker_main(conn, cache_dir: str, strict_backend: bool, forked: bool) -> No
                     "total": stats.total,
                     "cached": stats.cached,
                     "executed": stats.executed,
-                    "batched": stats.batched,
                     "fallbacks": stats.fallbacks,
                     "wall_time": stats.wall_time,
                 },

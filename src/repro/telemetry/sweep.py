@@ -11,7 +11,7 @@ Three event sources are merged:
 
 * **sweep progress** -- ``run_started`` / ``run_finished`` mapped from the
   executor's :class:`SweepEvent` stream (duck-typed: anything with
-  ``kind``/``index``/``spec``/``from_cache``/``batched`` works), plus
+  ``kind``/``index``/``spec``/``from_cache`` works), plus
   ``sweep_started`` / ``sweep_finished`` brackets;
 * **live watchdogs** -- :meth:`run_sink` hands the executor a per-run sink
   to attach to that run's metrics pipeline, so ``watchdog_fired`` and
@@ -83,12 +83,7 @@ class SweepTelemetry:
         elif event.kind == "fallback":
             self.emit("run_finished", state="fallback", **common)
         else:  # executed
-            self.emit(
-                "run_finished",
-                state="done",
-                batched=bool(event.batched),
-                **common,
-            )
+            self.emit("run_finished", state="done", **common)
 
     # -- live per-run sinks ---------------------------------------------
     def run_sink(self, index: int, spec: Any) -> Callable[..., None]:

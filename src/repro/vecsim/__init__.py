@@ -1,14 +1,10 @@
-"""NumPy-vectorized batch simulation backend (``backend="vec"``).
+"""NumPy-vectorized simulation backend (``backend="vec"``).
 
 ``repro.vecsim`` replaces the per-node Python loops of :mod:`repro.fastsim`
 with whole-array NumPy kernels -- elementwise clock and max-estimate
 advancement, CSR-reduced trigger evaluation, vectorized broadcast transport
 -- while keeping bit-identity with the reference engine on the AOPT + oracle
-scenario family.  A :class:`~repro.vecsim.engine.VecContext` additionally
-stacks R independent runs into one set of concatenated arrays so a sweep of
-compatible runs is advanced by a single kernel invocation per phase
-("run batching"; see :func:`~repro.vecsim.engine.build_batch` and the
-batching support in :mod:`repro.experiments.executor`).
+scenario family.
 
 numpy is an *optional* dependency (``pip install repro[vec]``): importing
 this package without numpy raises ``ImportError``; the backend registry in
@@ -20,10 +16,11 @@ Modules:
 
 * :mod:`repro.vecsim.kernels` -- the NumPy kernels, each documented against
   the scalar code it reproduces bit for bit;
-* :mod:`repro.vecsim.engine` -- :class:`~repro.vecsim.engine.VecEngine`
-  (single run) and :class:`~repro.vecsim.engine.VecContext` (run batching).
+* :mod:`repro.vecsim.engine` -- :class:`~repro.vecsim.engine.VecEngine` and
+  the :class:`~repro.vecsim.engine.VecContext` that holds its arrays and
+  drives its steps.
 """
 
-from .engine import VecContext, VecEngine, build_batch
+from .engine import VecContext, VecEngine
 
-__all__ = ["VecContext", "VecEngine", "build_batch"]
+__all__ = ["VecContext", "VecEngine"]

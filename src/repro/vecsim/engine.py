@@ -1,9 +1,10 @@
-"""The NumPy-vectorized simulation engine and its run-batching context.
+"""The NumPy-vectorized simulation engine and its driving context.
 
 :class:`VecEngine` runs the same fixed-step simulation as
 :class:`repro.fastsim.engine.FastEngine` (from which it inherits the whole
 event / insertion-handshake / transport machinery) but executes the per-step
-hot phases as NumPy array kernels over *all* nodes at once:
+hot phases as NumPy array kernels over *all* nodes at once (driven by its
+:class:`VecContext`, which holds the state arrays and the CSR mirror):
 
 * max-estimate maintenance, oracle *and* broadcast estimates, trigger
   evaluation and clock advancement are whole-array operations
@@ -17,21 +18,6 @@ hot phases as NumPy array kernels over *all* nodes at once:
 * message-delay draws stay on the *Python* rng (bit-identity requires the
   exact Mersenne-Twister stream the reference consumes), but the draws are
   batched per step and turned into delays with the same float expressions.
-
-Run batching
-------------
-
-A :class:`VecContext` owns the flat state columns; every engine's columns
-are views into the context's arrays.  A context over ``R`` engines advances
-all of them in lockstep: one kernel invocation per phase covers the
-concatenated node (and CSR edge) ranges of every run, so a sweep of many
-small compatible runs (same ``dt``, same duration, same estimate strategy)
-pays the NumPy dispatch overhead once instead of ``R`` times, and a batch of
-large ones costs what they cost one by one (threshold tables, ``max_level``
-and degree may differ per run; see :class:`VecContext`).  Runs never
-interact -- separate graphs, schedulers and rng streams -- so a batched run
-is bit-identical to the same run executed alone (the differential suite
-asserts this).
 
 Bit-identity caveats encoded here:
 
@@ -53,7 +39,7 @@ Bit-identity caveats encoded here:
 from __future__ import annotations
 
 import random as _random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -65,10 +51,10 @@ from ..sim.delay import UniformRandomDelay
 from ..sim.engine import EngineError
 from ..sim.runner import SimulationConfig
 from ..sim.trace import Trace
-from ..fastsim.engine import FastEngine, FastsimError
+from ..fastsim.engine import FastEngine
 from . import kernels
 
-__all__ = ["VecEngine", "VecContext", "build_batch"]
+__all__ = ["VecEngine", "VecContext"]
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +134,7 @@ class _UniformDelayPlan:
             rng.setstate((3, tuple(keys.tolist()) + (int(pos),), rng.getstate()[2]))
             self._owned = False
 
-    def delays(self, engine, t, bounds, static, pairs):
+    def delays(self, bounds: np.ndarray) -> np.ndarray:
         """One burst's delays for the CSR delay ``bounds``, in send order."""
         model = self._model
         low = model.low_fraction
@@ -158,18 +144,13 @@ class _UniformDelayPlan:
 
 
 # ----------------------------------------------------------------------
-# Combined CSR view shared by every engine of a context
+# NumPy mirror of the engine's CSR
 # ----------------------------------------------------------------------
-#: Padded cells one extra gather + maximum call is worth when stacked dense
-#: engines of different degree share a row-max segment (the fixed cost of
-#: the pair of numpy calls is about that of gathering this many elements).
-_CELLS_PER_CALL = 256
-
-
-class _CombinedCSR:
-    """Concatenated NumPy mirror of every engine's CSR adjacency."""
+class _CSRView:
+    """NumPy mirror of one engine's CSR adjacency, rebuilt with it."""
 
     __slots__ = (
+        "generation",
         "edge_count",
         "neighbor_index",
         "epsilon",
@@ -181,9 +162,8 @@ class _CombinedCSR:
         "empty",
         "max_level",
         "row_thresholds",
-        "_top_level",
         "_top_thresholds",
-        "_row_max_segments",
+        "_pad",
         "_value_ext",
         "neg_epsilon",
         "edge_f1",
@@ -196,236 +176,113 @@ class _CombinedCSR:
         "bc_valid",
     )
 
-    def __init__(self, engines: Sequence["VecEngine"], node_count: int):
-        neighbor_parts: List[np.ndarray] = []
-        epsilon_parts: List[np.ndarray] = []
-        level_parts: List[np.ndarray] = []
-        table_id_parts: List[np.ndarray] = []
-        indptr_parts: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-        edge_count = 0
-        tables: List = []
+    def __init__(self, engine: "VecEngine"):
+        csr = engine._csr
+        self.generation = engine._csr_generation
+        self.edge_count = edge_count = len(csr.neighbor_index)
+        self.neighbor_index = np.asarray(csr.neighbor_index, dtype=np.int64)
+        self.epsilon = np.asarray(csr.epsilon, dtype=np.float64)
+        self.level = np.asarray(csr.level, dtype=np.int64)
+        # Deduplicate by value so edges with identical parameters share one
+        # table row (enables the single-table fast paths); the id-level memo
+        # keeps the per-edge cost at one dict hit, and a CSR whose threshold
+        # cache holds a single table (every homogeneous bench and paper
+        # scenario) resolves the whole column in one step.
+        csr_tables = csr.tables
         table_pos: Dict = {}
-        id_memo: Dict[int, int] = {}
-        for engine in engines:
-            csr = engine._csr
-            engine._edge_offset = edge_count
-            offset = engine._offset
-            part = np.asarray(csr.neighbor_index, dtype=np.int64)
-            if offset:
-                part = part + offset
-            neighbor_parts.append(part)
-            epsilon_parts.append(np.asarray(csr.epsilon, dtype=np.float64))
-            level_parts.append(np.asarray(csr.level, dtype=np.int64))
-            # Deduplicate by value so engines with identical edge parameters
-            # share one table row (enables the single-table fast paths); the
-            # id-level memo keeps the per-edge cost at one dict hit, since
-            # each engine reuses a handful of table objects.  Engines whose
-            # threshold cache holds a single table (every homogeneous bench
-            # and paper scenario) resolve the whole column in one step.
-            csr_tables = csr.tables
-            if len(csr._table_cache) == 1 and csr_tables:
-                tid = id_memo.get(id(csr_tables[0]))
+        if len(csr._table_cache) == 1 and csr_tables:
+            table_pos[csr_tables[0]] = 0
+            self.table_id = np.zeros(edge_count, dtype=np.int64)
+        else:
+            id_memo: Dict[int, int] = {}
+            table_id: List[int] = []
+            for table in csr_tables:
+                tid = id_memo.get(id(table))
                 if tid is None:
-                    table = csr_tables[0]
-                    tid = table_pos.get(table)
-                    if tid is None:
-                        tid = len(tables)
-                        table_pos[table] = tid
-                        tables.append(table)
-                    id_memo[id(table)] = tid
-                table_id_parts.append(
-                    np.full(len(csr_tables), tid, dtype=np.int64)
-                )
-            else:
-                table_id: List[int] = []
-                for table in csr_tables:
-                    tid = id_memo.get(id(table))
-                    if tid is None:
-                        tid = table_pos.get(table)
-                        if tid is None:
-                            tid = len(tables)
-                            table_pos[table] = tid
-                            tables.append(table)
-                        id_memo[id(table)] = tid
-                    table_id.append(tid)
-                table_id_parts.append(np.asarray(table_id, dtype=np.int64))
-            indptr_parts.append(
-                np.asarray(csr.indptr[1:], dtype=np.int64) + edge_count
-            )
-            edge_count += len(csr.neighbor_index)
-        self.edge_count = edge_count
-        self.neighbor_index = np.concatenate(neighbor_parts) if neighbor_parts else np.zeros(0, dtype=np.int64)
-        self.epsilon = np.concatenate(epsilon_parts) if epsilon_parts else np.zeros(0, dtype=np.float64)
-        self.level = np.concatenate(level_parts) if level_parts else np.zeros(0, dtype=np.int64)
-        self.table_id = np.concatenate(table_id_parts) if table_id_parts else np.zeros(0, dtype=np.int64)
-        self.max_level = max((e.max_level for e in engines), default=1)
-        thresholds = np.full((max(len(tables), 1), 4, self.max_level), np.inf)
-        for tid, table in enumerate(tables):
-            for row, values in enumerate(table):
-                thresholds[tid, row, : len(values)] = values
+                    tid = id_memo[id(table)] = table_pos.setdefault(table, len(table_pos))
+                table_id.append(tid)
+            self.table_id = np.asarray(table_id, dtype=np.int64)
+        self.max_level = engine.max_level
+        thresholds = np.full((max(len(table_pos), 1), 4, self.max_level), np.inf)
+        for tid, table in enumerate(table_pos):
+            thresholds[tid] = table
         self.thresholds = thresholds
-        indptr_arr = np.concatenate(indptr_parts)
-        self.row_owner = np.repeat(
-            np.arange(node_count, dtype=np.int64), np.diff(indptr_arr)
-        )
-        self.starts = np.minimum(indptr_arr[:-1], max(self.edge_count - 1, 0))
-        self.empty = indptr_arr[:-1] == indptr_arr[1:]
+        indptr = np.asarray(csr.indptr, dtype=np.int64)
+        n = len(indptr) - 1
+        self.row_owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        self.starts = np.minimum(indptr[:-1], max(edge_count - 1, 0))
+        self.empty = indptr[:-1] == indptr[1:]
         # Per-row thresholds for the extremum path of ``evaluate_modes_vec``:
-        # the one table as ``(4, L)`` scalars-per-level when the batch shares
-        # it, else every row's own table gathered to ``(4, L, n)`` (an empty
-        # row borrows an arbitrary table -- its ``-inf`` extrema never fire).
-        # ``None`` when some row mixes tables.  A table's top level is its
-        # own length: a run with fewer levels than the batch maximum is at
-        # top below ``max_level``.
-        self._top_level = self._top_thresholds = None
-        if len(tables) <= 1:
-            self._top_level = len(tables[0][0]) if tables else self.max_level
+        # the one table as ``(4, L)`` scalars-per-level when every edge
+        # shares it, else every row's own table gathered to ``(4, L, n)`` (an
+        # empty row borrows an arbitrary table -- its ``-inf`` extrema never
+        # fire).  ``None`` when some row mixes tables.
+        self._top_thresholds = None
+        if len(table_pos) <= 1:
             self._top_thresholds = thresholds[0]
         else:
             row_table = self.table_id[self.starts]
             if np.array_equal(self.table_id, row_table[self.row_owner]):
-                tops = np.asarray([len(table[0]) for table in tables], dtype=np.int64)
-                self._top_level = tops[self.table_id]
                 self._top_thresholds = np.ascontiguousarray(
                     thresholds[row_table].transpose(1, 2, 0)
                 )
-        self._row_max_segments = self._plan_row_max(engines, indptr_arr)
+        # Per-row maxima: a graph whose padded size ``max_degree * n`` stays
+        # within 4x its edge count takes the dense layout -- per degree-column
+        # arrays of edge slots padded with a sentinel slot (index E), so a
+        # row maximum is ``max_degree`` gathers + maxima instead of a
+        # reduceat.  High-degree rows (star hubs, random-graph hubs) would
+        # blow that up to ``n * max_degree``; those graphs keep ``reduceat``.
+        self._pad = None
+        degree = csr.max_degree
+        if degree * n <= 4 * edge_count:
+            slots = np.arange(edge_count, dtype=np.int64)
+            owner = self.row_owner
+            pad = np.full((degree, n), edge_count, dtype=np.int64)
+            pad[slots - indptr[owner], owner] = slots
+            self._pad = pad
         #: Scratch for padded row-maxima: per-edge values plus the sentinel.
-        self._value_ext = np.empty(self.edge_count + 1, dtype=np.float64)
+        self._value_ext = np.empty(edge_count + 1, dtype=np.float64)
         #: Per-edge scratch buffers for the allocation-free kernels.
         self.neg_epsilon = -self.epsilon
-        self.edge_f1 = np.empty(self.edge_count, dtype=np.float64)
-        self.edge_f2 = np.empty(self.edge_count, dtype=np.float64)
-        self.edge_f3 = np.empty(self.edge_count, dtype=np.float64)
-        self.edge_b = np.empty(self.edge_count, dtype=bool)
-        # Broadcast estimate mode: adopt the engines' per-slot stored-state
-        # columns into combined arrays (same pattern as the node columns in
-        # VecContext) so the broadcast-ahead kernel runs over the whole
-        # batch; each engine's _bc_* attributes become views.
-        if engines and engines[0]._bc_mode:
-            self.bc_value = np.concatenate([e._bc_value for e in engines])
-            self.bc_hw = np.concatenate([e._bc_hw for e in engines])
-            self.bc_time = np.concatenate([e._bc_time for e in engines])
-            self.bc_valid = np.concatenate([e._bc_valid for e in engines])
-            for engine in engines:
-                start = engine._edge_offset
-                end = start + len(engine._csr.neighbor_index)
-                engine._bc_value = self.bc_value[start:end]
-                engine._bc_hw = self.bc_hw[start:end]
-                engine._bc_time = self.bc_time[start:end]
-                engine._bc_valid = self.bc_valid[start:end]
-        else:
-            self.bc_value = None
-            self.bc_hw = None
-            self.bc_time = None
-            self.bc_valid = None
+        self.edge_f1 = np.empty(edge_count, dtype=np.float64)
+        self.edge_f2 = np.empty(edge_count, dtype=np.float64)
+        self.edge_f3 = np.empty(edge_count, dtype=np.float64)
+        self.edge_b = np.empty(edge_count, dtype=bool)
+        # Broadcast estimate mode: the engine's per-slot stored-state columns
+        # (NumPy arrays, reallocated with each CSR rebuild).
+        self.bc_value = engine._bc_value if engine._bc_mode else None
+        self.bc_hw = engine._bc_hw if engine._bc_mode else None
+        self.bc_time = engine._bc_time if engine._bc_mode else None
+        self.bc_valid = engine._bc_valid if engine._bc_mode else None
         self._refresh_row_thresholds()
 
-    def _plan_row_max(self, engines: Sequence["VecEngine"], indptr: np.ndarray) -> List[Tuple]:
-        """Split the rows into segments of adjacent engines, one layout each.
-
-        An engine whose padded size ``max_degree * n`` stays within 4x its
-        edge count takes the dense layout: per degree-column arrays of edge
-        slots padded with a sentinel slot (index E), so a per-row maximum
-        becomes ``max_degree`` gathers + maxima instead of a reduceat.
-        High-degree rows (star hubs, random-graph hubs) would blow that up
-        to ``n * max_degree``; those engines keep ``reduceat`` over their
-        own edge range.  The rule is applied per engine, so one hub graph in
-        a batch does not take the dense layout away from the grids and lines
-        stacked with it.
-
-        Adjacent engines then share a segment when that costs no more than
-        running them apart: reduceat engines always (one call over the
-        joint edge range), dense engines when widening both to the larger
-        degree adds fewer padded cells than the gather calls it saves are
-        worth (always for equal degrees -- a sweep of lines or of grids is
-        one segment, as a single run is).
-
-        Returns ``(pad, edges, starts, empty)`` tuples: ``pad`` for dense
-        segments (the rest ``None``); the edge ``slice``, its local row
-        ``starts`` and the ``empty`` mask (``None`` when no row is empty)
-        for reduceat ones.
-        """
-        spans: List[List] = []  # [row_start, row_end, degree (0: reduceat)]
-        for engine in engines:
-            row_start = engine._offset
-            row_end = row_start + engine.n
-            edges = int(indptr[row_end] - indptr[row_start])
-            degree = engine._csr.max_degree
-            if not edges:
-                degree = 1  # a one-column all-sentinel pad
-            elif degree * engine.n > 4 * edges:
-                degree = 0
-            if spans:
-                last_start, _, last_degree = last = spans[-1]
-                wide = max(last_degree, degree)
-                added = (wide - last_degree) * (row_start - last_start) + (
-                    wide - degree
-                ) * engine.n
-                if bool(degree) == bool(last_degree) and (
-                    added <= _CELLS_PER_CALL * min(last_degree, degree)
-                ):
-                    last[1], last[2] = row_end, wide
-                    continue
-            spans.append([row_start, row_end, degree])
-        segments: List[Tuple] = []
-        for row_start, row_end, degree in spans:
-            edge_start, edge_end = int(indptr[row_start]), int(indptr[row_end])
-            if degree:
-                slots = np.arange(edge_start, edge_end, dtype=np.int64)
-                owner = self.row_owner[edge_start:edge_end]
-                pad = np.full((degree, row_end - row_start), self.edge_count, dtype=np.int64)
-                pad[slots - indptr[owner], owner - row_start] = slots
-                segments.append((pad, None, None, None))
-            else:
-                row_ptr = indptr[row_start:row_end]
-                empty = row_ptr == indptr[row_start + 1 : row_end + 1]
-                segments.append(
-                    (
-                        None,
-                        slice(edge_start, edge_end),
-                        np.minimum(row_ptr, edge_end - 1) - edge_start,
-                        empty if empty.any() else None,
-                    )
-                )
-        return segments
-
     def _refresh_row_thresholds(self) -> None:
-        #: Every row's edges share the row's table and sit at that table's
-        #: top level: the per-level trigger conditions then collapse onto
-        #: per-node extrema (see :func:`repro.vecsim.kernels
-        #: .evaluate_modes_vec`).  A row-local condition, so a batch
-        #: qualifies exactly when each of its runs would on its own.
+        #: Every row's edges share the row's table and sit at the top level:
+        #: the per-level trigger conditions then collapse onto per-node
+        #: extrema (see :func:`repro.vecsim.kernels.evaluate_modes_vec`).
         at_top = self._top_thresholds is not None and bool(
-            (self.level == self._top_level).all()
+            (self.level == self.max_level).all()
         )
         self.row_thresholds = self._top_thresholds if at_top else None
 
     def row_max_values(self, values: np.ndarray) -> np.ndarray:
         """Per-row maximum of a per-edge float array (``-inf`` for no edges)."""
-        parts = []
-        ext = None
-        for pad, edges, starts, empty in self._row_max_segments:
-            if pad is not None:
-                if ext is None:
-                    ext = self._value_ext
-                    ext[:-1] = values
-                    ext[-1] = -np.inf
-                result = ext[pad[0]]
-                for column in range(1, len(pad)):
-                    np.maximum(result, ext[pad[column]], out=result)
-            else:
-                result = np.maximum.reduceat(values[edges], starts)
-                if empty is not None:
-                    result[empty] = -np.inf
-            parts.append(result)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        pad = self._pad
+        if pad is None:
+            result = np.maximum.reduceat(values, self.starts)
+            result[self.empty] = -np.inf
+            return result
+        ext = self._value_ext
+        ext[:-1] = values
+        ext[-1] = -np.inf
+        result = ext[pad[0]]
+        for column in range(1, len(pad)):
+            np.maximum(result, ext[pad[column]], out=result)
+        return result
 
     def refresh_levels(self, engine: "VecEngine") -> None:
-        """Re-mirror one engine's (list-typed) level column after promotions."""
-        start = engine._edge_offset
-        end = start + len(engine._csr.level)
-        self.level[start:end] = np.asarray(engine._csr.level, dtype=np.int64)
+        """Re-mirror the engine's (list-typed) level column after promotions."""
+        self.level[:] = engine._csr.level
         self._refresh_row_thresholds()
 
 
@@ -519,13 +376,8 @@ class VecEngine(FastEngine):
         graph: DynamicGraph,
         algorithm_factory: AlgorithmFactory,
         config: SimulationConfig,
-        *,
-        _defer_context: bool = False,
     ):
         super().__init__(graph, algorithm_factory, config)
-        self._offset = 0
-        self._edge_offset = 0
-        self._ctx: Optional[VecContext] = None
         self._bc_flat = None
         self._active_schedules = set()
         #: The uniform model's batched draws; other models are ``static``
@@ -538,8 +390,11 @@ class VecEngine(FastEngine):
         #: Per-message drop checks need graph membership at delivery time;
         #: those scenarios keep the inherited (heap) transport end to end.
         self._heap_transport = self._drop_on_edge_loss
-        if not _defer_context:
-            VecContext([self])
+        self._ctx = self._make_context()
+
+    def _make_context(self) -> "VecContext":
+        """The driver of this engine's steps (``jit`` swaps in its own)."""
+        return VecContext(self)
 
     # -- context plumbing ----------------------------------------------
     @property
@@ -594,24 +449,13 @@ class VecEngine(FastEngine):
 
     # -- running --------------------------------------------------------
     def run_until(self, end_time: float) -> Trace:
-        self._require_single_engine_context()
         if end_time < self.time - 1e-12:
             raise EngineError("cannot run backwards in time")
         self._ctx.run_until(end_time)
         return self.trace
 
     def step(self) -> None:
-        self._require_single_engine_context()
         self._ctx._step()
-
-    def _require_single_engine_context(self) -> None:
-        if self._ctx is None:
-            raise FastsimError("engine is not attached to a VecContext")
-        if len(self._ctx.engines) != 1:
-            raise FastsimError(
-                "batched engines are advanced by their shared context; "
-                "call VecContext.run_until instead"
-            )
 
     # -- state accessors ------------------------------------------------
     def global_skew(self) -> float:
@@ -637,6 +481,12 @@ class VecEngine(FastEngine):
         call, so the order is stable between membership changes; the
         structure is invalidated on every edge event.
 
+        One walk collects each entry's CSR slot; receivers and delay bounds
+        are gathers from the CSR arrays (``neighbor_index`` holds the
+        receiver's position).  A ``static`` delay model is called once per
+        entry here; only a per-message model gets the ``(sender, receiver,
+        bound)`` pairs its calls need.
+
         In broadcast estimate mode a parallel receiver-slot column
         (``_bc_store``) resolves each fan-out entry to the *receiver's* CSR
         slot for the (receiver, sender) pair -- the store target of the
@@ -645,105 +495,59 @@ class VecEngine(FastEngine):
         The column is tagged with the CSR generation at push time; deliveries
         that outlive a rebuild re-resolve slots scalar-wise.
         """
-        index = self._cols.index
-        offset = self._offset
-        model = self.delay_model
         csr = self._csr
-        delay_col = csr.delay
-        bc_mode = self._bc_mode
-        recv_slots: List[int] = []
-        owner: List[int] = []
-        receivers: List[int] = []
-        bounds: List[float] = []
-        static: List[float] = []
-        # ``pairs`` feeds the per-message ``delay()`` calls only; static and
-        # uniform delays never read it, so skip building the per-edge tuple
-        # list for them (it is the most expensive column).
-        static_model = model.static
-        pairs: List[Tuple[NodeId, NodeId, float]] = []
-        if self._uniform_draw is not None:
-            # Fast path (uniform draws): collect only the CSR slot per
-            # fan-out entry -- every other column is a gather from the CSR
-            # arrays.  ``neighbor_index`` already holds the
-            # receiver's position, so the per-edge ``index[neighbor]`` dict
-            # lookup disappears too.
-            slots: List[int] = []
-            counts: List[int] = []
-            slots_append = slots.append
-            counts_append = counts.append
-            row_pos = csr.row_pos
-            neighbor_index = csr.neighbor_index
-            levels = self._levels
-            ids = self._cols.ids
-            for position in range(len(ids)):
-                row_get = row_pos[position].get
-                start = len(slots)
-                if bc_mode:
-                    node = ids[position]
-                    for neighbor in levels[position].discovered():
-                        slot = row_get(neighbor)
-                        if slot is not None:
-                            slots_append(slot)
-                            store = row_pos[neighbor_index[slot]].get(node)
-                            recv_slots.append(-1 if store is None else store)
-                else:
-                    for neighbor in levels[position].discovered():
-                        slot = row_get(neighbor)
-                        if slot is not None:
-                            slots_append(slot)
-                counts_append(len(slots) - start)
-            slot_arr = np.asarray(slots, dtype=np.int64)
-            owner_arr = np.repeat(
-                np.arange(len(counts), dtype=np.int64),
-                np.asarray(counts, dtype=np.int64),
-            )
-            nbr_arr = np.asarray(csr.neighbor_index, dtype=np.int64)
-            bound_arr = np.asarray(delay_col, dtype=np.float64)
-            flat = (
-                owner_arr,
-                nbr_arr[slot_arr] + offset,
-                bound_arr[slot_arr],
-                None,
-                pairs,
-            )
-            self._bc_store = (
-                np.asarray(recv_slots, dtype=np.int64) if bc_mode else None
-            )
-            self._bc_flat = flat
-            return flat
-        owner_append = owner.append
-        receivers_append = receivers.append
-        bounds_append = bounds.append
-        pairs_append = pairs.append
-        static_append = static.append
         row_pos = csr.row_pos
+        neighbor_index = csr.neighbor_index
         levels = self._levels
-        for position, node in enumerate(self._cols.ids):
-            # The CSR is rebuilt before the control phase whenever the graph
-            # changed, so row membership is the live adjacency.
+        ids = self._cols.ids
+        bc_mode = self._bc_mode
+        slots: List[int] = []
+        counts: List[int] = []
+        recv_slots: List[int] = []
+        slots_append = slots.append
+        counts_append = counts.append
+        # The CSR is rebuilt before the control phase whenever the graph
+        # changed, so row membership is the live adjacency.
+        for position in range(len(ids)):
             row_get = row_pos[position].get
-            for neighbor in levels[position].discovered():
-                slot = row_get(neighbor)
-                if slot is None:
-                    continue
-                bound = delay_col[slot]
-                owner_append(position)
-                receivers_append(offset + index[neighbor])
-                bounds_append(bound)
-                if bc_mode:
-                    store = row_pos[index[neighbor]].get(node)
-                    recv_slots.append(-1 if store is None else store)
-                if static_model:
-                    static_append(model.delay(node, neighbor, 0.0, bound))
-                else:
-                    pairs_append((node, neighbor, bound))
-        flat = (
-            np.asarray(owner, dtype=np.int64),
-            np.asarray(receivers, dtype=np.int64),
-            np.asarray(bounds, dtype=np.float64),
-            np.asarray(static, dtype=np.float64) if static_model else None,
-            pairs,
+            start = len(slots)
+            if bc_mode:
+                node = ids[position]
+                for neighbor in levels[position].discovered():
+                    slot = row_get(neighbor)
+                    if slot is not None:
+                        slots_append(slot)
+                        store = row_pos[neighbor_index[slot]].get(node)
+                        recv_slots.append(-1 if store is None else store)
+            else:
+                for neighbor in levels[position].discovered():
+                    slot = row_get(neighbor)
+                    if slot is not None:
+                        slots_append(slot)
+            counts_append(len(slots) - start)
+        slot_arr = np.asarray(slots, dtype=np.int64)
+        owner = np.repeat(
+            np.arange(len(counts), dtype=np.int64), np.asarray(counts, dtype=np.int64)
         )
+        receivers = np.asarray(neighbor_index, dtype=np.int64)[slot_arr]
+        bounds = np.asarray(csr.delay, dtype=np.float64)[slot_arr]
+        model = self.delay_model
+        static = pairs = None
+        if model.static or self._uniform_draw is None:
+            entries = zip(
+                [ids[o] for o in owner.tolist()],
+                [ids[r] for r in receivers.tolist()],
+                bounds.tolist(),
+            )
+            if model.static:
+                delay = model.delay
+                static = np.asarray(
+                    [delay(node, neighbor, 0.0, bound) for node, neighbor, bound in entries],
+                    dtype=np.float64,
+                )
+            else:
+                pairs = list(entries)
+        flat = (owner, receivers, bounds, static, pairs)
         self._bc_store = np.asarray(recv_slots, dtype=np.int64) if bc_mode else None
         self._bc_flat = flat
         return flat
@@ -792,7 +596,7 @@ class VecEngine(FastEngine):
         if static is not None:
             delays = static
         elif self._uniform_draw is not None:
-            delays = self._uniform_draw.delays(self, t, bounds, static, pairs)
+            delays = self._uniform_draw.delays(bounds)
         else:
             delay = self.delay_model.delay
             delays = np.asarray(
@@ -809,32 +613,28 @@ class VecEngine(FastEngine):
             self._msg_seq = seq_base + count
             seqs = np.arange(seq_base + 1, seq_base + count + 1, dtype=np.int64)
             self._ctx._push_broadcasts(
-                self,
                 t + delays,
                 receivers,
                 max_estimate[owner],
                 bc=(store, owner, cols.logical[owner], seqs, self._csr_generation),
             )
         else:
-            self._ctx._push_broadcasts(
-                self, t + delays, receivers, max_estimate[owner]
-            )
+            self._ctx._push_broadcasts(t + delays, receivers, max_estimate[owner])
         self.sent_count += count
 
     # -- uniform estimate strategy (scalar fill, set order) -------------
     def _fill_uniform_aheads(self, ahead: np.ndarray) -> None:
-        """Write the ``uniform`` views' aheads into the combined CSR slots."""
+        """Write the ``uniform`` views' aheads into their CSR slots."""
         logical = self._cols.logical
-        edge_offset = self._edge_offset
         for position in range(self.n):
             for slot, value, _level in self._uniform_views(position, logical[position]):
-                ahead[edge_offset + slot] = value
+                ahead[slot] = value
 
     # -- trace recording ------------------------------------------------
     def _record_sample(self, force: bool = False) -> None:
-        # A stopped engine is frozen: the batch may keep stepping for its
-        # peers, but nothing more is recorded or fed here, so the truncated
-        # trace/report is exactly the prefix up to the watchdog trip.
+        # A stopped engine is frozen: a later ``run_until`` records and
+        # feeds nothing more, so the truncated trace/report stays exactly
+        # the prefix up to the watchdog trip.
         if self.stopped_early:
             return
         if not force and self.time + 1e-12 < self._next_sample_time:
@@ -867,7 +667,7 @@ class VecEngine(FastEngine):
 
 
 # ----------------------------------------------------------------------
-# Context: shared arrays + lockstep driver
+# Context: the engine's state arrays + step driver
 # ----------------------------------------------------------------------
 _FLOAT_COLUMNS = (
     "hardware",
@@ -880,105 +680,38 @@ _FLOAT_COLUMNS = (
 
 
 class VecContext:
-    """Owns the concatenated state arrays of one or more :class:`VecEngine`.
+    """Holds one :class:`VecEngine`'s state arrays and drives its steps.
 
-    All engines must share ``dt`` and estimate strategy (the executor's
-    batching groups specs accordingly); they advance in lockstep, one kernel
-    invocation per phase for the whole batch.
-
-    What picks a kernel path or a layout is decided per row or per engine,
-    never by the batch's extremes (:class:`_CombinedCSR`): the extremum
-    trigger path needs every row at its *own* table's top level -- tables
-    and ``max_level`` may differ per run -- the dense row-max layout is
-    chosen per engine, and deliveries are credited to the sending engine
-    without inspecting receivers.  A batch of static runs therefore costs
-    what its runs cost one by one, less the shared dispatch; a member with
-    an insertion in progress sends the batch through the general trigger
-    path until its edges reach top level, as it would send itself.
-    Measured (2-core VM, ``trace: none``, scalar observers, best of three):
-    16 x line n = 64 over 2000 steps 0.55 s batched vs 1.48 s per run
-    (0.37x); grid 4096 + line 4096 + random 2048 over 600 steps 0.86 s vs
-    0.95 s (0.9-1.0x over repeats; 1.56 s vs 0.84 s, 1.8-1.9x, before these
-    choices were row-local).
-
-    Known limitation: an adjacency change in *any* engine rebuilds the whole
-    combined CSR (O(total edges)); level-only changes refresh just the
-    affected slice.  A churn-heavy run therefore makes its batch peers pay
-    for its rebuilds.
+    The engine's (list-typed) node columns and rate column become NumPy
+    arrays shared with the context; the context mirrors the CSR as a
+    :class:`_CSRView` (rebuilt on every adjacency change, level-patched in
+    place after promotions) and carries the vectorized broadcast transport.
     """
 
-    def __init__(self, engines: Sequence[VecEngine]):
-        if not engines:
-            raise FastsimError("a VecContext needs at least one engine")
-        self.engines = list(engines)
-        first = self.engines[0]
-        self.dt = first.dt
-        self._strategy = first._strategy
-        for engine in self.engines:
-            if engine._ctx is not None:
-                raise FastsimError("engine is already attached to a context")
-            if engine.time != 0.0:
-                raise FastsimError("only fresh engines can be batched")
-            if engine.dt != self.dt:
-                raise FastsimError("batched engines must share dt")
-            if engine._strategy != self._strategy:
-                raise FastsimError("batched engines must share the estimate strategy")
-            if engine._bc_mode != first._bc_mode:
-                raise FastsimError("batched engines must share the estimate mode")
-        self.time = 0.0
-        offset = 0
-        for engine in self.engines:
-            engine._offset = offset
-            offset += engine.n
-        self.node_count = offset
-        # Adopt the engines' (list-typed) columns into shared arrays; every
-        # engine's column attributes become views into these.
+    def __init__(self, engine: VecEngine):
+        self.engine = engine
+        self.dt = engine.dt
+        self._strategy = engine._strategy
+        cols = engine._cols
         for name in _FLOAT_COLUMNS:
-            column = np.empty(self.node_count, dtype=np.float64)
-            for engine in self.engines:
-                start = engine._offset
-                column[start : start + engine.n] = getattr(engine._cols, name)
-                setattr(engine._cols, name, column[start : start + engine.n])
+            column = np.asarray(getattr(cols, name), dtype=np.float64)
+            setattr(cols, name, column)
             setattr(self, name, column)
-        mode = np.empty(self.node_count, dtype=np.int64)
-        for engine in self.engines:
-            start = engine._offset
-            mode[start : start + engine.n] = engine._cols.mode
-            engine._cols.mode = mode[start : start + engine.n]
-        self.mode = mode
-        # Per-node algorithm constants (engines may differ within a batch).
-        self.iota = self._per_node(lambda e: e.aopt_params.iota)
-        self.fast_multiplier = self._per_node(lambda e: e._fast_multiplier)
-        self.max_factor = self._per_node(lambda e: e._max_factor)
-        rates = np.empty(self.node_count, dtype=np.float64)
-        for engine in self.engines:
-            start = engine._offset
-            rates[start : start + engine.n] = engine._rates
-            engine._rates = rates[start : start + engine.n]
-        self._rates = rates
-        self._node_scratch = np.empty(self.node_count, dtype=np.float64)
-        self._node_flags = np.empty(self.node_count, dtype=bool)
+        cols.mode = self.mode = np.asarray(cols.mode, dtype=np.int64)
+        engine._rates = self._rates = np.asarray(engine._rates, dtype=np.float64)
+        self._node_scratch = np.empty(engine.n, dtype=np.float64)
+        self._node_flags = np.empty(engine.n, dtype=bool)
         # Vectorized broadcast transport (insert-edge messages stay on the
-        # per-engine heaps).  Each run is one engine's send burst sorted by
-        # delivery time with a consumed-prefix pointer: ``[times, recv, vals,
-        # start, engine, bc]`` (``bc``: the broadcast-estimate store columns,
-        # ``None`` in oracle mode).
+        # engine's heap).  Each run is one send burst sorted by delivery
+        # time with a consumed-prefix pointer: ``[times, recv, vals, start,
+        # bc]`` (``bc``: the broadcast-estimate store columns, ``None`` in
+        # oracle mode).
         self._bc_runs: List[List] = []
-        self._combined: Optional[_CombinedCSR] = None
-        self._seen_generations = [-1] * len(self.engines)
-        for engine in self.engines:
-            engine._ctx = self
-
-    def _per_node(self, fn) -> np.ndarray:
-        column = np.empty(self.node_count, dtype=np.float64)
-        for engine in self.engines:
-            column[engine._offset : engine._offset + engine.n] = fn(engine)
-        return column
+        self._view: Optional[_CSRView] = None
 
     # -- transport ------------------------------------------------------
     def _push_broadcasts(
         self,
-        engine: VecEngine,
         times: np.ndarray,
         receivers: np.ndarray,
         values: np.ndarray,
@@ -996,31 +729,25 @@ class VecContext:
             slots, owners, logicals, seqs, generation = bc
             order = np.lexsort((seqs, times))
             bc = (slots[order], owners[order], logicals[order], seqs[order], generation)
-        self._bc_runs.append(
-            [times[order], receivers[order], values[order], 0, engine, bc]
-        )
+        self._bc_runs.append([times[order], receivers[order], values[order], 0, bc])
 
     def _deliver_broadcasts(self, t: float) -> None:
         if not self._bc_runs:
             return
         limit = t + 1e-12
         exhausted = False
-        bc_due: Dict[int, List] = {}
+        chunks: List = []
         for run in self._bc_runs:
-            times, receivers, values, start, engine, bc = run
+            times, receivers, values, start, bc = run
             end = int(np.searchsorted(times, limit, side="right"))
             if end <= start:
                 continue
             due_recv = receivers[start:end]
             np.maximum.at(self.max_estimate, due_recv, values[start:end])
-            # A burst only ever addresses its sender's own engine.
-            engine.delivered_count += end - start
+            self.engine.delivered_count += end - start
             if bc is not None:
                 slots, owners, logicals, seqs, generation = bc
-                entry = bc_due.get(id(engine))
-                if entry is None:
-                    entry = bc_due[id(engine)] = [engine, []]
-                entry[1].append(
+                chunks.append(
                     (
                         times[start:end],
                         seqs[start:end],
@@ -1034,13 +761,13 @@ class VecContext:
             run[3] = end
             if end == len(times):
                 exhausted = True
-        for engine, chunks in bc_due.values():
-            self._apply_broadcast_stores(engine, chunks, t)
+        if chunks:
+            self._apply_broadcast_stores(chunks, t)
         if exhausted:
             self._bc_runs = [run for run in self._bc_runs if run[3] < len(run[0])]
 
-    def _apply_broadcast_stores(self, engine: VecEngine, chunks: List, t: float) -> None:
-        """Store one step's due broadcasts into an engine's per-slot state.
+    def _apply_broadcast_stores(self, chunks: List, t: float) -> None:
+        """Store one step's due broadcasts into the engine's per-slot state.
 
         The net effect of delivering a batch in (time, seq) order is
         "last writer per (receiver, sender) pair wins" (the max-estimate
@@ -1052,6 +779,7 @@ class VecContext:
         order -- rare (only the steps right after churn) and bounded by the
         in-flight volume.
         """
+        engine = self.engine
         generation = engine._csr_generation
         stale = any(chunk[6] != generation for chunk in chunks)
         if len(chunks) == 1:
@@ -1070,8 +798,6 @@ class VecContext:
             logicals = logicals[order]
         cols = engine._cols
         hardware = cols.hardware
-        offset = engine._offset
-        recv_local = recv - offset if offset else recv
         if stale:
             ids = cols.ids
             row_pos = engine._csr.row_pos
@@ -1080,8 +806,8 @@ class VecContext:
             hw_col = engine._bc_hw
             time_col = engine._bc_time
             valid = engine._bc_valid
-            for j in range(len(recv_local)):
-                position = int(recv_local[j])
+            for j in range(len(recv)):
+                position = int(recv[j])
                 sender = ids[int(owners[j])]
                 slot = row_pos[position].get(sender)
                 if slot is None:
@@ -1098,7 +824,7 @@ class VecContext:
         if mask.all():
             slots_v = slots
             logicals_v = logicals
-            recv_v = recv_local
+            recv_v = recv
         else:
             # Overflow deliveries (receiver row lacks the sender): scalar, in
             # delivery order.  Slotless and slotted entries never share a
@@ -1107,13 +833,13 @@ class VecContext:
             ids = cols.ids
             overflow = engine._bc_overflow
             for j in np.nonzero(~mask)[0].tolist():
-                position = int(recv_local[j])
+                position = int(recv[j])
                 overflow[(position, ids[int(owners[j])])] = (
                     logicals[j], hardware[position], t,
                 )
             slots_v = slots[mask]
             logicals_v = logicals[mask]
-            recv_v = recv_local[mask]
+            recv_v = recv[mask]
         if not slots_v.size:
             return
         # Keep each slot's last entry: first occurrence in the reversed
@@ -1128,90 +854,67 @@ class VecContext:
 
     # -- CSR view -------------------------------------------------------
     def _refresh_structure(self) -> None:
-        for engine in self.engines:
-            if engine._csr_dirty:
-                engine._rebuild_csr()
-        changed = self._combined is None
-        if not changed:
-            for i, engine in enumerate(self.engines):
-                if engine._csr_generation != self._seen_generations[i]:
-                    changed = True
-                    break
-        if changed:
-            self._combined = _CombinedCSR(self.engines, self.node_count)
-            self._seen_generations = [e._csr_generation for e in self.engines]
+        engine = self.engine
+        if engine._csr_dirty:
+            engine._rebuild_csr()
+        if self._view is None or self._view.generation != engine._csr_generation:
+            self._view = _CSRView(engine)
 
     def _refresh_levels(self) -> None:
-        for engine in self.engines:
-            if engine._csr_levels_dirty:
-                self._combined.refresh_levels(engine)
-                engine._csr_levels_dirty = False
+        engine = self.engine
+        if engine._csr_levels_dirty:
+            self._view.refresh_levels(engine)
+            engine._csr_levels_dirty = False
 
     # -- stepping -------------------------------------------------------
-    def run_until(self, end_time: float) -> List[Trace]:
-        """Advance every engine until ``end_time`` (inclusive sampling).
+    def run_until(self, end_time: float) -> None:
+        """Advance the engine until ``end_time`` (inclusive sampling).
 
-        An engine whose armed watchdog trips is *frozen* (its
-        ``_record_sample`` becomes a no-op) while the batch keeps stepping
-        for its peers; once every engine in the batch has stopped the loop
-        exits early.  Stopped engines skip the forced final sample, so each
-        truncated trace/report is a bit-identical prefix of its full run.
+        An armed watchdog that trips ends the loop after the step that
+        tripped it, and the forced final sample is skipped, so the truncated
+        trace/report is a bit-identical prefix of the full run.
         """
-        if end_time < self.time - 1e-12:
-            raise EngineError("cannot run backwards in time")
-        engines = self.engines
-        while self.time < end_time - 1e-9:
+        engine = self.engine
+        while engine.time < end_time - 1e-9:
             self._step()
-            if all(engine.stopped_early for engine in engines):
-                break
-        for engine in engines:
             if engine.stopped_early:
-                continue
-            engine.time = self.time
-            engine._record_sample(force=True)
-        return [engine.trace for engine in engines]
+                return
+        engine._record_sample(force=True)
 
     def _step(self) -> None:
-        t = self.time
-        engines = self.engines
-        for engine in engines:
-            engine.time = t
-            next_event = engine._next_event_time
-            if next_event is not None and next_event <= t + 1e-12:
-                engine._apply_graph_events(t)
-        for engine in engines:
-            if engine._inflight:
-                engine._deliver_messages(t)
+        engine = self.engine
+        t = engine.time
+        next_event = engine._next_event_time
+        if next_event is not None and next_event <= t + 1e-12:
+            engine._apply_graph_events(t)
+        if engine._inflight:
+            engine._deliver_messages(t)
         self._deliver_broadcasts(t)
-        for engine in engines:
-            engine.scheduler.run_due(t)
+        engine.scheduler.run_due(t)
         self._refresh_structure()
         self._control_all(t)
-        for engine in engines:
-            engine._record_sample()
+        engine._record_sample()
         self._advance_clocks(t)
-        self.time = t + self.dt
-        for engine in engines:
-            engine.time = self.time
+        engine.time = t + self.dt
 
     def _control_all(self, t: float) -> None:
+        engine = self.engine
         kernels.advance_max_estimates(
             self.hardware,
             self.last_hardware,
             self.max_estimate,
             self.logical,
-            self.max_factor,
+            engine._max_factor,
             self._node_scratch,
             self._node_flags,
         )
-        for engine in self.engines:
-            if engine._active_schedules:
-                logical = engine._cols.logical
-                for position in sorted(engine._active_schedules):
-                    engine._apply_due_insertions(position, logical[position])
-            engine._send_broadcasts(t)
+        if engine._active_schedules:
+            logical = self.logical
+            for position in sorted(engine._active_schedules):
+                engine._apply_due_insertions(position, logical[position])
+        engine._send_broadcasts(t)
         self._refresh_levels()
-        view = self._combined
+        view = self._view
         valid = None
         if not view.edge_count:
             ahead = np.empty(0, dtype=np.float64)
@@ -1220,8 +923,7 @@ class VecContext:
             valid = view.bc_valid
         elif self._strategy == 1:  # uniform: Python draws in set order
             ahead = np.zeros(view.edge_count, dtype=np.float64)
-            for engine in self.engines:
-                engine._fill_uniform_aheads(ahead)
+            engine._fill_uniform_aheads(ahead)
         else:
             ahead = kernels.edge_aheads(self._strategy, self.logical, view)
         mode_new = kernels.evaluate_modes_vec(
@@ -1229,32 +931,18 @@ class VecContext:
             ahead,
             self.logical,
             self.max_estimate,
-            self.iota,
+            engine.aopt_params.iota,
             self.mode,
             valid=valid,
         )
         np.copyto(self.mode, mode_new)
-        np.copyto(self.multiplier, np.where(mode_new == 1, self.fast_multiplier, 1.0))
+        np.copyto(
+            self.multiplier, np.where(mode_new == 1, engine._fast_multiplier, 1.0)
+        )
 
     def _advance_clocks(self, t: float) -> None:
-        for engine in self.engines:
-            engine._refresh_rates(t)
+        self.engine._refresh_rates(t)
         rates = self._rates
         dt = self.dt
         self.hardware += rates * dt
         self.logical += (rates * self.multiplier) * dt
-
-
-def build_batch(runs: Sequence[Tuple[DynamicGraph, AlgorithmFactory, SimulationConfig]]) -> VecContext:
-    """Build a lockstep batch of vec engines over independent runs.
-
-    Every run is ``(graph, algorithm_factory, config)`` exactly as a backend's
-    ``build`` receives them; all must share ``dt`` and estimate strategy.
-    Returns the shared :class:`VecContext`; the engines are in
-    ``context.engines`` in input order.
-    """
-    engines = [
-        VecEngine(graph, factory, config, _defer_context=True)
-        for graph, factory, config in runs
-    ]
-    return VecContext(engines)

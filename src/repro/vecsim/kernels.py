@@ -67,7 +67,7 @@ def advance_max_estimates(
     last_hardware: np.ndarray,
     max_estimate: np.ndarray,
     logical: np.ndarray,
-    factor: np.ndarray,
+    factor: float,
     scratch: np.ndarray,
     flags: np.ndarray,
 ) -> None:
@@ -149,7 +149,7 @@ def evaluate_modes_vec(
     ahead: np.ndarray,
     logical: np.ndarray,
     max_estimate: np.ndarray,
-    iota: np.ndarray,
+    iota: float,
     mode: np.ndarray,
     equality_tolerance: float = 1e-9,
     valid: np.ndarray = None,
@@ -167,7 +167,7 @@ def evaluate_modes_vec(
     not far(s)`` then collapses to ``B > F`` -- the whole level loop becomes
     four exact searchsorted/row-max passes and one comparison.
 
-    ``view`` is a combined CSR view (``edge_count``, ``level``, ``starts`` /
+    ``view`` is the engine's CSR view (``edge_count``, ``level``, ``starts`` /
     ``empty``, ``thresholds`` of shape ``(T, 4, L)`` padded with ``+inf``,
     ``table_id``, and ``row_thresholds`` -- the per-row tables of shape
     ``(4, L)`` or ``(4, L, n)``, or ``None`` while some row mixes tables or
@@ -187,10 +187,9 @@ def evaluate_modes_vec(
         # of the per-node extremum against the row's per-level threshold --
         # max commutes with the exact comparison, so this is the scalar
         # level loop verbatim, run on n-sized arrays with the same early
-        # exit.  ``row_thresholds[half][s]`` is a scalar when the whole
-        # batch shares one table and an n-vector otherwise; levels a row's
-        # table lacks are ``+inf`` and rows without edges have ``-inf``
-        # extrema, so neither ever fires.
+        # exit.  ``row_thresholds[half][s]`` is a scalar when every edge
+        # shares one table and an n-vector otherwise; rows without edges
+        # have ``-inf`` extrema, so they never fire.
         ahead_max = view.row_max_values(ahead)
         neg_max = view.row_max_values(np.negative(ahead, out=view.edge_f1))
         fast_ahead = row_thresholds[THR_FAST_AHEAD]

@@ -134,7 +134,7 @@ class TestDeclinesAgreesWithTheEngineGuards:
 # ----------------------------------------------------------------------
 class TestResolveBeforeProbe:
     @needs_vec
-    def test_e1_grid_materialises_each_spec_once_and_batches_the_rest(
+    def test_e1_grid_materialises_each_spec_once(
         self, tmp_path, materialisations
     ):
         specs = expand_grid(
@@ -144,11 +144,11 @@ class TestResolveBeforeProbe:
         )
         runs, stats = run_sweep(specs, cache=ResultCache(tmp_path))
         assert len(materialisations) == 8
-        assert (stats.executed, stats.batched, stats.fallbacks) == (8, 4, 4)
+        assert (stats.executed, stats.fallbacks) == (8, 4)
         assert [run.requested_backend for run in runs] == [None, "vec"] * 4
 
     @needs_vec
-    def test_one_declined_member_does_not_cost_its_mates_their_batch(
+    def test_one_declined_member_falls_back_alone(
         self, tmp_path, materialisations
     ):
         names = [
@@ -166,8 +166,8 @@ class TestResolveBeforeProbe:
         ]
         runs, stats = run_sweep(specs, cache=ResultCache(tmp_path))
         assert len(materialisations) == 7
-        assert (stats.batched, stats.fallbacks) == (6, 1)
-        assert runs[-1].spec.backend == "reference"
+        assert (stats.executed, stats.fallbacks) == (7, 1)
+        assert [run.spec.backend for run in runs] == ["vec"] * 6 + ["reference"]
 
     def test_strict_backend_raises_before_anything_is_built_or_stored(
         self, tmp_path, materialisations

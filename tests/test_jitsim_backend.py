@@ -1,6 +1,7 @@
 """Unit tests for the jitsim subsystem: backend plumbing, provider
 resolution, graceful degradation without a compiler, the compiled-library
-cache, cache-key suffix, batch dispatch and executor fallback accounting."""
+cache, cache-key suffix, the one-run context builder and executor fallback
+accounting."""
 
 import logging
 
@@ -8,13 +9,11 @@ import pytest
 
 from repro.experiments import (
     ExperimentRunner,
-    batch_key,
     execute_spec,
-    execute_specs_batched,
     registry,
     scenario,
 )
-from repro.experiments.executor import ResultCache, SweepStats
+from repro.experiments.executor import ResultCache, SweepStats, run_sweep
 from repro.fastsim import backend as backend_mod
 from repro.fastsim import (
     BackendUnavailableError,
@@ -218,24 +217,37 @@ class TestCacheKeySuffix:
 
 
 @pytest.mark.skipif(not provider_available(), reason="no jit provider here")
-class TestBatchDispatch:
-    def test_jit_specs_are_batchable(self):
-        key = batch_key(quick_spec(backend="jit"))
-        assert key is not None
-        assert key[0] == "jit"
+class TestOneRunContext:
+    def test_build_batch_takes_exactly_one_run(self):
+        from repro.fastsim.engine import FastsimError
+        from repro.jitsim.engine import build_batch
 
-    def test_jit_and_vec_batches_never_mix(self):
-        jit_key = batch_key(quick_spec(backend="jit"))
-        vec_key = batch_key(quick_spec(backend="vec"))
-        assert jit_key != vec_key
+        sc = registry.build_scenario(quick_spec(backend="jit"))
+        run = (sc.graph, sc.algorithm_factory, sc.config)
+        context = build_batch([run])
+        (engine,) = context.engines
+        assert isinstance(engine, JitEngine)
+        assert engine._ctx is context
+        engine.run(sc.config.duration)
+        steps = round(sc.config.duration / sc.config.dt)
+        assert context.fused_steps + context.stepped_steps == steps
+        for runs in ([], [run, run]):
+            with pytest.raises(FastsimError, match="exactly one run"):
+                build_batch(runs)
 
-    def test_mixed_backend_list_runs_each_on_its_engine(self):
+    def test_mixed_backend_list_runs_each_on_its_engine(self, tmp_path):
         specs = [quick_spec(backend="jit"), quick_spec(n=6, backend="vec")]
-        payloads = execute_specs_batched(specs)
-        for spec, payload in zip(specs, payloads):
-            expected = execute_spec(spec.with_backend("reference"))
-            assert payload["trace"] == expected["trace"]
-            assert payload["summary"] == expected["summary"]
+        runs, stats = run_sweep(specs, cache=ResultCache(tmp_path / "mixed"))
+        assert stats.executed == 2
+        assert [run.spec.backend for run in runs] == ["jit", "vec"]
+        assert all(run.requested_backend is None for run in runs)
+        expected, _ = run_sweep(
+            [spec.with_backend("reference") for spec in specs],
+            cache=ResultCache(tmp_path / "reference"),
+        )
+        for run, reference in zip(runs, expected):
+            assert run.summary == reference.summary
+            assert run.trace.samples == reference.trace.samples
 
 
 class TestFallbackAccounting:

@@ -38,10 +38,10 @@ def test_digest_covers_every_result_deciding_file():
 
 def test_every_function_that_builds_a_payload_is_digested():
     """What the executor runs a spec with comes from a digested module: the
-    executor itself (pool, batches, cache) decides no result bit."""
+    executor itself (pool, cache) decides no result bit."""
     from repro.experiments import executor, results
 
-    for name in ("execute_spec", "execute_specs_batched", "meta_from_payload"):
+    for name in ("execute_spec", "meta_from_payload"):
         assert getattr(executor, name) is getattr(results, name)
     assert executor.CACHE_FORMAT_VERSION is results.CACHE_FORMAT_VERSION
     names = {path.relative_to(path.parents[1]).as_posix() for path in result_files()}

@@ -1,8 +1,8 @@
 """Sweep-level telemetry: run_sweep event streams on every execution path.
 
-A sweep can satisfy a spec four ways -- inline execution, vector batch,
-worker pool, cache hit -- and the telemetry contract is the same for all of
-them: every record validates against the schema, every run gets its
+A sweep can satisfy a spec three ways -- inline execution, worker pool,
+cache hit -- and the telemetry contract is the same for all of them: every
+record validates against the schema, every run gets its
 ``run_started``/``run_finished`` bracket, and watchdog firings appear either
 live or replayed (``replayed: true``) from the cached payload.
 """
@@ -88,8 +88,23 @@ class TestInlineExecution:
         assert times == sorted(times)
         assert samples == sorted(samples)
 
+    def test_vec_runs_stream_live(self, tmp_path):
+        pytest.importorskip("numpy")
+        records, telemetry = collect_telemetry()
+        runs, stats = run_sweep(
+            stable_specs("vec"), cache=ResultCache(tmp_path), telemetry=telemetry
+        )
+        assert stats.executed == 2
+        assert stats.batched == 0
+        validate_records(records)
+        fired = [r for r in records if r["event"] == "watchdog_fired"]
+        assert len(fired) == 2
+        assert not any(r.get("replayed") for r in fired)
+        done = [r for r in records if r["event"] == "run_finished"]
+        assert [r["state"] for r in done] == ["done", "done"]
 
-class TestPoolAndBatchedExecution:
+
+class TestPoolExecution:
     def test_worker_pool_replays_watchdogs(self, tmp_path):
         records, telemetry = collect_telemetry()
         specs = stable_specs()
@@ -103,31 +118,6 @@ class TestPoolAndBatchedExecution:
         # replayed from the returned payloads instead of live.
         assert len(fired) == 2
         assert all(r["replayed"] is True for r in fired)
-
-    def test_vec_batched_runs_stream_live(self, tmp_path):
-        pytest.importorskip("numpy")
-        records, telemetry = collect_telemetry()
-        # Same duration so the two specs share a batch group.
-        specs = [
-            scenario(
-                "line_scaling",
-                n=n,
-                until_stable=True,
-                backend="vec",
-                sim={"duration": 400.0},
-            )
-            for n in (5, 6)
-        ]
-        runs, stats = run_sweep(
-            specs, cache=ResultCache(tmp_path), telemetry=telemetry
-        )
-        assert stats.batched == 2
-        validate_records(records)
-        fired = [r for r in records if r["event"] == "watchdog_fired"]
-        assert len(fired) == 2
-        assert not any(r.get("replayed") for r in fired)
-        done = [r for r in records if r["event"] == "run_finished"]
-        assert all(r["batched"] for r in done)
 
 
 class TestRunnerAndJsonl:

@@ -357,10 +357,10 @@ class TestDuplicateSpecs:
         assert len(calls) == 1
 
     @pytest.mark.skipif(not backend_available("vec"), reason="vec needs numpy")
-    def test_batched(self, tmp_path):
+    def test_two_vec_specs_interleaved(self, tmp_path):
         a, b = tiny_spec(4, "vec"), tiny_spec(5, "vec")
         runs, stats, events, stores = self._sweep([a, b, a, b, a], tmp_path, workers=1)
-        assert (stats.total, stats.executed, stats.batched, stats.cached) == (5, 2, 2, 3)
+        assert (stats.total, stats.executed, stats.cached) == (5, 2, 3)
         assert len(stores) == 2
         assert [run.spec for run in runs] == [a, b, a, b, a]
         assert [run.from_cache for run in runs] == [False, False, True, True, True]

@@ -1,17 +1,24 @@
-"""Unit tests for the vecsim subsystem: backend plumbing, kernels, batching,
-graceful degradation without numpy, trace striding and executor fallback."""
+"""Unit tests for the vecsim subsystem: backend plumbing, kernels, the CSR
+view, graceful degradation without numpy, trace striding and executor
+fallback."""
 
+import itertools
 import logging
 
 import pytest
 
+from conftest import staged_insertion_spec
+from repro.core.aopt_step import MODE_FREE, evaluate_mode_flat
 from repro.experiments import (
     ExperimentRunner,
-    batch_key,
     execute_spec,
+    executor,
     registry,
+    results,
     scenario,
 )
+from repro.experiments.bench import BENCH_OBSERVERS, bench_spec
+from repro.experiments.executor import ResultCache, run_sweep
 from repro.experiments.spec import ComponentSpec, ScenarioSpec, SpecError
 from repro.fastsim import backend as backend_mod
 from repro.fastsim import (
@@ -23,7 +30,7 @@ from repro.fastsim import (
 
 np = pytest.importorskip("numpy")
 
-from repro.vecsim import VecContext, VecEngine, build_batch  # noqa: E402
+from repro.vecsim import VecEngine, kernels  # noqa: E402
 from repro.vecsim.engine import LazyTraceSample, _mt_transplant_supported  # noqa: E402
 from repro.vecsim.kernels import _firing_levels  # noqa: E402
 
@@ -184,7 +191,7 @@ class TestMersenneTransplant:
         shadow = random.Random(99)
         plan = _UniformDelayPlan(model)
         bounds = np.full(64, 2.0)
-        delays = plan.delays(None, 0.0, bounds, None, None)
+        delays = plan.delays(bounds)
         expected = [
             min(shadow.uniform(0.2, 0.8) * 2.0, 2.0) for _ in range(64)
         ]
@@ -208,71 +215,301 @@ class TestFiringLevels:
                     assert counts[k] == brute
 
 
-class TestRunBatching:
-    def batch_specs(self):
-        return [
-            scenario("line_scaling", n=n, sim={"duration": 12.0}, backend="vec")
+class TestOneEnginePerRun:
+    @pytest.mark.skipif(not backend_available("jit"), reason="jit needs a C compiler")
+    def test_every_swept_spec_runs_through_execute_spec(self, tmp_path, monkeypatch):
+        """Equal-duration vec and jit misses execute one spec at a time."""
+        calls = []
+        original = results.execute_spec
+
+        def counted(spec, sink=None):
+            calls.append(spec.backend)
+            return original(spec, sink)
+
+        # ``run_sweep`` calls the executor's re-export of the same function.
+        monkeypatch.setattr(results, "execute_spec", counted)
+        monkeypatch.setattr(executor, "execute_spec", counted)
+        specs = [
+            scenario("line_scaling", n=n, sim={"duration": 12.0}, backend=backend)
+            for backend in ("vec", "jit")
             for n in (4, 5, 6)
         ]
+        _, stats = run_sweep(specs, cache=ResultCache(tmp_path))
+        assert calls == ["vec"] * 3 + ["jit"] * 3
+        assert stats.executed == 6
 
-    def test_build_batch_rejects_mixed_dt(self):
-        from repro.fastsim.engine import FastsimError
 
-        a = registry.build_scenario(quick_spec())
-        b = registry.build_scenario(quick_spec(dt=0.1))
-        with pytest.raises(FastsimError, match="dt"):
-            build_batch(
-                [
-                    (a.graph, a.algorithm_factory, a.config),
-                    (b.graph, b.algorithm_factory, b.config),
-                ]
+def materialise(spec):
+    sc = registry.build_scenario(spec)
+    return sc.graph, sc.algorithm_factory, sc.config
+
+
+def extremum_path(engine) -> bool:
+    """Whether the engine's current CSR view takes the extremum trigger path."""
+    return engine._ctx._view.row_thresholds is not None
+
+
+class TestCSRView:
+    def test_insertion_leaves_the_extremum_path_and_returns(self):
+        engine = VecEngine(*materialise(staged_insertion_spec()))
+        history = []
+        while engine.time < 45.0 - 1e-9:
+            engine.step()
+            history.append(extremum_path(engine))
+        # Static before the edge appears, general while it climbs the
+        # levels, extremum again once it reached the top level.
+        assert [key for key, _ in itertools.groupby(history)] == [True, False, True]
+
+    def test_churn_rebuilds_the_view_with_the_csr(self):
+        spec = scenario(
+            "grid_periodic_churn", rows=3, cols=3, churn_period=6.0, duration=45.0
+        )
+        engine = VecEngine(*materialise(spec))
+        view = None
+        rebuilds = 0
+        while engine.time < 45.0 - 1e-9:
+            engine.step()
+            if engine._ctx._view is not view:
+                view = engine._ctx._view
+                rebuilds += 1
+        assert rebuilds == engine._csr_generation > 2
+
+    @pytest.mark.parametrize(
+        "spec, width",
+        [
+            (bench_spec("grid", 16), 4),
+            (scenario("star_hub_failover", n=12, failover_time=8.0, duration=20.0), None),
+            (bench_spec("line", 10), 2),
+        ],
+        ids=["grid", "star", "line"],
+    )
+    def test_a_grid_is_dense_and_a_star_is_reduceat(self, spec, width):
+        """Dense rows pad to the maximum degree; a hub graph keeps reduceat."""
+        engine = VecEngine(*materialise(spec))
+        engine._ctx._refresh_structure()
+        view = engine._ctx._view
+        assert (None if view._pad is None else len(view._pad)) == width
+        values = np.random.RandomState(5).rand(view.edge_count)
+        got = view.row_max_values(values)
+        indptr = engine._csr.indptr
+        for i in range(engine.n):
+            row = values[indptr[i] : indptr[i + 1]]
+            assert got[i] == (row.max() if len(row) else -np.inf)
+
+
+class TestExtremumBranchUnit:
+    """``evaluate_modes_vec`` on a two-table view == the scalar kernel per node."""
+
+    def build(self):
+        """Line 80 cut into an empty row, 9 nodes on narrow edges, 70 on wide ones."""
+        graph, factory, config = materialise(bench_spec("line", 80))
+        graph.remove_edge(0, 1)
+        graph.remove_edge(9, 10)
+        narrow = graph.edge_params(1, 2).scaled(0.5)
+        for u in range(1, 9):
+            graph.set_edge_params(u, u + 1, narrow)
+        engine = VecEngine(graph, factory, config)
+        engine._ctx._refresh_structure()
+        return engine, engine._ctx._view
+
+    def scalar_modes(self, engine, ahead, logical, max_estimate, mode):
+        csr = engine._csr
+        iota = engine.aopt_params.iota
+        expected = []
+        for i in range(engine.n):
+            lo, hi = csr.indptr[i], csr.indptr[i + 1]
+            code = evaluate_mode_flat(
+                logical[i],
+                max_estimate[i],
+                iota,
+                hi - lo,
+                ahead[lo:hi].tolist(),
+                csr.level[lo:hi],
+                csr.tables[lo:hi],
             )
+            expected.append(mode[i] if code == MODE_FREE else code)
+        return expected
 
-    def test_batched_engine_cannot_run_alone(self):
-        from repro.fastsim.engine import FastsimError
+    def test_two_tables_and_an_empty_row(self):
+        engine, view = self.build()
+        n = engine.n
+        iota = engine.aopt_params.iota
+        assert len(view.thresholds) == 2
+        assert view.row_thresholds.shape == (4, engine.max_level, n)
+        assert view.empty.sum() == 1
+        rng = np.random.RandomState(11)
+        finite = view.thresholds[np.isfinite(view.thresholds)]
+        seen = set()
+        for _ in range(40):
+            # Exact threshold values (the >= / > boundary), their negations
+            # and values in between.
+            ahead = rng.choice(finite, size=view.edge_count) * rng.choice(
+                [-1.0, 1.0, 0.5, -0.5, 1.5], size=view.edge_count
+            )
+            logical = rng.rand(n) * 50.0
+            max_estimate = logical + rng.choice([0.0, 1e-10, 0.3, 5.0], size=n)
+            mode = rng.randint(0, 2, size=n)
+            expected = self.scalar_modes(engine, ahead, logical, max_estimate, mode)
+            got = kernels.evaluate_modes_vec(
+                view, ahead.copy(), logical, max_estimate, iota, mode
+            )
+            assert got.tolist() == expected
+            seen.update(expected)
+            # The general path agrees on the same inputs.
+            thresholds, view.row_thresholds = view.row_thresholds, None
+            try:
+                general = kernels.evaluate_modes_vec(
+                    view, ahead.copy(), logical, max_estimate, iota, mode
+                )
+            finally:
+                view.row_thresholds = thresholds
+            assert general.tolist() == expected
+        assert seen == {0, 1}
 
-        a = registry.build_scenario(quick_spec())
-        b = registry.build_scenario(quick_spec(n=6))
-        context = build_batch(
-            [
-                (a.graph, a.algorithm_factory, a.config),
-                (b.graph, b.algorithm_factory, b.config),
+
+def static_trio(duration=12.0, dt=0.05):
+    """Grid 8x8 + line 80 + random 8: three tables, ``max_level`` 6 / 7 / 5."""
+    return [
+        bench_spec(kind, n, duration=duration, dt=dt)
+        for kind, n in (("grid", 64), ("line", 80), ("random", 8))
+    ]
+
+
+def churn_spec(duration=45.0):
+    return scenario(
+        "grid_periodic_churn", rows=3, cols=3, churn_period=6.0, duration=duration
+    )
+
+
+def static_grid(duration=45.0):
+    return bench_spec("grid", 16, duration=duration, dt=0.1)
+
+
+def dynamic_trio():
+    """An insertion, a hub failover and a drifting ring: three dynamic views."""
+    return [
+        scenario("end_to_end_insertion", n=5, insertion_time=5.0, sim={"duration": 30.0}),
+        scenario("star_hub_failover", n=6, failover_time=8.0, duration=30.0),
+        scenario("ring_sinusoidal_drift", n=7, duration=30.0),
+    ]
+
+
+def broadcast_trio():
+    """Broadcast estimates: two intervals, and a delay storm on churning edges."""
+    return [
+        scenario("line_broadcast", n=5, sim={"duration": 25.0}),
+        scenario("line_broadcast", n=7, broadcast_interval=0.5, sim={"duration": 25.0}),
+        scenario("random_broadcast_delay_storm", n=6, duration=25.0),
+    ]
+
+
+needs_jit = pytest.mark.skipif(
+    not backend_available("jit"), reason="jit needs a C compiler"
+)
+BACKENDS = ["vec", pytest.param("jit", marks=needs_jit)]
+PAYLOAD_KEYS = ("summary", "observers", "trace", "meta")
+
+
+def assert_runs_equal_reference(specs, backend):
+    """Runs executed one after another in one process == each on ``reference``.
+
+    The specs differ in threshold tables, ``max_level`` and dynamics, so
+    any state a run leaves behind (kernel scratch, rng, CSR views) would
+    show up in the run after it.
+    """
+    specs = [spec.with_backend(backend) for spec in specs]
+    payloads = [execute_spec(spec) for spec in specs]
+    for spec, payload in zip(specs, payloads):
+        reference = execute_spec(spec.with_backend("reference"))
+        for key in PAYLOAD_KEYS:
+            assert payload[key] == reference[key], (spec.label, key)
+
+
+class TestRunsOneAfterAnother:
+    def test_the_static_trio_really_is_mixed(self):
+        views = []
+        for spec in static_trio():
+            engine = VecEngine(*materialise(spec))
+            engine._ctx._refresh_structure()
+            views.append((engine, engine._ctx._view))
+        assert [engine.max_level for engine, _ in views] == [6, 7, 5]
+        assert len({view.thresholds.tobytes() for _, view in views}) == 3
+        for engine, view in views:
+            assert len(view.thresholds) == 1
+            assert view.row_thresholds.shape == (4, engine.max_level)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("trace", ["full", "none"])
+    def test_static_trio(self, backend, trace):
+        specs = static_trio()
+        if trace == "none":
+            specs = [
+                spec.with_trace("none").with_observers(*BENCH_OBSERVERS)
+                for spec in specs
             ]
+        assert_runs_equal_reference(specs, backend)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("trio", [dynamic_trio, broadcast_trio])
+    def test_dynamic_and_broadcast_trios(self, backend, trio):
+        assert_runs_equal_reference(trio(), backend)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("dynamic", [staged_insertion_spec, churn_spec])
+    def test_static_grid_with_a_dynamic_run(self, backend, dynamic):
+        assert_runs_equal_reference([static_grid(), dynamic()], backend)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("make_spec", [static_grid, staged_insertion_spec, churn_spec])
+    def test_messages_are_counted_per_run(self, backend, make_spec):
+        """Sent and delivered counts equal the scalar engine's."""
+        spec = make_spec()
+        engine = get_backend(backend).build(*materialise(spec))
+        engine.run(45.0)
+        scalar = get_backend("fast").build(*materialise(spec))
+        scalar.run(45.0)
+        assert scalar.delivered_count > 0
+        assert (engine.sent_count, engine.delivered_count) == (
+            scalar.sent_count,
+            scalar.delivered_count,
         )
-        with pytest.raises(FastsimError, match="batched"):
-            context.engines[0].run(1.0)
 
-    def test_batch_key_groups_compatible_vec_specs(self):
-        specs = self.batch_specs()
-        keys = {batch_key(spec) for spec in specs}
-        assert len(keys) == 1
-        assert batch_key(specs[0].with_backend("fast")) is None
-        different = scenario(
-            "line_scaling", n=4, sim={"duration": 99.0}, backend="vec"
-        )
-        assert batch_key(different) != batch_key(specs[0])
 
-    def test_runner_batches_vec_misses(self, tmp_path):
-        specs = self.batch_specs()
-        runner = ExperimentRunner(cache_dir=tmp_path, workers=1)
-        runs, stats = runner.run_all(specs)
-        assert stats.executed == 3
-        assert stats.batched == 3
-        # Batched executor results equal per-run execution, bit for bit.
-        for spec, run in zip(specs, runs):
-            expected = execute_spec(spec)
-            assert run.summary.to_dict() == expected["summary"]
-        # The second sweep is served from cache.
-        runs2, stats2 = runner.run_all(specs)
-        assert stats2.cached == 3
-        assert [r.summary for r in runs2] == [r.summary for r in runs]
+class TestExtremumEligibility:
+    """The extremum trigger path is taken iff every row is on one table at the top level."""
 
-    def test_a_one_spec_sweep_never_batches(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=tmp_path, workers=1)
-        for spec in self.batch_specs():
-            runner.run(spec)
-        assert runner.stats.executed == 3
-        assert runner.stats.batched == 0
+    @pytest.mark.parametrize(
+        "spec, outcomes",
+        [
+            *[(spec, {True}) for spec in static_trio()],
+            (staged_insertion_spec(), {True, False}),
+            (churn_spec(), {True, False}),
+            (
+                scenario("star_hub_failover", n=12, failover_time=8.0, duration=20.0),
+                {True, False},
+            ),
+        ],
+        ids=["grid", "line", "random", "insertion", "churn", "star"],
+    )
+    def test_eligible_iff_every_row_is_on_one_table_at_the_top(self, spec, outcomes):
+        """Static runs stay on the extremum path; dynamic ones also leave it."""
+        engine = VecEngine(*materialise(spec))
+        context = engine._ctx
+        seen = set()
+        while engine.time < spec.sim["duration"] - 1e-9:
+            engine.step()
+            context._refresh_structure()
+            context._refresh_levels()
+            csr = engine._csr
+            rows = [
+                csr.tables[csr.indptr[i] : csr.indptr[i + 1]] for i in range(engine.n)
+            ]
+            expected = all(len(set(row)) <= 1 for row in rows) and all(
+                level == engine.max_level for level in csr.level
+            )
+            assert extremum_path(engine) == expected
+            seen.add(expected)
+        assert seen == outcomes
 
 
 class TestExecutorFallback:
