@@ -49,7 +49,7 @@ RESULT_MODULES = (
 #: the chaos pack (a chaos spec names its scenario file, not its content).
 RESULT_DATA = ("jitsim/_fused_loop.c", "chaos/scenarios/*.json")
 
-SEMANTICS = "278ad681df9c1da3a86a9435fa850c4f"
+SEMANTICS = "bcaf69827a7cb7760f5d49d53e246072"
 
 
 def result_files(root: Optional[Path] = None) -> List[Path]:

@@ -8,7 +8,7 @@ fused loop, and :mod:`repro.jitsim.providers` for how it is compiled and
 loaded.
 """
 
-from .engine import JitContext, JitEngine
+from .engine import JitEngine
 from .providers import (
     ProviderUnavailableError,
     get_provider,
@@ -17,7 +17,6 @@ from .providers import (
 )
 
 __all__ = [
-    "JitContext",
     "JitEngine",
     "ProviderUnavailableError",
     "get_provider",

@@ -4,7 +4,7 @@
  * broadcast delivery, max-estimate maintenance,
  * broadcast sends (in-kernel MT19937 delay draws), trigger/mode evaluation,
  * trace snapshots and clock advancement, in the phase order of
- * VecContext._step.  It returns 0, or 1 on message-buffer overflow (a
+ * VecEngine.step.  It returns 0, or 1 on message-buffer overflow (a
  * caller sizing bug), 2 on a failed scratch allocation.  Readable twins:
  * core/aopt_step.py::evaluate_mode_{uniform,flat} and
  * FastEngine._control_all.  Compiled on demand by repro.jitsim.providers
@@ -22,7 +22,7 @@
  * - A uniform delay is the float expression of Random.uniform(a, b) * bound
  *   followed by min(delay, bound), as in UniformRandomDelay.delay.
  * - A send lands in the first step j with delivery_time <= t_steps[j] +
- *   1e-12, the predicate of VecContext._deliver_broadcasts; within a step
+ *   1e-12, the predicate of VecEngine._deliver_broadcasts; within a step
  *   the order is irrelevant because max-updates commute.
  * - evaluate_mode is evaluate_mode_flat over a flattened (T, 4, L)
  *   threshold array.
@@ -266,7 +266,7 @@ int64_t fused_segment(
     int64_t delivered = 0;
     for (int64_t j = 0; j < steps; j++) {
         double t = t_steps[j];
-        /* -- broadcast delivery (VecContext._deliver_broadcasts) ------- */
+        /* -- broadcast delivery (VecEngine._deliver_broadcasts) -------- */
         for (int64_t msg = bh_head[j]; msg != -1; msg = bh_next[msg]) {
             int64_t r = b_recv[msg];
             real v = b_val[msg];

@@ -1,15 +1,15 @@
 """The jit engine: vecsim semantics, one compiled time loop per segment.
 
-:class:`JitEngine` / :class:`JitContext` subclass the vec backend and keep
-its entire event / insertion / transport machinery.  What changes is the
-driver: instead of one Python round-trip per step, :meth:`JitContext
-.run_until` *prescans* the upcoming steps, proves a maximal prefix is
-"regular" -- no graph events, no scheduler callbacks, no in-flight
+:class:`JitEngine` subclasses :class:`~repro.vecsim.engine.VecEngine` and
+keeps its entire event / insertion / transport machinery and its run state.
+What changes is the driver: instead of one Python round-trip per step,
+:meth:`JitEngine.run_until` *prescans* the upcoming steps, proves a maximal
+prefix is "regular" -- no graph events, no scheduler callbacks, no in-flight
 insert-edge messages, no insertion level coming due, drift rates constant
 over the window (``rate_epoch``), delays ``static`` or uniform-random -- and
 executes that whole prefix in one call to the compiled C kernel (see
 :mod:`repro.jitsim.providers`).  Steps that are not regular run through the
-inherited vec ``_step``, so every scenario the vec backend supports runs
+inherited vec ``step``, so every scenario the vec backend supports runs
 here with the exact same results; fully regular runs (the whole AOPT+oracle
 benchmark family) never leave the kernel.
 
@@ -40,10 +40,11 @@ from ..core.interfaces import AlgorithmFactory
 from ..fastsim.engine import FastsimError
 from ..network.dynamic_graph import DynamicGraph
 from ..sim.runner import SimulationConfig
-from ..vecsim.engine import LazyTraceSample, VecContext, VecEngine
+from ..sim.trace import Trace
+from ..vecsim.engine import LazyTraceSample, VecEngine
 from . import providers
 
-__all__ = ["JitEngine", "JitContext"]
+__all__ = ["JitEngine"]
 
 #: Segments shorter than this run through the inherited per-step path --
 #: below it the segment-prep overhead outweighs the fused loop.
@@ -53,21 +54,19 @@ _INF = float("inf")
 
 
 class JitEngine(VecEngine):
-    """Drop-in vec engine whose context fuses regular steps into one kernel call.
+    """Drop-in vec engine that fuses regular steps into one kernel call.
 
     Same constructor contract and ``UnsupportedScenarioError`` behaviour as
     :class:`~repro.vecsim.engine.VecEngine`.
     """
 
-    def _make_context(self) -> "JitContext":
-        return JitContext(self)
-
-
-class JitContext(VecContext):
-    """Step driver executing regular step prefixes in one kernel call."""
-
-    def __init__(self, engine: JitEngine):
-        super().__init__(engine)
+    def __init__(
+        self,
+        graph: DynamicGraph,
+        algorithm_factory: AlgorithmFactory,
+        config: SimulationConfig,
+    ):
+        super().__init__(graph, algorithm_factory, config)
         self._provider = providers.get_provider()
         self._prep_key: Tuple = (None, None)
         self._prep = None
@@ -76,26 +75,27 @@ class JitContext(VecContext):
         self.stepped_steps = 0
 
     @property
-    def engines(self) -> List[JitEngine]:
-        """``[engine]``, the shape :func:`build_batch` callers read."""
-        return [self.engine]
+    def engines(self) -> List["JitEngine"]:
+        # ``benchmarks/perf`` reads ``build_batch([run]).engines[0]``; ROADMAP
+        # item 15 deletes this with :func:`build_batch`.
+        return [self]
 
     # -- driver ---------------------------------------------------------
-    def run_until(self, end_time: float) -> None:
-        if self._fusion_blocker() is not None:
+    def run_until(self, end_time: float) -> Trace:
+        if end_time < self.time - 1e-12 or self._fusion_blocker() is not None:
             return super().run_until(end_time)
-        engine = self.engine
-        while engine.time < end_time - 1e-9:
+        while self.time < end_time - 1e-9:
             plan = self._plan_segment(end_time)
             if plan is None:
-                self._step()
+                self.step()
                 continue
             self._run_segment(*plan)
-        engine._record_sample(force=True)
+        self._record_sample(force=True)
+        return self.trace
 
-    def _step(self) -> None:
+    def step(self) -> None:
         # Every step through the vec path counts, blocked runs' included.
-        super()._step()
+        super().step()
         self.stepped_steps += 1
 
     # -- fusibility -----------------------------------------------------
@@ -106,30 +106,29 @@ class JitContext(VecContext):
         per segment by the prescan instead; blocked runs still execute --
         through the inherited, bit-identical vec path.
         """
-        engine = self.engine
         if self._provider is None:
             return "no compiled kernel"
         if self._strategy == 1:
             return "uniform estimate strategy draws in set order"
-        if engine._bc_mode:
+        if self._bc_mode:
             # Broadcast estimate mode keeps per-step message delivery with
             # per-(receiver, sender) stored state; the fused segment kernels
             # assume message-free stretches.  The inherited vec per-step
             # path runs it bit-identically.
             return "broadcast estimate mode stores per-pair message state"
-        if engine.stopped_early:
+        if self.stopped_early:
             return "engine already stopped"
-        if engine._heap_transport:
+        if self._heap_transport:
             return "heap transport (drop_messages_on_edge_loss)"
-        if engine.drift.rate_epoch is None:
+        if self.drift.rate_epoch is None:
             return "drift has no closed-form rate plan"
-        if engine._uniform_draw is not None:
-            state = engine.delay_model._rng.getstate()
+        if self._uniform_draw is not None:
+            state = self.delay_model._rng.getstate()
             if state[0] != 3 or len(state[1]) != 625:
                 return "incompatible rng state layout"
-        elif not engine.delay_model.static:
+        elif not self.delay_model.static:
             return "delay model needs per-message Python calls"
-        metrics = engine._metrics
+        metrics = self._metrics
         if metrics is not None and any(
             getattr(observer, "_stop_on_fire", False) for observer in metrics.observers
         ):
@@ -150,24 +149,23 @@ class JitContext(VecContext):
         (:meth:`_promotion_cap`).  The drift rates are filled here, at the
         segment's pinned phase, and :meth:`_run_segment` reuses them.
         """
-        engine = self.engine
-        if engine._inflight:
+        if self._inflight:
             return None
         barrier = min(
             (
                 time
-                for time in (engine._next_event_time, engine.scheduler.peek_time())
+                for time in (self._next_event_time, self.scheduler.peek_time())
                 if time is not None
             ),
             default=_INF,
         )
-        t0 = engine.time
-        engine._refresh_rates(t0)
-        epoch = engine.drift.rate_epoch
-        rate_key = engine._rate_key
+        t0 = self.time
+        self._refresh_rates(t0)
+        epoch = self.drift.rate_epoch
+        rate_key = self._rate_key
         cap = self._promotion_cap()
-        next_sample = engine._next_sample_time
-        interval = engine.trace.sample_interval
+        next_sample = self._next_sample_time
+        interval = self.trace.sample_interval
         snaps: List[int] = []
         steps = 0
         t = t0
@@ -198,15 +196,14 @@ class JitContext(VecContext):
         has left the level sets, gives 0: the stepped path pops it.
         """
         cap = _INF
-        engine = self.engine
-        logical = self.logical
+        logical = self._cols.logical
         rates = self._rates
-        fast_multiplier = engine._fast_multiplier
+        fast_multiplier = self._fast_multiplier
         dt = self.dt
-        for position in engine._active_schedules:
-            levels = engine._levels[position]
+        for position in self._active_schedules:
+            levels = self._levels[position]
             gain = rates[position] * max(1.0, fast_multiplier) * dt
-            for neighbor, schedule in engine._schedules[position].items():
+            for neighbor, schedule in self._schedules[position].items():
                 if schedule.is_complete() or neighbor not in levels:
                     return 0
                 threshold = schedule.level_times[schedule.next_level - 1] - 1e-12
@@ -226,20 +223,19 @@ class JitContext(VecContext):
         the view's level column is shared by reference, so in-place level
         promotions flow through without a rebuild.
         """
-        engine = self.engine
-        flat = engine._bc_flat
+        flat = self._bc_flat
         if flat is None:
-            flat = engine._build_bc_flat()
+            flat = self._build_bc_flat()
         view = self._view
         if self._prep_key[0] is view and self._prep_key[1] is flat:
             return self._prep
         owner, receivers, bounds, static, _pairs = flat
-        counts = np.bincount(owner, minlength=engine.n)
-        sb_indptr = np.zeros(engine.n + 1, dtype=np.int64)
+        counts = np.bincount(owner, minlength=self.n)
+        sb_indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(counts, out=sb_indptr[1:])
-        max_degree = engine._csr.max_degree
+        max_degree = self._csr.max_degree
         prep = {
-            "indptr": np.asarray(engine._csr.indptr, dtype=np.int64),
+            "indptr": np.asarray(self._csr.indptr, dtype=np.int64),
             "nbr": view.neighbor_index,
             "eps": view.epsilon,
             "level": view.level,
@@ -260,8 +256,8 @@ class JitContext(VecContext):
 
     # -- segment execution ----------------------------------------------
     def _run_segment(self, steps: int, snaps: List[int], next_sample: float) -> None:
-        engine = self.engine
-        n = engine.n
+        cols = self._cols
+        n = self.n
         dt = self.dt
         # Structure refresh normally happens inside each step; no structural
         # change can occur mid-segment, so once up front is equivalent.
@@ -271,7 +267,7 @@ class JitContext(VecContext):
         # Exact per-step time grid: the same repeated float addition the
         # per-step loop performs.
         t_steps = np.empty(steps + 1, dtype=np.float64)
-        t = engine.time
+        t = self.time
         for j in range(steps + 1):
             t_steps[j] = t
             t = t + dt
@@ -280,8 +276,8 @@ class JitContext(VecContext):
         rates = self._rates
         # Mersenne-Twister state transplant (624 words + position) for the
         # uniform delay model.
-        uniform = engine._uniform_draw
-        model = engine.delay_model
+        uniform = self._uniform_draw
+        model = self.delay_model
         mt_state = np.zeros(625, dtype=np.int64)
         if uniform is not None:
             uniform.sync_python_rng()
@@ -305,7 +301,7 @@ class JitContext(VecContext):
         # Message capacity: a sender can fire at most once per step and
         # otherwise needs its hardware clock to gain one broadcast interval
         # per send.
-        interval = engine.aopt_config.broadcast_interval
+        interval = self.aopt_config.broadcast_interval
         if interval > 0.0:
             gain = steps * dt * max(float(rates.max()) if n else 0.0, 0.0)
             sends = min(steps, int(gain / interval) + 2)
@@ -334,16 +330,16 @@ class JitContext(VecContext):
             steps,
             dt,
             t_steps,
-            self.hardware,
-            self.logical,
-            self.last_hardware,
-            self.max_estimate,
-            self.next_broadcast,
-            self.multiplier,
-            self.mode,
-            engine.aopt_params.iota,
-            engine._fast_multiplier,
-            engine._max_factor,
+            cols.hardware,
+            cols.logical,
+            cols.last_hardware,
+            cols.max_estimate,
+            cols.next_broadcast,
+            cols.multiplier,
+            cols.mode,
+            self.aopt_params.iota,
+            self._fast_multiplier,
+            self._max_factor,
             rates,
             interval,
             self._strategy,
@@ -397,13 +393,13 @@ class JitContext(VecContext):
                 f"jit kernel failed on a {steps}-step segment: {reason}"
             )
         # Advance time exactly as the per-step loop would have.
-        engine.time = float(t_steps[steps])
+        self.time = float(t_steps[steps])
         # Hand the Mersenne-Twister stream back to the Python rng.
         if uniform is not None:
             model._rng.setstate((3, tuple(int(word) for word in mt_state), gauss))
         nleft, _used, sent, delivered = (int(count) for count in out_counts)
-        engine.sent_count += sent
-        engine.delivered_count += delivered
+        self.sent_count += sent
+        self.delivered_count += delivered
         # Leftover messages become one sorted pending run for the vec
         # transport (or the next segment's prescan).
         self._bc_runs = []
@@ -419,12 +415,11 @@ class JitContext(VecContext):
                 ]
             )
         # Replay the recorded samples in the exact per-step order.
-        cols = engine._cols
         for si, step_j in enumerate(snaps):
             sample_time = float(t_steps[step_j])
             rows = slice(si * n, (si + 1) * n)
-            if engine._record_trace:
-                engine.trace.record(
+            if self._record_trace:
+                self.trace.record(
                     LazyTraceSample(
                         sample_time,
                         cols.ids,
@@ -436,8 +431,8 @@ class JitContext(VecContext):
                         snap_max_estimate[rows],
                     )
                 )
-            if engine._metrics is not None:
-                engine._metrics.observe_arrays(
+            if self._metrics is not None:
+                self._metrics.observe_arrays(
                     sample_time,
                     cols.ids,
                     cols.index,
@@ -445,22 +440,22 @@ class JitContext(VecContext):
                     snap_max_estimate[rows],
                     snap_mode[rows],
                 )
-        engine._next_sample_time = next_sample
+        self._next_sample_time = next_sample
         self.fused_steps += steps
 
 
 def build_batch(
     runs: Sequence[Tuple[DynamicGraph, AlgorithmFactory, SimulationConfig]]
-) -> JitContext:
-    """The :class:`JitContext` of one jit engine built from ``[run]``.
+) -> JitEngine:
+    """The :class:`JitEngine` built from ``[run]``.
 
     ``run`` is ``(graph, algorithm_factory, config)`` exactly as the
-    backend's ``build`` receives them; the engine is ``context.engines[0]``
-    and the context's ``fused_steps`` / ``stepped_steps`` count how its
-    steps ran.  Any other number of runs raises :class:`FastsimError`: a
-    context drives exactly one engine.
+    backend's ``build`` receives them; the engine's ``fused_steps`` /
+    ``stepped_steps`` count how its steps ran.  Any other number of runs
+    raises :class:`FastsimError`: an engine runs exactly one run.  Kept only
+    for ``benchmarks/perf``; ROADMAP item 15 deletes it.
     """
     if len(runs) != 1:
-        raise FastsimError(f"a jit context drives exactly one run, got {len(runs)}")
+        raise FastsimError(f"a jit engine runs exactly one run, got {len(runs)}")
     (run,) = runs
-    return JitEngine(*run)._ctx
+    return JitEngine(*run)

@@ -16,11 +16,11 @@ Modules:
 
 * :mod:`repro.vecsim.kernels` -- the NumPy kernels, each documented against
   the scalar code it reproduces bit for bit;
-* :mod:`repro.vecsim.engine` -- :class:`~repro.vecsim.engine.VecEngine` and
-  the :class:`~repro.vecsim.engine.VecContext` that holds its arrays and
-  drives its steps.
+* :mod:`repro.vecsim.engine` -- :class:`~repro.vecsim.engine.VecEngine`, one
+  object per run that holds the run's arrays and CSR mirror and drives its
+  steps.
 """
 
-from .engine import VecContext, VecEngine
+from .engine import VecEngine
 
-__all__ = ["VecContext", "VecEngine"]
+__all__ = ["VecEngine"]

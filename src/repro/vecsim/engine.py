@@ -1,10 +1,9 @@
-"""The NumPy-vectorized simulation engine and its driving context.
+"""The NumPy-vectorized simulation engine.
 
 :class:`VecEngine` runs the same fixed-step simulation as
 :class:`repro.fastsim.engine.FastEngine` (from which it inherits the whole
 event / insertion-handshake / transport machinery) but executes the per-step
-hot phases as NumPy array kernels over *all* nodes at once (driven by its
-:class:`VecContext`, which holds the state arrays and the CSR mirror):
+hot phases as NumPy array kernels over *all* nodes at once:
 
 * max-estimate maintenance, oracle *and* broadcast estimates, trigger
   evaluation and clock advancement are whole-array operations
@@ -18,6 +17,10 @@ hot phases as NumPy array kernels over *all* nodes at once (driven by its
 * message-delay draws stay on the *Python* rng (bit-identity requires the
   exact Mersenne-Twister stream the reference consumes), but the draws are
   batched per step and turned into delays with the same float expressions.
+
+One engine object holds one run's state: its node columns (as NumPy
+arrays), the :class:`_CSRView` mirror of its CSR and its in-flight
+broadcast runs.
 
 Bit-identity caveats encoded here:
 
@@ -54,7 +57,7 @@ from ..sim.trace import Trace
 from ..fastsim.engine import FastEngine
 from . import kernels
 
-__all__ = ["VecEngine", "VecContext"]
+__all__ = ["VecEngine"]
 
 
 # ----------------------------------------------------------------------
@@ -170,15 +173,10 @@ class _CSRView:
         "edge_f2",
         "edge_f3",
         "edge_b",
-        "bc_value",
-        "bc_hw",
-        "bc_time",
-        "bc_valid",
     )
 
-    def __init__(self, engine: "VecEngine"):
-        csr = engine._csr
-        self.generation = engine._csr_generation
+    def __init__(self, csr, generation: int, max_level: int):
+        self.generation = generation
         self.edge_count = edge_count = len(csr.neighbor_index)
         self.neighbor_index = np.asarray(csr.neighbor_index, dtype=np.int64)
         self.epsilon = np.asarray(csr.epsilon, dtype=np.float64)
@@ -202,7 +200,7 @@ class _CSRView:
                     tid = id_memo[id(table)] = table_pos.setdefault(table, len(table_pos))
                 table_id.append(tid)
             self.table_id = np.asarray(table_id, dtype=np.int64)
-        self.max_level = engine.max_level
+        self.max_level = max_level
         thresholds = np.full((max(len(table_pos), 1), 4, self.max_level), np.inf)
         for tid, table in enumerate(table_pos):
             thresholds[tid] = table
@@ -248,12 +246,6 @@ class _CSRView:
         self.edge_f2 = np.empty(edge_count, dtype=np.float64)
         self.edge_f3 = np.empty(edge_count, dtype=np.float64)
         self.edge_b = np.empty(edge_count, dtype=bool)
-        # Broadcast estimate mode: the engine's per-slot stored-state columns
-        # (NumPy arrays, reallocated with each CSR rebuild).
-        self.bc_value = engine._bc_value if engine._bc_mode else None
-        self.bc_hw = engine._bc_hw if engine._bc_mode else None
-        self.bc_time = engine._bc_time if engine._bc_mode else None
-        self.bc_valid = engine._bc_valid if engine._bc_mode else None
         self._refresh_row_thresholds()
 
     def _refresh_row_thresholds(self) -> None:
@@ -280,9 +272,9 @@ class _CSRView:
             np.maximum(result, ext[pad[column]], out=result)
         return result
 
-    def refresh_levels(self, engine: "VecEngine") -> None:
-        """Re-mirror the engine's (list-typed) level column after promotions."""
-        self.level[:] = engine._csr.level
+    def refresh_levels(self, level: List[int]) -> None:
+        """Re-mirror the CSR's (list-typed) level column after promotions."""
+        self.level[:] = level
         self._refresh_row_thresholds()
 
 
@@ -354,13 +346,26 @@ class LazyTraceSample:
 # ----------------------------------------------------------------------
 # Engine
 # ----------------------------------------------------------------------
+_FLOAT_COLUMNS = (
+    "hardware",
+    "logical",
+    "last_hardware",
+    "max_estimate",
+    "next_broadcast",
+    "multiplier",
+)
+
+
 class VecEngine(FastEngine):
     """NumPy-vectorized fixed-step simulator (AOPT, oracle/broadcast estimates).
 
     Engine-compatible with :class:`FastEngine` (same constructor, same
     supported scenarios, same ``UnsupportedScenarioError`` contract) and
     bit-identical to it -- and therefore to the reference engine -- on every
-    supported scenario.
+    supported scenario.  The inherited (list-typed) node columns and rate
+    column become NumPy arrays; the CSR is mirrored as a :class:`_CSRView`
+    (rebuilt on every adjacency change, level-patched in place after
+    promotions) beside the vectorized broadcast transport.
     """
 
     #: Defaults so overridden hooks invoked during ``FastEngine.__init__``
@@ -390,13 +395,18 @@ class VecEngine(FastEngine):
         #: Per-message drop checks need graph membership at delivery time;
         #: those scenarios keep the inherited (heap) transport end to end.
         self._heap_transport = self._drop_on_edge_loss
-        self._ctx = self._make_context()
+        cols = self._cols
+        for name in _FLOAT_COLUMNS:
+            setattr(cols, name, np.asarray(getattr(cols, name), dtype=np.float64))
+        cols.mode = np.asarray(cols.mode, dtype=np.int64)
+        self._rates = np.asarray(self._rates, dtype=np.float64)
+        self._node_scratch = np.empty(self.n, dtype=np.float64)
+        self._node_flags = np.empty(self.n, dtype=bool)
+        #: In-flight broadcast runs ``[times, recv, vals, start, bc]`` (``bc``:
+        #: the broadcast-estimate store columns, ``None`` in oracle mode).
+        self._bc_runs: List[List] = []
+        self._view: Optional[_CSRView] = None
 
-    def _make_context(self) -> "VecContext":
-        """The driver of this engine's steps (``jit`` swaps in its own)."""
-        return VecContext(self)
-
-    # -- context plumbing ----------------------------------------------
     @property
     def n(self) -> int:
         return len(self._cols)
@@ -449,13 +459,100 @@ class VecEngine(FastEngine):
 
     # -- running --------------------------------------------------------
     def run_until(self, end_time: float) -> Trace:
+        """Advance the engine until ``end_time`` (inclusive sampling).
+
+        An armed watchdog that trips ends the loop after the step that
+        tripped it, and the forced final sample is skipped, so the truncated
+        trace/report is a bit-identical prefix of the full run.
+        """
         if end_time < self.time - 1e-12:
             raise EngineError("cannot run backwards in time")
-        self._ctx.run_until(end_time)
+        while self.time < end_time - 1e-9:
+            self.step()
+            if self.stopped_early:
+                return self.trace
+        self._record_sample(force=True)
         return self.trace
 
     def step(self) -> None:
-        self._ctx._step()
+        t = self.time
+        next_event = self._next_event_time
+        if next_event is not None and next_event <= t + 1e-12:
+            self._apply_graph_events(t)
+        if self._inflight:
+            self._deliver_messages(t)
+        self._deliver_broadcasts(t)
+        self.scheduler.run_due(t)
+        self._refresh_structure()
+        self._control_all(t)
+        self._record_sample()
+        self._advance_clocks(t)
+        self.time = t + self.dt
+
+    def _control_all(self, t: float) -> None:
+        cols = self._cols
+        logical = cols.logical
+        kernels.advance_max_estimates(
+            cols.hardware,
+            cols.last_hardware,
+            cols.max_estimate,
+            logical,
+            self._max_factor,
+            self._node_scratch,
+            self._node_flags,
+        )
+        if self._active_schedules:
+            for position in sorted(self._active_schedules):
+                self._apply_due_insertions(position, logical[position])
+        self._send_broadcasts(t)
+        self._refresh_levels()
+        view = self._view
+        valid = None
+        if not view.edge_count:
+            ahead = np.empty(0, dtype=np.float64)
+        elif self._bc_mode:
+            ahead = kernels.broadcast_aheads(
+                cols.hardware, logical, self._bc_value, self._bc_hw, view
+            )
+            valid = self._bc_valid
+        elif self._strategy == 1:  # uniform: Python draws in set order
+            ahead = np.zeros(view.edge_count, dtype=np.float64)
+            self._fill_uniform_aheads(ahead)
+        else:
+            ahead = kernels.edge_aheads(self._strategy, logical, view)
+        mode_new = kernels.evaluate_modes_vec(
+            view,
+            ahead,
+            logical,
+            cols.max_estimate,
+            self.aopt_params.iota,
+            cols.mode,
+            valid=valid,
+        )
+        np.copyto(cols.mode, mode_new)
+        np.copyto(
+            cols.multiplier, np.where(mode_new == 1, self._fast_multiplier, 1.0)
+        )
+
+    def _advance_clocks(self, t: float) -> None:
+        self._refresh_rates(t)
+        rates = self._rates
+        dt = self.dt
+        cols = self._cols
+        cols.hardware += rates * dt
+        cols.logical += (rates * cols.multiplier) * dt
+
+    # -- CSR view -------------------------------------------------------
+    def _refresh_structure(self) -> None:
+        if self._csr_dirty:
+            self._rebuild_csr()
+        if self._view is None or self._view.generation != self._csr_generation:
+            self._view = _CSRView(self._csr, self._csr_generation, self.max_level)
+
+    def _refresh_levels(self) -> None:
+        if self._csr_levels_dirty:
+            self._view.refresh_levels(self._csr.level)
+            self._csr_levels_dirty = False
 
     # -- state accessors ------------------------------------------------
     def global_skew(self) -> float:
@@ -603,24 +700,155 @@ class VecEngine(FastEngine):
                 [delay(sender, receiver, t, bound) for sender, receiver, bound in pairs],
                 dtype=np.float64,
             )
+        times = t + delays
+        bc = None
         if self._bc_mode:
             # Message sequence numbers keep the reference's global
             # (delivery_time, message_id) tie-break: the shared ``_msg_seq``
             # counter advances exactly once per send, in the reference's send
             # order (flat order is sender-position order, ``discovered()``
             # order within a sender -- the scalar engines' order too).
+            # Deliveries overwrite per-(receiver, sender) stored state, so
+            # order *within* a pair matters: the stable (delivery_time,
+            # message_id) sort reproduces the reference's delivery order.
             seq_base = self._msg_seq
             self._msg_seq = seq_base + count
             seqs = np.arange(seq_base + 1, seq_base + count + 1, dtype=np.int64)
-            self._ctx._push_broadcasts(
-                t + delays,
-                receivers,
-                max_estimate[owner],
-                bc=(store, owner, cols.logical[owner], seqs, self._csr_generation),
-            )
+            order = np.lexsort((seqs, times))
+            owner = owner[order]
+            bc = (store[order], owner, cols.logical[owner], seqs[order], self._csr_generation)
         else:
-            self._ctx._push_broadcasts(t + delays, receivers, max_estimate[owner])
+            # Oracle mode: delivery order within a step is irrelevant
+            # (max-updates commute), so an unstable sort is fine.
+            order = np.argsort(times)
+            owner = owner[order]
+        # Vectorized transport: one run per send burst, sorted by delivery
+        # time, with a consumed-prefix pointer (insert-edge messages stay on
+        # the inherited heap).
+        self._bc_runs.append([times[order], receivers[order], max_estimate[owner], 0, bc])
         self.sent_count += count
+
+    # -- transport ------------------------------------------------------
+    def _deliver_broadcasts(self, t: float) -> None:
+        if not self._bc_runs:
+            return
+        limit = t + 1e-12
+        exhausted = False
+        chunks: List = []
+        max_estimate = self._cols.max_estimate
+        for run in self._bc_runs:
+            times, receivers, values, start, bc = run
+            end = int(np.searchsorted(times, limit, side="right"))
+            if end <= start:
+                continue
+            due_recv = receivers[start:end]
+            np.maximum.at(max_estimate, due_recv, values[start:end])
+            self.delivered_count += end - start
+            if bc is not None:
+                slots, owners, logicals, seqs, generation = bc
+                chunks.append(
+                    (
+                        times[start:end],
+                        seqs[start:end],
+                        slots[start:end],
+                        owners[start:end],
+                        due_recv,
+                        logicals[start:end],
+                        generation,
+                    )
+                )
+            run[3] = end
+            if end == len(times):
+                exhausted = True
+        if chunks:
+            self._apply_broadcast_stores(chunks, t)
+        if exhausted:
+            self._bc_runs = [run for run in self._bc_runs if run[3] < len(run[0])]
+
+    def _apply_broadcast_stores(self, chunks: List, t: float) -> None:
+        """Store one step's due broadcasts into the per-slot state columns.
+
+        The net effect of delivering a batch in (time, seq) order is
+        "last writer per (receiver, sender) pair wins" (the max-estimate
+        flooding part is already applied order-insensitively by the caller),
+        so the vectorized path keeps only each slot's last entry.  When any
+        contributing chunk predates the current CSR (an edge event rebuilt
+        it while messages were in flight), the pushed slot column is
+        meaningless and every entry is re-resolved scalar-wise in delivery
+        order -- rare (only the steps right after churn) and bounded by the
+        in-flight volume.
+        """
+        generation = self._csr_generation
+        stale = any(chunk[6] != generation for chunk in chunks)
+        if len(chunks) == 1:
+            times, seqs, slots, owners, recv, logicals, _ = chunks[0]
+        else:
+            times = np.concatenate([c[0] for c in chunks])
+            seqs = np.concatenate([c[1] for c in chunks])
+            slots = np.concatenate([c[2] for c in chunks])
+            owners = np.concatenate([c[3] for c in chunks])
+            recv = np.concatenate([c[4] for c in chunks])
+            logicals = np.concatenate([c[5] for c in chunks])
+            order = np.lexsort((seqs, times))
+            slots = slots[order]
+            owners = owners[order]
+            recv = recv[order]
+            logicals = logicals[order]
+        cols = self._cols
+        hardware = cols.hardware
+        if stale:
+            ids = cols.ids
+            row_pos = self._csr.row_pos
+            overflow = self._bc_overflow
+            value = self._bc_value
+            hw_col = self._bc_hw
+            time_col = self._bc_time
+            valid = self._bc_valid
+            for j in range(len(recv)):
+                position = int(recv[j])
+                sender = ids[int(owners[j])]
+                slot = row_pos[position].get(sender)
+                if slot is None:
+                    overflow[(position, sender)] = (
+                        logicals[j], hardware[position], t,
+                    )
+                else:
+                    value[slot] = logicals[j]
+                    hw_col[slot] = hardware[position]
+                    time_col[slot] = t
+                    valid[slot] = True
+            return
+        mask = slots >= 0
+        if mask.all():
+            slots_v = slots
+            logicals_v = logicals
+            recv_v = recv
+        else:
+            # Overflow deliveries (receiver row lacks the sender): scalar, in
+            # delivery order.  Slotless and slotted entries never share a
+            # (receiver, sender) pair within one generation, so processing
+            # them separately preserves last-writer semantics.
+            ids = cols.ids
+            overflow = self._bc_overflow
+            for j in np.nonzero(~mask)[0].tolist():
+                position = int(recv[j])
+                overflow[(position, ids[int(owners[j])])] = (
+                    logicals[j], hardware[position], t,
+                )
+            slots_v = slots[mask]
+            logicals_v = logicals[mask]
+            recv_v = recv[mask]
+        if not slots_v.size:
+            return
+        # Keep each slot's last entry: first occurrence in the reversed
+        # array is the last in delivery order.
+        reverse = slots_v[::-1]
+        unique_slots, first_index = np.unique(reverse, return_index=True)
+        last = slots_v.size - 1 - first_index
+        self._bc_value[unique_slots] = logicals_v[last]
+        self._bc_hw[unique_slots] = hardware[recv_v[last]]
+        self._bc_time[unique_slots] = t
+        self._bc_valid[unique_slots] = True
 
     # -- uniform estimate strategy (scalar fill, set order) -------------
     def _fill_uniform_aheads(self, ahead: np.ndarray) -> None:
@@ -664,285 +892,3 @@ class VecEngine(FastEngine):
                 self.stopped_early = True
         if not force:
             self._next_sample_time = self.time + self.trace.sample_interval
-
-
-# ----------------------------------------------------------------------
-# Context: the engine's state arrays + step driver
-# ----------------------------------------------------------------------
-_FLOAT_COLUMNS = (
-    "hardware",
-    "logical",
-    "last_hardware",
-    "max_estimate",
-    "next_broadcast",
-    "multiplier",
-)
-
-
-class VecContext:
-    """Holds one :class:`VecEngine`'s state arrays and drives its steps.
-
-    The engine's (list-typed) node columns and rate column become NumPy
-    arrays shared with the context; the context mirrors the CSR as a
-    :class:`_CSRView` (rebuilt on every adjacency change, level-patched in
-    place after promotions) and carries the vectorized broadcast transport.
-    """
-
-    def __init__(self, engine: VecEngine):
-        self.engine = engine
-        self.dt = engine.dt
-        self._strategy = engine._strategy
-        cols = engine._cols
-        for name in _FLOAT_COLUMNS:
-            column = np.asarray(getattr(cols, name), dtype=np.float64)
-            setattr(cols, name, column)
-            setattr(self, name, column)
-        cols.mode = self.mode = np.asarray(cols.mode, dtype=np.int64)
-        engine._rates = self._rates = np.asarray(engine._rates, dtype=np.float64)
-        self._node_scratch = np.empty(engine.n, dtype=np.float64)
-        self._node_flags = np.empty(engine.n, dtype=bool)
-        # Vectorized broadcast transport (insert-edge messages stay on the
-        # engine's heap).  Each run is one send burst sorted by delivery
-        # time with a consumed-prefix pointer: ``[times, recv, vals, start,
-        # bc]`` (``bc``: the broadcast-estimate store columns, ``None`` in
-        # oracle mode).
-        self._bc_runs: List[List] = []
-        self._view: Optional[_CSRView] = None
-
-    # -- transport ------------------------------------------------------
-    def _push_broadcasts(
-        self,
-        times: np.ndarray,
-        receivers: np.ndarray,
-        values: np.ndarray,
-        bc=None,
-    ) -> None:
-        if bc is None:
-            # Oracle mode: delivery order within a step is irrelevant
-            # (max-updates commute), so an unstable sort is fine.
-            order = np.argsort(times)
-        else:
-            # Broadcast estimate mode: deliveries overwrite per-(receiver,
-            # sender) stored state, so order *within* a pair matters.  A
-            # stable (delivery_time, message_id) sort reproduces the
-            # reference transport's delivery order exactly.
-            slots, owners, logicals, seqs, generation = bc
-            order = np.lexsort((seqs, times))
-            bc = (slots[order], owners[order], logicals[order], seqs[order], generation)
-        self._bc_runs.append([times[order], receivers[order], values[order], 0, bc])
-
-    def _deliver_broadcasts(self, t: float) -> None:
-        if not self._bc_runs:
-            return
-        limit = t + 1e-12
-        exhausted = False
-        chunks: List = []
-        for run in self._bc_runs:
-            times, receivers, values, start, bc = run
-            end = int(np.searchsorted(times, limit, side="right"))
-            if end <= start:
-                continue
-            due_recv = receivers[start:end]
-            np.maximum.at(self.max_estimate, due_recv, values[start:end])
-            self.engine.delivered_count += end - start
-            if bc is not None:
-                slots, owners, logicals, seqs, generation = bc
-                chunks.append(
-                    (
-                        times[start:end],
-                        seqs[start:end],
-                        slots[start:end],
-                        owners[start:end],
-                        due_recv,
-                        logicals[start:end],
-                        generation,
-                    )
-                )
-            run[3] = end
-            if end == len(times):
-                exhausted = True
-        if chunks:
-            self._apply_broadcast_stores(chunks, t)
-        if exhausted:
-            self._bc_runs = [run for run in self._bc_runs if run[3] < len(run[0])]
-
-    def _apply_broadcast_stores(self, chunks: List, t: float) -> None:
-        """Store one step's due broadcasts into the engine's per-slot state.
-
-        The net effect of delivering a batch in (time, seq) order is
-        "last writer per (receiver, sender) pair wins" (the max-estimate
-        flooding part is already applied order-insensitively by the caller),
-        so the vectorized path keeps only each slot's last entry.  When any
-        contributing chunk predates the engine's current CSR (an edge event
-        rebuilt it while messages were in flight), the pushed slot column is
-        meaningless and every entry is re-resolved scalar-wise in delivery
-        order -- rare (only the steps right after churn) and bounded by the
-        in-flight volume.
-        """
-        engine = self.engine
-        generation = engine._csr_generation
-        stale = any(chunk[6] != generation for chunk in chunks)
-        if len(chunks) == 1:
-            times, seqs, slots, owners, recv, logicals, _ = chunks[0]
-        else:
-            times = np.concatenate([c[0] for c in chunks])
-            seqs = np.concatenate([c[1] for c in chunks])
-            slots = np.concatenate([c[2] for c in chunks])
-            owners = np.concatenate([c[3] for c in chunks])
-            recv = np.concatenate([c[4] for c in chunks])
-            logicals = np.concatenate([c[5] for c in chunks])
-            order = np.lexsort((seqs, times))
-            slots = slots[order]
-            owners = owners[order]
-            recv = recv[order]
-            logicals = logicals[order]
-        cols = engine._cols
-        hardware = cols.hardware
-        if stale:
-            ids = cols.ids
-            row_pos = engine._csr.row_pos
-            overflow = engine._bc_overflow
-            value = engine._bc_value
-            hw_col = engine._bc_hw
-            time_col = engine._bc_time
-            valid = engine._bc_valid
-            for j in range(len(recv)):
-                position = int(recv[j])
-                sender = ids[int(owners[j])]
-                slot = row_pos[position].get(sender)
-                if slot is None:
-                    overflow[(position, sender)] = (
-                        logicals[j], hardware[position], t,
-                    )
-                else:
-                    value[slot] = logicals[j]
-                    hw_col[slot] = hardware[position]
-                    time_col[slot] = t
-                    valid[slot] = True
-            return
-        mask = slots >= 0
-        if mask.all():
-            slots_v = slots
-            logicals_v = logicals
-            recv_v = recv
-        else:
-            # Overflow deliveries (receiver row lacks the sender): scalar, in
-            # delivery order.  Slotless and slotted entries never share a
-            # (receiver, sender) pair within one generation, so processing
-            # them separately preserves last-writer semantics.
-            ids = cols.ids
-            overflow = engine._bc_overflow
-            for j in np.nonzero(~mask)[0].tolist():
-                position = int(recv[j])
-                overflow[(position, ids[int(owners[j])])] = (
-                    logicals[j], hardware[position], t,
-                )
-            slots_v = slots[mask]
-            logicals_v = logicals[mask]
-            recv_v = recv[mask]
-        if not slots_v.size:
-            return
-        # Keep each slot's last entry: first occurrence in the reversed
-        # array is the last in delivery order.
-        reverse = slots_v[::-1]
-        unique_slots, first_index = np.unique(reverse, return_index=True)
-        last = slots_v.size - 1 - first_index
-        engine._bc_value[unique_slots] = logicals_v[last]
-        engine._bc_hw[unique_slots] = hardware[recv_v[last]]
-        engine._bc_time[unique_slots] = t
-        engine._bc_valid[unique_slots] = True
-
-    # -- CSR view -------------------------------------------------------
-    def _refresh_structure(self) -> None:
-        engine = self.engine
-        if engine._csr_dirty:
-            engine._rebuild_csr()
-        if self._view is None or self._view.generation != engine._csr_generation:
-            self._view = _CSRView(engine)
-
-    def _refresh_levels(self) -> None:
-        engine = self.engine
-        if engine._csr_levels_dirty:
-            self._view.refresh_levels(engine)
-            engine._csr_levels_dirty = False
-
-    # -- stepping -------------------------------------------------------
-    def run_until(self, end_time: float) -> None:
-        """Advance the engine until ``end_time`` (inclusive sampling).
-
-        An armed watchdog that trips ends the loop after the step that
-        tripped it, and the forced final sample is skipped, so the truncated
-        trace/report is a bit-identical prefix of the full run.
-        """
-        engine = self.engine
-        while engine.time < end_time - 1e-9:
-            self._step()
-            if engine.stopped_early:
-                return
-        engine._record_sample(force=True)
-
-    def _step(self) -> None:
-        engine = self.engine
-        t = engine.time
-        next_event = engine._next_event_time
-        if next_event is not None and next_event <= t + 1e-12:
-            engine._apply_graph_events(t)
-        if engine._inflight:
-            engine._deliver_messages(t)
-        self._deliver_broadcasts(t)
-        engine.scheduler.run_due(t)
-        self._refresh_structure()
-        self._control_all(t)
-        engine._record_sample()
-        self._advance_clocks(t)
-        engine.time = t + self.dt
-
-    def _control_all(self, t: float) -> None:
-        engine = self.engine
-        kernels.advance_max_estimates(
-            self.hardware,
-            self.last_hardware,
-            self.max_estimate,
-            self.logical,
-            engine._max_factor,
-            self._node_scratch,
-            self._node_flags,
-        )
-        if engine._active_schedules:
-            logical = self.logical
-            for position in sorted(engine._active_schedules):
-                engine._apply_due_insertions(position, logical[position])
-        engine._send_broadcasts(t)
-        self._refresh_levels()
-        view = self._view
-        valid = None
-        if not view.edge_count:
-            ahead = np.empty(0, dtype=np.float64)
-        elif view.bc_valid is not None:  # broadcast estimate mode
-            ahead = kernels.broadcast_aheads(self.hardware, self.logical, view)
-            valid = view.bc_valid
-        elif self._strategy == 1:  # uniform: Python draws in set order
-            ahead = np.zeros(view.edge_count, dtype=np.float64)
-            engine._fill_uniform_aheads(ahead)
-        else:
-            ahead = kernels.edge_aheads(self._strategy, self.logical, view)
-        mode_new = kernels.evaluate_modes_vec(
-            view,
-            ahead,
-            self.logical,
-            self.max_estimate,
-            engine.aopt_params.iota,
-            self.mode,
-            valid=valid,
-        )
-        np.copyto(self.mode, mode_new)
-        np.copyto(
-            self.multiplier, np.where(mode_new == 1, engine._fast_multiplier, 1.0)
-        )
-
-    def _advance_clocks(self, t: float) -> None:
-        self.engine._refresh_rates(t)
-        rates = self._rates
-        dt = self.dt
-        self.hardware += rates * dt
-        self.logical += (rates * self.multiplier) * dt

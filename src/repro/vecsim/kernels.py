@@ -87,22 +87,29 @@ def advance_max_estimates(
     np.copyto(max_estimate, scratch)
 
 
-def broadcast_aheads(hardware: np.ndarray, logical: np.ndarray, view) -> np.ndarray:
+def broadcast_aheads(
+    hardware: np.ndarray,
+    logical: np.ndarray,
+    stored_value: np.ndarray,
+    stored_hw: np.ndarray,
+    view,
+) -> np.ndarray:
     """Per-CSR-entry ``estimate - logical`` for broadcast-mode estimates.
 
     Mirrors ``BroadcastEstimateLayer.estimate`` elementwise: the stored
     broadcast value extrapolated at the observer's hardware rate,
-    ``stored + max(0.0, hw_now - stored_hw)``.  Slots without a stored
-    broadcast (``view.bc_valid`` false) produce finite garbage here and are
-    masked out of the trigger evaluation by the caller.  The result aliases
-    the view's scratch and is only valid until the next call.
+    ``stored + max(0.0, hw_now - stored_hw)``, from the engine's per-slot
+    ``stored_value`` / ``stored_hw`` columns.  Slots without a stored
+    broadcast (the engine's valid column false) produce finite garbage here
+    and are masked out of the trigger evaluation by the caller.  The result
+    aliases the view's scratch and is only valid until the next call.
     """
     owner = view.row_owner
     work = view.edge_f1
     np.take(hardware, owner, out=work)
-    np.subtract(work, view.bc_hw, out=work)  # elapsed hardware
+    np.subtract(work, stored_hw, out=work)  # elapsed hardware
     np.maximum(work, 0.0, out=work)  # max(0.0, elapsed)
-    np.add(view.bc_value, work, out=work)  # estimate
+    np.add(stored_value, work, out=work)  # estimate
     owner_logical = np.take(logical, owner, out=view.edge_f2)
     return np.subtract(work, owner_logical, out=work)
 

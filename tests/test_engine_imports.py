@@ -5,6 +5,9 @@ that define them; an engine that imports a concrete model class to switch on
 its type re-derives that knowledge.  The only concrete classes an engine may
 import are the defaults it builds (``NoDrift``, ``UniformRandomDelay``) and
 the uniform model its batched draw replays.
+
+The jit engine is one object per run, so it reads underscored fields off
+``self`` only, never off another object (the delay model's rng excepted).
 """
 
 import ast
@@ -56,3 +59,31 @@ def test_jit_imports_no_plan_classes():
         if name and re.fullmatch(r"_\w*Plan", name)
     ]
     assert plans == []
+
+
+#: The one foreign underscored read the jit engine keeps: the delay model's
+#: Python rng, whose Mersenne-Twister state the kernel takes over.
+FOREIGN_ALLOWED = {"_rng"}
+
+
+def is_self(owner: ast.expr) -> bool:
+    """``self`` or ``super()``: the engine reading its own fields."""
+    if isinstance(owner, ast.Call):
+        owner = owner.func
+        return isinstance(owner, ast.Name) and owner.id == "super"
+    return isinstance(owner, ast.Name) and owner.id == "self"
+
+
+def test_jit_reads_no_underscored_field_off_another_object():
+    """Every ``x._name`` in the jit engine has ``x`` = ``self`` (or is ``_rng``)."""
+    tree = ast.parse((PACKAGE / "jitsim/engine.py").read_text())
+    foreign = [
+        f"{ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and node.attr not in FOREIGN_ALLOWED
+        and not is_self(node.value)
+    ]
+    assert foreign == []

@@ -224,13 +224,12 @@ class TestOneRunContext:
 
         sc = registry.build_scenario(quick_spec(backend="jit"))
         run = (sc.graph, sc.algorithm_factory, sc.config)
-        context = build_batch([run])
-        (engine,) = context.engines
+        engine = build_batch([run])
         assert isinstance(engine, JitEngine)
-        assert engine._ctx is context
+        assert engine.engines == [engine]
         engine.run(sc.config.duration)
         steps = round(sc.config.duration / sc.config.dt)
-        assert context.fused_steps + context.stepped_steps == steps
+        assert engine.fused_steps + engine.stepped_steps == steps
         for runs in ([], [run, run]):
             with pytest.raises(FastsimError, match="exactly one run"):
                 build_batch(runs)

@@ -320,21 +320,21 @@ needs_jit = pytest.mark.skipif(
 
 @pytest.fixture
 def jit_steps(monkeypatch):
-    """``(fused, stepped)`` steps, summed over every jit context that ran."""
-    from repro.jitsim.engine import JitContext
+    """``(fused, stepped)`` steps, summed over every jit engine that ran."""
+    from repro.jitsim.engine import JitEngine
 
-    contexts = []
-    run_until = JitContext.run_until
+    engines = []
+    run_until = JitEngine.run_until
 
     def recorded(self, end_time):
-        if all(context is not self for context in contexts):
-            contexts.append(self)
+        if all(engine is not self for engine in engines):
+            engines.append(self)
         return run_until(self, end_time)
 
-    monkeypatch.setattr(JitContext, "run_until", recorded)
+    monkeypatch.setattr(JitEngine, "run_until", recorded)
     return lambda: (
-        sum(context.fused_steps for context in contexts),
-        sum(context.stepped_steps for context in contexts),
+        sum(engine.fused_steps for engine in engines),
+        sum(engine.stepped_steps for engine in engines),
     )
 
 
@@ -402,8 +402,8 @@ def test_a_verbatim_insertion_completes_in_fused_segments():
     engine.run(materialised.config.duration)
     assert engine.algorithm(0).levels.level_of(5) == FULLY_INSERTED
     assert engine.algorithm(5).levels.level_of(0) == FULLY_INSERTED
-    assert engine._ctx.fused_steps + engine._ctx.stepped_steps > 200_000
-    assert engine._ctx.stepped_steps <= 100
+    assert engine.fused_steps + engine.stepped_steps > 200_000
+    assert engine.stepped_steps <= 100
 
 
 @needs_jit

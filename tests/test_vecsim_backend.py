@@ -35,6 +35,12 @@ from repro.vecsim.engine import LazyTraceSample, _mt_transplant_supported  # noq
 from repro.vecsim.kernels import _firing_levels  # noqa: E402
 
 
+needs_jit = pytest.mark.skipif(
+    not backend_available("jit"), reason="jit needs a C compiler"
+)
+BACKENDS = ["vec", pytest.param("jit", marks=needs_jit)]
+
+
 def quick_spec(**overrides):
     defaults = dict(n=5, sim={"duration": 6.0})
     defaults.update(overrides)
@@ -140,15 +146,41 @@ class TestVecEngineSurface:
                 materialised.config,
             )
 
-    def test_running_backwards_raises(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_running_backwards_raises(self, backend):
         from repro.sim.engine import EngineError
 
-        engine = self.build()
+        engine = get_backend(backend).build(*materialise(quick_spec()))
         engine.run(1.0)
         with pytest.raises(EngineError):
             engine.run_until(0.5)
         with pytest.raises(EngineError):
             engine.run(-1.0)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_stopped_engine_is_frozen(self, backend):
+        """After an armed watchdog trips, a later ``run_until`` records and feeds nothing."""
+        spec = scenario("line_scaling", n=6, until_stable=True)
+        built = registry.build_scenario(spec)
+        engine = get_backend(backend).build(
+            built.graph, built.algorithm_factory, built.config
+        )
+        pipeline = results.build_run_pipeline(
+            spec,
+            graph=built.graph,
+            base_edges=built.base_edges,
+            config=built.config,
+            meta=built.meta,
+            global_skew_bound=built.global_skew_bound,
+        )
+        engine.configure_recording(pipeline)
+        engine.run(built.config.duration)
+        assert engine.stopped_early is True
+        frozen = (len(engine.trace), pipeline.sample_count)
+        for end_time in (engine.time, built.config.duration):
+            engine.run_until(end_time)
+            assert (len(engine.trace), pipeline.sample_count) == frozen
+            assert engine.stopped_early is True
 
     def test_step_advances_one_dt(self):
         engine = self.build()
@@ -246,7 +278,7 @@ def materialise(spec):
 
 def extremum_path(engine) -> bool:
     """Whether the engine's current CSR view takes the extremum trigger path."""
-    return engine._ctx._view.row_thresholds is not None
+    return engine._view.row_thresholds is not None
 
 
 class TestCSRView:
@@ -269,8 +301,8 @@ class TestCSRView:
         rebuilds = 0
         while engine.time < 45.0 - 1e-9:
             engine.step()
-            if engine._ctx._view is not view:
-                view = engine._ctx._view
+            if engine._view is not view:
+                view = engine._view
                 rebuilds += 1
         assert rebuilds == engine._csr_generation > 2
 
@@ -286,8 +318,8 @@ class TestCSRView:
     def test_a_grid_is_dense_and_a_star_is_reduceat(self, spec, width):
         """Dense rows pad to the maximum degree; a hub graph keeps reduceat."""
         engine = VecEngine(*materialise(spec))
-        engine._ctx._refresh_structure()
-        view = engine._ctx._view
+        engine._refresh_structure()
+        view = engine._view
         assert (None if view._pad is None else len(view._pad)) == width
         values = np.random.RandomState(5).rand(view.edge_count)
         got = view.row_max_values(values)
@@ -309,8 +341,8 @@ class TestExtremumBranchUnit:
         for u in range(1, 9):
             graph.set_edge_params(u, u + 1, narrow)
         engine = VecEngine(graph, factory, config)
-        engine._ctx._refresh_structure()
-        return engine, engine._ctx._view
+        engine._refresh_structure()
+        return engine, engine._view
 
     def scalar_modes(self, engine, ahead, logical, max_estimate, mode):
         csr = engine._csr
@@ -403,10 +435,6 @@ def broadcast_trio():
     ]
 
 
-needs_jit = pytest.mark.skipif(
-    not backend_available("jit"), reason="jit needs a C compiler"
-)
-BACKENDS = ["vec", pytest.param("jit", marks=needs_jit)]
 PAYLOAD_KEYS = ("summary", "observers", "trace", "meta")
 
 
@@ -430,8 +458,8 @@ class TestRunsOneAfterAnother:
         views = []
         for spec in static_trio():
             engine = VecEngine(*materialise(spec))
-            engine._ctx._refresh_structure()
-            views.append((engine, engine._ctx._view))
+            engine._refresh_structure()
+            views.append((engine, engine._view))
         assert [engine.max_level for engine, _ in views] == [6, 7, 5]
         assert len({view.thresholds.tobytes() for _, view in views}) == 3
         for engine, view in views:
@@ -494,12 +522,11 @@ class TestExtremumEligibility:
     def test_eligible_iff_every_row_is_on_one_table_at_the_top(self, spec, outcomes):
         """Static runs stay on the extremum path; dynamic ones also leave it."""
         engine = VecEngine(*materialise(spec))
-        context = engine._ctx
         seen = set()
         while engine.time < spec.sim["duration"] - 1e-9:
             engine.step()
-            context._refresh_structure()
-            context._refresh_levels()
+            engine._refresh_structure()
+            engine._refresh_levels()
             csr = engine._csr
             rows = [
                 csr.tables[csr.indptr[i] : csr.indptr[i + 1]] for i in range(engine.n)
