@@ -539,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stop each run at its stability point (convergence, or the "
         "stabilization window after an insertion) instead of running the "
-        "full duration; results cache under a separate .stable key",
+        "full duration; results cache under their own key",
     )
     common.add_argument(
         "--telemetry",

@@ -6,7 +6,7 @@ The executor turns specs into runs:
   materialises one spec, runs the engine and returns a plain-JSON payload
   (summary + trace + metadata) -- the *only* thing that crosses process
   boundaries, so workers never pickle engines;
-* :class:`ResultCache` is the content-hash-keyed on-disk store
+* :class:`ResultCache` is the result-hash-keyed on-disk store
   (``benchmarks/results/cache/`` by default) with atomic writes, stats and
   pruning -- shared by one-shot CLI runs and the long-running sweep service
   (:mod:`repro.service`), whose ``GET /results/{key}`` API serves these
@@ -25,7 +25,6 @@ The executor turns specs into runs:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import logging
@@ -227,15 +226,9 @@ def _run_from_payload(
 # ----------------------------------------------------------------------
 # The on-disk result cache
 # ----------------------------------------------------------------------
-#: Cache keys are the spec content hash plus dot-separated observation
-#: suffixes (backend, stride, trace mode, observer digest); nothing else may
-#: ever be fetched through :meth:`ResultCache.path_for_key`.
-_CACHE_KEY_RE = re.compile(r"^[0-9a-f]{64}(\.[A-Za-z0-9_-]+)*$")
-
-#: Suffix tokens that are observation details rather than a backend name
-#: (see :meth:`ResultCache.key_for`): ``.s{k}`` strides, ``.notrace``,
-#: ``.stable`` early exits and ``.obs-{digest}`` selections.
-_NON_BACKEND_SUFFIX_RE = re.compile(r"^(s\d+|notrace|stable|obs-[0-9a-f]+)$")
+#: A cache key (:meth:`ResultCache.key_for`); nothing else may ever be
+#: fetched through :meth:`ResultCache.path_for_key`.
+_CACHE_KEY_RE = re.compile(r"^[0-9a-f]{64}\.[A-Za-z0-9_-]+$")
 
 
 #: Most payload heads one :class:`ResultCache` remembers (a head is about
@@ -243,7 +236,6 @@ _NON_BACKEND_SUFFIX_RE = re.compile(r"^(s\d+|notrace|stable|obs-[0-9a-f]+)$")
 HEADER_INDEX_CAPACITY = 4096
 
 _HEAD_KEYS = ("format", "library_version", "semantics", "spec_hash", "backend")
-_HEAD_SPEC_KEYS = ("trace_stride", "trace", "observers", "until_stable")
 
 
 def _signature(stat: os.stat_result) -> Tuple[int, int, int]:
@@ -252,21 +244,26 @@ def _signature(stat: os.stat_result) -> Tuple[int, int, int]:
 
 
 def _head_of(payload: Any) -> Optional[Dict[str, Any]]:
-    """A payload cut down to what validity and watchdog replay read.
+    """A payload cut down to what validity and watchdog replay read, plus
+    ``result_key``: the key of the payload's own ``spec``.
 
-    The head has the payload's own shape -- ``_matches`` and
-    :meth:`SweepTelemetry.replay_watchdogs` take either -- and copies only
-    keys that are present, so a missing field stays missing.  ``None`` for
-    anything that is not a result payload (valid JSON that is not an object,
-    or whose ``"spec"`` is not one): such a file is a cache miss.
+    ``None`` -- a cache miss -- for anything that is not a result payload,
+    or one that disagrees with itself (a ``spec_hash`` or ``backend`` that
+    is not its spec's).  Fields the payload lacks stay missing.
     """
     if not isinstance(payload, dict):
         return None
-    observed = payload.get("spec", {})
-    if not isinstance(observed, dict):
+    try:
+        spec = ScenarioSpec.from_dict(payload["spec"])
+    except (LookupError, TypeError, ValueError, AttributeError):  # SpecError too
+        return None
+    if (
+        payload.get("spec_hash") != spec.content_hash()
+        or payload.get("backend", "reference") != spec.backend
+    ):
         return None
     head = {key: payload[key] for key in _HEAD_KEYS if key in payload}
-    head["spec"] = {key: observed[key] for key in _HEAD_SPEC_KEYS if key in observed}
+    head["result_key"] = ResultCache.key_for(spec)
     report = payload.get("observers")
     bodies = report.get("observers") if isinstance(report, dict) else None
     head["observers"] = {
@@ -279,25 +276,16 @@ def _head_of(payload: Any) -> Optional[Dict[str, Any]]:
     return head
 
 
-def _matches(stored: Mapping[str, Any], spec: ScenarioSpec) -> bool:
-    """Whether a cached payload (or its head) is a valid result for ``spec``.
-
-    THE validity rule of the cache, run on every ``load`` and ``probe``
-    against the spec being asked for.  The key already encodes each field;
-    the file is re-checked because a key names a file, not its content.
-    """
-    observed = stored.get("spec", {})
+def _matches(head: Mapping[str, Any], key: str) -> bool:
+    """THE validity rule of the cache, run on every ``fetch`` and
+    ``probe``: the file's own spec has ``key``, and this code wrote it (a
+    key names a file, not its content)."""
     return (
-        stored.get("format") == CACHE_FORMAT_VERSION
-        and stored.get("library_version") == _library_version
+        head.get("format") == CACHE_FORMAT_VERSION
+        and head.get("library_version") == _library_version
         # Written by code that decides results differently: a miss.
-        and stored.get("semantics") == SEMANTICS
-        and stored.get("spec_hash") == spec.content_hash()
-        and stored.get("backend", "reference") == spec.backend
-        and observed.get("trace_stride", 1) == spec.trace_stride
-        and observed.get("trace", "full") == spec.trace
-        and observed.get("observers", []) == list(spec.observers)
-        and observed.get("until_stable", False) == spec.until_stable
+        and head.get("semantics") == SEMANTICS
+        and head.get("result_key") == key
     )
 
 
@@ -417,23 +405,22 @@ class _TraceLine:
 
 
 class ResultCache:
-    """Content-hash-keyed JSON result store shared by CLI and daemon.
+    """Result-hash-keyed JSON result store shared by CLI and daemon.
 
-    One file per (scenario hash, backend, trace stride, trace mode,
-    observer selection); writes are atomic (unique temp file +
-    ``os.replace``), so concurrent writers -- threads in one daemon process
-    or independent processes sharing the directory -- can never tear an
-    entry, only overwrite it with identical bytes.  A file is the
-    ``json.dumps`` of its payload; a trace, ~99 % of the bytes, sits on a
-    line of its own (:func:`_framed`) so that readers can leave it unread
-    (:meth:`fetch`, :meth:`probe`).
+    One file per result key (:meth:`key_for`); writes are atomic (unique
+    temp file + ``os.replace``), so concurrent writers -- threads in one
+    daemon process or independent processes sharing the directory -- can
+    never tear an entry, only overwrite it with identical bytes.  A file
+    is the ``json.dumps`` of its payload; a trace, ~99 % of the bytes, sits
+    on a line of its own (:func:`_framed`) so that readers can leave it
+    unread (:meth:`fetch`, :meth:`probe`).
 
     Each instance also keeps a bounded *header index*: for every file it
     parsed or wrote, the file's ``(st_ino, st_size, st_mtime_ns)`` and its
     head (:func:`_head_of`).  :meth:`probe` answers "is this spec cached?"
     from it for the price of one ``stat``.  The index remembers what a file
     *says*, never a verdict: a head counts only while the file's signature
-    is unchanged, and ``_matches`` judges it against the submitted spec on
+    is unchanged, and ``_matches`` judges it against the key asked for on
     every call.  (A rewrite in place that keeps inode, size and mtime is
     not seen; every writer of this class replaces the file.)
     """
@@ -450,38 +437,12 @@ class ResultCache:
         self._parsed_bytes = 0
 
     # -- keys -----------------------------------------------------------
-    def key_for(self, spec: ScenarioSpec) -> str:
-        """The cache key (file stem) of a spec -- also the public API key
-        served by ``GET /results/{key}`` on the sweep service.
-
-        The content hash is backend-independent (it is the scenario
-        identity that seeds all randomness), so non-reference backends get
-        their own file name and can never collide with reference results.
-        The reference backend keeps the historical ``{hash}`` name so
-        pre-backend cache entries are found, recognised as stale via the
-        format version check, and overwritten instead of orphaned.
-        Strided traces likewise get their own ``.s{k}`` suffix, traceless
-        runs a ``.notrace`` suffix, watchdog-truncated runs a ``.stable``
-        suffix, and non-default observer selections an ``.obs-{digest}``
-        suffix -- all observation details are excluded from the content
-        hash (same scenario, same seeds) but their cached results contain
-        different payloads and must never collide.
-        """
-        name = spec.content_hash()
-        if spec.backend != "reference":
-            name += f".{spec.backend}"
-        if spec.trace_stride != 1:
-            name += f".s{spec.trace_stride}"
-        if spec.trace != "full":
-            name += ".notrace"
-        if spec.until_stable:
-            name += ".stable"
-        if spec.observers:
-            digest = hashlib.sha256(
-                ",".join(spec.observers).encode("utf-8")
-            ).hexdigest()[:12]
-            name += f".obs-{digest}"
-        return name
+    @staticmethod
+    def key_for(spec: ScenarioSpec) -> str:
+        """The cache key (file stem) of a spec, and the API key of ``GET
+        /results/{key}``: ``{result_hash}.{backend}``, one entry per
+        observation of a scenario, the backend readable for breakdowns."""
+        return f"{spec.result_hash()}.{spec.backend}"
 
     def _path(self, key: str) -> Path:
         return self.cache_dir / f"{key}.json"
@@ -493,8 +454,8 @@ class ResultCache:
         """Resolve a client-supplied cache key to its file, strictly.
 
         Raises :class:`ExecutorError` unless the key is a plain
-        ``{hash}[.suffix...]`` stem -- path separators, ``..`` and anything
-        else that could escape the cache directory never match.
+        ``{result_hash}.{backend}`` stem -- path separators, ``..`` and
+        anything else that could escape the cache directory never match.
         """
         if key.endswith(".json"):
             key = key[: -len(".json")]
@@ -505,10 +466,7 @@ class ResultCache:
     @staticmethod
     def backend_of_key(key: str) -> str:
         """The backend a cache file stem belongs to (for stats breakdowns)."""
-        parts = key.split(".")
-        if len(parts) > 1 and not _NON_BACKEND_SUFFIX_RE.match(parts[1]):
-            return parts[1]
-        return "reference"
+        return key.rpartition(".")[2]
 
     # -- read / write ---------------------------------------------------
     def _remember(self, key: str, signature: Tuple[int, int, int], head: Dict[str, Any]) -> None:
@@ -589,8 +547,9 @@ class ResultCache:
         line when its ``trace`` is read; a sweep that reads summaries never
         does, and holds no memory for the traces of its cache hits.
         """
-        found = self._read(self.key_for(spec))
-        if found is not None and _matches(found[0], spec):
+        key = self.key_for(spec)
+        found = self._read(key)
+        if found is not None and _matches(found[1], key):
             return found[0]
         return None
 
@@ -636,7 +595,7 @@ class ResultCache:
             if found is None:
                 return None
             head = found[1]
-        return head if _matches(head, spec) else None
+        return head if _matches(head, key) else None
 
     def probe_stats(self) -> Dict[str, int]:
         """Index size and how probes were answered: ``hits`` from the index,
@@ -681,13 +640,13 @@ class ResultCache:
         tmp.write_bytes(_framed(payload))
         # os.replace keeps inode, size and mtime, so the temp file's stat is
         # the entry's signature: a later probe of what this instance wrote
-        # never parses it.  The head goes through JSON like the file did
-        # (tuples become lists), so it is what a parse would have found.
+        # never parses it.  The head is taken from the document as a parse
+        # finds it (tuples become lists), the spec it is keyed by included.
         signature = _signature(os.stat(tmp))
         os.replace(tmp, path)
-        head = _head_of(payload)
+        head = _head_of(json.loads(_dumps({**payload, "trace": None})))
         if head is not None:
-            self._remember(key, signature, json.loads(json.dumps(head)))
+            self._remember(key, signature, head)
         return path
 
     # -- lifecycle ------------------------------------------------------

@@ -50,7 +50,7 @@ from ..network.edge import EdgeParams, NodeId
 from ..sim import delay as delay_mod
 from ..sim import drift as drift_mod
 from ..sim.runner import SimulationConfig, default_aopt_config, minimum_kappa
-from .spec import ComponentSpec, ScenarioSpec, SpecError
+from .spec import OBSERVATION_FIELDS, ComponentSpec, ScenarioSpec, SpecError
 
 #: Canonical benchmark constants shared with ``benchmarks/common.py``:
 #: sigma = (1 - rho) * mu / (2 * rho) = 3.28 >= 3.
@@ -590,35 +590,22 @@ def build_scenario(spec: ScenarioSpec) -> MaterialisedScenario:
 def scenario(name: str, **overrides: Any) -> ScenarioSpec:
     """Build the named scenario spec with builder-level overrides.
 
-    ``backend``, ``trace_stride``, ``trace``, ``observers`` and
-    ``until_stable`` are accepted as pseudo-overrides for every named
-    scenario: they select execution and observation details (engine
-    backend, trace decimation, trace keeping, streaming observer
-    selection, watchdog early exit) without the individual builders having
-    to know about execution concerns, so the CLI can say ``--set
-    backend=vec``, sweep ``--grid backend=reference,fast,vec``, thin long
-    traces with ``--set trace_stride=10``, run memory-bounded with
-    ``--set trace=none``, or stop at stability with ``--until-stable``.
+    Each of :data:`~repro.experiments.spec.OBSERVATION_FIELDS` is accepted
+    as a pseudo-override for every named scenario, so the individual
+    builders need not know about execution concerns: the CLI can say
+    ``--set backend=vec``, sweep ``--grid backend=reference,fast,vec``,
+    thin long traces with ``--set trace_stride=10``, run memory-bounded
+    with ``--set trace=none``, or stop at stability with
+    ``--until-stable``.  ``None`` means "not given"; any other value goes
+    to the spec as it is, whose own validation rejects a wrong type (a
+    stringly ``until_stable="yes"`` fails loudly).
     """
-    backend = overrides.pop("backend", None)
-    trace_stride = overrides.pop("trace_stride", None)
-    trace = overrides.pop("trace", None)
-    observers = overrides.pop("observers", None)
-    until_stable = overrides.pop("until_stable", None)
-    spec = SCENARIOS.get(name)(**overrides)
-    if backend is not None:
-        spec = replace(spec, backend=str(backend))
-    if trace_stride is not None:
-        spec = replace(spec, trace_stride=trace_stride)
-    if trace is not None:
-        spec = replace(spec, trace=str(trace))
-    if observers is not None:
-        spec = replace(spec, observers=observers)
-    if until_stable is not None:
-        # No bool() coercion: the spec's own validation rejects non-bools
-        # (a stringly "yes" must fail loudly, not truthy its way in).
-        spec = replace(spec, until_stable=until_stable)
-    return spec
+    observed = {
+        field: value
+        for field in OBSERVATION_FIELDS
+        if (value := overrides.pop(field, None)) is not None
+    }
+    return replace(SCENARIOS.get(name)(**overrides), **observed)
 
 
 def _bench_params() -> Parameters:

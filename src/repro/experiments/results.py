@@ -48,10 +48,12 @@ Edge = Tuple[int, int]
 #: version 3 added ``trace_stride`` to the key and the serialised spec;
 #: version 4 added the streaming ``observers`` report to the payload and
 #: made the trace optional (``trace: none`` runs cache ``"trace": null``);
-#: version 5 added ``until_stable`` to the serialised spec (with a
-#: ``.stable`` key suffix), the ``stopped_early`` flag to the payload, and
-#: strict-JSON serialisation (non-finite floats sanitised, ``allow_nan``
-#: off).  Stale entries are simply re-run and overwritten.
+#: version 5 added ``until_stable`` to the serialised spec, the
+#: ``stopped_early`` flag to the payload, and strict-JSON serialisation
+#: (non-finite floats sanitised, ``allow_nan`` off).  Stale entries are
+#: simply re-run and overwritten.  The cache key is the payload's own spec
+#: (:meth:`~repro.experiments.executor.ResultCache.key_for`), so a new
+#: observation field changes keys, not this layout.
 CACHE_FORMAT_VERSION = 5
 
 

@@ -49,7 +49,7 @@ RESULT_MODULES = (
 #: the chaos pack (a chaos spec names its scenario file, not its content).
 RESULT_DATA = ("jitsim/_fused_loop.c", "chaos/scenarios/*.json")
 
-SEMANTICS = "bcaf69827a7cb7760f5d49d53e246072"
+SEMANTICS = "1d141c36599beed2053658c51d837285"
 
 
 def result_files(root: Optional[Path] = None) -> List[Path]:

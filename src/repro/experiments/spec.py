@@ -8,7 +8,9 @@ as scalars.  Because a spec contains no live objects it can be
 
 * serialised to JSON and back without loss (``to_dict`` / ``from_dict``),
 * hashed to a stable content hash that is identical across processes and
-  Python invocations (``content_hash``), which keys the on-disk result cache,
+  Python invocations (``content_hash``, the scenario identity), and to a
+  result hash of the whole spec (``result_hash``), which keys the on-disk
+  result cache,
 * pickled cheaply to ``multiprocessing`` workers, which rebuild the heavy
   objects locally from the registries.
 
@@ -23,11 +25,26 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 #: Allowed values of :attr:`ScenarioSpec.trace`.
 TRACE_MODES = ("full", "none")
+
+#: How a run is *observed* rather than what it simulates: the engine that
+#: runs it, the trace stride, whether a trace is kept, which observers run
+#: and whether it stops at stability.  :meth:`ScenarioSpec.content_hash`
+#: leaves them out -- every backend, stride, trace mode, observer selection
+#: and early-exit mode simulates the identical scenario with the identical
+#: seeds, so their results stay comparable -- and
+#: :meth:`ScenarioSpec.result_hash` takes them in, because each one changes
+#: the stored result.  :func:`repro.experiments.registry.scenario` accepts
+#: each as a pseudo-override of every named scenario.
+OBSERVATION_FIELDS = ("backend", "trace_stride", "trace", "observers", "until_stable")
+
+#: A backend name is one token of a cache file name.
+_BACKEND_NAME_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 #: Bumped whenever the canonical serialisation changes shape, so stale cache
 #: entries from older layouts can never be mistaken for current results.
@@ -103,42 +120,25 @@ class ScenarioSpec:
     drift: Optional[ComponentSpec] = None
     delay: Optional[ComponentSpec] = None
     algorithm: ComponentSpec = field(default_factory=lambda: ComponentSpec("aopt"))
-    #: Which engine executes the run (``"reference"``, ``"fast"`` or
-    #: ``"vec"``; see :mod:`repro.fastsim.backend`).  The backend is an
-    #: *execution* detail: it is serialised with the spec and keys the result
-    #: cache, but it is excluded from :meth:`content_hash` so that all
-    #: backends derive the same seeds and simulate the identical scenario.
+    # Observation fields (see :data:`OBSERVATION_FIELDS`).
+    #: Which engine executes the run: a registered backend name
+    #: (``"reference"``, ``"fast"``, ``"vec"`` or ``"jit"``; see
+    #: :mod:`repro.fastsim.backend`).
     backend: str = "reference"
     #: Record every k-th sample: the effective sample interval is
-    #: ``sample_interval * trace_stride``.  Like ``backend`` this is an
-    #: execution/observation detail -- serialised and cache-keyed but
-    #: excluded from :meth:`content_hash`, so strided runs simulate the
-    #: identical scenario (summaries over the strided trace agree across
-    #: backends).
+    #: ``sample_interval * trace_stride``.
     trace_stride: int = 1
     #: Whether the run keeps a full trace (``"full"``, the default) or only
     #: the streaming observer report (``"none"``: constant memory in the
-    #: duration, the trace is dropped).  Like ``backend``/``trace_stride``
-    #: this is an observation detail: serialised and cache-keyed, excluded
-    #: from :meth:`content_hash`, and summaries are bit-identical either way.
+    #: duration, the trace is dropped).
     trace: str = "full"
     #: Streaming observers to run (names from :data:`repro.metrics.OBSERVERS`).
     #: Empty means the standard set backing :class:`RunSummary`
-    #: (:data:`repro.metrics.DEFAULT_OBSERVERS`).  Like the fields above this
-    #: is an observation detail: excluded from :meth:`content_hash` (so a
-    #: custom selection still simulates the identical scenario with the
-    #: identical seeds and stays comparable with default runs) but part of
-    #: the result-cache key -- a cached result contains exactly the payloads
-    #: of the observers that ran (see
-    #: :meth:`repro.experiments.executor.ResultCache.path_for`).
+    #: (:data:`repro.metrics.DEFAULT_OBSERVERS`).
     observers: Tuple[str, ...] = ()
     #: Stop the run as soon as the convergence/stabilization watchdog trips
-    #: (``repro-experiments run --until-stable``).  Another observation
-    #: detail: excluded from :meth:`content_hash` (the truncated run
-    #: simulates the identical scenario -- its samples are a bit-identical
-    #: prefix of the full run's), but part of the result-cache key
-    #: (``.stable`` suffix) because the cached report covers a shorter
-    #: window.
+    #: (``repro-experiments run --until-stable``); the samples fed are a
+    #: bit-identical prefix of the full run's.
     until_stable: bool = False
     params: Dict[str, Any] = field(default_factory=dict)
     edge: Dict[str, Any] = field(default_factory=dict)
@@ -160,8 +160,13 @@ class ScenarioSpec:
         object.__setattr__(self, "algorithm", _component(self.algorithm))
         if self.topology is None:
             raise SpecError("a scenario spec needs a topology")
-        if not isinstance(self.backend, str) or not self.backend:
-            raise SpecError("backend must be a non-empty backend name")
+        if not isinstance(self.backend, str) or not _BACKEND_NAME_RE.fullmatch(
+            self.backend
+        ):
+            raise SpecError(
+                f"backend must be a name of letters, digits, '_' and '-', "
+                f"got {self.backend!r}"
+            )
         if not isinstance(self.trace_stride, int) or isinstance(self.trace_stride, bool):
             raise SpecError(f"trace_stride must be an int, got {self.trace_stride!r}")
         if self.trace_stride < 1:
@@ -246,28 +251,27 @@ class ScenarioSpec:
         )
 
     def canonical(self) -> str:
-        """Canonical JSON string of the spec (the hashing pre-image).
-
-        The ``backend``, ``trace_stride``, ``trace``, ``observers`` and
-        ``until_stable`` fields are deliberately excluded: the content hash
-        is the *scenario identity* from which all randomness is seeded, and
-        every backend (and every trace stride / trace mode / observer
-        selection / early-exit mode) must simulate the identical scenario
-        so their results can be compared (the result cache keys on hash,
-        backend, stride, trace mode, observer selection *and* early-exit
-        mode separately, see :mod:`repro.experiments.executor`).
-        """
+        """Canonical JSON string of the spec without its
+        :data:`OBSERVATION_FIELDS` (the :meth:`content_hash` pre-image)."""
         payload = self.to_dict()
-        payload.pop("backend", None)
-        payload.pop("trace_stride", None)
-        payload.pop("trace", None)
-        payload.pop("observers", None)
-        payload.pop("until_stable", None)
+        for name in OBSERVATION_FIELDS:
+            del payload[name]
         return canonical_json({"version": SPEC_FORMAT_VERSION, "spec": payload})
 
     def content_hash(self) -> str:
-        """SHA-256 of the canonical form; stable across processes and runs."""
+        """SHA-256 of the canonical form; stable across processes and runs.
+
+        The scenario identity: it seeds all randomness and is shared by
+        every observation of the same scenario.
+        """
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
+
+    def result_hash(self) -> str:
+        """SHA-256 of the whole spec, observation fields included: the
+        identity of a stored result (see
+        :meth:`repro.experiments.executor.ResultCache.key_for`)."""
+        whole = canonical_json({"version": SPEC_FORMAT_VERSION, "spec": self.to_dict()})
+        return hashlib.sha256(whole.encode("utf-8")).hexdigest()
 
     def short_hash(self) -> str:
         return self.content_hash()[:12]

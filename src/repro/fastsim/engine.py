@@ -328,6 +328,8 @@ class FastEngine:
         """
         if end_time < self.time - 1e-12:
             raise EngineError("cannot run backwards in time")
+        if self.stopped_early:
+            return self.trace
         metrics = self._metrics
         while self.time < end_time - 1e-9:
             self.step()

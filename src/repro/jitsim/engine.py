@@ -82,7 +82,11 @@ class JitEngine(VecEngine):
 
     # -- driver ---------------------------------------------------------
     def run_until(self, end_time: float) -> Trace:
-        if end_time < self.time - 1e-12 or self._fusion_blocker() is not None:
+        if (
+            end_time < self.time - 1e-12
+            or self.stopped_early
+            or self._fusion_blocker() is not None
+        ):
             return super().run_until(end_time)
         while self.time < end_time - 1e-9:
             plan = self._plan_segment(end_time)
@@ -116,8 +120,6 @@ class JitEngine(VecEngine):
             # assume message-free stretches.  The inherited vec per-step
             # path runs it bit-identically.
             return "broadcast estimate mode stores per-pair message state"
-        if self.stopped_early:
-            return "engine already stopped"
         if self._heap_transport:
             return "heap transport (drop_messages_on_edge_loss)"
         if self.drift.rate_epoch is None:
@@ -128,10 +130,7 @@ class JitEngine(VecEngine):
                 return "incompatible rng state layout"
         elif not self.delay_model.static:
             return "delay model needs per-message Python calls"
-        metrics = self._metrics
-        if metrics is not None and any(
-            getattr(observer, "_stop_on_fire", False) for observer in metrics.observers
-        ):
+        if self._metrics is not None and self._metrics.stop_armed:
             return "armed watchdog may stop the run mid-segment"
         return None
 

@@ -82,6 +82,9 @@ class MetricsPipeline:
         self.observers = list(observers)
         self.context = context
         self.sample_count = 0
+        #: Whether a watchdog is armed to request a stop (``build_pipeline``
+        #: with ``stop_on``): the run may end at any sample.
+        self.stop_armed = False
         self._predicted_final_time = predicted_final_time
         self._progress_every = progress_every
         self._started = False
@@ -254,6 +257,8 @@ def build_pipeline(
     predicted = None
     if duration is not None and dt is not None:
         predicted = streaming.predict_final_time(duration, dt)
-    return MetricsPipeline(
+    pipeline = MetricsPipeline(
         observers, context, predicted_final_time=predicted, progress_every=progress_every
     )
+    pipeline.stop_armed = stop_on is not None
+    return pipeline

@@ -14,9 +14,9 @@ into a daemon that serves many clients from one cache:
 * :mod:`repro.service.server` -- the stdlib ``ThreadingHTTPServer`` front
   end (``POST /sweeps``, ``GET /jobs/{id}``, ``GET /results/{key}``,
   ``GET /healthz``, ``GET /specs``).  The cache is the API: result payloads
-  are served byte-for-byte from the cache files, keyed by the spec content
-  hash plus its ``.{backend}`` / ``.s{k}`` / ``.notrace`` / ``.obs-{digest}``
-  observation suffixes;
+  are served byte-for-byte from the cache files, keyed
+  ``{result_hash}.{backend}`` (the hash of the whole spec, observation
+  fields included, and the backend that ran it);
 * :mod:`repro.service.client` -- a small stdlib-only client
   (:class:`ServiceClient`, one kept ``http.client`` connection per calling
   thread) used by the tests and docs;

@@ -641,10 +641,10 @@ class SweepService:
         keys = [self.cache.key_for(spec) for spec in resolved]
         # ``probe`` costs one ``stat`` per spec and returns the entry's head
         # (validity fields + watchdog bodies), validated against the
-        # submitted spec on every call; only an entry this process has never
-        # seen is read and parsed, once.  It still runs *before* the service
-        # lock: thousands of stats -- or first-sight parses of another
-        # process's entries -- under the lock would serialize every
+        # submitted spec's key on every call; only an entry this process has
+        # never seen is read and parsed, once.  It still runs *before* the
+        # service lock: thousands of stats -- or first-sight parses of
+        # another process's entries -- under the lock would serialize every
         # concurrent submission and stall workers releasing leases.  The
         # race this opens is benign -- a spec cached between probe and
         # lease gets leased anyway and ``run_sweep``'s own probe serves it

@@ -12,9 +12,8 @@ GET     ``/jobs/{id}/events``  the job's live telemetry events (schema-stamped
                             JSONL records as a JSON list; ``?since=N`` resumes
                             from a cursor returned as ``next``)
 GET     ``/results/{key}``  the raw cache file for a result key, byte-for-byte
-                            (the key is the spec content hash plus its
-                            ``.{backend}``/``.s{k}``/``.notrace``/
-                            ``.obs-{digest}`` suffixes)
+                            (the key is ``{result_hash}.{backend}``: the
+                            hash of the whole spec and its backend)
 GET     ``/healthz``        liveness + version + cache/format info, and under
                             ``http`` the connections accepted and requests
                             answered so far
@@ -107,7 +106,8 @@ def _parse_submission(body: Dict[str, Any]) -> list:
     Two shapes are accepted: ``{"specs": [<spec dict>, ...]}`` (explicit
     specs, e.g. from :meth:`ScenarioSpec.to_dict`) and ``{"scenario":
     <name>, "grid": {...}, "base": {...}}`` (server-side grid expansion,
-    the HTTP twin of ``repro-experiments sweep``).
+    the HTTP twin of ``repro-experiments sweep``).  A spec whose backend
+    is not registered is refused here, not queued.
     """
     if not isinstance(body, dict):
         raise _HttpError(400, "request body must be a JSON object")
@@ -116,18 +116,19 @@ def _parse_submission(body: Dict[str, Any]) -> list:
         if not isinstance(raw, list) or not raw:
             raise _HttpError(400, "'specs' must be a non-empty list")
         try:
-            return [ScenarioSpec.from_dict(item) for item in raw]
+            specs = [ScenarioSpec.from_dict(item) for item in raw]
         except (SpecError, KeyError, TypeError, ValueError) as exc:
             raise _HttpError(400, f"invalid spec: {exc}")
-    if "scenario" in body:
+    elif "scenario" in body:
         grid = body.get("grid") or {}
         base = body.get("base") or {}
         if not isinstance(grid, dict) or not isinstance(base, dict):
             raise _HttpError(400, "'grid' and 'base' must be JSON objects")
         try:
             if grid:
-                return executor.expand_grid(body["scenario"], grid, base=base)
-            return [registry.scenario(body["scenario"], **base)]
+                specs = executor.expand_grid(body["scenario"], grid, base=base)
+            else:
+                specs = [registry.scenario(body["scenario"], **base)]
         except (
             registry.RegistryError,
             executor.ExecutorError,
@@ -136,7 +137,16 @@ def _parse_submission(body: Dict[str, Any]) -> list:
             ValueError,
         ) as exc:
             raise _HttpError(400, f"invalid scenario submission: {exc}")
-    raise _HttpError(400, "body needs either 'specs' or 'scenario'")
+    else:
+        raise _HttpError(400, "body needs either 'specs' or 'scenario'")
+    known = backend_names()
+    for spec in specs:
+        if spec.backend not in known:
+            raise _HttpError(
+                400,
+                f"unknown backend {spec.backend!r}; registered: {', '.join(known)}",
+            )
+    return specs
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -467,6 +467,8 @@ class VecEngine(FastEngine):
         """
         if end_time < self.time - 1e-12:
             raise EngineError("cannot run backwards in time")
+        if self.stopped_early:
+            return self.trace
         while self.time < end_time - 1e-9:
             self.step()
             if self.stopped_early:

@@ -4,8 +4,9 @@ The contract under test: ``probe(spec) is not None`` exactly when
 ``load(spec) is not None``; the index remembers what a file *says* under
 the file's ``(inode, size, mtime)`` and never a verdict, so a replaced,
 rewritten or deleted file is re-read (or missed), and ``_matches`` judges
-every answer against the spec that was asked for.  Standard library only:
-this file runs on the no-numpy CI leg.
+every answer against the key that was asked for: a file is valid when its
+own spec has that key.  Standard library only: this file runs on the
+no-numpy CI leg.
 """
 
 import copy
@@ -18,6 +19,7 @@ import threading
 import pytest
 
 import repro.experiments.executor as executor_mod
+import repro.experiments.spec as spec_mod
 from repro import __version__
 from repro.experiments import scenario
 from repro.experiments.executor import (
@@ -110,14 +112,17 @@ PAYLOAD_CASES = [
     ("written by other result semantics", _set("semantics", "0" * 32), False),
     ("semantics missing", _drop("semantics"), False),
     ("other spec_hash", _set("spec_hash", "0" * 64), False),
+    ("spec_hash missing", _drop("spec_hash"), False),
     ("other backend", _set("backend", "fast"), False),
     ("backend missing means reference", _drop("backend"), True),
+    ("spec on another backend than the file", _set("spec", "backend", "fast"), False),
     ("trace_stride + 1", _set("spec", "trace_stride", 2), False),
     ("other trace mode", _set("spec", "trace", "none"), False),
     ("other observers", _set("spec", "observers", ["global_skew"]), False),
     ("observers null", _set("spec", "observers", None), False),
     ("until_stable flipped", _set("spec", "until_stable", True), False),
-    ("spec missing means defaults", _drop("spec"), True),
+    ("spec missing", _drop("spec"), False),
+    ("spec of another scenario", _set("spec", "label", "other"), False),
     ("spec is a list", _set("spec", []), False),
     ("spec is null", _set("spec", None), False),
 ]
@@ -309,6 +314,42 @@ class TestNoParseWhenIndexed:
         cache.probe(SPEC)
         assert cache.load(SPEC) == payload
         assert "trace" not in cache.probe(SPEC) and "summary" not in cache.probe(SPEC)
+
+
+def _count_serialisations(monkeypatch):
+    """Count ``spec.canonical_json`` calls (one per spec hash) from here on."""
+    calls = []
+    real = spec_mod.canonical_json
+
+    def counting(payload):
+        calls.append(1)
+        return real(payload)
+
+    monkeypatch.setattr(spec_mod, "canonical_json", counting)
+    return calls
+
+
+class TestOneSerialisationPerSpec:
+    """A spec is hashed once to find its entry; the entry's own spec was
+    hashed when the entry was first seen, never again."""
+
+    SPECS = [scenario("quickstart_line", n=n, sim=dict(TINY_SIM)) for n in (4, 5, 6)]
+
+    def test_a_warm_sweep_serialises_each_spec_once(self, cache, monkeypatch):
+        run_sweep(self.SPECS, cache=cache)
+        calls = _count_serialisations(monkeypatch)
+        _, stats = run_sweep(self.SPECS, cache=cache)
+        assert stats.cached == len(self.SPECS)
+        assert len(calls) == len(self.SPECS)
+
+    def test_a_probe_of_an_indexed_entry_serialises_its_spec_once(
+        self, cache, monkeypatch
+    ):
+        run_sweep(self.SPECS, cache=cache)
+        calls = _count_serialisations(monkeypatch)
+        assert all(cache.probe(spec) is not None for spec in self.SPECS)
+        assert len(calls) == len(self.SPECS)
+        assert cache.probe_stats()["hits"] == len(self.SPECS)
 
 
 class TestTheTraceLine:

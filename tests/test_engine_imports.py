@@ -74,16 +74,34 @@ def is_self(owner: ast.expr) -> bool:
     return isinstance(owner, ast.Name) and owner.id == "self"
 
 
+def underscored_read(node: ast.AST):
+    """``(owner, name)`` of ``owner._name`` or ``getattr(owner, "_name", ...)``."""
+    if isinstance(node, ast.Attribute):
+        return node.value, node.attr
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and len(node.args) >= 2
+        and isinstance(node.args[1], ast.Constant)
+        and isinstance(node.args[1].value, str)
+    ):
+        return node.args[0], node.args[1].value
+    return None, ""
+
+
 def test_jit_reads_no_underscored_field_off_another_object():
-    """Every ``x._name`` in the jit engine has ``x`` = ``self`` (or is ``_rng``)."""
+    """Every ``x._name`` and ``getattr(x, "_name")`` in the jit engine has
+    ``x`` = ``self`` (or is ``_rng``)."""
     tree = ast.parse((PACKAGE / "jitsim/engine.py").read_text())
-    foreign = [
-        f"{ast.unparse(node)} (line {node.lineno})"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and node.attr.startswith("_")
-        and not node.attr.startswith("__")
-        and node.attr not in FOREIGN_ALLOWED
-        and not is_self(node.value)
-    ]
+    foreign = []
+    for node in ast.walk(tree):
+        owner, name = underscored_read(node)
+        if (
+            name.startswith("_")
+            and not name.startswith("__")
+            and name not in FOREIGN_ALLOWED
+            and not is_self(owner)
+        ):
+            foreign.append(f"{ast.unparse(node)} (line {node.lineno})")
     assert foreign == []

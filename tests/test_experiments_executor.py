@@ -45,24 +45,13 @@ class TestCache:
     def test_cache_file_is_keyed_by_content_hash_and_backend(self, runner):
         spec = tiny_spec()
         runner.run(spec)
-        # Reference keeps the historical name so stale pre-backend entries
-        # are overwritten; other backends get a distinct, suffixed name.
-        assert runner.cache.path_for(spec).name == f"{spec.content_hash()}.json"
+        # One hash of the whole spec, and the backend as the one suffix.
+        assert runner.cache.path_for(spec).name == f"{spec.result_hash()}.reference.json"
         fast = spec.with_backend("fast")
         assert fast.content_hash() == spec.content_hash()
-        assert runner.cache.path_for(fast).name == f"{spec.content_hash()}.fast.json"
+        assert fast.result_hash() != spec.result_hash()
+        assert runner.cache.path_for(fast).name == f"{fast.result_hash()}.fast.json"
         assert runner.cache.path_for(fast) != runner.cache.path_for(spec)
-
-    def test_stale_pre_backend_entry_is_overwritten_not_orphaned(self, runner):
-        spec = tiny_spec()
-        legacy = runner.cache.cache_dir / f"{spec.content_hash()}.json"
-        legacy.parent.mkdir(parents=True, exist_ok=True)
-        legacy.write_text(json.dumps({"format": 1, "spec_hash": spec.content_hash()}))
-        run = runner.run(spec)
-        assert not run.from_cache  # the v1 entry is a miss ...
-        payload = json.loads(legacy.read_text())
-        assert payload["format"] != 1  # ... and was overwritten in place
-        assert payload["backend"] == "reference"
 
     def test_corrupt_cache_entry_is_a_miss(self, runner):
         spec = tiny_spec()
@@ -207,7 +196,10 @@ class TestTraceNoneRuns:
     def test_traceless_cache_entry_is_distinct_and_round_trips(self, runner):
         spec = tiny_spec()
         traceless = spec.with_trace("none")
-        assert runner.cache.path_for(traceless).name.endswith(".notrace.json")
+        assert traceless.content_hash() == spec.content_hash()
+        assert runner.cache.path_for(traceless).name == (
+            f"{traceless.result_hash()}.reference.json"
+        )
         assert runner.cache.path_for(traceless) != runner.cache.path_for(spec)
         first = runner.run(traceless)
         second = runner.run(traceless)
@@ -234,7 +226,7 @@ class TestTraceNoneRuns:
         # Same scenario identity (same seeds) -- but a distinct cache entry,
         # because the cached payload contains different observer results.
         assert custom.content_hash() == spec.content_hash()
-        assert ".obs-" in runner.cache.path_for(custom).name
+        assert runner.cache.key_for(custom) == f"{custom.result_hash()}.reference"
         assert runner.cache.path_for(custom) != runner.cache.path_for(spec)
         run = runner.run(custom)
         assert set(run.report.payloads) == {"global_skew", "mode_counts"}

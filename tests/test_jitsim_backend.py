@@ -1,6 +1,6 @@
 """Unit tests for the jitsim subsystem: backend plumbing, provider
 resolution, graceful degradation without a compiler, the compiled-library
-cache, cache-key suffix, the one-run context builder and executor fallback
+cache, the cache key, the one-run context builder and executor fallback
 accounting."""
 
 import logging
@@ -203,13 +203,15 @@ class TestCompiledLibraryCache:
         assert sorted(cache.iterdir()) == sorted([original, rebuilt])
 
 
-class TestCacheKeySuffix:
+class TestCacheKey:
     def test_jit_results_get_their_own_cache_key(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = quick_spec()
-        reference_key = cache.key_for(spec)
-        jit_key = cache.key_for(spec.with_backend("jit"))
-        assert jit_key == reference_key + ".jit"
+        jit = spec.with_backend("jit")
+        assert jit.content_hash() == spec.content_hash()
+        assert cache.key_for(jit) != cache.key_for(spec)
+        assert cache.key_for(jit) == f"{jit.result_hash()}.jit"
+        assert ResultCache.backend_of_key(cache.key_for(jit)) == "jit"
 
     def test_backend_is_excluded_from_the_content_hash(self):
         spec = quick_spec()

@@ -360,7 +360,7 @@ class TestResultCacheLifecycle:
         stats = cache.stats()
         assert stats["entries"] == 3
         assert stats["total_bytes"] > 0
-        # {hash}.notrace is still a reference entry; .fast is the backend.
+        # A traceless run is still a reference entry; .fast is the backend.
         assert stats["by_backend"] == {"fast": 1, "reference": 2}
 
     def test_prune_older_than(self, tmp_path):
@@ -399,12 +399,15 @@ class TestResultCacheLifecycle:
 
     def test_backend_of_key(self):
         h = "a" * 64
-        assert ResultCache.backend_of_key(h) == "reference"
-        assert ResultCache.backend_of_key(f"{h}.fast") == "fast"
-        assert ResultCache.backend_of_key(f"{h}.vec.s4.notrace") == "vec"
-        assert ResultCache.backend_of_key(f"{h}.notrace") == "reference"
-        assert ResultCache.backend_of_key(f"{h}.s4") == "reference"
-        assert ResultCache.backend_of_key(f"{h}.obs-0a1b") == "reference"
+        for backend in ("reference", "fast", "vec", "jit", "my_backend-2"):
+            assert ResultCache.backend_of_key(f"{h}.{backend}") == backend
+        # Every observation of a spec keeps its backend readable in the key.
+        spec = tiny_spec().with_trace("none").with_trace_stride(4).with_observers(
+            "global_skew"
+        )
+        for backend in ("reference", "vec"):
+            key = ResultCache.key_for(spec.with_backend(backend).with_until_stable())
+            assert ResultCache.backend_of_key(key) == backend
 
     def test_path_for_key_rejects_escapes(self, tmp_path):
         from repro.experiments.executor import ExecutorError

@@ -167,13 +167,33 @@ class TestErrorHandling:
 
     def test_unknown_result_key_is_404(self, client):
         with pytest.raises(ClientError) as err:
-            client.result_bytes("ab" * 32)
+            client.result_bytes("ab" * 32 + ".reference")
         assert err.value.status == 404
 
     def test_invalid_spec_body_is_400(self, client):
         with pytest.raises(ClientError) as err:
             client._json("POST", "/sweeps", {"specs": [{"nonsense": True}]})
         assert err.value.status == 400
+
+    @pytest.mark.parametrize("backend", ["a/b", "no_such_backend"])
+    def test_a_spec_no_backend_can_run_is_400_and_nothing_is_queued(
+        self, client, backend
+    ):
+        spec = tiny_spec().to_dict()
+        spec["backend"] = backend
+        bodies = [
+            {"specs": [spec]},
+            {"scenario": "quickstart_line", "base": {"n": 4, "backend": backend}},
+            {"scenario": "quickstart_line", "grid": {"backend": ["reference", backend]}},
+        ]
+        for body in bodies:
+            with pytest.raises(ClientError) as err:
+                client._json("POST", "/sweeps", body)
+            assert err.value.status == 400
+            assert repr(backend) in str(err.value)
+        if backend == "no_such_backend":  # a name, but not a registered one
+            assert "registered: " in str(err.value) and "reference" in str(err.value)
+        assert client.healthz()["counters"]["jobs_submitted"] == 0
 
     def test_unknown_scenario_is_400(self, client):
         with pytest.raises(ClientError) as err:

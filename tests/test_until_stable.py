@@ -50,10 +50,12 @@ class TestSpecSurface:
         full = scenario("line_scaling", n=6)
         assert stable_spec().content_hash() == full.content_hash()
 
-    def test_cache_key_gets_stable_suffix(self, tmp_path):
+    def test_stable_run_gets_its_own_cache_key(self, tmp_path):
         cache = ResultCache(tmp_path)
         full = scenario("line_scaling", n=6)
-        assert cache.key_for(stable_spec()) == cache.key_for(full) + ".stable"
+        assert stable_spec().content_hash() == full.content_hash()
+        assert cache.key_for(stable_spec()) != cache.key_for(full)
+        assert cache.key_for(stable_spec()) == f"{stable_spec().result_hash()}.reference"
 
     def test_cache_isolation_between_full_and_stable(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -157,9 +157,10 @@ class TestVecEngineSurface:
         with pytest.raises(EngineError):
             engine.run(-1.0)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["reference", "fast"] + BACKENDS)
     def test_a_stopped_engine_is_frozen(self, backend):
-        """After an armed watchdog trips, a later ``run_until`` records and feeds nothing."""
+        """After an armed watchdog trips, a later ``run_until`` records, feeds
+        and steps nothing, on every backend."""
         spec = scenario("line_scaling", n=6, until_stable=True)
         built = registry.build_scenario(spec)
         engine = get_backend(backend).build(
@@ -176,10 +177,10 @@ class TestVecEngineSurface:
         engine.configure_recording(pipeline)
         engine.run(built.config.duration)
         assert engine.stopped_early is True
-        frozen = (len(engine.trace), pipeline.sample_count)
+        frozen = (len(engine.trace), pipeline.sample_count, engine.time)
         for end_time in (engine.time, built.config.duration):
             engine.run_until(end_time)
-            assert (len(engine.trace), pipeline.sample_count) == frozen
+            assert (len(engine.trace), pipeline.sample_count, engine.time) == frozen
             assert engine.stopped_early is True
 
     def test_step_advances_one_dt(self):
@@ -636,8 +637,9 @@ class TestTraceStride:
         runner = ExperimentRunner(cache_dir=tmp_path, workers=1)
         plain = self.strided(1)
         strided = self.strided(4)
+        assert plain.content_hash() == strided.content_hash()
         assert runner.cache.path_for(plain) != runner.cache.path_for(strided)
-        assert ".s4" in runner.cache.path_for(strided).name
+        assert runner.cache.key_for(strided) == f"{strided.result_hash()}.reference"
         runner.run_all([plain, strided])
         _, stats = runner.run_all([plain, strided])
         assert stats.cached == 2
