@@ -22,9 +22,9 @@ Both flavours use ``estimate_mode="broadcast"`` -- the adversary manipulates
 *message* delays, which only matters when estimates travel in messages.  The
 ``fast``, ``vec`` and ``jit`` backends carry broadcast estimates natively
 (columnar message transport, since 1.8.0), so the ``aopt`` flavour runs on
-every backend without a fallback.  The ``hardware_only`` flavour is declined
-there and runs on reference, because those backends run the AOPT family
-only -- not because of its estimate mode.
+every backend.  The ``hardware_only`` flavour is declined there (so
+``backend=auto`` runs it on reference), because those backends run the AOPT
+family only -- not because of its estimate mode.
 
 The packaged ``chaos_shifting_*`` scenario files are generated from this
 module (``python -m repro.chaos.adversarial``); the validate lint and the

@@ -4,7 +4,7 @@
 
     python -m repro.experiments list
     python -m repro.experiments run line_scaling --set n=8
-    python -m repro.experiments run line_scaling --set n=256 --set backend=fast
+    python -m repro.experiments run line_scaling --set n=256 --set backend=auto
     python -m repro.experiments sweep line_scaling --grid n=4,8,16 \\
         --grid algorithm=AOPT,MaxPropagation --workers 4
     python -m repro.experiments serve --port 8765        # sweep service daemon
@@ -31,10 +31,12 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis import report
 from ..fastsim.backend import (
+    AUTO,
+    AUTO_ORDER,
     BackendError,
     backend_available,
     backend_names,
-    get_backend,
+    declined_reason,
 )
 from ..fastsim.engine import UnsupportedScenarioError
 from ..metrics import MetricsError
@@ -102,6 +104,7 @@ def _summary_table(title: str, runs: Sequence[executor.ExperimentRun]) -> report
         [
             "label",
             "hash",
+            "backend",
             "nodes",
             "init gskew",
             "max gskew",
@@ -117,6 +120,7 @@ def _summary_table(title: str, runs: Sequence[executor.ExperimentRun]) -> report
         table.add_row(
             summary.label or run.spec.topology.name,
             run.spec.short_hash(),
+            run.spec.backend,
             summary.node_count,
             _fmt(summary.initial_global_skew),
             _fmt(summary.max_global_skew),
@@ -134,7 +138,6 @@ def _make_runner(args: argparse.Namespace) -> executor.ExperimentRunner:
         cache_dir=args.cache_dir,
         workers=args.workers,
         use_cache=not args.no_cache,
-        strict_backend=getattr(args, "strict_backend", False),
     )
 
 
@@ -175,7 +178,6 @@ def _emit_runs(
 def _declined_by(backend: str) -> str:
     """What a backend declines, found by asking it about probe specs: one
     per registered algorithm and dynamics, one with the diameter tracker."""
-    declines = getattr(get_backend(backend), "declines", lambda spec: None)
     probes = (
         [(f"algorithm {name}", {"algorithm": name}) for name in registry.ALGORITHMS.names()]
         + [(f"dynamics {name}", {"dynamics": name}) for name in registry.DYNAMICS.names()]
@@ -184,7 +186,7 @@ def _declined_by(backend: str) -> str:
     return ", ".join(
         label
         for label, fields in probes
-        if declines(ScenarioSpec(topology="line", backend=backend, **fields))
+        if declined_reason(ScenarioSpec(topology="line", backend=backend, **fields))
     )
 
 
@@ -202,7 +204,9 @@ def cmd_list(args: argparse.Namespace) -> int:
         f"algorithms: {', '.join(registry.ALGORITHMS.names())} "
         f"(aliases: {', '.join(sorted(registry.ALGORITHM_ALIASES))})"
     )
-    backends = []
+    # What auto resolves to on this machine: the installed engines, in order.
+    order = [name for name in AUTO_ORDER if backend_available(name)]
+    backends = [f"{AUTO} (first of {', '.join(order)} that runs the spec)"]
     for name in backend_names():
         if backend_available(name):
             if name == "jit":
@@ -218,7 +222,7 @@ def cmd_list(args: argparse.Namespace) -> int:
         declined = _declined_by(name)
         if declined:
             # Decided from the spec, before anything is built.
-            print(f"  {name} declines {declined} (such specs run on reference)")
+            print(f"  {name} declines {declined} (refused; {AUTO} picks another)")
     from ..metrics import DEFAULT_OBSERVERS, observer_names
 
     tagged = [
@@ -438,7 +442,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         config = ServiceConfig(
             workers=args.workers,
-            strict_backend=args.strict_backend,
             janitor_interval=args.janitor_interval,
             prune_older_than=args.prune_older_than,
             max_cache_bytes=args.max_bytes,
@@ -513,12 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", default=None, help="result cache directory")
     common.add_argument(
         "--no-cache", action="store_true", help="run without reading or writing the cache"
-    )
-    common.add_argument(
-        "--strict-backend",
-        action="store_true",
-        help="fail instead of falling back to the reference backend on "
-        "scenarios the selected backend cannot run",
     )
     common.add_argument(
         "--observers",
@@ -631,11 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, help="sweep worker processes"
     )
     serve_parser.add_argument("--cache-dir", default=None, help="result cache directory")
-    serve_parser.add_argument(
-        "--strict-backend",
-        action="store_true",
-        help="fail jobs instead of falling back to the reference backend",
-    )
     serve_parser.add_argument(
         "--log-file",
         default=None,

@@ -11,9 +11,9 @@ The executor turns specs into runs:
   pruning -- shared by one-shot CLI runs and the long-running sweep service
   (:mod:`repro.service`), whose ``GET /results/{key}`` API serves these
   files verbatim;
-* :func:`run_sweep` is THE sweep loop -- backend resolution (a spec its
-  backend declines runs as its ``reference`` twin), cache probe, pool
-  dispatch, cache store -- with an optional
+* :func:`run_sweep` is THE sweep loop -- backend resolution (``auto``
+  picks the engine; a spec its named backend declines is refused), cache
+  probe, pool dispatch, cache store -- with an optional
   per-spec progress callback; :class:`ExperimentRunner` is its thin
   stateful driver.  Because every source of randomness is seeded from the
   spec hash (see :mod:`repro.experiments.registry`), a parallel sweep is
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 import multiprocessing
 import os
 import re
@@ -40,8 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import __version__ as _library_version
-from ..fastsim.backend import declined_reason
-from ..fastsim.engine import UnsupportedScenarioError
+from ..fastsim.backend import resolve_backend
 from ..metrics import ObserverReport
 from ..telemetry.sweep import WATCHDOG_PREFIX, SweepTelemetry
 from . import registry
@@ -54,8 +52,6 @@ from .results import (
 )
 from .semantics import SEMANTICS
 from .spec import ScenarioSpec
-
-logger = logging.getLogger(__name__)
 
 _CACHE_DIR_ENV = "REPRO_EXPERIMENTS_CACHE_DIR"
 
@@ -114,9 +110,7 @@ class ExperimentRun:
     report: Optional[ObserverReport] = None
     from_cache: bool = False
     wall_time: float = 0.0
-    #: Set when the spec's backend could not run this scenario and the
-    #: executor fell back to ``reference`` (``spec.backend`` is then the
-    #: backend that actually ran).
+    #: Always ``None`` (nothing falls back); kept for the perf harness.
     requested_backend: Optional[str] = None
     #: Whether an armed watchdog ended the run before the full duration
     #: (``until_stable`` specs only; the report then covers the prefix up
@@ -157,58 +151,19 @@ class SweepStats:
     #: Always 0: every spec executes on its own engine.  Kept for readers
     #: of the field (the perf harness derives ``executor.batched_share``).
     batched: int = 0
-    #: Specs whose backend could not run them and fell back to reference.
+    #: Always 0 (nothing falls back); kept for the perf harness.
     fallbacks: int = 0
-    #: Fallback counts keyed by the backend that was originally requested
-    #: (e.g. ``{"jit": 2, "vec": 1}``), so jit fallbacks are reported
-    #: distinctly from vec ones.
-    fallback_backends: Dict[str, int] = field(default_factory=dict)
-    #: Of the fallbacks, how many were broadcast-estimate-mode specs, keyed
-    #: by origin backend.  Broadcast scenarios run on every backend now, so
-    #: a broadcast fallback signals a scenario feature the accelerated
-    #: engines still refuse (e.g. diameter tracking) -- worth reporting
-    #: separately from plain oracle fallbacks.
-    broadcast_fallbacks: Dict[str, int] = field(default_factory=dict)
     wall_time: float = 0.0
 
-    def count_fallback(self, backend: str, estimate_mode: str = "oracle") -> None:
-        """Record one reference fallback requested as ``backend``."""
-        self.fallbacks += 1
-        self.fallback_backends[backend] = self.fallback_backends.get(backend, 0) + 1
-        if estimate_mode == "broadcast":
-            self.broadcast_fallbacks[backend] = (
-                self.broadcast_fallbacks.get(backend, 0) + 1
-            )
-
     def describe(self) -> str:
-        extras = []
-        if self.fallbacks:
-            detail = ""
-            if self.fallback_backends:
-                parts = ", ".join(
-                    f"{count} from {backend}"
-                    for backend, count in sorted(self.fallback_backends.items())
-                )
-                detail = f" ({parts})"
-            extras.append(f"{self.fallbacks} fell back to reference{detail}")
-        if self.broadcast_fallbacks:
-            parts = ", ".join(
-                f"{count} from {backend}"
-                for backend, count in sorted(self.broadcast_fallbacks.items())
-            )
-            extras.append(f"broadcast-mode fallbacks: {parts}")
-        suffix = f" ({', '.join(extras)})" if extras else ""
         return (
             f"{self.total} spec(s): {self.cached} from cache, "
-            f"{self.executed} executed in {self.wall_time:.1f}s{suffix}"
+            f"{self.executed} executed in {self.wall_time:.1f}s"
         )
 
 
 def _run_from_payload(
-    spec: ScenarioSpec,
-    payload: Dict[str, Any],
-    from_cache: bool,
-    requested_backend: Optional[str] = None,
+    spec: ScenarioSpec, payload: Dict[str, Any], from_cache: bool
 ) -> ExperimentRun:
     return ExperimentRun(
         spec=spec,
@@ -218,7 +173,6 @@ def _run_from_payload(
         report=ObserverReport.from_payload(payload.get("observers")),
         from_cache=from_cache,
         wall_time=payload.get("wall_time", 0.0),
-        requested_backend=requested_backend,
         stopped_early=payload.get("stopped_early", False),
     )
 
@@ -749,11 +703,9 @@ class SweepEvent:
 
     ``kind`` is ``"cached"`` (served from the cache, or from an earlier
     occurrence of the same spec in this sweep), ``"start"`` (about to
-    execute), ``"executed"`` (result computed and stored) or ``"fallback"``
-    (the spec's backend declined it and the reference backend answered
-    instead -- ``spec`` is then the reference spec and ``from_cache`` tells
-    whether the reference result was already cached).  ``index`` is the
-    spec's position in the ``specs`` sequence passed to ``run_sweep``.
+    execute) or ``"executed"`` (result computed and stored); ``spec`` is
+    the spec on the backend that runs it.  ``index`` is the spec's
+    position in the ``specs`` sequence passed to ``run_sweep``.
     """
 
     kind: str
@@ -772,7 +724,7 @@ def run_sweep(
     cache: Optional[ResultCache] = None,
     workers: int = 1,
     use_cache: bool = True,
-    strict_backend: bool = False,
+    strict_backend: bool = False,  # ignored; kept for the perf harness
     on_event: Optional[SweepCallback] = None,
     telemetry: Optional[SweepTelemetry] = None,
 ) -> Tuple[List[ExperimentRun], SweepStats]:
@@ -783,12 +735,12 @@ def run_sweep(
     (:class:`ExperimentRunner`) and the sweep service daemon
     (:mod:`repro.service`); neither forks its own copy.
 
-    Which backend runs a spec is decided first, from the spec alone
-    (:func:`~repro.fastsim.backend.declined_reason`): a declined spec is
-    an ordinary ``reference`` spec from then on, with a logged warning --
-    or, with ``strict_backend``, an :class:`UnsupportedScenarioError`
-    before anything is built.  An engine that still refuses its spec
-    fails the sweep; nothing is re-routed after the fact.  Cache hits are
+    Which backend runs a spec is decided first, from the spec alone, for
+    every spec before any is probed or built
+    (:func:`~repro.fastsim.backend.resolve_backend`): ``auto`` becomes the
+    engine that runs it, and a spec its named backend cannot run raises.
+    An engine that still refuses its spec fails the sweep; nothing is
+    re-routed.  ``strict_backend`` is accepted and ignored.  Cache hits are
     served directly.  Misses that share a cache key execute once: the
     first occurrence runs and stores, the later ones are handed its result
     and count (and report) as ``cached`` once it exists.  The distinct
@@ -800,7 +752,7 @@ def run_sweep(
     :meth:`ResultCache.fetch` -- until it is read) as soon as it exists.
 
     ``on_event`` receives a :class:`SweepEvent` per spec transition (cache
-    hit, execution start/finish, fallback), which is how the daemon streams
+    hit, execution start/finish), which is how the daemon streams
     per-spec job progress without the loop knowing anything about jobs.
 
     ``telemetry`` (a :class:`~repro.telemetry.SweepTelemetry`) additionally
@@ -817,23 +769,7 @@ def run_sweep(
     started = time.perf_counter()
     batch = SweepStats(total=len(specs))
 
-    resolved: List[ScenarioSpec] = []  # what will execute
-    fell_back = set()
-    for index, spec in enumerate(specs):
-        reason = declined_reason(spec)
-        if reason is not None:
-            if strict_backend:
-                raise UnsupportedScenarioError(reason)
-            logger.warning(
-                "backend %r cannot run %s (%s); falling back to 'reference'",
-                spec.backend,
-                spec.label or spec.topology.name,
-                reason,
-            )
-            batch.count_fallback(spec.backend, spec.sim.get("estimate_mode", "oracle"))
-            fell_back.add(index)
-            spec = spec.with_backend("reference")
-        resolved.append(spec)
+    resolved = [resolve_backend(spec) for spec in specs]  # what will execute
 
     if telemetry is not None:
         telemetry.sweep_started(len(specs))
@@ -852,18 +788,10 @@ def run_sweep(
     def settle(index, spec, payload, from_cache) -> None:
         # A result becomes its run the moment it exists, so the sweep never
         # holds more than the payload(s) in hand beside the runs.
-        runs[index] = _run_from_payload(
-            spec,
-            payload,
-            from_cache,
-            requested_backend=specs[index].backend if index in fell_back else None,
-        )
+        runs[index] = _run_from_payload(spec, payload, from_cache)
         if from_cache:
             batch.cached += 1
-        if index in fell_back:
-            kind = "fallback"
-        else:
-            kind = "cached" if from_cache else "executed"
+        kind = "cached" if from_cache else "executed"
         notify(SweepEvent(kind, index, spec, from_cache=from_cache))
         if telemetry is not None:
             # No-op for runs that streamed live; cache hits and pool
@@ -917,7 +845,7 @@ class ExperimentRunner:
     :class:`ResultCache` and default execution settings, and ``stats``
     accumulates over the runner's lifetime; :meth:`run_all` also returns
     the stats of that one batch.  See :func:`run_sweep` for the sweep
-    semantics (reference fallback, ``strict_backend``).
+    semantics (``auto``, declined specs).
     """
 
     def __init__(
@@ -926,14 +854,12 @@ class ExperimentRunner:
         *,
         workers: int = 1,
         use_cache: bool = True,
-        strict_backend: bool = False,
     ):
         if workers < 1:
             raise ExecutorError(f"workers must be >= 1, got {workers}")
         self.cache = ResultCache(cache_dir)
         self.workers = workers
         self.use_cache = use_cache
-        self.strict_backend = strict_backend
         self.stats = SweepStats()
 
     # -- execution ------------------------------------------------------
@@ -953,21 +879,11 @@ class ExperimentRunner:
             cache=self.cache,
             workers=self.workers if workers is None else workers,
             use_cache=self.use_cache,
-            strict_backend=self.strict_backend,
             telemetry=telemetry,
         )
         self.stats.total += batch.total
         self.stats.cached += batch.cached
         self.stats.executed += batch.executed
-        self.stats.fallbacks += batch.fallbacks
-        for backend, count in batch.fallback_backends.items():
-            self.stats.fallback_backends[backend] = (
-                self.stats.fallback_backends.get(backend, 0) + count
-            )
-        for backend, count in batch.broadcast_fallbacks.items():
-            self.stats.broadcast_fallbacks[backend] = (
-                self.stats.broadcast_fallbacks.get(backend, 0) + count
-            )
         self.stats.wall_time += batch.wall_time
         return runs, batch
 

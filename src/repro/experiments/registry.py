@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.hardware_only import hardware_only_factory
-from ..fastsim.backend import AOPT_FAMILY, BACKENDS, backend_names
+from ..fastsim.backend import AOPT_FAMILY
 from ..baselines.immediate_insertion import immediate_insertion_factory
 from ..baselines.max_algorithm import max_propagation_factory
 from ..baselines.threshold_gradient import threshold_gradient_factory
@@ -513,11 +513,6 @@ def build_graph(spec: ScenarioSpec) -> Tuple[DynamicGraph, Dict[str, Any]]:
 
 def build_scenario(spec: ScenarioSpec) -> MaterialisedScenario:
     """Materialise a spec: graph, drift/delay models, config and algorithm."""
-    if spec.backend not in BACKENDS:
-        raise RegistryError(
-            f"unknown backend {spec.backend!r}; known: "
-            + ", ".join(backend_names())
-        )
     params = Parameters(**spec.params)
     params.validate()
     seed = spec.base_seed()
@@ -593,6 +588,7 @@ def scenario(name: str, **overrides: Any) -> ScenarioSpec:
     Each of :data:`~repro.experiments.spec.OBSERVATION_FIELDS` is accepted
     as a pseudo-override for every named scenario, so the individual
     builders need not know about execution concerns: the CLI can say
+    ``--set backend=auto`` (the fastest engine that runs the spec) or
     ``--set backend=vec``, sweep ``--grid backend=reference,fast,vec``,
     thin long traces with ``--set trace_stride=10``, run memory-bounded
     with ``--set trace=none``, or stop at stability with

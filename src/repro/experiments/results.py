@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import __version__ as _library_version
-from ..fastsim.backend import get_backend
+from ..fastsim.backend import get_backend, resolve_backend
 from ..metrics import DEFAULT_OBSERVERS, ObserverReport, build_pipeline
 from ..sim.trace import Trace, TraceSample
 from ..telemetry.schema import sanitize_json
@@ -419,9 +419,10 @@ def execute_spec(
 ) -> Dict[str, Any]:
     """Run one spec to completion and return the cacheable payload.
 
-    The spec's ``backend`` field picks the engine (reference, fast, vec or jit);
-    every backend receives the identical materialised scenario because seeds
-    derive from the backend-independent content hash.  Summaries come from
+    The spec's ``backend`` field picks the engine (reference, fast, vec or
+    jit; ``auto`` is resolved first, and the payload names the engine that
+    ran); every backend receives the identical materialised scenario because
+    seeds derive from the backend-independent content hash.  Summaries come from
     the streaming observer pipeline, which every engine feeds during the
     run; with ``trace: none`` the run keeps no samples at all.
 
@@ -430,6 +431,7 @@ def execute_spec(
     cannot change the payload.
     """
     started = time.perf_counter()
+    spec = resolve_backend(spec)
     scenario = registry.build_scenario(spec)
     engine = get_backend(spec.backend).build(
         scenario.graph, scenario.algorithm_factory, scenario.config

@@ -49,7 +49,7 @@ RESULT_MODULES = (
 #: the chaos pack (a chaos spec names its scenario file, not its content).
 RESULT_DATA = ("jitsim/_fused_loop.c", "chaos/scenarios/*.json")
 
-SEMANTICS = "1d141c36599beed2053658c51d837285"
+SEMANTICS = "02a4fb07061685ff30bfc6de05e9a81f"
 
 
 def result_files(root: Optional[Path] = None) -> List[Path]:

@@ -15,8 +15,8 @@ Modules:
   two extreme leads, which keep ``evaluate_mode_flat``'s level scan);
 * :mod:`repro.fastsim.engine` -- :class:`~repro.fastsim.engine.FastEngine`;
 * :mod:`repro.fastsim.backend` -- the pluggable
-  :class:`~repro.fastsim.backend.EngineBackend` registry (``"reference"`` /
-  ``"fast"``) used by :mod:`repro.experiments`.
+  :class:`~repro.fastsim.backend.EngineBackend` registry and its gate
+  :func:`~repro.fastsim.backend.resolve_backend` used by :mod:`repro.experiments`.
 """
 
 from .backend import (
@@ -33,6 +33,7 @@ from .backend import (
     declined_reason,
     get_backend,
     register_backend,
+    resolve_backend,
 )
 from .engine import FastEngine, FastsimError, UnsupportedScenarioError
 
@@ -53,4 +54,5 @@ __all__ = [
     "declined_reason",
     "get_backend",
     "register_backend",
+    "resolve_backend",
 ]

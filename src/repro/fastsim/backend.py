@@ -30,19 +30,24 @@ Four backends ship with the library:
 Backends are selected per scenario through the ``backend`` field of
 :class:`repro.experiments.spec.ScenarioSpec` (and hence from the CLI via
 ``--set backend=vec`` or a ``--grid backend=reference,fast,vec`` sweep
-axis).  The registry here is intentionally tiny and open: downstream code
-can register additional executors (e.g. a process-sharded one) without
-touching the experiments subsystem.
+axis).  ``backend="auto"`` names no engine: it runs the spec on the first
+of :data:`AUTO_ORDER` that is installed and does not decline it.  The
+registry here is intentionally tiny and open: downstream code can register
+additional executors (e.g. a process-sharded one) without touching the
+experiments subsystem.
 
 The backend object is the one place that says what a backend does.  Beyond
 ``build`` it may offer ``available()`` (are its optional dependencies
-installed?), ``declines(spec)`` (a reason when it will not run the spec,
-decided from the spec alone -- the sweep executor then runs the spec's
-``reference`` twin).
+installed?) and ``declines(spec)`` (a reason when it will not run the
+spec, decided from the spec alone).  :func:`resolve_backend` is the one
+gate every run passes before anything is materialised, built or keyed: it
+turns ``auto`` into a backend name, and refuses a spec whose named backend
+is unknown, not installed or declines it -- that spec runs nowhere else.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 
 from typing import Dict, List, Optional
@@ -50,7 +55,7 @@ from typing import Dict, List, Optional
 from ..core.interfaces import AlgorithmFactory
 from ..network.dynamic_graph import DynamicGraph
 from ..sim.runner import SimulationConfig, build_engine
-from .engine import FastEngine
+from .engine import FastEngine, UnsupportedScenarioError
 
 try:  # Python 3.8+: typing.Protocol is available from 3.8 onwards.
     from typing import Protocol, runtime_checkable
@@ -150,8 +155,9 @@ class FastBackend:
         return FastEngine(graph, algorithm_factory, config)
 
 
+@functools.lru_cache(maxsize=None)
 def _numpy_available() -> bool:
-    """Whether numpy can be imported (monkeypatchable in tests)."""
+    """Whether numpy can be imported (looked up once; monkeypatchable in tests)."""
     try:
         return importlib.util.find_spec("numpy") is not None
     except ImportError:
@@ -162,23 +168,16 @@ class VecBackend:
     """The NumPy-vectorized engine (AOPT, oracle/broadcast estimates, bit-identical).
 
     Registered unconditionally so ``backend='vec'`` is always a *known* name;
-    building without numpy raises :class:`BackendUnavailableError` that lists
-    the backends which are actually runnable.
+    without numpy it raises :class:`BackendUnavailableError` (what it
+    ``needs``, and the backends which are actually runnable).
     """
 
     name = "vec"
     declines = staticmethod(_columnar_declines)
+    needs = "numpy, which is not installed (pip install 'repro[vec]')"
 
     def available(self) -> bool:
         return _numpy_available()
-
-    def _require(self) -> None:
-        if not self.available():
-            raise BackendUnavailableError(
-                "the 'vec' backend needs numpy, which is not installed "
-                "(pip install 'repro[vec]'); installed backends: "
-                + ", ".join(available_backend_names())
-            )
 
     def build(
         self,
@@ -186,7 +185,7 @@ class VecBackend:
         algorithm_factory: AlgorithmFactory,
         config: SimulationConfig,
     ):
-        self._require()
+        _require_available(self.name)
         from ..vecsim.engine import VecEngine
 
         return VecEngine(graph, algorithm_factory, config)
@@ -203,6 +202,7 @@ class JitBackend:
 
     name = "jit"
     declines = staticmethod(_columnar_declines)
+    needs = "numpy and a C compiler (pip install 'repro[jit]')"
 
     def available(self) -> bool:
         if not _numpy_available():
@@ -211,21 +211,13 @@ class JitBackend:
 
         return providers.provider_available()
 
-    def _require(self) -> None:
-        if not self.available():
-            raise BackendUnavailableError(
-                "the 'jit' backend needs numpy and a C compiler "
-                "(pip install 'repro[jit]'); "
-                "installed backends: " + ", ".join(available_backend_names())
-            )
-
     def build(
         self,
         graph: DynamicGraph,
         algorithm_factory: AlgorithmFactory,
         config: SimulationConfig,
     ):
-        self._require()
+        _require_available(self.name)
         from ..jitsim.engine import JitEngine
 
         return JitEngine(graph, algorithm_factory, config)
@@ -273,19 +265,63 @@ def available_backend_names() -> List[str]:
     return [name for name in backend_names() if backend_available(name)]
 
 
+def _require_available(name: str) -> None:
+    """Raise :class:`BackendUnavailableError` -- what the backend ``needs``
+    and what is installed -- unless backend ``name`` can run here."""
+    if not backend_available(name):
+        needs = getattr(BACKENDS[name], "needs", "a dependency that is missing")
+        raise BackendUnavailableError(
+            f"the {name!r} backend needs {needs}; installed backends: "
+            + ", ".join(available_backend_names())
+        )
+
+
 def declined_reason(spec) -> Optional[str]:
     """Why ``spec.backend`` will not run ``spec``; ``None`` when it will.
 
     The backend's optional ``declines(spec)`` answers from the spec alone;
-    nothing is materialised or built.  A backend that is not installed (or
-    not registered) declines nothing: building on it is an error, install
-    hint included, never a reason to run the spec somewhere else.
+    nothing is materialised or built.  A name that is not registered
+    declines nothing: :func:`resolve_backend` refuses it first.
     """
     declines = getattr(BACKENDS.get(spec.backend), "declines", None)
-    reason = declines(spec) if declines is not None else None
-    if reason is not None and not backend_available(spec.backend):
-        return None
-    return reason
+    return declines(spec) if declines is not None else None
+
+
+#: The backend name that picks an engine per spec.
+AUTO = "auto"
+
+#: What ``auto`` tries, fastest first; ``reference`` declines nothing.
+AUTO_ORDER = ("jit", "fast", "reference")
+
+
+def resolve_backend(spec):
+    """``spec`` on the engine that will run it, decided from the spec alone.
+
+    ``backend="auto"`` becomes the first of :data:`AUTO_ORDER` that is
+    installed and does not decline the spec.  A named backend runs the spec
+    as it is, or the spec is refused before anything is materialised, built
+    or keyed: :class:`BackendError` for a name nobody registered,
+    :class:`BackendUnavailableError` for a backend that cannot run here,
+    and :class:`UnsupportedScenarioError` for one that declines the spec
+    (the message says where ``backend=auto`` runs it).
+    """
+    if spec.backend == AUTO:
+        for name in AUTO_ORDER:
+            candidate = spec.with_backend(name)
+            if backend_available(name) and declined_reason(candidate) is None:
+                return candidate
+        raise UnsupportedScenarioError(f"no backend of {AUTO_ORDER} runs the spec")
+    if spec.backend not in BACKENDS:
+        raise BackendError(
+            f"unknown backend {spec.backend!r}; registered: "
+            + ", ".join([AUTO, *backend_names()])
+        )
+    _require_available(spec.backend)
+    reason = declined_reason(spec)
+    if reason is not None:
+        auto = resolve_backend(spec.with_backend(AUTO)).backend
+        raise UnsupportedScenarioError(f"{reason}; backend=auto runs it on {auto!r}")
+    return spec
 
 
 register_backend(ReferenceBackend())

@@ -2,7 +2,7 @@
 
 The one-shot :mod:`repro.experiments` executor already has everything a
 shared service needs -- content-hashed :class:`ScenarioSpec` identities, an
-on-disk result cache, parallel workers, backend fallback -- but as a CLI
+on-disk result cache, parallel workers, backend resolution -- but as a CLI
 every user pays full simulation cost.  This package turns that machinery
 into a daemon that serves many clients from one cache:
 

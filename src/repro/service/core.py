@@ -17,9 +17,9 @@ loop the CLI uses -- the daemon adds *sharing*, not a second executor:
   concurrent job submitting the same key *follows* the lease and waits for
   the one execution.  N clients submitting the identical spec cost one
   simulation, then everyone reads the same cache entry.
-  A spec its backend declines runs as its ``reference`` twin (``run_sweep``
-  decides the same way, from the spec alone), so ``submit`` probes, leases
-  and reports the twin's key -- the key the result file will have.
+  ``submit`` resolves each spec's backend first (``auto`` becomes the
+  engine that runs it, so it shares that engine's key) and refuses a spec
+  its named backend cannot run before anything is keyed or queued.
 * **Progress.**  ``run_sweep`` progress events update per-spec job state
   and stream to the JSONL telemetry log, so ``GET /jobs/{id}`` and
   ``tail -f`` both see live sweep progress.
@@ -69,7 +69,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..experiments.executor import ResultCache, SweepEvent, run_sweep
 from ..experiments.spec import ScenarioSpec
-from ..fastsim.backend import backend_available, backend_names, declined_reason
+from ..fastsim.backend import (
+    BackendError,
+    backend_available,
+    backend_names,
+    resolve_backend,
+)
+from ..fastsim.engine import UnsupportedScenarioError
 from ..telemetry.events import JsonlLog
 from ..telemetry.sweep import SweepTelemetry
 
@@ -109,7 +115,6 @@ class ServiceConfig:
 
     #: Worker processes draining the job queue (the one parallelism setting).
     workers: int = 2
-    strict_backend: bool = False
     #: Hard cap on specs per submission (one grid expansion can explode).
     max_specs_per_job: int = 4096
     #: Finished jobs retained for ``GET /jobs/{id}`` before being forgotten.
@@ -162,7 +167,7 @@ def _close_inherited_fds(keep: int) -> None:
                 pass  # the listing's own descriptor, already gone
 
 
-def _worker_main(conn, cache_dir: str, strict_backend: bool, forked: bool) -> None:
+def _worker_main(conn, cache_dir: str, forked: bool) -> None:
     """One worker process: run each job the daemon sends, until EOF.
 
     A job arrives as a list of spec dicts.  Up the pipe go
@@ -205,7 +210,6 @@ def _worker_main(conn, cache_dir: str, strict_backend: bool, forked: bool) -> No
                 cache=cache,
                 workers=1,
                 use_cache=True,
-                strict_backend=strict_backend,
                 on_event=on_event,
                 telemetry=telemetry,
             )
@@ -215,7 +219,6 @@ def _worker_main(conn, cache_dir: str, strict_backend: bool, forked: bool) -> No
                     "total": stats.total,
                     "cached": stats.cached,
                     "executed": stats.executed,
-                    "fallbacks": stats.fallbacks,
                     "wall_time": stats.wall_time,
                 },
             )
@@ -616,7 +619,9 @@ class SweepService:
         Specs whose results are cached complete instantly; specs another
         in-flight job is already executing are *coalesced* onto that
         execution; only the rest are leased for execution by this job.  A
-        fully cache-served submission never enters the queue at all.
+        fully cache-served submission never enters the queue at all.  A
+        spec whose backend is unknown, not installed or declines it raises
+        :class:`ServiceError` before anything is counted or queued.
         """
         if self._draining:
             raise ServiceUnavailableError(
@@ -629,16 +634,13 @@ class SweepService:
                 f"submission of {len(specs)} specs exceeds the per-job cap "
                 f"of {self.config.max_specs_per_job}"
             )
-        # What will execute: a declined spec runs as its reference twin, so
-        # keys, probes and leases name the file the result will have.
-        # ``strict_backend`` leaves the spec alone for the sweep to refuse.
-        resolved = [
-            spec
-            if self.config.strict_backend or declined_reason(spec) is None
-            else spec.with_backend("reference")
-            for spec in specs
-        ]
-        keys = [self.cache.key_for(spec) for spec in resolved]
+        # What will execute, so keys, probes and leases name the file the
+        # result will have; a spec its backend will not run is refused here.
+        try:
+            specs = [resolve_backend(spec) for spec in specs]
+        except (BackendError, UnsupportedScenarioError) as exc:
+            raise ServiceError(str(exc)) from exc
+        keys = [self.cache.key_for(spec) for spec in specs]
         # ``probe`` costs one ``stat`` per spec and returns the entry's head
         # (validity fields + watchdog bodies), validated against the
         # submitted spec's key on every call; only an entry this process has
@@ -649,12 +651,9 @@ class SweepService:
         # race this opens is benign -- a spec cached between probe and
         # lease gets leased anyway and ``run_sweep``'s own probe serves it
         # from cache without re-executing.
-        probes = [self.cache.probe(spec) for spec in resolved]
+        probes = [self.cache.probe(spec) for spec in specs]
         hits = [head is not None for head in probes]
         job = Job(uuid.uuid4().hex[:12], specs, keys)
-        for entry, spec, twin in zip(job.progress, specs, resolved):
-            if twin is not spec:
-                entry["fallback_backend"] = twin.backend
         enqueued = False
         with self._lock:
             if self._draining:
@@ -712,7 +711,7 @@ class SweepService:
         try:
             if any(hits):
                 telemetry = SweepTelemetry(self._fan_out_for(job))
-                for index, (spec, head) in enumerate(zip(resolved, probes)):
+                for index, (spec, head) in enumerate(zip(specs, probes)):
                     if head is not None:
                         telemetry.replay_watchdogs(index, spec, head)
         finally:
@@ -731,7 +730,6 @@ class SweepService:
             args=(
                 worker_end,
                 str(self.cache.cache_dir),
-                self.config.strict_backend,
                 _MP.get_start_method() == "fork",
             ),
             name="sweep-worker",
@@ -830,7 +828,7 @@ class SweepService:
                 # Another writer completed this key between our submit-time
                 # probe and the sweep's own probe -- still a shared win.
                 fields = {"state": "cached", "from_cache": True}
-            else:  # executed / fallback
+            else:  # executed
                 fields = {"state": "done", "from_cache": from_cache}
                 if not from_cache:
                     with self._lock:

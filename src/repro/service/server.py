@@ -49,7 +49,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..experiments import executor, registry
 from ..experiments.spec import ScenarioSpec, SpecError
-from ..fastsim.backend import backend_available, backend_names
+from ..fastsim.backend import AUTO, backend_available, backend_names
 from .core import ServiceError, ServiceUnavailableError, SweepService
 
 #: Submissions larger than this are rejected up front (413) -- a grid body
@@ -89,10 +89,8 @@ def _specs_payload() -> Dict[str, Any]:
         "drifts": list(registry.DRIFTS.names()),
         "delays": list(registry.DELAYS.names()),
         "algorithms": list(registry.ALGORITHMS.names()),
-        "backends": [
-            {"name": name, "available": backend_available(name)}
-            for name in backend_names()
-        ],
+        "backends": [{"name": AUTO, "available": True}]
+        + [{"name": name, "available": backend_available(name)} for name in backend_names()],
         "observers": [
             {"name": name, "default": name in DEFAULT_OBSERVERS}
             for name in observer_names()
@@ -106,8 +104,7 @@ def _parse_submission(body: Dict[str, Any]) -> list:
     Two shapes are accepted: ``{"specs": [<spec dict>, ...]}`` (explicit
     specs, e.g. from :meth:`ScenarioSpec.to_dict`) and ``{"scenario":
     <name>, "grid": {...}, "base": {...}}`` (server-side grid expansion,
-    the HTTP twin of ``repro-experiments sweep``).  A spec whose backend
-    is not registered is refused here, not queued.
+    the HTTP twin of ``repro-experiments sweep``).
     """
     if not isinstance(body, dict):
         raise _HttpError(400, "request body must be a JSON object")
@@ -139,13 +136,6 @@ def _parse_submission(body: Dict[str, Any]) -> list:
             raise _HttpError(400, f"invalid scenario submission: {exc}")
     else:
         raise _HttpError(400, "body needs either 'specs' or 'scenario'")
-    known = backend_names()
-    for spec in specs:
-        if spec.backend not in known:
-            raise _HttpError(
-                400,
-                f"unknown backend {spec.backend!r}; registered: {', '.join(known)}",
-            )
     return specs
 
 

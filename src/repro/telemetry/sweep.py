@@ -62,7 +62,6 @@ class SweepTelemetry:
             total=getattr(stats, "total", None),
             executed=getattr(stats, "executed", None),
             cached=getattr(stats, "cached", None),
-            fallbacks=getattr(stats, "fallbacks", None),
             wall_time=getattr(stats, "wall_time", None),
         )
 
@@ -80,8 +79,6 @@ class SweepTelemetry:
             self.emit("run_started", **common)
         elif event.kind == "cached":
             self.emit("run_finished", state="cached", **common)
-        elif event.kind == "fallback":
-            self.emit("run_finished", state="fallback", **common)
         else:  # executed
             self.emit("run_finished", state="done", **common)
 

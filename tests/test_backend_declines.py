@@ -1,15 +1,17 @@
 """Which backend runs a spec is decided once, from the spec.
 
-``declines`` on the backend object is the gate ``run_sweep`` and the sweep
-service consult before anything is probed or built.  These tests hold it in
-agreement with the engine constructors' guards over every registered
-scenario, count what a sweep materialises (counted, never timed), pin the
-daemon's one-key-per-spec contract, and run a fourth backend registered from
-here through ``run_sweep`` untouched.
+``resolve_backend`` -- over each backend's ``declines`` -- is the gate
+``run_sweep``, ``execute_spec`` and the sweep service pass before anything
+is probed or built: ``auto`` becomes the engine that runs the spec, and a
+spec its named backend will not run is refused.  These tests hold
+``declines`` in agreement with the engine constructors' guards over every
+registered scenario, pin what ``auto`` picks for every named scenario,
+count what a sweep materialises (counted, never timed), pin the daemon's
+one-key-per-spec contract, and run a fourth backend registered from here
+through ``run_sweep`` untouched.
 """
 
 import dataclasses
-import logging
 
 import pytest
 
@@ -17,20 +19,26 @@ from repro.experiments import ResultCache, expand_grid, registry, run_sweep, sce
 from repro.experiments import cli
 from repro.experiments.spec import ComponentSpec, ScenarioSpec
 from repro.fastsim import backend as backend_mod
+from repro.experiments.results import execute_spec
 from repro.fastsim.backend import (
+    AUTO_ORDER,
     BACKENDS,
+    BackendError,
     BackendUnavailableError,
     backend_available,
     declined_reason,
     get_backend,
     register_backend,
+    resolve_backend,
 )
 from repro.fastsim.engine import UnsupportedScenarioError
 from repro.service import ServiceConfig, SweepService
+from repro.service.core import ServiceError
 from repro.sim.runner import build_engine
 
 COLUMNAR = [name for name in ("fast", "vec", "jit") if backend_available(name)]
-needs_vec = pytest.mark.skipif(not backend_available("vec"), reason="needs numpy")
+#: What ``auto`` runs a spec no backend declines on, on this machine.
+FASTEST = "jit" if backend_available("jit") else "fast"
 
 SHORT = {"duration": 4.0}
 
@@ -114,8 +122,10 @@ class TestDeclinesAgreesWithTheEngineGuards:
     def test_reference_and_unknown_backends_decline_nothing(self):
         spec = declined_spec("reference")
         assert declined_reason(spec) is None
-        # Materialising reports an unknown name; it is not this gate's call.
+        # An unknown name declines nothing: the gate refuses it first.
         assert declined_reason(spec.with_backend("warp")) is None
+        with pytest.raises(BackendError, match="unknown backend 'warp'; registered: auto, "):
+            resolve_backend(spec.with_backend("warp"))
 
     def test_list_renders_what_each_backend_declines_from_declines(self, capsys):
         assert cli.main(["list"]) == 0
@@ -126,29 +136,80 @@ class TestDeclinesAgreesWithTheEngineGuards:
             assert "dynamics crash_restart" in line
             assert "sim.track_diameter" in line
             assert "aopt" not in line and "partition_then_heal" not in line
+            assert line.endswith("(refused; auto picks another)")
         assert "reference declines" not in out
+        order = ", ".join(name for name in AUTO_ORDER if backend_available(name))
+        assert f"auto (first of {order} that runs the spec)" in out
+
+
+# ----------------------------------------------------------------------
+# auto: the first of AUTO_ORDER that is installed and does not decline
+# ----------------------------------------------------------------------
+#: The named scenarios every columnar backend declines at their defaults.
+REFERENCE_ONLY = {
+    "chaos_crash_restart_grid",
+    "chaos_crash_restart_hub",
+    "chaos_crash_restart_line",
+    "chaos_crash_restart_ring",
+    "chaos_shifting_accumulate_n6",
+    "chaos_shifting_accumulate_n10",
+}
+
+
+class TestAuto:
+    def test_what_auto_picks_for_every_named_scenario(self):
+        picked = {
+            name: resolve_backend(scenario(name, backend="auto")).backend
+            for name in registry.SCENARIOS.names()
+        }
+        assert len(picked) == 34
+        assert {name for name, b in picked.items() if b == "reference"} == REFERENCE_ONLY
+        assert {b for name, b in picked.items() if name not in REFERENCE_ONLY} == {FASTEST}
+
+    def test_without_numpy_auto_picks_fast(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "_numpy_available", lambda: False)
+        assert resolve_backend(scenario("quickstart_line", backend="auto")).backend == "fast"
+        assert resolve_backend(declined_spec("auto")).backend == "reference"
+
+    def test_a_concrete_spec_resolves_to_itself(self):
+        spec = scenario("quickstart_line", backend="fast")
+        assert resolve_backend(spec) is spec
+
+    def test_an_auto_spec_and_its_resolved_twin_share_one_cache_file(self, tmp_path):
+        spec = scenario("quickstart_line", n=4, sim=SHORT, backend="auto")
+        cache = ResultCache(tmp_path)
+        (first,), stats = run_sweep([spec], cache=cache)
+        assert first.spec.backend == FASTEST and stats.executed == 1
+        (again,), stats = run_sweep([spec.with_backend(FASTEST)], cache=cache)
+        assert again.from_cache and (stats.cached, stats.executed) == (1, 0)
+        (entry,) = [path.name for path in tmp_path.iterdir()]
+        assert entry == cache.key_for(spec.with_backend(FASTEST)) + ".json"
+
+    def test_execute_spec_stores_the_backend_that_ran(self):
+        payload = execute_spec(declined_spec("auto"))
+        assert payload["spec"]["backend"] == payload["backend"] == "reference"
+        assert ScenarioSpec.from_dict(payload["spec"]) == declined_spec("reference")
 
 
 # ----------------------------------------------------------------------
 # Counted sweeps: one materialisation per executed spec, none otherwise
 # ----------------------------------------------------------------------
 class TestResolveBeforeProbe:
-    @needs_vec
     def test_e1_grid_materialises_each_spec_once(
         self, tmp_path, materialisations
     ):
         specs = expand_grid(
             "line_scaling",
             {"n": [8, 16, 24, 32], "algorithm": ["AOPT", "MaxPropagation"]},
-            base={"backend": "vec", "sim": SHORT},
+            base={"backend": "auto", "sim": SHORT},
         )
         runs, stats = run_sweep(specs, cache=ResultCache(tmp_path))
         assert len(materialisations) == 8
-        assert (stats.executed, stats.fallbacks) == (8, 4)
-        assert [run.requested_backend for run in runs] == [None, "vec"] * 4
+        assert stats.executed == 8
+        assert [run.spec.backend for run in runs] == [FASTEST, "reference"] * 4
+        assert [spec.backend for spec in materialisations] == [FASTEST, "reference"] * 4
 
-    @needs_vec
-    def test_one_declined_member_falls_back_alone(
+    def test_one_declined_member_runs_on_reference_alone(
         self, tmp_path, materialisations
     ):
         names = [
@@ -161,64 +222,79 @@ class TestResolveBeforeProbe:
             "chaos_crash_restart_line",
         ]
         specs = [
-            scenario(name, sim={"duration": 6.0, "dt": 0.1}, backend="vec")
+            scenario(name, sim={"duration": 6.0, "dt": 0.1}, backend="auto")
             for name in names
         ]
         runs, stats = run_sweep(specs, cache=ResultCache(tmp_path))
         assert len(materialisations) == 7
-        assert (stats.executed, stats.fallbacks) == (7, 1)
-        assert [run.spec.backend for run in runs] == ["vec"] * 6 + ["reference"]
+        assert stats.executed == 7
+        assert [run.spec.backend for run in runs] == [FASTEST] * 6 + ["reference"]
 
-    def test_strict_backend_raises_before_anything_is_built_or_stored(
+    def test_declined_spec_raises_before_anything_is_built_or_stored(
         self, tmp_path, materialisations
     ):
         ok = [scenario("quickstart_line", n=n, sim=SHORT, backend="fast") for n in (4, 5)]
-        with pytest.raises(UnsupportedScenarioError, match="'fast' backend .* diameter"):
-            run_sweep(
-                ok + [declined_spec()], cache=ResultCache(tmp_path), strict_backend=True
-            )
+        with pytest.raises(
+            UnsupportedScenarioError,
+            match="'fast' backend .* diameter .*; backend=auto runs it on 'reference'",
+        ):
+            run_sweep(ok + [declined_spec()], cache=ResultCache(tmp_path))
         assert materialisations == []
         assert list(tmp_path.iterdir()) == []
 
-    def test_repeat_of_a_declined_spec_is_a_cached_fallback(
-        self, tmp_path, materialisations, caplog
-    ):
+    def test_repeat_of_an_auto_spec_is_a_cache_hit(self, tmp_path, materialisations):
         cache = ResultCache(tmp_path)
-        spec = declined_spec()
+        spec = declined_spec("auto")
         run_sweep([spec], cache=cache)
+        assert len(materialisations) == 1
         del materialisations[:]
         events = []
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.executor"):
-            runs, stats = run_sweep([spec], cache=cache, on_event=events.append)
+        runs, stats = run_sweep([spec], cache=cache, on_event=events.append)
         assert materialisations == []
-        assert (stats.cached, stats.executed, stats.fallbacks) == (1, 0, 1)
+        assert (stats.cached, stats.executed, stats.fallbacks) == (1, 0, 0)
         assert [(e.kind, e.from_cache, e.spec.backend) for e in events] == [
-            ("fallback", True, "reference")
+            ("cached", True, "reference")
         ]
-        assert runs[0].from_cache and runs[0].requested_backend == "fast"
-        assert "falling back to 'reference'" in caplog.text
+        assert runs[0].from_cache and runs[0].requested_backend is None
 
     @pytest.mark.parametrize("backend", ["vec", "jit"])
-    def test_declined_spec_on_an_unavailable_backend_is_an_error_not_a_fallback(
-        self, tmp_path, monkeypatch, capsys, backend
+    def test_an_unavailable_backend_is_an_error_before_its_declines(
+        self, tmp_path, monkeypatch, capsys, materialisations, backend
     ):
         monkeypatch.setattr(backend_mod, "_numpy_available", lambda: False)
-        spec = declined_spec(backend)
-        assert declined_reason(spec) is None
-        with pytest.raises(BackendUnavailableError, match=rf"repro\[{backend}\]"):
-            run_sweep([spec], cache=ResultCache(tmp_path))
+        for spec in (declined_spec(backend), scenario("quickstart_line", backend=backend)):
+            with pytest.raises(BackendUnavailableError, match=rf"repro\[{backend}\]"):
+                resolve_backend(spec)
+            with pytest.raises(BackendUnavailableError, match=rf"repro\[{backend}\]"):
+                run_sweep([spec], cache=ResultCache(tmp_path))
+        assert materialisations == []
         argv = ["run", "quickstart_line", "--set", f"backend={backend}", "--set",
                 "sim.track_diameter=true", "--cache-dir", str(tmp_path)]
         assert cli.main(argv) == 2
         assert f"repro[{backend}]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-    def test_strict_backend_cli_names_the_requested_backend(self, tmp_path, capsys):
+    def test_declined_backend_cli_names_the_reason_and_auto(self, tmp_path, capsys):
         argv = ["run", "quickstart_line", "--set", "backend=fast", "--set",
-                "algorithm=MaxPropagation", "--strict-backend",
-                "--cache-dir", str(tmp_path)]
+                "algorithm=MaxPropagation", "--cache-dir", str(tmp_path)]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "the 'fast' backend runs the AOPT family only" in err
+        assert "backend=auto runs it on 'reference'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("entry", ["run_sweep", "execute_spec"])
+    def test_an_unknown_backend_is_refused_before_anything_is_built(
+        self, tmp_path, materialisations, entry
+    ):
+        spec = scenario("quickstart_line", n=4, backend="warp")
+        with pytest.raises(BackendError, match="unknown backend 'warp'; registered: auto"):
+            if entry == "run_sweep":
+                run_sweep([spec], cache=ResultCache(tmp_path))
+            else:
+                execute_spec(spec)
+        assert materialisations == []
+        assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +337,7 @@ class TestGuardsAreLoud:
             job = svc.submit([sneaky_scenario])
             assert job.wait(60.0) and job.state == "failed"
             assert "node crash/restart resets" in job.error
-            assert "fallback_backend" not in job.progress[0]
+            assert job.progress[0]["backend"] == "fast"
         finally:
             svc.stop()
 
@@ -282,11 +358,11 @@ def finished(job):
 
 
 class TestDaemonResolvesAtSubmit:
-    def test_resubmitting_a_declined_spec_is_terminal_at_submit(self, service):
-        spec = declined_spec()
+    def test_resubmitting_an_auto_spec_is_terminal_at_submit(self, service):
+        spec = declined_spec("auto")
         twin_key = service.cache.key_for(spec.with_backend("reference"))
         first = finished(service.submit([spec]))
-        assert first.state == "done" and first.stats["fallbacks"] == 1
+        assert first.state == "done" and first.stats["executed"] == 1
         probe = service.cache.probe_stats()
         cached_before = service.counters["specs_cached_at_submit"]
 
@@ -299,34 +375,29 @@ class TestDaemonResolvesAtSubmit:
         assert service.counters["specs_executed"] == 1
         for job in (first, again):
             (entry,) = job.progress
-            assert entry["backend"] == "fast"
+            assert entry["backend"] == "reference"
             assert entry["result_key"] == twin_key
-            assert entry["fallback_backend"] == "reference"
 
-    @pytest.mark.parametrize("declined_first", [True, False])
-    def test_declined_spec_and_its_reference_twin_run_once(self, service, declined_first):
-        spec = declined_spec()
+    @pytest.mark.parametrize("auto_first", [True, False])
+    def test_auto_spec_and_its_resolved_twin_run_once(self, service, auto_first):
+        spec = declined_spec("auto")
         pair = [spec, spec.with_backend("reference")]
-        job = finished(service.submit(pair if declined_first else pair[::-1]))
+        job = finished(service.submit(pair if auto_first else pair[::-1]))
         assert job.state == "done"
         assert service.counters["specs_executed"] == 1
         assert len({entry["result_key"] for entry in job.progress}) == 1
         assert [bool(e.get("coalesced")) for e in job.progress] == [False, True]
 
-    def test_strict_backend_still_fails_the_job_with_the_reason(self, tmp_path):
-        svc = SweepService(
-            tmp_path, config=ServiceConfig(workers=1, strict_backend=True)
-        ).start()
-        try:
-            job = finished(svc.submit([declined_spec()]))
-            assert job.state == "failed"
-            assert "'fast' backend does not implement the diameter tracker" in job.error
-            assert "fallback_backend" not in job.progress[0]
-        finally:
-            svc.stop()
+    def test_a_declined_spec_is_refused_at_submit_and_nothing_is_queued(self, service):
+        with pytest.raises(ServiceError) as err:
+            service.submit([scenario("quickstart_line", n=4, sim=SHORT), declined_spec()])
+        assert "'fast' backend does not implement the diameter tracker" in str(err.value)
+        assert "backend=auto runs it on 'reference'" in str(err.value)
+        assert service.counters["jobs_submitted"] == 0
+        assert service.counters["specs_submitted"] == 0
 
-    def test_declined_runs_stream_their_watchdogs_live_then_replay(self, tmp_path):
-        """A declined run is an ordinary inline run: its firings reach
+    def test_auto_runs_stream_their_watchdogs_live_then_replay(self, tmp_path):
+        """An ``auto`` run is an ordinary inline run: its firings reach
         ``GET /jobs/{id}/events`` live and count on ``/healthz``; the cached
         repeat replays them, flagged."""
         from repro.service import SweepServer
@@ -340,11 +411,11 @@ class TestDaemonResolvesAtSubmit:
         try:
             client = ServiceClient(server.url, timeout=30.0)
             spec = scenario(
-                "line_scaling", n=5, until_stable=True, backend="fast",
+                "line_scaling", n=5, until_stable=True, backend="auto",
                 sim={"track_diameter": True},
             )
             job = client.wait(client.submit([spec])["id"])
-            assert job["specs"][0]["fallback_backend"] == "reference"
+            assert job["specs"][0]["backend"] == "reference"
             events = client.job_events(job["id"])["events"]
             validate_records(events)
             fired = [e for e in events if e["event"] == "watchdog_fired"]
@@ -384,31 +455,34 @@ class EchoBackend:
 
 
 class TestAFourthBackendNeedsNoExecutorChange:
-    def test_echo_runs_what_it_accepts_and_has_the_rest_routed(self, tmp_path, caplog):
+    def test_echo_runs_what_it_accepts_and_refuses_the_rest(self, tmp_path):
         register_backend(EchoBackend())
         try:
-            specs = [
+            small, large = (
                 scenario("quickstart_line", n=n, sim=SHORT, backend="echo") for n in (4, 8)
-            ]
-            cache = ResultCache(tmp_path)
-            with caplog.at_level(logging.WARNING, logger="repro.experiments.executor"):
-                runs, stats = run_sweep(specs, cache=cache)
-            assert [run.spec.backend for run in runs] == ["echo", "reference"]
-            assert [run.requested_backend for run in runs] == [None, "echo"]
-            assert (stats.executed, stats.batched, stats.fallbacks) == (2, 0, 1)
-            assert "1 from echo" in stats.describe()
-            assert "echo only hears lines of at most five nodes" in caplog.text
-            assert cache.load(specs[0])["backend"] == "echo"
-            # The same bits as the reference engine, under its own key.
-            (reference,), _ = run_sweep(
-                [specs[0].with_backend("reference")], cache=cache
             )
-            assert not reference.from_cache
-            assert reference.summary == runs[0].summary
+            cache = ResultCache(tmp_path)
+            with pytest.raises(
+                UnsupportedScenarioError,
+                match=f"echo only hears lines of at most five nodes; "
+                f"backend=auto runs it on '{FASTEST}'",
+            ):
+                run_sweep([small, large], cache=cache)
+            assert list(tmp_path.iterdir()) == []
+            # auto never picks a backend outside AUTO_ORDER.
+            assert resolve_backend(small.with_backend("auto")).backend == FASTEST
 
-            again, stats = run_sweep(specs, cache=cache)
-            assert (stats.cached, stats.executed) == (2, 0)
-            assert "1 from echo" in stats.describe()
-            assert [run.summary for run in again] == [run.summary for run in runs]
+            (run,), stats = run_sweep([small], cache=cache)
+            assert run.spec.backend == "echo"
+            assert (stats.executed, stats.batched, stats.fallbacks) == (1, 0, 0)
+            assert cache.load(small)["backend"] == "echo"
+            # The same bits as the reference engine, under its own key.
+            (reference,), _ = run_sweep([small.with_backend("reference")], cache=cache)
+            assert not reference.from_cache
+            assert reference.summary == run.summary
+
+            (again,), stats = run_sweep([small], cache=cache)
+            assert (stats.cached, stats.executed) == (1, 0)
+            assert again.summary == run.summary
         finally:
             del BACKENDS["echo"]

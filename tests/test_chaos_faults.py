@@ -3,7 +3,7 @@
 Covers the pure graph transformations, the node-reset event plumbing in
 :class:`DynamicGraph` and the reference engine, the ``DelaySpikeStorm``
 windowed delay amplifier, and the fast/vec backends' clean rejection of
-node resets (which drives the established reference fallback).
+node resets (which ``auto`` runs on reference).
 """
 
 import pytest
@@ -273,23 +273,22 @@ class TestBackendGate:
                 scenario, aopt_factory(aopt_config), config
             )
 
-    def test_executor_falls_back_to_reference_with_identical_result(self, tmp_path):
+    def test_auto_runs_it_on_reference_with_identical_result(self, tmp_path):
         import dataclasses
 
-        from repro.experiments import registry, scenario as named_scenario
+        from repro.experiments import scenario as named_scenario
         from repro.experiments.executor import ResultCache, run_sweep
 
         spec = named_scenario(
             "chaos_crash_restart_line", sim={"duration": 12.0}
         )
         ref = dataclasses.replace(spec, backend="reference")
-        fast = dataclasses.replace(spec, backend="fast")
+        auto = dataclasses.replace(spec, backend="auto")
         cache = ResultCache(tmp_path / "cache")
-        runs, stats = run_sweep([ref, fast], cache=cache, use_cache=False)
-        assert stats.fallbacks == 1
-        assert runs[1].requested_backend == "fast"
+        runs, stats = run_sweep([ref, auto], cache=cache, use_cache=False)
+        assert stats.executed == 2
         assert runs[1].spec.backend == "reference"
-        # The fallback re-ran the same materialised scenario: results agree
+        # auto ran the same materialised scenario: results agree
         # bit-for-bit because seeds derive from the backend-free hash.
         assert (
             runs[0].summary.final_global_skew

@@ -138,26 +138,25 @@ class TestScenarioSmokeRuns:
         assert reference["trace"] == fast["trace"]
         assert reference["summary"] == fast["summary"]
 
-    def test_crash_restart_degrades_cleanly_off_reference(self, tmp_path):
+    def test_crash_restart_runs_on_reference_under_auto(self, tmp_path):
         from repro.experiments.executor import ResultCache, run_sweep
 
         spec = scenario("chaos_crash_restart_line", sim={"duration": SMOKE_DURATION})
-        fast = dataclasses.replace(spec, backend="fast")
+        auto = dataclasses.replace(spec, backend="auto")
         cache = ResultCache(tmp_path / "cache")
-        runs, stats = run_sweep([fast], cache=cache, use_cache=False)
-        assert stats.fallbacks == 1
-        assert runs[0].requested_backend == "fast"
+        runs, stats = run_sweep([auto], cache=cache, use_cache=False)
+        assert stats.executed == 1
         assert runs[0].spec.backend == "reference"
 
-    def test_strict_backend_refuses_instead_of_falling_back(self, tmp_path):
+    def test_fast_refuses_crash_restart_with_the_reason(self, tmp_path):
         from repro.experiments.executor import ResultCache, run_sweep
         from repro.fastsim.engine import UnsupportedScenarioError
 
         spec = scenario("chaos_crash_restart_line", sim={"duration": SMOKE_DURATION})
         fast = dataclasses.replace(spec, backend="fast")
         cache = ResultCache(tmp_path / "cache")
-        with pytest.raises(UnsupportedScenarioError):
-            run_sweep([fast], cache=cache, use_cache=False, strict_backend=True)
+        with pytest.raises(UnsupportedScenarioError, match="resets.*backend=auto"):
+            run_sweep([fast], cache=cache, use_cache=False)
 
 
 class TestAdversarialShifting:
@@ -210,17 +209,17 @@ class TestAdversarialShifting:
             <= sf.expect["max_final_global_skew"]
         )
 
-    def test_adversarial_specs_fall_back_from_fast_bitwise_identically(self):
+    def test_adversarial_specs_run_under_auto_bitwise_identically(self):
         by_name = {sf.name: sf for sf in PACK_FILES}
         sf = by_name["chaos_shifting_accumulate_n6"]
         short = scenario(sf.name, sim={"duration": 20.0})
         from repro.experiments.executor import run_sweep
 
         runs, stats = run_sweep(
-            [short, dataclasses.replace(short, backend="fast")],
+            [short, dataclasses.replace(short, backend="auto")],
             use_cache=False,
         )
-        assert stats.fallbacks == 1
+        assert [run.spec.backend for run in runs] == ["reference", "reference"]
         assert (
             runs[0].summary.final_global_skew
             == runs[1].summary.final_global_skew

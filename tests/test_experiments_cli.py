@@ -29,6 +29,8 @@ def backends(*names):
 
 
 columnar = backends("fast", "vec", "jit")
+#: What ``auto`` runs an AOPT spec on, on this machine.
+FASTEST = "jit" if backend_available("jit") else "fast"
 
 
 class TestList:
@@ -95,14 +97,14 @@ class TestRun:
 
 
 class TestSweep:
-    def sweep_args(self, tmp_path, *extra):
+    def sweep_args(self, tmp_path, *extra, algorithms="AOPT,MaxPropagation"):
         return (
             "sweep",
             "line_scaling",
             "--grid",
             "n=4,5",
             "--grid",
-            "algorithm=AOPT,MaxPropagation",
+            f"algorithm={algorithms}",
             "--set",
             "sim.duration=4.0",
             "--cache-dir",
@@ -110,7 +112,7 @@ class TestSweep:
             *extra,
         )
 
-    @backends("reference", "fast", "vec", "jit")
+    @pytest.mark.parametrize("backend", ["reference", "auto"])
     def test_sweep_then_full_cache_hit(self, tmp_path, capsys, backend):
         backend_args = ("--set", f"backend={backend}")
         assert run_cli(*self.sweep_args(tmp_path, *backend_args)) == 0
@@ -119,6 +121,18 @@ class TestSweep:
         assert run_cli(*self.sweep_args(tmp_path, *backend_args, "--workers", "2")) == 0
         second = capsys.readouterr().out
         assert "4 spec(s): 4 from cache, 0 executed" in second
+
+    @columnar
+    def test_explicit_backend_sweep_then_full_cache_hit(self, tmp_path, capsys, backend):
+        # No baselines: a columnar backend declines them.
+        args = ("--set", f"backend={backend}")
+        algorithms = "AOPT,ImmediateInsertion"
+        assert run_cli(*self.sweep_args(tmp_path, *args, algorithms=algorithms)) == 0
+        assert "4 spec(s): 0 from cache, 4 executed" in capsys.readouterr().out
+        args += ("--workers", "2")
+        assert run_cli(*self.sweep_args(tmp_path, *args, algorithms=algorithms)) == 0
+        assert "4 spec(s): 4 from cache, 0 executed" in capsys.readouterr().out
+        assert len(list(tmp_path.glob(f"*.{backend}.json"))) == 4
 
     def test_sweep_requires_a_grid(self, tmp_path, capsys):
         assert run_cli("sweep", "line_scaling", "--cache-dir", str(tmp_path)) == 2
@@ -170,29 +184,35 @@ class TestBackendSelection:
         )
         assert "unknown backend" in capsys.readouterr().err
 
-    @columnar
-    def test_unsupported_fast_scenario_falls_back_to_reference(self, tmp_path, capsys, backend):
+    def test_auto_sweep_prints_the_engine_of_each_row(self, tmp_path, capsys):
         assert (
             run_cli(
-                "run",
+                "sweep",
                 "quickstart_line",
+                "--grid",
+                "algorithm=AOPT,MaxPropagation",
                 "--set",
-                "n=4",
+                "backend=auto",
                 "--set",
                 "sim.duration=2.0",
-                "--set",
-                "algorithm='MaxPropagation'",
-                "--set",
-                f"backend={backend}",
                 "--cache-dir",
                 str(tmp_path),
             )
             == 0
         )
-        assert "fell back to reference" in capsys.readouterr().out
+        rows = [
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("quickstart_line/")
+        ]
+        # label, hash, backend, ...
+        assert [(row[0].split("/")[-1], row[2]) for row in rows] == [
+            ("AOPT", FASTEST),
+            ("MaxPropagation", "reference"),
+        ]
 
     @columnar
-    def test_unsupported_fast_scenario_fails_cleanly_when_strict(self, tmp_path, capsys, backend):
+    def test_unsupported_fast_scenario_is_refused_naming_auto(self, tmp_path, capsys, backend):
         assert (
             run_cli(
                 "run",
@@ -205,13 +225,14 @@ class TestBackendSelection:
                 "algorithm='MaxPropagation'",
                 "--set",
                 f"backend={backend}",
-                "--strict-backend",
                 "--cache-dir",
                 str(tmp_path),
             )
             == 2
         )
-        assert "AOPT" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "AOPT" in err and "backend=auto runs it on 'reference'" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_list_mentions_backends(self, capsys):
         assert run_cli("list") == 0

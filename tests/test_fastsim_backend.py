@@ -14,8 +14,7 @@ from repro.core.aopt_step import (
 )
 from repro.core.parameters import Parameters
 from repro.core.triggers import NeighborView, evaluate_triggers
-from repro.experiments import registry, scenario
-from repro.experiments.registry import RegistryError
+from repro.experiments import scenario
 from repro.experiments.spec import ScenarioSpec, SpecError
 from repro.fastsim import (
     BackendError,
@@ -78,10 +77,15 @@ class TestSpecBackendField:
         with pytest.raises(SpecError):
             scenario("quickstart_line", n=4).with_backend("")
 
-    def test_build_scenario_rejects_unknown_backend(self):
+    def test_execute_spec_and_run_sweep_reject_unknown_backend(self, tmp_path):
+        from repro.experiments import ResultCache, execute_spec, run_sweep
+
         spec = scenario("quickstart_line", n=4, backend="warp")
-        with pytest.raises(RegistryError, match="unknown backend"):
-            registry.build_scenario(spec)
+        with pytest.raises(BackendError, match="unknown backend 'warp'; registered: auto"):
+            execute_spec(spec)
+        with pytest.raises(BackendError, match="unknown backend 'warp'; registered: auto"):
+            run_sweep([spec], cache=ResultCache(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
 
 def small_config(**overrides):

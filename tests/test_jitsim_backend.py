@@ -1,19 +1,15 @@
 """Unit tests for the jitsim subsystem: backend plumbing, provider
 resolution, graceful degradation without a compiler, the compiled-library
-cache, the cache key, the one-run context builder and executor fallback
-accounting."""
-
-import logging
+cache, the cache key and the one-run context builder."""
 
 import pytest
 
 from repro.experiments import (
-    ExperimentRunner,
     execute_spec,
     registry,
     scenario,
 )
-from repro.experiments.executor import ResultCache, SweepStats, run_sweep
+from repro.experiments.executor import ResultCache, run_sweep
 from repro.fastsim import backend as backend_mod
 from repro.fastsim import (
     BackendUnavailableError,
@@ -241,7 +237,6 @@ class TestOneRunContext:
         runs, stats = run_sweep(specs, cache=ResultCache(tmp_path / "mixed"))
         assert stats.executed == 2
         assert [run.spec.backend for run in runs] == ["jit", "vec"]
-        assert all(run.requested_backend is None for run in runs)
         expected, _ = run_sweep(
             [spec.with_backend("reference") for spec in specs],
             cache=ResultCache(tmp_path / "reference"),
@@ -249,77 +244,6 @@ class TestOneRunContext:
         for run, reference in zip(runs, expected):
             assert run.summary == reference.summary
             assert run.trace.samples == reference.trace.samples
-
-
-class TestFallbackAccounting:
-    def unsupported_spec(self):
-        return scenario(
-            "quickstart_line",
-            n=4,
-            algorithm="MaxPropagation",
-            sim={"duration": 2.0},
-            backend="jit",
-        )
-
-    def test_sweep_stats_tracks_fallback_origin_backends(self):
-        stats = SweepStats(total=4)
-        stats.count_fallback("jit")
-        stats.count_fallback("jit")
-        stats.count_fallback("vec")
-        assert stats.fallbacks == 3
-        assert stats.fallback_backends == {"jit": 2, "vec": 1}
-        description = stats.describe()
-        assert "3 fell back to reference" in description
-        assert "2 from jit" in description
-        assert "1 from vec" in description
-
-    @pytest.mark.skipif(not provider_available(), reason="no jit provider here")
-    def test_jit_fallback_is_counted_per_backend(self, tmp_path, caplog):
-        runner = ExperimentRunner(cache_dir=tmp_path, workers=1)
-        with caplog.at_level(
-            logging.WARNING, logger="repro.experiments.executor"
-        ):
-            runs, stats = runner.run_all([self.unsupported_spec()])
-        assert stats.fallbacks == 1
-        assert stats.fallback_backends == {"jit": 1}
-        (run,) = runs
-        assert run.spec.backend == "reference"
-        assert run.requested_backend == "jit"
-        assert runner.stats.fallback_backends == {"jit": 1}
-
-    def test_sweep_stats_attributes_broadcast_fallbacks(self):
-        stats = SweepStats(total=3)
-        stats.count_fallback("fast", estimate_mode="broadcast")
-        stats.count_fallback("jit")
-        assert stats.fallbacks == 2
-        assert stats.fallback_backends == {"fast": 1, "jit": 1}
-        assert stats.broadcast_fallbacks == {"fast": 1}
-        description = stats.describe()
-        assert "broadcast-mode fallbacks: 1 from fast" in description
-
-    def test_broadcast_fallback_is_attributed_per_backend(self, tmp_path, caplog):
-        """A broadcast spec with a feature the fast engine refuses (the
-        diameter tracker) falls back to reference and shows up in the
-        broadcast-specific accounting."""
-        spec = scenario(
-            "line_broadcast",
-            n=4,
-            sim={"duration": 4.0, "track_diameter": True},
-            backend="fast",
-        )
-        runner = ExperimentRunner(cache_dir=tmp_path, workers=1)
-        with caplog.at_level(
-            logging.WARNING, logger="repro.experiments.executor"
-        ):
-            runs, stats = runner.run_all([spec])
-        assert stats.fallbacks == 1
-        assert stats.fallback_backends == {"fast": 1}
-        assert stats.broadcast_fallbacks == {"fast": 1}
-        (run,) = runs
-        assert run.spec.backend == "reference"
-        assert run.requested_backend == "fast"
-        assert runner.stats.broadcast_fallbacks == {"fast": 1}
-        assert "broadcast-mode fallbacks: 1 from fast" in stats.describe()
 
 
 class TestUniformConfigMarker:

@@ -13,6 +13,8 @@ import pytest
 import repro.experiments.executor as executor_mod
 from repro.experiments import scenario
 from repro.experiments.spec import ScenarioSpec
+from repro.fastsim import backend as backend_mod
+from repro.fastsim.backend import backend_available
 from repro.service import ServiceConfig, SweepServer, SweepService
 from repro.service.client import ClientError, JobFailed, ServiceClient
 
@@ -55,7 +57,7 @@ class TestHealthAndSpecs:
         assert "quickstart_line" in names
         assert "line" in payload["topologies"]
         backends = {entry["name"] for entry in payload["backends"]}
-        assert {"reference", "fast", "vec"} <= backends
+        assert {"auto", "reference", "fast", "vec"} <= backends
         observers = {entry["name"] for entry in payload["observers"]}
         assert "global_skew" in observers
 
@@ -73,6 +75,18 @@ class TestSubmitPollFetch:
         payload = client.result(entry["result_key"])
         assert payload["spec_hash"] == spec.content_hash()
         assert payload["summary"]["node_count"] == 4
+
+    def test_auto_is_resolved_at_submit(self, server, client):
+        fastest = "jit" if backend_available("jit") else "fast"
+        auto = tiny_spec(backend="auto")
+        job = client.wait(client.submit([auto])["id"])
+        (entry,) = job["specs"]
+        assert entry["backend"] == fastest
+        assert entry["result_key"] == server.service.cache.key_for(auto.with_backend(fastest))
+        assert client.result(entry["result_key"])["backend"] == fastest
+        # The resolved twin is the same key: answered at submit.
+        again = client.submit([auto.with_backend(fastest)])
+        assert again["state"] == "done" and again["counts"]["cached"] == 1
 
     def test_result_bytes_equal_on_disk_cache_payload(self, server, client):
         job = client.wait(client.submit([tiny_spec()])["id"])
@@ -175,24 +189,38 @@ class TestErrorHandling:
             client._json("POST", "/sweeps", {"specs": [{"nonsense": True}]})
         assert err.value.status == 400
 
-    @pytest.mark.parametrize("backend", ["a/b", "no_such_backend"])
+    @pytest.mark.parametrize("backend", ["a/b", "no_such_backend", "jit", "fast"])
     def test_a_spec_no_backend_can_run_is_400_and_nothing_is_queued(
-        self, client, backend
+        self, client, monkeypatch, backend
     ):
-        spec = tiny_spec().to_dict()
+        extra = {}
+        if backend == "jit":  # installed, but it cannot run here
+            monkeypatch.setattr(backend_mod, "_numpy_available", lambda: False)
+        if backend == "fast":  # it runs here, but declines the spec
+            extra = {"algorithm": "MaxPropagation"}
+        spec = tiny_spec(**extra).to_dict()
         spec["backend"] = backend
         bodies = [
             {"specs": [spec]},
-            {"scenario": "quickstart_line", "base": {"n": 4, "backend": backend}},
-            {"scenario": "quickstart_line", "grid": {"backend": ["reference", backend]}},
+            {"scenario": "quickstart_line", "base": {"n": 4, "backend": backend, **extra}},
+            {
+                "scenario": "quickstart_line",
+                "base": {"n": 4, **extra},
+                "grid": {"backend": ["reference", backend]},
+            },
         ]
         for body in bodies:
             with pytest.raises(ClientError) as err:
                 client._json("POST", "/sweeps", body)
             assert err.value.status == 400
             assert repr(backend) in str(err.value)
-        if backend == "no_such_backend":  # a name, but not a registered one
-            assert "registered: " in str(err.value) and "reference" in str(err.value)
+            if backend == "no_such_backend":  # a name, but not a registered one
+                assert "registered: auto, " in str(err.value)
+                assert "reference" in str(err.value)
+            if backend == "jit":
+                assert "repro[jit]" in str(err.value)
+            if backend == "fast":
+                assert "backend=auto runs it on 'reference'" in str(err.value)
         assert client.healthz()["counters"]["jobs_submitted"] == 0
 
     def test_unknown_scenario_is_400(self, client):

@@ -384,17 +384,17 @@ class TestDuplicateSpecs:
         finished = [event for event in events if event[0] != "start"]
         assert finished == [("executed", 0), ("cached", 1), ("executed", 2), ("cached", 3)]
 
-    def test_a_declined_spec_and_its_reference_twin_are_one_execution(self, tmp_path):
+    def test_an_auto_spec_and_its_resolved_twin_are_one_execution(self, tmp_path):
         twin = scenario(
             "line_scaling", n=4, algorithm="MaxPropagation", sim=dict(TINY_SIM)
         )
-        declined = twin.with_backend("fast")
-        runs, stats, events, stores = self._sweep([declined, twin], tmp_path, workers=1)
-        assert (stats.executed, stats.cached, stats.fallbacks) == (1, 1, 1)
+        auto = twin.with_backend("auto")
+        runs, stats, events, stores = self._sweep([auto, twin], tmp_path, workers=1)
+        assert (stats.executed, stats.cached) == (1, 1)
         assert len(stores) == 1
-        assert [run.requested_backend for run in runs] == ["fast", None]
+        assert [run.spec for run in runs] == [twin, twin]
         assert [event for event in events if event[0] != "start"] == [
-            ("fallback", 0), ("cached", 1),
+            ("executed", 0), ("cached", 1),
         ]
 
     def test_without_a_cache_every_repeat_executes(self, tmp_path):

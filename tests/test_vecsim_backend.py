@@ -1,9 +1,8 @@
 """Unit tests for the vecsim subsystem: backend plumbing, kernels, the CSR
-view, graceful degradation without numpy, trace striding and executor
-fallback."""
+view, graceful degradation without numpy, trace striding and ``auto`` in
+the executor."""
 
 import itertools
-import logging
 
 import pytest
 
@@ -540,7 +539,7 @@ class TestExtremumEligibility:
         assert seen == outcomes
 
 
-class TestExecutorFallback:
+class TestExecutorAuto:
     def unsupported_spec(self, backend):
         return scenario(
             "quickstart_line",
@@ -551,39 +550,38 @@ class TestExecutorFallback:
         )
 
     @pytest.mark.parametrize("backend", ["fast", "vec"])
-    def test_falls_back_to_reference_with_warning(self, tmp_path, caplog, backend):
-        spec = self.unsupported_spec(backend)
+    def test_declined_is_refused_and_auto_runs_it_on_reference(self, tmp_path, backend):
         runner = ExperimentRunner(cache_dir=tmp_path, workers=1)
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.executor"):
-            runs, stats = runner.run_all([spec])
-        assert stats.fallbacks == 1
+        with pytest.raises(UnsupportedScenarioError, match="backend=auto runs it on"):
+            runner.run_all([self.unsupported_spec(backend)])
+        spec = self.unsupported_spec("auto")
+        runs, stats = runner.run_all([spec])
+        assert stats.executed == 1
         (run,) = runs
         assert run.spec.backend == "reference"
-        assert run.requested_backend == backend
-        assert any("falling back" in record.message for record in caplog.records)
         # The result is the reference result.
         expected = execute_spec(spec.with_backend("reference"))
         assert run.summary.to_dict() == expected["summary"]
-        # A repeated sweep serves the fallback from the reference cache and
-        # reports it as cached, not executed.
+        # A repeated sweep serves it from the reference entry and reports it
+        # as cached, not executed.
         runs2, stats2 = runner.run_all([spec])
         assert stats2.cached == 1
         assert stats2.executed == 0
         assert runs2[0].from_cache is True
 
-    def test_strict_backend_raises_instead(self, tmp_path):
-        spec = self.unsupported_spec("vec")
-        runner = ExperimentRunner(cache_dir=tmp_path, workers=1, strict_backend=True)
+    def test_declined_raises_before_anything_is_stored(self, tmp_path):
+        runner = ExperimentRunner(cache_dir=tmp_path, workers=1)
         with pytest.raises(UnsupportedScenarioError):
-            runner.run_all([spec])
+            runner.run_all([self.unsupported_spec("vec")])
+        assert list(tmp_path.iterdir()) == []
 
-    def test_fallback_works_through_the_worker_pool(self, tmp_path, caplog):
-        specs = [self.unsupported_spec("vec"), self.unsupported_spec("fast")]
+    def test_auto_works_through_the_worker_pool(self, tmp_path):
+        specs = [self.unsupported_spec("auto"), quick_spec(backend="auto")]
         runner = ExperimentRunner(cache_dir=tmp_path, workers=2)
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.executor"):
-            runs, stats = runner.run_all(specs)
-        assert stats.fallbacks == 2
-        assert all(run.spec.backend == "reference" for run in runs)
+        runs, stats = runner.run_all(specs)
+        assert stats.executed == 2
+        fastest = "jit" if backend_available("jit") else "fast"
+        assert [run.spec.backend for run in runs] == ["reference", fastest]
 
 
 class TestTraceStride:
