@@ -2,8 +2,9 @@
 
 Pure graph/schedule transformations with the same shape as the entries of
 :data:`repro.experiments.registry.DYNAMICS` -- ``fn(graph, edge, **args) ->
-(DynamicGraph, meta)`` -- but kept free of any ``repro.experiments`` import
-so the registry can wrap them without a cycle:
+(DynamicGraph, meta)`` -- and registered there as they are; they import
+nothing from ``repro.experiments``, so the registry imports them without a
+cycle:
 
 * :func:`correlated_mass_churn` -- k nodes lose *all* their edges together
   and get them back together, repeatedly (a failure domain, not independent
@@ -13,8 +14,8 @@ so the registry can wrap them without a cycle:
   cut;
 * :func:`crash_restart` -- one node leaves, loses its clock and algorithm
   state entirely, and rejoins from scratch (drives the engine's
-  node-reset events; backends without reset support decline the spec and
-  the executor runs it on reference).
+  node-reset events; a backend without reset support declines the spec,
+  and ``backend="auto"`` runs it on reference).
 
 The fourth family member, the windowed delay amplifier, is a
 :class:`repro.sim.delay.DelaySpikeStorm` and registers under ``DELAYS``

@@ -1,9 +1,9 @@
 """The throughput scenario family: ``bench_spec`` and its scalar observers.
 
 A two-group drift adversary over a static line / grid / random-connected
-topology with the benchmark edge parameters, an adversarial initial ramp and
-the ``toward_observer`` estimate strategy -- the same per-step workload as the
-E1--E3 suite.  ``benchmarks/perf`` times it (``scale_static``,
+topology from an adversarial initial ramp, on the registry's one model
+(:func:`~repro.experiments.registry.model_spec`) -- the per-step workload of
+the E1--E3 suite.  ``benchmarks/perf`` times it (``scale_static``,
 ``observed_mid``) and the counted tier-1 gates run it small.
 
 An explicit global skew bound (the analytic per-hop bound of
@@ -18,7 +18,12 @@ import math
 from typing import Tuple
 
 from ..core.parameters import Parameters
-from .registry import BENCHMARK_EDGE, BENCHMARK_INSERTION_SCALE, BENCHMARK_PARAMS
+from .registry import (
+    BENCHMARK_EDGE,
+    BENCHMARK_INSERTION_SCALE,
+    BENCHMARK_PARAMS,
+    model_spec,
+)
 from .spec import ComponentSpec, ScenarioSpec
 
 #: Observers of ``trace: none`` throughput runs.  Deliberately excludes
@@ -57,13 +62,8 @@ def _topology_component(kind: str, n: int) -> Tuple[ComponentSpec, int]:
         # hop diameter is bounded by n - 1 and the skew bound only needs to
         # dominate it.
         probability = min(0.05, 8.0 / n)
-        return (
-            ComponentSpec(
-                "random_connected",
-                {"n": n, "extra_edge_probability": probability},
-            ),
-            n - 1,
-        )
+        args = {"n": n, "extra_edge_probability": probability}
+        return ComponentSpec("random_connected", args), n - 1
     raise ValueError(f"unknown bench topology {kind!r}; known: line, grid, random")
 
 
@@ -84,25 +84,14 @@ def bench_spec(
     params = Parameters(**BENCHMARK_PARAMS)
     bound = 2.0 * (_per_hop_bound(params) * hops + params.iota) + 1.0
     kappa = params.kappa_for(BENCHMARK_EDGE["epsilon"], BENCHMARK_EDGE["tau"])
-    return ScenarioSpec(
+    aopt = {"global_skew_bound": bound, "insertion_scale": BENCHMARK_INSERTION_SCALE}
+    return model_spec(
         label=f"backend_bench/{kind}/n={n}",
         topology=topology,
         drift=ComponentSpec("two_group", {"swap_period": 40.0}),
-        algorithm=ComponentSpec(
-            "aopt",
-            {
-                "global_skew_bound": bound,
-                "insertion_scale": BENCHMARK_INSERTION_SCALE,
-            },
-        ),
-        params=dict(BENCHMARK_PARAMS),
-        edge=dict(BENCHMARK_EDGE),
-        sim={
-            "dt": dt,
-            "duration": duration,
-            "sample_interval": 1.0,
-            "estimate_strategy": "toward_observer",
-        },
+        algorithm=ComponentSpec("aopt", aopt),
+        duration=duration,
+        dt=dt,
         initial_ramp_per_edge=0.95 * kappa,
         backend=backend,
     )

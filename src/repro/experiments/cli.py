@@ -86,7 +86,13 @@ def _parse_grid(items: Optional[Sequence[str]]) -> Dict[str, List[Any]]:
                 f"--grid expects key=v1,v2,..., got {item!r}"
             )
         key, _, raw = item.partition("=")
-        grid[key.strip()] = [_parse_value(v.strip()) for v in raw.split(",") if v.strip()]
+        key = key.strip()
+        if key in grid:
+            raise argparse.ArgumentTypeError(
+                f"--grid axis {key!r} is given twice; give all its values "
+                f"in one --grid {key}=v1,v2,..."
+            )
+        grid[key] = [_parse_value(v.strip()) for v in raw.split(",") if v.strip()]
     return grid
 
 

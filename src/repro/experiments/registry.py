@@ -7,17 +7,27 @@ Five registries map names to factories:
   produces its own schedule);
 * ``DYNAMICS`` -- transformations that add scripted churn to a base graph,
   wrapping :mod:`repro.network.dynamics` and adding generic variants
-  (``rotating_shortcuts``, ``hub_failover``) that work on any base topology;
+  (``rotating_shortcuts``, ``hub_failover``) that work on any base topology,
+  and the fault builders of :mod:`repro.chaos.faults`;
 * ``DRIFTS`` -- the drift models of :mod:`repro.sim.drift`;
 * ``DELAYS`` -- the delay models of :mod:`repro.sim.delay`;
 * ``ALGORITHMS`` -- AOPT and the baselines of :mod:`repro.baselines`.
 
 On top of those, ``SCENARIOS`` holds named end-to-end scenario builders that
-return complete :class:`~repro.experiments.spec.ScenarioSpec` objects: the two
-benchmark sweeps (``line_scaling``, ``end_to_end_insertion``) plus composite
-scenarios the E1--E10 suite does not cover (``grid_periodic_churn``,
-``random_connected_sliding_window``, ``star_hub_failover``,
-``ring_sinusoidal_drift``).
+return complete :class:`~repro.experiments.spec.ScenarioSpec` objects.  Ten
+are written here, each as what differs from one model (:func:`model_spec`):
+the paper's sweeps ``line_scaling`` (E1--E3), ``end_to_end_insertion`` (E4)
+and ``quickstart_line``; dynamic networks the E1--E10 suite does not cover
+(``grid_periodic_churn``, ``random_connected_sliding_window``,
+``star_hub_failover``, ``ring_sinusoidal_drift``); and broadcast estimates
+(``line_broadcast``, ``random_broadcast_delay_storm``,
+``grid_broadcast_partition``).  The other 24 are the chaos pack, JSON files
+in ``repro/chaos/scenarios/`` that :mod:`repro.chaos.loader` registers.
+
+A builder's arguments shape the scenario (sizes, the algorithm, the timing
+of its dynamics); a setting of the run goes in ``sim``, merged over the
+model's last: ``scenario("line_broadcast", sim={"dt": 0.05,
+"broadcast_interval": 0.5})``, or ``--set sim.dt=0.05`` on the command line.
 
 :func:`build_scenario` materialises a spec into a graph, an algorithm factory
 and a :class:`~repro.sim.runner.SimulationConfig`.  Any factory that accepts a
@@ -594,30 +604,65 @@ def scenario(name: str, **overrides: Any) -> ScenarioSpec:
     with ``--set trace=none``, or stop at stability with
     ``--until-stable``.  ``None`` means "not given"; any other value goes
     to the spec as it is, whose own validation rejects a wrong type (a
-    stringly ``until_stable="yes"`` fails loudly).
+    stringly ``until_stable="yes"`` fails loudly).  Any other override must
+    be an argument of the builder; a setting of the run goes in ``sim``.
     """
     observed = {
         field: value
         for field in OBSERVATION_FIELDS
         if (value := overrides.pop(field, None)) is not None
     }
-    return replace(SCENARIOS.get(name)(**overrides), **observed)
+    builder = SCENARIOS.get(name)
+    takes = inspect.signature(builder).parameters
+    unknown = [key for key in overrides if key not in takes]
+    # A chaos-pack builder takes **overrides and names what it accepts itself.
+    if unknown and not any(p.kind is p.VAR_KEYWORD for p in takes.values()):
+        raise SpecError(
+            f"scenario {name!r} has no argument {', '.join(map(repr, unknown))}; "
+            f"it takes {', '.join(takes)} (a setting of the run, such as dt, "
+            "goes in sim: sim.dt=0.05)"
+        )
+    return replace(builder(**overrides), **observed)
 
 
-def _bench_params() -> Parameters:
-    return Parameters(**BENCHMARK_PARAMS)
+def _line_model(n: int) -> Tuple[Parameters, float, float]:
+    """The benchmark parameters, their ``kappa`` and an n-node line's skew bound."""
+    params = Parameters(**BENCHMARK_PARAMS)
+    kappa = params.kappa_for(BENCHMARK_EDGE["epsilon"], BENCHMARK_EDGE["tau"])
+    line = net_topology.line(n, EdgeParams(**BENCHMARK_EDGE))
+    return params, kappa, suggest_global_skew_bound(line, params)
 
 
-def _bench_kappa(params: Optional[Parameters] = None) -> float:
-    params = params or _bench_params()
-    return params.kappa_for(BENCHMARK_EDGE["epsilon"], BENCHMARK_EDGE["tau"])
+def model_spec(
+    *,
+    duration: float,
+    sim: Optional[Dict[str, Any]] = None,
+    dt: float = 0.1,
+    params: Dict[str, float] = BENCHMARK_PARAMS,
+    **fields: Any,
+) -> ScenarioSpec:
+    """A spec of the benchmark model; ``fields`` are the spec fields that differ.
+
+    The model's run settings (``dt``, ``duration``, one sample per time
+    unit, ``toward_observer`` estimates) come first and the caller's ``sim``
+    is merged over them last.
+    """
+    return ScenarioSpec(
+        params=dict(params),
+        edge=dict(BENCHMARK_EDGE),
+        sim={
+            "dt": dt,
+            "duration": duration,
+            "sample_interval": 1.0,
+            "estimate_strategy": "toward_observer",
+            **(sim or {}),
+        },
+        **fields,
+    )
 
 
-def _merge_sim(base: Dict[str, Any], sim: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    merged = dict(base)
-    if sim:
-        merged.update(sim)
-    return merged
+#: The broadcast builders' estimates: clock broadcasts once per time unit.
+_BROADCAST_SIM: Dict[str, Any] = {"estimate_mode": "broadcast", "broadcast_interval": 1.0}
 
 
 def _algorithm_component(algorithm: str, **aopt_args: Any) -> ComponentSpec:
@@ -643,7 +688,6 @@ def _line_scaling_scenario(
     swap_period: float = 150.0,
     ramp_fraction: float = 0.95,
     duration: Optional[float] = None,
-    dt: float = 0.1,
     sim: Optional[Dict[str, Any]] = None,
 ) -> ScenarioSpec:
     """The E1/E2/E3 sweep: a line fighting a swapping two-group adversary.
@@ -652,26 +696,14 @@ def _line_scaling_scenario(
     ``kappa`` of skew per edge and is driven by a periodically swapping
     two-group drift adversary.
     """
-    params = _bench_params()
-    edge = EdgeParams(**BENCHMARK_EDGE)
-    kappa = _bench_kappa(params)
-    bound = suggest_global_skew_bound(net_topology.line(n, edge), params)
-    return ScenarioSpec(
+    _, kappa, bound = _line_model(n)
+    return model_spec(
         label=f"line_scaling/n={n}/{algorithm}",
         topology=ComponentSpec("line", {"n": n}),
         drift=ComponentSpec("two_group", {"swap_period": swap_period}),
         algorithm=_algorithm_component(algorithm, global_skew_bound=bound),
-        params=dict(BENCHMARK_PARAMS),
-        edge=dict(BENCHMARK_EDGE),
-        sim=_merge_sim(
-            {
-                "dt": dt,
-                "duration": duration if duration is not None else 100.0 + 60.0 * n,
-                "sample_interval": 1.0,
-                "estimate_strategy": "toward_observer",
-            },
-            sim,
-        ),
+        duration=duration if duration is not None else 100.0 + 60.0 * n,
+        sim=sim,
         initial_ramp_per_edge=ramp_fraction * kappa,
         notes={"reference_global_skew_bound": bound},
     )
@@ -684,7 +716,6 @@ def _end_to_end_insertion_scenario(
     algorithm: str = "AOPT",
     insertion_time: float = 30.0,
     ramp_fraction: float = 0.95,
-    dt: float = 0.1,
     sim: Optional[Dict[str, Any]] = None,
 ) -> ScenarioSpec:
     """The E4/Theorem 8.1 scenario: a line whose endpoints become adjacent.
@@ -692,19 +723,14 @@ def _end_to_end_insertion_scenario(
     The line starts from the pre-built ramp, so the two endpoints of the new
     edge carry skew proportional to the diameter when the edge appears.
     """
-    params = _bench_params()
-    edge = EdgeParams(**BENCHMARK_EDGE)
-    kappa = _bench_kappa(params)
+    params, kappa, line_bound = _line_model(n)
     ramp = ramp_fraction * kappa
     # The bound handed to the algorithm must dominate the pre-built skew
     # (assumption (6) of the paper).
-    bound = max(
-        suggest_global_skew_bound(net_topology.line(n, edge), params),
-        1.1 * ramp * (n - 1),
-    )
+    bound = max(line_bound, 1.1 * ramp * (n - 1))
     insertion_span = BENCHMARK_INSERTION_SCALE * params.insertion_duration(bound)
     duration = insertion_time + 2.4 * insertion_span + 120.0
-    return ScenarioSpec(
+    return model_spec(
         label=f"end_to_end_insertion/n={n}/{algorithm}",
         topology=ComponentSpec("line", {"n": n}),
         dynamics=ComponentSpec(
@@ -712,17 +738,8 @@ def _end_to_end_insertion_scenario(
         ),
         drift=ComponentSpec("two_group", {}),
         algorithm=_algorithm_component(algorithm, global_skew_bound=bound),
-        params=dict(BENCHMARK_PARAMS),
-        edge=dict(BENCHMARK_EDGE),
-        sim=_merge_sim(
-            {
-                "dt": dt,
-                "duration": duration,
-                "sample_interval": 1.0,
-                "estimate_strategy": "toward_observer",
-            },
-            sim,
-        ),
+        duration=duration,
+        sim=sim,
         initial_ramp_per_edge=ramp,
         notes={
             "global_skew_bound": bound,
@@ -742,7 +759,6 @@ def _grid_periodic_churn_scenario(
     up_fraction: float = 0.5,
     n_candidates: int = 6,
     duration: float = 240.0,
-    dt: float = 0.1,
     sim: Optional[Dict[str, Any]] = None,
 ) -> ScenarioSpec:
     """A grid whose diagonal shortcut edges flap on and off periodically.
@@ -750,7 +766,7 @@ def _grid_periodic_churn_scenario(
     The grid backbone is never removed, so the network stays connected while
     the churn repeatedly shrinks and stretches effective distances.
     """
-    return ScenarioSpec(
+    return model_spec(
         label=f"grid_periodic_churn/{rows}x{cols}/{algorithm}",
         topology=ComponentSpec("grid", {"rows": rows, "cols": cols}),
         dynamics=ComponentSpec(
@@ -764,17 +780,8 @@ def _grid_periodic_churn_scenario(
         ),
         drift=ComponentSpec("two_group", {"swap_period": 80.0}),
         algorithm=_algorithm_component(algorithm),
-        params=dict(BENCHMARK_PARAMS),
-        edge=dict(BENCHMARK_EDGE),
-        sim=_merge_sim(
-            {
-                "dt": dt,
-                "duration": duration,
-                "sample_interval": 1.0,
-                "estimate_strategy": "toward_observer",
-            },
-            sim,
-        ),
+        duration=duration,
+        sim=sim,
     )
 
 
@@ -787,7 +794,6 @@ def _random_connected_sliding_window_scenario(
     shift_period: float = 20.0,
     algorithm: str = "AOPT",
     duration: float = 240.0,
-    dt: float = 0.1,
     sim: Optional[Dict[str, Any]] = None,
 ) -> ScenarioSpec:
     """A random connected graph with a rotating window of shortcut edges.
@@ -796,7 +802,7 @@ def _random_connected_sliding_window_scenario(
     applied on top of a random connected backbone, so estimate edges keep
     appearing and disappearing while connectivity is preserved.
     """
-    return ScenarioSpec(
+    return model_spec(
         label=f"random_connected_sliding_window/n={n}/{algorithm}",
         topology=ComponentSpec(
             "random_connected",
@@ -808,17 +814,8 @@ def _random_connected_sliding_window_scenario(
         ),
         drift=ComponentSpec("random_walk", {"period": 15.0}),
         algorithm=_algorithm_component(algorithm),
-        params=dict(BENCHMARK_PARAMS),
-        edge=dict(BENCHMARK_EDGE),
-        sim=_merge_sim(
-            {
-                "dt": dt,
-                "duration": duration,
-                "sample_interval": 1.0,
-                "estimate_strategy": "toward_observer",
-            },
-            sim,
-        ),
+        duration=duration,
+        sim=sim,
     )
 
 
@@ -830,7 +827,6 @@ def _star_hub_failover_scenario(
     overlap: float = 5.0,
     algorithm: str = "AOPT",
     duration: float = 200.0,
-    dt: float = 0.1,
     sim: Optional[Dict[str, Any]] = None,
 ) -> ScenarioSpec:
     """A star whose hub hands every spoke over to a backup hub mid-run.
@@ -839,7 +835,7 @@ def _star_hub_failover_scenario(
     leaf's only estimate path migrates from one hub to the other -- a burst of
     simultaneous insertions and removals.
     """
-    return ScenarioSpec(
+    return model_spec(
         label=f"star_hub_failover/n={n}/{algorithm}",
         topology=ComponentSpec("star", {"n": n}),
         dynamics=ComponentSpec(
@@ -847,17 +843,8 @@ def _star_hub_failover_scenario(
         ),
         drift=ComponentSpec("two_group", {"swap_period": 60.0}),
         algorithm=_algorithm_component(algorithm),
-        params=dict(BENCHMARK_PARAMS),
-        edge=dict(BENCHMARK_EDGE),
-        sim=_merge_sim(
-            {
-                "dt": dt,
-                "duration": duration,
-                "sample_interval": 1.0,
-                "estimate_strategy": "toward_observer",
-            },
-            sim,
-        ),
+        duration=duration,
+        sim=sim,
     )
 
 
@@ -868,7 +855,6 @@ def _ring_sinusoidal_drift_scenario(
     drift_period: float = 80.0,
     algorithm: str = "AOPT",
     duration: float = 240.0,
-    dt: float = 0.1,
     sim: Optional[Dict[str, Any]] = None,
 ) -> ScenarioSpec:
     """A ring under smoothly varying, phase-shifted sinusoidal drift.
@@ -877,22 +863,13 @@ def _ring_sinusoidal_drift_scenario(
     differences around the cycle -- a benign but non-trivial stress test for
     the gradient property on a topology with two disjoint paths per pair.
     """
-    return ScenarioSpec(
+    return model_spec(
         label=f"ring_sinusoidal_drift/n={n}/{algorithm}",
         topology=ComponentSpec("ring", {"n": n}),
         drift=ComponentSpec("sinusoidal", {"period": drift_period}),
         algorithm=_algorithm_component(algorithm),
-        params=dict(BENCHMARK_PARAMS),
-        edge=dict(BENCHMARK_EDGE),
-        sim=_merge_sim(
-            {
-                "dt": dt,
-                "duration": duration,
-                "sample_interval": 1.0,
-                "estimate_strategy": "toward_observer",
-            },
-            sim,
-        ),
+        duration=duration,
+        sim=sim,
     )
 
 
@@ -902,26 +879,18 @@ def _quickstart_line_scenario(
     n: int = 8,
     algorithm: str = "AOPT",
     duration: float = 200.0,
-    dt: float = 0.05,
     sim: Optional[Dict[str, Any]] = None,
 ) -> ScenarioSpec:
     """The examples/quickstart.py scenario: AOPT on a small static line."""
-    return ScenarioSpec(
+    return model_spec(
         label=f"quickstart_line/n={n}/{algorithm}",
         topology=ComponentSpec("line", {"n": n}),
         drift=ComponentSpec("two_group", {}),
         algorithm=ComponentSpec(resolve_algorithm_name(algorithm), {}),
         params={"rho": 0.01, "mu": 0.1},
-        edge=dict(BENCHMARK_EDGE),
-        sim=_merge_sim(
-            {
-                "dt": dt,
-                "duration": duration,
-                "sample_interval": 1.0,
-                "estimate_strategy": "toward_observer",
-            },
-            sim,
-        ),
+        duration=duration,
+        dt=0.05,
+        sim=sim,
     )
 
 
@@ -930,18 +899,16 @@ def _line_broadcast_scenario(
     *,
     n: int = 8,
     algorithm: str = "AOPT",
-    broadcast_interval: float = 1.0,
     swap_period: float = 150.0,
     ramp_fraction: float = 0.95,
     duration: Optional[float] = None,
-    dt: float = 0.1,
     sim: Optional[Dict[str, Any]] = None,
 ) -> ScenarioSpec:
     """The line sweep with estimates carried by periodic clock broadcasts.
 
     Same adversary and pre-built ramp as ``line_scaling``, but the oracle
     estimate layer is replaced by the paper's message model: nodes broadcast
-    their logical clock every ``broadcast_interval`` hardware time and
+    their logical clock every ``sim.broadcast_interval`` hardware time and
     neighbors extrapolate the last received value at their own hardware
     rate.  The benchmark family for the message-transport fast path.
     """
@@ -951,14 +918,7 @@ def _line_broadcast_scenario(
         swap_period=swap_period,
         ramp_fraction=ramp_fraction,
         duration=duration,
-        dt=dt,
-        sim=_merge_sim(
-            {
-                "estimate_mode": "broadcast",
-                "broadcast_interval": broadcast_interval,
-            },
-            sim,
-        ),
+        sim={**_BROADCAST_SIM, **(sim or {})},
     )
     return replace(base, label=f"line_broadcast/n={n}/{algorithm}")
 
@@ -968,12 +928,10 @@ def _random_broadcast_delay_storm_scenario(
     *,
     n: int = 12,
     algorithm: str = "AOPT",
-    broadcast_interval: float = 1.0,
     storm_period: float = 40.0,
     storm_width: float = 10.0,
     storm_factor: float = 4.0,
     duration: float = 240.0,
-    dt: float = 0.1,
     sim: Optional[Dict[str, Any]] = None,
 ) -> ScenarioSpec:
     """Broadcast estimates on a churning random graph under delay storms.
@@ -988,14 +946,7 @@ def _random_broadcast_delay_storm_scenario(
         n=n,
         algorithm=algorithm,
         duration=duration,
-        dt=dt,
-        sim=_merge_sim(
-            {
-                "estimate_mode": "broadcast",
-                "broadcast_interval": broadcast_interval,
-            },
-            sim,
-        ),
+        sim={**_BROADCAST_SIM, **(sim or {})},
     )
     return replace(
         base,
@@ -1019,11 +970,9 @@ def _grid_broadcast_partition_scenario(
     rows: int = 3,
     cols: int = 3,
     algorithm: str = "AOPT",
-    broadcast_interval: float = 1.0,
     split_time: float = 40.0,
     heal_time: float = 80.0,
     duration: float = 160.0,
-    dt: float = 0.1,
     sim: Optional[Dict[str, Any]] = None,
 ) -> ScenarioSpec:
     """Broadcast estimates across a partition with lossy in-flight messages.
@@ -1035,7 +984,7 @@ def _grid_broadcast_partition_scenario(
     Exercises the edge-loss ``forget`` path and the heap-transport fallback
     of the vectorized backends.
     """
-    return ScenarioSpec(
+    return model_spec(
         label=f"grid_broadcast_partition/{rows}x{cols}/{algorithm}",
         topology=ComponentSpec("grid", {"rows": rows, "cols": cols}),
         dynamics=ComponentSpec(
@@ -1047,20 +996,8 @@ def _grid_broadcast_partition_scenario(
             "uniform", {"low_fraction": 0.1, "high_fraction": 0.9}
         ),
         algorithm=_algorithm_component(algorithm),
-        params=dict(BENCHMARK_PARAMS),
-        edge=dict(BENCHMARK_EDGE),
-        sim=_merge_sim(
-            {
-                "dt": dt,
-                "duration": duration,
-                "sample_interval": 1.0,
-                "estimate_strategy": "toward_observer",
-                "estimate_mode": "broadcast",
-                "broadcast_interval": broadcast_interval,
-                "drop_messages_on_edge_loss": True,
-            },
-            sim,
-        ),
+        duration=duration,
+        sim={**_BROADCAST_SIM, "drop_messages_on_edge_loss": True, **(sim or {})},
     )
 
 
@@ -1070,77 +1007,14 @@ def _grid_broadcast_partition_scenario(
 # This block sits at the bottom of the module on purpose: repro.chaos
 # imports nothing from repro.experiments at module level, but its loader
 # needs the registries above to exist when packaged scenario files are
-# registered, and the DYNAMICS/DELAYS wrappers below need repro.chaos.
+# registered, and the DYNAMICS/DELAYS entries below need repro.chaos.
 # Keeping the cross-imports down here makes the cycle a no-op.
 # ----------------------------------------------------------------------
 from ..chaos import faults as _chaos_faults  # noqa: E402
 
-
-@DYNAMICS.register("correlated_mass_churn")
-def _correlated_mass_churn(
-    graph: DynamicGraph,
-    edge: EdgeParams,
-    *,
-    horizon: float,
-    k: int = 2,
-    victims: Optional[Sequence[NodeId]] = None,
-    period: float = 60.0,
-    outage: float = 10.0,
-    start: float = 20.0,
-    seed: int,
-) -> Tuple[DynamicGraph, Dict[str, Any]]:
-    """k nodes' edges drop and return together: a shared failure domain."""
-    return _chaos_faults.correlated_mass_churn(
-        graph,
-        edge,
-        horizon=horizon,
-        k=k,
-        victims=victims,
-        period=period,
-        outage=outage,
-        start=start,
-        seed=seed,
-    )
-
-
-@DYNAMICS.register("partition_then_heal")
-def _partition_then_heal(
-    graph: DynamicGraph,
-    edge: EdgeParams,
-    *,
-    split_time: float,
-    heal_time: float,
-    split_fraction: float = 0.5,
-) -> Tuple[DynamicGraph, Dict[str, Any]]:
-    """The graph splits into two components and re-merges with built-up skew."""
-    return _chaos_faults.partition_then_heal(
-        graph,
-        edge,
-        split_time=split_time,
-        heal_time=heal_time,
-        split_fraction=split_fraction,
-    )
-
-
-@DYNAMICS.register("crash_restart")
-def _crash_restart(
-    graph: DynamicGraph,
-    edge: EdgeParams,
-    *,
-    crash_time: float,
-    downtime: float = 10.0,
-    node: Optional[NodeId] = None,
-    reset_value: float = 0.0,
-) -> Tuple[DynamicGraph, Dict[str, Any]]:
-    """One node loses its edges, forgets its state and rejoins from scratch."""
-    return _chaos_faults.crash_restart(
-        graph,
-        edge,
-        crash_time=crash_time,
-        downtime=downtime,
-        node=node,
-        reset_value=reset_value,
-    )
+DYNAMICS.register("correlated_mass_churn", _chaos_faults.correlated_mass_churn)
+DYNAMICS.register("partition_then_heal", _chaos_faults.partition_then_heal)
+DYNAMICS.register("crash_restart", _chaos_faults.crash_restart)
 
 
 @DELAYS.register("delay_spike_storm")

@@ -49,7 +49,7 @@ RESULT_MODULES = (
 #: the chaos pack (a chaos spec names its scenario file, not its content).
 RESULT_DATA = ("jitsim/_fused_loop.c", "chaos/scenarios/*.json")
 
-SEMANTICS = "02a4fb07061685ff30bfc6de05e9a81f"
+SEMANTICS = "b3f6520d5e415957556d17611cbbdafb"
 
 
 def result_files(root: Optional[Path] = None) -> List[Path]:

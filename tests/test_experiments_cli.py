@@ -138,12 +138,52 @@ class TestSweep:
         assert run_cli("sweep", "line_scaling", "--cache-dir", str(tmp_path)) == 2
         assert "--grid" in capsys.readouterr().err
 
+    def test_a_repeated_grid_axis_is_refused(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        argv = ("sweep", "quickstart_line", "--grid", "n=3", "--grid", "n=4")
+        assert run_cli(*argv, "--cache-dir", str(cache)) == 2
+        captured = capsys.readouterr()
+        assert "error: --grid axis 'n' is given twice" in captured.err
+        assert captured.out == ""
+        assert not cache.exists() or not any(cache.iterdir())
+
     def test_malformed_set_rejected(self, tmp_path, capsys):
         assert (
             run_cli("run", "quickstart_line", "--set", "oops", "--cache-dir", str(tmp_path))
             == 2
         )
         assert "key=value" in capsys.readouterr().err
+
+
+class TestBuilderArguments:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ("run", "line_scaling", "--set", "foo=1"),
+                "scenario 'line_scaling' has no argument 'foo'; it takes n, "
+                "algorithm, swap_period, ramp_fraction, duration, sim",
+            ),
+            (
+                ("run", "line_scaling", "--set", "dt=0.05"),
+                "scenario 'line_scaling' has no argument 'dt'",
+            ),
+            (
+                ("sweep", "quickstart_line", "--grid", "sim.duration=2,4"),
+                "scenario 'quickstart_line' has no argument 'sim.duration'; "
+                "it takes n, algorithm, duration, sim",
+            ),
+        ],
+    )
+    def test_an_unknown_argument_names_the_scenario(self, tmp_path, capsys, argv, message):
+        cache = tmp_path / "cache"
+        assert run_cli(*argv, "--cache-dir", str(cache)) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "sim.dt=0.05" in captured.err
+        assert "_scenario()" not in captured.err
+        assert captured.out == ""
+        assert not cache.exists() or not any(cache.iterdir())
 
 
 class TestBackendSelection:

@@ -42,7 +42,7 @@ class TestPredictFinalTime:
     def test_matches_engine_final_sample(self, duration, dt):
         """The prediction is bit-equal to the engine's forced final sample."""
         spec = scenario(
-            "quickstart_line", n=3, duration=duration, dt=dt
+            "quickstart_line", n=3, duration=duration, sim={"dt": dt}
         )
         payload = execute_spec(spec)
         final_time = payload["trace"]["samples"][-1]["time"]

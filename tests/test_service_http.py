@@ -223,6 +223,20 @@ class TestErrorHandling:
                 assert "backend=auto runs it on 'reference'" in str(err.value)
         assert client.healthz()["counters"]["jobs_submitted"] == 0
 
+    def test_an_unknown_builder_argument_is_400_and_nothing_is_queued(self, client):
+        bodies = [
+            {"scenario": "quickstart_line", "base": {"n": 4, "dt": 0.05}},
+            {"scenario": "quickstart_line", "grid": {"n": [4], "dt": [0.05, 0.1]}},
+            {"scenario": "quickstart_line", "grid": {"sim.duration": [2.0, 4.0]}},
+        ]
+        for body in bodies:
+            with pytest.raises(ClientError) as err:
+                client._json("POST", "/sweeps", body)
+            assert err.value.status == 400
+            assert "scenario 'quickstart_line' has no argument" in str(err.value)
+            assert "it takes n, algorithm, duration, sim" in str(err.value)
+        assert client.healthz()["counters"]["jobs_submitted"] == 0
+
     def test_unknown_scenario_is_400(self, client):
         with pytest.raises(ClientError) as err:
             client.submit_grid("no_such_scenario", grid={"n": [4]})

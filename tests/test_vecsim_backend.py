@@ -430,7 +430,7 @@ def broadcast_trio():
     """Broadcast estimates: two intervals, and a delay storm on churning edges."""
     return [
         scenario("line_broadcast", n=5, sim={"duration": 25.0}),
-        scenario("line_broadcast", n=7, broadcast_interval=0.5, sim={"duration": 25.0}),
+        scenario("line_broadcast", n=7, sim={"broadcast_interval": 0.5, "duration": 25.0}),
         scenario("random_broadcast_delay_storm", n=6, duration=25.0),
     ]
 
