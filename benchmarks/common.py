@@ -4,8 +4,8 @@ All experiments of EXPERIMENTS.md are driven through the helpers in this
 module, which since the introduction of :mod:`repro.experiments` are thin
 wrappers over the declarative subsystem: the E1--E4 sweeps are the named
 scenarios ``line_scaling`` and ``end_to_end_insertion`` of the registry, and
-runs go through an :class:`~repro.experiments.executor.ExperimentRunner`
-whose on-disk cache lives under ``benchmarks/results/cache/``.  Repeated
+runs go through :func:`~repro.experiments.executor.run_sweep` on a result
+cache that lives under ``benchmarks/results/cache/``.  Repeated
 sweeps (within a session *or* across sessions) are therefore free, and the
 in-process memoisation only retains the compact
 :class:`~repro.experiments.results.RunSummary` plus the trace -- not the
@@ -26,7 +26,7 @@ from repro.analysis import report, skew
 from repro.core import insertion as insertion_mod
 from repro.core.parameters import Parameters
 from repro.core.skew_estimates import suggest_global_skew_bound
-from repro.experiments import ExperimentRun, ExperimentRunner, scenario
+from repro.experiments import ExperimentRun, ResultCache, run_sweep, scenario
 from repro.experiments.registry import (
     BENCHMARK_EDGE,
     BENCHMARK_INSERTION_SCALE,
@@ -56,9 +56,9 @@ LINE_SIZES = (4, 8, 16, 24)
 #: Line lengths used by the stabilization sweep (E4).
 INSERTION_SIZES = (6, 10, 14)
 
-#: Shared runner: serial (benchmarks interleave analysis with runs) but
-#: cache-backed, so re-running an experiment re-uses previous sweeps.
-_RUNNER = ExperimentRunner(CACHE_DIR)
+#: Shared cache: runs are serial (benchmarks interleave analysis with runs)
+#: but cache-backed, so re-running an experiment re-uses previous sweeps.
+_CACHE = ResultCache(CACHE_DIR)
 
 
 def emit(table: report.Table, filename: str) -> None:
@@ -99,7 +99,8 @@ def line_scaling_run(n: int, algorithm: str) -> Tuple[ExperimentRun, float]:
     two-group drift adversary.  Returns the run (summary + trace, no engine)
     and the global skew bound used by AOPT.
     """
-    run = _RUNNER.run(scenario("line_scaling", n=n, algorithm=algorithm))
+    spec = scenario("line_scaling", n=n, algorithm=algorithm)
+    run = run_sweep([spec], cache=_CACHE)[0][0]
     return run, run.meta["reference_global_skew_bound"]
 
 
@@ -110,7 +111,8 @@ def insertion_run(n: int, algorithm: str) -> Tuple[ExperimentRun, dict]:
     The line starts from the pre-built ramp, so the two endpoints of the new
     edge carry skew proportional to the diameter when the edge appears.
     """
-    run = _RUNNER.run(scenario("end_to_end_insertion", n=n, algorithm=algorithm))
+    spec = scenario("end_to_end_insertion", n=n, algorithm=algorithm)
+    run = run_sweep([spec], cache=_CACHE)[0][0]
     meta = {
         key: run.meta[key]
         for key in (

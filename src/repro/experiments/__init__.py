@@ -7,8 +7,9 @@ in parallel, cache it on disk":
   :class:`~repro.experiments.spec.ScenarioSpec` with a stable content hash;
 * :mod:`repro.experiments.registry` -- named topology/dynamics/drift/delay/
   algorithm factories plus named end-to-end scenarios;
-* :mod:`repro.experiments.executor` -- grid expansion, a multiprocessing
-  sweep runner and the content-addressed on-disk result cache;
+* :mod:`repro.experiments.executor` -- grid expansion, ``run_sweep`` (the
+  one way to run a batch, inline or on a process pool) and the
+  content-addressed on-disk result cache;
 * :mod:`repro.experiments.results` -- spec to payload
   (:func:`~repro.experiments.results.execute_spec`) and the compact
   :class:`~repro.experiments.results.RunSummary` workers return instead of
@@ -23,9 +24,7 @@ in parallel, cache it on disk":
 from .bench import bench_spec
 from .executor import (
     ExperimentRun,
-    ExperimentRunner,
     ResultCache,
-    SweepEvent,
     SweepStats,
     execute_spec,
     expand_grid,
@@ -54,13 +53,11 @@ __all__ = [
     "TOPOLOGIES",
     "ComponentSpec",
     "ExperimentRun",
-    "ExperimentRunner",
     "MaterialisedScenario",
     "ResultCache",
     "RunSummary",
     "ScenarioSpec",
     "SpecError",
-    "SweepEvent",
     "SweepStats",
     "bench_spec",
     "build_run_pipeline",

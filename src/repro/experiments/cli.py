@@ -12,9 +12,9 @@
 
 ``--set key=value`` passes builder arguments to the named scenario; dotted
 keys populate nested mappings (``--set sim.duration=40`` shrinks the run).
-``--grid key=v1,v2,...`` adds a sweep axis; the sweep runs the cartesian
-product of all axes.  Values are parsed as Python literals when possible and
-fall back to strings.
+``--grid key=v1,v2,...`` adds a sweep axis, dotted keys too (``--grid
+sim.dt=0.1,0.05``); the sweep runs the cartesian product of all axes.
+Values are parsed as Python literals when possible and fall back to strings.
 
 Results are cached under ``benchmarks/results/cache/`` (override with
 ``--cache-dir`` or ``$REPRO_EXPERIMENTS_CACHE_DIR``); a repeated sweep is
@@ -27,7 +27,7 @@ import argparse
 import ast
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import report
 from ..fastsim.backend import (
@@ -55,18 +55,9 @@ def _parse_value(text: str) -> Any:
         return text
 
 
-def _assign(target: Dict[str, Any], dotted_key: str, value: Any) -> None:
-    parts = dotted_key.split(".")
-    for part in parts[:-1]:
-        target = target.setdefault(part, {})
-        if not isinstance(target, dict):
-            raise argparse.ArgumentTypeError(
-                f"cannot nest into non-mapping override {part!r}"
-            )
-    target[parts[-1]] = value
-
-
 def _parse_overrides(items: Optional[Sequence[str]]) -> Dict[str, Any]:
+    """``--set`` items as ``{key: value}``; a dotted key stays dotted, and
+    :func:`~repro.experiments.executor.expand_grid` nests it."""
     overrides: Dict[str, Any] = {}
     for item in items or []:
         if "=" not in item:
@@ -74,7 +65,7 @@ def _parse_overrides(items: Optional[Sequence[str]]) -> Dict[str, Any]:
                 f"--set expects key=value, got {item!r}"
             )
         key, _, raw = item.partition("=")
-        _assign(overrides, key.strip(), _parse_value(raw.strip()))
+        overrides[key.strip()] = _parse_value(raw.strip())
     return overrides
 
 
@@ -137,14 +128,6 @@ def _summary_table(title: str, runs: Sequence[executor.ExperimentRun]) -> report
             _fmt(run.from_cache),
         )
     return table
-
-
-def _make_runner(args: argparse.Namespace) -> executor.ExperimentRunner:
-    return executor.ExperimentRunner(
-        cache_dir=args.cache_dir,
-        workers=args.workers,
-        use_cache=not args.no_cache,
-    )
 
 
 def _emit_runs(
@@ -368,14 +351,25 @@ class _Telemetry:
             self._log.close()
 
 
+def _run_specs(
+    args: argparse.Namespace, specs: Sequence[ScenarioSpec]
+) -> Tuple[List[executor.ExperimentRun], executor.SweepStats]:
+    _validate_specs(specs)
+    with _Telemetry(args) as telemetry:
+        return executor.run_sweep(
+            specs,
+            cache=executor.ResultCache(args.cache_dir),
+            workers=args.workers,
+            use_cache=not args.no_cache,
+            telemetry=telemetry.emitter,
+        )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     overrides = _parse_overrides(args.set)
     _apply_observation_flags(args, overrides)
-    spec = _check_user_input(registry.scenario, args.scenario, **overrides)
-    _validate_specs([spec])
-    runner = _make_runner(args)
-    with _Telemetry(args) as telemetry:
-        runs, stats = runner.run_all([spec], telemetry=telemetry.emitter)
+    (spec,) = _check_user_input(executor.expand_grid, args.scenario, {}, base=overrides)
+    runs, stats = _run_specs(args, [spec])
     _emit_runs(args, f"run: {spec.label or args.scenario}", runs, stats)
     return 0
 
@@ -387,10 +381,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not grid:
         raise argparse.ArgumentTypeError("sweep needs at least one --grid axis")
     specs = _check_user_input(executor.expand_grid, args.scenario, grid, base=overrides)
-    _validate_specs(specs)
-    runner = _make_runner(args)
-    with _Telemetry(args) as telemetry:
-        runs, stats = runner.run_all(specs, telemetry=telemetry.emitter)
+    runs, stats = _run_specs(args, specs)
     axes = " x ".join(f"{key}({len(values)})" for key, values in grid.items())
     _emit_runs(args, f"sweep: {args.scenario} over {axes}", runs, stats)
     return 0

@@ -11,11 +11,11 @@ The executor turns specs into runs:
   pruning -- shared by one-shot CLI runs and the long-running sweep service
   (:mod:`repro.service`), whose ``GET /results/{key}`` API serves these
   files verbatim;
-* :func:`run_sweep` is THE sweep loop -- backend resolution (``auto``
-  picks the engine; a spec its named backend declines is refused), cache
-  probe, pool dispatch, cache store -- with an optional
-  per-spec progress callback; :class:`ExperimentRunner` is its thin
-  stateful driver.  Because every source of randomness is seeded from the
+* :func:`run_sweep` is THE sweep loop and the one way to run a batch --
+  backend resolution (``auto`` picks the engine; a spec its named backend
+  declines is refused), cache probe, pool dispatch, cache store -- whose
+  optional :class:`~repro.telemetry.SweepTelemetry` stream is the one way
+  to follow it.  Because every source of randomness is seeded from the
   spec hash (see :mod:`repro.experiments.registry`), a parallel sweep is
   bit-identical to a serial one, and a repeated sweep is served entirely
   from cache;
@@ -36,7 +36,7 @@ import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import __version__ as _library_version
 from ..fastsim.backend import resolve_backend
@@ -697,27 +697,6 @@ class ResultCache:
 # ----------------------------------------------------------------------
 # The reusable sweep loop (CLI and daemon both drive this)
 # ----------------------------------------------------------------------
-@dataclass
-class SweepEvent:
-    """One progress notification from :func:`run_sweep`.
-
-    ``kind`` is ``"cached"`` (served from the cache, or from an earlier
-    occurrence of the same spec in this sweep), ``"start"`` (about to
-    execute) or ``"executed"`` (result computed and stored); ``spec`` is
-    the spec on the backend that runs it.  ``index`` is the spec's
-    position in the ``specs`` sequence passed to ``run_sweep``.
-    """
-
-    kind: str
-    index: int
-    spec: ScenarioSpec
-    from_cache: bool = False
-
-
-#: Type of the optional ``run_sweep`` progress callback.
-SweepCallback = Callable[[SweepEvent], None]
-
-
 def run_sweep(
     specs: Sequence[ScenarioSpec],
     *,
@@ -725,15 +704,14 @@ def run_sweep(
     workers: int = 1,
     use_cache: bool = True,
     strict_backend: bool = False,  # ignored; kept for the perf harness
-    on_event: Optional[SweepCallback] = None,
     telemetry: Optional[SweepTelemetry] = None,
 ) -> Tuple[List[ExperimentRun], SweepStats]:
     """Run a batch of specs, preserving input order.
 
     This is THE sweep loop -- backend resolution, cache probe, pool
-    dispatch, cache store -- shared verbatim by the CLI
-    (:class:`ExperimentRunner`) and the sweep service daemon
-    (:mod:`repro.service`); neither forks its own copy.
+    dispatch, cache store -- shared verbatim by the CLI, the benchmark
+    scripts and the sweep service daemon (:mod:`repro.service`); none forks
+    its own copy.
 
     Which backend runs a spec is decided first, from the spec alone, for
     every spec before any is probed or built
@@ -751,17 +729,13 @@ def run_sweep(
     trace stays in payload form -- a cache hit's in its file, see
     :meth:`ResultCache.fetch` -- until it is read) as soon as it exists.
 
-    ``on_event`` receives a :class:`SweepEvent` per spec transition (cache
-    hit, execution start/finish), which is how the daemon streams
-    per-spec job progress without the loop knowing anything about jobs.
-
-    ``telemetry`` (a :class:`~repro.telemetry.SweepTelemetry`) additionally
-    streams the versioned JSONL event schema: sweep brackets, per-run
-    lifecycle events mapped from the same transitions, and ``watchdog_fired``
-    / ``progress`` events *live* from inside in-process runs (inline
-    executions get a per-run sink; pool workers and cache hits cannot carry
-    one, so their watchdog firings are replayed from the result payload,
-    flagged ``replayed``).
+    ``telemetry`` (a :class:`~repro.telemetry.SweepTelemetry`) is the one
+    way to follow a sweep; the daemon derives job progress from it too.  It
+    streams sweep brackets, ``run_started`` per spec about to execute,
+    ``run_finished`` (``cached`` or ``done``) as each result exists, and
+    ``watchdog_fired`` / ``progress`` *live* from inline runs; pool workers
+    and cache hits cannot carry a sink, so their watchdog firings are
+    replayed from the payload, flagged ``replayed``.
     """
     if workers < 1:
         raise ExecutorError(f"workers must be >= 1, got {workers}")
@@ -774,12 +748,6 @@ def run_sweep(
     if telemetry is not None:
         telemetry.sweep_started(len(specs))
 
-    def notify(event: SweepEvent) -> None:
-        if on_event is not None:
-            on_event(event)
-        if telemetry is not None:
-            telemetry.on_sweep_event(event)
-
     runs: List[Optional[ExperimentRun]] = [None] * len(resolved)
     #: index of a miss -> later indices with the same cache key, which wait
     #: for its result instead of executing.
@@ -791,9 +759,8 @@ def run_sweep(
         runs[index] = _run_from_payload(spec, payload, from_cache)
         if from_cache:
             batch.cached += 1
-        kind = "cached" if from_cache else "executed"
-        notify(SweepEvent(kind, index, spec, from_cache=from_cache))
         if telemetry is not None:
+            telemetry.run_finished(index, spec, from_cache)
             # No-op for runs that streamed live; cache hits and pool
             # workers replay from the payload.
             telemetry.replay_watchdogs(index, spec, payload)
@@ -820,8 +787,9 @@ def run_sweep(
                 continue
         missing.append((index, spec))
 
-    for index, spec in missing:
-        notify(SweepEvent("start", index, spec))
+    if telemetry is not None:
+        for index, spec in missing:
+            telemetry.run_started(index, spec)
     if workers > 1 and len(missing) > 1:
         with multiprocessing.Pool(min(workers, len(missing))) as pool:
             payloads = pool.imap(_pool_worker, [spec.to_dict() for _, spec in missing])
@@ -838,59 +806,26 @@ def run_sweep(
     return runs, batch
 
 
-class ExperimentRunner:
-    """Run specs with on-disk caching and an optional worker pool.
-
-    A thin, stateful driver of :func:`run_sweep`: it owns a
-    :class:`ResultCache` and default execution settings, and ``stats``
-    accumulates over the runner's lifetime; :meth:`run_all` also returns
-    the stats of that one batch.  See :func:`run_sweep` for the sweep
-    semantics (``auto``, declined specs).
-    """
-
-    def __init__(
-        self,
-        cache_dir: Optional[os.PathLike] = None,
-        *,
-        workers: int = 1,
-        use_cache: bool = True,
-    ):
-        if workers < 1:
-            raise ExecutorError(f"workers must be >= 1, got {workers}")
-        self.cache = ResultCache(cache_dir)
-        self.workers = workers
-        self.use_cache = use_cache
-        self.stats = SweepStats()
-
-    # -- execution ------------------------------------------------------
-    def run(self, spec: ScenarioSpec, *, workers: Optional[int] = None) -> ExperimentRun:
-        return self.run_all([spec], workers=workers)[0][0]
-
-    def run_all(
-        self,
-        specs: Sequence[ScenarioSpec],
-        *,
-        workers: Optional[int] = None,
-        telemetry: Optional[SweepTelemetry] = None,
-    ) -> Tuple[List[ExperimentRun], SweepStats]:
-        """Run a batch of specs through :func:`run_sweep`, preserving order."""
-        runs, batch = run_sweep(
-            specs,
-            cache=self.cache,
-            workers=self.workers if workers is None else workers,
-            use_cache=self.use_cache,
-            telemetry=telemetry,
-        )
-        self.stats.total += batch.total
-        self.stats.cached += batch.cached
-        self.stats.executed += batch.executed
-        self.stats.wall_time += batch.wall_time
-        return runs, batch
-
-
 # ----------------------------------------------------------------------
 # Grid expansion
 # ----------------------------------------------------------------------
+def _assign(target: Dict[str, Any], key: str, value: Any) -> None:
+    """Set ``value`` at the dotted path ``key`` of ``target``; a mapping
+    merges key by key into the mapping already there."""
+    *path, last = key.split(".")
+    for part in path:
+        target = target.setdefault(part, {})
+        if not isinstance(target, dict):
+            raise ExecutorError(f"cannot nest into non-mapping setting {part!r}")
+    if isinstance(value, Mapping):
+        if not isinstance(target.get(last), dict):
+            target[last] = {}
+        for sub_key, sub_value in value.items():
+            _assign(target[last], sub_key, sub_value)
+    else:
+        target[last] = value
+
+
 def expand_grid(
     scenario_name: str,
     grid: Mapping[str, Iterable[Any]],
@@ -900,8 +835,10 @@ def expand_grid(
     """Cartesian product of builder arguments for a named scenario.
 
     ``expand_grid("line_scaling", {"n": [4, 8], "algorithm": ["AOPT",
-    "MaxPropagation"]})`` yields four specs.  ``base`` supplies fixed builder
-    arguments shared by every point of the grid.
+    "MaxPropagation"]})`` yields four specs; no axes yield the one spec of
+    ``base``, the fixed builder arguments of every point.  A dotted key is a
+    path (``sim.dt``), a mapping merges key by key, and the point goes over
+    the base: a ``sim.dt`` axis keeps the base's ``sim.duration``.
     """
     keys = list(grid)
     value_lists = [list(grid[key]) for key in keys]
@@ -910,7 +847,8 @@ def expand_grid(
             raise ExecutorError(f"grid axis {key!r} has no values")
     specs = []
     for combo in itertools.product(*value_lists):
-        kwargs = dict(base or {})
-        kwargs.update(zip(keys, combo))
+        kwargs: Dict[str, Any] = {}
+        for key, value in [*(base or {}).items(), *zip(keys, combo)]:
+            _assign(kwargs, key, value)
         specs.append(registry.scenario(scenario_name, **kwargs))
     return specs

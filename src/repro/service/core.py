@@ -20,8 +20,9 @@ loop the CLI uses -- the daemon adds *sharing*, not a second executor:
   ``submit`` resolves each spec's backend first (``auto`` becomes the
   engine that runs it, so it shares that engine's key) and refuses a spec
   its named backend cannot run before anything is keyed or queued.
-* **Progress.**  ``run_sweep`` progress events update per-spec job state
-  and stream to the JSONL telemetry log, so ``GET /jobs/{id}`` and
+* **Progress.**  ``run_sweep``'s telemetry records stream to the JSONL log
+  and the job's event ring, and its ``run_started`` / ``run_finished``
+  records also update per-spec job state, so ``GET /jobs/{id}`` and
   ``tail -f`` both see live sweep progress.
 
 **What a worker is.**  ``start()`` resolves every backend (so the engines
@@ -29,14 +30,14 @@ and the jit provider are loaded once), then forks ``config.workers``
 children, each with a pipe and a *relay thread* in the daemon that takes
 jobs off the queue.  The relay sends a job's leased specs down the pipe;
 the child (:func:`_worker_main`) runs ``run_sweep`` on them against its own
-:class:`ResultCache` over the same directory and sends up three kinds of
-small messages: sweep events, finished telemetry records, and a final stats
-dict or error string.  The relay feeds them to the same progress and
-fan-out code a thread would have called, so leases, coalescing, counters,
-the job event ring and the JSONL log all live in the daemon.  A result
-payload never crosses the pipe: it goes worker -> disk -> ``GET
-/results/{key}``.  What does cross with each stored result is the header
-index entry the child's ``store`` produced, which the daemon adopts
+:class:`ResultCache` over the same directory and sends up two kinds of
+small messages: its telemetry records, one at a time, and a final stats
+dict or error string.  The relay works each spec's progress out of those
+records and fans them out, so leases, coalescing, counters, the job event
+ring and the JSONL log all live in the daemon.  A result payload never
+crosses the pipe: it goes worker -> disk -> ``GET /results/{key}``.  What
+does cross with each ``run_finished`` record is the header index entry the
+child's ``store`` produced, which the daemon adopts
 (:meth:`ResultCache.adopt`) so that a resubmission is still answered without
 a parse.
 
@@ -67,7 +68,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..experiments.executor import ResultCache, SweepEvent, run_sweep
+from ..experiments.executor import ResultCache, run_sweep
 from ..experiments.spec import ScenarioSpec
 from ..fastsim.backend import (
     BackendError,
@@ -171,11 +172,10 @@ def _worker_main(conn, cache_dir: str, forked: bool) -> None:
     """One worker process: run each job the daemon sends, until EOF.
 
     A job arrives as a list of spec dicts.  Up the pipe go
-    ``("event", kind, index, from_cache, entry)`` per sweep event --
-    ``entry`` is the ``(stat, head)`` of the result this process's cache
-    just indexed, for the daemon to adopt --
-    ``("record", record)`` per telemetry record, and finally
-    ``("done", stats)`` or ``("error", message)``.
+    ``("record", record, entry)`` per telemetry record -- for a
+    ``run_finished``, ``entry`` is the ``(stat, head)`` of the result this
+    process's cache just indexed, for the daemon to adopt, else ``None`` --
+    and finally ``("done", stats)`` or ``("error", message)``.
     """
     # A terminal ^C reaches the whole process group, and the daemon's own
     # handlers (installed before the fork) would raise inside a kernel.
@@ -186,33 +186,29 @@ def _worker_main(conn, cache_dir: str, forked: bool) -> None:
     if forked:
         _close_inherited_fds(conn.fileno())
     cache = ResultCache(cache_dir)
+    specs: List[ScenarioSpec] = []  # the job in hand
 
-    def on_event(event: SweepEvent) -> None:
+    def send(record: Dict[str, Any]) -> None:
         entry = None
-        if event.kind != "start":
-            head = cache.probe(event.spec)  # indexed by the store or load: one stat
+        if record["event"] == "run_finished":
+            spec = specs[record["run"]]
+            head = cache.probe(spec)  # indexed by the store or load: one stat
             if head is not None:
                 try:
-                    entry = (os.stat(cache.path_for(event.spec)), head)
+                    entry = (os.stat(cache.path_for(spec)), head)
                 except OSError:
                     pass  # pruned underneath us: the daemon will parse on demand
-        conn.send(("event", event.kind, event.index, event.from_cache, entry))
+        conn.send(("record", record, entry))
 
-    telemetry = SweepTelemetry(lambda record: conn.send(("record", record)))
+    telemetry = SweepTelemetry(send)
     while True:
         try:
             spec_dicts = conn.recv()
         except (EOFError, OSError):
             return  # the daemon closed the pipe, or is gone
         try:
-            _, stats = run_sweep(
-                [ScenarioSpec.from_dict(item) for item in spec_dicts],
-                cache=cache,
-                workers=1,
-                use_cache=True,
-                on_event=on_event,
-                telemetry=telemetry,
-            )
+            specs[:] = [ScenarioSpec.from_dict(item) for item in spec_dicts]
+            _, stats = run_sweep(specs, cache=cache, workers=1, telemetry=telemetry)
             reply = (
                 "done",
                 {
@@ -315,8 +311,8 @@ class Job:
         #: Events dropped off the front of the ring == stream index of
         #: ``events[0]``.
         self.events_dropped = 0
-        #: Bytes the worker process sent up its pipe for this job (events,
-        #: telemetry records, index entries -- never a payload).
+        #: Bytes the worker process sent up its pipe for this job (telemetry
+        #: records, index entries -- never a payload).
         self.pipe_bytes = 0
 
     # -- snapshots ------------------------------------------------------
@@ -819,22 +815,25 @@ class SweepService:
         error: Optional[str] = None
         started = retried = False
 
-        def on_event(kind: str, index: int, from_cache: bool) -> None:
+        def relay(record: Dict[str, Any], entry) -> None:
+            # The spec's progress first, then the record itself.
             nonlocal started
-            if kind == "start":
-                started = True
-                fields = {"state": "running"}
-            elif kind == "cached":
-                # Another writer completed this key between our submit-time
-                # probe and the sweep's own probe -- still a shared win.
-                fields = {"state": "cached", "from_cache": True}
-            else:  # executed
-                fields = {"state": "done", "from_cache": from_cache}
-                if not from_cache:
+            if record["event"] in ("run_started", "run_finished"):
+                index = indices[record["run"]]
+                # ``cached``: another writer completed this key between our
+                # submit-time probe and the sweep's own -- still a shared win.
+                state = record.get("state", "running")  # run_started has none
+                started = started or state == "running"
+                if state == "done":
                     with self._lock:
                         self.counters["specs_executed"] += 1
-            snapshot = job._update_spec(index, **fields)
-            self.log.write("spec_progress", job=job.id, **snapshot)
+                if entry is not None:
+                    self.cache.adopt(job.keys[index], *entry)
+                snapshot = job._update_spec(
+                    index, state=state, from_cache=state == "cached"
+                )
+                self.log.write("spec_progress", job=job.id, **snapshot)
+            fan_out(record)
 
         if not self._workers[slot].process.is_alive():
             self._replace_worker(slot, None)  # died idle: no job pays for it
@@ -843,7 +842,7 @@ class SweepService:
                 worker = self._workers[slot]
                 worker.job = job
                 try:
-                    error = self._converse(worker, job, indices, on_event, fan_out)
+                    error = self._converse(worker, job, indices, relay)
                 except (EOFError, OSError):
                     error = self._replace_worker(slot, job)
                     # A worker just sent SIGKILL can still look alive above,
@@ -878,23 +877,18 @@ class SweepService:
                         entry.error = error or "execution failed"
                     entry.event.set()
 
-    def _converse(self, worker: _Worker, job: Job, indices, on_event, fan_out):
-        """Send the leased specs to ``worker`` and relay what comes back
-        until it finishes; returns the worker's error message or ``None``.
-        A dead pipe raises ``EOFError`` / ``OSError``."""
+    def _converse(self, worker: _Worker, job: Job, indices, relay):
+        """Send the leased specs to ``worker`` and hand each record that
+        comes back to ``relay`` until it finishes; returns the worker's
+        error message or ``None``.  A dead pipe raises ``EOFError`` /
+        ``OSError``."""
         worker.conn.send([job.specs[i].to_dict() for i in indices])
         while True:
             data = worker.conn.recv_bytes()
             job.pipe_bytes += len(data)
             tag, *body = pickle.loads(data)  # written by our own worker
-            if tag == "event":
-                kind, index, from_cache, entry = body
-                index = indices[index]
-                if entry is not None:
-                    self.cache.adopt(job.keys[index], *entry)
-                on_event(kind, index, from_cache)
-            elif tag == "record":
-                fan_out(*body)
+            if tag == "record":
+                relay(*body)
             elif tag == "done":
                 (job.stats,) = body
                 return None

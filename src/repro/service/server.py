@@ -122,10 +122,7 @@ def _parse_submission(body: Dict[str, Any]) -> list:
         if not isinstance(grid, dict) or not isinstance(base, dict):
             raise _HttpError(400, "'grid' and 'base' must be JSON objects")
         try:
-            if grid:
-                specs = executor.expand_grid(body["scenario"], grid, base=base)
-            else:
-                specs = [registry.scenario(body["scenario"], **base)]
+            specs = executor.expand_grid(body["scenario"], grid, base=base)
         except (
             registry.RegistryError,
             executor.ExecutorError,

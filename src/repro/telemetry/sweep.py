@@ -9,9 +9,9 @@ bound method for the CLI's ``--telemetry FILE``, or the service's fan-out
 
 Three event sources are merged:
 
-* **sweep progress** -- ``run_started`` / ``run_finished`` mapped from the
-  executor's :class:`SweepEvent` stream (duck-typed: anything with
-  ``kind``/``index``/``spec``/``from_cache`` works), plus
+* **sweep progress** -- ``run_started`` / ``run_finished``, which the
+  executor calls as each spec starts and as its result exists (these are
+  also what the daemon derives per-spec job progress from), plus
   ``sweep_started`` / ``sweep_finished`` brackets;
 * **live watchdogs** -- :meth:`run_sink` hands the executor a per-run sink
   to attach to that run's metrics pipeline, so ``watchdog_fired`` and
@@ -66,21 +66,25 @@ class SweepTelemetry:
         )
 
     # -- executor progress ----------------------------------------------
-    def on_sweep_event(self, event: Any) -> None:
-        """Translate one executor ``SweepEvent`` into schema events."""
-        spec = event.spec
-        common = {
-            "run": event.index,
-            "spec_hash": spec.content_hash(),
-            "backend": spec.backend,
-            "label": spec.label or spec.topology.name,
-        }
-        if event.kind == "start":
-            self.emit("run_started", **common)
-        elif event.kind == "cached":
-            self.emit("run_finished", state="cached", **common)
-        else:  # executed
-            self.emit("run_finished", state="done", **common)
+    def run_started(self, index: int, spec: Any) -> None:
+        """Spec ``index`` of the sweep is about to execute."""
+        self._emit_run("run_started", index, spec)
+
+    def run_finished(self, index: int, spec: Any, from_cache: bool) -> None:
+        """Spec ``index`` has its result: ``cached`` (from the cache, or from
+        an earlier occurrence in this sweep) or ``done`` (executed)."""
+        state = "cached" if from_cache else "done"
+        self._emit_run("run_finished", index, spec, state=state)
+
+    def _emit_run(self, event_type: str, index: int, spec: Any, **state: Any) -> None:
+        self.emit(
+            event_type,
+            **state,
+            run=index,
+            spec_hash=spec.content_hash(),
+            backend=spec.backend,
+            label=spec.label or spec.topology.name,
+        )
 
     # -- live per-run sinks ---------------------------------------------
     def run_sink(self, index: int, spec: Any) -> Callable[..., None]:
@@ -88,8 +92,8 @@ class SweepTelemetry:
 
         The returned callable has the ``sink(event_type, **fields)`` shape
         :meth:`MetricsPipeline.attach_sink <repro.metrics.pipeline.MetricsPipeline.attach_sink>`
-        expects; the run is marked *live* so :meth:`was_live` can tell the
-        executor not to also replay its cached watchdog events.
+        expects; the run is marked *live* so :meth:`replay_watchdogs` does
+        not also replay its cached watchdog events.
         """
         self._live.add(index)
         spec_hash = spec.content_hash()
@@ -106,9 +110,6 @@ class SweepTelemetry:
 
         return sink
 
-    def was_live(self, index: int) -> bool:
-        return index in self._live
-
     # -- replay from cached payloads -------------------------------------
     def replay_watchdogs(self, index: int, spec: Any, payload: Optional[Dict[str, Any]]) -> None:
         """Re-emit watchdog firings recorded in a cached result payload.
@@ -117,7 +118,7 @@ class SweepTelemetry:
         executions (a sink cannot cross the process boundary).  Events come
         out flagged ``replayed: true`` with the original simulation times.
         """
-        if self.was_live(index) or not payload:
+        if index in self._live or not payload:
             return
         observers = (payload.get("observers") or {}).get("observers") or {}
         spec_hash = payload.get("spec_hash") or spec.content_hash()

@@ -35,6 +35,7 @@ from repro.fastsim.engine import UnsupportedScenarioError
 from repro.service import ServiceConfig, SweepService
 from repro.service.core import ServiceError
 from repro.sim.runner import build_engine
+from repro.telemetry import SweepTelemetry
 
 COLUMNAR = [name for name in ("fast", "vec", "jit") if backend_available(name)]
 #: What ``auto`` runs a spec no backend declines on, on this machine.
@@ -248,13 +249,17 @@ class TestResolveBeforeProbe:
         run_sweep([spec], cache=cache)
         assert len(materialisations) == 1
         del materialisations[:]
-        events = []
-        runs, stats = run_sweep([spec], cache=cache, on_event=events.append)
+        records = []
+        telemetry = SweepTelemetry(records.append)
+        runs, stats = run_sweep([spec], cache=cache, telemetry=telemetry)
         assert materialisations == []
         assert (stats.cached, stats.executed, stats.fallbacks) == (1, 0, 0)
-        assert [(e.kind, e.from_cache, e.spec.backend) for e in events] == [
-            ("cached", True, "reference")
+        runs_seen = [
+            (r["event"], r.get("state"), r["backend"])
+            for r in records
+            if r["event"] in ("run_started", "run_finished")
         ]
+        assert runs_seen == [("run_finished", "cached", "reference")]
         assert runs[0].from_cache and runs[0].requested_backend is None
 
     @pytest.mark.parametrize("backend", ["vec", "jit"])

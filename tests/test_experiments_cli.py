@@ -134,6 +134,17 @@ class TestSweep:
         assert "4 spec(s): 4 from cache, 0 executed" in capsys.readouterr().out
         assert len(list(tmp_path.glob(f"*.{backend}.json"))) == 4
 
+    def test_a_dotted_axis_keeps_the_dotted_set(self, tmp_path, capsys):
+        argv = (
+            "sweep", "quickstart_line", "--set", "n=4", "--set", "sim.duration=4",
+            "--grid", "sim.dt=0.1,0.05", "--cache-dir", str(tmp_path), "--json",
+        )
+        assert run_cli(*argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stats"]["executed"] == 2
+        sims = [run["spec"]["sim"] for run in payload["runs"]]
+        assert [(sim["duration"], sim["dt"]) for sim in sims] == [(4, 0.1), (4, 0.05)]
+
     def test_sweep_requires_a_grid(self, tmp_path, capsys):
         assert run_cli("sweep", "line_scaling", "--cache-dir", str(tmp_path)) == 2
         assert "--grid" in capsys.readouterr().err
@@ -169,8 +180,8 @@ class TestBuilderArguments:
                 "scenario 'line_scaling' has no argument 'dt'",
             ),
             (
-                ("sweep", "quickstart_line", "--grid", "sim.duration=2,4"),
-                "scenario 'quickstart_line' has no argument 'sim.duration'; "
+                ("sweep", "quickstart_line", "--grid", "topology.n=2,4"),
+                "scenario 'quickstart_line' has no argument 'topology'; "
                 "it takes n, algorithm, duration, sim",
             ),
         ],

@@ -136,6 +136,22 @@ class TestSubmitPollFetch:
         labels = {entry["label"] for entry in job["specs"]}
         assert len(labels) == 2
 
+    def test_a_dotted_axis_merges_into_the_base(self, client):
+        # The HTTP twin of `sweep --set sim.duration=4 --grid sim.dt=0.1,0.05`.
+        job = client.submit_grid(
+            "quickstart_line",
+            grid={"sim.dt": [0.1, 0.05]},
+            base={"n": 4, "sim.duration": 4.0},
+        )
+        job = client.wait(job["id"])
+        expected = [
+            scenario("quickstart_line", n=4, sim={"duration": 4.0, "dt": dt})
+            for dt in (0.1, 0.05)
+        ]
+        assert [entry["spec_hash"] for entry in job["specs"]] == [
+            spec.content_hash() for spec in expected
+        ]
+
     def test_client_run_convenience_returns_payloads_in_order(self, client):
         specs = [tiny_spec(n=4), tiny_spec(n=5)]
         payloads = client.run(specs)
@@ -227,7 +243,7 @@ class TestErrorHandling:
         bodies = [
             {"scenario": "quickstart_line", "base": {"n": 4, "dt": 0.05}},
             {"scenario": "quickstart_line", "grid": {"n": [4], "dt": [0.05, 0.1]}},
-            {"scenario": "quickstart_line", "grid": {"sim.duration": [2.0, 4.0]}},
+            {"scenario": "quickstart_line", "grid": {"topology.n": [2, 4]}},
         ]
         for body in bodies:
             with pytest.raises(ClientError) as err:

@@ -8,16 +8,19 @@ messages -- never a payload -- cross the pipe.
 
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments import scenario
 from repro.service import ServiceConfig, SweepService
+from repro.service import core
 from repro.service.client import ServiceClient
 
 TINY_SIM = {"duration": 4.0, "dt": 0.1}
@@ -256,8 +259,16 @@ class TestLiveTelemetry:
 
 
 class TestPipeTraffic:
-    def test_heads_are_adopted_and_payloads_never_cross(self, tmp_path):
+    def test_heads_are_adopted_and_payloads_never_cross(self, tmp_path, monkeypatch):
         # Counted, not timed.
+        tags = []  # of every message the relay receives
+
+        def loads(data):
+            message = pickle.loads(data)
+            tags.append(message[0])
+            return message
+
+        monkeypatch.setattr(core, "pickle", SimpleNamespace(loads=loads))
         svc = SweepService(tmp_path / "cache", config=ServiceConfig(workers=1))
         svc.start()
         try:
@@ -268,6 +279,10 @@ class TestPipeTraffic:
             job = svc.submit(specs)
             assert job.wait(120.0) and job.state == "done"
             assert job.stats["executed"] == 3
+            # One message per telemetry record the job keeps, then "done":
+            # progress and index entries ride on the records.
+            assert len(tags) == len(job.events) + 1
+            assert tags == ["record"] * len(job.events) + ["done"]
             for spec in specs:
                 assert svc.cache.path_for(spec).stat().st_size > 100_000
             assert 0 < job.pipe_bytes < 16_000

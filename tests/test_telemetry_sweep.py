@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ExperimentRunner, scenario
-from repro.experiments.executor import run_sweep, ResultCache
+from repro.experiments import ResultCache, run_sweep, scenario
 from repro.telemetry import JsonlLog, SweepTelemetry, validate_jsonl, validate_records
 
 
@@ -123,9 +122,9 @@ class TestPoolExecution:
 class TestRunnerAndJsonl:
     def test_runner_passthrough_writes_valid_jsonl(self, tmp_path):
         log = JsonlLog(tmp_path / "sweep.jsonl")
-        runner = ExperimentRunner(tmp_path / "cache")
-        runner.run_all(
+        run_sweep(
             [scenario("line_scaling", n=5, until_stable=True)],
+            cache=ResultCache(tmp_path / "cache"),
             telemetry=SweepTelemetry(log.write_record),
         )
         log.close()

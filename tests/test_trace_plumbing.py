@@ -22,6 +22,7 @@ from repro.experiments import executor, results, scenario
 from repro.experiments.executor import ResultCache, execute_spec, run_sweep
 from repro.fastsim.backend import backend_available
 from repro.sim.trace import Trace, TraceSample
+from repro.telemetry import SweepTelemetry
 from repro.telemetry.schema import sanitize_json
 
 #: Warnings are errors here: a file handle leaked on a read path, or any other
@@ -295,14 +296,16 @@ def _live_payloads():
 def test_a_cold_sweep_holds_one_payload_beside_its_runs(tmp_path, backend):
     specs = tiny_specs(backend, sizes=(3, 4, 5, 6))
     seen = []
+
+    def write(record):
+        if record["event"] == "run_finished":
+            seen.append((record["state"], _live_payloads()))
+
     runs, stats = run_sweep(
-        specs,
-        cache=ResultCache(tmp_path),
-        workers=1,
-        on_event=lambda event: seen.append((event.kind, _live_payloads())),
+        specs, cache=ResultCache(tmp_path), workers=1, telemetry=SweepTelemetry(write)
     )
     assert stats.executed == len(specs)
-    assert [kind for kind, _ in seen].count("executed") == len(specs)
+    assert [state for state, _ in seen] == ["done"] * len(specs)
     assert max(alive for _, alive in seen) <= 1
     assert _live_payloads() == 0  # the runs hold traces, not payloads
     assert all(len(run.trace) > 0 for run in runs)
@@ -323,12 +326,16 @@ class TestDuplicateSpecs:
             return original(spec, payload)
 
         cache.store = counting_store
-        events = []
+        events = []  # (start | done | cached, index), from the telemetry records
+
+        def write(record):
+            if record["event"] == "run_started":
+                events.append(("start", record["run"]))
+            elif record["event"] == "run_finished":
+                events.append((record["state"], record["run"]))
+
         runs, stats = run_sweep(
-            specs,
-            cache=cache,
-            on_event=lambda e: events.append((e.kind, e.index)),
-            **kwargs,
+            specs, cache=cache, telemetry=SweepTelemetry(write), **kwargs
         )
         return runs, stats, events, stores
 
@@ -340,7 +347,7 @@ class TestDuplicateSpecs:
         assert same_samples(runs[1].trace, runs[0].trace)
         assert runs[1].trace is not runs[0].trace
         finished = [event for event in events if event[0] != "start"]
-        assert finished == [("executed", 0), ("cached", 1), ("cached", 2)]
+        assert finished == [("done", 0), ("cached", 1), ("cached", 2)]
         assert [event for event in events if event[0] == "start"] == [("start", 0)]
 
     @pytest.mark.parametrize("backend", STDLIB_BACKENDS)
@@ -370,7 +377,7 @@ class TestDuplicateSpecs:
         assert runs[3].summary == runs[1].summary
         finished = [event for event in events if event[0] != "start"]
         assert finished == [
-            ("executed", 0), ("cached", 2), ("cached", 4), ("executed", 1), ("cached", 3),
+            ("done", 0), ("cached", 2), ("cached", 4), ("done", 1), ("cached", 3),
         ]
 
     def test_pool(self, tmp_path):
@@ -382,7 +389,7 @@ class TestDuplicateSpecs:
         assert [run.from_cache for run in runs] == [False, True, False, True]
         assert runs[1].summary == runs[0].summary != runs[2].summary == runs[3].summary
         finished = [event for event in events if event[0] != "start"]
-        assert finished == [("executed", 0), ("cached", 1), ("executed", 2), ("cached", 3)]
+        assert finished == [("done", 0), ("cached", 1), ("done", 2), ("cached", 3)]
 
     def test_an_auto_spec_and_its_resolved_twin_are_one_execution(self, tmp_path):
         twin = scenario(
@@ -394,7 +401,7 @@ class TestDuplicateSpecs:
         assert len(stores) == 1
         assert [run.spec for run in runs] == [twin, twin]
         assert [event for event in events if event[0] != "start"] == [
-            ("executed", 0), ("cached", 1),
+            ("done", 0), ("cached", 1),
         ]
 
     def test_without_a_cache_every_repeat_executes(self, tmp_path):

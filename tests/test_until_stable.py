@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.experiments import ExperimentRunner, execute_spec, registry, scenario
+from repro.experiments import ResultCache, execute_spec, registry, run_sweep, scenario
 from repro.experiments.executor import ResultCache
 from repro.experiments.results import build_run_pipeline, trace_from_payload
 from repro.fastsim.backend import backend_available
@@ -140,25 +140,25 @@ class TestEarlyExit:
 
 class TestSweepIntegration:
     def test_runner_caches_stable_runs_separately(self, tmp_path):
-        runner = ExperimentRunner(tmp_path)
+        cache = ResultCache(tmp_path)
         spec = scenario("line_scaling", n=4, sim={"duration": 40.0})
-        (full_run,), _ = runner.run_all([spec])
-        (stable_run,), stats = runner.run_all([spec.with_until_stable()])
+        (full_run,), _ = run_sweep([spec], cache=cache)
+        (stable_run,), stats = run_sweep([spec.with_until_stable()], cache=cache)
         assert stats.cached == 0  # the full result must not shadow it
         assert stable_run.stopped_early or (
             # n=4 at 40s may or may not converge; either way the payloads
             # are cached under distinct keys.
             True
         )
-        (again,), stats2 = runner.run_all([spec.with_until_stable()])
+        (again,), stats2 = run_sweep([spec.with_until_stable()], cache=cache)
         assert stats2.cached == 1
         assert again.summary.to_dict() == stable_run.summary.to_dict()
 
     def test_stopped_early_survives_the_cache(self, tmp_path):
-        runner = ExperimentRunner(tmp_path)
+        cache = ResultCache(tmp_path)
         spec = stable_spec()
-        (live,), _ = runner.run_all([spec])
-        (cached,), stats = runner.run_all([spec])
+        (live,), _ = run_sweep([spec], cache=cache)
+        (cached,), stats = run_sweep([spec], cache=cache)
         assert stats.cached == 1
         assert live.stopped_early is True
         assert cached.stopped_early is True

@@ -9,7 +9,6 @@ import pytest
 from conftest import staged_insertion_spec
 from repro.core.aopt_step import MODE_FREE, evaluate_mode_flat
 from repro.experiments import (
-    ExperimentRunner,
     execute_spec,
     executor,
     registry,
@@ -101,10 +100,9 @@ class TestNumpyMissingDegradation:
 
     def test_runner_surfaces_unavailable_backend(self, monkeypatch, tmp_path):
         monkeypatch.setattr(backend_mod, "_numpy_available", lambda: False)
-        runner = ExperimentRunner(cache_dir=tmp_path, workers=1)
         specs = [quick_spec(backend="vec"), quick_spec(n=6, backend="vec")]
         with pytest.raises(BackendUnavailableError, match="numpy"):
-            runner.run_all(specs)
+            run_sweep(specs, cache=ResultCache(tmp_path))
 
 
 class TestVecEngineSurface:
@@ -551,11 +549,11 @@ class TestExecutorAuto:
 
     @pytest.mark.parametrize("backend", ["fast", "vec"])
     def test_declined_is_refused_and_auto_runs_it_on_reference(self, tmp_path, backend):
-        runner = ExperimentRunner(cache_dir=tmp_path, workers=1)
+        cache = ResultCache(tmp_path)
         with pytest.raises(UnsupportedScenarioError, match="backend=auto runs it on"):
-            runner.run_all([self.unsupported_spec(backend)])
+            run_sweep([self.unsupported_spec(backend)], cache=cache)
         spec = self.unsupported_spec("auto")
-        runs, stats = runner.run_all([spec])
+        runs, stats = run_sweep([spec], cache=cache)
         assert stats.executed == 1
         (run,) = runs
         assert run.spec.backend == "reference"
@@ -564,21 +562,19 @@ class TestExecutorAuto:
         assert run.summary.to_dict() == expected["summary"]
         # A repeated sweep serves it from the reference entry and reports it
         # as cached, not executed.
-        runs2, stats2 = runner.run_all([spec])
+        runs2, stats2 = run_sweep([spec], cache=cache)
         assert stats2.cached == 1
         assert stats2.executed == 0
         assert runs2[0].from_cache is True
 
     def test_declined_raises_before_anything_is_stored(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=tmp_path, workers=1)
         with pytest.raises(UnsupportedScenarioError):
-            runner.run_all([self.unsupported_spec("vec")])
+            run_sweep([self.unsupported_spec("vec")], cache=ResultCache(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
     def test_auto_works_through_the_worker_pool(self, tmp_path):
         specs = [self.unsupported_spec("auto"), quick_spec(backend="auto")]
-        runner = ExperimentRunner(cache_dir=tmp_path, workers=2)
-        runs, stats = runner.run_all(specs)
+        runs, stats = run_sweep(specs, cache=ResultCache(tmp_path), workers=2)
         assert stats.executed == 2
         fastest = "jit" if backend_available("jit") else "fast"
         assert [run.spec.backend for run in runs] == ["reference", fastest]
@@ -632,14 +628,14 @@ class TestTraceStride:
         assert reference["summary"] == vec["summary"] == fast["summary"]
 
     def test_stride_gets_its_own_cache_entry(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=tmp_path, workers=1)
+        cache = ResultCache(tmp_path)
         plain = self.strided(1)
         strided = self.strided(4)
         assert plain.content_hash() == strided.content_hash()
-        assert runner.cache.path_for(plain) != runner.cache.path_for(strided)
-        assert runner.cache.key_for(strided) == f"{strided.result_hash()}.reference"
-        runner.run_all([plain, strided])
-        _, stats = runner.run_all([plain, strided])
+        assert cache.path_for(plain) != cache.path_for(strided)
+        assert cache.key_for(strided) == f"{strided.result_hash()}.reference"
+        run_sweep([plain, strided], cache=cache)
+        _, stats = run_sweep([plain, strided], cache=cache)
         assert stats.cached == 2
 
     def test_cli_accepts_trace_stride_override(self, tmp_path, capsys):
