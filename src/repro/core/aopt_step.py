@@ -61,6 +61,8 @@ MODE_FAST = 1
 MODE_FREE = 2
 
 MODE_NAMES = ("slow", "fast", "free")
+#: Each mode name's code (the inverse of :data:`MODE_NAMES`).
+MODE_CODES = {name: code for code, name in enumerate(MODE_NAMES)}
 
 #: A per-edge threshold table: four tuples (fast-ahead, fast-behind,
 #: slow-behind, slow-ahead), each indexed by ``level - 1``.

@@ -327,7 +327,9 @@ class _Telemetry:
     """Per-command telemetry wiring: ``--telemetry FILE`` or disabled.
 
     Context manager so the JSONL file is flushed and closed even when the
-    sweep raises; ``emitter`` is ``None`` when the flag was not given.
+    sweep raises; ``emitter`` is ``None`` when the flag was not given.  The
+    file is opened on the first record, so a command ``run_sweep`` refuses
+    before it starts leaves no file behind.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -337,14 +339,20 @@ class _Telemetry:
 
     def __enter__(self) -> "_Telemetry":
         if self._path:
-            from ..telemetry import JsonlLog, SweepTelemetry
+            from ..telemetry import SweepTelemetry
+
+            self.emitter = SweepTelemetry(self._write)
+        return self
+
+    def _write(self, record) -> None:
+        if self._log is None:
+            from ..telemetry import JsonlLog
 
             try:
                 self._log = JsonlLog(self._path)
             except OSError as exc:
                 raise CliError(f"cannot open --telemetry file {self._path!r}: {exc}")
-            self.emitter = SweepTelemetry(self._log.write_record)
-        return self
+        self._log.write_record(record)
 
     def __exit__(self, *exc_info) -> None:
         if self._log is not None:

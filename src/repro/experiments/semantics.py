@@ -49,7 +49,7 @@ RESULT_MODULES = (
 #: the chaos pack (a chaos spec names its scenario file, not its content).
 RESULT_DATA = ("jitsim/_fused_loop.c", "chaos/scenarios/*.json")
 
-SEMANTICS = "b3f6520d5e415957556d17611cbbdafb"
+SEMANTICS = "20e6b8bd058e91f079adf3bdcaaada41"
 
 
 def result_files(root: Optional[Path] = None) -> List[Path]:

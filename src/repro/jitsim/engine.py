@@ -76,8 +76,8 @@ class JitEngine(VecEngine):
 
     @property
     def engines(self) -> List["JitEngine"]:
-        # ``benchmarks/perf`` reads ``build_batch([run]).engines[0]``; ROADMAP
-        # item 15 deletes this with :func:`build_batch`.
+        # Read only by ``benchmarks/perf/inprocess.py`` (``traced_spec``, as
+        # ``build_batch([run]).engines[0]``); it goes with :func:`build_batch`.
         return [self]
 
     # -- driver ---------------------------------------------------------
@@ -431,7 +431,7 @@ class JitEngine(VecEngine):
                     )
                 )
             if self._metrics is not None:
-                self._metrics.observe_arrays(
+                self._metrics.observe_columns(
                     sample_time,
                     cols.ids,
                     cols.index,
@@ -452,7 +452,7 @@ def build_batch(
     backend's ``build`` receives them; the engine's ``fused_steps`` /
     ``stepped_steps`` count how its steps ran.  Any other number of runs
     raises :class:`FastsimError`: an engine runs exactly one run.  Kept only
-    for ``benchmarks/perf``; ROADMAP item 15 deletes it.
+    for ``benchmarks/perf/inprocess.py`` (``traced_spec``), its one caller.
     """
     if len(runs) != 1:
         raise FastsimError(f"a jit engine runs exactly one run, got {len(runs)}")

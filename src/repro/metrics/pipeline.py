@@ -1,15 +1,14 @@
 """The streaming pipeline: feeds observers during a run (or from a trace).
 
 A :class:`MetricsPipeline` owns a set of observers and one persistent sample
-view per state layout.  Engines feed it through exactly one of
-
-* :meth:`observe_sample`  -- dict-shaped samples (reference engine, replays);
-* :meth:`observe_columns` -- flat Python-list columns (fast engine);
-* :meth:`observe_arrays`  -- NumPy columns (vec engine);
-
-once per recorded sample, whether or not a trace is being kept.  At the end
-of the run :meth:`finalize` produces an :class:`ObserverReport` -- the
-plain-JSON artifact the experiments executor caches and
+view.  Every engine feeds it through :meth:`observe_columns`, once per
+recorded sample and whether or not a trace is being kept, with three
+per-node columns: logical clocks, max estimates and mode codes.  The first
+sample fixes the view: NumPy columns (vec, jit) are reduced by
+:class:`~repro.metrics.views.ArrayView`, any other sequence (reference,
+fast) by :class:`~repro.metrics.views.ColumnsView`.  At the end of the run
+:meth:`finalize` produces an :class:`ObserverReport` -- the plain-JSON
+artifact the experiments executor caches and
 :func:`repro.experiments.results.summarize` reads.
 
 :meth:`replay` drives the same observers from a materialized trace, which is
@@ -22,9 +21,11 @@ replays, and the differential suite proves the two agree on every backend).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
+from ..core.aopt_step import MODE_CODES
 from ..telemetry.schema import sanitize_json
 from . import streaming
 from .observers import (
@@ -34,7 +35,7 @@ from .observers import (
     ObserverContext,
     make_observer,
 )
-from .views import ArrayView, ColumnsView, TraceSampleView
+from .views import ArrayView, ColumnsView, SampleView
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,7 @@ class MetricsPipeline:
         self._predicted_final_time = predicted_final_time
         self._progress_every = progress_every
         self._started = False
-        self._dict_view: Optional[TraceSampleView] = None
-        self._columns_view: Optional[ColumnsView] = None
-        self._array_view: Optional[ArrayView] = None
+        self._view: Optional[SampleView] = None
 
     # -- telemetry ------------------------------------------------------
     def attach_sink(self, sink: Optional[Callable[..., None]]) -> None:
@@ -140,25 +139,15 @@ class MetricsPipeline:
             if sink is not None:
                 sink("progress", sim_time=view.time, samples=self.sample_count)
 
-    def observe_sample(self, sample) -> None:
-        """Consume one dict-shaped sample (``TraceSample`` or duck-typed)."""
-        view = self._dict_view
-        if view is None:
-            view = self._dict_view = TraceSampleView()
-        self._feed(view.set_sample(sample))
-
     def observe_columns(self, time, ids, index, logical, max_estimate, mode) -> None:
-        """Consume one sample from flat Python-list columns (fast engine)."""
-        view = self._columns_view
+        """Consume one sample: per-node columns in ``ids`` order (``index``
+        maps a node to its position), mode as codes in ``MODE_NAMES`` order.
+        Observers read the columns during the call; nothing is copied."""
+        view = self._view
         if view is None:
-            view = self._columns_view = ColumnsView(ids, index)
-        self._feed(view.set_columns(time, logical, max_estimate, mode))
-
-    def observe_arrays(self, time, ids, index, logical, max_estimate, mode) -> None:
-        """Consume one sample from NumPy columns (vec engine)."""
-        view = self._array_view
-        if view is None:
-            view = self._array_view = ArrayView(ids, index)
+            numpy = sys.modules.get("numpy")
+            arrays = numpy is not None and isinstance(logical, numpy.ndarray)
+            view = self._view = (ArrayView if arrays else ColumnsView)(ids, index)
         self._feed(view.set_columns(time, logical, max_estimate, mode))
 
     # -- results --------------------------------------------------------
@@ -189,8 +178,22 @@ class MetricsPipeline:
                 first, final, self.context.steady_fraction
             )
         self._started = True
+        ids = index = None
         for sample in samples:
-            self.observe_sample(sample)
+            logical = sample.logical
+            if ids is None:
+                # Nodes never join or leave a run in any engine, so the first
+                # sample's node order is the column order of every sample.
+                ids = list(logical)
+                index = {node: i for i, node in enumerate(ids)}
+            self.observe_columns(
+                sample.time,
+                ids,
+                index,
+                list(map(logical.__getitem__, ids)),
+                list(map(sample.max_estimates.__getitem__, ids)),
+                [MODE_CODES[sample.modes[node]] for node in ids],
+            )
         return self.finalize()
 
 

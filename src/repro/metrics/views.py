@@ -1,27 +1,24 @@
-"""Sample views: one read surface over three engine representations.
+"""Sample views: one read surface over an engine's per-node columns.
 
 Observers never touch engine state directly; they read the current sample
-through a :class:`SampleView`, of which there is one implementation per
-state layout:
+through a :class:`SampleView`.  Every engine hands the pipeline the same
+three per-node columns (logical clock, max estimate, mode code), and the
+view is chosen by the column type:
 
-* :class:`TraceSampleView` -- per-node dicts (the reference engine's
-  :class:`~repro.sim.trace.TraceSample`, or any duck-typed equivalent such
-  as the vec backend's lazy samples when replaying a trace);
-* :class:`ColumnsView` -- the fast engine's flat Python-list columns
-  (:class:`~repro.fastsim.columns.NodeColumns`), read without ever building
-  per-node dicts;
-* :class:`ArrayView` -- the vec backend's NumPy columns, reduced through
-  :mod:`repro.metrics.kernels` (pure array reductions, no dicts).
+* :class:`ColumnsView` -- flat Python sequences (the reference and fast
+  engines, trace replays), reduced by plain loops; it needs no numpy;
+* :class:`ArrayView` -- NumPy columns (the vec and jit engines), reduced
+  through :mod:`repro.metrics.kernels` (pure array reductions).
 
-All three produce bit-identical floats for the same state -- the reductions
-are order-insensitive maxima/minima and exact comparisons (see the kernel
+Both produce bit-identical floats for the same state -- the reductions are
+order-insensitive maxima/minima and exact comparisons (see the kernel
 module docstring for the argument).  Edge lists are registered once under a
-key and translated to the view's native indexing on first use.  The all-pairs
-reductions read a :class:`~repro.network.paths.PairTable` window by window
-and, inside a window, class by class against one scalar per class: its index
-columns address the sorted nodes, so each sample reorders the O(n) logical
-column when the view's own order differs, never the O(n^2) pairs, and a view
-keeps nothing per pair.
+key and translated to the view's column positions on first use.  The
+all-pairs reductions read a :class:`~repro.network.paths.PairTable` window
+by window and, inside a window, class by class against one scalar per
+class: its index columns address the sorted nodes, so each sample reorders
+the O(n) logical column when the view's own order differs, never the O(n^2)
+pairs, and a view keeps nothing per pair.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from __future__ import annotations
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.aopt_step import MODE_NAMES
 from ..network.edge import NodeId
 from ..network.paths import PairTable
 
@@ -37,19 +33,35 @@ Pair = Tuple[NodeId, NodeId]
 
 
 class SampleView:
-    """Read surface over one recorded sample (subclasses fill the hooks)."""
+    """Read surface over one sample's columns (subclasses fill the hooks).
+
+    ``ids`` lists the nodes in column order and ``index`` maps each to its
+    position; both are fixed for the view's life, since nodes never join or
+    leave a run.
+    """
 
     time: float = 0.0
 
-    def __init__(self):
+    def __init__(self, ids: Sequence[NodeId], index: Dict[NodeId, int]):
+        self._ids = ids
+        self._index = index
+        self._logical: Sequence[float] = ()
+        self._max_estimate: Sequence[float] = ()
+        self._mode: Sequence[int] = ()
+        self._pair_cache: Dict[str, Tuple[Sequence[int], Sequence[int]]] = {}
         self._gskew: Optional[float] = None
         self._table_column: Optional[Tuple[List[NodeId], Sequence[float]]] = None
         self._order: Optional[Tuple[List[NodeId], Optional[List[int]]]] = None
 
-    def _invalidate(self, time: float) -> None:
+    def set_columns(self, time, logical, max_estimate, mode) -> "SampleView":
+        """Point the view at one sample's columns (read, never copied)."""
         self.time = time
+        self._logical = logical
+        self._max_estimate = max_estimate
+        self._mode = mode
         self._gskew = None
         self._table_column = None
+        return self
 
     def _column(self, table: PairTable) -> Sequence[float]:
         """This sample's logical clocks in ``table.nodes`` order (memoized
@@ -63,7 +75,7 @@ class SampleView:
         raise NotImplementedError
 
     def _positions_of(self, nodes: List[NodeId]) -> Optional[List[int]]:
-        """A column view's position of each of ``nodes``, or ``None`` when its
+        """The column position of each of ``nodes``, or ``None`` when the
         columns follow that order already (worked out once per table)."""
         order = self._order
         if order is None or order[0] is not nodes:
@@ -136,73 +148,8 @@ class SampleView:
         return [[0] * buckets for _ in range(rows)]
 
 
-class TraceSampleView(SampleView):
-    """View over dict-shaped samples (``TraceSample`` or duck-typed)."""
-
-    def __init__(self):
-        super().__init__()
-        self._sample = None
-
-    def set_sample(self, sample) -> "TraceSampleView":
-        self._sample = sample
-        self._invalidate(sample.time)
-        return self
-
-    def _global_skew(self) -> float:
-        return self._sample.global_skew()
-
-    def pair_skew(self, u: NodeId, v: NodeId) -> float:
-        logical = self._sample.logical
-        return abs(logical[u] - logical[v])
-
-    def max_pair_skew(self, key, pairs) -> float:
-        logical = self._sample.logical
-        best = 0.0
-        for u, v in pairs:
-            skew = abs(logical[u] - logical[v])
-            if skew > best:
-                best = skew
-        return best
-
-    def _in_order(self, nodes):
-        return list(map(self._sample.logical.__getitem__, nodes))
-
-    def histogram_update(self, key, pairs, bin_edges, counts) -> None:
-        import bisect
-
-        logical = self._sample.logical
-        for index, (u, v) in enumerate(pairs):
-            bucket = bisect.bisect_right(bin_edges, abs(logical[u] - logical[v]))
-            counts[index][bucket] += 1
-
-    def max_estimate_lag(self) -> float:
-        logical = self._sample.logical
-        true_max = max(logical.values())
-        return true_max - min(self._sample.max_estimates.values())
-
-    def mode_counts_update(self, counts: List[int]) -> None:
-        for mode in self._sample.modes.values():
-            counts[MODE_NAMES.index(mode)] += 1
-
-
 class ColumnsView(SampleView):
-    """View over the fast engine's flat Python-list columns."""
-
-    def __init__(self, ids: Sequence[NodeId], index: Dict[NodeId, int]):
-        super().__init__()
-        self._ids = ids
-        self._index = index
-        self._logical: Sequence[float] = ()
-        self._max_estimate: Sequence[float] = ()
-        self._mode: Sequence[int] = ()
-        self._pair_cache: Dict[str, Tuple[List[int], List[int]]] = {}
-
-    def set_columns(self, time, logical, max_estimate, mode) -> "ColumnsView":
-        self._logical = logical
-        self._max_estimate = max_estimate
-        self._mode = mode
-        self._invalidate(time)
-        return self
+    """View over flat Python sequences (reference and fast engines, replays)."""
 
     def _positions(self, key: str, pairs) -> Tuple[List[int], List[int]]:
         cached = self._pair_cache.get(key)
@@ -257,30 +204,17 @@ class ColumnsView(SampleView):
 
 
 class ArrayView(SampleView):
-    """View over the vec engine's NumPy columns (reductions in kernels)."""
+    """View over NumPy columns (vec and jit engines; reductions in kernels)."""
 
     def __init__(self, ids: Sequence[NodeId], index: Dict[NodeId, int]):
-        super().__init__()
+        super().__init__(ids, index)
         import numpy as np
 
         from . import kernels
 
         self._np = np
         self._kernels = kernels
-        self._ids = ids
-        self._index = index
-        self._logical = None
-        self._max_estimate = None
-        self._mode = None
-        self._pair_cache: Dict[str, Tuple[object, object]] = {}
         self._aux_cache: Dict[str, object] = {}
-
-    def set_columns(self, time, logical, max_estimate, mode) -> "ArrayView":
-        self._logical = logical
-        self._max_estimate = max_estimate
-        self._mode = mode
-        self._invalidate(time)
-        return self
 
     def _positions(self, key: str, pairs):
         cached = self._pair_cache.get(key)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
+from ..core.aopt_step import MODE_CODES
 from ..core.clocks import HardwareClock, LogicalClock
 from ..core.interfaces import AlgorithmFactory, ClockSyncAlgorithm, ControlDecision, NodeAPI
 from ..core.parameters import Parameters
@@ -171,6 +172,9 @@ class Engine:
                 api,
             )
             self._nodes[node_id] = state
+        # The metrics pipeline's column order (nodes never join or leave).
+        self._ids = list(self._nodes)
+        self._index = {node: i for i, node in enumerate(self._ids)}
         # The estimate layer may need to read engine state, hence the factory.
         self.estimate_layer = estimate_layer_factory(self)
         for state in self._nodes.values():
@@ -333,10 +337,11 @@ class Engine:
         """Attach a streaming metrics pipeline and/or disable trace keeping.
 
         ``pipeline`` (a :class:`repro.metrics.pipeline.MetricsPipeline`) is
-        fed one sample view per recorded sample -- at exactly the instants a
-        trace sample is (or would be) recorded.  With ``record_trace=False``
-        the engine keeps no samples at all: ``self.trace`` stays empty and
-        memory no longer grows with the run duration.
+        fed the per-node columns of each recorded sample -- at exactly the
+        instants a trace sample is (or would be) recorded.  With
+        ``record_trace=False`` the engine keeps no samples at all:
+        ``self.trace`` stays empty and memory no longer grows with the run
+        duration.
         """
         self._metrics = pipeline
         self._record_trace = bool(record_trace)
@@ -344,18 +349,31 @@ class Engine:
     def _record_sample(self, force: bool = False) -> None:
         if not force and self.time + 1e-12 < self._next_sample_time:
             return
-        sample = TraceSample(
-            time=self.time,
-            logical=self.logical_snapshot(),
-            hardware=self.hardware_snapshot(),
-            multipliers={n: s.decision.multiplier for n, s in self._nodes.items()},
-            modes={n: s.algorithm.mode() for n, s in self._nodes.items()},
-            max_estimates={n: s.algorithm.max_estimate() for n, s in self._nodes.items()},
-            diameter=self.current_diameter(),
-        )
+        states = self._nodes.values()
+        logical = [s.logical.value for s in states]
+        max_estimate = [s.algorithm.max_estimate() for s in states]
+        modes = [s.algorithm.mode() for s in states]
         if self._record_trace:
-            self.trace.record(sample)
+            ids = self._ids
+            self.trace.record(
+                TraceSample(
+                    time=self.time,
+                    logical=dict(zip(ids, logical)),
+                    hardware=self.hardware_snapshot(),
+                    multipliers={n: s.decision.multiplier for n, s in self._nodes.items()},
+                    modes=dict(zip(ids, modes)),
+                    max_estimates=dict(zip(ids, max_estimate)),
+                    diameter=self.current_diameter(),
+                )
+            )
         if self._metrics is not None:
-            self._metrics.observe_sample(sample)
+            self._metrics.observe_columns(
+                self.time,
+                self._ids,
+                self._index,
+                logical,
+                max_estimate,
+                [MODE_CODES[m] for m in modes],
+            )
         if not force:
             self._next_sample_time = self.time + self.trace.sample_interval

@@ -37,61 +37,32 @@ class TraceSample:
         return abs(self.logical[u] - self.logical[v])
 
 
-#: How :meth:`Trace.record` treats a sample whose time coincides with the
-#: last recorded one (within ``TIME_TOLERANCE``).
-DUPLICATE_POLICIES = ("allow", "replace", "error")
-
-#: Absolute tolerance for "same instant" and ordering checks.  Samples more
-#: than this much *earlier* than the last recorded time are always rejected;
-#: samples within the tolerance are duplicates, handled per policy.
+#: Absolute tolerance for ordering checks: a sample more than this much
+#: *earlier* than the last recorded time is rejected.
 TIME_TOLERANCE = 1e-12
 
 
 class Trace:
     """Time-ordered sequence of :class:`TraceSample` objects.
 
-    Ordering/duplicate policy (explicit by design): a sample must not be
-    earlier than the last recorded one by more than :data:`TIME_TOLERANCE`.
-    Samples *within* the tolerance of the last time are duplicates of the
-    same instant; ``on_duplicate`` picks what happens:
-
-    * ``"allow"`` (default) -- append it.  This is what the engines rely on:
-      ``run_until`` force-records a final sample that can coincide with the
-      last periodic one, and summaries deliberately count both.
-    * ``"replace"`` -- overwrite the last sample in place (the trace keeps
-      one sample per instant).
-    * ``"error"`` -- raise :class:`TraceError`.
+    A sample must not be earlier than the last recorded one by more than
+    :data:`TIME_TOLERANCE`.  A sample at the same instant as the last one is
+    appended: the engines rely on it, since ``run_until`` force-records a
+    final sample that can coincide with the last periodic one, and
+    summaries deliberately count both.
     """
 
-    def __init__(self, sample_interval: float = 1.0, *, on_duplicate: str = "allow"):
+    def __init__(self, sample_interval: float = 1.0):
         if sample_interval <= 0.0:
             raise TraceError("sample_interval must be positive")
-        if on_duplicate not in DUPLICATE_POLICIES:
-            raise TraceError(
-                f"on_duplicate must be one of {DUPLICATE_POLICIES}, got {on_duplicate!r}"
-            )
         self.sample_interval = float(sample_interval)
-        self.on_duplicate = on_duplicate
         self._samples: List[TraceSample] = []
         self._times: List[float] = []
 
     # ------------------------------------------------------------------
     def record(self, sample: TraceSample) -> None:
-        if self._times:
-            last = self._times[-1]
-            if sample.time < last - TIME_TOLERANCE:
-                raise TraceError(
-                    "samples must be recorded in non-decreasing time order"
-                )
-            if self.on_duplicate != "allow" and sample.time <= last + TIME_TOLERANCE:
-                if self.on_duplicate == "error":
-                    raise TraceError(
-                        f"duplicate sample at time {sample.time!r} "
-                        f"(last recorded: {last!r})"
-                    )
-                self._samples[-1] = sample  # "replace"
-                self._times[-1] = sample.time
-                return
+        if self._times and sample.time < self._times[-1] - TIME_TOLERANCE:
+            raise TraceError("samples must be recorded in non-decreasing time order")
         self._samples.append(sample)
         self._times.append(sample.time)
 

@@ -51,9 +51,7 @@ from ..core.interfaces import AlgorithmFactory
 from ..network.dynamic_graph import DynamicGraph
 from ..network.edge import NodeId
 from ..sim.delay import UniformRandomDelay
-from ..sim.engine import EngineError
 from ..sim.runner import SimulationConfig
-from ..sim.trace import Trace
 from ..fastsim.engine import FastEngine
 from . import kernels
 
@@ -458,24 +456,6 @@ class VecEngine(FastEngine):
             self._active_schedules.discard(position)
 
     # -- running --------------------------------------------------------
-    def run_until(self, end_time: float) -> Trace:
-        """Advance the engine until ``end_time`` (inclusive sampling).
-
-        An armed watchdog that trips ends the loop after the step that
-        tripped it, and the forced final sample is skipped, so the truncated
-        trace/report is a bit-identical prefix of the full run.
-        """
-        if end_time < self.time - 1e-12:
-            raise EngineError("cannot run backwards in time")
-        if self.stopped_early:
-            return self.trace
-        while self.time < end_time - 1e-9:
-            self.step()
-            if self.stopped_early:
-                return self.trace
-        self._record_sample(force=True)
-        return self.trace
-
     def step(self) -> None:
         t = self.time
         next_event = self._next_event_time
@@ -862,11 +842,6 @@ class VecEngine(FastEngine):
 
     # -- trace recording ------------------------------------------------
     def _record_sample(self, force: bool = False) -> None:
-        # A stopped engine is frozen: a later ``run_until`` records and
-        # feeds nothing more, so the truncated trace/report stays exactly
-        # the prefix up to the watchdog trip.
-        if self.stopped_early:
-            return
         if not force and self.time + 1e-12 < self._next_sample_time:
             return
         cols = self._cols
@@ -885,12 +860,8 @@ class VecEngine(FastEngine):
         if self._metrics is not None:
             # Pure array reductions over the live columns: same floats as
             # the (would-be) sample copies, no per-node dicts, no copies.
-            self._metrics.observe_arrays(
+            self._metrics.observe_columns(
                 self.time, cols.ids, cols.index, cols.logical, cols.max_estimate, cols.mode
             )
-            if self._metrics.stop_requested and not force:
-                # A trip on the forced final sample stops nothing: the run
-                # is complete, as in the reference.
-                self.stopped_early = True
         if not force:
             self._next_sample_time = self.time + self.trace.sample_interval

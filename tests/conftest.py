@@ -7,6 +7,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import pytest
 from hypothesis import strategies as st
 
+from repro.core.aopt_step import MODE_CODES
 from repro.core.interfaces import NodeAPI
 from repro.core.parameters import Parameters
 from repro.experiments.spec import ComponentSpec, ScenarioSpec
@@ -216,6 +217,20 @@ def staged_insertion_spec(algorithm="aopt", strategy="toward_observer", ramp=Non
             "estimate_strategy": strategy,
         },
         initial_ramp_per_edge=ramp,
+    )
+
+
+def feed_sample(pipeline, sample) -> None:
+    """Feed one dict-shaped sample (a ``TraceSample``) to a metrics pipeline
+    as the per-node columns every engine hands it."""
+    ids = list(sample.logical)
+    pipeline.observe_columns(
+        sample.time,
+        ids,
+        {node: i for i, node in enumerate(ids)},
+        [sample.logical[node] for node in ids],
+        [sample.max_estimates[node] for node in ids],
+        [MODE_CODES[sample.modes[node]] for node in ids],
     )
 
 

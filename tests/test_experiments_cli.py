@@ -506,6 +506,37 @@ class TestTelemetryFlags:
         capsys.readouterr()
         assert validate_jsonl(stream) >= 4
 
+    def test_refused_run_leaves_no_telemetry_file(self, tmp_path, capsys):
+        stream = tmp_path / "t.jsonl"
+        assert run_cli(
+            "run", "quickstart_line",
+            "--set", "algorithm=MaxPropagation", "--set", "backend=fast",
+            "--telemetry", str(stream),
+            "--cache-dir", str(tmp_path / "cache"),
+        ) == 2
+        assert "AOPT family" in capsys.readouterr().err
+        assert not stream.exists()
+
+    def test_refused_sweep_leaves_no_telemetry_file(self, tmp_path, capsys):
+        stream = tmp_path / "t.jsonl"
+        assert run_cli(
+            "sweep", "quickstart_line", "--grid", "n=3,4", "--workers", "0",
+            "--telemetry", str(stream),
+            "--cache-dir", str(tmp_path / "cache"),
+        ) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not stream.exists()
+
+    def test_unopenable_telemetry_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        assert run_cli(
+            "run", "quickstart_line", "--set", "n=3",
+            "--telemetry", str(blocker / "t.jsonl"),
+            "--cache-dir", str(tmp_path / "cache"),
+        ) == 2
+        assert "cannot open --telemetry file" in capsys.readouterr().err
+
     def test_until_stable_caches_separately_from_full_runs(
         self, tmp_path, capsys
     ):

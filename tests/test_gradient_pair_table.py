@@ -21,12 +21,11 @@ from repro.metrics.observers import (
     ObserverContext,
     SkewByDistanceObserver,
 )
-from repro.metrics.views import ColumnsView, TraceSampleView
+from repro.metrics.views import ColumnsView
 from repro.metrics.watchdogs import GradientBoundWatchdog
 from repro.network import paths
 from repro.network.dynamic_graph import DynamicGraph
 from repro.network.edge import EdgeParams
-from repro.sim.trace import TraceSample
 
 try:
     import numpy
@@ -53,17 +52,6 @@ def graphs(draw):
 
 def make_view(kind, graph, logical, order):
     """A view of one sample whose columns follow ``order`` (not sorted)."""
-    if kind == "trace":
-        sample = TraceSample(
-            time=0.0,
-            logical=dict(logical),
-            hardware={},
-            multipliers={},
-            modes={},
-            max_estimates={},
-            diameter=None,
-        )
-        return TraceSampleView().set_sample(sample)
     index = {node: i for i, node in enumerate(order)}
     column = [logical[node] for node in order]
     zeros = [0] * len(order)
@@ -96,7 +84,6 @@ def brute_force(graph, samples, bound, tolerance):
 
 
 VIEWS = [
-    "trace",
     "columns",
     pytest.param(
         "array", marks=pytest.mark.skipif(numpy is None, reason="numpy is not installed")

@@ -14,21 +14,8 @@ from repro.metrics import (
     observer_names,
     streaming,
 )
-from repro.metrics.views import ColumnsView, TraceSampleView
+from repro.metrics.views import ColumnsView
 from repro.network import paths, topology
-from repro.sim.trace import TraceSample
-
-
-def make_sample(time, logical, modes=None, max_estimates=None):
-    nodes = list(logical)
-    return TraceSample(
-        time=time,
-        logical=dict(logical),
-        hardware=dict(logical),
-        multipliers={n: 1.0 for n in nodes},
-        modes=dict(modes) if modes else {n: "slow" for n in nodes},
-        max_estimates=dict(max_estimates) if max_estimates else dict(logical),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -205,52 +192,44 @@ class TestPipelineReplay:
         assert report.get("mode_counts") == {"counts": {}}
 
 
+def view_of(kind, logical, max_estimates, modes):
+    """A ``kind`` view of one sample of a three-node line, columns in node order."""
+    ids, index = [0, 1, 2], {0: 0, 1: 1, 2: 2}
+    if kind == "columns":
+        return ColumnsView(ids, index).set_columns(1.0, logical, max_estimates, modes)
+    np = pytest.importorskip("numpy")
+    from repro.metrics.views import ArrayView
+
+    return ArrayView(ids, index).set_columns(
+        1.0, np.asarray(logical), np.asarray(max_estimates), np.asarray(modes)
+    )
+
+
 class TestViews:
-    def test_dict_and_columns_views_agree(self):
-        sample = make_sample(
-            1.0,
-            {0: 0.0, 1: 2.5, 2: 1.0},
-            modes={0: "slow", 1: "fast", 2: "slow"},
-            max_estimates={0: 2.0, 1: 2.5, 2: 2.25},
-        )
-        dict_view = TraceSampleView().set_sample(sample)
-        columns_view = ColumnsView([0, 1, 2], {0: 0, 1: 1, 2: 2}).set_columns(
-            1.0, [0.0, 2.5, 1.0], [2.0, 2.5, 2.25], [0, 1, 0]
-        )
+    @pytest.mark.parametrize("kind", ["columns", "array"])
+    def test_view_reduces_a_sample_to_hand_computed_values(self, kind):
+        view = view_of(kind, [0.0, 2.5, 1.0], [2.0, 2.5, 2.25], [0, 1, 0])
         edges = [(0, 1), (1, 2)]
-        assert dict_view.global_skew() == columns_view.global_skew() == 2.5
-        assert dict_view.max_pair_skew("e", edges) == columns_view.max_pair_skew("e", edges)
-        assert dict_view.pair_skew(0, 2) == columns_view.pair_skew(0, 2) == 1.0
-        assert dict_view.max_estimate_lag() == columns_view.max_estimate_lag() == 0.5
-        dict_counts, col_counts = [0, 0, 0], [0, 0, 0]
-        dict_view.mode_counts_update(dict_counts)
-        columns_view.mode_counts_update(col_counts)
-        assert dict_counts == col_counts == [2, 1, 0]
-
-    def test_array_view_agrees_with_dict_view(self):
-        np = pytest.importorskip("numpy")
-        from repro.metrics.views import ArrayView
-
-        sample = make_sample(
-            1.0,
-            {0: 0.0, 1: 2.5, 2: 1.0},
-            max_estimates={0: 2.0, 1: 2.5, 2: 2.25},
-        )
-        dict_view = TraceSampleView().set_sample(sample)
-        array_view = ArrayView([0, 1, 2], {0: 0, 1: 1, 2: 2}).set_columns(
-            1.0,
-            np.asarray([0.0, 2.5, 1.0]),
-            np.asarray([2.0, 2.5, 2.25]),
-            np.asarray([0, 0, 0]),
-        )
-        edges = [(0, 1), (1, 2)]
-        assert array_view.global_skew() == dict_view.global_skew()
-        assert array_view.max_pair_skew("e", edges) == dict_view.max_pair_skew("e", edges)
-        assert array_view.max_estimate_lag() == dict_view.max_estimate_lag()
+        assert view.global_skew() == 2.5
+        assert view.max_pair_skew("e", edges) == 2.5
+        assert view.pair_skew(0, 2) == 1.0
+        assert view.max_estimate_lag() == 0.5  # max L (2.5) - min M (2.0)
+        counts = [0, 0, 0]
+        view.mode_counts_update(counts)
+        assert counts == [2, 1, 0]
         table = paths.pair_table(topology.line(3), paths.hop_weight(None))
         assert table.distances == [1.0, 2.0]
-        for view in (array_view, dict_view):
-            assert view.count_exceeding(table, [2.0, 0.5]) == 2  # (0, 1) and (0, 2)
+        assert view.count_exceeding(table, [2.0, 0.5]) == 2  # (0, 1) and (0, 2)
+
+    @pytest.mark.parametrize("kind", ["columns", "array"])
+    def test_the_first_columns_pick_the_view(self, kind):
+        view = view_of(kind, [0.0, 2.5, 1.0], [2.0, 2.5, 2.25], [0, 1, 0])
+        pipeline = build_pipeline(("global_skew",), graph=topology.line(3))
+        pipeline.observe_columns(
+            0.0, view._ids, view._index, view._logical, view._max_estimate, view._mode
+        )
+        assert type(pipeline._view) is type(view)
+        assert pipeline.finalize().get("global_skew")["max"] == 2.5
 
 
 class TestEngineHook:

@@ -101,7 +101,7 @@ class TestTrace:
 
 
 class TestDuplicatePolicy:
-    """Explicit ordering/duplicate semantics of Trace.record (PR 5)."""
+    """Ordering/duplicate semantics of Trace.record: duplicates are kept."""
 
     def test_default_policy_allows_duplicates(self):
         trace = Trace(1.0)
@@ -111,38 +111,20 @@ class TestDuplicatePolicy:
         assert trace.final().logical[0] == 5.0
 
     def test_within_tolerance_counts_as_duplicate(self):
-        trace = Trace(1.0, on_duplicate="error")
+        trace = Trace(1.0)
         trace.record(sample(1.0, {0: 0.0}))
-        with pytest.raises(TraceError, match="duplicate"):
-            trace.record(sample(1.0 - 5e-13, {0: 0.0}))  # the old silent case
+        trace.record(sample(1.0 - 5e-13, {0: 1.0}))  # the same instant: kept
+        assert [s.logical[0] for s in trace] == [0.0, 1.0]
 
-    def test_replace_policy_overwrites_last(self):
-        trace = Trace(1.0, on_duplicate="replace")
-        trace.record(sample(0.0, {0: 0.0}))
-        trace.record(sample(1.0, {0: 1.0}))
-        trace.record(sample(1.0, {0: 9.0}))
-        assert len(trace) == 2
-        assert trace.final().logical[0] == 9.0
-
-    def test_error_policy_raises(self):
-        trace = Trace(1.0, on_duplicate="error")
-        trace.record(sample(1.0, {0: 0.0}))
-        with pytest.raises(TraceError, match="duplicate"):
+    def test_too_early_rejected(self):
+        trace = Trace(1.0)
+        trace.record(sample(5.0, {0: 0.0}))
+        with pytest.raises(TraceError, match="non-decreasing"):
             trace.record(sample(1.0, {0: 0.0}))
-
-    def test_too_early_still_rejected_under_every_policy(self):
-        for policy in ("allow", "replace", "error"):
-            trace = Trace(1.0, on_duplicate=policy)
-            trace.record(sample(5.0, {0: 0.0}))
-            with pytest.raises(TraceError, match="non-decreasing"):
-                trace.record(sample(1.0, {0: 0.0}))
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(TraceError, match="on_duplicate"):
-            Trace(1.0, on_duplicate="maybe")
+        assert len(trace) == 1
 
     def test_strictly_increasing_never_a_duplicate(self):
-        trace = Trace(1.0, on_duplicate="error")
+        trace = Trace(1.0)
         trace.record(sample(0.0, {0: 0.0}))
         trace.record(sample(1e-9, {0: 0.0}))  # beyond tolerance: a new instant
         assert len(trace) == 2

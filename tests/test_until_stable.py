@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from conftest import feed_sample
 from repro.experiments import ResultCache, execute_spec, registry, run_sweep, scenario
 from repro.experiments.executor import ResultCache
 from repro.experiments.results import build_run_pipeline, trace_from_payload
@@ -113,7 +114,7 @@ class TestEarlyExit:
         )
         for sample in trace:
             if sample.time <= stop_time + 1e-12:
-                pipeline.observe_sample(sample)
+                feed_sample(pipeline, sample)
         restricted = pipeline.finalize().to_payload()
         assert json.dumps(restricted, sort_keys=True) == json.dumps(
             truncated["observers"], sort_keys=True

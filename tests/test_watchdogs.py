@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import feed_sample
 from repro.core.parameters import Parameters
 from repro.experiments import execute_spec, registry, scenario
 from repro.experiments.results import stop_watchdog_for
@@ -92,7 +93,7 @@ class TestGlobalSkewWatchdogUnit:
         # Two excursions above the ceiling; consecutive violating samples
         # within one excursion must not re-fire.
         for t, skew in enumerate([0.5, 1.5, 2.0, 0.5, 3.0, 0.2]):
-            pipeline.observe_sample(line_sample(float(t), [0.0, 0.0, skew]))
+            feed_sample(pipeline, line_sample(float(t), [0.0, 0.0, skew]))
         payload = pipeline.finalize().payloads["watchdog_global_skew"]
         assert payload["applicable"]
         assert payload["fired"] == 2
@@ -106,7 +107,7 @@ class TestGlobalSkewWatchdogUnit:
     def test_quiet_run_stays_silent(self):
         pipeline = skew_pipeline(bound=5.0)
         for t in range(4):
-            pipeline.observe_sample(line_sample(float(t), [0.0, 0.1, 0.2]))
+            feed_sample(pipeline, line_sample(float(t), [0.0, 0.1, 0.2]))
         payload = pipeline.finalize().payloads["watchdog_global_skew"]
         assert payload["fired"] == 0
         assert payload["first_fired"] is None
@@ -114,7 +115,7 @@ class TestGlobalSkewWatchdogUnit:
 
     def test_inapplicable_without_a_bound(self):
         pipeline = skew_pipeline(bound=None)
-        pipeline.observe_sample(line_sample(0.0, [0.0, 0.0, 99.0]))
+        feed_sample(pipeline, line_sample(0.0, [0.0, 0.0, 99.0]))
         payload = pipeline.finalize().payloads["watchdog_global_skew"]
         assert payload == {"applicable": False}
 
@@ -123,7 +124,7 @@ class TestGlobalSkewWatchdogUnit:
         for t in range(2 * (MAX_EVENT_RECORDS + 10)):
             # Alternate above/below the ceiling: every odd sample fires.
             skew = 2.0 if t % 2 else 0.0
-            pipeline.observe_sample(line_sample(float(t), [0.0, 0.0, skew]))
+            feed_sample(pipeline, line_sample(float(t), [0.0, 0.0, skew]))
         payload = pipeline.finalize().payloads["watchdog_global_skew"]
         assert payload["fired"] == MAX_EVENT_RECORDS + 10
         assert len(payload["events"]) == MAX_EVENT_RECORDS
@@ -138,9 +139,9 @@ class TestGlobalSkewWatchdogUnit:
             dt=1.0,
             stop_on="watchdog_global_skew",
         )
-        pipeline.observe_sample(line_sample(0.0, [0.0, 0.0, 0.5]))
+        feed_sample(pipeline, line_sample(0.0, [0.0, 0.0, 0.5]))
         assert not pipeline.stop_requested
-        pipeline.observe_sample(line_sample(1.0, [0.0, 0.0, 2.0]))
+        feed_sample(pipeline, line_sample(1.0, [0.0, 0.0, 2.0]))
         assert pipeline.stop_requested
         assert pipeline.watchdogs_fired == {"watchdog_global_skew": 1}
 
@@ -155,7 +156,7 @@ class TestConvergenceWatchdogUnit:
             dt=1.0,
         )
         for t, skew in enumerate([4.0, 3.0, 2.0, 1.0, 2.0, 1.5]):
-            pipeline.observe_sample(line_sample(float(t), [0.0, 0.0, skew]))
+            feed_sample(pipeline, line_sample(float(t), [0.0, 0.0, skew]))
         payload = pipeline.finalize().payloads["watchdog_convergence"]
         assert payload["threshold"] == 2.0
         assert payload["fired"] == 1
@@ -170,7 +171,7 @@ class TestConvergenceWatchdogUnit:
             dt=1.0,
         )
         for t in range(4):
-            pipeline.observe_sample(line_sample(float(t), [0.0, 0.0, 0.0]))
+            feed_sample(pipeline, line_sample(float(t), [0.0, 0.0, 0.0]))
         payload = pipeline.finalize().payloads["watchdog_convergence"]
         assert payload["threshold"] is None
         assert payload["fired"] == 0
