@@ -49,7 +49,7 @@ RESULT_MODULES = (
 #: the chaos pack (a chaos spec names its scenario file, not its content).
 RESULT_DATA = ("jitsim/_fused_loop.c", "chaos/scenarios/*.json")
 
-SEMANTICS = "20e6b8bd058e91f079adf3bdcaaada41"
+SEMANTICS = "e40607d903781705d8347d21bb5a8e40"
 
 
 def result_files(root: Optional[Path] = None) -> List[Path]:

@@ -4,8 +4,13 @@
  * broadcast delivery, max-estimate maintenance,
  * broadcast sends (in-kernel MT19937 delay draws), trigger/mode evaluation,
  * trace snapshots and clock advancement, in the phase order of
- * VecEngine.step.  It returns 0, or 1 on message-buffer overflow (a
- * caller sizing bug), 2 on a failed scratch allocation.  Readable twins:
+ * VecEngine.step.  Messages in flight live in slots of the caller's
+ * buffers: a delivered message's slot goes on a free list (linked through
+ * bh_next) and the next send takes it back, so the buffers need only hold
+ * the messages in flight at once, not every message the segment sends.
+ * It returns 0, or 1 when more messages were in flight at once than
+ * cap_total (the caller's in-flight bound was wrong), 2 on a failed
+ * scratch allocation.  Readable twins:
  * core/aopt_step.py::evaluate_mode_{uniform,flat} and
  * FastEngine._control_all.  Compiled on demand by repro.jitsim.providers
  * with
@@ -175,8 +180,10 @@ static int64_t evaluate_mode(real lg, real m, real iota_v, int64_t count,
 }
 
 /* `mt_state` holds the 624 state words followed by the position;
- * `out_counts` receives (messages left over, messages used, sent,
- * delivered). */
+ * `out_counts` receives (messages left over, slot high-water mark, sent,
+ * delivered).  Bucket lists are pushed at their head, so both a step's
+ * deliveries and the leftovers come out in push order, whatever slots the
+ * free list handed out. */
 int64_t fused_segment(
     int64_t n_nodes, int64_t steps, double dt, const double *t_steps,
     real *hardware, real *logical, real *last_hardware, real *max_estimate,
@@ -246,6 +253,7 @@ int64_t fused_segment(
     for (int64_t j = 0; j < steps + 1; j++)
         bh_head[j] = -1;
     int64_t used = 0;
+    int64_t free_head = -1;
     /* Bucket the messages already in flight at segment start. */
     for (int64_t p = 0; p < n_pend; p++) {
         double dtime = pend_time[p];
@@ -267,12 +275,16 @@ int64_t fused_segment(
     for (int64_t j = 0; j < steps; j++) {
         double t = t_steps[j];
         /* -- broadcast delivery (VecEngine._deliver_broadcasts) -------- */
-        for (int64_t msg = bh_head[j]; msg != -1; msg = bh_next[msg]) {
+        for (int64_t msg = bh_head[j]; msg != -1;) {
+            int64_t next = bh_next[msg];
             int64_t r = b_recv[msg];
             real v = b_val[msg];
             if (v > max_estimate[r])
                 max_estimate[r] = v;
             delivered++;
+            bh_next[msg] = free_head;
+            free_head = msg;
+            msg = next;
         }
         /* -- per-node control phases, fused ----------------------------
          * Max-estimate advance, broadcast send and trigger evaluation all
@@ -311,16 +323,21 @@ int64_t fused_segment(
                     }
                     double dtime = t + d;
                     int64_t jd = delivery_step(t_steps, j + 1, steps, dtime);
-                    if (used >= cap_total) {
-                        status = 1;
-                        goto done;
+                    int64_t slot = free_head;
+                    if (slot != -1) {
+                        free_head = bh_next[slot];
+                    } else {
+                        if (used >= cap_total) {
+                            status = 1;
+                            goto done;
+                        }
+                        slot = used++;
                     }
-                    b_recv[used] = sb_recv[k];
-                    b_val[used] = m;
-                    b_time[used] = dtime;
-                    bh_next[used] = bh_head[jd];
-                    bh_head[jd] = used;
-                    used++;
+                    b_recv[slot] = sb_recv[k];
+                    b_val[slot] = m;
+                    b_time[slot] = dtime;
+                    bh_next[slot] = bh_head[jd];
+                    bh_head[jd] = slot;
                 }
                 sent += k1 - k0;
             }

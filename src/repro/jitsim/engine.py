@@ -50,7 +50,16 @@ __all__ = ["JitEngine"]
 #: below it the segment-prep overhead outweighs the fused loop.
 _MIN_FUSED_STEPS = 4
 
+#: Node-samples one segment may snapshot (40 B each, so 10.5 MB): a segment
+#: ends before the sample that would pass it.
+_MAX_SEGMENT_SNAPSHOT = 1 << 18
+
 _INF = float("inf")
+
+#: bh_next, b_recv, b_val, b_time, left_recv, left_val, left_time.
+_MESSAGE_DTYPES = (
+    np.int64, np.int64, np.float64, np.float64, np.int64, np.float64, np.float64
+)
 
 
 class JitEngine(VecEngine):
@@ -70,6 +79,11 @@ class JitEngine(VecEngine):
         self._provider = providers.get_provider()
         self._prep_key: Tuple = (None, None)
         self._prep = None
+        #: Kernel buffers kept across segments and grown on demand: the
+        #: seven message arrays, and the five snapshot columns when no trace
+        #: keeps them.
+        self._message_buffers: Optional[Tuple] = None
+        self._snapshot_buffers: Optional[Tuple] = None
         #: Diagnostics: how many steps ran fused vs. through the vec path.
         self.fused_steps = 0
         self.stepped_steps = 0
@@ -145,7 +159,9 @@ class JitEngine(VecEngine):
         ``time <= t + 1e-12``, drift rates constant while ``int(t //
         rate_epoch)`` stays put.  Handshake messages in flight return
         ``None``; pending level promotions cap the segment
-        (:meth:`_promotion_cap`).  The drift rates are filled here, at the
+        (:meth:`_promotion_cap`), and so does the sample that would take
+        the segment's snapshots past ``_MAX_SEGMENT_SNAPSHOT`` node-samples
+        (a later segment records it).  The drift rates are filled here, at the
         segment's pinned phase, and :meth:`_run_segment` reuses them.
         """
         if self._inflight:
@@ -165,6 +181,7 @@ class JitEngine(VecEngine):
         cap = self._promotion_cap()
         next_sample = self._next_sample_time
         interval = self.trace.sample_interval
+        max_snaps = max(1, _MAX_SEGMENT_SNAPSHOT // self.n)
         snaps: List[int] = []
         steps = 0
         t = t0
@@ -175,6 +192,8 @@ class JitEngine(VecEngine):
             if epoch != _INF and int(t // epoch) != rate_key:
                 break
             if not (t + 1e-12 < next_sample):
+                if len(snaps) == max_snaps:
+                    break
                 snaps.append(steps)
                 next_sample = t + interval
             steps += 1
@@ -297,33 +316,55 @@ class JitEngine(VecEngine):
             pend_recv = np.empty(0, dtype=np.int64)
             pend_val = np.empty(0, dtype=np.float64)
         n_pend = len(pend_time)
-        # Message capacity: a sender can fire at most once per step and
-        # otherwise needs its hardware clock to gain one broadcast interval
-        # per send.
+        # Message capacity: the most messages in flight at once.  The kernel
+        # frees a message's slot when it delivers it, before that step's
+        # sends, and
+        # - ``delivery_step`` delivers a send of step j by step j +
+        #   ceil(longest / dt) + 1 (the extra step absorbs the rounding of
+        #   the time grid), so every message in flight was sent within the
+        #   last ``lag`` steps, which leave one step more of margin;
+        # - over those a sender fires at most once per step, and at most
+        #   once per broadcast interval its hardware clock gains, plus one
+        #   for a send due at the window's start and one for rounding;
+        # - a message pending at entry holds its slot until it is delivered.
         interval = self.aopt_config.broadcast_interval
+        delays = prep["sb_bound"] if uniform is not None else prep["sb_static"]
+        longest = float(delays.max()) if len(delays) else 0.0
+        lag = min(steps, math.ceil(longest / dt) + 2)
         if interval > 0.0:
-            gain = steps * dt * max(float(rates.max()) if n else 0.0, 0.0)
-            sends = min(steps, int(gain / interval) + 2)
+            gain = lag * dt * max(float(rates.max()) if n else 0.0, 0.0)
+            sends = min(lag, int(gain / interval) + 2)
         else:
-            sends = steps
+            sends = lag
         cap_total = n_pend + 16 + len(prep["sb_recv"]) * sends
+        buffers = self._message_buffers
+        if buffers is None or len(buffers[0]) < cap_total:
+            # Drop the short arrays before allocating their successors.
+            buffers = self._message_buffers = None
+            buffers = self._message_buffers = tuple(
+                np.empty(cap_total, dtype=dtype) for dtype in _MESSAGE_DTYPES
+            )
+        bh_next, b_recv, b_val, b_time, left_recv, left_val, left_time = buffers
         bh_head = np.empty(steps + 1, dtype=np.int64)
-        bh_next = np.empty(cap_total, dtype=np.int64)
-        b_recv = np.empty(cap_total, dtype=np.int64)
-        b_val = np.empty(cap_total, dtype=np.float64)
-        b_time = np.empty(cap_total, dtype=np.float64)
-        left_recv = np.empty(cap_total, dtype=np.int64)
-        left_val = np.empty(cap_total, dtype=np.float64)
-        left_time = np.empty(cap_total, dtype=np.float64)
         out_counts = np.zeros(4, dtype=np.int64)
-        # Snapshot buffers: one engine-sized slice per sample-recording step.
+        # Snapshot columns: one engine-sized slice per sample-recording step.
+        # A full trace's LazyTraceSamples own their slices, so each segment
+        # gets fresh columns.  Without a trace nothing keeps a slice past
+        # the segment: the metrics pipeline reduces each one inside
+        # ``observe_columns``, and the run's forced final sample re-points
+        # its view at the live columns before ``finalize``.  So one set,
+        # kept on the engine, serves every segment.
         n_snap = len(snaps)
         snap_step = np.asarray(snaps, dtype=np.int64)
-        snap_logical = np.empty(n_snap * n, dtype=np.float64)
-        snap_hardware = np.empty(n_snap * n, dtype=np.float64)
-        snap_multiplier = np.empty(n_snap * n, dtype=np.float64)
-        snap_max_estimate = np.empty(n_snap * n, dtype=np.float64)
-        snap_mode = np.empty(n_snap * n, dtype=np.int64)
+        if self._record_trace:
+            snapshots = _snapshot_columns(n_snap * n)
+        else:
+            snapshots = self._snapshot_buffers
+            if snapshots is None or len(snapshots[0]) < n_snap * n:
+                snapshots = self._snapshot_buffers = _snapshot_columns(n_snap * n)
+        snap_logical, snap_hardware, snap_multiplier, snap_max_estimate, snap_mode = (
+            snapshots
+        )
         status = self._provider.fused_segment(
             n,
             steps,
@@ -441,6 +482,13 @@ class JitEngine(VecEngine):
                 )
         self._next_sample_time = next_sample
         self.fused_steps += steps
+
+
+def _snapshot_columns(size: int) -> Tuple:
+    """Empty logical, hardware, multiplier, max-estimate and mode columns."""
+    return tuple(np.empty(size, dtype=np.float64) for _ in range(4)) + (
+        np.empty(size, dtype=np.int64),
+    )
 
 
 def build_batch(

@@ -1,6 +1,9 @@
 """Unit tests for the jitsim subsystem: backend plumbing, provider
 resolution, graceful degradation without a compiler, the compiled-library
-cache, the cache key and the one-run context builder."""
+cache, the cache key, the one-run context builder and the fused kernel's
+buffer bounds at their extremes."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.experiments import (
     scenario,
 )
 from repro.experiments.executor import ResultCache, run_sweep
+from repro.experiments.spec import ComponentSpec
 from repro.fastsim import backend as backend_mod
 from repro.fastsim import (
     BackendUnavailableError,
@@ -19,6 +23,7 @@ from repro.fastsim import (
 
 np = pytest.importorskip("numpy")
 
+from repro.jitsim import engine as jit_engine  # noqa: E402
 from repro.jitsim import providers  # noqa: E402
 from repro.jitsim import (  # noqa: E402
     JitEngine,
@@ -244,6 +249,75 @@ class TestOneRunContext:
         for run, reference in zip(runs, expected):
             assert run.summary == reference.summary
             assert run.trace.samples == reference.trace.samples
+
+
+def bound_spec(delay, interval, edge_delay, trace="full"):
+    """A 12-node line without drift, so every step is fusible."""
+    spec = scenario(
+        "quickstart_line",
+        n=12,
+        sim={"duration": 40.0, "broadcast_interval": interval},
+    )
+    return replace(
+        spec,
+        drift=ComponentSpec("none"),
+        delay=ComponentSpec(*delay),
+        edge={**spec.edge, "delay": edge_delay},
+    ).with_trace(trace)
+
+
+@pytest.fixture
+def fast_and_jit(monkeypatch):
+    """Runs a spec on ``fast`` and ``jit``, holds the two payloads equal and
+    returns how many samples each fused segment recorded."""
+    recorded = []
+    run_segment = JitEngine._run_segment
+
+    def spy(self, steps, snaps, next_sample):
+        recorded.append(len(snaps))
+        return run_segment(self, steps, snaps, next_sample)
+
+    monkeypatch.setattr(JitEngine, "_run_segment", spy)
+
+    def run_both(spec):
+        recorded.clear()
+        fast = execute_spec(spec.with_backend("fast"))
+        jit = execute_spec(spec.with_backend("jit"))
+        for key in ("summary", "observers", "trace", "meta"):
+            assert jit[key] == fast[key], key
+        assert recorded, "no step ran fused"
+        return list(recorded)
+
+    return run_both
+
+
+@pytest.mark.skipif(not provider_available(), reason="no jit provider here")
+class TestBufferBoundsAtTheirExtremes:
+    """The message slots are sized from the in-flight window (longest delay
+    over dt, and one send per broadcast interval); a wrong bound fails the
+    run with a buffer overflow.  An interval of 0.05 (= dt) fires every
+    sender every step; a delay of 5.0 keeps 100 steps of sends in flight;
+    ``zero`` delivers every send at the next step."""
+
+    @pytest.mark.parametrize(
+        "delay",
+        [("uniform", {}), ("fixed_fraction", {"fraction": 1.0}), ("zero", {})],
+        ids=lambda delay: delay[0],
+    )
+    @pytest.mark.parametrize(
+        "interval, edge_delay", [(0.05, 5.0), (1.0, 0.3)], ids=["dense", "sparse"]
+    )
+    def test_jit_equals_fast(self, fast_and_jit, delay, interval, edge_delay):
+        fast_and_jit(bound_spec(delay, interval, edge_delay))
+
+    @pytest.mark.parametrize("trace", ["full", "none"])
+    def test_snapshot_cap_splits_segments_without_changing_a_bit(
+        self, fast_and_jit, monkeypatch, trace
+    ):
+        monkeypatch.setattr(jit_engine, "_MAX_SEGMENT_SNAPSHOT", 40)
+        samples = fast_and_jit(bound_spec(("uniform", {}), 0.05, 5.0, trace))
+        assert max(samples) == 40 // 12
+        assert len(samples) > 10
 
 
 class TestUniformConfigMarker:

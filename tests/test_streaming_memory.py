@@ -6,15 +6,22 @@ sample, so the same run with a trace needs several times more.  Peaks are
 ``tracemalloc``'s, of ``execute_spec`` -- the whole way from spec to payload.
 Steps of 0.5 keep the sample count (one per time unit) and cut the stepping,
 which ``tracemalloc`` slows tenfold on the stdlib engine.
+
+On ``jit`` a run without drift swaps fuses every step, so the same
+contract holds the kernel's buffers: message slots for the messages in
+flight only, and at most ``_MAX_SEGMENT_SNAPSHOT`` node-samples of
+snapshots per segment.
 """
 
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments import execute_spec
 from repro.experiments.bench import BENCH_OBSERVERS, bench_spec
+from repro.experiments.spec import ComponentSpec
 from repro.fastsim.backend import backend_available
 
 
@@ -55,3 +62,22 @@ def test_trace_none_peak_is_flat_in_duration_and_far_below_a_full_trace(backend,
     full = peak_bytes(spec(100.0, "full"))
     assert long <= 1.25 * short, (short, long)
     assert full >= 5 * long, (long, full)
+
+
+@pytest.mark.skipif(
+    not backend_available("jit"), reason="numpy or a C compiler is missing"
+)
+@pytest.mark.parametrize("n, short_duration", [(1024, 400.0), (256, 1500.0)])
+def test_jit_trace_none_peak_is_flat_in_the_length_of_a_fused_segment(
+    n, short_duration
+):
+    def spec(duration):
+        built = bench_spec("line", n, duration=duration, dt=0.5, backend="jit")
+        built = replace(built, drift=ComponentSpec("none"))
+        return built.with_trace("none").with_observers(*BENCH_OBSERVERS)
+
+    execute_spec(spec(2.0))
+    short = peak_bytes(spec(short_duration))
+    long = peak_bytes(spec(4 * short_duration))
+    assert long <= 1.1 * short, (short, long)
+    assert long <= 32 * 2**20, long

@@ -17,7 +17,6 @@ import pytest
 
 from conftest import feed_sample
 from repro.experiments import ResultCache, execute_spec, registry, run_sweep, scenario
-from repro.experiments.executor import ResultCache
 from repro.experiments.results import build_run_pipeline, trace_from_payload
 from repro.fastsim.backend import backend_available
 
