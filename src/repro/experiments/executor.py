@@ -95,10 +95,11 @@ class ExperimentRun:
     ``trace`` is ``None`` for ``trace: none`` runs -- the streaming
     ``report`` (an :class:`~repro.metrics.ObserverReport`) then carries
     everything the summary was computed from.  A run built from a result
-    payload is handed the payload's ``"trace"`` object -- from the cache,
-    still the unparsed line of the file -- and turns it into a
-    :class:`~repro.sim.trace.Trace` when ``trace`` is first read (callers
-    that read only the summary never pay for the samples, ``repr``
+    payload is handed the payload's ``"trace"`` object -- with a cache,
+    executed or hit, the unparsed line of the entry's file
+    (:class:`_TraceLine`), without one the payload's trace -- and turns it
+    into a :class:`~repro.sim.trace.Trace` when ``trace`` is first read
+    (callers that read only the summary never pay for the samples, ``repr``
     included); text and payload form are dropped then, and every later
     read returns that same ``Trace``.
     """
@@ -331,13 +332,14 @@ def _cut_ends(head: bytes, handle, size: int) -> Optional[bytes]:
 class _TraceLine:
     """The ``"trace"`` member of a cache entry, left in its file.
 
-    What a payload from :meth:`ResultCache.fetch` holds in place of the
-    trace object until somebody wants it: the entry's path, not the line's
-    text -- a warm sweep keeps none of its traces in memory, and allocates
-    nothing whose size depends on them.  :meth:`parse` reads the file that
-    is at the path *then*; the same key names the same deterministic result,
-    so an entry rewritten in between yields the same trace, and only one
-    removed in between has none.
+    What a payload from :meth:`ResultCache.fetch`, and the run of a result
+    :func:`run_sweep` has just stored, hold in place of the trace object
+    until somebody wants it: the entry's path, not the line's text -- no
+    sweep, cold or warm, keeps its traces in memory, and a warm one
+    allocates nothing whose size depends on them.  :meth:`parse` reads the
+    file that is at the path *then*; the same key names the same
+    deterministic result, so an entry rewritten in between yields the same
+    trace, and only one removed in between has none.
     """
 
     __slots__ = ("path", "cache")
@@ -657,7 +659,12 @@ class ResultCache:
         *written* entries (mtime order) until the directory fits.  Both the
         CLI (``repro-experiments cache``) and the daemon's periodic janitor
         use this, so a long-running service never grows without bound.
+        A negative bound raises :class:`ExecutorError` before any file is
+        touched (it would otherwise expire every entry).
         """
+        for name, bound in (("older_than", older_than), ("max_bytes", max_bytes)):
+            if bound is not None and bound < 0:
+                raise ExecutorError(f"cache prune: {name} must be >= 0, got {bound}")
         removed = 0
         freed = 0
         now = time.time() if now is None else now
@@ -725,9 +732,15 @@ def run_sweep(
     misses execute one spec at a time through
     :func:`~repro.experiments.results.execute_spec`, inline (``workers ==
     1``) or on a ``multiprocessing`` pool.  Each result is
-    written to the cache and turned into its :class:`ExperimentRun` (whose
-    trace stays in payload form -- a cache hit's in its file, see
-    :meth:`ResultCache.fetch` -- until it is read) as soon as it exists.
+    written to the cache and turned into its :class:`ExperimentRun` as soon
+    as it exists.  An executed run, like a cache hit
+    (:meth:`ResultCache.fetch`), holds its trace as the line of the entry it
+    was stored under and reads it when ``trace`` is first read, so the
+    sweep's memory does not grow with the runs it has executed.  The
+    contract is the hit's: an entry removed before that read raises
+    :class:`ExecutorError`, one rewritten in between yields the same trace.
+    With ``use_cache=False`` there is no entry, and each run keeps its
+    payload's trace.
 
     ``telemetry`` (a :class:`~repro.telemetry.SweepTelemetry`) is the one
     way to follow a sweep; the daemon derives job progress from it too.  It
@@ -767,7 +780,10 @@ def run_sweep(
 
     def executed(index, spec, payload) -> None:
         if use_cache:
-            cache.store(spec, payload)
+            path = cache.store(spec, payload)
+            if payload.get("trace") is not None:
+                # The run holds the entry's trace line, as a hit does.
+                payload = {**payload, "trace": _TraceLine(path, cache)}
         batch.executed += 1
         settle(index, spec, payload, False)
         for later in duplicates.get(index, ()):

@@ -49,7 +49,7 @@ RESULT_MODULES = (
 #: the chaos pack (a chaos spec names its scenario file, not its content).
 RESULT_DATA = ("jitsim/_fused_loop.c", "chaos/scenarios/*.json")
 
-SEMANTICS = "e40607d903781705d8347d21bb5a8e40"
+SEMANTICS = "ed721d862f06236a3922fb47e5d04024"
 
 
 def result_files(root: Optional[Path] = None) -> List[Path]:

@@ -2,8 +2,8 @@
 
 :class:`FastEngine` runs the same fixed-step simulation as
 :class:`repro.sim.engine.Engine` -- identical phase order per step (edge
-events, message deliveries, scheduled callbacks, control decisions, trace
-sample, clock advancement), identical floating-point expressions and
+events, message deliveries, scheduled handshake checks, control decisions,
+trace sample, clock advancement), identical floating-point expressions and
 identical random-draw order -- but executes the AOPT control rule as tight
 loops over flat columns (:mod:`repro.fastsim.columns`) instead of dispatching
 through per-node ``ClockSyncAlgorithm`` / ``NodeAPI`` / ``EstimateLayer``
@@ -46,7 +46,9 @@ Equivalence notes (why bit-identical is achievable):
   estimate strategy likewise draws in the reference's set order;
 * message deliveries are ordered by ``(delivery_time, send sequence)``,
   which matches the reference transport's ``(delivery_time, message_id)``;
-* scheduled callbacks go through the same :class:`EventScheduler`.
+* the handshake's scheduled checks fire like the reference's
+  :class:`~repro.sim.scheduler.EventScheduler` callbacks: in ``(time,
+  sequence)`` order, at their scheduled time, once due within ``1e-12``.
 
 Where a floating-point expression cannot be matched exactly the documented
 tolerance is 1e-9, but the differential suite currently verifies exact
@@ -69,7 +71,6 @@ from ..network.edge import NodeId
 from ..sim.drift import DriftModel, NoDrift
 from ..sim.delay import UniformRandomDelay
 from ..sim.engine import EngineError
-from ..sim.scheduler import EventScheduler
 from ..sim.trace import Trace, TraceSample
 from .columns import CSRAdjacency, NodeColumns
 
@@ -94,6 +95,10 @@ _STRATEGY_CODES = {
 #: Message kind codes for the in-flight heap.
 _MSG_BROADCAST = 0
 _MSG_INSERT_EDGE = 1
+
+#: Check kind codes for the pending handshake-check heap.
+_CHECK_LEADER = 0
+_CHECK_FOLLOWER = 1
 
 
 class _FastAlgorithmView:
@@ -172,7 +177,12 @@ class FastEngine:
             if config.delay is not None
             else UniformRandomDelay(seed=config.delay_seed)
         )
-        self.scheduler = EventScheduler()
+        #: Heap of pending insertion-handshake checks (Listing 1): (time,
+        #: seq, kind, node, neighbor, insertion_anchor, global_skew_estimate).
+        #: Plain data, like ``_inflight``: no closure holds the engine, so a
+        #: finished engine has no reference cycle and is freed on return.
+        self._checks: List[Tuple] = []
+        self._check_seq = 0
         self.trace = Trace(config.sample_interval)
         self._next_sample_time = 0.0
         self._drop_on_edge_loss = bool(config.drop_messages_on_edge_loss)
@@ -351,7 +361,8 @@ class FastEngine:
             self._apply_graph_events(t)
         if self._inflight:
             self._deliver_messages(t)
-        self.scheduler.run_due(t)
+        if self._checks:
+            self._run_due_checks(t)
         if self._csr_dirty:
             self._rebuild_csr()
         self._control_all(t)
@@ -391,12 +402,7 @@ class FastEngine:
         if node < neighbor:  # this endpoint is the handshake leader
             edge = self.graph.edge_params(node, neighbor)
             wait = insertion_mod.leader_wait(self.aopt_params, edge)
-            self.scheduler.schedule(
-                t + wait,
-                lambda fire_time, u=node, v=neighbor: self._leader_check(
-                    fire_time, u, v
-                ),
-            )
+            self._schedule_check(t + wait, _CHECK_LEADER, node, neighbor, 0.0, 0.0)
 
     def _on_edge_lost(self, t: float, node: NodeId, neighbor: NodeId) -> None:
         position = self._cols.index[node]
@@ -436,11 +442,8 @@ class FastEngine:
             if kind == _MSG_INSERT_EDGE:
                 edge = graph.edge_params(receiver, sender)
                 wait = insertion_mod.follower_wait(self.aopt_params, edge)
-                self.scheduler.schedule(
-                    t + wait,
-                    lambda fire_time, u=receiver, v=sender, a=anchor, g=skew_estimate: (
-                        self._follower_check(fire_time, u, v, a, g)
-                    ),
+                self._schedule_check(
+                    t + wait, _CHECK_FOLLOWER, receiver, sender, anchor, skew_estimate
                 )
             elif bc_mode:
                 # Store the broadcast like BroadcastEstimateLayer.on_broadcast:
@@ -461,6 +464,40 @@ class FastEngine:
     # ------------------------------------------------------------------
     # Insertion handshake (Listing 1), mirrored from AOPT
     # ------------------------------------------------------------------
+    def _schedule_check(
+        self,
+        time: float,
+        kind: int,
+        node: NodeId,
+        neighbor: NodeId,
+        anchor: float,
+        skew_estimate: float,
+    ) -> None:
+        self._check_seq += 1
+        heapq.heappush(
+            self._checks,
+            (time, self._check_seq, kind, node, neighbor, anchor, skew_estimate),
+        )
+
+    def _run_due_checks(self, t: float) -> None:
+        """Fire every check due at ``t`` (``EventScheduler.run_due``).
+
+        Checks fire in ``(time, seq)`` order, each with its scheduled time,
+        once due within ``1e-12``.  No check schedules another check, so
+        nothing pushed here is due in this call and the scheduler's
+        same-call chaining has nothing to reproduce.
+        """
+        checks = self._checks
+        limit = t + 1e-12
+        while checks and checks[0][0] <= limit:
+            fire_time, _, kind, node, neighbor, anchor, skew_estimate = heapq.heappop(
+                checks
+            )
+            if kind == _CHECK_LEADER:
+                self._leader_check(fire_time, node, neighbor)
+            else:
+                self._follower_check(fire_time, node, neighbor, anchor, skew_estimate)
+
     def _edge_present_since(
         self, node: NodeId, neighbor: NodeId, t: float, window: float
     ) -> bool:

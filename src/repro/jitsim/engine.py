@@ -4,7 +4,7 @@
 keeps its entire event / insertion / transport machinery and its run state.
 What changes is the driver: instead of one Python round-trip per step,
 :meth:`JitEngine.run_until` *prescans* the upcoming steps, proves a maximal
-prefix is "regular" -- no graph events, no scheduler callbacks, no in-flight
+prefix is "regular" -- no graph events, no handshake checks due, no in-flight
 insert-edge messages, no insertion level coming due, drift rates constant
 over the window (``rate_epoch``), delays ``static`` or uniform-random -- and
 executes that whole prefix in one call to the compiled C kernel (see
@@ -166,13 +166,10 @@ class JitEngine(VecEngine):
         """
         if self._inflight:
             return None
+        next_event = self._next_event_time
         barrier = min(
-            (
-                time
-                for time in (self._next_event_time, self.scheduler.peek_time())
-                if time is not None
-            ),
-            default=_INF,
+            _INF if next_event is None else next_event,
+            self._checks[0][0] if self._checks else _INF,
         )
         t0 = self.time
         self._refresh_rates(t0)

@@ -128,6 +128,11 @@ class ServiceConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ServiceError(f"workers must be >= 1, got {self.workers}")
+        # A negative bound would have the janitor expire every entry.
+        for name in ("prune_older_than", "max_cache_bytes"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ServiceError(f"{name} must be >= 0, got {value}")
 
 
 #: How workers are started: ``fork`` where the platform has it -- children

@@ -464,7 +464,8 @@ class VecEngine(FastEngine):
         if self._inflight:
             self._deliver_messages(t)
         self._deliver_broadcasts(t)
-        self.scheduler.run_due(t)
+        if self._checks:
+            self._run_due_checks(t)
         self._refresh_structure()
         self._control_all(t)
         self._record_sample()

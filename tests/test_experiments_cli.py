@@ -377,6 +377,23 @@ class TestCacheCommand:
         assert "pruned 1" in out
         assert "0 cache entries" in out
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-bytes", "-5"), ("--prune-older-than", "-1")]
+    )
+    def test_a_negative_prune_bound_is_refused_and_removes_nothing(
+        self, tmp_path, capsys, flag, value
+    ):
+        run_cli(
+            "sweep", "quickstart_line", "--grid", "n=3,4",
+            "--set", "sim.duration=2.0", "--cache-dir", str(tmp_path),
+        )
+        entries = sorted(tmp_path.glob("*.json"))
+        assert len(entries) == 2
+        capsys.readouterr()
+        assert run_cli("cache", "--cache-dir", str(tmp_path), flag, value) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert sorted(tmp_path.glob("*.json")) == entries
+
 
 class TestObserversAndTrace:
     """--observers / --trace flags of the streaming metrics pipeline (PR 5)."""

@@ -377,6 +377,28 @@ class TestResultCacheLifecycle:
         assert (removed, freed > 0) == (1, True)
         assert cache.entries() == []
 
+    @pytest.mark.parametrize(
+        "bounds", [{"older_than": -1.0}, {"max_bytes": -5}], ids=["older_than", "max_bytes"]
+    )
+    def test_a_negative_prune_bound_raises_before_touching_a_file(self, tmp_path, bounds):
+        from repro.experiments import run_sweep
+        from repro.experiments.executor import ExecutorError
+
+        cache = ResultCache(tmp_path / "cache")
+        (run,), _ = run_sweep([tiny_spec()], cache=cache)
+        with pytest.raises(ExecutorError, match="must be >= 0"):
+            cache.prune(**bounds)
+        assert cache.stats()["entries"] == 1
+        assert len(run.trace) > 0  # an executed run's trace lives in that file
+
+    @pytest.mark.parametrize(
+        "bounds", [{"prune_older_than": -1.0}, {"max_cache_bytes": -5}],
+        ids=["prune_older_than", "max_cache_bytes"],
+    )
+    def test_the_service_refuses_a_negative_prune_bound(self, bounds):
+        with pytest.raises(ServiceError, match="must be >= 0"):
+            ServiceConfig(**bounds)
+
     def test_prune_max_bytes_evicts_lru_by_mtime(self, tmp_path):
         import os
 

@@ -11,18 +11,24 @@ On ``jit`` a run without drift swaps fuses every step, so the same
 contract holds the kernel's buffers: message slots for the messages in
 flight only, and at most ``_MAX_SEGMENT_SNAPSHOT`` node-samples of
 snapshots per segment.
+
+A finished columnar engine is freed by reference counting when its run
+returns, handshake checks still pending or not: they are plain data on the
+engine, not closures over it, so it is in no reference cycle and its graph
+copy and trace do not wait for the next full collection.
 """
 
 import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import pytest
 
-from repro.experiments import execute_spec
+from repro.experiments import execute_spec, registry, scenario
 from repro.experiments.bench import BENCH_OBSERVERS, bench_spec
 from repro.experiments.spec import ComponentSpec
-from repro.fastsim.backend import backend_available
+from repro.fastsim.backend import backend_available, get_backend
 
 
 def peak_bytes(spec):
@@ -81,3 +87,44 @@ def test_jit_trace_none_peak_is_flat_in_the_length_of_a_fused_segment(
     long = peak_bytes(spec(4 * short_duration))
     assert long <= 1.1 * short, (short, long)
     assert long <= 32 * 2**20, long
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "fast",
+        pytest.param(
+            "vec",
+            marks=pytest.mark.skipif(
+                not backend_available("vec"), reason="numpy is not installed"
+            ),
+        ),
+        pytest.param(
+            "jit",
+            marks=pytest.mark.skipif(
+                not backend_available("jit"), reason="numpy or a C compiler is missing"
+            ),
+        ),
+    ],
+)
+def test_a_finished_engine_with_checks_pending_leaves_no_cycle(backend):
+    # Cut at t = 25 the storm's shortcut churn has handshakes under way.
+    spec = scenario("random_broadcast_delay_storm", n=12, duration=25.0)
+    spec = spec.with_backend(backend)
+    execute_spec(spec)  # first-use allocations (numpy's) stay out of the count
+    built = registry.build_scenario(spec)
+    engine = get_backend(backend).build(
+        built.graph, built.algorithm_factory, built.config
+    )
+    engine.run(built.config.duration)
+    assert engine._checks  # the run ended mid-handshake
+    gc.collect()
+    gc.disable()
+    try:
+        freed = weakref.ref(engine)
+        del engine
+        assert freed() is None
+        execute_spec(spec)
+        assert gc.collect() == 0  # a whole run leaves nothing to collect
+    finally:
+        gc.enable()

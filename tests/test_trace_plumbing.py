@@ -5,8 +5,10 @@ sweep (a cache hit builds none until ``run.trace`` is read; a cold run builds
 the engine's and no second set), bytes of cache file handed to ``json.loads``
 (a warm sweep parses each entry's head, the same few kB whatever the trace
 length; the trace line is parsed once, when ``run.trace`` is first read),
-result payloads alive inside a cold sweep, and executions of a spec that
-occurs more than once in one sweep.
+result payloads alive inside a cold sweep, the memory a cold sweep's runs
+retain (an executed run holds its entry's trace line, as a hit does, so 16
+runs keep about what 4 keep), and executions of a spec that occurs more than
+once in one sweep.
 
 The per-key encoder / decoder this file starts with are the oracles the
 production pair in ``repro.experiments.results`` is held to (here and in
@@ -14,12 +16,17 @@ production pair in ``repro.experiments.results`` is held to (here and in
 """
 
 import gc
+import hashlib
 import json
+import re
+import shutil
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments import executor, results, scenario
-from repro.experiments.executor import ResultCache, execute_spec, run_sweep
+from repro.experiments.executor import ExecutorError, ResultCache, execute_spec, run_sweep
 from repro.fastsim.backend import backend_available
 from repro.sim.trace import Trace, TraceSample
 from repro.telemetry import SweepTelemetry
@@ -31,6 +38,11 @@ pytestmark = pytest.mark.filterwarnings("error")
 
 TINY_SIM = {"duration": 5.0, "dt": 0.1}
 STDLIB_BACKENDS = ("reference", "fast")
+needs_jit = pytest.mark.skipif(
+    not backend_available("jit"), reason="numpy or a C compiler is missing"
+)
+#: The stdlib backends, and ``jit`` where it is installed.
+TRACED_BACKENDS = (*STDLIB_BACKENDS, pytest.param("jit", marks=needs_jit))
 
 
 def tiny_spec(n=4, backend="reference", trace="full"):
@@ -307,8 +319,91 @@ def test_a_cold_sweep_holds_one_payload_beside_its_runs(tmp_path, backend):
     assert stats.executed == len(specs)
     assert [state for state, _ in seen] == ["done"] * len(specs)
     assert max(alive for _, alive in seen) <= 1
-    assert _live_payloads() == 0  # the runs hold traces, not payloads
+    assert _live_payloads() == 0  # the runs hold trace lines, not payloads
     assert all(len(run.trace) > 0 for run in runs)
+
+
+# ----------------------------------------------------------------------
+# What a cold sweep retains: its runs, not their traces
+# ----------------------------------------------------------------------
+def copies(backend, indices):
+    """One traced spec under distinct cache keys (the copies differ in a note)."""
+    spec = tiny_spec(4, backend).with_sim(duration=40.0)
+    return [replace(spec, notes={"copy": index}) for index in indices]
+
+
+def retained_bytes(specs, cache):
+    """``tracemalloc``'s current after a cold sweep, its runs still held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        runs, stats = run_sweep(specs, cache=cache)
+        assert stats.executed == len(runs) == len(specs)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("backend", TRACED_BACKENDS)
+def test_a_cold_sweeps_retained_memory_is_flat_in_its_length(tmp_path, backend):
+    # A run holding its trace keeps about 64 kB here; holding the entry's
+    # trace line, the few kB of its summary and report.
+    cache = ResultCache(tmp_path)
+    run_sweep(copies(backend, [-1]), cache=cache)  # first-use allocations
+    four = retained_bytes(copies(backend, range(4)), cache)
+    sixteen = retained_bytes(copies(backend, range(100, 116)), cache)
+    assert sixteen <= 1.25 * four + 256 * 1024
+
+
+# ----------------------------------------------------------------------
+# An executed run holds its entry's trace line, as a hit does
+# ----------------------------------------------------------------------
+def trace_digest(run):
+    encoded = json.dumps(results.trace_to_payload(run.trace)).encode("ascii")
+    return hashlib.sha256(encoded).hexdigest()
+
+
+class TestAnExecutedRunsTraceLine:
+    @pytest.mark.parametrize("backend", TRACED_BACKENDS)
+    def test_it_reads_what_the_warm_hit_and_an_uncached_run_read(
+        self, tmp_path, backend
+    ):
+        spec = tiny_spec(5, backend)
+        cache = ResultCache(tmp_path)
+        (cold,), _ = run_sweep([spec], cache=cache)
+        (warm,), _ = run_sweep([spec], cache=cache)
+        (bare,), _ = run_sweep([spec], use_cache=False)
+        assert (cold.from_cache, warm.from_cache, bare.from_cache) == (False, True, False)
+        assert isinstance(cold._trace, executor._TraceLine)
+        assert trace_digest(cold) == trace_digest(warm) == trace_digest(bare)
+
+    def test_without_a_cache_the_run_keeps_its_trace(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        spec = tiny_spec()
+        (run,), _ = run_sweep([spec], cache=ResultCache(cache_dir), use_cache=False)
+        shutil.rmtree(cache_dir)
+        assert len(run.trace) == run.summary.sample_count > 0
+
+    def test_an_entry_removed_before_the_trace_is_read_has_none(self, tmp_path):
+        spec = tiny_spec()
+        cache = ResultCache(tmp_path)
+        (run,), _ = run_sweep([spec], cache=cache)
+        path = cache.path_for(spec)
+        path.unlink()
+        assert run.summary.sample_count > 0
+        with pytest.raises(ExecutorError, match=re.escape(str(path))):
+            run.trace
+
+    def test_a_pool_sweeps_runs_hold_trace_lines(self, tmp_path):
+        specs = tiny_specs("reference")
+        runs, stats = run_sweep(specs, cache=ResultCache(tmp_path), workers=2)
+        assert stats.executed == len(specs)
+        assert all(isinstance(run._trace, executor._TraceLine) for run in runs)
+        assert [len(run.trace) for run in runs] == [
+            run.summary.sample_count for run in runs
+        ]
 
 
 # ----------------------------------------------------------------------
