@@ -29,12 +29,19 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import __version__ as _library_version
+from ..core.aopt_step import MODE_CODES
 from ..fastsim.backend import get_backend, resolve_backend
 from ..metrics import DEFAULT_OBSERVERS, ObserverReport, build_pipeline
-from ..sim.trace import Trace, TraceSample
+from ..sim.trace import (
+    COLUMN_NAMES,
+    MODE_COLUMN,
+    Trace,
+    TraceSample,
+    values_in_order,
+)
 from ..telemetry.schema import sanitize_json
 from . import registry
 from .spec import ScenarioSpec
@@ -259,8 +266,6 @@ def summarize(
 # ----------------------------------------------------------------------
 # Trace (de)serialisation for the on-disk cache
 # ----------------------------------------------------------------------
-#: The per-node columns of a sample, in payload order.
-_COLUMNS = ("logical", "hardware", "multipliers", "modes", "max_estimates")
 #: The columns whose values are floats (``modes`` holds mode names).
 _FLOAT_COLUMNS = ("logical", "hardware", "multipliers", "max_estimates")
 
@@ -268,25 +273,23 @@ _FLOAT_COLUMNS = ("logical", "hardware", "multipliers", "max_estimates")
 def trace_to_payload(trace: Optional[Trace]) -> Optional[Dict[str, Any]]:
     """Plain-JSON representation of a trace (node ids become strings).
 
-    ``None`` (a ``trace: none`` run) passes through unchanged.
-
-    The id strings are computed once and reused for every column whose key
-    order equals the previous sample's (a static node set: every column of
-    every sample); a column that differs is converted key by key.
+    ``None`` (a ``trace: none`` run) passes through unchanged.  Each sample
+    is ``{"time", <the five columns as {id string: value}>, "diameter"}``;
+    the id strings are computed once per ``ids`` object (an engine's samples
+    share one); values are :meth:`~repro.sim.trace.TraceSample.plain_column`'s.
     """
     if trace is None:
         return None
-    ids: Optional[List[Any]] = None
+    ids: Optional[Sequence[Any]] = None
     names: List[str] = []
     samples = []
     for sample in trace:
+        if sample.ids is not ids:
+            ids = sample.ids
+            names = [str(node) for node in ids]
         entry: Dict[str, Any] = {"time": sample.time}
-        for name in _COLUMNS:
-            column = getattr(sample, name)
-            keys = list(column)
-            if keys != ids:
-                ids, names = keys, [str(key) for key in keys]
-            entry[name] = dict(zip(names, column.values()))
+        for field, name in enumerate(COLUMN_NAMES):
+            entry[name] = dict(zip(names, sample.plain_column(field)))
         entry["diameter"] = sample.diameter
         samples.append(entry)
     return {"sample_interval": trace.sample_interval, "samples": samples}
@@ -323,24 +326,28 @@ def trace_payload_is_finite(payload: Dict[str, Any]) -> bool:
 def trace_from_payload(payload: Optional[Dict[str, Any]]) -> Optional[Trace]:
     """Rebuild a trace from :func:`trace_to_payload` output (None-safe).
 
-    The mirror image of the encoder: the id strings are parsed once and
-    reused for every column whose key order equals the previous one's.
+    A sample's node order is its ``logical`` column's; the id strings are
+    parsed once and shared by every sample that lists its nodes in that
+    order.  A column whose keys come in another order is read by key; one
+    that holds other nodes raises :class:`~repro.sim.trace.TraceError`.
     """
     if payload is None:
         return None
     trace = Trace(sample_interval=payload.get("sample_interval", 1.0))
-    names: Optional[List[Any]] = None
+    names: Optional[List[str]] = None
     ids: List[int] = []
+    index: Dict[int, int] = {}
     for entry in payload.get("samples", []):
-        columns = {}
-        for name in _COLUMNS:
-            column = entry[name]
-            keys = list(column)
-            if keys != names:
-                names, ids = keys, [int(key) for key in keys]
-            columns[name] = dict(zip(ids, column.values()))
+        keys = list(entry["logical"])
+        if keys != names:
+            names, ids = keys, [int(key) for key in keys]
+            index = {node: i for i, node in enumerate(ids)}
+        columns = [values_in_order(entry[name], names) for name in COLUMN_NAMES]
+        columns[MODE_COLUMN] = list(map(MODE_CODES.__getitem__, columns[MODE_COLUMN]))
         trace.record(
-            TraceSample(time=entry["time"], diameter=entry.get("diameter"), **columns)
+            TraceSample(
+                entry["time"], ids, index, *columns, diameter=entry.get("diameter")
+            )
         )
     return trace
 

@@ -928,13 +928,8 @@ class FastEngine:
         max_estimate = cols.max_estimate
         if self._record_trace:
             sample = TraceSample(
-                time=self.time,
-                logical={nid: logical[i] for i, nid in enumerate(ids)},
-                hardware={nid: hardware[i] for i, nid in enumerate(ids)},
-                multipliers={nid: multiplier[i] for i, nid in enumerate(ids)},
-                modes={nid: MODE_NAMES[mode[i]] for i, nid in enumerate(ids)},
-                max_estimates={nid: max_estimate[i] for i, nid in enumerate(ids)},
-                diameter=None,
+                self.time, ids, cols.index, logical[:], hardware[:], multiplier[:],
+                mode[:], max_estimate[:],
             )
             self.trace.record(sample)
         if self._metrics is not None:

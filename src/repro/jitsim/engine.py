@@ -40,8 +40,8 @@ from ..core.interfaces import AlgorithmFactory
 from ..fastsim.engine import FastsimError
 from ..network.dynamic_graph import DynamicGraph
 from ..sim.runner import SimulationConfig
-from ..sim.trace import Trace
-from ..vecsim.engine import LazyTraceSample, VecEngine
+from ..sim.trace import Trace, TraceSample
+from ..vecsim.engine import VecEngine
 from . import providers
 
 __all__ = ["JitEngine"]
@@ -345,8 +345,8 @@ class JitEngine(VecEngine):
         bh_head = np.empty(steps + 1, dtype=np.int64)
         out_counts = np.zeros(4, dtype=np.int64)
         # Snapshot columns: one engine-sized slice per sample-recording step.
-        # A full trace's LazyTraceSamples own their slices, so each segment
-        # gets fresh columns.  Without a trace nothing keeps a slice past
+        # A full trace's samples keep their slices, so each segment gets
+        # fresh columns.  Without a trace nothing keeps a slice past
         # the segment: the metrics pipeline reduces each one inside
         # ``observe_columns``, and the run's forced final sample re-points
         # its view at the live columns before ``finalize``.  So one set,
@@ -456,18 +456,12 @@ class JitEngine(VecEngine):
             sample_time = float(t_steps[step_j])
             rows = slice(si * n, (si + 1) * n)
             if self._record_trace:
-                self.trace.record(
-                    LazyTraceSample(
-                        sample_time,
-                        cols.ids,
-                        cols.index,
-                        snap_logical[rows],
-                        snap_hardware[rows],
-                        snap_multiplier[rows],
-                        snap_mode[rows],
-                        snap_max_estimate[rows],
-                    )
+                sample = TraceSample(
+                    sample_time, cols.ids, cols.index, snap_logical[rows],
+                    snap_hardware[rows], snap_multiplier[rows], snap_mode[rows],
+                    snap_max_estimate[rows],
                 )
+                self.trace.record(sample)
             if self._metrics is not None:
                 self._metrics.observe_columns(
                     sample_time,

@@ -288,10 +288,8 @@ class StabilizationWindowObserver(Observer):
     def finalize(self) -> Dict[str, Any]:
         if not self._applicable:
             return {"applicable": False}
-        if self._snapshot.value is None:  # no samples at all (empty run)
+        if not self._tracker.observed:  # no sample at or after the event
             return {"applicable": True, "observed": False}
-        # Samples exist: a run with none after the event is the same error
-        # the post-hoc measurement raised.
         stabilized, at_time, elapsed, max_after, final = self._tracker.result()
         return {
             "applicable": True,

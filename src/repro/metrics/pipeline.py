@@ -4,7 +4,7 @@ A :class:`MetricsPipeline` owns a set of observers and one persistent sample
 view.  Every engine feeds it through :meth:`observe_columns`, once per
 recorded sample and whether or not a trace is being kept, with three
 per-node columns: logical clocks, max estimates and mode codes.  The first
-sample fixes the view: NumPy columns (vec, jit) are reduced by
+sample picks the view: NumPy columns (vec, jit) are reduced by
 :class:`~repro.metrics.views.ArrayView`, any other sequence (reference,
 fast) by :class:`~repro.metrics.views.ColumnsView`.  At the end of the run
 :meth:`finalize` produces an :class:`ObserverReport` -- the plain-JSON
@@ -25,7 +25,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-from ..core.aopt_step import MODE_CODES
 from ..telemetry.schema import sanitize_json
 from . import streaming
 from .observers import (
@@ -142,9 +141,11 @@ class MetricsPipeline:
     def observe_columns(self, time, ids, index, logical, max_estimate, mode) -> None:
         """Consume one sample: per-node columns in ``ids`` order (``index``
         maps a node to its position), mode as codes in ``MODE_NAMES`` order.
-        Observers read the columns during the call; nothing is copied."""
+        Observers read the columns during the call; nothing is copied.  A
+        sample whose ``ids`` is another list than the last one's (a hand-built
+        trace's) gets a view of its own."""
         view = self._view
-        if view is None:
+        if view is None or view._ids is not ids:
             numpy = sys.modules.get("numpy")
             arrays = numpy is not None and isinstance(logical, numpy.ndarray)
             view = self._view = (ArrayView if arrays else ColumnsView)(ids, index)
@@ -166,33 +167,16 @@ class MetricsPipeline:
         sample times) with the exact expression of
         :func:`repro.analysis.skew.steady_state_window`.
         """
-        samples = trace if hasattr(trace, "first") else list(trace)
-        if hasattr(samples, "first"):
-            first = samples.first().time if len(samples) else None
-            final = samples.final().time if len(samples) else None
-        else:
-            first = samples[0].time if samples else None
-            final = samples[-1].time if samples else None
-        if self.context.steady_start is None and first is not None:
+        samples = list(trace)
+        if self.context.steady_start is None and samples:
             self.context.steady_start = streaming.steady_window_start(
-                first, final, self.context.steady_fraction
+                samples[0].time, samples[-1].time, self.context.steady_fraction
             )
         self._started = True
-        ids = index = None
         for sample in samples:
-            logical = sample.logical
-            if ids is None:
-                # Nodes never join or leave a run in any engine, so the first
-                # sample's node order is the column order of every sample.
-                ids = list(logical)
-                index = {node: i for i, node in enumerate(ids)}
+            logical, _, _, modes, max_estimates = sample.columns
             self.observe_columns(
-                sample.time,
-                ids,
-                index,
-                list(map(logical.__getitem__, ids)),
-                list(map(sample.max_estimates.__getitem__, ids)),
-                [MODE_CODES[sample.modes[node]] for node in ids],
+                sample.time, sample.ids, sample.index, logical, max_estimates, modes
             )
         return self.finalize()
 

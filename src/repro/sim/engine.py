@@ -172,7 +172,8 @@ class Engine:
                 api,
             )
             self._nodes[node_id] = state
-        # The metrics pipeline's column order (nodes never join or leave).
+        # The column order of samples and of the metrics pipeline (nodes
+        # never join or leave).
         self._ids = list(self._nodes)
         self._index = {node: i for i, node in enumerate(self._ids)}
         # The estimate layer may need to read engine state, hence the factory.
@@ -352,28 +353,18 @@ class Engine:
         states = self._nodes.values()
         logical = [s.logical.value for s in states]
         max_estimate = [s.algorithm.max_estimate() for s in states]
-        modes = [s.algorithm.mode() for s in states]
+        modes = [MODE_CODES[s.algorithm.mode()] for s in states]
         if self._record_trace:
-            ids = self._ids
-            self.trace.record(
-                TraceSample(
-                    time=self.time,
-                    logical=dict(zip(ids, logical)),
-                    hardware=self.hardware_snapshot(),
-                    multipliers={n: s.decision.multiplier for n, s in self._nodes.items()},
-                    modes=dict(zip(ids, modes)),
-                    max_estimates=dict(zip(ids, max_estimate)),
-                    diameter=self.current_diameter(),
-                )
+            hardware = [s.hardware.value for s in states]
+            multipliers = [s.decision.multiplier for s in states]
+            sample = TraceSample(
+                self.time, self._ids, self._index, logical, hardware, multipliers,
+                modes, max_estimate, diameter=self.current_diameter(),
             )
+            self.trace.record(sample)
         if self._metrics is not None:
             self._metrics.observe_columns(
-                self.time,
-                self._ids,
-                self._index,
-                logical,
-                max_estimate,
-                [MODE_CODES[m] for m in modes],
+                self.time, self._ids, self._index, logical, max_estimate, modes
             )
         if not force:
             self._next_sample_time = self.time + self.trace.sample_interval

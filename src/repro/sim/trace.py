@@ -1,11 +1,18 @@
-"""Recording of simulation state over time."""
+"""Recording of simulation state over time.
+
+Every engine records the same columnar :class:`TraceSample`: the per-node
+values it already holds (lists on ``reference``, ``fast`` and decoded traces,
+NumPy slices on ``vec`` and ``jit``) in one node order that the run's samples
+share.  The ``{node: value}`` dicts analyses read are built on first access
+and kept; :meth:`TraceSample.from_dicts` builds a sample from such dicts.
+"""
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.aopt_step import MODE_CODES, MODE_NAMES
 from ..network.edge import NodeId
 
 
@@ -13,28 +20,101 @@ class TraceError(ValueError):
     """Raised on invalid trace operations."""
 
 
-@dataclass(frozen=True)
-class TraceSample:
-    """Snapshot of every node's observable state at one instant."""
+#: A sample's columns, in :attr:`TraceSample.columns` order; ``modes`` holds
+#: codes into :data:`~repro.core.aopt_step.MODE_NAMES`.
+COLUMN_NAMES = ("logical", "hardware", "multipliers", "modes", "max_estimates")
+MODE_COLUMN = 3
 
-    time: float
-    logical: Dict[NodeId, float]
-    hardware: Dict[NodeId, float]
-    multipliers: Dict[NodeId, float]
-    modes: Dict[NodeId, str]
-    max_estimates: Dict[NodeId, float]
-    diameter: Optional[float] = None
+
+def values_in_order(mapping: Dict[Any, Any], keys: List[Any]) -> List[Any]:
+    """``mapping``'s values in ``keys`` order; a :class:`TraceError` unless
+    it holds exactly those keys."""
+    if list(mapping) == keys:
+        return list(mapping.values())
+    if len(mapping) != len(keys) or not all(map(mapping.__contains__, keys)):
+        raise TraceError("a sample's columns disagree on its node set")
+    return list(map(mapping.__getitem__, keys))
+
+
+def _column_dict(field: int) -> property:
+    return property(lambda sample: sample._as_dict(field))
+
+
+class TraceSample:
+    """Snapshot of every node's observable state at one instant.
+
+    ``columns`` holds one column per :data:`COLUMN_NAMES` entry, each in
+    ``ids`` order (``index`` maps a node to its position).  Two samples are
+    equal when their times, diameters and per-node values are.
+    """
+
+    __slots__ = ("time", "diameter", "ids", "index", "columns", "_dicts")
+
+    def __init__(self, time, ids, index, logical, hardware, multipliers, modes,
+                 max_estimates, diameter=None):
+        self.time = time
+        self.diameter = diameter
+        self.ids = ids
+        self.index = index
+        self.columns = (logical, hardware, multipliers, modes, max_estimates)
+        self._dicts: Optional[Dict[int, Dict[NodeId, Any]]] = None
+
+    @classmethod
+    def from_dicts(cls, time, logical, hardware, multipliers, modes, max_estimates,
+                   diameter=None) -> "TraceSample":
+        """A sample from per-node dicts, in ``logical``'s node order."""
+        ids = list(logical)
+        mappings = (logical, hardware, multipliers, modes, max_estimates)
+        columns = [values_in_order(mapping, ids) for mapping in mappings]
+        columns[MODE_COLUMN] = list(map(MODE_CODES.__getitem__, columns[MODE_COLUMN]))
+        index = {node: i for i, node in enumerate(ids)}
+        return cls(time, ids, index, *columns, diameter=diameter)
+
+    def plain_column(self, field: int) -> List[Any]:
+        """Column ``field`` as Python numbers, modes by name: the values of
+        the per-node dicts and of the cache payload."""
+        values = self.columns[field]
+        values = values if type(values) is list else values.tolist()
+        if field == MODE_COLUMN:
+            return list(map(MODE_NAMES.__getitem__, values))
+        return values
+
+    def _as_dict(self, field: int) -> Dict[NodeId, Any]:
+        if self._dicts is None:
+            self._dicts = {}
+        mapping = self._dicts.get(field)
+        if mapping is None:
+            mapping = self._dicts[field] = dict(zip(self.ids, self.plain_column(field)))
+        return mapping
+
+    logical = _column_dict(0)
+    hardware = _column_dict(1)
+    multipliers = _column_dict(2)
+    modes = _column_dict(MODE_COLUMN)
+    max_estimates = _column_dict(4)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceSample):
+            return NotImplemented
+        return (self.time, self.diameter) == (other.time, other.diameter) and all(
+            self._as_dict(field) == other._as_dict(field) for field in range(5)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
     def global_skew(self) -> float:
         """Maximum pairwise logical clock difference in this sample."""
-        values = list(self.logical.values())
-        if not values:
+        values = self.columns[0]
+        if not len(values):
             return 0.0
-        return max(values) - min(values)
+        if type(values) is list:
+            return max(values) - min(values)
+        return float(values.max() - values.min())
 
     def skew(self, u: NodeId, v: NodeId) -> float:
         """Absolute logical clock difference between two nodes."""
-        return abs(self.logical[u] - self.logical[v])
+        values, index = self.columns[0], self.index
+        return float(abs(values[index[u]] - values[index[v]]))
 
 
 #: Absolute tolerance for ordering checks: a sample more than this much

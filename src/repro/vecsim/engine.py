@@ -20,7 +20,9 @@ hot phases as NumPy array kernels over *all* nodes at once:
 
 One engine object holds one run's state: its node columns (as NumPy
 arrays), the :class:`_CSRView` mirror of its CSR and its in-flight
-broadcast runs.
+broadcast runs.  A recorded :class:`~repro.sim.trace.TraceSample` holds
+copies of five of those columns; its per-node dicts are built only when
+read.
 
 Bit-identity caveats encoded here:
 
@@ -46,12 +48,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.aopt_step import MODE_NAMES
 from ..core.interfaces import AlgorithmFactory
 from ..network.dynamic_graph import DynamicGraph
 from ..network.edge import NodeId
 from ..sim.delay import UniformRandomDelay
 from ..sim.runner import SimulationConfig
+from ..sim.trace import TraceSample
 from ..fastsim.engine import FastEngine
 from . import kernels
 
@@ -274,71 +276,6 @@ class _CSRView:
         """Re-mirror the CSR's (list-typed) level column after promotions."""
         self.level[:] = level
         self._refresh_row_thresholds()
-
-
-# ----------------------------------------------------------------------
-# Lazy trace samples
-# ----------------------------------------------------------------------
-class LazyTraceSample:
-    """Duck-typed :class:`~repro.sim.trace.TraceSample` over array snapshots.
-
-    Recording a sample costs five array copies; the per-node dicts the
-    ``TraceSample`` interface exposes are materialized on first access, so
-    consumers that read one field (most analyses) do a fifth of the work and
-    the hot simulation loop does none of it.  All values are bit-identical
-    to what an eager sample would have held.
-    """
-
-    __slots__ = ("time", "diameter", "_ids", "_index", "_arrays", "_dicts")
-
-    def __init__(self, time, ids, index, logical, hardware, multipliers, modes, max_estimates):
-        self.time = time
-        self.diameter = None
-        self._ids = ids
-        self._index = index
-        self._arrays = (logical, hardware, multipliers, modes, max_estimates)
-        self._dicts: Dict[int, Dict] = {}
-
-    def _materialize(self, field: int) -> Dict:
-        mapping = self._dicts.get(field)
-        if mapping is None:
-            values = self._arrays[field].tolist()
-            if field == 3:  # mode codes -> names
-                values = map(MODE_NAMES.__getitem__, values)
-            mapping = dict(zip(self._ids, values))
-            self._dicts[field] = mapping
-        return mapping
-
-    @property
-    def logical(self) -> Dict[NodeId, float]:
-        return self._materialize(0)
-
-    @property
-    def hardware(self) -> Dict[NodeId, float]:
-        return self._materialize(1)
-
-    @property
-    def multipliers(self) -> Dict[NodeId, float]:
-        return self._materialize(2)
-
-    @property
-    def modes(self) -> Dict[NodeId, str]:
-        return self._materialize(3)
-
-    @property
-    def max_estimates(self) -> Dict[NodeId, float]:
-        return self._materialize(4)
-
-    def global_skew(self) -> float:
-        """Same expression as ``TraceSample.global_skew`` (max - min)."""
-        values = self._arrays[0]
-        if not len(values):
-            return 0.0
-        return float(values.max() - values.min())
-
-    def skew(self, u: NodeId, v: NodeId) -> float:
-        values = self._arrays[0]
-        return float(abs(values[self._index[u]] - values[self._index[v]]))
 
 
 # ----------------------------------------------------------------------
@@ -847,14 +784,9 @@ class VecEngine(FastEngine):
             return
         cols = self._cols
         if self._record_trace:
-            sample = LazyTraceSample(
-                self.time,
-                cols.ids,
-                cols.index,
-                cols.logical.copy(),
-                cols.hardware.copy(),
-                cols.multiplier.copy(),
-                cols.mode.copy(),
+            sample = TraceSample(
+                self.time, cols.ids, cols.index, cols.logical.copy(),
+                cols.hardware.copy(), cols.multiplier.copy(), cols.mode.copy(),
                 cols.max_estimate.copy(),
             )
             self.trace.record(sample)

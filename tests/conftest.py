@@ -7,7 +7,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import pytest
 from hypothesis import strategies as st
 
-from repro.core.aopt_step import MODE_CODES
 from repro.core.interfaces import NodeAPI
 from repro.core.parameters import Parameters
 from repro.experiments.spec import ComponentSpec, ScenarioSpec
@@ -221,16 +220,11 @@ def staged_insertion_spec(algorithm="aopt", strategy="toward_observer", ramp=Non
 
 
 def feed_sample(pipeline, sample) -> None:
-    """Feed one dict-shaped sample (a ``TraceSample``) to a metrics pipeline
-    as the per-node columns every engine hands it."""
-    ids = list(sample.logical)
+    """Feed one ``TraceSample`` to a metrics pipeline as the per-node columns
+    every engine hands it."""
+    logical, _, _, modes, max_estimates = sample.columns
     pipeline.observe_columns(
-        sample.time,
-        ids,
-        {node: i for i, node in enumerate(ids)},
-        [sample.logical[node] for node in ids],
-        [sample.max_estimates[node] for node in ids],
-        [MODE_CODES[sample.modes[node]] for node in ids],
+        sample.time, sample.ids, sample.index, logical, max_estimates, modes
     )
 
 

@@ -91,6 +91,18 @@ class TestRun:
         assert run["summary"]["node_count"] == 4
         assert run["spec"]["topology"]["args"] == {"n": 4}
 
+    def test_a_run_that_ends_before_its_event_is_not_stabilized(self, capsys):
+        argv = ("run", "end_to_end_insertion", "--set", "sim.duration=20", "--no-cache")
+        assert run_cli(*argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines) if "stab time" in line)
+        column = lines[at].index("stab time")
+        assert lines[at + 2][column:].split()[0] == "-"
+        assert run_cli(*argv, "--json") == 0
+        (run,) = json.loads(capsys.readouterr().out)["runs"]
+        assert run["summary"]["stabilized"] is None
+        assert run["summary"]["stabilization_time"] is None
+
     def test_unknown_scenario_fails_cleanly(self, tmp_path, capsys):
         assert run_cli("run", "nope", "--cache-dir", str(tmp_path)) == 2
         assert "unknown scenario" in capsys.readouterr().err

@@ -178,6 +178,14 @@ class TestRunPayloads:
         assert cached.meta["new_edge"] == fresh.meta["new_edge"]
         assert cached.summary.skew_at_event is not None
 
+    def test_a_run_that_ends_before_its_event_reports_no_stabilization(self):
+        payload = execute_spec(scenario("end_to_end_insertion", sim={"duration": 20.0}))
+        assert payload["meta"]["insertion_time"] > 20.0
+        observed = payload["observers"]["observers"]["stabilization_window"]
+        assert observed == {"applicable": True, "observed": False}
+        assert payload["summary"]["stabilized"] is None
+        assert payload["summary"]["stabilization_time"] is None
+
     def test_run_graph_property_rebuilds(self, result_cache):
         run = run_one(result_cache, tiny_spec(n=5))
         graph = run.graph

@@ -10,7 +10,7 @@ from repro.sim.trace import Trace, TraceSample
 
 def sample(t, values):
     nodes = list(values)
-    return TraceSample(
+    return TraceSample.from_dicts(
         time=t,
         logical=dict(values),
         hardware=dict(values),

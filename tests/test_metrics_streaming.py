@@ -1,9 +1,18 @@
 """Unit tests for repro.metrics: reducers, pipeline, views, registry."""
 
+import json
+
 import pytest
 
+from conftest import EQUIVALENCE_SCENARIO_OVERRIDES
 from repro.experiments import execute_spec, registry, scenario
-from repro.experiments.results import build_run_pipeline, report_from_trace
+from repro.experiments.results import (
+    build_run_pipeline,
+    report_from_trace,
+    trace_from_payload,
+    trace_to_payload,
+)
+from repro.fastsim.backend import backend_available, get_backend
 from repro.metrics import (
     DEFAULT_OBSERVERS,
     MetricsError,
@@ -16,6 +25,7 @@ from repro.metrics import (
 )
 from repro.metrics.views import ColumnsView
 from repro.network import paths, topology
+from repro.sim.trace import Trace, TraceSample
 
 
 # ----------------------------------------------------------------------
@@ -156,25 +166,106 @@ class TestObserverReport:
         assert report.get("b", "fallback") == "fallback"
 
 
-class TestPipelineReplay:
-    def test_streaming_equals_replay_of_trace(self):
-        """Live streaming and post-hoc replay produce identical reports."""
-        spec = scenario("line_scaling", n=5, sim={"duration": 20.0})
-        payload = execute_spec(spec)
-        from repro.experiments.results import trace_from_payload
+#: A static spec (fused end to end on ``jit``) and a dynamic broadcast one.
+REPLAY_SPECS = {
+    "static": scenario("line_scaling", n=5, sim={"duration": 20.0}),
+    "dynamic_broadcast": scenario(
+        "grid_broadcast_partition",
+        **EQUIVALENCE_SCENARIO_OVERRIDES["grid_broadcast_partition"],
+    ),
+}
 
-        trace = trace_from_payload(payload["trace"])
-        scenario_obj = registry.build_scenario(spec)
+
+def traced_run(spec):
+    """``spec``'s engine trace, its streamed report, and a fresh pipeline."""
+    materialised = registry.build_scenario(spec)
+
+    def pipeline():
+        return build_run_pipeline(
+            spec,
+            graph=materialised.graph,
+            base_edges=materialised.base_edges,
+            config=materialised.config,
+            meta=materialised.meta,
+            global_skew_bound=materialised.global_skew_bound,
+        )
+
+    engine = get_backend(spec.backend).build(
+        materialised.graph, materialised.algorithm_factory, materialised.config
+    )
+    streamed = pipeline()
+    engine.configure_recording(streamed, record_trace=True)
+    engine.run(materialised.config.duration)
+    return engine.trace, streamed.finalize(), pipeline()
+
+
+@pytest.fixture(scope="module")
+def reference_traces():
+    """The ``reference`` engine's trace payload per ``REPLAY_SPECS`` name."""
+    return {}
+
+
+class TestPipelineReplay:
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            pytest.param(
+                name,
+                marks=pytest.mark.skipif(
+                    not backend_available(name), reason=f"{name!r} is not installed"
+                ),
+            )
+            for name in ("reference", "fast", "vec", "jit")
+        ],
+    )
+    @pytest.mark.parametrize("name", sorted(REPLAY_SPECS))
+    def test_streaming_equals_replay_of_trace(self, name, backend, reference_traces):
+        """Live streaming and post-hoc replay produce identical reports, from
+        the engine's own samples and from their decoded payload, and every
+        engine's samples encode to the reference engine's bytes."""
+        spec = REPLAY_SPECS[name]
+        if name not in reference_traces:
+            trace, _, _ = traced_run(spec.with_backend("reference"))
+            reference_traces[name] = json.dumps(trace_to_payload(trace))
+        trace, streamed, fresh = traced_run(spec.with_backend(backend))
+        assert fresh.replay(trace).to_payload() == streamed.to_payload()
+        encoded = json.dumps(trace_to_payload(trace))
+        assert encoded == reference_traces[name]
+        materialised = registry.build_scenario(spec)
         replayed = report_from_trace(
             spec,
-            trace,
-            graph=scenario_obj.graph,
-            base_edges=scenario_obj.base_edges,
-            config=scenario_obj.config,
-            meta=scenario_obj.meta,
-            global_skew_bound=scenario_obj.global_skew_bound,
+            trace_from_payload(json.loads(encoded)),
+            graph=materialised.graph,
+            base_edges=materialised.base_edges,
+            config=materialised.config,
+            meta=materialised.meta,
+            global_skew_bound=materialised.global_skew_bound,
         )
-        assert replayed.to_payload() == payload["observers"]
+        assert replayed.to_payload() == streamed.to_payload()
+
+    def test_replay_reads_each_samples_own_node_order(self):
+        """A hand-built trace may list its nodes in another order per sample."""
+
+        def trace_of(orders):
+            trace = Trace(1.0)
+            for t, order in enumerate(orders):
+                logical = {node: (t + 1) * (0.0, 10.0, 11.0)[node] for node in order}
+                modes = {node: ("slow", "fast")[node % 2] for node in order}
+                ones = dict.fromkeys(order, 1.0)
+                sample = TraceSample.from_dicts(float(t), logical, ones, ones, modes, ones)
+                trace.record(sample)
+            return trace
+
+        def replayed(trace):
+            pipeline = build_pipeline(
+                ("global_skew", "local_skew", "mode_counts", "max_estimate_lag"),
+                graph=topology.line(3),
+                base_edges=[(0, 1), (1, 2)],
+            )
+            return pipeline.replay(trace).to_payload()
+
+        shuffled = trace_of([(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+        assert replayed(shuffled) == replayed(trace_of([(0, 1, 2)] * 3))
 
     def test_empty_replay_yields_neutral_payloads(self):
         pipeline = build_pipeline(

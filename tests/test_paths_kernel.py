@@ -393,7 +393,7 @@ class TestConsumersUnchanged:
         for step in range(4):
             logical = {n: rng.uniform(0.0, 120.0) for n in graph.nodes}
             trace.record(
-                TraceSample(
+                TraceSample.from_dicts(
                     time=float(step),
                     logical=logical,
                     hardware=dict(logical),

@@ -6,7 +6,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.aopt_step import (
@@ -46,7 +46,7 @@ from repro.fastsim.backend import backend_available
 from repro.network import paths
 from repro.network.dynamic_graph import DynamicGraph, EdgeEvent, GraphError
 from repro.network.edge import EdgeKey, EdgeParams
-from repro.sim.trace import Trace, TraceSample
+from repro.sim.trace import Trace, TraceError, TraceSample
 from repro.telemetry.schema import sanitize_json
 from conftest import staged_insertion_spec
 from test_dynamic_graph import oracle_edge_pairs, same_iteration
@@ -599,34 +599,44 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
 @st.composite
 def traces(draw, values=FINITE):
-    """A trace whose node set (and node order) may change between samples --
-    and between the columns of one sample -- or stay put for long runs."""
+    """A trace whose node set (and node order) may change between samples or
+    stay put for long runs.  The five columns of a sample share its order."""
     trace = Trace(draw(st.sampled_from([0.5, 1.0, 2.5])))
     time = 0.0
     ids = draw(st.lists(NODE_IDS, unique=True, max_size=5))
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
-        columns = []
-        for _ in range(5):
-            change = draw(st.sampled_from(["keep", "keep", "keep", "permute", "redraw"]))
-            if change == "permute":
-                ids = draw(st.permutations(ids))
-            elif change == "redraw":
-                ids = draw(st.lists(NODE_IDS, unique=True, max_size=5))
-            columns.append(list(ids))
-        logical, hardware, multipliers, modes, max_estimates = columns
+        change = draw(st.sampled_from(["keep", "keep", "keep", "permute", "redraw"]))
+        if change == "permute":
+            ids = draw(st.permutations(ids))
+        elif change == "redraw":
+            ids = draw(st.lists(NODE_IDS, unique=True, max_size=5))
         trace.record(
-            TraceSample(
+            TraceSample.from_dicts(
                 time=time,
-                logical={node: draw(values) for node in logical},
-                hardware={node: draw(values) for node in hardware},
-                multipliers={node: draw(values) for node in multipliers},
-                modes={node: draw(st.sampled_from(MODE_NAMES)) for node in modes},
-                max_estimates={node: draw(values) for node in max_estimates},
+                logical={node: draw(values) for node in ids},
+                hardware={node: draw(values) for node in ids},
+                multipliers={node: draw(values) for node in ids},
+                modes={node: draw(st.sampled_from(MODE_NAMES)) for node in ids},
+                max_estimates={node: draw(values) for node in ids},
                 diameter=draw(st.one_of(st.none(), values)),
             )
         )
         time += draw(st.sampled_from([0.0, 0.5, 1.0]))
     return trace
+
+
+PAYLOAD_COLUMNS = ("logical", "hardware", "multipliers", "modes", "max_estimates")
+
+
+def with_drawn_key_orders(data, payload):
+    """``payload`` with every sample column's keys in a drawn order, values
+    kept with their keys: a cache file is outside input."""
+    for entry in payload["samples"]:
+        for name in PAYLOAD_COLUMNS:
+            column = entry[name]
+            keys = data.draw(st.permutations(list(column)))
+            entry[name] = {key: column[key] for key in keys}
+    return payload
 
 
 def mutant_trace_to_payload(trace):
@@ -665,7 +675,7 @@ class TestTracePayloadProperties:
         assert trace_to_payload(empty) == {"sample_interval": 0.25, "samples": []}
         assert same_samples(trace_from_payload(trace_to_payload(empty)), empty)
         one = Trace()
-        one.record(TraceSample(0.0, {7: 1.0}, {7: 1.0}, {7: 1.0}, {7: "slow"}, {7: 1.0}))
+        one.record(TraceSample.from_dicts(0.0, {7: 1.0}, {7: 1.0}, {7: 1.0}, {7: "slow"}, {7: 1.0}))
         assert_encodes_like_the_oracle(trace_to_payload, one)
         assert same_samples(trace_from_payload(trace_to_payload(one)), one)
 
@@ -677,7 +687,9 @@ class TestTracePayloadProperties:
                 column = {node: float(node + step) for node in nodes}
                 modes = {node: "fast" for node in nodes}
                 trace.record(
-                    TraceSample(float(step), column, column, column, modes, column)
+                    TraceSample.from_dicts(
+                        float(step), column, column, column, modes, column
+                    )
                 )
         assert_encodes_like_the_oracle(mutant_trace_to_payload, static)
         with pytest.raises(AssertionError):
@@ -709,22 +721,39 @@ class TestTracePayloadProperties:
     )
     def test_finite_check_reads_every_field(self, spoil):
         trace = Trace()
-        trace.record(TraceSample(0.0, {0: 1.0}, {0: 1.0}, {0: 1.0}, {0: "slow"}, {0: 1.0}, 2.0))
+        trace.record(TraceSample.from_dicts(0.0, {0: 1.0}, {0: 1.0}, {0: 1.0}, {0: "slow"}, {0: 1.0}, 2.0))
         payload = trace_to_payload(trace)
         assert trace_payload_is_finite(payload)
         spoil(payload)
         assert not trace_payload_is_finite(payload)
 
-    @given(trace=traces(), through_json=st.booleans())
+    @given(trace=traces(), through_json=st.booleans(), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_decoder_equals_per_key_oracle_and_round_trips(self, trace, through_json):
+    def test_decoder_equals_per_key_oracle_and_round_trips(self, trace, through_json, data):
         payload = oracle_trace_to_payload(trace)
         if through_json:
             payload = json.loads(json.dumps(payload))
+        assert same_samples(trace_from_payload(payload), trace)
+        payload = with_drawn_key_orders(data, payload)
         decoded = trace_from_payload(payload)
         assert same_samples(decoded, oracle_trace_from_payload(payload))
-        assert same_samples(decoded, trace)
+        assert list(decoded) == list(trace)
         assert same_samples(trace_from_payload(trace_to_payload(trace)), trace)
+
+    @given(trace=traces(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_sample_whose_columns_hold_other_nodes_is_refused(self, trace, data):
+        assume(len(trace))
+        payload = oracle_trace_to_payload(trace)
+        entry = data.draw(st.sampled_from(payload["samples"]))
+        column = entry[data.draw(st.sampled_from(PAYLOAD_COLUMNS))]
+        if column and data.draw(st.booleans()):
+            del column[data.draw(st.sampled_from(sorted(column)))]
+        else:
+            column[str(max(map(int, column), default=0) + 1)] = column.get("0", "slow")
+        for decode in (trace_from_payload, oracle_trace_from_payload):
+            with pytest.raises(TraceError, match="node"):
+                decode(payload)
 
     @given(trace=traces(values=ANY_FLOAT))
     @settings(max_examples=100, deadline=None)

@@ -9,7 +9,7 @@ from repro.sim.trace import Trace, TraceSample
 
 def sample(t, values, max_estimates=None):
     nodes = list(values)
-    return TraceSample(
+    return TraceSample.from_dicts(
         time=t,
         logical=dict(values),
         hardware=dict(values),

@@ -7,7 +7,7 @@ from repro.sim.trace import Trace, TraceError, TraceSample
 
 def sample(t, values, modes=None):
     nodes = list(values)
-    return TraceSample(
+    return TraceSample.from_dicts(
         time=t,
         logical=dict(values),
         hardware=dict(values),

@@ -38,11 +38,18 @@ pytestmark = pytest.mark.filterwarnings("error")
 
 TINY_SIM = {"duration": 5.0, "dt": 0.1}
 STDLIB_BACKENDS = ("reference", "fast")
+needs_vec = pytest.mark.skipif(not backend_available("vec"), reason="numpy is missing")
 needs_jit = pytest.mark.skipif(
     not backend_available("jit"), reason="numpy or a C compiler is missing"
 )
 #: The stdlib backends, and ``jit`` where it is installed.
 TRACED_BACKENDS = (*STDLIB_BACKENDS, pytest.param("jit", marks=needs_jit))
+#: Every backend, each of ``vec`` and ``jit`` where it is installed.
+ALL_BACKENDS = (
+    *STDLIB_BACKENDS,
+    pytest.param("vec", marks=needs_vec),
+    pytest.param("jit", marks=needs_jit),
+)
 
 
 def tiny_spec(n=4, backend="reference", trace="full"):
@@ -85,7 +92,7 @@ def oracle_trace_from_payload(payload):
     trace = Trace(sample_interval=payload.get("sample_interval", 1.0))
     for entry in payload.get("samples", []):
         trace.record(
-            TraceSample(
+            TraceSample.from_dicts(
                 time=entry["time"],
                 logical={int(k): v for k, v in entry["logical"].items()},
                 hardware={int(k): v for k, v in entry["hardware"].items()},
@@ -128,7 +135,7 @@ def constructed(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("backend", STDLIB_BACKENDS)
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 class TestSampleConstructions:
     def test_a_cold_run_builds_the_engines_samples_and_no_second_set(
         self, tmp_path, constructed, backend

@@ -25,11 +25,12 @@ from repro.fastsim import (
     backend_available,
     get_backend,
 )
+from repro.sim.trace import TraceSample
 
 np = pytest.importorskip("numpy")
 
 from repro.vecsim import VecEngine, kernels  # noqa: E402
-from repro.vecsim.engine import LazyTraceSample, _mt_transplant_supported  # noqa: E402
+from repro.vecsim.engine import _mt_transplant_supported  # noqa: E402
 from repro.vecsim.kernels import _firing_levels  # noqa: E402
 
 
@@ -187,7 +188,7 @@ class TestVecEngineSurface:
         assert engine.time == pytest.approx(dt, abs=0.0)
 
 
-class TestLazyTraceSample:
+class TestArraySamples:
     def test_materializes_identical_dicts(self):
         materialised = registry.build_scenario(quick_spec())
         vec = VecEngine(
@@ -195,7 +196,8 @@ class TestLazyTraceSample:
         )
         trace = vec.run(materialised.config.duration)
         sample = trace.final()
-        assert isinstance(sample, LazyTraceSample)
+        assert isinstance(sample, TraceSample)
+        assert all(isinstance(column, np.ndarray) for column in sample.columns)
         # Dicts materialize lazily and are cached.
         logical = sample.logical
         assert sample.logical is logical

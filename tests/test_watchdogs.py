@@ -46,7 +46,7 @@ ALL_WATCHDOGS = (
 def line_sample(time, offsets):
     """A TraceSample for a line graph with the given logical offsets."""
     nodes = range(len(offsets))
-    return TraceSample(
+    return TraceSample.from_dicts(
         time=time,
         logical={i: time + offsets[i] for i in nodes},
         hardware={i: time for i in nodes},
