@@ -127,8 +127,8 @@ class ExperimentRun:
 def _read_trace(run: ExperimentRun):
     held = run._trace
     if isinstance(held, _TraceLine):  # still in its file; raises if it cannot be read
-        held = run._trace = held.parse()
-    if isinstance(held, dict):  # the payload's "trace" object
+        held = run._trace = held.decode()
+    elif isinstance(held, dict):  # the payload's "trace" object
         held = run._trace = trace_from_payload(held)
     return held
 
@@ -357,6 +357,20 @@ class _TraceLine:
         except (OSError, ValueError, LookupError, TypeError) as exc:
             raise ExecutorError(
                 f"cache entry {self.path}: its trace cannot be read ({exc!r})"
+            ) from exc
+
+    def decode(self) -> Any:
+        """The :class:`~repro.sim.trace.Trace` of :meth:`parse`'s payload.
+
+        A line that parses but does not decode fails like one that does not
+        parse: the entry is named, whatever the decoder raised.
+        """
+        payload = self.parse()
+        try:
+            return trace_from_payload(payload)
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise ExecutorError(
+                f"cache entry {self.path}: its trace cannot be decoded ({exc!r})"
             ) from exc
 
 

@@ -49,7 +49,7 @@ RESULT_MODULES = (
 #: the chaos pack (a chaos spec names its scenario file, not its content).
 RESULT_DATA = ("jitsim/_fused_loop.c", "chaos/scenarios/*.json")
 
-SEMANTICS = "c06a0d4b935bf3ed1fd5fab1647a681a"
+SEMANTICS = "c1b262900627ad9d9457e75313d8499c"
 
 
 def result_files(root: Optional[Path] = None) -> List[Path]:

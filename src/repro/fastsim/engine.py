@@ -46,9 +46,10 @@ Equivalence notes (why bit-identical is achievable):
   estimate strategy likewise draws in the reference's set order;
 * message deliveries are ordered by ``(delivery_time, send sequence)``,
   which matches the reference transport's ``(delivery_time, message_id)``;
-* the handshake's scheduled checks fire like the reference's
-  :class:`~repro.sim.scheduler.EventScheduler` callbacks: in ``(time,
-  sequence)`` order, at their scheduled time, once due within ``1e-12``.
+* the handshake's checks are timers on the same heap as the reference's
+  ``NodeAPI.schedule`` callbacks (:class:`~repro.sim.engine.EngineBase`),
+  so they fire the same way: in ``(time, sequence)`` order, at their
+  scheduled time, once due within ``1e-12``.
 
 Where a floating-point expression cannot be matched exactly the documented
 tolerance is 1e-9, but the differential suite currently verifies exact
@@ -70,8 +71,7 @@ from ..network.dynamic_graph import DynamicGraph
 from ..network.edge import NodeId
 from ..sim.drift import DriftModel, NoDrift
 from ..sim.delay import UniformRandomDelay
-from ..sim.engine import EngineError
-from ..sim.trace import Trace, TraceSample
+from ..sim.engine import EngineBase, EngineError
 from .columns import CSRAdjacency, NodeColumns
 
 
@@ -96,7 +96,7 @@ _STRATEGY_CODES = {
 _MSG_BROADCAST = 0
 _MSG_INSERT_EDGE = 1
 
-#: Check kind codes for the pending handshake-check heap.
+#: Check kind codes of the handshake timers.
 _CHECK_LEADER = 0
 _CHECK_FOLLOWER = 1
 
@@ -126,7 +126,7 @@ class _FastAlgorithmView:
         return self.levels.level_of(neighbor)
 
 
-class FastEngine:
+class FastEngine(EngineBase):
     """Array-based fixed-step simulator specialized for the AOPT family.
 
     The node body of :meth:`_control_all` is that of
@@ -135,12 +135,7 @@ class FastEngine:
     leads or ``evaluate_mode_flat`` over a mixed row.
     """
 
-    #: Optional streaming-metrics hook (see :meth:`configure_recording`).
-    _metrics = None
-    #: Whether recorded samples are appended to ``self.trace``.
-    _record_trace = True
-    #: Set when an armed watchdog stopped the run before ``end_time``.
-    stopped_early = False
+    _live_columns = True
 
     def __init__(
         self,
@@ -164,27 +159,18 @@ class FastEngine:
                 f"unknown estimate strategy {config.estimate_strategy!r}"
             )
         config.params.validate()
+        super().__init__(config.dt, config.sample_interval)
         # Work on a private copy, exactly like the reference engine: applying
         # scheduled edge events mutates the graph.
         self.graph = graph.copy()
         self.config = config
         self.params = config.params
-        self.dt = float(config.dt)
-        self.time = 0.0
         self.drift: DriftModel = config.drift or NoDrift(config.params.rho)
         self.delay_model = (
             config.delay
             if config.delay is not None
             else UniformRandomDelay(seed=config.delay_seed)
         )
-        #: Heap of pending insertion-handshake checks (Listing 1): (time,
-        #: seq, kind, node, neighbor, insertion_anchor, global_skew_estimate).
-        #: Plain data, like ``_inflight``: no closure holds the engine, so a
-        #: finished engine has no reference cycle and is freed on return.
-        self._checks: List[Tuple] = []
-        self._check_seq = 0
-        self.trace = Trace(config.sample_interval)
-        self._next_sample_time = 0.0
         self._drop_on_edge_loss = bool(config.drop_messages_on_edge_loss)
 
         # -- algorithm configuration (probed from the factory) -------------
@@ -225,6 +211,8 @@ class FastEngine:
 
         # -- per-node columns and bookkeeping ------------------------------
         self._cols = NodeColumns(ids, config.initial_logical)
+        self._ids = self._cols.ids
+        self._index = self._cols.index
         #: Per-node hardware rates, refilled by :meth:`_refresh_rates`.
         self._rates = [1.0] * len(ids)
         self._rate_key: Optional[int] = None
@@ -322,33 +310,6 @@ class FastEngine:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def run(self, duration: float) -> Trace:
-        """Advance the simulation by ``duration`` time units."""
-        if duration < 0.0:
-            raise EngineError("duration must be non-negative")
-        return self.run_until(self.time + duration)
-
-    def run_until(self, end_time: float) -> Trace:
-        """Advance the simulation until ``end_time`` (inclusive sampling).
-
-        Mirrors the reference engine's early exit: an armed watchdog in the
-        attached metrics pipeline ends the loop at the sample that tripped
-        it, the forced final sample is skipped, and the fed samples are a
-        bit-identical prefix of the full run's.
-        """
-        if end_time < self.time - 1e-12:
-            raise EngineError("cannot run backwards in time")
-        if self.stopped_early:
-            return self.trace
-        metrics = self._metrics
-        while self.time < end_time - 1e-9:
-            self.step()
-            if metrics is not None and metrics.stop_requested:
-                self.stopped_early = True
-                return self.trace
-        self._record_sample(force=True)
-        return self.trace
-
     def step(self) -> None:
         """Execute one simulation step of length ``dt``.
 
@@ -361,8 +322,8 @@ class FastEngine:
             self._apply_graph_events(t)
         if self._inflight:
             self._deliver_messages(t)
-        if self._checks:
-            self._run_due_checks(t)
+        if self._timers:
+            self._fire_timers(t)
         if self._csr_dirty:
             self._rebuild_csr()
         self._control_all(t)
@@ -402,7 +363,7 @@ class FastEngine:
         if node < neighbor:  # this endpoint is the handshake leader
             edge = self.graph.edge_params(node, neighbor)
             wait = insertion_mod.leader_wait(self.aopt_params, edge)
-            self._schedule_check(t + wait, _CHECK_LEADER, node, neighbor, 0.0, 0.0)
+            self._schedule(t + wait, (_CHECK_LEADER, node, neighbor, 0.0, 0.0))
 
     def _on_edge_lost(self, t: float, node: NodeId, neighbor: NodeId) -> None:
         position = self._cols.index[node]
@@ -442,8 +403,8 @@ class FastEngine:
             if kind == _MSG_INSERT_EDGE:
                 edge = graph.edge_params(receiver, sender)
                 wait = insertion_mod.follower_wait(self.aopt_params, edge)
-                self._schedule_check(
-                    t + wait, _CHECK_FOLLOWER, receiver, sender, anchor, skew_estimate
+                self._schedule(
+                    t + wait, (_CHECK_FOLLOWER, receiver, sender, anchor, skew_estimate)
                 )
             elif bc_mode:
                 # Store the broadcast like BroadcastEstimateLayer.on_broadcast:
@@ -464,39 +425,18 @@ class FastEngine:
     # ------------------------------------------------------------------
     # Insertion handshake (Listing 1), mirrored from AOPT
     # ------------------------------------------------------------------
-    def _schedule_check(
-        self,
-        time: float,
-        kind: int,
-        node: NodeId,
-        neighbor: NodeId,
-        anchor: float,
-        skew_estimate: float,
-    ) -> None:
-        self._check_seq += 1
-        heapq.heappush(
-            self._checks,
-            (time, self._check_seq, kind, node, neighbor, anchor, skew_estimate),
-        )
+    def _fire_timer(self, time: float, check: Tuple) -> None:
+        """Fire one handshake check ``(kind, node, neighbor, anchor, skew)``.
 
-    def _run_due_checks(self, t: float) -> None:
-        """Fire every check due at ``t`` (``EventScheduler.run_due``).
-
-        Checks fire in ``(time, seq)`` order, each with its scheduled time,
-        once due within ``1e-12``.  No check schedules another check, so
-        nothing pushed here is due in this call and the scheduler's
-        same-call chaining has nothing to reproduce.
+        Checks are plain tuples, like ``_inflight``'s messages: no closure
+        holds the engine, so a finished engine has no reference cycle and is
+        freed on return.  No check schedules another check.
         """
-        checks = self._checks
-        limit = t + 1e-12
-        while checks and checks[0][0] <= limit:
-            fire_time, _, kind, node, neighbor, anchor, skew_estimate = heapq.heappop(
-                checks
-            )
-            if kind == _CHECK_LEADER:
-                self._leader_check(fire_time, node, neighbor)
-            else:
-                self._follower_check(fire_time, node, neighbor, anchor, skew_estimate)
+        kind, node, neighbor, anchor, skew_estimate = check
+        if kind == _CHECK_LEADER:
+            self._leader_check(time, node, neighbor)
+        else:
+            self._follower_check(time, node, neighbor, anchor, skew_estimate)
 
     def _edge_present_since(
         self, node: NodeId, neighbor: NodeId, t: float, window: float
@@ -906,35 +846,6 @@ class FastEngine:
     # ------------------------------------------------------------------
     # Trace recording
     # ------------------------------------------------------------------
-    def configure_recording(self, pipeline=None, *, record_trace: bool = True) -> None:
-        """Attach a streaming metrics pipeline and/or disable trace keeping.
-
-        The pipeline reads the flat columns directly (no per-node dicts are
-        built for it); with ``record_trace=False`` no :class:`TraceSample`
-        is materialized at all and memory stays constant in the duration.
-        """
-        self._metrics = pipeline
-        self._record_trace = bool(record_trace)
-
-    def _record_sample(self, force: bool = False) -> None:
-        if not force and self.time + 1e-12 < self._next_sample_time:
-            return
+    def _sample_columns(self) -> Tuple:
         cols = self._cols
-        ids = cols.ids
-        logical = cols.logical
-        hardware = cols.hardware
-        multiplier = cols.multiplier
-        mode = cols.mode
-        max_estimate = cols.max_estimate
-        if self._record_trace:
-            sample = TraceSample(
-                self.time, ids, cols.index, logical[:], hardware[:], multiplier[:],
-                mode[:], max_estimate[:],
-            )
-            self.trace.record(sample)
-        if self._metrics is not None:
-            self._metrics.observe_columns(
-                self.time, ids, cols.index, logical, max_estimate, mode
-            )
-        if not force:
-            self._next_sample_time = self.time + self.trace.sample_interval
+        return cols.logical, cols.hardware, cols.multiplier, cols.mode, cols.max_estimate

@@ -1,9 +1,11 @@
 """The jit engine: vecsim semantics, one compiled time loop per segment.
 
 :class:`JitEngine` subclasses :class:`~repro.vecsim.engine.VecEngine` and
-keeps its entire event / insertion / transport machinery and its run state.
-What changes is the driver: instead of one Python round-trip per step,
-:meth:`JitEngine.run_until` *prescans* the upcoming steps, proves a maximal
+keeps its entire event / insertion / transport machinery and its run state,
+and the run loop shared by every engine
+(:class:`~repro.sim.engine.EngineBase`).  What changes is one iteration of
+that loop: instead of one Python round-trip per step,
+:meth:`JitEngine._advance` *prescans* the upcoming steps, proves a maximal
 prefix is "regular" -- no graph events, no handshake checks due, no in-flight
 insert-edge messages, no insertion level coming due, drift rates constant
 over the window (``rate_epoch``), delays ``static`` or uniform-random -- and
@@ -23,10 +25,10 @@ Bit-identity is preserved because inside a regular segment the per-step
 phases reduce exactly to the scalar loops the kernel implements (same float
 ops in the same order, same Mersenne-Twister draw order via in-kernel
 MT19937 over transplanted state, same delivery-step predicate), and the
-trace samples / streaming-observer feeds are replayed after the segment in
-the exact step order the per-step loop would have produced -- sound because
-observers cannot request stops in fused runs (runs with armed watchdogs
-fall back to per-step execution).
+trace samples / streaming-observer feeds are replayed after the segment,
+through the same sample hook, in the exact step order the per-step loop
+would have produced -- sound because observers cannot request stops in
+fused runs (runs with armed watchdogs fall back to per-step execution).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from ..core.interfaces import AlgorithmFactory
 from ..fastsim.engine import FastsimError
 from ..network.dynamic_graph import DynamicGraph
 from ..sim.runner import SimulationConfig
-from ..sim.trace import Trace, TraceSample
 from ..vecsim.engine import VecEngine
 from . import providers
 
@@ -87,6 +88,8 @@ class JitEngine(VecEngine):
         #: Diagnostics: how many steps ran fused vs. through the vec path.
         self.fused_steps = 0
         self.stepped_steps = 0
+        #: Why fusion is off for this whole run (``None``: it is on).
+        self._blocker = self._fusion_blocker()
 
     @property
     def engines(self) -> List["JitEngine"]:
@@ -95,21 +98,17 @@ class JitEngine(VecEngine):
         return [self]
 
     # -- driver ---------------------------------------------------------
-    def run_until(self, end_time: float) -> Trace:
-        if (
-            end_time < self.time - 1e-12
-            or self.stopped_early
-            or self._fusion_blocker() is not None
-        ):
-            return super().run_until(end_time)
-        while self.time < end_time - 1e-9:
-            plan = self._plan_segment(end_time)
-            if plan is None:
-                self.step()
-                continue
+    def configure_recording(self, pipeline=None, *, record_trace: bool = True) -> None:
+        super().configure_recording(pipeline, record_trace=record_trace)
+        # An armed watchdog blocks fusion.
+        self._blocker = self._fusion_blocker()
+
+    def _advance(self, end_time: float) -> None:
+        plan = None if self._blocker is not None else self._plan_segment(end_time)
+        if plan is None:
+            self.step()
+        else:
             self._run_segment(*plan)
-        self._record_sample(force=True)
-        return self.trace
 
     def step(self) -> None:
         # Every step through the vec path counts, blocked runs' included.
@@ -169,7 +168,7 @@ class JitEngine(VecEngine):
         next_event = self._next_event_time
         barrier = min(
             _INF if next_event is None else next_event,
-            self._checks[0][0] if self._checks else _INF,
+            self._timers[0][0] if self._timers else _INF,
         )
         t0 = self.time
         self._refresh_rates(t0)
@@ -451,26 +450,15 @@ class JitEngine(VecEngine):
                     None,
                 ]
             )
-        # Replay the recorded samples in the exact per-step order.
+        # Replay the recorded samples in the exact per-step order; a kept
+        # trace holds the snapshot slices themselves.
         for si, step_j in enumerate(snaps):
-            sample_time = float(t_steps[step_j])
             rows = slice(si * n, (si + 1) * n)
-            if self._record_trace:
-                sample = TraceSample(
-                    sample_time, cols.ids, cols.index, snap_logical[rows],
-                    snap_hardware[rows], snap_multiplier[rows], snap_mode[rows],
-                    snap_max_estimate[rows],
-                )
-                self.trace.record(sample)
-            if self._metrics is not None:
-                self._metrics.observe_columns(
-                    sample_time,
-                    cols.ids,
-                    cols.index,
-                    snap_logical[rows],
-                    snap_max_estimate[rows],
-                    snap_mode[rows],
-                )
+            columns = (
+                snap_logical[rows], snap_hardware[rows], snap_multiplier[rows],
+                snap_mode[rows], snap_max_estimate[rows],
+            )
+            self._emit_sample(float(t_steps[step_j]), columns, copy=False)
         self._next_sample_time = next_sample
         self.fused_steps += steps
 

@@ -53,7 +53,7 @@ class TelemetryChannel:
     ``fired`` and in each watchdog's own payload, so a cached result can
     replay them later.  ``stop`` is the early-exit flag: a watchdog armed
     via :meth:`~repro.metrics.pipeline.MetricsPipeline` ``stop_on`` sets it
-    and the engines' ``run_until`` loops poll it once per recorded sample.
+    and the engines' shared ``run_until`` loop polls it after every iteration.
     """
 
     __slots__ = ("sink", "stop", "fired")

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 def predict_final_time(duration: float, dt: float) -> float:
     """The time of the final forced trace sample of ``run(duration)``.
 
-    Reproduces ``Engine.run_until`` (and ``VecEngine.run_until``) verbatim:
+    Reproduces the engines' ``run_until`` (``EngineBase``) verbatim:
     starting from 0.0, ``dt`` is accumulated while ``t < end - 1e-9``; the
     forced sample is recorded at the accumulated ``t``.  Because this is the
     identical float accumulation, the predicted value is bit-equal to the

@@ -9,7 +9,7 @@ sample crosses its threshold.  Firings go to the pipeline's
 ``--telemetry`` stream), and recorded in the watchdog's own payload so a
 cached result can replay them later.  A watchdog can also be *armed* as a
 stop trigger (:meth:`Watchdog.arm_stop`): its first firing sets
-``channel.stop`` and the engines' ``run_until`` loops exit early -- the
+``channel.stop`` and the engines' shared ``run_until`` loop exits early -- the
 ``--until-stable`` mechanism.
 
 The four built-ins monitor the paper's claims live:

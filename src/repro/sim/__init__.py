@@ -29,7 +29,6 @@ from .runner import (
     run_aopt,
     run_simulation,
 )
-from .scheduler import EventScheduler
 from .trace import Trace, TraceSample
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "default_aopt_config",
     "run_aopt",
     "run_simulation",
-    "EventScheduler",
     "Trace",
     "TraceSample",
 ]

@@ -1,13 +1,15 @@
 """The fixed-step simulation engine.
 
 The engine owns the dynamic graph, the per-node clocks and algorithm
-instances, the bounded-delay transport, the estimate layer, a callback
-scheduler and (optionally) a dynamic-diameter tracker.  One step of length
-``dt`` performs, in order:
+instances, the bounded-delay transport, the estimate layer and (optionally)
+a dynamic-diameter tracker.  The run loop, the sample hook and the timer
+heap are :class:`EngineBase`'s, shared with the columnar engines.  One step
+of length ``dt`` performs, in order:
 
 1. apply scheduled edge events and notify the affected algorithms;
 2. deliver due messages (updating the estimate layer and diameter tracker);
-3. run due scheduled callbacks (handshake timers etc.);
+3. fire due timers (the callbacks of ``NodeAPI.schedule``: handshake
+   checks etc.);
 4. ask every algorithm for its control decision;
 5. record a trace sample if one is due;
 6. advance hardware and logical clocks (applying requested jumps first);
@@ -21,7 +23,8 @@ error.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+import heapq
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.aopt_step import MODE_CODES
 from ..core.clocks import HardwareClock, LogicalClock
@@ -35,7 +38,6 @@ from ..network.dynamic_graph import DynamicGraph
 from ..network.edge import EdgeParams, NodeId
 from .delay import DelayModel
 from .drift import DriftModel, NoDrift
-from .scheduler import EventScheduler
 from .trace import Trace, TraceSample
 
 
@@ -86,7 +88,9 @@ class _EngineNodeAPI(NodeAPI):
     def schedule(self, delay: float, callback: Callable[[float], None]) -> None:
         if delay < 0.0:
             raise EngineError(f"cannot schedule into the past (delay {delay})")
-        self._engine.scheduler.schedule(self._engine.time + delay, callback)
+        if not callable(callback):
+            raise EngineError(f"a timer callback must be callable, got {callback!r}")
+        self._engine._schedule(self._engine.time + delay, callback)
 
 
 class _NodeState:
@@ -110,15 +114,165 @@ class _NodeState:
         self.decision = ControlDecision(multiplier=1.0)
 
 
-class Engine:
-    """Fixed-step simulator for clock synchronization algorithms."""
+class EngineBase:
+    """The run loop, the sample hook and the timer heap every engine shares.
+
+    A subclass owns its state and provides :meth:`step` (one step of length
+    ``dt``, which calls :meth:`_record_sample` between its control decision
+    and its clock advance), :meth:`_sample_columns`, ``_ids`` / ``_index``
+    (the column order of samples) and ``current_diameter()``.
+    """
 
     #: Optional streaming-metrics hook (see :meth:`configure_recording`).
     _metrics = None
     #: Whether recorded samples are appended to ``self.trace``.
     _record_trace = True
+    #: Whether :meth:`_sample_columns` returns the engine's live columns,
+    #: which a kept sample must copy.
+    _live_columns = False
     #: Set when an armed watchdog stopped the run before ``end_time``.
     stopped_early = False
+
+    def __init__(self, dt: float, sample_interval: float):
+        self.dt = float(dt)
+        self.time = 0.0
+        self.trace = Trace(sample_interval)
+        self._next_sample_time = 0.0
+        #: Pending timers ``(time, seq, payload)``, fired by
+        #: :meth:`_fire_timers`; ``seq`` is per engine, so ties fire in
+        #: insertion order.
+        self._timers: List[Tuple[float, int, Any]] = []
+        self._timer_seq = 0
+
+    # ------------------------------------------------------------------
+    # Running
+    # ------------------------------------------------------------------
+    def run(self, duration: float) -> Trace:
+        """Advance the simulation by ``duration`` time units."""
+        if duration < 0.0:
+            raise EngineError("duration must be non-negative")
+        return self.run_until(self.time + duration)
+
+    def run_until(self, end_time: float) -> Trace:
+        """Advance the simulation until ``end_time`` (inclusive sampling).
+
+        If the attached metrics pipeline has an armed watchdog (the
+        ``--until-stable`` path), the loop exits as soon as the pipeline
+        requests a stop.  The flag only changes while a sample is being
+        recorded, so the stop lands exactly on a sample instant; the forced
+        final sample is skipped, leaving the samples fed so far a
+        bit-identical prefix of the full run's.
+        """
+        if end_time < self.time - 1e-12:
+            raise EngineError("cannot run backwards in time")
+        if self.stopped_early:
+            return self.trace
+        metrics = self._metrics
+        while self.time < end_time - 1e-9:
+            self._advance(end_time)
+            if metrics is not None and metrics.stop_requested:
+                self.stopped_early = True
+                return self.trace
+        self._record_sample(force=True)
+        return self.trace
+
+    def _advance(self, end_time: float) -> None:
+        """One iteration of the run loop towards ``end_time``: one step."""
+        self.step()
+
+    # ------------------------------------------------------------------
+    # Timers
+    # ------------------------------------------------------------------
+    def _schedule(self, time: float, payload: Any) -> None:
+        """Push a timer that :meth:`_fire_timer` fires at ``time``."""
+        self._timer_seq += 1
+        heapq.heappush(self._timers, (time, self._timer_seq, payload))
+
+    def _fire_timers(self, t: float) -> None:
+        """Fire every timer due at ``t``.
+
+        Timers fire in ``(time, seq)`` order, each with its scheduled time,
+        once due within ``1e-12``.  A round pops every due timer, then fires
+        them; a timer one of them schedules that is already due fires in a
+        later round of the same call, so a chain of zero-delay follow-ups
+        completes within the step.  A chain of more than 10 000 rounds
+        raises: a callback is rescheduling itself.
+        """
+        timers = self._timers
+        limit = t + 1e-12
+        rounds = 0
+        while timers and timers[0][0] <= limit:
+            if rounds == 10000:
+                raise EngineError(
+                    "more than 10000 rounds of zero-delay timers at time "
+                    f"{t}; a callback is probably rescheduling itself"
+                )
+            rounds += 1
+            due = []
+            while timers and timers[0][0] <= limit:
+                due.append(heapq.heappop(timers))
+            for time, _, payload in due:
+                self._fire_timer(time, payload)
+
+    def _fire_timer(self, time: float, payload: Any) -> None:
+        """Fire one timer: by default its payload is a callback."""
+        payload(time)
+
+    # ------------------------------------------------------------------
+    # Recording
+    # ------------------------------------------------------------------
+    def configure_recording(self, pipeline=None, *, record_trace: bool = True) -> None:
+        """Attach a streaming metrics pipeline and/or disable trace keeping.
+
+        ``pipeline`` (a :class:`repro.metrics.pipeline.MetricsPipeline`) is
+        fed the per-node columns of each recorded sample -- at exactly the
+        instants a trace sample is (or would be) recorded.  With
+        ``record_trace=False`` the engine keeps no samples at all:
+        ``self.trace`` stays empty and memory no longer grows with the run
+        duration.
+        """
+        self._metrics = pipeline
+        self._record_trace = bool(record_trace)
+
+    def _record_sample(self, force: bool = False) -> None:
+        if not force and self.time + 1e-12 < self._next_sample_time:
+            return
+        self._emit_sample(self.time, self._sample_columns(), self._live_columns)
+        if not force:
+            self._next_sample_time = self.time + self.trace.sample_interval
+
+    def _sample_columns(self) -> Sequence:
+        """``(logical, hardware, multiplier, mode, max_estimate)`` now.
+
+        Only a kept sample reads hardware and multiplier; without a kept
+        trace they may be ``None``.
+        """
+        raise NotImplementedError
+
+    def _emit_sample(self, time: float, columns: Sequence, copy: bool) -> None:
+        """Hand one sample's columns to the kept trace and to the pipeline.
+
+        ``copy``: the columns are live and a kept sample takes copies; the
+        pipeline reduces the columns it is handed without keeping them.
+        """
+        logical, _, _, mode, max_estimate = columns
+        if self._record_trace:
+            if copy:
+                columns = [column.copy() for column in columns]
+            self.trace.record(
+                TraceSample(
+                    time, self._ids, self._index, *columns,
+                    diameter=self.current_diameter(),
+                )
+            )
+        if self._metrics is not None:
+            self._metrics.observe_columns(
+                time, self._ids, self._index, logical, max_estimate, mode
+            )
+
+
+class Engine(EngineBase):
+    """Fixed-step simulator for clock synchronization algorithms."""
 
     def __init__(
         self,
@@ -138,6 +292,7 @@ class Engine:
         if dt <= 0.0:
             raise EngineError(f"dt must be positive, got {dt}")
         params.validate()
+        super().__init__(dt, sample_interval)
         # The engine works on its own copy: applying scheduled edge events
         # mutates the graph, and callers frequently reuse one scenario graph
         # for several runs (e.g. to compare algorithms).
@@ -146,15 +301,10 @@ class Engine:
         # Kept for crash/restart scenarios: a node reset rebuilds the node's
         # algorithm instance from the same factory that created it.
         self._algorithm_factory = algorithm_factory
-        self.dt = float(dt)
-        self.time = 0.0
         self.drift = drift or NoDrift(params.rho)
-        self.scheduler = EventScheduler()
         self.transport = Transport(
             self.graph, delay, drop_on_edge_loss=drop_messages_on_edge_loss
         )
-        self.trace = Trace(sample_interval)
-        self._next_sample_time = 0.0
         self.diameter_tracker: Optional[DiameterTracker] = (
             DiameterTracker(graph.nodes, params.rho) if track_diameter else None
         )
@@ -223,42 +373,13 @@ class Engine:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def run(self, duration: float) -> Trace:
-        """Advance the simulation by ``duration`` time units."""
-        if duration < 0.0:
-            raise EngineError("duration must be non-negative")
-        return self.run_until(self.time + duration)
-
-    def run_until(self, end_time: float) -> Trace:
-        """Advance the simulation until ``end_time`` (inclusive sampling).
-
-        If the attached metrics pipeline has an armed watchdog (the
-        ``--until-stable`` path), the loop exits as soon as the pipeline
-        requests a stop.  The flag only changes while a sample is being
-        recorded, so the stop lands exactly on a sample instant; the forced
-        final sample is skipped, leaving the samples fed so far a
-        bit-identical prefix of the full run's.
-        """
-        if end_time < self.time - 1e-12:
-            raise EngineError("cannot run backwards in time")
-        if self.stopped_early:
-            return self.trace
-        metrics = self._metrics
-        while self.time < end_time - 1e-9:
-            self.step()
-            if metrics is not None and metrics.stop_requested:
-                self.stopped_early = True
-                return self.trace
-        self._record_sample(force=True)
-        return self.trace
-
     def step(self) -> None:
         """Execute one simulation step of length ``dt``."""
         t = self.time
         self._apply_node_resets(t)
         self._apply_graph_events(t)
         self._deliver_messages(t)
-        self.scheduler.run_due(t)
+        self._fire_timers(t)
         for state in self._nodes.values():
             state.decision = state.algorithm.control(t)
         self._record_sample()
@@ -334,37 +455,13 @@ class Engine:
             state.hardware.advance(self.dt, rate)
             state.logical.advance(self.dt, rate, decision.multiplier)
 
-    def configure_recording(self, pipeline=None, *, record_trace: bool = True) -> None:
-        """Attach a streaming metrics pipeline and/or disable trace keeping.
-
-        ``pipeline`` (a :class:`repro.metrics.pipeline.MetricsPipeline`) is
-        fed the per-node columns of each recorded sample -- at exactly the
-        instants a trace sample is (or would be) recorded.  With
-        ``record_trace=False`` the engine keeps no samples at all:
-        ``self.trace`` stays empty and memory no longer grows with the run
-        duration.
-        """
-        self._metrics = pipeline
-        self._record_trace = bool(record_trace)
-
-    def _record_sample(self, force: bool = False) -> None:
-        if not force and self.time + 1e-12 < self._next_sample_time:
-            return
+    def _sample_columns(self) -> Sequence:
         states = self._nodes.values()
         logical = [s.logical.value for s in states]
         max_estimate = [s.algorithm.max_estimate() for s in states]
         modes = [MODE_CODES[s.algorithm.mode()] for s in states]
+        hardware = multipliers = None
         if self._record_trace:
             hardware = [s.hardware.value for s in states]
             multipliers = [s.decision.multiplier for s in states]
-            sample = TraceSample(
-                self.time, self._ids, self._index, logical, hardware, multipliers,
-                modes, max_estimate, diameter=self.current_diameter(),
-            )
-            self.trace.record(sample)
-        if self._metrics is not None:
-            self._metrics.observe_columns(
-                self.time, self._ids, self._index, logical, max_estimate, modes
-            )
-        if not force:
-            self._next_sample_time = self.time + self.trace.sample_interval
+        return logical, hardware, multipliers, modes, max_estimate

@@ -53,7 +53,6 @@ from ..network.dynamic_graph import DynamicGraph
 from ..network.edge import NodeId
 from ..sim.delay import UniformRandomDelay
 from ..sim.runner import SimulationConfig
-from ..sim.trace import TraceSample
 from ..fastsim.engine import FastEngine
 from . import kernels
 
@@ -401,8 +400,8 @@ class VecEngine(FastEngine):
         if self._inflight:
             self._deliver_messages(t)
         self._deliver_broadcasts(t)
-        if self._checks:
-            self._run_due_checks(t)
+        if self._timers:
+            self._fire_timers(t)
         self._refresh_structure()
         self._control_all(t)
         self._record_sample()
@@ -777,24 +776,3 @@ class VecEngine(FastEngine):
         for position in range(self.n):
             for slot, value, _level in self._uniform_views(position, logical[position]):
                 ahead[slot] = value
-
-    # -- trace recording ------------------------------------------------
-    def _record_sample(self, force: bool = False) -> None:
-        if not force and self.time + 1e-12 < self._next_sample_time:
-            return
-        cols = self._cols
-        if self._record_trace:
-            sample = TraceSample(
-                self.time, cols.ids, cols.index, cols.logical.copy(),
-                cols.hardware.copy(), cols.multiplier.copy(), cols.mode.copy(),
-                cols.max_estimate.copy(),
-            )
-            self.trace.record(sample)
-        if self._metrics is not None:
-            # Pure array reductions over the live columns: same floats as
-            # the (would-be) sample copies, no per-node dicts, no copies.
-            self._metrics.observe_columns(
-                self.time, cols.ids, cols.index, cols.logical, cols.max_estimate, cols.mode
-            )
-        if not force:
-            self._next_sample_time = self.time + self.trace.sample_interval

@@ -10,9 +10,24 @@ from hypothesis import strategies as st
 from repro.core.interfaces import NodeAPI
 from repro.core.parameters import Parameters
 from repro.experiments.spec import ComponentSpec, ScenarioSpec
+from repro.fastsim.backend import backend_available
 from repro.metrics import OBSERVERS
 from repro.network.edge import EdgeParams, NodeId
 from repro.network import topology
+
+
+# ----------------------------------------------------------------------
+# Backend marks: one definition, so no module's list drops a backend
+# ----------------------------------------------------------------------
+needs_vec = pytest.mark.skipif(not backend_available("vec"), reason="numpy is not installed")
+needs_jit = pytest.mark.skipif(
+    not backend_available("jit"), reason="numpy or a C compiler is missing"
+)
+#: Every backend installed here: ``reference`` and ``fast`` always, ``vec``
+#: with numpy, ``jit`` with numpy and a C compiler.
+INSTALLED_BACKENDS = [
+    name for name in ("reference", "fast", "vec", "jit") if backend_available(name)
+]
 
 
 # ----------------------------------------------------------------------

@@ -36,9 +36,7 @@ PUBLIC_MODULES = [
     "repro.sim.delay",
     "repro.sim.drift",
     "repro.sim.engine",
-    "repro.sim.events",
     "repro.sim.runner",
-    "repro.sim.scheduler",
     "repro.sim.trace",
     "repro.baselines",
     "repro.experiments",

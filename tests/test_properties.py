@@ -48,7 +48,7 @@ from repro.network.dynamic_graph import DynamicGraph, EdgeEvent, GraphError
 from repro.network.edge import EdgeKey, EdgeParams
 from repro.sim.trace import Trace, TraceError, TraceSample
 from repro.telemetry.schema import sanitize_json
-from conftest import staged_insertion_spec
+from conftest import needs_jit, staged_insertion_spec
 from test_dynamic_graph import oracle_edge_pairs, same_iteration
 from test_neighbor_sets import exhaustive_chain_holds
 from test_paths_kernel import assert_matches_oracle, oracle_all_pairs, oracle_diameter
@@ -220,9 +220,7 @@ class TestInsertionScheduleProperties:
         assert times[0] == pytest.approx(schedule.anchor)
         assert times[-1] <= schedule.anchor + duration + 1e-6
 
-    @pytest.mark.skipif(
-        not backend_available("jit"), reason="no jit kernel (needs numpy and a C compiler)"
-    )
+    @needs_jit
     @given(
         scale_exponent=st.floats(min_value=-4.0, max_value=-2.0),
         mu=st.sampled_from([0.05, 0.075, 0.1]),

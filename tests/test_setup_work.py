@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import staged_insertion_spec
+from conftest import needs_jit, needs_vec, staged_insertion_spec
 from repro.core.neighbor_sets import NeighborLevels
 from repro.experiments import execute_spec, registry, run_sweep, scenario
 from repro.experiments.bench import BENCH_OBSERVERS, bench_spec
@@ -278,7 +278,7 @@ def test_static_fast_run_scans_no_levels_and_asks_the_graph_for_no_edge(row_coun
     )
 
 
-@pytest.mark.skipif(not backend_available("vec"), reason="numpy is not installed")
+@needs_vec
 def test_vec_never_digests_a_row(row_counts):
     run_sweep([observed_spec("grid", "vec")], use_cache=False)
     assert row_counts["rebuilds"] == 1
@@ -310,12 +310,6 @@ def kernel_spec(kind, backend):
     """One ``scale_static`` point, small: 200 steps, no trace, the scalar observers."""
     spec = bench_spec(kind, 64, duration=STEPS * 0.1, backend=backend)
     return spec.with_trace("none").with_observers(*BENCH_OBSERVERS)
-
-
-needs_vec = pytest.mark.skipif(not backend_available("vec"), reason="numpy is not installed")
-needs_jit = pytest.mark.skipif(
-    not backend_available("jit"), reason="numpy or a C compiler is missing"
-)
 
 
 @pytest.fixture

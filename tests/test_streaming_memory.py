@@ -25,10 +25,11 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import needs_jit, needs_vec
 from repro.experiments import execute_spec, registry, scenario
 from repro.experiments.bench import BENCH_OBSERVERS, bench_spec
 from repro.experiments.spec import ComponentSpec
-from repro.fastsim.backend import backend_available, get_backend
+from repro.fastsim.backend import get_backend
 
 
 def peak_bytes(spec):
@@ -45,13 +46,7 @@ def peak_bytes(spec):
     "backend, n",
     [
         ("fast", 64),
-        pytest.param(
-            "vec",
-            256,
-            marks=pytest.mark.skipif(
-                not backend_available("vec"), reason="numpy is not installed"
-            ),
-        ),
+        pytest.param("vec", 256, marks=needs_vec),
     ],
 )
 def test_trace_none_peak_is_flat_in_duration_and_far_below_a_full_trace(backend, n):
@@ -70,9 +65,7 @@ def test_trace_none_peak_is_flat_in_duration_and_far_below_a_full_trace(backend,
     assert full >= 5 * long, (long, full)
 
 
-@pytest.mark.skipif(
-    not backend_available("jit"), reason="numpy or a C compiler is missing"
-)
+@needs_jit
 @pytest.mark.parametrize("n, short_duration", [(1024, 400.0), (256, 1500.0)])
 def test_jit_trace_none_peak_is_flat_in_the_length_of_a_fused_segment(
     n, short_duration
@@ -93,18 +86,8 @@ def test_jit_trace_none_peak_is_flat_in_the_length_of_a_fused_segment(
     "backend",
     [
         "fast",
-        pytest.param(
-            "vec",
-            marks=pytest.mark.skipif(
-                not backend_available("vec"), reason="numpy is not installed"
-            ),
-        ),
-        pytest.param(
-            "jit",
-            marks=pytest.mark.skipif(
-                not backend_available("jit"), reason="numpy or a C compiler is missing"
-            ),
-        ),
+        pytest.param("vec", marks=needs_vec),
+        pytest.param("jit", marks=needs_jit),
     ],
 )
 def test_a_finished_engine_with_checks_pending_leaves_no_cycle(backend):
@@ -117,7 +100,7 @@ def test_a_finished_engine_with_checks_pending_leaves_no_cycle(backend):
         built.graph, built.algorithm_factory, built.config
     )
     engine.run(built.config.duration)
-    assert engine._checks  # the run ended mid-handshake
+    assert engine._timers  # the run ended mid-handshake
     gc.collect()
     gc.disable()
     try:

@@ -26,8 +26,8 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments import executor, results, scenario
+from conftest import needs_jit, needs_vec
 from repro.experiments.executor import ExecutorError, ResultCache, execute_spec, run_sweep
-from repro.fastsim.backend import backend_available
 from repro.sim.trace import Trace, TraceSample
 from repro.telemetry import SweepTelemetry
 from repro.telemetry.schema import sanitize_json
@@ -38,10 +38,6 @@ pytestmark = pytest.mark.filterwarnings("error")
 
 TINY_SIM = {"duration": 5.0, "dt": 0.1}
 STDLIB_BACKENDS = ("reference", "fast")
-needs_vec = pytest.mark.skipif(not backend_available("vec"), reason="numpy is missing")
-needs_jit = pytest.mark.skipif(
-    not backend_available("jit"), reason="numpy or a C compiler is missing"
-)
 #: The stdlib backends, and ``jit`` where it is installed.
 TRACED_BACKENDS = (*STDLIB_BACKENDS, pytest.param("jit", marks=needs_jit))
 #: Every backend, each of ``vec`` and ``jit`` where it is installed.
@@ -403,6 +399,20 @@ class TestAnExecutedRunsTraceLine:
         with pytest.raises(ExecutorError, match=re.escape(str(path))):
             run.trace
 
+    def test_a_trace_line_that_parses_but_does_not_decode_names_its_entry(
+        self, tmp_path
+    ):
+        spec = tiny_spec()
+        run_sweep([spec], cache=ResultCache(tmp_path))
+        path = ResultCache(tmp_path).path_for(spec)
+        head, line, tail = path.read_bytes().split(b"\n", 2)
+        assert b'"0":' in line
+        path.write_bytes(b"\n".join((head, line.replace(b'"0":', b'"zero":', 1), tail)))
+        (run,), stats = run_sweep([spec], cache=ResultCache(tmp_path))
+        assert stats.cached == 1
+        with pytest.raises(ExecutorError, match=re.escape(str(path))):
+            run.trace
+
     def test_a_pool_sweeps_runs_hold_trace_lines(self, tmp_path):
         specs = tiny_specs("reference")
         runs, stats = run_sweep(specs, cache=ResultCache(tmp_path), workers=2)
@@ -465,7 +475,7 @@ class TestDuplicateSpecs:
         self._check_triple(*self._sweep([spec, spec, spec], tmp_path, workers=1))
         assert len(calls) == 1
 
-    @pytest.mark.skipif(not backend_available("vec"), reason="vec needs numpy")
+    @needs_vec
     def test_two_vec_specs_interleaved(self, tmp_path):
         a, b = tiny_spec(4, "vec"), tiny_spec(5, "vec")
         runs, stats, events, stores = self._sweep([a, b, a, b, a], tmp_path, workers=1)

@@ -15,12 +15,11 @@ import json
 
 import pytest
 
-from conftest import feed_sample
+from conftest import INSTALLED_BACKENDS, feed_sample
 from repro.experiments import ResultCache, execute_spec, registry, run_sweep, scenario
 from repro.experiments.results import build_run_pipeline, trace_from_payload
-from repro.fastsim.backend import backend_available
 
-BACKENDS = ["reference", "fast"] + (["vec"] if backend_available("vec") else [])
+BACKENDS = INSTALLED_BACKENDS
 
 #: line_scaling n=6 at default duration: converges around a third of the
 #: way in, so the early exit is a real (~3x) truncation.

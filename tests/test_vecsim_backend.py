@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from conftest import staged_insertion_spec
+from conftest import needs_jit, staged_insertion_spec
 from repro.core.aopt_step import MODE_FREE, evaluate_mode_flat
 from repro.experiments import (
     execute_spec,
@@ -34,9 +34,6 @@ from repro.vecsim.engine import _mt_transplant_supported  # noqa: E402
 from repro.vecsim.kernels import _firing_levels  # noqa: E402
 
 
-needs_jit = pytest.mark.skipif(
-    not backend_available("jit"), reason="jit needs a C compiler"
-)
 BACKENDS = ["vec", pytest.param("jit", marks=needs_jit)]
 
 
@@ -248,7 +245,7 @@ class TestFiringLevels:
 
 
 class TestOneEnginePerRun:
-    @pytest.mark.skipif(not backend_available("jit"), reason="jit needs a C compiler")
+    @needs_jit
     def test_every_swept_spec_runs_through_execute_spec(self, tmp_path, monkeypatch):
         """Equal-duration vec and jit misses execute one spec at a time."""
         calls = []

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import feed_sample
+from conftest import INSTALLED_BACKENDS, feed_sample
 from repro.core.parameters import Parameters
 from repro.experiments import execute_spec, registry, scenario
 from repro.experiments.results import stop_watchdog_for
-from repro.fastsim.backend import backend_available
 from repro.metrics import (
     OBSERVERS,
     WATCHDOG_NAMES,
@@ -30,7 +29,7 @@ from repro.metrics.watchdogs import MAX_EVENT_RECORDS, Watchdog
 from repro.network import topology
 from repro.sim.trace import TraceSample
 
-BACKENDS = ["reference", "fast"] + (["vec"] if backend_available("vec") else [])
+BACKENDS = INSTALLED_BACKENDS
 
 #: Observer selection exercising every watchdog next to the default set.
 ALL_WATCHDOGS = (
