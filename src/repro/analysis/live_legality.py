@@ -14,7 +14,7 @@ gradient sequence entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core.algorithm import AOPT
 from ..core.parameters import Parameters

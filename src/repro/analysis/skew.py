@@ -15,8 +15,7 @@ observer of the same run report bit-identical numbers.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..metrics import streaming
 from ..network.dynamic_graph import DynamicGraph

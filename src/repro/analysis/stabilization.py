@@ -10,7 +10,7 @@ stays there* for the remainder of the trace (or a dwell window).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..metrics import streaming
 from ..network.edge import NodeId

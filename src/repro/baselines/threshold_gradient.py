@@ -14,7 +14,7 @@ the comparison isolates the effect of the multi-level gradient structure.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..core.interfaces import ClockSyncAlgorithm, ControlDecision
 from ..core.max_estimate import MaxEstimateTracker

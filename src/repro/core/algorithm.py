@@ -21,12 +21,12 @@ modules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from ..estimate.messages import ClockBroadcast, InsertEdgeMessage
 from ..network.edge import EdgeParams, NodeId
 from . import insertion as insertion_mod
-from .interfaces import ClockSyncAlgorithm, ControlDecision, NodeAPI
+from .interfaces import ClockSyncAlgorithm, ControlDecision
 from .max_estimate import MaxEstimateTracker
 from .neighbor_sets import FULLY_INSERTED, NeighborLevels
 from .parameters import Parameters

@@ -9,7 +9,7 @@ tests and analyses can interpolate past values.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 class ClockError(ValueError):

@@ -11,7 +11,7 @@ simulation states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from ..network.edge import NodeId
 from .parameters import Parameters

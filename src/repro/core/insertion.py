@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..network.edge import EdgeParams, NodeId
 from .parameters import ParameterError, Parameters

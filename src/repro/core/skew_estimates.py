@@ -17,7 +17,7 @@ topology, which the simulation runner uses by default.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from ..network.dynamic_graph import DynamicGraph
 from ..network import paths

@@ -14,7 +14,7 @@ and lets the verification tooling re-evaluate them on recorded snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from ..network.edge import NodeId
 from .parameters import Parameters

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..network.edge import NodeId
 

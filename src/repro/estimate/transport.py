@@ -9,7 +9,7 @@ while the message is in flight may be dropped (the model permits either).
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..network.dynamic_graph import DynamicGraph
 from ..network.edge import NodeId

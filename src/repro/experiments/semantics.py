@@ -49,7 +49,7 @@ RESULT_MODULES = (
 #: the chaos pack (a chaos spec names its scenario file, not its content).
 RESULT_DATA = ("jitsim/_fused_loop.c", "chaos/scenarios/*.json")
 
-SEMANTICS = "c1b262900627ad9d9457e75313d8499c"
+SEMANTICS = "c09adf4f1a0d0d3aacca28be2c26220c"
 
 
 def result_files(root: Optional[Path] = None) -> List[Path]:

@@ -2,7 +2,7 @@
 
 ``repro.fastsim`` re-implements the fixed-step simulation loop of
 :mod:`repro.sim.engine` as tight loops over flat state columns, specialized
-for the AOPT algorithm family with oracle clock estimates.  On the scenarios
+for the AOPT algorithm family with oracle or broadcast clock estimates.  On the scenarios
 it supports it is bit-identical to the reference engine (same traces, same
 summaries) while running much faster -- ``benchmarks/perf`` measures it
 (``fastsim.node_steps_per_s``) and ``tests/test_setup_work.py`` counts why.
@@ -15,18 +15,18 @@ Modules:
   two extreme leads, which keep ``evaluate_mode_flat``'s level scan);
 * :mod:`repro.fastsim.engine` -- :class:`~repro.fastsim.engine.FastEngine`;
 * :mod:`repro.fastsim.backend` -- the pluggable
-  :class:`~repro.fastsim.backend.EngineBackend` registry and its gate
+  :class:`~repro.fastsim.backend.EngineBackend` registry (one
+  :class:`~repro.fastsim.backend.Backend` record per engine, each engine
+  built from ``(graph, algorithm_factory, config)``) and its gate
   :func:`~repro.fastsim.backend.resolve_backend` used by :mod:`repro.experiments`.
 """
 
 from .backend import (
     BACKENDS,
+    Backend,
     BackendError,
     BackendUnavailableError,
     EngineBackend,
-    FastBackend,
-    ReferenceBackend,
-    VecBackend,
     available_backend_names,
     backend_available,
     backend_names,
@@ -39,15 +39,13 @@ from .engine import FastEngine, FastsimError, UnsupportedScenarioError
 
 __all__ = [
     "BACKENDS",
+    "Backend",
     "BackendError",
     "BackendUnavailableError",
     "EngineBackend",
-    "FastBackend",
     "FastEngine",
     "FastsimError",
-    "ReferenceBackend",
     "UnsupportedScenarioError",
-    "VecBackend",
     "available_backend_names",
     "backend_available",
     "backend_names",

@@ -9,7 +9,9 @@ the surface the executor and the summary code rely on:
   checks)
 * ``logical_value`` / ``hardware_value`` / ``global_skew`` (tests, analyses)
 
-Four backends ship with the library:
+Four backends ship with the library, one :class:`Backend` record each.
+Every engine class is built from the same ``(graph, algorithm_factory,
+config)``, so the record's one :meth:`Backend.build` builds any of them:
 
 * ``"reference"`` -- the object-oriented :class:`repro.sim.engine.Engine`,
   faithful and fully general;
@@ -19,13 +21,13 @@ Four backends ship with the library:
 * ``"vec"`` -- the NumPy-vectorized :class:`repro.vecsim.engine.VecEngine`,
   same supported scenarios and bit-identity contract as ``fast`` but with
   whole-array kernels per step (see :mod:`repro.vecsim`).  It needs :mod:`numpy` (``pip install repro[vec]``);
-  without numpy the backend stays registered but :meth:`VecBackend.build`
-  raises :class:`BackendUnavailableError`;
+  without numpy the backend stays registered but its ``build`` raises
+  :class:`BackendUnavailableError`;
 * ``"jit"`` -- the compiled fused-time-loop :class:`repro.jitsim.JitEngine`,
   same supported scenarios and bit-identity contract as ``vec`` but with
   regular step segments executed in one call of the bundled C kernel,
   compiled on demand with the system toolchain.  Without numpy and a C
-  compiler, :meth:`JitBackend.build` raises :class:`BackendUnavailableError`.
+  compiler, its ``build`` raises :class:`BackendUnavailableError`.
 
 Backends are selected per scenario through the ``backend`` field of
 :class:`repro.experiments.spec.ScenarioSpec` (and hence from the CLI via
@@ -48,22 +50,15 @@ is unknown, not installed or declines it -- that spec runs nowhere else.
 from __future__ import annotations
 
 import functools
+import importlib
 import importlib.util
-
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Protocol, runtime_checkable
 
 from ..core.interfaces import AlgorithmFactory
 from ..network.dynamic_graph import DynamicGraph
-from ..sim.runner import SimulationConfig, build_engine
-from .engine import FastEngine, UnsupportedScenarioError
-
-try:  # Python 3.8+: typing.Protocol is available from 3.8 onwards.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - 3.9 floor guarantees Protocol
-    Protocol = object  # type: ignore
-
-    def runtime_checkable(cls):  # type: ignore
-        return cls
+from ..sim.runner import SimulationConfig
+from .engine import UnsupportedScenarioError
 
 
 class BackendError(KeyError):
@@ -91,20 +86,6 @@ class EngineBackend(Protocol):
         config: SimulationConfig,
     ):
         """Return a ready-to-run engine for the materialised scenario."""
-
-
-class ReferenceBackend:
-    """The object-oriented reference engine (fully general)."""
-
-    name = "reference"
-
-    def build(
-        self,
-        graph: DynamicGraph,
-        algorithm_factory: AlgorithmFactory,
-        config: SimulationConfig,
-    ):
-        return build_engine(graph, algorithm_factory, config)
 
 
 #: Algorithm registry names the columnar engines run.
@@ -140,21 +121,6 @@ def _columnar_declines(spec) -> Optional[str]:
     return None
 
 
-class FastBackend:
-    """The struct-of-arrays engine (AOPT, oracle/broadcast estimates, bit-identical)."""
-
-    name = "fast"
-    declines = staticmethod(_columnar_declines)
-
-    def build(
-        self,
-        graph: DynamicGraph,
-        algorithm_factory: AlgorithmFactory,
-        config: SimulationConfig,
-    ):
-        return FastEngine(graph, algorithm_factory, config)
-
-
 @functools.lru_cache(maxsize=None)
 def _numpy_available() -> bool:
     """Whether numpy can be imported (looked up once; monkeypatchable in tests)."""
@@ -164,20 +130,32 @@ def _numpy_available() -> bool:
         return False
 
 
-class VecBackend:
-    """The NumPy-vectorized engine (AOPT, oracle/broadcast estimates, bit-identical).
+def _jit_available() -> bool:
+    """numpy first: :mod:`repro.jitsim.providers` imports it."""
+    if not _numpy_available():
+        return False
+    from ..jitsim import providers
 
-    Registered unconditionally so ``backend='vec'`` is always a *known* name;
-    without numpy it raises :class:`BackendUnavailableError` (what it
-    ``needs``, and the backends which are actually runnable).
+    return providers.provider_available()
+
+
+@dataclass
+class Backend:
+    """One engine backend: its name, its engine class and what it needs.
+
+    ``engine`` names the class as ``"module:Class"``, the module relative to
+    this package; it is imported on the first :meth:`build`, so registering
+    ``vec`` / ``jit`` imports no numpy.  ``declines(spec)`` says why the
+    backend will not run ``spec`` (``None``: it will), ``available()``
+    whether its optional dependencies are installed (no probe: always), and
+    ``needs`` what :class:`BackendUnavailableError` names when they are not.
     """
 
-    name = "vec"
-    declines = staticmethod(_columnar_declines)
-    needs = "numpy, which is not installed (pip install 'repro[vec]')"
-
-    def available(self) -> bool:
-        return _numpy_available()
+    name: str
+    engine: str
+    declines: Optional[Callable[[Any], Optional[str]]] = None
+    needs: Optional[str] = None
+    available: Optional[Callable[[], bool]] = None
 
     def build(
         self,
@@ -186,41 +164,9 @@ class VecBackend:
         config: SimulationConfig,
     ):
         _require_available(self.name)
-        from ..vecsim.engine import VecEngine
-
-        return VecEngine(graph, algorithm_factory, config)
-
-
-class JitBackend:
-    """The compiled fused-time-loop engine (AOPT, oracle/broadcast, bit-identical).
-
-    Registered unconditionally like ``vec``; building needs numpy plus a
-    working C compiler for the bundled kernel source (see
-    :mod:`repro.jitsim.providers`).  Every spec routed through the backend
-    stays bit-identical to reference/fast/vec.
-    """
-
-    name = "jit"
-    declines = staticmethod(_columnar_declines)
-    needs = "numpy and a C compiler (pip install 'repro[jit]')"
-
-    def available(self) -> bool:
-        if not _numpy_available():
-            return False
-        from ..jitsim import providers
-
-        return providers.provider_available()
-
-    def build(
-        self,
-        graph: DynamicGraph,
-        algorithm_factory: AlgorithmFactory,
-        config: SimulationConfig,
-    ):
-        _require_available(self.name)
-        from ..jitsim.engine import JitEngine
-
-        return JitEngine(graph, algorithm_factory, config)
+        module, _, name = self.engine.partition(":")
+        engine_class = getattr(importlib.import_module(module, __package__), name)
+        return engine_class(graph, algorithm_factory, config)
 
 
 BACKENDS: Dict[str, EngineBackend] = {}
@@ -269,7 +215,7 @@ def _require_available(name: str) -> None:
     """Raise :class:`BackendUnavailableError` -- what the backend ``needs``
     and what is installed -- unless backend ``name`` can run here."""
     if not backend_available(name):
-        needs = getattr(BACKENDS[name], "needs", "a dependency that is missing")
+        needs = getattr(BACKENDS[name], "needs", None) or "a dependency that is missing"
         raise BackendUnavailableError(
             f"the {name!r} backend needs {needs}; installed backends: "
             + ", ".join(available_backend_names())
@@ -324,7 +270,20 @@ def resolve_backend(spec):
     return spec
 
 
-register_backend(ReferenceBackend())
-register_backend(FastBackend())
-register_backend(VecBackend())
-register_backend(JitBackend())
+register_backend(Backend("reference", "..sim.engine:Engine"))
+register_backend(Backend("fast", ".engine:FastEngine", _columnar_declines))
+register_backend(
+    Backend(
+        "vec", "..vecsim.engine:VecEngine", _columnar_declines,
+        needs="numpy, which is not installed (pip install 'repro[vec]')",
+        # Looked up when called, so a test can patch ``_numpy_available``.
+        available=lambda: _numpy_available(),
+    )
+)
+register_backend(
+    Backend(
+        "jit", "..jitsim.engine:JitEngine", _columnar_declines,
+        needs="numpy and a C compiler (pip install 'repro[jit]')",
+        available=_jit_available,
+    )
+)

@@ -69,8 +69,6 @@ from ..core.interfaces import AlgorithmFactory
 from ..core.neighbor_sets import FULLY_INSERTED, NeighborLevels
 from ..network.dynamic_graph import DynamicGraph
 from ..network.edge import NodeId
-from ..sim.drift import DriftModel, NoDrift
-from ..sim.delay import UniformRandomDelay
 from ..sim.engine import EngineBase, EngineError
 from .columns import CSRAdjacency, NodeColumns
 
@@ -158,19 +156,7 @@ class FastEngine(EngineBase):
             raise UnsupportedScenarioError(
                 f"unknown estimate strategy {config.estimate_strategy!r}"
             )
-        config.params.validate()
-        super().__init__(config.dt, config.sample_interval)
-        # Work on a private copy, exactly like the reference engine: applying
-        # scheduled edge events mutates the graph.
-        self.graph = graph.copy()
-        self.config = config
-        self.params = config.params
-        self.drift: DriftModel = config.drift or NoDrift(config.params.rho)
-        self.delay_model = (
-            config.delay
-            if config.delay is not None
-            else UniformRandomDelay(seed=config.delay_seed)
-        )
+        super().__init__(graph, config)
         self._drop_on_edge_loss = bool(config.drop_messages_on_edge_loss)
 
         # -- algorithm configuration (probed from the factory) -------------

@@ -1,8 +1,10 @@
 """repro.jitsim -- the compiled fused-time-loop backend ("jit").
 
-A fourth :class:`~repro.fastsim.backend.EngineBackend` that keeps vecsim's
-semantics (and bit-identical results) while replacing the per-step Python
-round-trips with one compiled kernel invocation per regular step segment.
+The engine of the fourth registered backend: :class:`JitEngine` is built,
+like every engine, from ``(graph, algorithm_factory, config)``, and keeps
+vecsim's semantics (and bit-identical results) while replacing the
+per-step Python round-trips with one compiled kernel invocation per regular
+step segment.
 See :mod:`repro.jitsim.engine` for the driver, ``_fused_loop.c`` for the
 fused loop, and :mod:`repro.jitsim.providers` for how it is compiled and
 loaded.

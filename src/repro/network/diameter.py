@@ -25,7 +25,7 @@ max-estimate quality of Condition 4.3.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List
 
 from .edge import NodeId
 

@@ -11,7 +11,7 @@ be described declaratively and replayed by the simulation engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .edge import DEFAULT_EDGE_PARAMS, EdgeKey, EdgeParams, NodeId

@@ -24,7 +24,6 @@ from .engine import Engine, EngineError
 from .runner import (
     SimulationConfig,
     SimulationResult,
-    build_engine,
     default_aopt_config,
     run_aopt,
     run_simulation,
@@ -52,7 +51,6 @@ __all__ = [
     "EngineError",
     "SimulationConfig",
     "SimulationResult",
-    "build_engine",
     "default_aopt_config",
     "run_aopt",
     "run_simulation",

@@ -1,10 +1,11 @@
 """The fixed-step simulation engine.
 
-The engine owns the dynamic graph, the per-node clocks and algorithm
-instances, the bounded-delay transport, the estimate layer and (optionally)
-a dynamic-diameter tracker.  The run loop, the sample hook and the timer
-heap are :class:`EngineBase`'s, shared with the columnar engines.  One step
-of length ``dt`` performs, in order:
+The engine is built, like every engine, from ``(graph, algorithm_factory,
+config)``.  It owns a copy of the dynamic graph, the per-node clocks and
+algorithm instances, the bounded-delay transport, the estimate layer the
+config names and (optionally) a dynamic-diameter tracker.  The run
+settings, loop, sample hook and timer heap are :class:`EngineBase`'s,
+shared with the columnar engines.  One step of length ``dt`` performs:
 
 1. apply scheduled edge events and notify the affected algorithms;
 2. deliver due messages (updating the estimate layer and diameter tracker);
@@ -29,14 +30,15 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..core.aopt_step import MODE_CODES
 from ..core.clocks import HardwareClock, LogicalClock
 from ..core.interfaces import AlgorithmFactory, ClockSyncAlgorithm, ControlDecision, NodeAPI
-from ..core.parameters import Parameters
 from ..estimate.estimate_layer import EstimateLayer
-from ..estimate.messages import ClockBroadcast, Envelope
+from ..estimate.message_layer import BroadcastEstimateLayer
+from ..estimate.messages import ClockBroadcast
+from ..estimate.oracle_layer import OracleEstimateLayer
 from ..estimate.transport import Transport
 from ..network.diameter import DiameterTracker
 from ..network.dynamic_graph import DynamicGraph
 from ..network.edge import EdgeParams, NodeId
-from .delay import DelayModel
+from .delay import DelayModel, UniformRandomDelay
 from .drift import DriftModel, NoDrift
 from .trace import Trace, TraceSample
 
@@ -117,10 +119,13 @@ class _NodeState:
 class EngineBase:
     """The run loop, the sample hook and the timer heap every engine shares.
 
-    A subclass owns its state and provides :meth:`step` (one step of length
-    ``dt``, which calls :meth:`_record_sample` between its control decision
-    and its clock advance), :meth:`_sample_columns`, ``_ids`` / ``_index``
-    (the column order of samples) and ``current_diameter()``.
+    Every engine is built from ``(graph, algorithm_factory, config)``; this
+    class reads the settings they share off the config (a
+    :class:`~repro.sim.runner.SimulationConfig`) once.  A subclass owns the
+    rest and provides :meth:`step` (one step of length ``dt``, which calls
+    :meth:`_record_sample` between its control decision and its clock
+    advance), :meth:`_sample_columns`, ``_ids`` / ``_index`` (the column
+    order of samples) and ``current_diameter()``.
     """
 
     #: Optional streaming-metrics hook (see :meth:`configure_recording`).
@@ -133,10 +138,23 @@ class EngineBase:
     #: Set when an armed watchdog stopped the run before ``end_time``.
     stopped_early = False
 
-    def __init__(self, dt: float, sample_interval: float):
-        self.dt = float(dt)
+    def __init__(self, graph: DynamicGraph, config):
+        params = config.params
+        params.validate()
+        self.params = params
+        self.dt = float(config.dt)
         self.time = 0.0
-        self.trace = Trace(sample_interval)
+        # A private copy: applying scheduled edge events mutates the graph,
+        # and callers reuse one scenario graph for several runs.
+        self.graph = graph.copy()
+        self.drift: DriftModel = config.drift or NoDrift(params.rho)
+        # A fresh default per engine, never stored on the config: one config
+        # reused for two runs gives two equal runs.
+        delay = config.delay
+        self.delay_model: DelayModel = (
+            UniformRandomDelay(seed=config.delay_seed) if delay is None else delay
+        )
+        self.trace = Trace(config.sample_interval)
         self._next_sample_time = 0.0
         #: Pending timers ``(time, seq, payload)``, fired by
         #: :meth:`_fire_timers`; ``seq`` is per engine, so ties fire in
@@ -278,45 +296,28 @@ class Engine(EngineBase):
         self,
         graph: DynamicGraph,
         algorithm_factory: AlgorithmFactory,
-        estimate_layer_factory: Callable[["Engine"], EstimateLayer],
-        *,
-        params: Parameters,
-        dt: float = 0.05,
-        drift: Optional[DriftModel] = None,
-        delay: Optional[DelayModel] = None,
-        sample_interval: float = 1.0,
-        track_diameter: bool = False,
-        initial_logical: Optional[Dict[NodeId, float]] = None,
-        drop_messages_on_edge_loss: bool = False,
+        config,  # repro.sim.runner.SimulationConfig
     ):
-        if dt <= 0.0:
-            raise EngineError(f"dt must be positive, got {dt}")
-        params.validate()
-        super().__init__(dt, sample_interval)
-        # The engine works on its own copy: applying scheduled edge events
-        # mutates the graph, and callers frequently reuse one scenario graph
-        # for several runs (e.g. to compare algorithms).
-        self.graph = graph.copy()
-        self.params = params
+        super().__init__(graph, config)
+        rho = self.params.rho
         # Kept for crash/restart scenarios: a node reset rebuilds the node's
         # algorithm instance from the same factory that created it.
         self._algorithm_factory = algorithm_factory
-        self.drift = drift or NoDrift(params.rho)
         self.transport = Transport(
-            self.graph, delay, drop_on_edge_loss=drop_messages_on_edge_loss
+            self.graph, self.delay_model, drop_on_edge_loss=config.drop_messages_on_edge_loss
         )
         self.diameter_tracker: Optional[DiameterTracker] = (
-            DiameterTracker(graph.nodes, params.rho) if track_diameter else None
+            DiameterTracker(self.graph.nodes, rho) if config.track_diameter else None
         )
         self._nodes: Dict[NodeId, _NodeState] = {}
-        initial_logical = initial_logical or {}
-        for node_id in graph.nodes:
+        initial_logical = config.initial_logical or {}
+        for node_id in self.graph.nodes:
             api = _EngineNodeAPI(self, node_id)
             algorithm = algorithm_factory(node_id)
             start_value = float(initial_logical.get(node_id, 0.0))
             state = _NodeState(
                 node_id,
-                HardwareClock(params.rho, start_value),
+                HardwareClock(rho, start_value),
                 LogicalClock(start_value, allow_jumps=True),
                 algorithm,
                 api,
@@ -326,12 +327,29 @@ class Engine(EngineBase):
         # never join or leave).
         self._ids = list(self._nodes)
         self._index = {node: i for i, node in enumerate(self._ids)}
-        # The estimate layer may need to read engine state, hence the factory.
-        self.estimate_layer = estimate_layer_factory(self)
+        self.estimate_layer = self._build_estimate_layer(config)
         for state in self._nodes.values():
             state.algorithm.bind(state.api)
         for state in self._nodes.values():
             state.algorithm.on_start(0.0, self.graph.neighbors(state.node_id))
+
+    def _build_estimate_layer(self, config) -> EstimateLayer:
+        """The layer ``config`` names; it reads clocks through the node table."""
+        nodes = self._nodes
+        if config.estimate_mode == "oracle":
+            return OracleEstimateLayer(
+                self.graph,
+                lambda node: nodes[node].logical.value,
+                strategy=config.estimate_strategy,
+                seed=config.estimate_seed,
+            )
+        return BroadcastEstimateLayer(
+            self.graph,
+            lambda node: nodes[node].hardware.value,
+            broadcast_interval=config.broadcast_interval,
+            rho=config.params.rho,
+            mu=config.params.mu,
+        )
 
     # ------------------------------------------------------------------
     # State accessors

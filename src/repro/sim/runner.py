@@ -2,26 +2,25 @@
 
 Most experiments follow the same pattern: build a topology, choose an
 adversarial drift model, configure AOPT (or a baseline), run for a while and
-analyse the trace.  :class:`SimulationConfig` bundles the knobs and
-:func:`run_simulation` wires everything together.
+analyse the trace.  :class:`SimulationConfig` bundles the knobs: every
+engine is built from ``(graph, algorithm_factory, config)``, and
+:func:`run_simulation` builds the reference :class:`Engine` that way and
+runs it for ``config.duration``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
-from ..core.algorithm import AOPT, AOPTConfig, aopt_factory
+from ..core.algorithm import AOPTConfig, aopt_factory
 from ..core.interfaces import AlgorithmFactory
 from ..core import insertion as insertion_mod
 from ..core.parameters import DEFAULT_PARAMETERS, Parameters
 from ..core.skew_estimates import suggest_global_skew_bound
-from ..estimate.estimate_layer import EstimateLayer
-from ..estimate.message_layer import BroadcastEstimateLayer
-from ..estimate.oracle_layer import OracleEstimateLayer
 from ..network.dynamic_graph import DynamicGraph
 from ..network.edge import DEFAULT_EDGE_PARAMS, NodeId
-from .delay import DelayModel, UniformRandomDelay
+from .delay import DelayModel
 from .drift import DriftModel
 from .engine import Engine
 from .trace import Trace
@@ -73,57 +72,13 @@ class SimulationResult:
     engine: Engine
 
 
-def _estimate_layer_factory(config: SimulationConfig) -> Callable[[Engine], EstimateLayer]:
-    def factory(engine: Engine) -> EstimateLayer:
-        if config.estimate_mode == "oracle":
-            return OracleEstimateLayer(
-                engine.graph,
-                engine.logical_value,
-                strategy=config.estimate_strategy,
-                seed=config.estimate_seed,
-            )
-        return BroadcastEstimateLayer(
-            engine.graph,
-            engine.hardware_value,
-            broadcast_interval=config.broadcast_interval,
-            rho=config.params.rho,
-            mu=config.params.mu,
-        )
-
-    return factory
-
-
-def build_engine(
-    graph: DynamicGraph,
-    algorithm_factory: AlgorithmFactory,
-    config: SimulationConfig,
-) -> Engine:
-    """Assemble an :class:`Engine` from a graph, algorithm and configuration."""
-    delay = config.delay
-    if delay is None:
-        delay = UniformRandomDelay(seed=config.delay_seed)
-    return Engine(
-        graph,
-        algorithm_factory,
-        _estimate_layer_factory(config),
-        params=config.params,
-        dt=config.dt,
-        drift=config.drift,
-        delay=delay,
-        sample_interval=config.sample_interval,
-        track_diameter=config.track_diameter,
-        initial_logical=config.initial_logical,
-        drop_messages_on_edge_loss=config.drop_messages_on_edge_loss,
-    )
-
-
 def run_simulation(
     graph: DynamicGraph,
     algorithm_factory: AlgorithmFactory,
     config: SimulationConfig,
 ) -> SimulationResult:
     """Run a full simulation and return the trace and engine."""
-    engine = build_engine(graph, algorithm_factory, config)
+    engine = Engine(graph, algorithm_factory, config)
     trace = engine.run(config.duration)
     return SimulationResult(trace=trace, engine=engine)
 

@@ -34,7 +34,6 @@ from repro.fastsim.backend import (
 from repro.fastsim.engine import UnsupportedScenarioError
 from repro.service import ServiceConfig, SweepService
 from repro.service.core import ServiceError
-from repro.sim.runner import build_engine
 from repro.telemetry import SweepTelemetry
 
 COLUMNAR = [name for name in ("fast", "vec", "jit") if backend_available(name)]
@@ -451,7 +450,7 @@ class EchoBackend:
     name = "echo"
 
     def build(self, graph, algorithm_factory, config):
-        return build_engine(graph, algorithm_factory, config)
+        return get_backend("reference").build(graph, algorithm_factory, config)
 
     def declines(self, spec: ScenarioSpec):
         if spec.topology.args["n"] > 5:

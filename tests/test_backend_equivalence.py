@@ -37,7 +37,7 @@ from repro.fastsim.backend import backend_available, get_backend
 from repro.network import topology
 from repro.network.edge import EdgeParams
 from repro.sim.drift import TwoGroupAdversary
-from repro.sim.runner import SimulationConfig, build_engine, default_aopt_config
+from repro.sim.runner import SimulationConfig, default_aopt_config
 
 COLUMNAR = ("fast", "vec", "jit")
 COMPARED = ("trace", "summary", "meta", "observers", "stopped_early")
@@ -237,7 +237,7 @@ class TestRowShapeSeams:
 
     def run_both(self, graph, config):
         factory = aopt_factory(default_aopt_config(graph, config))
-        reference = build_engine(graph, factory, config)
+        reference = get_backend("reference").build(graph, factory, config)
         fast = FastEngine(graph, factory, config)
         traces = [engine.run(config.duration) for engine in (reference, fast)]
         assert trace_to_payload(traces[0]) == trace_to_payload(traces[1])

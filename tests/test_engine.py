@@ -6,25 +6,18 @@ from repro.baselines.hardware_only import hardware_only_factory
 from repro.baselines.max_algorithm import max_propagation_factory
 from repro.core.interfaces import ClockSyncAlgorithm, ControlDecision
 from repro.core.parameters import Parameters
-from repro.estimate.oracle_layer import OracleEstimateLayer
 from repro.network import topology
 from repro.network.edge import EdgeParams
 from repro.sim.delay import ZeroDelay
 from repro.sim.drift import ConstantDrift, TwoGroupAdversary
 from repro.sim.engine import Engine, EngineError
-
-
-def oracle_factory(strategy="zero"):
-    def factory(engine):
-        return OracleEstimateLayer(engine.graph, engine.logical_value, strategy=strategy)
-
-    return factory
+from repro.sim.runner import RunnerError, SimulationConfig
 
 
 def make_engine(graph, algorithm_factory, params, **kwargs):
     kwargs.setdefault("dt", 0.1)
     kwargs.setdefault("delay", ZeroDelay())
-    return Engine(graph, algorithm_factory, oracle_factory(), params=params, **kwargs)
+    return Engine(graph, algorithm_factory, SimulationConfig(params=params, **kwargs))
 
 
 class RecordingAlgorithm(ClockSyncAlgorithm):
@@ -54,7 +47,7 @@ class RecordingAlgorithm(ClockSyncAlgorithm):
 
 class TestEngineBasics:
     def test_rejects_nonpositive_dt(self, params):
-        with pytest.raises(EngineError):
+        with pytest.raises(RunnerError):
             make_engine(topology.line(3), hardware_only_factory(), params, dt=0.0)
 
     def test_clocks_advance_with_time(self, params):

@@ -14,13 +14,13 @@ import pytest
 
 from conftest import staged_insertion_spec
 from repro.core.interfaces import ClockSyncAlgorithm, ControlDecision
-from repro.estimate.oracle_layer import OracleEstimateLayer
 from repro.experiments import execute_spec
 from repro.fastsim import backend as backend_mod
 from repro.fastsim.engine import FastEngine
 from repro.network import topology
 from repro.sim.delay import ZeroDelay
 from repro.sim.engine import Engine, EngineError
+from repro.sim.runner import SimulationConfig
 
 
 class TimerAlgorithm(ClockSyncAlgorithm):
@@ -52,12 +52,7 @@ def timer_engine(params, plan, dt=0.1, other_plan=lambda api, fired: None):
         return algorithms[node]
 
     engine = Engine(
-        topology.line(2),
-        factory,
-        lambda engine: OracleEstimateLayer(engine.graph, engine.logical_value),
-        params=params,
-        dt=dt,
-        delay=ZeroDelay(),
+        topology.line(2), factory, SimulationConfig(params=params, dt=dt, delay=ZeroDelay())
     )
     return engine, algorithms[0].fired
 

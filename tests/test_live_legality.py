@@ -10,7 +10,8 @@ from repro.core.parameters import Parameters
 from repro.network import dynamics, topology
 from repro.network.edge import EdgeParams
 from repro.sim.drift import TwoGroupAdversary, half_split
-from repro.sim.runner import SimulationConfig, build_engine, default_aopt_config
+from repro.sim.engine import Engine
+from repro.sim.runner import SimulationConfig, default_aopt_config
 
 PARAMS = Parameters(rho=0.01, mu=0.1)
 EDGE = EdgeParams(epsilon=1.0, tau=0.5, delay=2.0)
@@ -31,7 +32,7 @@ def make_engine(graph, *, duration=0.0, global_skew_bound=40.0):
         global_skew_bound=global_skew_bound,
         insertion_duration=insertion_mod.scaled_insertion_duration(0.02),
     )
-    engine = build_engine(graph, aopt_factory(aopt_config), config)
+    engine = Engine(graph, aopt_factory(aopt_config), config)
     if duration > 0:
         engine.run(duration)
     return engine, aopt_config
@@ -64,7 +65,7 @@ class TestLevelEdgeSets:
 
     def test_non_aopt_algorithms_rejected(self):
         config = SimulationConfig(params=PARAMS, dt=0.05, duration=0.0)
-        engine = build_engine(topology.line(3, EDGE), max_propagation_factory(PARAMS.rho), config)
+        engine = Engine(topology.line(3, EDGE), max_propagation_factory(PARAMS.rho), config)
         with pytest.raises(live_legality.LiveLegalityError):
             live_legality.level_edge_sets(engine, 2, PARAMS)
 

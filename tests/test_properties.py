@@ -19,7 +19,7 @@ from repro.core.clocks import HardwareClock, LogicalClock
 from repro.core.insertion import InsertionSchedule, compute_insertion_times
 from repro.core.max_estimate import MaxEstimateTracker
 from repro.core.neighbor_sets import NeighborLevels
-from repro.core.parameters import ParameterError, Parameters
+from repro.core.parameters import Parameters
 from repro.core.triggers import (
     NeighborView,
     evaluate_triggers,

@@ -8,10 +8,10 @@ from repro.core import insertion as insertion_mod
 from repro.network import topology
 from repro.network.edge import EdgeParams
 from repro.sim.drift import ConstantDrift
+from repro.sim.engine import Engine
 from repro.sim.runner import (
     RunnerError,
     SimulationConfig,
-    build_engine,
     default_aopt_config,
     minimum_kappa,
     run_aopt,
@@ -70,7 +70,7 @@ class TestRunning:
     def test_build_engine_oracle_mode(self, params):
         graph = topology.line(3)
         config = SimulationConfig(params=params, dt=0.1, duration=5.0)
-        engine = build_engine(graph, hardware_only_factory(), config)
+        engine = Engine(graph, hardware_only_factory(), config)
         engine.run(1.0)
         assert engine.time == pytest.approx(1.0)
 

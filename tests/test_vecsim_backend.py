@@ -17,7 +17,7 @@ from repro.experiments import (
 )
 from repro.experiments.bench import BENCH_OBSERVERS, bench_spec
 from repro.experiments.executor import ResultCache, run_sweep
-from repro.experiments.spec import ComponentSpec, ScenarioSpec, SpecError
+from repro.experiments.spec import ScenarioSpec, SpecError
 from repro.fastsim import backend as backend_mod
 from repro.fastsim import (
     BackendUnavailableError,
